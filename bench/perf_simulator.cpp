@@ -2,17 +2,11 @@
  * @file
  * google-benchmark microbenchmarks: trace-generation and simulation
  * throughput (references per second) for every scheme, the trace
- * decode pass (BM_Decode), decoded-vs-legacy single-cell simulation
- * (BM_Simulate vs BM_SimulateDecoded), plus the parallel experiment
- * runner at several job counts (BM_RunGrid/1 is the sequential
- * baseline; the default-jobs run should approach a jobs-fold speedup
- * on an idle multi-core host). BM_RunGrid uses the decode-once dense
- * pipeline (the production default); BM_RunGridLegacy pins the
- * sparse engine for before/after comparison.
- *
- * The sharded-cell engine (sim/job.hh) gets its own coverage:
- * BM_SimulateSharded (one large cell at several shard counts) and
- * BM_RunGridSharded (the paper grid with intra-cell sharding).
+ * decode pass (BM_Decode), single-cell simulation with and without
+ * the decode (BM_Simulate vs BM_SimulateDecoded), plus the parallel
+ * experiment runner at several job counts (BM_RunGrid/1 is the
+ * sequential baseline; the default-jobs run should approach a
+ * jobs-fold speedup on an idle multi-core host).
  *
  * The machine-size axis gets BM_ScalingGrid: the 8-scheme scaling
  * grid (sim/scaling.hh) over one N-cache trace at N in
@@ -24,15 +18,11 @@
  * obs/sink.hh) to BENCH_8.json — the repo's perf trajectory file —
  * compared record-by-record by bench/compare_bench.py:
  *
- *  - the paper grid, along with two engine measurements: the
- *    sequential-vs-8-shard throughput of the largest suite trace
- *    under Dir4NB (perf.shard.*, bit-identity asserted) and a
- *    cold-then-warm cell-cache grid replay (perf.cache.*, zero
- *    simulated references asserted);
+ *  - the paper grid, along with a cold-then-warm cell-cache grid
+ *    replay (perf.cache.*, zero simulated references asserted);
  *
  *  - the N=1024 scaling grid (the BENCH_7 workload: 8 schemes x
- *    600k refs), along with its shard-scaling curve at 1, 4, and 16
- *    shards (perf.scaling.shard<K>.*, bit-identity asserted).
+ *    600k refs).
  *
  * DIRSIM_BENCH_JSON overrides the destination; set it to an empty
  * string to skip the grids entirely.
@@ -141,13 +131,13 @@ gridSuite()
     return traces;
 }
 
+/** The paper grid through the runner. */
 void
-runGridBench(benchmark::State &state, bool decode)
+BM_RunGrid(benchmark::State &state)
 {
     // Arg 0 = default concurrency (DIRSIM_JOBS / hardware threads).
     RunnerConfig config;
     config.jobs = static_cast<unsigned>(state.range(0));
-    config.decode = decode;
     const ExperimentRunner runner(config);
     std::uint64_t grid_refs = 0;
     for (auto _ : state) {
@@ -161,72 +151,8 @@ runGridBench(benchmark::State &state, bool decode)
         static_cast<std::int64_t>(grid_refs));
 }
 
-/** The production pipeline: decode-once streams + dense arenas. */
-void
-BM_RunGrid(benchmark::State &state)
-{
-    runGridBench(state, true);
-}
 BENCHMARK(BM_RunGrid)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(0)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-/** The pre-decode sparse engine, kept for before/after comparison. */
-void
-BM_RunGridLegacy(benchmark::State &state)
-{
-    runGridBench(state, false);
-}
-BENCHMARK(BM_RunGridLegacy)
-    ->Arg(1)->Arg(0)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-/** One large decoded cell at several shard counts (Arg = shards). */
-void
-BM_SimulateSharded(benchmark::State &state)
-{
-    const Trace &trace = benchTrace();
-    const DecodedTrace decoded = decodeTrace(
-        trace, defaultBlockBytes, SharingModel::ByProcess);
-    const SchemeSpec scheme = parseScheme("Dir4NB");
-    const auto shards = static_cast<unsigned>(state.range(0));
-    for (auto _ : state) {
-        const SimResult result =
-            simulateTraceSharded(decoded, scheme, {}, shards);
-        benchmark::DoNotOptimize(result.totalRefs);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(trace.size()));
-}
-BENCHMARK(BM_SimulateSharded)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->UseRealTime();
-
-/** The paper grid with intra-cell block sharding (Arg = shards). */
-void
-BM_RunGridSharded(benchmark::State &state)
-{
-    RunnerConfig config;
-    config.jobs = 1;
-    config.decode = true;
-    config.shards.shards = static_cast<unsigned>(state.range(0));
-    const ExperimentRunner runner(config);
-    std::uint64_t grid_refs = 0;
-    for (auto _ : state) {
-        const GridResult grid =
-            runner.run(paperSchemes(), gridSuite());
-        grid_refs = grid.totalRefs();
-        benchmark::DoNotOptimize(grid.schemes.size());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(grid_refs));
-}
-BENCHMARK(BM_RunGridSharded)
-    ->Arg(2)->Arg(8)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -263,7 +189,6 @@ BM_ScalingGrid(benchmark::State &state)
     traces.push_back(scalingTrace(n, params));
     RunnerConfig config;
     config.jobs = 1;
-    config.decode = true;
     const ExperimentRunner runner(config);
     std::uint64_t grid_refs = 0;
     for (auto _ : state) {
@@ -303,115 +228,6 @@ secondsOf(const std::function<void()> &work)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - start)
         .count();
-}
-
-/**
- * Sequential-vs-sharded throughput of one large cell: the largest
- * suite trace under Dir4NB, 1 shard vs 8 shards. Bit-identity is
- * asserted; the measured ratio lands in the trajectory file as
- * perf.shard.speedup. The ratio scales with free cores — every shard
- * scans the full record stream, so a loaded or single-core host
- * reports the scan overhead rather than the parallel win (see
- * docs/performance.md).
- */
-void
-measureShardSpeedup(MetricRegistry &metrics)
-{
-    SuiteParams params;
-    params.refsPerTrace = 1'000'000;
-    params.seed = 88;
-    const std::vector<Trace> traces = standardSuite(params);
-    const Trace *largest = &traces[0];
-    for (const Trace &trace : traces)
-        if (trace.size() > largest->size())
-            largest = &trace;
-
-    const DecodedTrace decoded = decodeTrace(
-        *largest, defaultBlockBytes, SharingModel::ByProcess);
-    const SchemeSpec scheme = parseScheme("Dir4NB");
-
-    SimResult sequential, sharded;
-    const double seq_seconds = secondsOf([&] {
-        sequential = simulateTrace(decoded, scheme);
-    });
-    const double shard_seconds = secondsOf([&] {
-        sharded = simulateTraceSharded(decoded, scheme, {}, 8);
-    });
-    fatalIf(!(sequential.events == sharded.events)
-                || !(sequential.ops == sharded.ops)
-                || !(sequential.cleanWriteHolders
-                     == sharded.cleanWriteHolders),
-            "sharded ", largest->name(),
-            "/Dir4NB diverged from the sequential cell");
-
-    const double refs = static_cast<double>(largest->size());
-    metrics.set("perf.shard.refs_per_second.seq",
-                seq_seconds > 0.0 ? refs / seq_seconds : 0.0);
-    metrics.set("perf.shard.refs_per_second.shard8",
-                shard_seconds > 0.0 ? refs / shard_seconds : 0.0);
-    const double speedup =
-        shard_seconds > 0.0 ? seq_seconds / shard_seconds : 0.0;
-    metrics.set("perf.shard.speedup", speedup);
-    std::cerr << "shard scaling: " << largest->name()
-              << "/Dir4NB x8 shards = " << speedup
-              << "x sequential (" << ThreadPool::hardwareThreads()
-              << " hardware threads)\n";
-}
-
-/**
- * The N=1024 grid driven through intra-cell block sharding at 1, 4,
- * and 16 shards (the DIRSIM_SHARDS axis). Every shard count must
- * reproduce the sequential grid's deterministic results exactly; the
- * throughput of each point lands in the trajectory file as
- * perf.scaling.shard<K>.refs_per_second, with the 16-shard speedup
- * over sequential as perf.scaling.shard16.speedup. Like
- * perf.shard.*, the measured ratio scales with free cores.
- */
-void
-measureScalingShardCurve(MetricRegistry &metrics)
-{
-    const std::vector<Trace> &traces = scalingGridSuite();
-    const std::vector<SchemeSpec> schemes = scalingSchemes();
-
-    GridResult sequential;
-    double seq_seconds = 0.0;
-    for (const unsigned shards : {1u, 4u, 16u}) {
-        RunnerConfig config;
-        config.jobs = 1;
-        config.decode = true;
-        config.shards.shards = shards;
-        const ExperimentRunner runner(config);
-        GridResult grid;
-        const double seconds = secondsOf([&] {
-            grid = runner.run(schemes, traces);
-        });
-        if (shards == 1) {
-            sequential = grid;
-            seq_seconds = seconds;
-        } else {
-            for (std::size_t s = 0; s < grid.schemes.size(); ++s) {
-                const SimResult &a = sequential.schemes[s].perTrace[0];
-                const SimResult &b = grid.schemes[s].perTrace[0];
-                fatalIf(!(a.events == b.events) || !(a.ops == b.ops)
-                            || !(a.cleanWriteHolders
-                                 == b.cleanWriteHolders),
-                        "scale1024/", sequential.schemes[s].scheme,
-                        " diverged at ", shards, " shards");
-            }
-        }
-        const double refs = static_cast<double>(grid.totalRefs());
-        metrics.set("perf.scaling.shard"
-                        + std::to_string(shards)
-                        + ".refs_per_second",
-                    seconds > 0.0 ? refs / seconds : 0.0);
-        if (shards == 16) {
-            metrics.set("perf.scaling.shard16.speedup",
-                        seconds > 0.0 ? seq_seconds / seconds : 0.0);
-        }
-        std::cerr << "scaling grid: N=1024 x " << shards
-                  << " shard(s) = " << refs / seconds
-                  << " refs/s\n";
-    }
 }
 
 /**
@@ -479,7 +295,6 @@ main(int argc, char **argv)
         fatalIf(!stream, "cannot write ", out);
 
         MetricRegistry engine_metrics;
-        measureShardSpeedup(engine_metrics);
         measureWarmCacheReplay(engine_metrics);
         {
             JsonlSink sink(stream);
@@ -491,17 +306,11 @@ main(int argc, char **argv)
                 });
         }
 
-        MetricRegistry scaling_metrics;
-        measureScalingShardCurve(scaling_metrics);
         {
             JsonlSink sink(stream);
             const ExperimentRunner runner;
-            runWithArtifacts(
-                runner, scalingSchemes(), scalingGridSuite(), {},
-                sink,
-                [&scaling_metrics](MetricRegistry &metrics) {
-                    metrics.merge(scaling_metrics);
-                });
+            runWithArtifacts(runner, scalingSchemes(),
+                             scalingGridSuite(), {}, sink);
         }
     } catch (const SimulationError &error) {
         std::cerr << "error: " << error.what() << '\n';

@@ -110,17 +110,14 @@ planCommand(const SweepCliArgs &args)
               << plan.traces.size() << " traces x "
               << plan.schemes.size() << " schemes x "
               << spec.blockBytes.size() << " blocks x "
-              << spec.geometries.size() << " geometries x "
-              << spec.shards.size() << " shard counts), ~"
+              << spec.geometries.size() << " geometries), ~"
               << TextTable::grouped(plan.targetCellRefs())
               << " generated refs\n\n";
-    TextTable table({"cell", "scheme", "block", "geometry",
-                     "shards"});
+    TextTable table({"cell", "scheme", "block", "geometry"});
     for (const SweepCell &cell : plan.cells)
         table.addRow({cell.label, cell.scheme.name(),
                       std::to_string(cell.blockBytes),
-                      cell.geometry.label(),
-                      std::to_string(cell.shards)});
+                      cell.geometry.label()});
     table.print(std::cout);
     return 0;
 }

@@ -177,8 +177,7 @@ checkSweepSpec(const std::string &spec_path)
                   << " schemes x "
                   << plan.spec.blockBytes.size() << " blocks x "
                   << plan.spec.geometries.size()
-                  << " geometries x " << plan.spec.shards.size()
-                  << " shard counts)\n";
+                  << " geometries)\n";
         return true;
     }
     std::cout << spec_path << ": INVALID\n";

@@ -39,9 +39,7 @@ main(int argc, char **argv)
         const SchemeSpec spec = parseScheme(scheme);
         const SimConfig config = SimConfig::fromEnvironment();
         const Trace trace = generateTrace(workload, refs, seed);
-        // One SimJob through the engine entry point: picks up the
-        // decode pipeline and the DIRSIM_SHARDS override
-        // (JobOptions::fromEnvironment()) for free.
+        // One SimJob through the engine entry point.
         const SimResult result =
             runJob({TraceRef::of(trace), spec, config}).result;
         printRunReport(std::cout, result);

@@ -82,7 +82,7 @@ try {
 
     const auto start = std::chrono::steady_clock::now();
     const std::vector<CellOutcome> outcomes =
-        runJobs(jobs, JobOptions::fromEnvironment(), /* workers */ 0);
+        runJobs(jobs, JobOptions{}, /* workers */ 0);
     const double wall_seconds =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - start)

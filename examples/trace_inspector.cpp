@@ -7,15 +7,16 @@
  *   workload    pops | thor | pero (default pops), generated with
  *               refs (default 500000) and seed (default 1); or
  *   trace-file  a path to a trace written by trace_tool (".txt" =
- *               text, else binary) — streamed, never fully loaded
+ *               text, else binary)
  *
  * Prints the Table 3 style trace characteristics, the Table 4 style
  * event frequencies for every implemented scheme, and the bus-cycle
- * costs on both bus models. File inputs go through the streaming
- * TraceSource API (trace/reader.hh): characterization and every
- * simulation re-stream the file in bounded memory, and the integrity
- * line reports the container format — for binary v2, the trailing
- * FNV-1a checksum is verified as each pass drains the file.
+ * costs on both bus models. File inputs are read twice through the
+ * streaming TraceSource API (trace/reader.hh): once record by record
+ * for the characteristics, then once into a decoded stream
+ * (sim/decoded.hh) that every scheme simulates. The integrity line
+ * reports the container format — for binary v2, the trailing FNV-1a
+ * checksum is verified as each pass drains the file.
  */
 
 #include <cstdlib>
@@ -95,14 +96,12 @@ main(int argc, char **argv)
             stats = computeTraceStats(*source);
             printTraceStats(stats);
 
-            // One validating scan sizes the coherence domain; each
-            // scheme then re-streams the file in bounded memory.
+            // One decode serves every scheme.
             const SimConfig sim;
-            const TraceFileInfo info =
-                scanTraceFile(input, sim.sharing);
+            const DecodedTrace decoded =
+                decodeTraceFile(input, sim.blockBytes, sim.sharing);
             for (const auto &scheme : schemes)
-                results.push_back(simulateTraceFile(
-                    input, scheme, sim, info.caches));
+                results.push_back(simulateTrace(decoded, scheme, sim));
         } else {
             const Trace trace = generateTrace(input, refs, seed);
             std::cout << "=== trace characteristics: " << trace.name()

@@ -111,8 +111,8 @@ printStats(const Trace &trace)
 void
 simulate(const std::string &path, const std::string &scheme)
 {
-    // Streams the file twice (domain-sizing scan, then simulation)
-    // instead of materializing it, so arbitrarily large traces fit.
+    // One streaming read decodes the file (about 9 bytes per record
+    // stay in memory); the decoded stream is then simulated.
     const SimResult result = simulateTraceFile(path, scheme);
     const CycleBreakdown pipe = result.cost(paperPipelinedCosts());
     const CycleBreakdown nonpipe =

@@ -6,6 +6,11 @@
  * each resident block; the cache models only manage residency and
  * state storage. State value 0 is reserved to mean "not resident" and
  * is never stored.
+ *
+ * Blocks are named by dense indices (sim/decoded.hh): a simulation
+ * knows every block it will touch before it starts, so every
+ * per-block arena is a flat array sized once, at construction, from a
+ * BlockSpace.
  */
 
 #ifndef DIRSIM_CACHE_CACHE_IF_HH
@@ -25,6 +30,31 @@ using CacheBlockState = std::uint8_t;
 
 /** Reserved "not resident" state value. */
 inline constexpr CacheBlockState stateNotPresent = 0;
+
+/**
+ * The block indices a simulation's per-block arenas cover:
+ * [0, count), numbered in order of first appearance by the trace
+ * decode (sim/decoded.hh).
+ */
+struct BlockSpace
+{
+    std::uint32_t count = 0;
+    /**
+     * Original block number of each index, or nullptr when every
+     * index is its own block number. Finite caches choose sets by it
+     * and trace sinks label events with it; the table must outlive
+     * everything built over the space.
+     */
+    const BlockNum *labels = nullptr;
+
+    /** Original block number of @p index. */
+    BlockNum label(BlockNum index) const
+    {
+        return labels != nullptr ? labels[index] : index;
+    }
+
+    bool operator==(const BlockSpace &) const = default;
+};
 
 /**
  * Abstract per-process cache holding protocol state per block.
@@ -78,19 +108,6 @@ class CacheModel
     virtual void touch(BlockNum block) { (void)block; }
 
     /**
-     * Announce that every future block key lies in
-     * [0, @p block_count), inviting the cache to switch to dense
-     * (array-indexed) storage. The cache must be empty. Optional:
-     * the default keeps whatever storage the cache already uses, so
-     * sparse implementations stay correct — dense keys are ordinary
-     * block numbers to them.
-     */
-    virtual void reserveBlocks(std::uint64_t block_count)
-    {
-        (void)block_count;
-    }
-
-    /**
      * Register the hook invoked when replacement evicts a block.
      * No-op for caches that never evict.
      */
@@ -102,8 +119,10 @@ class CacheModel
     }
 };
 
-/** Factory producing one cache per coherence-domain member. */
-using CacheFactory = std::function<std::unique_ptr<CacheModel>()>;
+/** Factory producing one cache over @p blocks per coherence-domain
+ *  member. */
+using CacheFactory =
+    std::function<std::unique_ptr<CacheModel>(const BlockSpace &blocks)>;
 
 } // namespace dirsim
 

@@ -27,8 +27,9 @@ FiniteCacheConfig::check() const
             "finite cache set count must be a power of two");
 }
 
-FiniteCache::FiniteCache(const FiniteCacheConfig &config_arg)
-    : cfg(config_arg)
+FiniteCache::FiniteCache(const FiniteCacheConfig &config_arg,
+                         const BlockSpace &blocks_arg)
+    : cfg(config_arg), blocks(blocks_arg)
 {
     cfg.check();
     sets.resize(cfg.numSets());
@@ -37,13 +38,13 @@ FiniteCache::FiniteCache(const FiniteCacheConfig &config_arg)
 FiniteCache::Set &
 FiniteCache::setFor(BlockNum block)
 {
-    return sets[block & (sets.size() - 1)];
+    return sets[blocks.label(block) & (sets.size() - 1)];
 }
 
 const FiniteCache::Set &
 FiniteCache::setFor(BlockNum block) const
 {
-    return sets[block & (sets.size() - 1)];
+    return sets[blocks.label(block) & (sets.size() - 1)];
 }
 
 CacheBlockState

@@ -10,7 +10,6 @@
 #define DIRSIM_CACHE_FINITE_CACHE_HH
 
 #include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_if.hh"
@@ -45,7 +44,15 @@ struct FiniteCacheConfig
 class FiniteCache : public CacheModel
 {
   public:
-    explicit FiniteCache(const FiniteCacheConfig &config_arg);
+    /**
+     * @param blocks_arg the blocks the cache may hold. A block's set is
+     *        the low bits of its original number (BlockSpace::label),
+     *        as in hardware, so replacement does not depend on the
+     *        order in which the trace first touched blocks. The
+     *        default space has no labels: indices are block numbers.
+     */
+    explicit FiniteCache(const FiniteCacheConfig &config_arg,
+                         const BlockSpace &blocks_arg = {});
 
     CacheBlockState lookup(BlockNum block) const override;
     bool set(BlockNum block, CacheBlockState state) override;
@@ -87,6 +94,7 @@ class FiniteCache : public CacheModel
     const Set &setFor(BlockNum block) const;
 
     FiniteCacheConfig cfg;
+    BlockSpace blocks;
     std::vector<Set> sets;
     std::size_t resident = 0;
     std::uint64_t evicted = 0;

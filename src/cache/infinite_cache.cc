@@ -5,13 +5,16 @@
 namespace dirsim
 {
 
+InfiniteCache::InfiniteCache(std::uint64_t block_count_arg)
+    : blockCount(block_count_arg)
+{
+    allocate();
+}
+
 CacheBlockState
 InfiniteCache::lookup(BlockNum block) const
 {
-    if (denseMode)
-        return block < denseSize ? dense[block] : stateNotPresent;
-    const auto it = blocks.find(block);
-    return it == blocks.end() ? stateNotPresent : it->second;
+    return block < blockCount ? states[block] : stateNotPresent;
 }
 
 bool
@@ -19,95 +22,55 @@ InfiniteCache::set(BlockNum block, CacheBlockState state)
 {
     panicIfNot(state != stateNotPresent,
                "InfiniteCache::set with the reserved not-present state");
-    if (denseMode) {
-        panicIfNot(block < denseSize,
-                   "InfiniteCache::set: block ", block,
-                   " outside the reserved dense arena of ",
-                   denseSize, " blocks");
-        CacheBlockState &slot = dense[block];
-        const bool inserted = slot == stateNotPresent;
-        slot = state;
-        denseResident += inserted ? 1 : 0;
-        return inserted;
-    }
-    const auto [it, inserted] = blocks.insert_or_assign(block, state);
-    (void)it;
+    panicIfNot(block < blockCount,
+               "InfiniteCache::set: block ", block,
+               " outside the arena of ", blockCount, " blocks");
+    CacheBlockState &slot = states[block];
+    const bool inserted = slot == stateNotPresent;
+    slot = state;
+    resident += inserted ? 1 : 0;
     return inserted;
 }
 
 CacheBlockState
 InfiniteCache::invalidate(BlockNum block)
 {
-    if (denseMode) {
-        if (block >= denseSize)
-            return stateNotPresent;
-        const CacheBlockState old = dense[block];
-        dense[block] = stateNotPresent;
-        denseResident -= old != stateNotPresent ? 1 : 0;
-        return old;
-    }
-    const auto it = blocks.find(block);
-    if (it == blocks.end())
+    if (block >= blockCount)
         return stateNotPresent;
-    const CacheBlockState old = it->second;
-    blocks.erase(it);
+    const CacheBlockState old = states[block];
+    states[block] = stateNotPresent;
+    resident -= old != stateNotPresent ? 1 : 0;
     return old;
-}
-
-std::size_t
-InfiniteCache::residentBlocks() const
-{
-    return denseMode ? denseResident : blocks.size();
 }
 
 void
 InfiniteCache::clear()
 {
-    if (denseMode) {
-        // Fresh calloc instead of a fill: the zeroing stays lazy.
-        allocDense(denseSize);
-        denseResident = 0;
-        return;
-    }
-    blocks.clear();
+    // Fresh calloc instead of a fill: the zeroing stays lazy.
+    allocate();
+    resident = 0;
 }
 
 void
 InfiniteCache::forEach(
     const std::function<void(BlockNum, CacheBlockState)> &fn) const
 {
-    if (denseMode) {
-        for (BlockNum block = 0; block < denseSize; ++block) {
-            if (dense[block] != stateNotPresent)
-                fn(block, dense[block]);
-        }
-        return;
+    for (BlockNum block = 0; block < blockCount; ++block) {
+        if (states[block] != stateNotPresent)
+            fn(block, states[block]);
     }
-    for (const auto &[block, state] : blocks)
-        fn(block, state);
 }
 
 void
-InfiniteCache::allocDense(std::uint64_t block_count)
+InfiniteCache::allocate()
 {
     // calloc so untouched pages never materialize; see the header.
-    auto *arena = static_cast<CacheBlockState *>(
-        std::calloc(block_count > 0 ? block_count : 1,
-                    sizeof(CacheBlockState)));
+    auto *arena = static_cast<CacheBlockState *>(std::calloc(
+        blockCount > 0 ? blockCount : 1, sizeof(CacheBlockState)));
     panicIfNot(arena != nullptr,
-               "InfiniteCache: cannot allocate a dense arena of ",
-               block_count, " blocks");
-    dense.reset(arena);
-    denseSize = block_count;
-}
-
-void
-InfiniteCache::reserveBlocks(std::uint64_t block_count)
-{
-    panicIfNot(blocks.empty() && denseResident == 0,
-               "InfiniteCache::reserveBlocks on a non-empty cache");
-    allocDense(block_count);
-    denseMode = true;
+               "InfiniteCache: cannot allocate an arena of ",
+               blockCount, " blocks");
+    states.reset(arena);
 }
 
 } // namespace dirsim

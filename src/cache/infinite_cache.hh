@@ -10,7 +10,6 @@
 
 #include <cstdlib>
 #include <memory>
-#include <unordered_map>
 
 #include "cache/cache_if.hh"
 
@@ -18,31 +17,24 @@ namespace dirsim
 {
 
 /**
- * Unbounded block-state store; see CacheModel for semantics.
- *
- * Two storage backends share one interface: the default sparse hash
- * map keyed by arbitrary block numbers, and — after reserveBlocks() —
- * a flat state array indexed directly by densified block indices
- * (sim/decoded.hh), which turns every lookup into a single load on
- * the simulation hot path.
+ * Unbounded block-state store; see CacheModel for semantics. One flat
+ * state array indexed directly by block, so every lookup on the
+ * simulation hot path is a single load.
  */
 class InfiniteCache : public CacheModel
 {
   public:
-    InfiniteCache() = default;
+    /** @param block_count_arg blocks the cache may hold: [0, count) */
+    explicit InfiniteCache(std::uint64_t block_count_arg);
 
     CacheBlockState lookup(BlockNum block) const override;
     bool set(BlockNum block, CacheBlockState state) override;
     CacheBlockState invalidate(BlockNum block) override;
-    std::size_t residentBlocks() const override;
+    std::size_t residentBlocks() const override { return resident; }
     void clear() override;
     void forEach(
         const std::function<void(BlockNum, CacheBlockState)> &fn)
         const override;
-    void reserveBlocks(std::uint64_t block_count) override;
-
-    /** True once reserveBlocks() switched to the flat array. */
-    bool denseStorage() const { return denseMode; }
 
   private:
     struct FreeDeleter
@@ -50,24 +42,21 @@ class InfiniteCache : public CacheModel
         void operator()(CacheBlockState *p) const { std::free(p); }
     };
 
-    /** (Re)claim a zeroed dense arena of @p block_count states. */
-    void allocDense(std::uint64_t block_count);
+    /** (Re)claim a zeroed arena of blockCount states. */
+    void allocate();
 
-    std::unordered_map<BlockNum, CacheBlockState> blocks;
     /**
-     * Dense backend: state per block index, 0 = not resident. A
-     * calloc'd buffer rather than a std::vector: a grid at large N
-     * builds one arena per cache per cell, and zero-filling them all
-     * eagerly (numCaches × blockCount bytes) costs more than the
-     * simulation itself when each cache only ever touches a sliver of
-     * the block space. calloc leaves untouched pages on the kernel's
-     * zero page, so setup cost follows the blocks a cache actually
-     * uses.
+     * State per block, 0 = not resident. A calloc'd buffer rather than
+     * a std::vector: a grid at large N builds one arena per cache per
+     * cell, and zero-filling them all eagerly (numCaches × blockCount
+     * bytes) costs more than the simulation itself when each cache
+     * only ever touches a sliver of the block space. calloc leaves
+     * untouched pages on the kernel's zero page, so setup cost follows
+     * the blocks a cache actually uses.
      */
-    std::unique_ptr<CacheBlockState[], FreeDeleter> dense;
-    std::size_t denseSize = 0;
-    std::size_t denseResident = 0;
-    bool denseMode = false;
+    std::unique_ptr<CacheBlockState[], FreeDeleter> states;
+    std::size_t blockCount = 0;
+    std::size_t resident = 0;
 };
 
 } // namespace dirsim

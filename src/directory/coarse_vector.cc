@@ -191,46 +191,27 @@ CoarseVector::toString() const
 }
 
 CoarseVectorDirectory::CoarseVectorDirectory(unsigned num_caches_arg,
-                                             unsigned region_size_arg)
+                                             unsigned region_size_arg,
+                                             std::uint64_t block_count)
     : caches(num_caches_arg), regionGranularity(region_size_arg)
 {
     fatalIf(caches == 0, "directory needs at least one cache");
+    entries.assign(block_count, Entry(caches, regionGranularity));
 }
 
 CoarseVectorDirectory::Entry &
 CoarseVectorDirectory::entry(BlockNum block)
 {
-    if (denseMode) {
-        panicIfNot(block < dense.size(),
-                   "CoarseVectorDirectory: block ", block,
-                   " outside the dense arena of ", dense.size(),
-                   " blocks");
-        return dense[block];
-    }
-    const auto it = entries.find(block);
-    if (it != entries.end())
-        return it->second;
-    return entries.emplace(block, Entry(caches, regionGranularity))
-        .first->second;
+    panicIfNot(block < entries.size(),
+               "CoarseVectorDirectory: block ", block,
+               " outside the arena of ", entries.size(), " blocks");
+    return entries[block];
 }
 
 const CoarseVectorDirectory::Entry *
 CoarseVectorDirectory::find(BlockNum block) const
 {
-    if (denseMode)
-        return block < dense.size() ? &dense[block] : nullptr;
-    const auto it = entries.find(block);
-    return it == entries.end() ? nullptr : &it->second;
-}
-
-void
-CoarseVectorDirectory::reserveDense(std::uint64_t block_count)
-{
-    panicIfNot(entries.empty() && !denseMode,
-               "CoarseVectorDirectory::reserveDense on a touched "
-               "directory");
-    dense.assign(block_count, Entry(caches, regionGranularity));
-    denseMode = true;
+    return block < entries.size() ? &entries[block] : nullptr;
 }
 
 } // namespace dirsim

@@ -13,7 +13,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "directory/sharer_set.hh"
@@ -195,11 +194,9 @@ class CoarseVector
 
 /**
  * A directory whose entries keep a dirty bit plus a CoarseVector, for
- * the Section 6 limited-broadcast evaluation.
- *
- * reserveDense() pre-materializes one entry per densified block index
- * (see FullMapDirectory::reserveDense), turning entry access into an
- * array load for decode-once simulation streams.
+ * the Section 6 limited-broadcast evaluation. One entry per block in
+ * [0, block_count), materialized at construction, so entry access is
+ * an array load.
  */
 class CoarseVectorDirectory
 {
@@ -217,29 +214,27 @@ class CoarseVectorDirectory
      * @param num_caches_arg caches in the domain
      * @param region_size_arg 0 for ternary entries, else the region
      *        granularity K (see CoarseVector)
+     * @param block_count blocks the directory covers
      */
-    explicit CoarseVectorDirectory(unsigned num_caches_arg,
-                                   unsigned region_size_arg = 0);
+    CoarseVectorDirectory(unsigned num_caches_arg,
+                          unsigned region_size_arg,
+                          std::uint64_t block_count);
 
+    /** The entry of @p block; panics outside the directory. */
     Entry &entry(BlockNum block);
+
+    /** The entry of @p block, or nullptr outside the directory. */
     const Entry *find(BlockNum block) const;
+
     unsigned numCaches() const { return caches; }
 
     /** Region granularity of the entries (0 = ternary). */
     unsigned regionSize() const { return regionGranularity; }
 
-    /** Switch to dense entry storage; see FullMapDirectory. */
-    void reserveDense(std::uint64_t block_count);
-
-    /** True once reserveDense() switched to the arena. */
-    bool denseStorage() const { return denseMode; }
-
   private:
     unsigned caches;
     unsigned regionGranularity;
-    std::unordered_map<BlockNum, Entry> entries;
-    std::vector<Entry> dense;
-    bool denseMode = false;
+    std::vector<Entry> entries;
 };
 
 } // namespace dirsim

@@ -5,158 +5,66 @@
 namespace dirsim
 {
 
-FullMapDirectory::FullMapDirectory(unsigned num_caches_arg)
-    : caches(num_caches_arg)
+FullMapDirectory::FullMapDirectory(unsigned num_caches_arg,
+                                   std::uint64_t block_count)
+    : caches(num_caches_arg), dirtyBits(block_count, 0)
 {
     fatalIf(caches == 0, "directory needs at least one cache");
-}
-
-FullMapEntry &
-FullMapDirectory::entry(BlockNum block)
-{
-    panicIfNot(!denseMode,
-               "FullMapDirectory::entry: dense mode has no per-block "
-               "entry objects; use the block-keyed accessors");
-    return sparseEntry(block);
-}
-
-FullMapEntry &
-FullMapDirectory::sparseEntry(BlockNum block)
-{
-    const auto it = entries.find(block);
-    if (it != entries.end())
-        return it->second;
-    return entries.emplace(block, FullMapEntry(caches)).first->second;
-}
-
-const FullMapEntry *
-FullMapDirectory::find(BlockNum block) const
-{
-    panicIfNot(!denseMode,
-               "FullMapDirectory::find: dense mode has no per-block "
-               "entry objects; use the block-keyed accessors");
-    const auto it = entries.find(block);
-    return it == entries.end() ? nullptr : &it->second;
+    sharers.reset(caches, block_count);
 }
 
 void
 FullMapDirectory::addSharer(BlockNum block, CacheId cache)
 {
-    if (denseMode) {
-        denseSharers.add(block, cache);
-        return;
-    }
-    sparseEntry(block).sharers.add(cache);
+    sharers.add(block, cache);
 }
 
 void
 FullMapDirectory::removeSharer(BlockNum block, CacheId cache)
 {
-    if (denseMode) {
-        denseSharers.remove(block, cache);
-        return;
-    }
-    sparseEntry(block).sharers.remove(cache);
+    sharers.remove(block, cache);
 }
 
 bool
 FullMapDirectory::isSharer(BlockNum block, CacheId cache) const
 {
-    if (denseMode)
-        return denseSharers.contains(block, cache);
-    const auto it = entries.find(block);
-    return it != entries.end() && it->second.sharers.contains(cache);
+    return sharers.contains(block, cache);
 }
 
 unsigned
 FullMapDirectory::sharerCount(BlockNum block) const
 {
-    if (denseMode)
-        return denseSharers.count(block);
-    const auto it = entries.find(block);
-    return it == entries.end() ? 0 : it->second.sharers.count();
+    return sharers.count(block);
 }
 
 bool
 FullMapDirectory::dirty(BlockNum block) const
 {
-    if (denseMode) {
-        panicIfNot(block < denseDirty.size(),
-                   "FullMapDirectory: block ", block,
-                   " outside the dense arena of ", denseDirty.size(),
-                   " blocks");
-        return denseDirty[block] != 0;
-    }
-    const auto it = entries.find(block);
-    return it != entries.end() && it->second.dirty;
+    panicIfNot(block < dirtyBits.size(),
+               "FullMapDirectory: block ", block,
+               " outside the arena of ", dirtyBits.size(), " blocks");
+    return dirtyBits[block] != 0;
 }
 
 void
 FullMapDirectory::setDirty(BlockNum block, bool dirty_arg)
 {
-    if (denseMode) {
-        panicIfNot(block < denseDirty.size(),
-                   "FullMapDirectory: block ", block,
-                   " outside the dense arena of ", denseDirty.size(),
-                   " blocks");
-        denseDirty[block] = dirty_arg ? 1 : 0;
-        return;
-    }
-    sparseEntry(block).dirty = dirty_arg;
-}
-
-bool
-FullMapDirectory::tracked(BlockNum block) const
-{
-    if (denseMode)
-        return block < denseSharers.blockCount();
-    return entries.find(block) != entries.end();
+    panicIfNot(block < dirtyBits.size(),
+               "FullMapDirectory: block ", block,
+               " outside the arena of ", dirtyBits.size(), " blocks");
+    dirtyBits[block] = dirty_arg ? 1 : 0;
 }
 
 void
 FullMapDirectory::appendSharers(BlockNum block, CacheIdList &out) const
 {
-    if (denseMode) {
-        denseSharers.appendTo(block, out);
-        return;
-    }
-    const auto it = entries.find(block);
-    if (it != entries.end()) {
-        it->second.sharers.forEach(
-            [&out](CacheId cache) { out.push(cache); });
-    }
+    sharers.appendTo(block, out);
 }
 
 SharerSet
 FullMapDirectory::sharerSnapshot(BlockNum block) const
 {
-    if (denseMode)
-        return denseSharers.snapshot(block);
-    const auto it = entries.find(block);
-    return it == entries.end() ? SharerSet(caches) : it->second.sharers;
-}
-
-void
-FullMapDirectory::compact()
-{
-    if (denseMode)
-        return; // the arena is the memory bound
-    for (auto it = entries.begin(); it != entries.end();) {
-        if (!it->second.dirty && it->second.sharers.empty())
-            it = entries.erase(it);
-        else
-            ++it;
-    }
-}
-
-void
-FullMapDirectory::reserveDense(std::uint64_t block_count)
-{
-    panicIfNot(entries.empty() && !denseMode,
-               "FullMapDirectory::reserveDense on a touched directory");
-    denseSharers.reset(caches, block_count);
-    denseDirty.assign(block_count, 0);
-    denseMode = true;
+    return sharers.snapshot(block);
 }
 
 } // namespace dirsim

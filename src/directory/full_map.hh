@@ -8,7 +8,7 @@
 #ifndef DIRSIM_DIRECTORY_FULL_MAP_HH
 #define DIRSIM_DIRECTORY_FULL_MAP_HH
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "directory/sharer_set.hh"
@@ -16,51 +16,23 @@
 namespace dirsim
 {
 
-/** One sparse full-map entry: dirty bit + present-bit vector. */
-struct FullMapEntry
-{
-    explicit FullMapEntry(unsigned num_caches)
-        : sharers(num_caches)
-    {}
-
-    bool dirty = false;
-    SharerSet sharers;
-
-    /**
-     * The invariant Censier & Feautrier state: a dirty block exists in
-     * at most one cache.
-     */
-    bool valid() const { return !dirty || sharers.count() <= 1; }
-};
-
 /**
- * Sparse full-map directory over all of main memory.
+ * Full-map directory over the blocks [0, block_count).
  *
- * Entries are created on first touch; absence of an entry means
- * "block not cached anywhere", so untouched memory costs nothing at
- * simulation time (the storage calculators in directory/storage.hh
- * account for the real per-block hardware cost).
- *
- * reserveDense() switches to dense storage for decode-once streams
- * whose block keys are densified indices in [0, block_count)
- * (sim/decoded.hh): the present bits of every block then live in one
- * SharerStore arena (hybrid inline/spill sharer sets, a single
- * allocation) beside a flat dirty-bit array. Dense mode has no
- * per-block FullMapEntry objects, so protocols address the directory
- * through the block-keyed accessors below, which work in both modes;
- * entry()/find() remain for the sparse map (and panic once dense).
+ * The present bits of every block live in one SharerStore arena
+ * (hybrid inline/spill sharer sets, a single allocation) beside a flat
+ * dirty-bit array, both sized at construction (the storage
+ * calculators in directory/storage.hh account for the real per-block
+ * hardware cost).
  */
 class FullMapDirectory
 {
   public:
-    /** @param num_caches_arg number of caches in the system */
-    explicit FullMapDirectory(unsigned num_caches_arg);
-
-    /** Sparse mode: entry for @p block, created clean on first use. */
-    FullMapEntry &entry(BlockNum block);
-
-    /** Sparse mode: lookup without creation; nullptr if untouched. */
-    const FullMapEntry *find(BlockNum block) const;
+    /**
+     * @param num_caches_arg number of caches in the system
+     * @param block_count blocks the directory covers
+     */
+    FullMapDirectory(unsigned num_caches_arg, std::uint64_t block_count);
 
     /** Record @p cache's present bit for @p block. */
     void addSharer(BlockNum block, CacheId cache);
@@ -74,13 +46,10 @@ class FullMapDirectory
     /** Number of present bits set for @p block. */
     unsigned sharerCount(BlockNum block) const;
 
-    /** The dirty bit of @p block (clear when untouched). */
+    /** The dirty bit of @p block (clear until set). */
     bool dirty(BlockNum block) const;
 
     void setDirty(BlockNum block, bool dirty_arg);
-
-    /** True when the directory has state for @p block. */
-    bool tracked(BlockNum block) const;
 
     /** Append @p block's sharers to @p out in ascending order. */
     void appendSharers(BlockNum block, CacheIdList &out) const;
@@ -90,35 +59,12 @@ class FullMapDirectory
 
     unsigned numCaches() const { return caches; }
 
-    /** Number of blocks with directory state materialized. */
-    std::size_t trackedBlocks() const
-    {
-        return denseMode ? denseSharers.blockCount() : entries.size();
-    }
-
-    /** Drop empty (uncached, clean) entries to bound memory. */
-    void compact();
-
-    /**
-     * Switch to dense storage: pre-materialize clean/uncached state
-     * for every block in [0, @p block_count). Must be called before
-     * any entry is touched.
-     */
-    void reserveDense(std::uint64_t block_count);
-
-    /** True once reserveDense() switched to the arena. */
-    bool denseStorage() const { return denseMode; }
-
   private:
-    FullMapEntry &sparseEntry(BlockNum block);
-
     unsigned caches;
-    std::unordered_map<BlockNum, FullMapEntry> entries;
-    /** Dense present bits: the hybrid inline/spill arena. */
-    SharerStore denseSharers;
-    /** Dense dirty bits, indexed by block. */
-    std::vector<std::uint8_t> denseDirty;
-    bool denseMode = false;
+    /** Present bits: the hybrid inline/spill arena. */
+    SharerStore sharers;
+    /** Dirty bits, indexed by block. */
+    std::vector<std::uint8_t> dirtyBits;
 };
 
 } // namespace dirsim

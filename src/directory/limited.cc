@@ -74,47 +74,28 @@ LimitedEntry::pointsTo(CacheId cache) const
 }
 
 LimitedDirectory::LimitedDirectory(unsigned num_pointers_arg,
-                                   bool allow_broadcast_arg)
+                                   bool allow_broadcast_arg,
+                                   std::uint64_t block_count)
     : numPointers(num_pointers_arg), allowBroadcast(allow_broadcast_arg)
 {
     fatalIf(numPointers == 0, "LimitedDirectory needs i >= 1");
+    entries.assign(block_count,
+                   LimitedEntry(numPointers, allowBroadcast));
 }
 
 LimitedEntry &
 LimitedDirectory::entry(BlockNum block)
 {
-    if (denseMode) {
-        panicIfNot(block < dense.size(),
-                   "LimitedDirectory: block ", block,
-                   " outside the dense arena of ", dense.size(),
-                   " blocks");
-        return dense[block];
-    }
-    const auto it = entries.find(block);
-    if (it != entries.end())
-        return it->second;
-    return entries
-        .emplace(block, LimitedEntry(numPointers, allowBroadcast))
-        .first->second;
+    panicIfNot(block < entries.size(),
+               "LimitedDirectory: block ", block,
+               " outside the arena of ", entries.size(), " blocks");
+    return entries[block];
 }
 
 const LimitedEntry *
 LimitedDirectory::find(BlockNum block) const
 {
-    if (denseMode)
-        return block < dense.size() ? &dense[block] : nullptr;
-    const auto it = entries.find(block);
-    return it == entries.end() ? nullptr : &it->second;
-}
-
-void
-LimitedDirectory::reserveDense(std::uint64_t block_count)
-{
-    panicIfNot(entries.empty() && !denseMode,
-               "LimitedDirectory::reserveDense on a touched directory");
-    dense.assign(block_count,
-                 LimitedEntry(numPointers, allowBroadcast));
-    denseMode = true;
+    return block < entries.size() ? &entries[block] : nullptr;
 }
 
 } // namespace dirsim

@@ -10,7 +10,7 @@
 #define DIRSIM_DIRECTORY_LIMITED_HH
 
 #include <array>
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "directory/sharer_set.hh"
@@ -115,11 +115,8 @@ class LimitedEntry
 };
 
 /**
- * Sparse map of LimitedEntry by block, mirroring FullMapDirectory.
- *
- * reserveDense() pre-materializes one entry per densified block index
- * (see FullMapDirectory::reserveDense), turning entry access into an
- * array load for decode-once simulation streams.
+ * One LimitedEntry per block in [0, block_count), materialized at
+ * construction, so entry access is an array load.
  */
 class LimitedDirectory
 {
@@ -127,31 +124,24 @@ class LimitedDirectory
     /**
      * @param num_pointers_arg i (pointer budget per entry)
      * @param allow_broadcast_arg Dir_i B when true, Dir_i NB when false
+     * @param block_count blocks the directory covers
      */
-    LimitedDirectory(unsigned num_pointers_arg, bool allow_broadcast_arg);
+    LimitedDirectory(unsigned num_pointers_arg, bool allow_broadcast_arg,
+                     std::uint64_t block_count);
 
+    /** The entry of @p block; panics outside the directory. */
     LimitedEntry &entry(BlockNum block);
+
+    /** The entry of @p block, or nullptr outside the directory. */
     const LimitedEntry *find(BlockNum block) const;
-    std::size_t trackedBlocks() const
-    {
-        return denseMode ? dense.size() : entries.size();
-    }
 
     unsigned pointerBudget() const { return numPointers; }
     bool broadcastAllowed() const { return allowBroadcast; }
 
-    /** Switch to dense entry storage; see FullMapDirectory. */
-    void reserveDense(std::uint64_t block_count);
-
-    /** True once reserveDense() switched to the arena. */
-    bool denseStorage() const { return denseMode; }
-
   private:
     unsigned numPointers;
     bool allowBroadcast;
-    std::unordered_map<BlockNum, LimitedEntry> entries;
-    std::vector<LimitedEntry> dense;
-    bool denseMode = false;
+    std::vector<LimitedEntry> entries;
 };
 
 } // namespace dirsim

@@ -166,27 +166,6 @@ SharerSet::isSupersetOf(const SharerSet &other) const
 }
 
 void
-SharerSet::unionWith(const SharerSet &other)
-{
-    panicIfNot(domain == other.domain,
-               "SharerSet::unionWith across different domains");
-    for (std::size_t w = 0; w < words.size(); ++w)
-        words[w] |= other.words[w];
-}
-
-bool
-SharerSet::intersects(const SharerSet &other) const
-{
-    panicIfNot(domain == other.domain,
-               "SharerSet::intersects across different domains");
-    for (std::size_t w = 0; w < words.size(); ++w) {
-        if ((words[w] & other.words[w]) != 0)
-            return true;
-    }
-    return false;
-}
-
-void
 SharerStore::reset(unsigned domain_arg, std::uint64_t block_count)
 {
     panicIfNot(domain_arg <= 0xffff,

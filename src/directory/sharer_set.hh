@@ -4,10 +4,9 @@
  * oracle, in two forms:
  *
  *  - SharerSet: a self-contained dynamic bit vector over the cache
- *    domain, used by the sparse (hash-map) engine paths, invariant
- *    checks, and tests.
+ *    domain, used for holder snapshots, invariant checks, and tests.
  *
- *  - SharerStore: the dense-arena form used after reserveBlocks().
+ *  - SharerStore: the arena form every protocol and directory keeps.
  *    One flat word vector holds the sharer sets of *every* block, so
  *    a protocol instance makes a single allocation instead of one
  *    heap bit-vector per block. Per block the store keeps a hybrid
@@ -72,11 +71,9 @@ class SharerSet
 
     /**
      * Highest-numbered member other than @p excluded, or
-     * invalidCacheId when no such member exists. This is the member a
-     * full ascending visit would report last, which is what the
-     * engine's dense classifyOthers fast path needs to match the
-     * sparse survey bit-for-bit. @p excluded need not lie in the
-     * domain.
+     * invalidCacheId when no such member exists: the member a full
+     * ascending visit would report last. @p excluded need not lie in
+     * the domain.
      */
     CacheId lastExcluding(CacheId excluded) const;
 
@@ -91,12 +88,6 @@ class SharerSet
 
     /** True iff this is a superset of @p other (same domain). */
     bool isSupersetOf(const SharerSet &other) const;
-
-    /** Add every member of @p other (same domain). */
-    void unionWith(const SharerSet &other);
-
-    /** True iff this and @p other share a member (same domain). */
-    bool intersects(const SharerSet &other) const;
 
     bool operator==(const SharerSet &other) const = default;
 

@@ -5,71 +5,50 @@
 namespace dirsim
 {
 
-TangDirectory::TangDirectory(unsigned num_caches_arg)
-    : dupTags(num_caches_arg)
+TangDirectory::TangDirectory(unsigned num_caches_arg,
+                             std::uint64_t block_count)
 {
     fatalIf(num_caches_arg == 0, "directory needs at least one cache");
+    dupTags.assign(num_caches_arg,
+                   std::vector<std::uint8_t>(block_count, tagAbsent));
 }
 
 void
 TangDirectory::recordFill(CacheId cache, BlockNum block)
 {
     panicIfNot(cache < dupTags.size(), "cache id out of range");
-    if (denseMode) {
-        panicIfNot(block < denseTags[cache].size(),
-                   "TangDirectory: block ", block,
-                   " outside the dense arena of ",
-                   denseTags[cache].size(), " blocks");
-        denseTags[cache][block] = tagClean;
-        return;
-    }
-    dupTags[cache][block] = false;
+    panicIfNot(block < dupTags[cache].size(),
+               "TangDirectory: block ", block, " outside the arena of ",
+               dupTags[cache].size(), " blocks");
+    dupTags[cache][block] = tagClean;
 }
 
 void
 TangDirectory::recordDirty(CacheId cache, BlockNum block)
 {
     panicIfNot(cache < dupTags.size(), "cache id out of range");
-    if (denseMode) {
-        panicIfNot(block < denseTags[cache].size()
-                       && denseTags[cache][block] != tagAbsent,
-                   "recordDirty for a block the cache does not hold");
-        denseTags[cache][block] = tagDirty;
-        return;
-    }
-    const auto it = dupTags[cache].find(block);
-    panicIfNot(it != dupTags[cache].end(),
+    panicIfNot(block < dupTags[cache].size()
+                   && dupTags[cache][block] != tagAbsent,
                "recordDirty for a block the cache does not hold");
-    it->second = true;
+    dupTags[cache][block] = tagDirty;
 }
 
 void
 TangDirectory::recordClean(CacheId cache, BlockNum block)
 {
     panicIfNot(cache < dupTags.size(), "cache id out of range");
-    if (denseMode) {
-        panicIfNot(block < denseTags[cache].size()
-                       && denseTags[cache][block] != tagAbsent,
-                   "recordClean for a block the cache does not hold");
-        denseTags[cache][block] = tagClean;
-        return;
-    }
-    const auto it = dupTags[cache].find(block);
-    panicIfNot(it != dupTags[cache].end(),
+    panicIfNot(block < dupTags[cache].size()
+                   && dupTags[cache][block] != tagAbsent,
                "recordClean for a block the cache does not hold");
-    it->second = false;
+    dupTags[cache][block] = tagClean;
 }
 
 void
 TangDirectory::recordInvalidate(CacheId cache, BlockNum block)
 {
     panicIfNot(cache < dupTags.size(), "cache id out of range");
-    if (denseMode) {
-        if (block < denseTags[cache].size())
-            denseTags[cache][block] = tagAbsent;
-        return;
-    }
-    dupTags[cache].erase(block);
+    if (block < dupTags[cache].size())
+        dupTags[cache][block] = tagAbsent;
 }
 
 TangDirectory::SearchResult
@@ -77,48 +56,20 @@ TangDirectory::search(BlockNum block) const
 {
     SearchResult result;
     result.holders = SharerSet(numCaches());
-    if (denseMode) {
-        for (CacheId cache = 0; cache < denseTags.size(); ++cache) {
-            const std::uint8_t slot =
-                block < denseTags[cache].size()
-                    ? denseTags[cache][block]
-                    : tagAbsent;
-            if (slot == tagAbsent)
-                continue;
-            result.holders.add(cache);
-            if (slot == tagDirty) {
-                panicIfNot(result.dirtyOwner == invalidCacheId,
-                           "two caches hold block ", block, " dirty");
-                result.dirtyOwner = cache;
-            }
-        }
-        return result;
-    }
     for (CacheId cache = 0; cache < dupTags.size(); ++cache) {
-        const auto it = dupTags[cache].find(block);
-        if (it == dupTags[cache].end())
+        if (block >= dupTags[cache].size())
+            continue;
+        const std::uint8_t slot = dupTags[cache][block];
+        if (slot == tagAbsent)
             continue;
         result.holders.add(cache);
-        if (it->second) {
+        if (slot == tagDirty) {
             panicIfNot(result.dirtyOwner == invalidCacheId,
                        "two caches hold block ", block, " dirty");
             result.dirtyOwner = cache;
         }
     }
     return result;
-}
-
-void
-TangDirectory::reserveDense(std::uint64_t block_count)
-{
-    for (const auto &tags : dupTags)
-        panicIfNot(tags.empty(),
-                   "TangDirectory::reserveDense on a touched directory");
-    panicIfNot(!denseMode,
-               "TangDirectory::reserveDense called twice");
-    denseTags.assign(dupTags.size(),
-                     std::vector<std::uint8_t>(block_count, tagAbsent));
-    denseMode = true;
 }
 
 } // namespace dirsim

@@ -12,7 +12,6 @@
 #define DIRSIM_DIRECTORY_TANG_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "directory/sharer_set.hh"
@@ -23,10 +22,8 @@ namespace dirsim
 /**
  * Duplicate-tag central directory.
  *
- * reserveDense() switches each duplicate tag store from a hash map to
- * a flat per-block presence/dirty array (for densified block indices,
- * sim/decoded.hh), so a search touches one byte per cache instead of
- * performing one hash probe per cache.
+ * Each duplicate tag store is a flat presence/dirty array over the
+ * blocks [0, block_count), so a search touches one byte per cache.
  */
 class TangDirectory
 {
@@ -41,8 +38,11 @@ class TangDirectory
         bool dirty() const { return dirtyOwner != invalidCacheId; }
     };
 
-    /** @param num_caches_arg number of caches whose tags to mirror */
-    explicit TangDirectory(unsigned num_caches_arg);
+    /**
+     * @param num_caches_arg number of caches whose tags to mirror
+     * @param block_count blocks each duplicate tag store covers
+     */
+    TangDirectory(unsigned num_caches_arg, std::uint64_t block_count);
 
     /** Mirror cache @p cache filling @p block (clean). */
     void recordFill(CacheId cache, BlockNum block);
@@ -74,21 +74,12 @@ class TangDirectory
         return static_cast<unsigned>(dupTags.size());
     }
 
-    /** Switch to dense per-cache tag arrays; must precede records. */
-    void reserveDense(std::uint64_t block_count);
-
-    /** True once reserveDense() switched to the arrays. */
-    bool denseStorage() const { return denseMode; }
-
   private:
-    /** Dense tag-slot encoding: absent / present-clean / present-dirty. */
+    /** Tag-slot encoding: absent / present-clean / present-dirty. */
     enum : std::uint8_t { tagAbsent = 0, tagClean = 1, tagDirty = 2 };
 
-    /** Per-cache duplicate tags: block -> dirty flag. */
-    std::vector<std::unordered_map<BlockNum, bool>> dupTags;
-    /** Dense backend: per-cache tag slot per block index. */
-    std::vector<std::vector<std::uint8_t>> denseTags;
-    bool denseMode = false;
+    /** Per-cache duplicate tags: one slot per block. */
+    std::vector<std::vector<std::uint8_t>> dupTags;
 };
 
 } // namespace dirsim

@@ -21,41 +21,25 @@ toString(TwoBitState state)
     panic("unknown TwoBitState ", static_cast<int>(state));
 }
 
+TwoBitDirectory::TwoBitDirectory(std::uint64_t block_count)
+    : states(block_count, TwoBitState::NotCached)
+{
+}
+
 TwoBitState
 TwoBitDirectory::state(BlockNum block) const
 {
-    if (denseMode) {
-        return block < dense.size() ? dense[block]
-                                    : TwoBitState::NotCached;
-    }
-    const auto it = states.find(block);
-    return it == states.end() ? TwoBitState::NotCached : it->second;
+    return block < states.size() ? states[block]
+                                 : TwoBitState::NotCached;
 }
 
 void
 TwoBitDirectory::setState(BlockNum block, TwoBitState state_arg)
 {
-    if (denseMode) {
-        panicIfNot(block < dense.size(),
-                   "TwoBitDirectory: block ", block,
-                   " outside the dense arena of ", dense.size(),
-                   " blocks");
-        dense[block] = state_arg;
-        return;
-    }
-    if (state_arg == TwoBitState::NotCached)
-        states.erase(block);
-    else
-        states[block] = state_arg;
-}
-
-void
-TwoBitDirectory::reserveDense(std::uint64_t block_count)
-{
-    panicIfNot(states.empty() && !denseMode,
-               "TwoBitDirectory::reserveDense on a touched directory");
-    dense.assign(block_count, TwoBitState::NotCached);
-    denseMode = true;
+    panicIfNot(block < states.size(),
+               "TwoBitDirectory: block ", block,
+               " outside the arena of ", states.size(), " blocks");
+    states[block] = state_arg;
 }
 
 void

@@ -8,7 +8,7 @@
 #ifndef DIRSIM_DIRECTORY_TWO_BIT_HH
 #define DIRSIM_DIRECTORY_TWO_BIT_HH
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "common/types.hh"
@@ -29,7 +29,8 @@ enum class TwoBitState : std::uint8_t
 const char *toString(TwoBitState state);
 
 /**
- * Sparse two-bit directory; absent blocks are NotCached.
+ * Two-bit directory: one state per block in [0, block_count), every
+ * block NotCached until a cache obtains it.
  *
  * The CleanOne state is the scheme's optimization: a write hit by the
  * sole holder needs no invalidation broadcast.
@@ -37,9 +38,10 @@ const char *toString(TwoBitState state);
 class TwoBitDirectory
 {
   public:
-    TwoBitDirectory() = default;
+    /** @param block_count blocks the directory covers */
+    explicit TwoBitDirectory(std::uint64_t block_count);
 
-    /** Current state of @p block. */
+    /** Current state of @p block (NotCached outside the arena). */
     TwoBitState state(BlockNum block) const;
 
     /** Overwrite the state of @p block. */
@@ -58,25 +60,8 @@ class TwoBitDirectory
     /** Record invalidation of all copies. */
     void makeUncached(BlockNum block);
 
-    std::size_t trackedBlocks() const
-    {
-        return denseMode ? dense.size() : states.size();
-    }
-
-    /**
-     * Switch to a flat state array indexed by block in
-     * [0, @p block_count) (see FullMapDirectory::reserveDense); every
-     * state() probe becomes one load. Must precede any state change.
-     */
-    void reserveDense(std::uint64_t block_count);
-
-    /** True once reserveDense() switched to the arena. */
-    bool denseStorage() const { return denseMode; }
-
   private:
-    std::unordered_map<BlockNum, TwoBitState> states;
-    std::vector<TwoBitState> dense;
-    bool denseMode = false;
+    std::vector<TwoBitState> states;
 };
 
 } // namespace dirsim

@@ -36,8 +36,8 @@ namespace dirsim
 using ExtraMetricsFn = std::function<void(MetricRegistry &)>;
 
 /**
- * Run every scheme on every trace *file* (streaming, bounded memory —
- * see ExperimentRunner::runFiles) and write the run's artifacts to
+ * Run every scheme on every trace *file* (each decoded once — see
+ * ExperimentRunner::runFiles) and write the run's artifacts to
  * @p sink: a manifest with file provenance (record counts, cache
  * counts, whole-file FNV-1a checksums), one record per cell, and a
  * MetricRegistry snapshot.

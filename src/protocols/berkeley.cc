@@ -5,8 +5,10 @@
 namespace dirsim
 {
 
-Berkeley::Berkeley(unsigned num_caches_arg, const CacheFactory &factory)
-    : CoherenceProtocol(num_caches_arg, factory)
+Berkeley::Berkeley(unsigned num_caches_arg,
+                   const BlockSpace &blocks_arg,
+                   const CacheFactory &factory)
+    : CoherenceProtocol(num_caches_arg, blocks_arg, factory)
 {
 }
 

@@ -27,8 +27,8 @@ class Berkeley : public CoherenceProtocol
     /** Owned exclusively (memory stale); writes are free. */
     static constexpr CacheBlockState stOwnedExcl = 3;
 
-    explicit Berkeley(unsigned num_caches_arg,
-                      const CacheFactory &factory = {});
+    Berkeley(unsigned num_caches_arg, const BlockSpace &blocks_arg,
+             const CacheFactory &factory = {});
 
     std::string name() const override { return "Berkeley"; }
     bool isDirtyState(CacheBlockState state) const override

@@ -5,8 +5,11 @@
 namespace dirsim
 {
 
-Dir0B::Dir0B(unsigned num_caches_arg, const CacheFactory &factory)
-    : CoherenceProtocol(num_caches_arg, factory)
+Dir0B::Dir0B(unsigned num_caches_arg, const BlockSpace &blocks_arg,
+             const CacheFactory &factory)
+    : CoherenceProtocol(num_caches_arg, blocks_arg, factory,
+                        OracleStates{stClean, stDirty}),
+      dir(blocks_arg.count)
 {
 }
 
@@ -148,12 +151,6 @@ Dir0B::checkInvariants(BlockNum block) const
                    "Dir0B: dirty-one state wrong for block ", block);
         break;
     }
-}
-
-void
-Dir0B::onReserveBlocks(std::uint32_t block_count)
-{
-    dir.reserveDense(block_count);
 }
 
 } // namespace dirsim

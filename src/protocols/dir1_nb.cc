@@ -5,9 +5,11 @@
 namespace dirsim
 {
 
-Dir1NB::Dir1NB(unsigned num_caches_arg, const CacheFactory &factory)
-    : CoherenceProtocol(num_caches_arg, factory),
-      dir(1, /* allow_broadcast */ false)
+Dir1NB::Dir1NB(unsigned num_caches_arg, const BlockSpace &blocks_arg,
+               const CacheFactory &factory)
+    : CoherenceProtocol(num_caches_arg, blocks_arg, factory,
+                        OracleStates{stClean, stDirty}),
+      dir(1, /* allow_broadcast */ false, blocks_arg.count)
 {
 }
 
@@ -114,12 +116,6 @@ Dir1NB::checkInvariants(BlockNum block) const
         panicIfNot(entry->pointerCount() == 0,
                    "Dir1NB: dangling directory pointer for block ", block);
     }
-}
-
-void
-Dir1NB::onReserveBlocks(std::uint32_t block_count)
-{
-    dir.reserveDense(block_count);
 }
 
 } // namespace dirsim

@@ -5,10 +5,11 @@
 namespace dirsim
 {
 
-DirCV::DirCV(unsigned num_caches_arg, unsigned region_size_arg,
-             const CacheFactory &factory)
-    : CoherenceProtocol(num_caches_arg, factory),
-      dir(num_caches_arg, region_size_arg)
+DirCV::DirCV(unsigned num_caches_arg, const BlockSpace &blocks_arg,
+             unsigned region_size_arg, const CacheFactory &factory)
+    : CoherenceProtocol(num_caches_arg, blocks_arg, factory,
+                        OracleStates{stClean, stDirty}),
+      dir(num_caches_arg, region_size_arg, blocks_arg.count)
 {
 }
 
@@ -165,12 +166,6 @@ DirCV::checkInvariants(BlockNum block) const
                        entry->sharers.flaggedRegions(), " regions");
         }
     }
-}
-
-void
-DirCV::onReserveBlocks(std::uint32_t block_count)
-{
-    dir.reserveDense(block_count);
 }
 
 } // namespace dirsim

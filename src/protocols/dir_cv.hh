@@ -33,18 +33,13 @@ class DirCV : public CoherenceProtocol
 
     /** @param region_size_arg 0 for the ternary code, else the
      *         region granularity K (see CoarseVector). */
-    explicit DirCV(unsigned num_caches_arg,
-                   unsigned region_size_arg = 0,
-                   const CacheFactory &factory = {});
+    DirCV(unsigned num_caches_arg, const BlockSpace &blocks_arg,
+          unsigned region_size_arg = 0, const CacheFactory &factory = {});
 
     std::string name() const override;
     bool isDirtyState(CacheBlockState state) const override
     {
         return state == stDirty;
-    }
-    std::optional<OracleStates> oracleStates() const override
-    {
-        return OracleStates{stClean, stDirty};
     }
     void checkInvariants(BlockNum block) const override;
 
@@ -60,7 +55,6 @@ class DirCV : public CoherenceProtocol
                          const Others &others, bool first) override;
     void onEviction(CacheId cache, BlockNum block,
                     CacheBlockState state) override;
-    void onReserveBlocks(std::uint32_t block_count) override;
 
   private:
     /**

@@ -5,10 +5,11 @@
 namespace dirsim
 {
 
-DirIB::DirIB(unsigned num_caches_arg, unsigned num_pointers_arg,
-             const CacheFactory &factory)
-    : CoherenceProtocol(num_caches_arg, factory),
-      dir(num_pointers_arg, /* allow_broadcast */ true)
+DirIB::DirIB(unsigned num_caches_arg, const BlockSpace &blocks_arg,
+             unsigned num_pointers_arg, const CacheFactory &factory)
+    : CoherenceProtocol(num_caches_arg, blocks_arg, factory,
+                        OracleStates{stClean, stDirty}),
+      dir(num_pointers_arg, /* allow_broadcast */ true, blocks_arg.count)
 {
 }
 
@@ -150,12 +151,6 @@ DirIB::checkInvariants(BlockNum block) const
         panicIfNot(sharers.count() == 1,
                    name(), ": dirty block ", block, " has ",
                    sharers.count(), " sharers");
-}
-
-void
-DirIB::onReserveBlocks(std::uint32_t block_count)
-{
-    dir.reserveDense(block_count);
 }
 
 } // namespace dirsim

@@ -27,19 +27,16 @@ class DirIB : public CoherenceProtocol
 
     /**
      * @param num_caches_arg caches in the domain
+     * @param blocks_arg the blocks references may name
      * @param num_pointers_arg i, the per-entry pointer budget (>= 1)
      */
-    DirIB(unsigned num_caches_arg, unsigned num_pointers_arg,
-          const CacheFactory &factory = {});
+    DirIB(unsigned num_caches_arg, const BlockSpace &blocks_arg,
+          unsigned num_pointers_arg, const CacheFactory &factory = {});
 
     std::string name() const override;
     bool isDirtyState(CacheBlockState state) const override
     {
         return state == stDirty;
-    }
-    std::optional<OracleStates> oracleStates() const override
-    {
-        return OracleStates{stClean, stDirty};
     }
     void checkInvariants(BlockNum block) const override;
 
@@ -48,7 +45,6 @@ class DirIB : public CoherenceProtocol
   protected:
     void onEviction(CacheId cache, BlockNum block,
                     CacheBlockState state) override;
-    void onReserveBlocks(std::uint32_t block_count) override;
 
   public:
     /** The limited-pointer directory (exposed for tests). */

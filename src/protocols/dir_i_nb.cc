@@ -5,10 +5,11 @@
 namespace dirsim
 {
 
-DirINB::DirINB(unsigned num_caches_arg, unsigned num_pointers_arg,
-               const CacheFactory &factory)
-    : CoherenceProtocol(num_caches_arg, factory),
-      dir(num_pointers_arg, /* allow_broadcast */ false)
+DirINB::DirINB(unsigned num_caches_arg, const BlockSpace &blocks_arg,
+               unsigned num_pointers_arg, const CacheFactory &factory)
+    : CoherenceProtocol(num_caches_arg, blocks_arg, factory,
+                        OracleStates{stClean, stDirty}),
+      dir(num_pointers_arg, /* allow_broadcast */ false, blocks_arg.count)
 {
 }
 
@@ -152,12 +153,6 @@ DirINB::checkInvariants(BlockNum block) const
     for (const CacheId cache : entry->pointerList())
         panicIfNot(sharers.contains(cache),
                    name(), ": stale pointer for block ", block);
-}
-
-void
-DirINB::onReserveBlocks(std::uint32_t block_count)
-{
-    dir.reserveDense(block_count);
 }
 
 } // namespace dirsim

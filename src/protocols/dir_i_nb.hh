@@ -29,19 +29,16 @@ class DirINB : public CoherenceProtocol
 
     /**
      * @param num_caches_arg caches in the domain
+     * @param blocks_arg the blocks references may name
      * @param num_pointers_arg i, the per-entry pointer budget (>= 1)
      */
-    DirINB(unsigned num_caches_arg, unsigned num_pointers_arg,
-           const CacheFactory &factory = {});
+    DirINB(unsigned num_caches_arg, const BlockSpace &blocks_arg,
+           unsigned num_pointers_arg, const CacheFactory &factory = {});
 
     std::string name() const override;
     bool isDirtyState(CacheBlockState state) const override
     {
         return state == stDirty;
-    }
-    std::optional<OracleStates> oracleStates() const override
-    {
-        return OracleStates{stClean, stDirty};
     }
     void checkInvariants(BlockNum block) const override;
 
@@ -50,7 +47,6 @@ class DirINB : public CoherenceProtocol
   protected:
     void onEviction(CacheId cache, BlockNum block,
                     CacheBlockState state) override;
-    void onReserveBlocks(std::uint32_t block_count) override;
 
   public:
     /** The limited-pointer directory (exposed for tests). */

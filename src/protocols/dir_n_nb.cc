@@ -5,8 +5,11 @@
 namespace dirsim
 {
 
-DirNNB::DirNNB(unsigned num_caches_arg, const CacheFactory &factory)
-    : CoherenceProtocol(num_caches_arg, factory), dir(num_caches_arg)
+DirNNB::DirNNB(unsigned num_caches_arg, const BlockSpace &blocks_arg,
+               const CacheFactory &factory)
+    : CoherenceProtocol(num_caches_arg, blocks_arg, factory,
+                        OracleStates{stClean, stDirty}),
+      dir(num_caches_arg, blocks_arg.count)
 {
 }
 
@@ -108,12 +111,6 @@ DirNNB::checkInvariants(BlockNum block) const
 {
     CoherenceProtocol::checkInvariants(block);
     const SharerSet sharers = holders(block);
-    if (!dir.tracked(block)) {
-        panicIfNot(sharers.empty(),
-                   "DirNNB: caches hold block ", block,
-                   " the directory never saw");
-        return;
-    }
     panicIfNot(dir.sharerSnapshot(block) == sharers,
                "DirNNB: directory present bits disagree with the caches "
                "for block ", block);
@@ -127,12 +124,6 @@ DirNNB::checkInvariants(BlockNum block) const
         panicIfNot(dir.dirty(block) == any_dirty,
                    "DirNNB: directory dirty bit stale for block ", block);
     }
-}
-
-void
-DirNNB::onReserveBlocks(std::uint32_t block_count)
-{
-    dir.reserveDense(block_count);
 }
 
 } // namespace dirsim

@@ -27,24 +27,19 @@ class DirNNB : public CoherenceProtocol
     static constexpr CacheBlockState stClean = 1;
     static constexpr CacheBlockState stDirty = 2;
 
-    explicit DirNNB(unsigned num_caches_arg,
-                    const CacheFactory &factory = {});
+    DirNNB(unsigned num_caches_arg, const BlockSpace &blocks_arg,
+           const CacheFactory &factory = {});
 
     std::string name() const override { return "DirNNB"; }
     bool isDirtyState(CacheBlockState state) const override
     {
         return state == stDirty;
     }
-    std::optional<OracleStates> oracleStates() const override
-    {
-        return OracleStates{stClean, stDirty};
-    }
     void checkInvariants(BlockNum block) const override;
 
   protected:
     void onEviction(CacheId cache, BlockNum block,
                     CacheBlockState state) override;
-    void onReserveBlocks(std::uint32_t block_count) override;
 
   public:
     /** The full-map directory (exposed for tests). */

@@ -5,8 +5,10 @@
 namespace dirsim
 {
 
-Dragon::Dragon(unsigned num_caches_arg, const CacheFactory &factory)
-    : CoherenceProtocol(num_caches_arg, factory)
+Dragon::Dragon(unsigned num_caches_arg,
+               const BlockSpace &blocks_arg,
+               const CacheFactory &factory)
+    : CoherenceProtocol(num_caches_arg, blocks_arg, factory)
 {
 }
 

@@ -31,8 +31,8 @@ class Dragon : public CoherenceProtocol
     /** Modified, only copy in the system. */
     static constexpr CacheBlockState stDirty = 4;
 
-    explicit Dragon(unsigned num_caches_arg,
-                    const CacheFactory &factory = {});
+    Dragon(unsigned num_caches_arg, const BlockSpace &blocks_arg,
+           const CacheFactory &factory = {});
 
     std::string name() const override { return "Dragon"; }
     bool isDirtyState(CacheBlockState state) const override

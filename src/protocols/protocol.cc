@@ -7,17 +7,31 @@ namespace dirsim
 {
 
 CoherenceProtocol::CoherenceProtocol(unsigned num_caches_arg,
-                                     const CacheFactory &factory)
-    : finiteMode(static_cast<bool>(factory))
+                                     const BlockSpace &blocks_arg,
+                                     const CacheFactory &factory,
+                                     std::optional<OracleStates> oracle)
+    : cacheCount(num_caches_arg), blocks(blocks_arg),
+      dirtyOwners(blocks_arg.count, invalidCacheId),
+      finiteMode(static_cast<bool>(factory)),
+      oracleMode(oracle.has_value() && !factory)
 {
     fatalIf(num_caches_arg == 0,
             "a coherence domain needs at least one cache");
+    holderSets.reset(num_caches_arg, blocks.count);
+    if (oracleMode) {
+        // Cache state is derived from the oracle, so no per-cache
+        // arena is ever allocated (see the header).
+        oracleClean = oracle->clean;
+        oracleDirty = oracle->dirty;
+        return;
+    }
     caches.reserve(num_caches_arg);
     for (CacheId cache = 0; cache < num_caches_arg; ++cache) {
         if (factory)
-            caches.push_back(factory());
+            caches.push_back(factory(blocks));
         else
-            caches.push_back(std::make_unique<InfiniteCache>());
+            caches.push_back(
+                std::make_unique<InfiniteCache>(blocks.count));
         fatalIf(caches.back() == nullptr,
                 "the cache factory returned a null cache");
         caches.back()->setEvictionHook(
@@ -28,37 +42,11 @@ CoherenceProtocol::CoherenceProtocol(unsigned num_caches_arg,
 }
 
 void
-CoherenceProtocol::reserveBlocks(std::uint32_t block_count,
-                                 const BlockNum *block_labels)
+CoherenceProtocol::referencePanic(CacheId cache, BlockNum block) const
 {
-    panicIfNot(!finiteMode,
-               name(), ": reserveBlocks needs infinite caches; finite "
-               "caches index their sets by real block numbers");
-    panicIfNot(!denseMode, name(), ": reserveBlocks called twice");
-    panicIfNot(holderMap.empty(),
-               name(), ": reserveBlocks on a protocol that already "
-               "processed references");
-    denseHolders.reset(numCaches(), block_count);
-    denseDirtyOwner.assign(block_count, invalidCacheId);
-    blockLabels = block_labels;
-    denseMode = true;
-    if (const auto states = oracleStates()) {
-        // Two-state scheme: cache state is derived from the oracle
-        // from here on, so no per-cache arena is ever allocated (see
-        // oracleStates() in the header).
-        oracleMode = true;
-        oracleClean = states->clean;
-        oracleDirty = states->dirty;
-    } else {
-        for (const auto &cache : caches)
-            cache->reserveBlocks(block_count);
-    }
-    onReserveBlocks(block_count);
-}
-
-void
-CoherenceProtocol::onReserveBlocks(std::uint32_t)
-{
+    panic(name(), ": reference by cache ", cache, " to block ", block,
+          " outside the domain of ", cacheCount, " caches and ",
+          blocks.count, " blocks");
 }
 
 void
@@ -66,17 +54,9 @@ CoherenceProtocol::handleEviction(CacheId cache, BlockNum block,
                                   CacheBlockState state)
 {
     // The cache already dropped the line; mirror that in the oracle.
-    if (denseMode) {
-        if (block < denseHolders.blockCount()) {
-            denseHolders.remove(block, cache);
-            if (denseDirtyOwner[block] == cache)
-                denseDirtyOwner[block] = invalidCacheId;
-        }
-    } else {
-        const auto it = holderMap.find(block);
-        if (it != holderMap.end())
-            it->second.remove(cache);
-    }
+    holderSets.remove(block, cache);
+    if (dirtyOwners[block] == cache)
+        dirtyOwners[block] = invalidCacheId;
     // A modified victim must be written back to memory. This is
     // replacement (capacity/conflict) traffic, accounted in its own
     // operation counter so the coherence costs stay separable.
@@ -103,6 +83,7 @@ CoherenceProtocol::attachTracer(ProtocolTraceSink *sink)
 void
 CoherenceProtocol::read(CacheId cache, BlockNum block, bool first_ref)
 {
+    checkReference(cache, block);
 #ifndef DIRSIM_NO_TRACER
     if (traceSink != nullptr) {
         tracedRef(cache, block, first_ref, false);
@@ -115,6 +96,7 @@ CoherenceProtocol::read(CacheId cache, BlockNum block, bool first_ref)
 void
 CoherenceProtocol::write(CacheId cache, BlockNum block, bool first_ref)
 {
+    checkReference(cache, block);
 #ifndef DIRSIM_NO_TRACER
     if (traceSink != nullptr) {
         tracedRef(cache, block, first_ref, true);
@@ -130,13 +112,9 @@ void
 CoherenceProtocol::tracedRef(CacheId cache, BlockNum block,
                              bool first_ref, bool is_write)
 {
-    panicIfNot(cache < caches.size(), "cache id out of range");
-    // Dense runs key blocks by densified index; label sink events
-    // with the original block numbers so traces stay meaningful.
-    const BlockNum label =
-        blockLabels != nullptr && block < denseHolders.blockCount()
-            ? blockLabels[block]
-            : block;
+    // Label sink events with the original block numbers so traces
+    // stay meaningful.
+    const BlockNum label = blocks.label(block);
     traceSink->dataRef(label, cache, is_write);
 
     bool sampled = false;
@@ -184,10 +162,9 @@ void
 CoherenceProtocol::processRead(CacheId cache, BlockNum block,
                                bool first_ref)
 {
-    panicIfNot(cache < caches.size(), "cache id out of range");
     eventCounts.add(EventType::Read);
 
-    if (oracleMode ? denseHolders.contains(block, cache)
+    if (oracleMode ? holderSets.contains(block, cache)
                    : caches[cache]->contains(block)) {
         eventCounts.add(EventType::RdHit);
         if (!oracleMode)
@@ -214,7 +191,6 @@ void
 CoherenceProtocol::processWrite(CacheId cache, BlockNum block,
                                 bool first_ref)
 {
-    panicIfNot(cache < caches.size(), "cache id out of range");
     eventCounts.add(EventType::Write);
 
     const CacheBlockState state = stateOf(cache, block);
@@ -245,11 +221,9 @@ CacheBlockState
 CoherenceProtocol::stateOf(CacheId cache, BlockNum block) const
 {
     if (oracleMode) {
-        if (block >= denseHolders.blockCount()
-            || !denseHolders.contains(block, cache))
+        if (!holderSets.contains(block, cache))
             return stateNotPresent;
-        return denseDirtyOwner[block] == cache ? oracleDirty
-                                               : oracleClean;
+        return dirtyOwners[block] == cache ? oracleDirty : oracleClean;
     }
     return caches[cache]->lookup(block);
 }
@@ -257,90 +231,62 @@ CoherenceProtocol::stateOf(CacheId cache, BlockNum block) const
 CacheBlockState
 CoherenceProtocol::cacheState(CacheId cache, BlockNum block) const
 {
-    panicIfNot(cache < caches.size(), "cache id out of range");
-    return stateOf(cache, block);
+    panicIfNot(cache < cacheCount, "cache id out of range");
+    return block < blocks.count ? stateOf(cache, block)
+                                : stateNotPresent;
 }
 
 SharerSet
 CoherenceProtocol::holders(BlockNum block) const
 {
-    if (denseMode) {
-        if (block < denseHolders.blockCount())
-            return denseHolders.snapshot(block);
-        return SharerSet(numCaches());
-    }
-    const auto it = holderMap.find(block);
-    if (it == holderMap.end())
-        return SharerSet(numCaches());
-    return it->second;
+    if (block >= blocks.count)
+        return SharerSet(cacheCount);
+    return holderSets.snapshot(block);
 }
 
 void
 CoherenceProtocol::snapshotHolders(BlockNum block, CacheIdList &out) const
 {
     out.clear();
-    if (denseMode) {
-        if (block < denseHolders.blockCount())
-            denseHolders.appendTo(block, out);
-        return;
-    }
-    const auto it = holderMap.find(block);
-    if (it != holderMap.end())
-        it->second.forEach([&out](CacheId holder) { out.push(holder); });
+    if (block < blocks.count)
+        holderSets.appendTo(block, out);
 }
 
 unsigned
 CoherenceProtocol::holderCount(BlockNum block) const
 {
-    if (denseMode) {
-        return block < denseHolders.blockCount()
-                   ? denseHolders.count(block)
-                   : 0;
-    }
-    const auto it = holderMap.find(block);
-    return it == holderMap.end() ? 0 : it->second.count();
+    return block < blocks.count ? holderSets.count(block) : 0;
 }
 
 CacheId
 CoherenceProtocol::firstHolder(BlockNum block) const
 {
-    if (denseMode)
-        return denseHolders.first(block);
-    const auto it = holderMap.find(block);
-    panicIfNot(it != holderMap.end(),
-               name(), ": firstHolder on untracked block ", block);
-    return it->second.first();
+    return holderSets.first(block);
 }
 
 std::vector<BlockNum>
 CoherenceProtocol::residentBlocks() const
 {
-    std::vector<BlockNum> blocks;
-    if (denseMode) {
-        for (BlockNum block = 0; block < denseHolders.blockCount();
-             ++block) {
-            if (!denseHolders.empty(block))
-                blocks.push_back(block);
-        }
-        return blocks;
+    std::vector<BlockNum> resident;
+    for (BlockNum block = 0; block < blocks.count; ++block) {
+        if (!holderSets.empty(block))
+            resident.push_back(block);
     }
-    blocks.reserve(holderMap.size());
-    for (const auto &[block, sharers] : holderMap) {
-        if (!sharers.empty())
-            blocks.push_back(block);
-    }
-    return blocks;
+    return resident;
 }
 
 void
 CoherenceProtocol::checkInvariants(BlockNum block) const
 {
+    panicIfNot(block < blocks.count,
+               name(), ": block ", block, " outside the block space of ",
+               blocks.count, " blocks");
     const SharerSet sharers = holders(block);
 
     // The holder oracle and the per-cache stores must agree.
     unsigned holder_count = 0;
     unsigned dirty_count = 0;
-    for (CacheId cache = 0; cache < caches.size(); ++cache) {
+    for (CacheId cache = 0; cache < cacheCount; ++cache) {
         const CacheBlockState state = stateOf(cache, block);
         const bool resident = state != stateNotPresent;
         panicIfNot(resident == sharers.contains(cache),
@@ -360,36 +306,26 @@ CoherenceProtocol::checkInvariants(BlockNum block) const
                name(), ": block ", block, " is dirty in ", dirty_count,
                " caches");
 
-    // The dense dirty-owner shadow must agree with the cache states
-    // it summarizes.
-    if (denseMode && block < denseDirtyOwner.size()) {
-        const CacheId owner = denseDirtyOwner[block];
-        if (dirty_count == 0) {
-            panicIfNot(owner == invalidCacheId,
-                       name(), ": stale dirty owner ", owner,
-                       " for clean block ", block);
-        } else {
-            panicIfNot(owner != invalidCacheId
-                           && sharers.contains(owner)
-                           && isDirtyState(stateOf(owner, block)),
-                       name(), ": dirty owner out of sync for block ",
-                       block);
-        }
+    // The dirty-owner shadow must agree with the cache states it
+    // summarizes.
+    const CacheId owner = dirtyOwners[block];
+    if (dirty_count == 0) {
+        panicIfNot(owner == invalidCacheId,
+                   name(), ": stale dirty owner ", owner,
+                   " for clean block ", block);
+    } else {
+        panicIfNot(owner != invalidCacheId && sharers.contains(owner)
+                       && isDirtyState(stateOf(owner, block)),
+                   name(), ": dirty owner out of sync for block ",
+                   block);
     }
 }
 
 void
 CoherenceProtocol::checkAllInvariants() const
 {
-    if (denseMode) {
-        // The arena covers every block the trace can touch, so check
-        // all of it: absent blocks assert that no cache holds them.
-        for (BlockNum block = 0; block < denseHolders.blockCount();
-             ++block)
-            checkInvariants(block);
-        return;
-    }
-    for (const auto &[block, sharers] : holderMap)
+    // Absent blocks assert that no cache holds them.
+    for (BlockNum block = 0; block < blocks.count; ++block)
         checkInvariants(block);
 }
 
@@ -397,40 +333,22 @@ CoherenceProtocol::Others
 CoherenceProtocol::classifyOthers(CacheId cache, BlockNum block) const
 {
     Others others;
-    if (denseMode) {
-        if (block >= denseHolders.blockCount())
-            return others;
-        // The holder oracle answers directly: an O(1) count, a
-        // reverse scan for a representative holder (the same cache
-        // the legacy per-cache survey ends on), and the tracked
-        // dirty owner instead of a state probe per holder.
-        const unsigned num_others =
-            denseHolders.countExcluding(block, cache);
-        if (num_others == 0)
-            return others;
-        others.numOthers = num_others;
-        others.anyHolder = denseHolders.lastExcluding(block, cache);
-        const CacheId owner = denseDirtyOwner[block];
-        if (owner != invalidCacheId && owner != cache) {
-            others.anyDirty = true;
-            others.dirtyOwner = owner;
-        }
+    if (block >= blocks.count)
         return others;
+    // The holder oracle answers directly: an O(1) count, a reverse
+    // scan for a representative holder (the one an ascending survey
+    // would report last), and the tracked dirty owner instead of a
+    // state probe per holder.
+    const unsigned num_others = holderSets.countExcluding(block, cache);
+    if (num_others == 0)
+        return others;
+    others.numOthers = num_others;
+    others.anyHolder = holderSets.lastExcluding(block, cache);
+    const CacheId owner = dirtyOwners[block];
+    if (owner != invalidCacheId && owner != cache) {
+        others.anyDirty = true;
+        others.dirtyOwner = owner;
     }
-    const auto it = holderMap.find(block);
-    if (it == holderMap.end())
-        return others;
-    it->second.forEach([&](CacheId holder) {
-        if (holder == cache)
-            return;
-        ++others.numOthers;
-        others.anyHolder = holder;
-        const CacheBlockState state = caches[holder]->lookup(block);
-        if (isDirtyState(state)) {
-            others.anyDirty = true;
-            others.dirtyOwner = holder;
-        }
-    });
     return others;
 }
 
@@ -438,36 +356,23 @@ void
 CoherenceProtocol::install(CacheId cache, BlockNum block,
                            CacheBlockState state)
 {
+    // Branch-then-panic: panicIfNot would build the message (a name()
+    // string concatenation) on every install, and this runs once per
+    // cache fill.
+    if (block >= blocks.count) [[unlikely]]
+        panic(name(), ": block ", block, " outside the block space of ",
+              blocks.count, " blocks");
     // Order matters with finite caches: the insertion may trigger an
     // eviction whose hook edits the holder oracle, so the oracle
-    // entry for the new block is added afterwards. In oracle mode
-    // the oracle *is* the cache state, so there is nothing else to
-    // write.
+    // entry for the new block is added afterwards. In oracle mode the
+    // oracle *is* the cache state, so there is nothing else to write.
     if (!oracleMode)
         caches[cache]->set(block, state);
-    if (denseMode) {
-        // Branch-then-panic: panicIfNot would build the message (a
-        // name() string concatenation) on every install, and this
-        // runs once per cache fill.
-        if (block >= denseHolders.blockCount()) [[unlikely]]
-            panic(name(), ": block ", block,
-                  " outside the dense arena of ",
-                  denseHolders.blockCount(), " blocks");
-        denseHolders.add(block, cache);
-        if (isDirtyState(state))
-            denseDirtyOwner[block] = cache;
-        else if (denseDirtyOwner[block] == cache)
-            denseDirtyOwner[block] = invalidCacheId;
-        return;
-    }
-    const auto it = holderMap.find(block);
-    if (it == holderMap.end()) {
-        SharerSet sharers(numCaches());
-        sharers.add(cache);
-        holderMap.emplace(block, std::move(sharers));
-    } else {
-        it->second.add(cache);
-    }
+    holderSets.add(block, cache);
+    if (isDirtyState(state))
+        dirtyOwners[block] = cache;
+    else if (dirtyOwners[block] == cache)
+        dirtyOwners[block] = invalidCacheId;
 }
 
 void
@@ -475,7 +380,7 @@ CoherenceProtocol::setState(CacheId cache, BlockNum block,
                             CacheBlockState state)
 {
     if (oracleMode) {
-        if (!denseHolders.contains(block, cache)) [[unlikely]]
+        if (!holderSets.contains(block, cache)) [[unlikely]]
             panic(name(), ": setState for a block cache ", cache,
                   " does not hold");
     } else {
@@ -484,12 +389,10 @@ CoherenceProtocol::setState(CacheId cache, BlockNum block,
                   " does not hold");
         caches[cache]->set(block, state);
     }
-    if (denseMode) {
-        if (isDirtyState(state))
-            denseDirtyOwner[block] = cache;
-        else if (denseDirtyOwner[block] == cache)
-            denseDirtyOwner[block] = invalidCacheId;
-    }
+    if (isDirtyState(state))
+        dirtyOwners[block] = cache;
+    else if (dirtyOwners[block] == cache)
+        dirtyOwners[block] = invalidCacheId;
 }
 
 void
@@ -497,17 +400,9 @@ CoherenceProtocol::invalidateIn(CacheId cache, BlockNum block)
 {
     if (!oracleMode)
         caches[cache]->invalidate(block);
-    if (denseMode) {
-        if (block < denseHolders.blockCount()) {
-            denseHolders.remove(block, cache);
-            if (denseDirtyOwner[block] == cache)
-                denseDirtyOwner[block] = invalidCacheId;
-        }
-        return;
-    }
-    const auto it = holderMap.find(block);
-    if (it != holderMap.end())
-        it->second.remove(cache);
+    holderSets.remove(block, cache);
+    if (dirtyOwners[block] == cache)
+        dirtyOwners[block] = invalidCacheId;
 }
 
 } // namespace dirsim

@@ -11,6 +11,11 @@
  * specification* from its *cost*: protocols record what happened;
  * bus/cost_model.hh later weights the records by per-operation cycle
  * costs (Section 4.1 of the paper).
+ *
+ * References name blocks by index into the protocol's BlockSpace
+ * (cache/cache_if.hh), fixed at construction: the holder oracle, the
+ * caches, and each scheme's directory are flat arenas sized for it
+ * once, so the per-reference hot path performs no hashing.
  */
 
 #ifndef DIRSIM_PROTOCOLS_PROTOCOL_HH
@@ -20,7 +25,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_if.hh"
@@ -42,17 +46,37 @@ namespace dirsim
 class CoherenceProtocol
 {
   public:
+    /** A two-state scheme's {clean, dirty} cache-state constants. */
+    struct OracleStates
+    {
+        CacheBlockState clean;
+        CacheBlockState dirty;
+    };
+
     /**
      * @param num_caches_arg caches in the coherence domain (>= 1)
+     * @param blocks_arg the blocks references may name; every
+     *        per-block arena is sized for it here
      * @param factory cache factory; empty (the default) builds the
      *        paper's infinite caches. A factory producing finite
      *        caches enables true replacement simulation: evicted
      *        dirty blocks are written back (costed), evicted blocks
      *        leave the holder oracle, and each scheme updates its
      *        directory through onEviction().
+     * @param oracle a two-state scheme's {clean, dirty} states. On
+     *        infinite caches such a scheme's cache state is fully
+     *        determined by the holder oracle — resident means `clean`
+     *        unless the cache is the tracked dirty owner — so the
+     *        engine derives every cache-state query from the oracle
+     *        and builds *no* per-cache arenas: at large N those are
+     *        numCaches × blockCount bytes of working set whose every
+     *        probe is a cache miss, while the oracle entry is already
+     *        hot from classifyOthers(). Finite caches always keep real
+     *        caches.
      */
-    explicit CoherenceProtocol(unsigned num_caches_arg,
-                               const CacheFactory &factory = {});
+    CoherenceProtocol(unsigned num_caches_arg, const BlockSpace &blocks_arg,
+                      const CacheFactory &factory = {},
+                      std::optional<OracleStates> oracle = std::nullopt);
     virtual ~CoherenceProtocol() = default;
 
     CoherenceProtocol(const CoherenceProtocol &) = delete;
@@ -65,7 +89,8 @@ class CoherenceProtocol
      * Process one data read.
      *
      * @param cache issuing cache
-     * @param block referenced block
+     * @param block referenced block index (panics outside the block
+     *        space)
      * @param first_ref true when this is the globally first reference
      *        to the block in the trace (excluded from cost metrics)
      */
@@ -83,7 +108,8 @@ class CoherenceProtocol
      * While attached, every data reference additionally reports to
      * the sink (ProtocolTraceSink in protocols/events.hh): dataRef()
      * and cleanWriteSample() always, emit() at the sink's sampling
-     * period. Tracing never changes protocol state, event counts, or
+     * period. Events carry original block numbers (BlockSpace
+     * labels). Tracing never changes protocol state, event counts, or
      * operation tallies — a traced run's SimResult is bit-identical
      * to an untraced one (asserted by test). Compiled out entirely
      * (and ignored) when DIRSIM_NO_TRACER is defined.
@@ -103,66 +129,13 @@ class CoherenceProtocol
      */
     const Histogram &cleanWriteHolders() const { return cleanWriteHist; }
 
-    unsigned numCaches() const
-    {
-        return static_cast<unsigned>(caches.size());
-    }
+    unsigned numCaches() const { return cacheCount; }
+
+    /** The block indices this protocol's arenas cover. */
+    const BlockSpace &blockSpace() const { return blocks; }
 
     /** True when the caches can evict (finite-cache simulation). */
     bool finiteCaches() const { return finiteMode; }
-
-    /**
-     * Switch the engine to dense block arenas: every future block key
-     * is a densified index in [0, @p block_count) (sim/decoded.hh),
-     * so the holder oracle becomes a flat SharerStore arena, each
-     * InfiniteCache a flat state array, and each scheme's directory a
-     * pre-materialized entry arena (via onReserveBlocks()). The
-     * per-reference hot path is then hash-free: every probe is an
-     * array load.
-     *
-     * Must be called on a fresh protocol (before any reference) and
-     * only for infinite caches — a FiniteCache's set indexing depends
-     * on real block numbers, so dense indices would change replacement
-     * behavior (panics on both misuses).
-     *
-     * @param block_labels optional original block number per dense
-     *        index (must outlive the protocol); used only to label
-     *        trace-sink events with real block numbers. nullptr
-     *        labels events with the dense indices themselves.
-     */
-    void reserveBlocks(std::uint32_t block_count,
-                       const BlockNum *block_labels = nullptr);
-
-    /** True once reserveBlocks() switched to dense arenas. */
-    bool denseBlocks() const { return denseMode; }
-
-    /** A two-state scheme's {clean, dirty} cache-state constants. */
-    struct OracleStates
-    {
-        CacheBlockState clean;
-        CacheBlockState dirty;
-    };
-
-    /**
-     * Dense-mode fast-path opt-in for two-state schemes. A protocol
-     * whose per-cache state is fully determined by the holder oracle
-     * — resident means `clean` unless the cache is the tracked dirty
-     * owner, in which case `dirty` — returns its state pair here. In
-     * dense mode the engine then derives every cache-state query
-     * from the oracle and maintains *no* per-cache block arenas: at
-     * large N those arenas are numCaches × blockCount bytes of
-     * working set whose every probe is a cache miss, while the
-     * oracle entry is already hot from classifyOthers(). Sparse mode
-     * and finite caches always keep real caches, so the
-     * DIRSIM_DECODE=0 identity suites diff a wrong opt-in loudly.
-     */
-    virtual std::optional<OracleStates> oracleStates() const
-    {
-        return std::nullopt;
-    }
-
-    /** True when dense cache state is derived from the oracle. */
-    bool oracleDerivedState() const { return oracleMode; }
 
     /** Protocol state of @p block in @p cache (stateNotPresent if out). */
     CacheBlockState cacheState(CacheId cache, BlockNum block) const;
@@ -184,7 +157,7 @@ class CoherenceProtocol
      */
     virtual void checkInvariants(BlockNum block) const;
 
-    /** checkInvariants() over every resident block. */
+    /** checkInvariants() over every block of the block space. */
     void checkAllInvariants() const;
 
   protected:
@@ -207,7 +180,7 @@ class CoherenceProtocol
      */
     void snapshotHolders(BlockNum block, CacheIdList &out) const;
 
-    /** Number of caches holding @p block (0 when untracked). */
+    /** Number of caches holding @p block. */
     unsigned holderCount(BlockNum block) const;
 
     /** Lowest-numbered holder of @p block; panics when none. */
@@ -251,14 +224,6 @@ class CoherenceProtocol
     virtual void onEviction(CacheId cache, BlockNum block,
                             CacheBlockState state);
 
-    /**
-     * Scheme hook of reserveBlocks(): pre-size the scheme's directory
-     * for @p block_count densified block indices (typically one
-     * reserveDense() call). The base class has already sized the
-     * holder oracle and the caches.
-     */
-    virtual void onReserveBlocks(std::uint32_t block_count);
-
     /** Record a Figure 1 sample. */
     void sampleCleanWrite(unsigned num_others)
     {
@@ -273,14 +238,23 @@ class CoherenceProtocol
     OpCounts opCounts;
 
   private:
+    /** Panic unless @p cache and @p block lie in the domain. */
+    void checkReference(CacheId cache, BlockNum block) const
+    {
+        if (cache >= cacheCount || block >= blocks.count) [[unlikely]]
+            referencePanic(cache, block);
+    }
+    [[noreturn]] void referencePanic(CacheId cache,
+                                     BlockNum block) const;
+
     /** Replacement evicted a block: write back, update the oracle. */
     void handleEviction(CacheId cache, BlockNum block,
                         CacheBlockState state);
 
     /**
-     * The pre-tracer read()/write() bodies, verbatim: the public
-     * entry points dispatch straight here when no sink is attached,
-     * so the untraced hot path is unchanged.
+     * The untraced read()/write() bodies: the public entry points
+     * dispatch straight here when no sink is attached, so the
+     * untraced hot path pays one branch for tracing.
      */
     void processRead(CacheId cache, BlockNum block, bool first_ref);
     void processWrite(CacheId cache, BlockNum block, bool first_ref);
@@ -291,29 +265,27 @@ class CoherenceProtocol
                    bool is_write);
 #endif
 
-    /** cacheState() body without the cache-id range check. */
+    /** cacheState() body without the range checks. */
     CacheBlockState stateOf(CacheId cache, BlockNum block) const;
 
+    unsigned cacheCount;
+    BlockSpace blocks;
+    /** Per-cache block states; empty when derived from the oracle. */
     std::vector<std::unique_ptr<CacheModel>> caches;
-    /** block -> exact holder set, kept in sync by the helpers. */
-    std::unordered_map<BlockNum, SharerSet> holderMap;
     /**
-     * Dense holder oracle (reserveBlocks()): the hybrid inline/spill
-     * arena, one allocation for every block's sharer set.
+     * The holder oracle: block -> exact holder set in one hybrid
+     * inline/spill arena, kept in sync by the helpers.
      */
-    SharerStore denseHolders;
+    SharerStore holderSets;
     /**
-     * Dense mode only: the cache holding each block dirty (or
-     * invalidCacheId), maintained by install/setState/invalidateIn so
-     * classifyOthers() needs no per-cache state survey.
+     * The cache holding each block dirty (or invalidCacheId),
+     * maintained by install/setState/invalidateIn so classifyOthers()
+     * needs no per-cache state survey.
      */
-    std::vector<CacheId> denseDirtyOwner;
-    /** Original block number per dense index (may be nullptr). */
-    const BlockNum *blockLabels = nullptr;
+    std::vector<CacheId> dirtyOwners;
     Histogram cleanWriteHist;
     bool finiteMode = false;
-    bool denseMode = false;
-    /** Dense + oracleStates(): cache state derived, no arenas. */
+    /** Cache state derived from the oracle (see the constructor). */
     bool oracleMode = false;
     CacheBlockState oracleClean = stateNotPresent;
     CacheBlockState oracleDirty = stateNotPresent;

@@ -185,45 +185,45 @@ parseScheme(const std::string &name)
 
 std::unique_ptr<CoherenceProtocol>
 makeProtocol(const SchemeSpec &spec, unsigned num_caches,
-             const CacheFactory &factory)
+             const BlockSpace &blocks, const CacheFactory &factory)
 {
     switch (spec.family) {
       case SchemeFamily::Dir1NB:
-        return std::make_unique<Dir1NB>(num_caches, factory);
+        return std::make_unique<Dir1NB>(num_caches, blocks, factory);
       case SchemeFamily::DirNNB:
-        return std::make_unique<DirNNB>(num_caches, factory);
+        return std::make_unique<DirNNB>(num_caches, blocks, factory);
       case SchemeFamily::Dir0B:
-        return std::make_unique<Dir0B>(num_caches, factory);
+        return std::make_unique<Dir0B>(num_caches, blocks, factory);
       case SchemeFamily::WTI:
-        return std::make_unique<WTI>(num_caches, factory);
+        return std::make_unique<WTI>(num_caches, blocks, factory);
       case SchemeFamily::Dragon:
-        return std::make_unique<Dragon>(num_caches, factory);
+        return std::make_unique<Dragon>(num_caches, blocks, factory);
       case SchemeFamily::Berkeley:
-        return std::make_unique<Berkeley>(num_caches, factory);
+        return std::make_unique<Berkeley>(num_caches, blocks, factory);
       case SchemeFamily::YenFu:
-        return std::make_unique<YenFu>(num_caches, factory);
+        return std::make_unique<YenFu>(num_caches, blocks, factory);
       case SchemeFamily::DirCV:
-        return std::make_unique<DirCV>(num_caches, spec.pointers,
+        return std::make_unique<DirCV>(num_caches, blocks, spec.pointers,
                                        factory);
       case SchemeFamily::DirIB:
         fatalIf(spec.pointers == 0,
                 "Dir<i>B needs at least one pointer");
-        return std::make_unique<DirIB>(num_caches, spec.pointers,
+        return std::make_unique<DirIB>(num_caches, blocks, spec.pointers,
                                        factory);
       case SchemeFamily::DirINB:
         fatalIf(spec.pointers == 0,
                 "Dir0NB cannot grant exclusive access (see the paper)");
-        return std::make_unique<DirINB>(num_caches, spec.pointers,
-                                        factory);
+        return std::make_unique<DirINB>(num_caches, blocks,
+                                        spec.pointers, factory);
     }
     panic("SchemeSpec with invalid family");
 }
 
 std::unique_ptr<CoherenceProtocol>
 makeProtocol(const std::string &name, unsigned num_caches,
-             const CacheFactory &factory)
+             const BlockSpace &blocks, const CacheFactory &factory)
 {
-    return makeProtocol(parseScheme(name), num_caches, factory);
+    return makeProtocol(parseScheme(name), num_caches, blocks, factory);
 }
 
 const std::vector<std::string> &

@@ -101,11 +101,13 @@ SchemeSpec parseScheme(const std::string &name);
  *
  * @param spec scheme identity (see parseScheme())
  * @param num_caches caches in the coherence domain
+ * @param blocks the blocks references may name (a decoded trace's
+ *        DecodedTrace::blockSpace(), sim/decoded.hh)
  * @param factory cache factory; empty builds the paper's infinite
  *        caches, a FiniteCache factory enables replacement simulation
  */
 std::unique_ptr<CoherenceProtocol> makeProtocol(
-    const SchemeSpec &spec, unsigned num_caches,
+    const SchemeSpec &spec, unsigned num_caches, const BlockSpace &blocks,
     const CacheFactory &factory = {});
 
 /**
@@ -114,7 +116,7 @@ std::unique_ptr<CoherenceProtocol> makeProtocol(
  * @throws UsageError for unknown names (see parseScheme())
  */
 std::unique_ptr<CoherenceProtocol> makeProtocol(
-    const std::string &name, unsigned num_caches,
+    const std::string &name, unsigned num_caches, const BlockSpace &blocks,
     const CacheFactory &factory = {});
 
 /** Names of the four schemes the paper's main evaluation compares. */

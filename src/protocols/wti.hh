@@ -28,8 +28,8 @@ class WTI : public CoherenceProtocol
     /** The only cache state: valid (memory is never stale). */
     static constexpr CacheBlockState stValid = 1;
 
-    explicit WTI(unsigned num_caches_arg,
-                 const CacheFactory &factory = {});
+    WTI(unsigned num_caches_arg, const BlockSpace &blocks_arg,
+        const CacheFactory &factory = {});
 
     std::string name() const override { return "WTI"; }
     bool isDirtyState(CacheBlockState) const override { return false; }

@@ -5,8 +5,10 @@
 namespace dirsim
 {
 
-YenFu::YenFu(unsigned num_caches_arg, const CacheFactory &factory)
-    : CoherenceProtocol(num_caches_arg, factory), dir(num_caches_arg)
+YenFu::YenFu(unsigned num_caches_arg, const BlockSpace &blocks_arg,
+             const CacheFactory &factory)
+    : CoherenceProtocol(num_caches_arg, blocks_arg, factory),
+      dir(num_caches_arg, blocks_arg.count)
 {
 }
 
@@ -149,15 +151,9 @@ YenFu::checkInvariants(BlockNum block) const
 {
     CoherenceProtocol::checkInvariants(block);
     const SharerSet sharers = holders(block);
-    if (dir.tracked(block)) {
-        panicIfNot(dir.sharerSnapshot(block) == sharers,
-                   "YenFu: directory present bits disagree for block ",
-                   block);
-    } else {
-        panicIfNot(sharers.empty(),
-                   "YenFu: caches hold block ", block,
-                   " the directory never saw");
-    }
+    panicIfNot(dir.sharerSnapshot(block) == sharers,
+               "YenFu: directory present bits disagree for block ",
+               block);
     // The single-bit semantics: set iff the sole copy.
     sharers.forEach([&](CacheId holder) {
         const CacheBlockState state = cacheState(holder, block);
@@ -172,12 +168,6 @@ YenFu::checkInvariants(BlockNum block) const
                        " is missing its single bit");
         }
     });
-}
-
-void
-YenFu::onReserveBlocks(std::uint32_t block_count)
-{
-    dir.reserveDense(block_count);
 }
 
 } // namespace dirsim

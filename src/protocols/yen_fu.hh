@@ -35,8 +35,8 @@ class YenFu : public CoherenceProtocol
     /** Modified; implies the only copy. */
     static constexpr CacheBlockState stDirty = 3;
 
-    explicit YenFu(unsigned num_caches_arg,
-                   const CacheFactory &factory = {});
+    YenFu(unsigned num_caches_arg, const BlockSpace &blocks_arg,
+          const CacheFactory &factory = {});
 
     std::string name() const override { return "YenFu"; }
     bool isDirtyState(CacheBlockState state) const override
@@ -57,7 +57,6 @@ class YenFu : public CoherenceProtocol
                          const Others &others, bool first) override;
     void onEviction(CacheId cache, BlockNum block,
                     CacheBlockState state) override;
-    void onReserveBlocks(std::uint32_t block_count) override;
 
   private:
     /** Directed invalidations to every copy but @p keeper's. */

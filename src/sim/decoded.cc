@@ -2,19 +2,12 @@
 
 #include "common/bitops.hh"
 #include "common/dense_id_map.hh"
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "protocols/registry.hh"
 #include "trace/reader.hh"
 
 namespace dirsim
 {
-
-bool
-decodeEnabled()
-{
-    return envUnsigned("DIRSIM_DECODE", 1) != 0;
-}
 
 std::uint64_t
 DecodedTrace::memoryBytes() const
@@ -41,9 +34,9 @@ decodeTrace(TraceSource &source, unsigned block_bytes,
         out.caches.reserve(*hint);
     }
 
-    // Sizing state mirrors scanTraceFile(): distinct pids over *all*
-    // records / the maximum CPU index. The mapping state mirrors the
-    // simulation loop: dense ids handed out in order of first
+    // Sizing state: distinct pids over *all* records / the maximum CPU
+    // index, so an instruction-only process still gets a cache. The
+    // mapping state: dense ids handed out in order of first
     // appearance over *data* records only. DenseIdMap rather than
     // std::unordered_map: these three insert-or-finds per record are
     // the whole decode pass, and the flat table halves its cost.
@@ -137,18 +130,12 @@ simulateTrace(const DecodedTrace &decoded,
     fatalIf(decoded.cachesUsed > protocol.numCaches(),
             "trace needs more than ", protocol.numCaches(),
             " caches; build the protocol with a larger domain");
+    fatalIf(protocol.blockSpace() != decoded.blockSpace(),
+            "the protocol was not built over this trace's blocks; "
+            "build it over DecodedTrace::blockSpace()");
 
     if (config.traceSink != nullptr)
         protocol.attachTracer(config.traceSink);
-
-    // Infinite caches take the hash-free path: dense arenas keyed by
-    // block index. Finite caches keep real block numbers (their set
-    // indexing depends on the address bits) through the sparse
-    // engine, still skipping the per-reference decode work.
-    const bool dense = !protocol.finiteCaches();
-    if (dense)
-        protocol.reserveBlocks(decoded.blockCount(),
-                               decoded.denseToBlock.data());
 
     std::uint64_t data_refs = 0;
     std::uint64_t processed = 0;
@@ -162,9 +149,8 @@ simulateTrace(const DecodedTrace &decoded,
     const std::uint64_t loop_start = PhaseTimer::nowNs();
     std::uint64_t measure_start = loop_start;
 
-    // This loop is the simulateRecords() statement sequence with the
-    // per-record decode work replaced by array loads — the basis of
-    // the bit-identity guarantee (tests/sim/decoded_test.cc).
+    // Warm-up counts every record, instructions included; the
+    // snapshot is taken before the first measured record.
     const std::uint64_t num_records = decoded.numRecords();
     for (std::uint64_t i = 0; i < num_records; ++i) {
         if (!warmup_taken && processed >= config.warmupRefs) {
@@ -182,9 +168,7 @@ simulateTrace(const DecodedTrace &decoded,
             continue;
         }
         const CacheId cache = decoded.caches[i];
-        const BlockNum block = dense
-            ? static_cast<BlockNum>(decoded.blocks[i])
-            : decoded.denseToBlock[decoded.blocks[i]];
+        const BlockNum block = decoded.blocks[i];
         const bool first_ref = (op & decodedOpFirstRef) != 0;
         if ((op & decodedOpKindMask) == decodedOpRead)
             protocol.read(cache, block, first_ref);
@@ -229,8 +213,8 @@ simulateTrace(const DecodedTrace &decoded, const SchemeSpec &scheme,
     const unsigned caches = decoded.cachesNeeded;
     fatalIf(caches == 0, "trace '", decoded.name,
             "' has no references");
-    const auto protocol =
-        makeProtocol(scheme, caches, cacheFactoryFor(config));
+    const auto protocol = makeProtocol(scheme, caches, decoded.blockSpace(),
+                                       cacheFactoryFor(config));
     return simulateTrace(decoded, *protocol, config);
 }
 

@@ -12,16 +12,15 @@
  * cache, and reference counts a simulation needs.
  *
  * The densified block index is the key enabler: with blocks numbered
- * 0..blockCount-1 in order of first appearance, the engine's sparse
- * per-block hash maps become flat arrays
- * (CoherenceProtocol::reserveBlocks), so the per-reference hot path
- * performs no hashing at all. denseToBlock[] retains the original
- * block numbers for trace-sink labeling and for finite-cache runs
- * (whose set indexing needs real addresses).
+ * 0..blockCount-1 in order of first appearance, every per-block arena
+ * of the engine is a flat array sized once (blockSpace()), so the
+ * per-reference hot path performs no hashing at all. denseToBlock[]
+ * retains the original block numbers for trace-sink labeling and for
+ * finite caches (whose set indexing needs real addresses).
  *
- * simulateTrace(DecodedTrace, ...) is bit-identical to the raw-trace
- * overloads by construction: it executes the same statement sequence
- * with precomputed operands (golden-tested in tests/sim/decoded_*).
+ * simulateTrace(DecodedTrace, CoherenceProtocol &, ...) is the one
+ * loop that walks references: every other entry point decodes first
+ * and ends there.
  */
 
 #ifndef DIRSIM_SIM_DECODED_HH
@@ -74,8 +73,7 @@ struct DecodedTrace
     /**
      * Caches a simulation of this trace must build: distinct pids
      * over all records (ByProcess) or observed CPUs, falling back to
-     * the header CPU count (ByProcessor) — exactly scanTraceFile()'s
-     * sizing rule.
+     * the header CPU count (ByProcessor).
      */
     unsigned cachesNeeded = 0;
     /**
@@ -96,17 +94,16 @@ struct DecodedTrace
         return static_cast<std::uint32_t>(denseToBlock.size());
     }
 
+    /** The block space a protocol simulating this stream is built
+     *  over (it refers to denseToBlock). */
+    BlockSpace blockSpace() const
+    {
+        return {blockCount(), denseToBlock.data()};
+    }
+
     /** Heap bytes held by the record arrays (for diagnostics). */
     std::uint64_t memoryBytes() const;
 };
-
-/**
- * The DIRSIM_DECODE toggle: true (the default) lets the runner and
- * simulateTraceFile() use the decode-once pipeline; DIRSIM_DECODE=0
- * forces the legacy sparse/streaming path (bounded memory, and the
- * reference implementation the equality tests compare against).
- */
-bool decodeEnabled();
 
 /**
  * Decode an in-memory trace under @p block_bytes / @p sharing.
@@ -122,40 +119,34 @@ DecodedTrace decodeTrace(TraceSource &source, unsigned block_bytes,
 
 /**
  * Decode a trace file in a single streaming read — this both sizes
- * the coherence domain and captures the records, so callers that
- * previously scanned and then re-read the file (simulateTraceFile,
- * ExperimentRunner::runFiles) touch the file exactly once.
+ * the coherence domain and captures the records, so a file is read
+ * exactly once (simulateTraceFile, ExperimentRunner::runFiles).
  */
 DecodedTrace decodeTraceFile(const std::string &path,
                              unsigned block_bytes,
                              SharingModel sharing);
 
 /**
- * Run a decoded stream through @p protocol.
+ * Run a decoded stream through @p protocol: the simulation loop every
+ * entry point ends in.
  *
- * With infinite caches the engine is switched to dense block arenas
- * (CoherenceProtocol::reserveBlocks) and fed densified indices — the
- * hash-free hot path. Finite-cache protocols are fed the original
- * block numbers through the sparse engine, because replacement
- * depends on real addresses; they still gain the decode (no address
- * hashing, no first-ref set, no pid mapping per reference).
+ * The protocol must be built over decoded.blockSpace() with enough
+ * caches for decoded.cachesUsed; config.blockBytes and config.sharing
+ * must equal the decode-time values (the densification would not
+ * match otherwise).
  *
- * The SimResult is bit-identical to the raw-trace overloads for the
- * same records and config. config.blockBytes and config.sharing must
- * equal the decode-time values (fatal otherwise: the densification
- * would not match).
- *
- * @throws UsageError as simulateTrace(Trace, ...) does for
- *         finite-cache misconfiguration
+ * @throws UsageError on any of those mismatches, or when @p config
+ *         requests a finite cache but @p protocol does not run finite
+ *         caches (the geometry cannot be applied retroactively)
  */
 SimResult simulateTrace(const DecodedTrace &decoded,
                         CoherenceProtocol &protocol,
                         const SimConfig &config = {});
 
 /**
- * Build the scheme sized from the decoded stream (honoring
- * SimConfig::finiteCache), then simulate — the decoded counterpart
- * of simulateTrace(Trace, SchemeSpec, ...).
+ * Build the scheme over the decoded stream's caches and blocks
+ * (honoring SimConfig::finiteCache), then simulate — the decoded
+ * counterpart of simulateTrace(Trace, SchemeSpec, ...).
  */
 SimResult simulateTrace(const DecodedTrace &decoded,
                         const SchemeSpec &scheme,

@@ -6,11 +6,9 @@
 #include <map>
 #include <sstream>
 
-#include "common/bitops.hh"
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
-#include "directory/sharer_set.hh"
 #include "trace/format.hh"
 
 namespace dirsim
@@ -31,6 +29,30 @@ const char *
 toString(SharingModel sharing)
 {
     return sharing == SharingModel::ByProcess ? "process" : "processor";
+}
+
+/** The plan-wide identity of the input @p ref names. */
+std::string
+sourceKey(const TraceRef &ref)
+{
+    std::ostringstream key;
+    switch (ref.kind) {
+      case TraceRef::Kind::Memory:
+        fatalIf(ref.memory == nullptr, "SimJob references a null Trace");
+        key << "mem:" << static_cast<const void *>(ref.memory);
+        break;
+      case TraceRef::Kind::Decoded:
+        fatalIf(ref.decoded == nullptr,
+                "SimJob references a null DecodedTrace");
+        key << "dec:" << static_cast<const void *>(ref.decoded);
+        break;
+      case TraceRef::Kind::File:
+        fatalIf(ref.path.empty(),
+                "SimJob references an empty trace path");
+        key << "file:" << ref.path;
+        break;
+    }
+    return key.str();
 }
 
 } // namespace
@@ -60,71 +82,6 @@ TraceRef::file(std::string path)
     ref.kind = Kind::File;
     ref.path = std::move(path);
     return ref;
-}
-
-std::string
-TraceRef::displayName() const
-{
-    switch (kind) {
-      case Kind::Memory:
-        return memory->name();
-      case Kind::Decoded:
-        return decoded->name;
-      case Kind::File:
-        return nameHint.empty() ? path : nameHint;
-    }
-    return path;
-}
-
-ShardPlan
-ShardPlan::fromEnvironment()
-{
-    ShardPlan plan;
-    const auto setting = envString("DIRSIM_SHARDS");
-    if (!setting || setting->empty())
-        return plan;
-    if (*setting == "auto") {
-        plan.shards = 0;
-        return plan;
-    }
-    plan.shards = envUnsigned("DIRSIM_SHARDS", 1);
-    return plan;
-}
-
-unsigned
-ShardPlan::resolve(std::uint64_t data_refs, std::uint64_t block_count,
-                   bool finite_caches) const
-{
-    if (finite_caches)
-        return 1;
-    std::uint64_t k = shards;
-    if (k == 0) {
-        // Auto: one shard per minRefsPerShard data refs, capped by
-        // the worker budget — small cells stay sequential.
-        const std::uint64_t cap =
-            maxShards > 0 ? maxShards : ThreadPool::hardwareThreads();
-        const std::uint64_t per_shard =
-            std::max<std::uint64_t>(minRefsPerShard, 1);
-        k = std::min(data_refs / per_shard, cap);
-    }
-    // Never more shards than blocks to put in them.
-    k = std::min(k, std::max<std::uint64_t>(block_count, 1));
-    return static_cast<unsigned>(std::max<std::uint64_t>(k, 1));
-}
-
-std::uint64_t
-traceChecksumFnv64(const Trace &trace)
-{
-    traceformat::Fnv64 fnv;
-    const std::string &name = trace.name();
-    fnv.update(name.data(), name.size());
-    const std::uint64_t shape[2] = {trace.numCpus(), trace.size()};
-    fnv.update(shape, sizeof(shape));
-    // TraceRecord packs into exactly 16 bytes (static_assert in
-    // trace/record.hh), so the raw array is padding-free.
-    fnv.update(trace.data().data(),
-               trace.size() * sizeof(TraceRecord));
-    return fnv.value();
 }
 
 std::uint64_t
@@ -190,25 +147,6 @@ cellCacheKey(std::uint64_t trace_checksum, const SchemeSpec &scheme,
     return fnv.value();
 }
 
-JobOptions
-JobOptions::fromEnvironment()
-{
-    JobOptions options;
-    options.shards = ShardPlan::fromEnvironment();
-    options.decode = decodeEnabled();
-    return options;
-}
-
-JobOptions
-JobOptions::sequential()
-{
-    JobOptions options;
-    options.shards.shards = 1;
-    options.decode = false;
-    options.cache = nullptr;
-    return options;
-}
-
 std::uint64_t
 SimPlan::plannedRefs() const
 {
@@ -225,42 +163,21 @@ buildPlan(const std::vector<SimJob> &jobs, const JobOptions &options)
     plan.cache = options.cache;
     plan.cells.reserve(jobs.size());
 
-    // Decode and checksum each distinct (source, geometry) once; the
-    // cells share the immutable stream read-only.
+    // Decode each distinct (source, geometry) once; the cells share
+    // the immutable stream read-only.
     std::map<std::string, const DecodedTrace *> streams;
     std::map<std::string, std::uint64_t> checksums;
 
     for (const SimJob &job : jobs) {
+        const TraceRef &ref = job.trace;
+        const std::string source = sourceKey(ref);
+
         PlannedCell cell;
         cell.scheme = job.scheme;
         cell.config = job.config;
-        cell.trace = job.trace;
-
-        const TraceRef &ref = job.trace;
-        std::ostringstream source_key;
-        switch (ref.kind) {
-          case TraceRef::Kind::Memory:
-            source_key << "mem:" << static_cast<const void *>(ref.memory);
-            fatalIf(ref.memory == nullptr,
-                    "SimJob references a null Trace");
-            break;
-          case TraceRef::Kind::Decoded:
-            source_key << "dec:"
-                       << static_cast<const void *>(ref.decoded);
-            fatalIf(ref.decoded == nullptr,
-                    "SimJob references a null DecodedTrace");
-            break;
-          case TraceRef::Kind::File:
-            source_key << "file:" << ref.path;
-            fatalIf(ref.path.empty(),
-                    "SimJob references an empty trace path");
-            break;
-        }
-        const std::string source = source_key.str();
-
         if (ref.kind == TraceRef::Kind::Decoded) {
             cell.stream = ref.decoded;
-        } else if (options.decode) {
+        } else {
             const std::string stream_key = source + "|"
                 + std::to_string(job.config.blockBytes) + "|"
                 + toString(job.config.sharing);
@@ -278,43 +195,20 @@ buildPlan(const std::vector<SimJob> &jobs, const JobOptions &options)
             }
             cell.stream = it->second;
         }
+        cell.traceName = cell.stream->name;
+        cell.records = cell.stream->numRecords();
 
-        if (cell.stream != nullptr) {
-            cell.traceName = cell.stream->name;
-            cell.records = cell.stream->numRecords();
-        } else if (ref.kind == TraceRef::Kind::Memory) {
-            cell.traceName = ref.memory->name();
-            cell.records = ref.memory->size();
-        } else {
-            cell.traceName = ref.nameHint.empty() ? ref.path
-                                                  : ref.nameHint;
-            cell.records = ref.recordsHint;
-        }
-
-        // A raw single sink cannot be split across shard workers and
-        // cannot be replayed from the cache; such cells run
-        // sequentially and uncached.
-        const bool raw_sink = job.config.traceSink != nullptr;
-        cell.shards = cell.stream != nullptr && !raw_sink
-            ? options.shards.resolve(cell.stream->dataRefs,
-                                     cell.stream->blockCount(),
-                                     job.config.finiteCache.has_value())
-            : 1;
-
-        if (options.cache && !raw_sink) {
-            // The stream checksum is canonical across file and
-            // in-memory inputs (decoding is deterministic); undecoded
-            // sources hash their raw representation instead.
-            const std::string sum_key = cell.stream != nullptr
-                ? "sptr:" + source : source;
-            auto it = checksums.find(sum_key);
+        // A raw SimConfig::traceSink cannot be replayed from the
+        // cache; such cells run uncached.
+        if (options.cache && job.config.traceSink == nullptr) {
+            // One checksum per source: the cell key adds the block
+            // size and sharing model itself.
+            auto it = checksums.find(source);
             if (it == checksums.end()) {
-                const std::uint64_t sum = cell.stream != nullptr
-                    ? traceChecksumFnv64(*cell.stream)
-                    : ref.kind == TraceRef::Kind::Memory
-                        ? traceChecksumFnv64(*ref.memory)
-                        : fileChecksumFnv64(ref.path);
-                it = checksums.emplace(sum_key, sum).first;
+                it = checksums
+                         .emplace(source,
+                                  traceChecksumFnv64(*cell.stream))
+                         .first;
             }
             cell.cacheKey = cellCacheKey(it->second, job.scheme,
                                          job.config);
@@ -325,211 +219,9 @@ buildPlan(const std::vector<SimJob> &jobs, const JobOptions &options)
     return plan;
 }
 
-namespace
-{
-
-/** One shard's simulation output plus its live protocol arena (kept
- *  for the cross-shard disjointness check). */
-struct ShardPart
-{
-    SimResult result;
-    std::unique_ptr<CoherenceProtocol> protocol;
-};
-
-/**
- * Replay the whole stream against a per-shard protocol arena,
- * skipping blocks owned by other shards. The loop is the dense
- * simulateTrace() statement sequence with one added membership test;
- * the global `processed` counter (every record, skipped or not)
- * keeps the warm-up boundary at the same record index in every
- * shard, which is what makes per-shard (total - warmup) subtraction
- * sum to the sequential cell's exactly.
- */
-ShardPart
-runShard(const DecodedTrace &decoded, const SchemeSpec &scheme,
-         const SimConfig &config,
-         const std::vector<std::uint32_t> &shard_of, unsigned shard,
-         const ShardSinkFactory &make_sink)
-{
-    ShardPart part;
-    part.protocol = makeProtocol(scheme, decoded.cachesNeeded);
-    CoherenceProtocol &protocol = *part.protocol;
-
-    std::unique_ptr<ProtocolTraceSink> sink;
-    if (make_sink) {
-        sink = make_sink(shard);
-        if (sink)
-            protocol.attachTracer(sink.get());
-    }
-    protocol.reserveBlocks(decoded.blockCount(),
-                           decoded.denseToBlock.data());
-
-    std::uint64_t data_refs = 0;
-    std::uint64_t processed = 0;
-    EventCounts warmup_events;
-    OpCounts warmup_ops;
-    Histogram warmup_hist;
-    bool warmup_taken = config.warmupRefs == 0;
-
-    const std::uint64_t num_records = decoded.numRecords();
-    for (std::uint64_t i = 0; i < num_records; ++i) {
-        if (!warmup_taken && processed >= config.warmupRefs) {
-            warmup_events = protocol.events();
-            warmup_ops = protocol.ops();
-            warmup_hist = protocol.cleanWriteHolders();
-            warmup_taken = true;
-        }
-        ++processed;
-        const std::uint8_t op = decoded.ops[i];
-        if ((op & decodedOpKindMask) == decodedOpInstr) {
-            // Instructions touch no block; shard 0 owns them so the
-            // merged Instr count matches the sequential cell.
-            if (shard == 0)
-                protocol.instruction();
-            continue;
-        }
-        const std::uint32_t index = decoded.blocks[i];
-        if (shard_of[index] != shard)
-            continue;
-        const CacheId cache = decoded.caches[i];
-        const bool first_ref = (op & decodedOpFirstRef) != 0;
-        if ((op & decodedOpKindMask) == decodedOpRead)
-            protocol.read(cache, static_cast<BlockNum>(index),
-                          first_ref);
-        else
-            protocol.write(cache, static_cast<BlockNum>(index),
-                           first_ref);
-        ++data_refs;
-        if (config.invariantCheckPeriod != 0
-            && data_refs % config.invariantCheckPeriod == 0) {
-            protocol.checkAllInvariants();
-        }
-    }
-    fatalIf(!warmup_taken,
-            "warm-up of ", config.warmupRefs,
-            " references consumed the whole trace (",
-            processed, " references)");
-    if (config.invariantCheckPeriod != 0)
-        protocol.checkAllInvariants();
-
-    SimResult &result = part.result;
-    result.scheme = protocol.name();
-    result.traceName = decoded.name;
-    result.numCaches = protocol.numCaches();
-    result.events = protocol.events();
-    result.events.subtract(warmup_events);
-    result.ops = protocol.ops();
-    result.ops.subtract(warmup_ops);
-    result.cleanWriteHolders = protocol.cleanWriteHolders();
-    result.cleanWriteHolders.subtract(warmup_hist);
-    result.totalRefs = result.events.totalRefs();
-    return part;
-}
-
-/** Attach a single sink (shard 0) for a sequential cell. */
-std::unique_ptr<ProtocolTraceSink>
-attachSingleSink(const ShardSinkFactory &make_sink, SimConfig &config)
-{
-    if (!make_sink)
-        return nullptr;
-    std::unique_ptr<ProtocolTraceSink> sink = make_sink(0);
-    if (sink)
-        config.traceSink = sink.get();
-    return sink;
-}
-
-} // namespace
-
-SimResult
-simulateTraceSharded(const DecodedTrace &decoded,
-                     const SchemeSpec &scheme, const SimConfig &config,
-                     unsigned shards, const ShardSinkFactory &make_sink)
-{
-    const std::uint64_t block_count = decoded.blockCount();
-    const unsigned k = static_cast<unsigned>(std::min<std::uint64_t>(
-        std::max(shards, 1u), std::max<std::uint64_t>(block_count, 1)));
-    if (k <= 1) {
-        SimConfig sequential = config;
-        const auto sink = attachSingleSink(make_sink, sequential);
-        return simulateTrace(decoded, scheme, sequential);
-    }
-    fatalIf(config.finiteCache.has_value(),
-            "sharded simulation requires infinite caches (finite-cache "
-            "replacement couples co-resident blocks); run one shard");
-    fatalIf(config.traceSink != nullptr,
-            "a sharded cell cannot share one SimConfig::traceSink "
-            "across shards; pass a ShardSinkFactory instead");
-    checkBlockSize(config.blockBytes);
-    fatalIf(config.blockBytes != decoded.blockBytes,
-            "trace was decoded with ", decoded.blockBytes,
-            "-byte blocks but the simulation uses ", config.blockBytes,
-            "-byte blocks; decode it again");
-    fatalIf(config.sharing != decoded.sharing,
-            "trace was decoded under a different sharing model than "
-            "the simulation requests; decode it again");
-    const unsigned caches = decoded.cachesNeeded;
-    fatalIf(caches == 0, "trace '", decoded.name,
-            "' has no references");
-    fatalIf(decoded.numRecords() == 0,
-            "cannot simulate an empty trace");
-
-    // Round-robin block ownership: balanced for free, and stable so
-    // a run is reproducible for a given K.
-    std::vector<std::uint32_t> shard_of(block_count);
-    for (std::uint64_t b = 0; b < block_count; ++b)
-        shard_of[b] = static_cast<std::uint32_t>(b % k);
-
-    std::vector<ShardPart> parts(k);
-    const std::uint64_t parallel_start = PhaseTimer::nowNs();
-    {
-        ThreadPool pool(std::min(k, ThreadPool::hardwareThreads()));
-        for (unsigned shard = 0; shard < k; ++shard) {
-            pool.submit([&, shard] {
-                parts[shard] = runShard(decoded, scheme, config,
-                                        shard_of, shard, make_sink);
-            });
-        }
-        pool.wait();
-    }
-    const std::uint64_t parallel_ns =
-        PhaseTimer::nowNs() - parallel_start;
-
-    const std::uint64_t merge_start = PhaseTimer::nowNs();
-    SimResult result = std::move(parts[0].result);
-    for (unsigned shard = 1; shard < k; ++shard) {
-        result.events.merge(parts[shard].result.events);
-        result.ops.merge(parts[shard].result.ops);
-        result.cleanWriteHolders.merge(
-            parts[shard].result.cleanWriteHolders);
-    }
-    result.totalRefs = result.events.totalRefs();
-
-    if (config.invariantCheckPeriod != 0) {
-        // Cross-shard disjointness: round-robin ownership must leave
-        // every block's sharers in exactly one shard's arena.
-        for (std::uint64_t b = 0; b < block_count; ++b) {
-            SharerSet all(caches);
-            for (unsigned shard = 0; shard < k; ++shard) {
-                const SharerSet holders =
-                    parts[shard].protocol->holders(b);
-                panicIfNot(!all.intersects(holders),
-                           "block ", decoded.denseToBlock[b],
-                           " is held in multiple shard arenas");
-                all.unionWith(holders);
-            }
-        }
-    }
-
-    PhaseBreakdown phases;
-    phases.add(Phase::Simulate, parallel_ns);
-    phases.add(Phase::Reduce, PhaseTimer::nowNs() - merge_start);
-    result.phases = phases;
-    return result;
-}
-
 CellOutcome
 runPlannedCell(const SimPlan &plan, std::size_t index,
-               const ShardSinkFactory &make_sink)
+               ProtocolTraceSink *sink)
 {
     panicIfNot(index < plan.cells.size(),
                "runPlannedCell index ", index, " outside a plan of ",
@@ -540,54 +232,19 @@ runPlannedCell(const SimPlan &plan, std::size_t index,
     const auto start = Clock::now();
 
     // Traced cells skip the lookup (a replayed result cannot feed the
-    // sinks) but still store: the result is identical either way.
-    if (cell.cacheable && plan.cache && !make_sink
+    // sink) but still store: the result is identical either way.
+    if (cell.cacheable && plan.cache && sink == nullptr
         && plan.cache->lookup(cell.cacheKey, out.result)) {
         out.cacheHit = true;
-        out.simulatedRefs = 0;
         out.wallSeconds = secondsSince(start);
         return out;
     }
 
-    if (cell.stream != nullptr) {
-        if (cell.shards > 1) {
-            out.result = simulateTraceSharded(*cell.stream, cell.scheme,
-                                              cell.config, cell.shards,
-                                              make_sink);
-        } else {
-            SimConfig config = cell.config;
-            const auto sink = attachSingleSink(make_sink, config);
-            out.result = simulateTrace(*cell.stream, cell.scheme,
-                                       config);
-        }
-        out.simulatedRefs = cell.stream->numRecords();
-    } else if (cell.trace.kind == TraceRef::Kind::Memory) {
-        // The sparse-engine primitive, inlined: the scheme-building
-        // simulateTrace(Trace, ...) overloads wrap runJob(), so the
-        // engine must build the protocol itself.
-        SimConfig config = cell.config;
-        const auto sink = attachSingleSink(make_sink, config);
-        const Trace &trace = *cell.trace.memory;
-        const unsigned caches = cachesNeeded(trace, config.sharing);
-        fatalIf(caches == 0, "trace '", trace.name(),
-                "' has no references");
-        const auto protocol =
-            makeProtocol(cell.scheme, caches, cacheFactoryFor(config));
-        out.result = simulateTrace(trace, *protocol, config);
-        out.simulatedRefs = trace.size();
-    } else {
-        SimConfig config = cell.config;
-        const auto sink = attachSingleSink(make_sink, config);
-        out.result = simulateTraceFile(cell.trace.path, cell.scheme,
-                                       config, cell.trace.cachesHint);
-        // Streaming cells learn their record count only by running;
-        // fall back to the measured total when no hint was planned.
-        out.simulatedRefs =
-            cell.records > 0 ? cell.records : out.result.totalRefs;
-        if (out.records == 0)
-            out.records = out.simulatedRefs;
-    }
-    out.shardsUsed = cell.shards;
+    SimConfig config = cell.config;
+    if (sink != nullptr)
+        config.traceSink = sink;
+    out.result = simulateTrace(*cell.stream, cell.scheme, config);
+    out.simulatedRefs = cell.records;
     out.wallSeconds = secondsSince(start);
     if (cell.cacheable && plan.cache)
         plan.cache->store(cell.cacheKey, out.result, out.wallSeconds);

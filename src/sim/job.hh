@@ -6,35 +6,24 @@
  * stream, a trace file; one scheme or a whole grid — is one shape
  * here: a SimJob (trace reference + scheme + SimConfig) expanded by
  * buildPlan() into a SimPlan of executable cells, each run by
- * runPlannedCell(). All the legacy entry points (the scheme-building
- * simulateTrace()/simulateTraceFile() overloads, runGrid(),
+ * runPlannedCell(). buildPlan() decodes every distinct trace once
+ * (sim/decoded.hh), and every cell runs the one simulation loop,
+ * simulateTrace(DecodedTrace, ...). The legacy entry points (the
+ * scheme-building simulateTrace() overloads, runGrid(),
  * ExperimentRunner::run()/runFiles()) are thin wrappers over this
- * engine, so they stay bit-identical to each other by construction.
+ * engine.
  *
- * The engine adds two capabilities the legacy names expose through
- * options:
- *
- *  - **Block-sharded cells** (ShardPlan): a decoded cell's dense
- *    block indices are partitioned into K shards simulated on
- *    separate workers against per-shard protocol arenas, then merged.
- *    Per-block directory state never crosses blocks and every counter
- *    is additive, so the merged SimResult is bit-identical to the
- *    sequential cell (asserted by tests/sim/shard_test.cc).
- *    Finite-cache cells fall back to one shard: set replacement
- *    couples co-resident blocks.
- *
- *  - **A content-addressed cell cache** (CellCache): results keyed by
- *    FNV-1a 64 over (trace checksum, canonical scheme name, SimConfig,
- *    engine schema version). A warm cache replays a whole grid with
- *    zero simulated references. The file-backed implementation lives
- *    in obs/cell_cache.hh (DIRSIM_CACHE_DIR).
+ * The engine adds a content-addressed cell cache (CellCache): results
+ * keyed by FNV-1a 64 over (trace checksum, canonical scheme name,
+ * SimConfig, engine schema version). A warm cache replays a whole
+ * grid with zero simulated references. The file-backed implementation
+ * lives in obs/cell_cache.hh (DIRSIM_CACHE_DIR).
  */
 
 #ifndef DIRSIM_SIM_JOB_HH
 #define DIRSIM_SIM_JOB_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -63,22 +52,9 @@ struct TraceRef
     const DecodedTrace *decoded = nullptr;
     std::string path;
 
-    /**
-     * Legacy sizing hints for File refs run without decoding: the
-     * cache count (skips the sizing scan, as simulateTraceFile's
-     * caches_hint) and the record count / workload name from an
-     * earlier scanTraceFile(), used for planning and progress.
-     */
-    unsigned cachesHint = 0;
-    std::uint64_t recordsHint = 0;
-    std::string nameHint;
-
     static TraceRef of(const Trace &trace);
     static TraceRef of(const DecodedTrace &decoded);
     static TraceRef file(std::string path);
-
-    /** Workload name when known without I/O; the path otherwise. */
-    std::string displayName() const;
 };
 
 /** One simulation request: what to run, under which scheme, how. */
@@ -87,33 +63,6 @@ struct SimJob
     TraceRef trace;
     SchemeSpec scheme;
     SimConfig config;
-};
-
-/** How to split one cell's blocks across workers. */
-struct ShardPlan
-{
-    /**
-     * Shards per cell: 1 = sequential (the default, and the exact
-     * legacy path); 0 = auto (size from refs and hardware); K > 1 =
-     * exactly K shards. Cells that cannot shard — finite caches, a
-     * raw SimConfig::traceSink, no decoded stream — always run with
-     * one shard regardless.
-     */
-    unsigned shards = 1;
-
-    /** Auto sizing: aim for at least this many data refs per shard. */
-    std::uint64_t minRefsPerShard = 250'000;
-
-    /** Auto sizing cap; 0 = the hardware thread count. */
-    unsigned maxShards = 0;
-
-    /** The DIRSIM_SHARDS override: unset keeps the sequential
-     *  default, "auto" (or 0) enables auto sizing, K forces K. */
-    static ShardPlan fromEnvironment();
-
-    /** Shards a cell with these properties will actually use. */
-    unsigned resolve(std::uint64_t data_refs, std::uint64_t block_count,
-                     bool finite_caches) const;
 };
 
 /**
@@ -147,9 +96,6 @@ class CellCache
  */
 inline constexpr std::uint32_t engineSchemaVersion = 1;
 
-/** FNV-1a 64 over a trace's name, shape, and every record. */
-std::uint64_t traceChecksumFnv64(const Trace &trace);
-
 /** FNV-1a 64 over a decoded stream's name, geometry, and arrays.
  *  Decoding is deterministic, so a file and the in-memory trace read
  *  from it produce the same decoded checksum. */
@@ -166,36 +112,13 @@ std::uint64_t cellCacheKey(std::uint64_t trace_checksum,
                            const SchemeSpec &scheme,
                            const SimConfig &config);
 
-/**
- * Builds the trace sink for one shard of a cell (obs/tracer.hh
- * sessions are single-threaded, so a sharded cell needs one per
- * shard; their distributions merge additively). Shard indices are
- * 0..K-1; an unsharded cell asks for shard 0 only. Returning nullptr
- * leaves the shard untraced.
- */
-using ShardSinkFactory =
-    std::function<std::unique_ptr<ProtocolTraceSink>(unsigned shard)>;
-
 /** Engine options shared by every cell of a plan. */
 struct JobOptions
 {
-    ShardPlan shards;
-
-    /** Decode traces once up front (sim/decoded.hh) and replay the
-     *  dense stream; off = the legacy sparse/streaming engine. */
-    bool decode = true;
-
-    /** Cell result cache; nullptr = always simulate. */
+    /** Cell result cache; nullptr = always simulate. Wire obs'
+     *  FileCellCache::fromEnvironment() here to honor
+     *  DIRSIM_CACHE_DIR. */
     std::shared_ptr<CellCache> cache;
-
-    /** DIRSIM_DECODE + DIRSIM_SHARDS; no cache (wire one from
-     *  obs' FileCellCache::fromEnvironment()). */
-    static JobOptions fromEnvironment();
-
-    /** The exact legacy semantics: no decode, one shard, no cache.
-     *  Used by the wrapped simulateTrace() overloads so their
-     *  reference behavior is untouched. */
-    static JobOptions sequential();
 };
 
 /** One executable cell of a SimPlan. */
@@ -203,16 +126,12 @@ struct PlannedCell
 {
     SchemeSpec scheme;
     SimConfig config;
-    TraceRef trace;
-    /** Shared decoded stream (plan-owned or caller-owned); nullptr
-     *  when the cell runs the sparse/streaming engine. */
+    /** Shared decoded stream (plan-owned or caller-owned). */
     const DecodedTrace *stream = nullptr;
-    /** Workload name when known before execution. */
+    /** Workload name. */
     std::string traceName;
-    /** Records this cell will process (0 when unknown up front). */
+    /** Records this cell will process. */
     std::uint64_t records = 0;
-    /** Shards the cell will use (resolved; >= 1). */
-    unsigned shards = 1;
     std::uint64_t cacheKey = 0;
     bool cacheable = false;
 };
@@ -225,7 +144,7 @@ struct SimPlan
     std::vector<std::unique_ptr<DecodedTrace>> streams;
     std::shared_ptr<CellCache> cache;
 
-    /** Sum of every cell's known record count. */
+    /** Sum of every cell's record count. */
     std::uint64_t plannedRefs() const;
 };
 
@@ -235,8 +154,6 @@ struct CellOutcome
     SimResult result;
     /** True when the result came from the cache, not simulation. */
     bool cacheHit = false;
-    /** Shards the simulation used (1 for cached cells). */
-    unsigned shardsUsed = 1;
     /** Records actually simulated: 0 on a cache hit. */
     std::uint64_t simulatedRefs = 0;
     /** Records the cell covers, simulated or replayed. */
@@ -246,25 +163,24 @@ struct CellOutcome
 
 /**
  * Expand jobs into an executable plan: decode each distinct trace
- * once (shared by every cell that references it), resolve shard
- * counts, and compute cache keys. Pure planning — no simulation.
+ * once (shared by every cell that references it) and compute cache
+ * keys. Pure planning — no simulation.
  */
 SimPlan buildPlan(const std::vector<SimJob> &jobs,
-                  const JobOptions &options = JobOptions::fromEnvironment());
+                  const JobOptions &options = {});
 
 /**
- * Execute one cell of a plan: cache lookup, sharded or sequential
- * simulation, cache store. Safe to call for different indices from
- * concurrent workers. @p make_sink builds per-shard trace sinks for
- * this cell (tracing disables the cache *lookup* — a replayed result
- * cannot feed a tracer — but the result is still stored).
+ * Execute one cell of a plan: cache lookup, simulation, cache store.
+ * Safe to call for different indices from concurrent workers.
+ * @p sink, when set, observes this cell (as SimConfig::traceSink);
+ * tracing disables the cache *lookup* — a replayed result cannot feed
+ * a tracer — but the result is still stored.
  */
 CellOutcome runPlannedCell(const SimPlan &plan, std::size_t index,
-                           const ShardSinkFactory &make_sink = {});
+                           ProtocolTraceSink *sink = nullptr);
 
 /** Plan and run a single job. */
-CellOutcome runJob(const SimJob &job,
-                   const JobOptions &options = JobOptions::fromEnvironment());
+CellOutcome runJob(const SimJob &job, const JobOptions &options = {});
 
 /**
  * Plan and run a batch of jobs on @p workers threads (0 = the
@@ -273,24 +189,9 @@ CellOutcome runJob(const SimJob &job,
  * scheme x trace grids with progress callbacks and timing telemetry,
  * use ExperimentRunner (a wrapper over the same engine).
  */
-std::vector<CellOutcome> runJobs(
-    const std::vector<SimJob> &jobs,
-    const JobOptions &options = JobOptions::fromEnvironment(),
-    unsigned workers = 1);
-
-/**
- * The sharded cell executor: partition @p decoded's dense blocks
- * into @p shards shards, simulate each on its own worker against a
- * per-shard protocol arena, and merge. Bit-identical to the
- * sequential cell by construction; requires infinite caches.
- * With SimConfig::invariantCheckPeriod set, additionally checks that
- * the per-shard sharer sets partition cleanly (no block is held in
- * two shards' arenas).
- */
-SimResult simulateTraceSharded(const DecodedTrace &decoded,
-                               const SchemeSpec &scheme,
-                               const SimConfig &config, unsigned shards,
-                               const ShardSinkFactory &make_sink = {});
+std::vector<CellOutcome> runJobs(const std::vector<SimJob> &jobs,
+                                 const JobOptions &options = {},
+                                 unsigned workers = 1);
 
 } // namespace dirsim
 

@@ -8,7 +8,6 @@
 #include "common/log.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
-#include "sim/decoded.hh"
 #include "sim/job.hh"
 
 namespace dirsim
@@ -47,8 +46,6 @@ RunnerConfig::fromEnvironment()
 {
     RunnerConfig config;
     config.jobs = envUnsigned("DIRSIM_JOBS", 0);
-    config.decode = decodeEnabled();
-    config.shards = ShardPlan::fromEnvironment();
     return config;
 }
 
@@ -185,13 +182,10 @@ ExperimentRunner::runJobGrid(const std::vector<SimJob> &jobs,
                              std::size_t num_traces) const
 {
     JobOptions options;
-    options.decode = config.decode;
-    options.shards = config.shards;
     options.cache = config.cellCache;
 
     // Planning (decode + checksum each distinct trace once) is grid
-    // setup, charged as Read time; it makes plannedRefs exact by
-    // construction for decoded grids.
+    // setup, charged as Read time; it makes plannedRefs exact.
     const std::uint64_t plan_start = PhaseTimer::nowNs();
     const SimPlan plan = buildPlan(jobs, options);
     const std::uint64_t plan_ns = PhaseTimer::nowNs() - plan_start;
@@ -207,22 +201,16 @@ ExperimentRunner::runJobGrid(const std::vector<SimJob> &jobs,
             timing.scheme = planned.scheme.name();
             timing.traceName = planned.traceName;
 
-            ShardSinkFactory make_sink;
-            if (config.makeCellTraceSink) {
-                make_sink = [this, &timing](unsigned) {
-                    return config.makeCellTraceSink(timing.scheme,
-                                                    timing.traceName);
-                };
-            }
+            std::unique_ptr<ProtocolTraceSink> sink;
+            if (config.makeCellTraceSink)
+                sink = config.makeCellTraceSink(timing.scheme,
+                                                timing.traceName);
             const CellOutcome outcome =
-                runPlannedCell(plan, index, make_sink);
+                runPlannedCell(plan, index, sink.get());
             timing.refs = outcome.records;
             timing.wallSeconds = secondsSince(start);
             timing.cacheHit = outcome.cacheHit;
-            timing.shards = outcome.shardsUsed;
             timing.simulatedRefs = outcome.simulatedRefs;
-            if (timing.traceName.empty())
-                timing.traceName = outcome.result.traceName;
             return outcome.result;
         });
     grid.setupPhases.add(Phase::Read, plan_ns);
@@ -256,44 +244,15 @@ ExperimentRunner::runFiles(const std::vector<SchemeSpec> &schemes,
     fatalIf(schemes.empty(), "experiment grid with no schemes");
     fatalIf(tracePaths.empty(), "experiment grid with no trace files");
 
-    if (config.decode) {
-        // One decode per file — the only read it ever gets. The plan
-        // validates the file, sizes the coherence domain, and captures
-        // the stream every cell replays, fixing the legacy double read
-        // (sizing scan + per-cell reopen).
-        std::vector<SimJob> jobs;
-        jobs.reserve(schemes.size() * tracePaths.size());
-        for (const SchemeSpec &scheme : schemes)
-            for (const std::string &path : tracePaths)
-                jobs.push_back({TraceRef::file(path), scheme, sim});
-        return runJobGrid(jobs, schemes, tracePaths.size());
-    }
-
-    // Legacy bounded-memory pipeline: one validating scan per file,
-    // up front, sizes every cell's coherence domain and rejects
-    // malformed inputs before any simulation work is queued; each
-    // cell then re-opens and streams its file.
-    const std::uint64_t scan_start = PhaseTimer::nowNs();
-    std::vector<TraceFileInfo> infos;
-    infos.reserve(tracePaths.size());
-    for (const auto &path : tracePaths)
-        infos.push_back(scanTraceFile(path, sim.sharing));
-    const std::uint64_t scan_ns = PhaseTimer::nowNs() - scan_start;
-
+    // One decode per file — the only read it ever gets. The plan
+    // validates the file, sizes the coherence domain, and captures
+    // the stream every cell replays.
     std::vector<SimJob> jobs;
     jobs.reserve(schemes.size() * tracePaths.size());
-    for (const SchemeSpec &scheme : schemes) {
-        for (std::size_t t = 0; t < tracePaths.size(); ++t) {
-            TraceRef ref = TraceRef::file(tracePaths[t]);
-            ref.cachesHint = infos[t].caches;
-            ref.recordsHint = infos[t].records;
-            ref.nameHint = infos[t].name;
-            jobs.push_back({std::move(ref), scheme, sim});
-        }
-    }
-    GridResult grid = runJobGrid(jobs, schemes, tracePaths.size());
-    grid.setupPhases.add(Phase::Read, scan_ns);
-    return grid;
+    for (const SchemeSpec &scheme : schemes)
+        for (const std::string &path : tracePaths)
+            jobs.push_back({TraceRef::file(path), scheme, sim});
+    return runJobGrid(jobs, schemes, tracePaths.size());
 }
 
 GridResult

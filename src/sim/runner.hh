@@ -18,8 +18,8 @@
  * run()/runFiles() expand the grid into scheme-major SimJobs, build
  * one SimPlan (each distinct trace decoded and checksummed once), and
  * execute the planned cells on the pool. That routing is what gives
- * grids intra-cell block sharding (RunnerConfig::shards) and the
- * content-addressed cell cache (RunnerConfig::cellCache) for free.
+ * grids the content-addressed cell cache (RunnerConfig::cellCache)
+ * for free.
  */
 
 #ifndef DIRSIM_SIM_RUNNER_HH
@@ -55,8 +55,6 @@ struct CellTiming
     std::uint64_t threadTag = 0;
     /** True when the result came from the cell cache. */
     bool cacheHit = false;
-    /** Shards the cell's simulation used (1 = sequential). */
-    unsigned shards = 1;
     /** Records actually simulated: 0 for cache hits. */
     std::uint64_t simulatedRefs = 0;
 
@@ -141,25 +139,6 @@ struct RunnerConfig
     CellSinkFactory makeCellTraceSink;
 
     /**
-     * Decode each trace once up front (sim/decoded.hh) and share the
-     * immutable decoded stream read-only across all scheme cells, so
-     * every cell runs the hash-free dense path instead of re-paying
-     * the per-reference decode work. Results are bit-identical either
-     * way (asserted by test); disable (or set DIRSIM_DECODE=0) to
-     * force the legacy sparse/streaming engine — e.g. to keep
-     * runFiles() strictly bounded-memory.
-     */
-    bool decode = true;
-
-    /**
-     * Intra-cell block sharding (sim/job.hh): how many shards each
-     * decoded cell splits into. The default is one shard — the exact
-     * legacy sequential cell. Cells that cannot shard (finite caches,
-     * no decoded stream) ignore the plan and run one shard.
-     */
-    ShardPlan shards;
-
-    /**
      * Content-addressed cell result cache (sim/job.hh); nullptr (the
      * default) simulates every cell. Wire obs'
      * FileCellCache::fromEnvironment() here to honor
@@ -173,10 +152,9 @@ struct RunnerConfig
      */
     static unsigned defaultJobs();
 
-    /** A config with jobs = the DIRSIM_JOBS override (or 0), decode =
-     *  the DIRSIM_DECODE override (or on), and shards = the
-     *  DIRSIM_SHARDS override (or sequential). The cell cache is not
-     *  wired here — the sim layer cannot see obs' file cache. */
+    /** A config with jobs = the DIRSIM_JOBS override (or 0). The
+     *  cell cache is not wired here — the sim layer cannot see obs'
+     *  file cache. */
     static RunnerConfig fromEnvironment();
 };
 
@@ -194,9 +172,9 @@ struct GridResult
     /** Worker threads actually used. */
     unsigned jobs = 1;
     /**
-     * Grid-level work outside any cell: runFiles' up-front validating
-     * scans land here as Read time. Per-cell phase splits live in
-     * each SimResult::phases.
+     * Grid-level work outside any cell: the plan's decode and
+     * checksum passes land here as Read time. Per-cell phase splits
+     * live in each SimResult::phases.
      */
     PhaseBreakdown setupPhases;
     /** True when the grid ran with a cell cache configured. */
@@ -251,16 +229,10 @@ class ExperimentRunner
     /**
      * Run every scheme on every trace *file*.
      *
-     * With decoding on (the default), each file is read exactly once:
-     * the up-front decode pass both sizes the coherence domain and
-     * captures the compact record stream every cell then replays from
-     * memory. With RunnerConfig::decode off, the legacy
-     * bounded-memory pipeline runs: each path is scanned once up
-     * front (scanTraceFile()) to size the coherence domain and
-     * validate the file, then every cell re-opens its file and
-     * streams it, so peak memory is one record's parser state per
-     * worker plus the simulation's own tables — independent of trace
-     * length. Results are bit-identical either way, and to loading
+     * Each file is read exactly once: the up-front decode pass
+     * validates it, sizes the coherence domain, and captures the
+     * compact record stream (about 9 bytes per record) every cell
+     * then replays from memory. Results are bit-identical to loading
      * the files and calling run().
      *
      * @param schemes scheme specs (see protocols/registry.hh)

@@ -1,52 +1,15 @@
 #include "sim/simulator.hh"
 
-#include <unordered_map>
-#include <unordered_set>
-
-#include "common/bitops.hh"
 #include "common/env.hh"
 #include "common/logging.hh"
-#include "protocols/registry.hh"
 #include "sim/decoded.hh"
 #include "sim/job.hh"
-#include "trace/reader.hh"
 
 namespace dirsim
 {
 
 namespace
 {
-
-/** Dense first-appearance mapping of pids (or CPUs) to cache ids. */
-class CacheMapper
-{
-  public:
-    CacheMapper(SharingModel sharing_arg, unsigned limit_arg)
-        : sharing(sharing_arg), limit(limit_arg)
-    {}
-
-    CacheId
-    map(const TraceRecord &record)
-    {
-        const std::uint64_t key = sharing == SharingModel::ByProcess
-            ? static_cast<std::uint64_t>(record.pid)
-            : static_cast<std::uint64_t>(record.cpu);
-        const auto it = ids.find(key);
-        if (it != ids.end())
-            return it->second;
-        const auto next = static_cast<CacheId>(ids.size());
-        fatalIf(next >= limit,
-                "trace needs more than ", limit,
-                " caches; build the protocol with a larger domain");
-        ids.emplace(key, next);
-        return next;
-    }
-
-  private:
-    SharingModel sharing;
-    unsigned limit;
-    std::unordered_map<std::uint64_t, CacheId> ids;
-};
 
 /** Parse DIRSIM_SHARING into a SharingModel. */
 SharingModel
@@ -85,128 +48,6 @@ cachesNeeded(const Trace &trace, SharingModel sharing)
     return cpus > 0 ? cpus : trace.numCpus();
 }
 
-namespace
-{
-
-/**
- * The simulation loop, generic over the record source so the
- * in-memory path keeps its direct (devirtualized) vector iteration
- * while the streaming path pays one virtual call per record. Both
- * instantiations execute the identical statement sequence, which is
- * what makes streaming results bit-identical to in-memory ones.
- *
- * @tparam Source provides bool next(TraceRecord&)
- */
-template <typename Source>
-SimResult
-simulateRecords(Source &&source, const std::string &trace_name,
-                CoherenceProtocol &protocol, const SimConfig &config)
-{
-    checkBlockSize(config.blockBytes);
-    fatalIf(config.finiteCache && !protocol.finiteCaches(),
-            "SimConfig::finiteCache is set but the supplied protocol "
-            "was built with infinite caches; build it with a "
-            "FiniteCache factory or use a scheme-building "
-            "simulateTrace overload");
-
-    if (config.traceSink != nullptr)
-        protocol.attachTracer(config.traceSink);
-
-    CacheMapper mapper(config.sharing, protocol.numCaches());
-    std::unordered_set<BlockNum> seen_blocks;
-    std::uint64_t data_refs = 0;
-    std::uint64_t processed = 0;
-
-    // Warm-up snapshot: whatever accumulated before the measurement
-    // window is subtracted from the results afterwards. Phase timing
-    // reads the clock only here and at the loop boundaries, so it
-    // costs nothing per record.
-    EventCounts warmup_events;
-    OpCounts warmup_ops;
-    Histogram warmup_hist;
-    bool warmup_taken = config.warmupRefs == 0;
-
-    PhaseBreakdown phases;
-    const std::uint64_t loop_start = PhaseTimer::nowNs();
-    std::uint64_t measure_start = loop_start;
-
-    TraceRecord record;
-    while (source.next(record)) {
-        if (!warmup_taken && processed >= config.warmupRefs) {
-            warmup_events = protocol.events();
-            warmup_ops = protocol.ops();
-            warmup_hist = protocol.cleanWriteHolders();
-            warmup_taken = true;
-            measure_start = PhaseTimer::nowNs();
-            phases.add(Phase::Warmup, measure_start - loop_start);
-        }
-        ++processed;
-        if (record.isInstr()) {
-            protocol.instruction();
-            continue;
-        }
-        const CacheId cache = mapper.map(record);
-        const BlockNum block =
-            blockNumber(record.addr, config.blockBytes);
-        const bool first_ref = seen_blocks.insert(block).second;
-        if (record.isRead())
-            protocol.read(cache, block, first_ref);
-        else
-            protocol.write(cache, block, first_ref);
-        ++data_refs;
-        if (config.invariantCheckPeriod != 0
-            && data_refs % config.invariantCheckPeriod == 0) {
-            protocol.checkAllInvariants();
-        }
-    }
-    fatalIf(processed == 0, "cannot simulate an empty trace");
-    if (config.invariantCheckPeriod != 0)
-        protocol.checkAllInvariants();
-    fatalIf(!warmup_taken,
-            "warm-up of ", config.warmupRefs,
-            " references consumed the whole trace (",
-            processed, " references)");
-    const std::uint64_t loop_end = PhaseTimer::nowNs();
-    phases.add(Phase::Simulate, loop_end - measure_start);
-
-    SimResult result;
-    result.scheme = protocol.name();
-    result.traceName = trace_name;
-    result.numCaches = protocol.numCaches();
-    result.events = protocol.events();
-    result.events.subtract(warmup_events);
-    result.ops = protocol.ops();
-    result.ops.subtract(warmup_ops);
-    result.cleanWriteHolders = protocol.cleanWriteHolders();
-    result.cleanWriteHolders.subtract(warmup_hist);
-    result.totalRefs = result.events.totalRefs();
-    phases.add(Phase::Reduce, PhaseTimer::nowNs() - loop_end);
-    result.phases = phases;
-    return result;
-}
-
-/** Non-virtual record cursor over an in-memory trace. */
-class TraceCursor
-{
-  public:
-    explicit TraceCursor(const Trace &trace_arg) : trace(trace_arg) {}
-
-    bool
-    next(TraceRecord &record)
-    {
-        if (index >= trace.size())
-            return false;
-        record = trace[index++];
-        return true;
-    }
-
-  private:
-    const Trace &trace;
-    std::size_t index = 0;
-};
-
-} // namespace
-
 CacheFactory
 cacheFactoryFor(const SimConfig &config)
 {
@@ -218,116 +59,40 @@ cacheFactoryFor(const SimConfig &config)
                 " differs from the simulation block size ",
                 config.blockBytes);
         cache_config.check();
-        factory = [cache_config] {
-            return std::make_unique<FiniteCache>(cache_config);
+        factory = [cache_config](const BlockSpace &blocks) {
+            return std::make_unique<FiniteCache>(cache_config, blocks);
         };
     }
     return factory;
 }
 
 SimResult
-simulateTrace(const Trace &trace, CoherenceProtocol &protocol,
-              const SimConfig &config)
-{
-    fatalIf(trace.empty(), "cannot simulate an empty trace");
-    return simulateRecords(TraceCursor(trace), trace.name(), protocol,
-                           config);
-}
-
-SimResult
-simulateTrace(TraceSource &source, CoherenceProtocol &protocol,
-              const SimConfig &config)
-{
-    return simulateRecords(source, source.name(), protocol, config);
-}
-
-SimResult
 simulateTrace(const Trace &trace, const SchemeSpec &scheme,
               const SimConfig &config)
 {
-    // One-line wrapper over the SimJob engine (sim/job.hh);
-    // JobOptions::sequential() pins the legacy semantics — sparse
-    // engine, one shard, no cache — so this overload stays the
-    // reference the decoded/sharded paths are tested against.
-    return runJob({TraceRef::of(trace), scheme, config},
-                  JobOptions::sequential())
-        .result;
-}
-
-TraceFileInfo
-scanTraceFile(const std::string &path, SharingModel sharing)
-{
-    const auto source = openTraceSource(path);
-    TraceFileInfo info;
-    std::unordered_set<std::uint64_t> pids;
-    unsigned max_cpu = 0;
-    TraceRecord record;
-    while (source->next(record)) {
-        ++info.records;
-        pids.insert(record.pid);
-        if (record.cpu > max_cpu)
-            max_cpu = record.cpu;
-    }
-    info.name = source->name();
-    if (sharing == SharingModel::ByProcess) {
-        info.caches = static_cast<unsigned>(pids.size());
-    } else {
-        const unsigned observed = info.records > 0 ? max_cpu + 1 : 0;
-        info.caches = observed > 0 ? observed : source->numCpus();
-    }
-    return info;
+    return runJob({TraceRef::of(trace), scheme, config}).result;
 }
 
 SimResult
 simulateTraceFile(const std::string &path, const SchemeSpec &scheme,
-                  const SimConfig &config, unsigned caches_hint)
+                  const SimConfig &config)
 {
-    // Decode pipeline (the default): one streaming read both sizes
-    // the coherence domain and captures the records, so the file is
-    // touched exactly once with or without a hint. The whole decode
-    // is the cell's Read phase.
-    if (decodeEnabled()) {
-        const std::uint64_t read_start = PhaseTimer::nowNs();
-        const DecodedTrace decoded =
-            decodeTraceFile(path, config.blockBytes, config.sharing);
-        const unsigned caches = caches_hint != 0
-            ? caches_hint
-            : decoded.cachesNeeded;
-        fatalIf(caches == 0, "trace file '", path,
-                "' has no references");
-        const auto protocol =
-            makeProtocol(scheme, caches, cacheFactoryFor(config));
-        const std::uint64_t read_ns = PhaseTimer::nowNs() - read_start;
-        SimResult result = simulateTrace(decoded, *protocol, config);
-        result.phases.add(Phase::Read, read_ns);
-        return result;
-    }
-
-    // Legacy streaming path (DIRSIM_DECODE=0): bounded memory, at
-    // the price of an extra sizing scan when no hint is given. The
-    // sizing scan and the reader setup are the cell's Read phase (a
-    // hinted call skips the scan, so only the open is charged).
+    // One streaming read both sizes the coherence domain and captures
+    // the records; the whole decode is the cell's Read phase.
     const std::uint64_t read_start = PhaseTimer::nowNs();
-    const unsigned caches = caches_hint != 0
-        ? caches_hint
-        : scanTraceFile(path, config.sharing).caches;
-    fatalIf(caches == 0, "trace file '", path,
-            "' has no references");
-    const auto protocol =
-        makeProtocol(scheme, caches, cacheFactoryFor(config));
-    const auto source = openTraceSource(path);
+    const DecodedTrace decoded =
+        decodeTraceFile(path, config.blockBytes, config.sharing);
     const std::uint64_t read_ns = PhaseTimer::nowNs() - read_start;
-    SimResult result = simulateTrace(*source, *protocol, config);
+    SimResult result = simulateTrace(decoded, scheme, config);
     result.phases.add(Phase::Read, read_ns);
     return result;
 }
 
 SimResult
 simulateTraceFile(const std::string &path, const std::string &scheme,
-                  const SimConfig &config, unsigned caches_hint)
+                  const SimConfig &config)
 {
-    return simulateTraceFile(path, parseScheme(scheme), config,
-                             caches_hint);
+    return simulateTraceFile(path, parseScheme(scheme), config);
 }
 
 SimResult

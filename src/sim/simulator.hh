@@ -24,7 +24,6 @@
 #include "protocols/events.hh"
 #include "protocols/protocol.hh"
 #include "protocols/registry.hh"
-#include "trace/source.hh"
 #include "trace/trace.hh"
 
 namespace dirsim
@@ -127,43 +126,14 @@ struct SimResult
 };
 
 /**
- * Run @p trace through @p protocol.
- *
- * The protocol must have been built with enough caches for the
- * trace's processes (ByProcess) or CPUs (ByProcessor); process ids
- * are mapped to dense cache ids in order of first appearance.
- *
- * @throws UsageError when @p config requests a finite cache but the
- *         already-built @p protocol does not run finite caches (the
- *         geometry cannot be applied retroactively)
- */
-SimResult simulateTrace(const Trace &trace,
-                        CoherenceProtocol &protocol,
-                        const SimConfig &config = {});
-
-/**
- * Streaming variant: run the records of @p source through
- * @p protocol without ever materializing the trace.
- *
- * This is the same simulation loop the in-memory overload runs (that
- * overload is a thin wrapper over a MemoryTraceSource), so the
- * SimResult is bit-identical for an identical record sequence; only
- * the reader's fixed-size parser state plus the simulation's own
- * block/cache maps are resident, independent of trace length.
- */
-SimResult simulateTrace(TraceSource &source,
-                        CoherenceProtocol &protocol,
-                        const SimConfig &config = {});
-
-/**
  * Build the scheme from its structured spec with the cache count
  * implied by the trace and the sharing model (honoring
  * SimConfig::finiteCache), then simulate.
  *
- * One-line wrapper over the SimJob engine (sim/job.hh) with
- * JobOptions::sequential() — the exact legacy sparse path. New code
- * that wants decoding, sharding, or the result cache should build a
- * SimJob and call runJob().
+ * One-line wrapper over the SimJob engine (sim/job.hh): the trace is
+ * decoded (sim/decoded.hh) and the decoded stream simulated. New
+ * code that wants the result cache should build a SimJob and call
+ * runJob().
  */
 SimResult simulateTrace(const Trace &trace, const SchemeSpec &scheme,
                         const SimConfig &config = {});
@@ -187,44 +157,19 @@ unsigned cachesNeeded(const Trace &trace, SharingModel sharing);
  */
 CacheFactory cacheFactoryFor(const SimConfig &config);
 
-/** What one streaming pass over a trace file learns. */
-struct TraceFileInfo
-{
-    std::string name;          ///< workload name from the header
-    std::uint64_t records = 0; ///< records in the file
-    unsigned caches = 0;       ///< caches needed under the scan's
-                               ///< sharing model
-};
-
 /**
- * Scan a trace file once (streaming, bounded memory) to learn what a
- * simulation of it needs: the record count, the workload name, and
- * the cache count under @p sharing. Validates the whole file as a
- * side effect — header, every record, and the v2 checksum.
- */
-TraceFileInfo scanTraceFile(const std::string &path,
-                            SharingModel sharing);
-
-/**
- * Simulate a trace file end to end.
+ * Simulate a trace file end to end: one streaming read decodes the
+ * file (sim/decoded.hh) — validating it, sizing the coherence domain
+ * and capturing the records at once — and the decoded stream is
+ * simulated. The decode is the result's Read phase. The decoded
+ * stream stays in memory, about 9 bytes per record.
  *
- * By default the file is decoded in a single streaming read
- * (sim/decoded.hh) — sizing the coherence domain and capturing the
- * records at once — and simulated through the dense hash-free path.
- * With DIRSIM_DECODE=0 the legacy bounded-memory pipeline runs
- * instead: one streaming sizing scan (skipped when @p caches_hint is
- * non-zero, e.g. from an earlier scanTraceFile()), then a streaming
- * simulation pass. Results are bit-identical either way, and to
- * loading the file and running the in-memory overload.
- *
- * This is the engine's single-file primitive; new code that wants
- * sharding or the result cache should run a SimJob on a
+ * New code that wants the result cache should run a SimJob on a
  * TraceRef::file() instead (sim/job.hh, docs/api.md).
  */
 SimResult simulateTraceFile(const std::string &path,
                             const SchemeSpec &scheme,
-                            const SimConfig &config = {},
-                            unsigned caches_hint = 0);
+                            const SimConfig &config = {});
 
 /**
  * Legacy string-named convenience for simulateTraceFile(); kept as a
@@ -233,8 +178,7 @@ SimResult simulateTraceFile(const std::string &path,
  */
 SimResult simulateTraceFile(const std::string &path,
                             const std::string &scheme,
-                            const SimConfig &config = {},
-                            unsigned caches_hint = 0);
+                            const SimConfig &config = {});
 
 } // namespace dirsim
 

@@ -129,8 +129,6 @@ expandSweep(const SweepSpec &spec)
             "' has no block sizes");
     fatalIf(spec.geometries.empty(), "sweep '", spec.name,
             "' has no cache geometries");
-    fatalIf(spec.shards.empty(), "sweep '", spec.name,
-            "' has no shard counts");
 
     SweepPlan plan;
     plan.spec = spec;
@@ -146,33 +144,27 @@ expandSweep(const SweepSpec &spec)
     // a single-point axis would just add noise to every name.
     const bool label_block = spec.blockBytes.size() > 1;
     const bool label_geometry = spec.geometries.size() > 1;
-    const bool label_shards = spec.shards.size() > 1;
 
     plan.cells.reserve(plan.traces.size() * plan.schemes.size()
                        * spec.blockBytes.size()
-                       * spec.geometries.size() * spec.shards.size());
+                       * spec.geometries.size());
     for (std::size_t t = 0; t < plan.traces.size(); ++t) {
         for (const SchemeSpec &scheme : plan.schemes) {
             for (const unsigned block : spec.blockBytes) {
                 for (const SweepGeometry &geometry : spec.geometries) {
-                    for (const unsigned shards : spec.shards) {
-                        SweepCell cell;
-                        cell.traceIndex = t;
-                        cell.scheme = scheme;
-                        cell.blockBytes = block;
-                        cell.geometry = geometry;
-                        cell.shards = shards;
-                        std::ostringstream label;
-                        label << plan.traces[t].label;
-                        if (label_block)
-                            label << "@b" << block;
-                        if (label_geometry)
-                            label << "@" << geometry.label();
-                        if (label_shards)
-                            label << "@x" << shards;
-                        cell.label = label.str();
-                        plan.cells.push_back(std::move(cell));
-                    }
+                    SweepCell cell;
+                    cell.traceIndex = t;
+                    cell.scheme = scheme;
+                    cell.blockBytes = block;
+                    cell.geometry = geometry;
+                    std::ostringstream label;
+                    label << plan.traces[t].label;
+                    if (label_block)
+                        label << "@b" << block;
+                    if (label_geometry)
+                        label << "@" << geometry.label();
+                    cell.label = label.str();
+                    plan.cells.push_back(std::move(cell));
                 }
             }
         }

@@ -7,7 +7,7 @@
  * are read — so `dirsim_sweep plan` can show what a spec will run
  * (and how big it is) instantly. The cell order is deterministic
  * (trace-major: trace instance, then scheme, then block size, then
- * geometry, then shards), which fixes the artifact order and makes
+ * geometry), which fixes the artifact order and makes
  * re-runs byte-comparable.
  *
  * Each cell carries a stable label ("<trace>@b32@64KiB..." — axis
@@ -57,7 +57,6 @@ struct SweepCell
     SchemeSpec scheme;
     unsigned blockBytes = defaultBlockBytes;
     SweepGeometry geometry;
-    unsigned shards = 1;
 
     /** Trace label + variant suffixes; the artifact cell name. */
     std::string label;

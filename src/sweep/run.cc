@@ -108,26 +108,8 @@ runSweep(const SweepPlan &plan, const SweepOptions &options)
     }
 
     JobOptions engine;
-    engine.shards.shards = 1;
     engine.cache = options.cache;
-    SimPlan sim_plan = buildPlan(jobs, engine);
-
-    // Apply the per-cell shard axis. buildPlan resolved everything to
-    // one shard (the plan-wide default); a cell that can shard — a
-    // decoded stream, infinite caches — takes its axis value, capped
-    // by its block count.
-    for (std::size_t i = 0; i < plan.cells.size(); ++i) {
-        const unsigned want = plan.cells[i].shards;
-        PlannedCell &planned = sim_plan.cells[i];
-        if (want <= 1 || !planned.stream
-            || planned.config.finiteCache)
-            continue;
-        planned.shards = static_cast<unsigned>(
-            std::min<std::uint64_t>(
-                want,
-                std::max<std::uint64_t>(
-                    1, planned.stream->blockCount())));
-    }
+    const SimPlan sim_plan = buildPlan(jobs, engine);
 
     SweepOutcome outcome;
     outcome.manifest = captureSweepManifest(plan, traces);
@@ -197,7 +179,6 @@ runSweep(const SweepPlan &plan, const SweepOptions &options)
             timing.refs = cell_outcome.records;
             timing.wallSeconds = cell_outcome.wallSeconds;
             timing.cacheHit = cell_outcome.cacheHit;
-            timing.shards = cell_outcome.shardsUsed;
             timing.simulatedRefs = cell_outcome.simulatedRefs;
             GridProgress progress{state.executedCells,
                                   plan.cells.size(),
@@ -253,7 +234,6 @@ runSweep(const SweepPlan &plan, const SweepOptions &options)
         timing.refs = cell_outcome.records;
         timing.wallSeconds = cell_outcome.wallSeconds;
         timing.cacheHit = cell_outcome.cacheHit;
-        timing.shards = cell_outcome.shardsUsed;
         timing.simulatedRefs = cell_outcome.simulatedRefs;
         timing.startNs = state.cellStartNs[i];
         timing.threadTag = state.cellThreadTags[i];
@@ -266,7 +246,7 @@ runSweep(const SweepPlan &plan, const SweepOptions &options)
                 ? instance.path
                 : std::string());
         // The sweep label is the cell's identity: a plain trace name
-        // would collide across block/geometry/shard axis values.
+        // would collide across block/geometry axis values.
         record.trace = plan.cells[i].label;
         outcome.records.push_back(std::move(record));
         outcome.cellIndices.push_back(i);

@@ -309,10 +309,6 @@ readSpec(SpecReader &reader, const JsonValue &json)
             }
             if (spec.geometries.empty())
                 reader.problem("geometries", "axis is empty");
-        } else if (key == "shards") {
-            spec.shards = readUnsignedAxis(
-                reader, value, "shards", 1,
-                "a cell runs at least one shard");
         } else if (key == "warmup_refs") {
             spec.warmupRefs =
                 readU64(reader, value, "warmup_refs", 0);
@@ -394,7 +390,6 @@ lintDuplicates(SpecReader &reader, const SweepSpec &spec)
         return ids;
     };
     repeats("block_bytes", numbers(spec.blockBytes));
-    repeats("shards", numbers(spec.shards));
 
     std::vector<std::string> geometry_ids;
     for (const SweepGeometry &geometry : spec.geometries)

@@ -3,7 +3,7 @@
  * SweepSpec: the JSON description of a parameter sweep.
  *
  * A sweep is the cross product of axes — schemes x traces x block
- * sizes x cache geometries x shard counts — exactly the shape of
+ * sizes x cache geometries — exactly the shape of
  * every result in the paper (Tables 4/5 are scheme x trace at one
  * block size; Figure 4 adds the block-size axis; the scaling study
  * adds cache counts). The spec is deliberately small and strict:
@@ -107,11 +107,6 @@ struct SweepSpec
 
     /** Cache-geometry axis. */
     std::vector<SweepGeometry> geometries{SweepGeometry{}};
-
-    /** Shard-count axis (sim/job.hh intra-cell sharding). Results
-     *  are bit-identical across shard counts; the axis exists for
-     *  throughput studies. */
-    std::vector<unsigned> shards{1};
 
     /** Measurement warm-up applied to every cell. */
     std::uint64_t warmupRefs = 0;

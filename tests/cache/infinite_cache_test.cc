@@ -14,7 +14,7 @@ namespace
 
 TEST(InfiniteCacheTest, StartsEmpty)
 {
-    InfiniteCache cache;
+    InfiniteCache cache(64);
     EXPECT_EQ(cache.residentBlocks(), 0u);
     EXPECT_EQ(cache.lookup(42), stateNotPresent);
     EXPECT_FALSE(cache.contains(42));
@@ -22,7 +22,7 @@ TEST(InfiniteCacheTest, StartsEmpty)
 
 TEST(InfiniteCacheTest, SetInstallsAndReports)
 {
-    InfiniteCache cache;
+    InfiniteCache cache(64);
     EXPECT_TRUE(cache.set(10, 1));
     EXPECT_EQ(cache.lookup(10), 1);
     EXPECT_TRUE(cache.contains(10));
@@ -31,7 +31,7 @@ TEST(InfiniteCacheTest, SetInstallsAndReports)
 
 TEST(InfiniteCacheTest, SetUpdatesInPlace)
 {
-    InfiniteCache cache;
+    InfiniteCache cache(64);
     EXPECT_TRUE(cache.set(10, 1));
     EXPECT_FALSE(cache.set(10, 2)); // not newly installed
     EXPECT_EQ(cache.lookup(10), 2);
@@ -40,13 +40,13 @@ TEST(InfiniteCacheTest, SetUpdatesInPlace)
 
 TEST(InfiniteCacheTest, ReservedStateRejected)
 {
-    InfiniteCache cache;
+    InfiniteCache cache(64);
     EXPECT_THROW(cache.set(10, stateNotPresent), LogicError);
 }
 
 TEST(InfiniteCacheTest, InvalidateReturnsOldState)
 {
-    InfiniteCache cache;
+    InfiniteCache cache(64);
     cache.set(10, 3);
     EXPECT_EQ(cache.invalidate(10), 3);
     EXPECT_FALSE(cache.contains(10));
@@ -55,7 +55,7 @@ TEST(InfiniteCacheTest, InvalidateReturnsOldState)
 
 TEST(InfiniteCacheTest, NeverEvicts)
 {
-    InfiniteCache cache;
+    InfiniteCache cache(100'000);
     for (BlockNum block = 0; block < 100'000; ++block)
         cache.set(block, 1);
     EXPECT_EQ(cache.residentBlocks(), 100'000u);
@@ -65,7 +65,7 @@ TEST(InfiniteCacheTest, NeverEvicts)
 
 TEST(InfiniteCacheTest, ClearRemovesEverything)
 {
-    InfiniteCache cache;
+    InfiniteCache cache(64);
     cache.set(1, 1);
     cache.set(2, 2);
     cache.clear();
@@ -75,7 +75,7 @@ TEST(InfiniteCacheTest, ClearRemovesEverything)
 
 TEST(InfiniteCacheTest, ForEachVisitsAll)
 {
-    InfiniteCache cache;
+    InfiniteCache cache(64);
     cache.set(5, 1);
     cache.set(6, 2);
     cache.set(7, 1);
@@ -91,9 +91,7 @@ TEST(InfiniteCacheTest, ForEachVisitsAll)
 
 TEST(InfiniteCacheTest, DenseBackendMirrorsSparseSemantics)
 {
-    InfiniteCache cache;
-    cache.reserveBlocks(64);
-    EXPECT_TRUE(cache.denseStorage());
+    InfiniteCache cache(64);
     EXPECT_EQ(cache.residentBlocks(), 0u);
 
     EXPECT_TRUE(cache.set(10, 1));
@@ -117,14 +115,9 @@ TEST(InfiniteCacheTest, DenseBackendMirrorsSparseSemantics)
 
     cache.clear();
     EXPECT_EQ(cache.residentBlocks(), 0u);
-    EXPECT_TRUE(cache.denseStorage()); // clear keeps the arena
-}
-
-TEST(InfiniteCacheTest, DenseReservationRejectsLiveState)
-{
-    InfiniteCache cache;
-    cache.set(1, 1);
-    EXPECT_THROW(cache.reserveBlocks(8), LogicError);
+    // The arena survives the clear; blocks outside it are rejected.
+    EXPECT_TRUE(cache.set(63, 1));
+    EXPECT_THROW(cache.set(64, 1), LogicError);
 }
 
 } // namespace

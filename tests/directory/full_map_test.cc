@@ -12,66 +12,38 @@ namespace
 
 TEST(FullMapTest, EntryCreatedCleanAndEmpty)
 {
-    FullMapDirectory dir(4);
-    const FullMapEntry &entry = dir.entry(100);
-    EXPECT_FALSE(entry.dirty);
-    EXPECT_TRUE(entry.sharers.empty());
-    EXPECT_TRUE(entry.valid());
+    // Every block of the arena starts uncached and clean.
+    FullMapDirectory dir(4, 128);
+    EXPECT_FALSE(dir.dirty(100));
+    EXPECT_EQ(dir.sharerCount(100), 0u);
+    EXPECT_TRUE(dir.sharerSnapshot(100).empty());
 }
 
 TEST(FullMapTest, FindWithoutCreate)
 {
-    FullMapDirectory dir(4);
-    EXPECT_EQ(dir.find(5), nullptr);
-    dir.entry(5).sharers.add(1);
-    ASSERT_NE(dir.find(5), nullptr);
-    EXPECT_TRUE(dir.find(5)->sharers.contains(1));
+    // Queries leave a block's state untouched.
+    FullMapDirectory dir(4, 8);
+    EXPECT_FALSE(dir.isSharer(5, 1));
+    EXPECT_EQ(dir.sharerCount(5), 0u);
+    dir.addSharer(5, 1);
+    EXPECT_TRUE(dir.isSharer(5, 1));
+    EXPECT_EQ(dir.sharerCount(6), 0u);
 }
 
 TEST(FullMapTest, EntryPersists)
 {
-    FullMapDirectory dir(4);
-    dir.entry(7).sharers.add(2);
-    dir.entry(7).dirty = true;
-    EXPECT_TRUE(dir.entry(7).dirty);
-    EXPECT_TRUE(dir.entry(7).sharers.contains(2));
-    EXPECT_EQ(dir.trackedBlocks(), 1u);
-}
-
-TEST(FullMapTest, ValidityInvariant)
-{
-    FullMapEntry entry(4);
-    entry.dirty = true;
-    entry.sharers.add(0);
-    EXPECT_TRUE(entry.valid());
-    entry.sharers.add(1);
-    EXPECT_FALSE(entry.valid()); // dirty with two sharers
-    entry.dirty = false;
-    EXPECT_TRUE(entry.valid());
-}
-
-TEST(FullMapTest, CompactDropsIdleEntries)
-{
-    FullMapDirectory dir(4);
-    dir.entry(1).sharers.add(0);
-    dir.entry(2); // created but never populated
-    dir.entry(3).dirty = true;
-    EXPECT_EQ(dir.trackedBlocks(), 3u);
-    dir.compact();
-    EXPECT_EQ(dir.trackedBlocks(), 2u);
-    EXPECT_EQ(dir.find(2), nullptr);
-    EXPECT_NE(dir.find(1), nullptr);
-    EXPECT_NE(dir.find(3), nullptr);
+    FullMapDirectory dir(4, 8);
+    dir.addSharer(7, 2);
+    dir.setDirty(7, true);
+    EXPECT_TRUE(dir.dirty(7));
+    EXPECT_TRUE(dir.isSharer(7, 2));
+    EXPECT_EQ(dir.sharerCount(7), 1u);
 }
 
 TEST(FullMapTest, DenseArenaMirrorsSparseSemantics)
 {
-    FullMapDirectory dir(4);
-    dir.reserveDense(8);
-    EXPECT_TRUE(dir.denseStorage());
-
+    FullMapDirectory dir(4, 8);
     dir.addSharer(3, 1);
-    EXPECT_TRUE(dir.tracked(3));
     EXPECT_TRUE(dir.isSharer(3, 1));
     EXPECT_EQ(dir.sharerCount(3), 1u);
     EXPECT_FALSE(dir.dirty(3));
@@ -88,29 +60,17 @@ TEST(FullMapTest, DenseArenaMirrorsSparseSemantics)
     dir.removeSharer(3, 1);
     EXPECT_FALSE(dir.isSharer(3, 1));
     EXPECT_EQ(dir.sharerCount(3), 0u);
-
-    EXPECT_THROW(dir.addSharer(8, 0), LogicError); // outside the arena
-
-    dir.compact(); // no-op: the arena is the memory bound
+    // The dirty bit is the protocol's to clear.
     EXPECT_TRUE(dir.dirty(3));
-}
 
-TEST(FullMapTest, DenseModeHasNoEntryObjects)
-{
-    // The dense arena stores sharers in a flat SharerStore, so the
-    // per-block FullMapEntry accessors are sparse-only.
-    FullMapDirectory dir(4);
-    dir.reserveDense(8);
-    EXPECT_THROW(dir.entry(3), LogicError);
-    EXPECT_THROW(dir.find(3), LogicError);
+    // Blocks outside the arena are rejected.
+    EXPECT_THROW(dir.addSharer(8, 0), LogicError);
+    EXPECT_THROW(dir.setDirty(8, true), LogicError);
 }
 
 TEST(FullMapTest, BlockKeyedAccessorsWorkSparse)
 {
-    // The block-keyed API is mode-agnostic: protocols written against
-    // it behave identically before and after reserveDense().
-    FullMapDirectory dir(4);
-    EXPECT_FALSE(dir.tracked(9));
+    FullMapDirectory dir(4, 16);
     EXPECT_FALSE(dir.isSharer(9, 2));
     EXPECT_EQ(dir.sharerCount(9), 0u);
     EXPECT_FALSE(dir.dirty(9));
@@ -118,7 +78,6 @@ TEST(FullMapTest, BlockKeyedAccessorsWorkSparse)
     dir.addSharer(9, 2);
     dir.addSharer(9, 0);
     dir.setDirty(9, true);
-    EXPECT_TRUE(dir.tracked(9));
     EXPECT_EQ(dir.sharerCount(9), 2u);
     EXPECT_TRUE(dir.dirty(9));
 
@@ -132,27 +91,16 @@ TEST(FullMapTest, BlockKeyedAccessorsWorkSparse)
               (std::vector<CacheId>{2}));
 }
 
-TEST(FullMapTest, DenseReservationRejectsTouchedDirectory)
-{
-    FullMapDirectory dir(4);
-    dir.entry(1);
-    EXPECT_THROW(dir.reserveDense(8), LogicError);
-
-    FullMapDirectory fresh(4);
-    fresh.reserveDense(4);
-    EXPECT_THROW(fresh.reserveDense(4), LogicError);
-}
-
 TEST(FullMapTest, RejectsZeroCaches)
 {
-    EXPECT_THROW(FullMapDirectory(0), UsageError);
+    EXPECT_THROW(FullMapDirectory(0, 8), UsageError);
 }
 
 TEST(FullMapTest, NumCaches)
 {
-    FullMapDirectory dir(16);
+    FullMapDirectory dir(16, 4);
     EXPECT_EQ(dir.numCaches(), 16u);
-    EXPECT_EQ(dir.entry(0).sharers.numCaches(), 16u);
+    EXPECT_EQ(dir.sharerSnapshot(0).numCaches(), 16u);
 }
 
 } // namespace

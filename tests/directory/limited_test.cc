@@ -98,7 +98,7 @@ TEST(LimitedEntryTest, ZeroPointersRejected)
 
 TEST(LimitedDirectoryTest, EntriesInheritConfiguration)
 {
-    LimitedDirectory dir(3, true);
+    LimitedDirectory dir(3, true, 64);
     EXPECT_EQ(dir.pointerBudget(), 3u);
     EXPECT_TRUE(dir.broadcastAllowed());
     LimitedEntry &entry = dir.entry(42);
@@ -108,16 +108,18 @@ TEST(LimitedDirectoryTest, EntriesInheritConfiguration)
 
 TEST(LimitedDirectoryTest, FindWithoutCreate)
 {
-    LimitedDirectory dir(1, false);
-    EXPECT_EQ(dir.find(9), nullptr);
-    dir.entry(9);
-    EXPECT_NE(dir.find(9), nullptr);
-    EXPECT_EQ(dir.trackedBlocks(), 1u);
+    LimitedDirectory dir(1, false, 16);
+    EXPECT_EQ(dir.find(16), nullptr); // outside the directory
+    ASSERT_NE(dir.find(9), nullptr);
+    EXPECT_EQ(dir.find(9)->pointerCount(), 0u);
+    dir.entry(9).addSharer(4);
+    EXPECT_TRUE(dir.find(9)->pointsTo(4));
+    EXPECT_THROW(dir.entry(16), LogicError);
 }
 
 TEST(LimitedDirectoryTest, RejectsZeroBudget)
 {
-    EXPECT_THROW(LimitedDirectory(0, true), UsageError);
+    EXPECT_THROW(LimitedDirectory(0, true, 4), UsageError);
 }
 
 } // namespace

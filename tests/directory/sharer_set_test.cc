@@ -197,59 +197,6 @@ TEST(SharerSetTest, Equality)
     EXPECT_EQ(a, b);
 }
 
-TEST(SharerSetTest, UnionWithMergesAcrossWords)
-{
-    // Spans multiple 64-bit words so the loop is exercised past w=0.
-    SharerSet a(130);
-    a.add(0);
-    a.add(63);
-    SharerSet b(130);
-    b.add(64);
-    b.add(129);
-    a.unionWith(b);
-    EXPECT_EQ(a.toVector(), (std::vector<CacheId>{0, 63, 64, 129}));
-    // The argument is untouched; union is idempotent.
-    EXPECT_EQ(b.count(), 2u);
-    a.unionWith(b);
-    EXPECT_EQ(a.count(), 4u);
-}
-
-TEST(SharerSetTest, UnionWithEmptyIsIdentity)
-{
-    SharerSet a(8);
-    a.add(5);
-    SharerSet empty(8);
-    a.unionWith(empty);
-    EXPECT_EQ(a.toVector(), std::vector<CacheId>{5});
-    empty.unionWith(a);
-    EXPECT_EQ(empty, a);
-}
-
-TEST(SharerSetTest, IntersectsFindsSharedMembers)
-{
-    SharerSet a(130);
-    a.add(1);
-    a.add(129);
-    SharerSet b(130);
-    b.add(64);
-    EXPECT_FALSE(a.intersects(b));
-    EXPECT_FALSE(b.intersects(a));
-    b.add(129);
-    EXPECT_TRUE(a.intersects(b));
-    EXPECT_TRUE(b.intersects(a));
-    SharerSet empty(130);
-    EXPECT_FALSE(a.intersects(empty));
-    EXPECT_FALSE(empty.intersects(empty));
-}
-
-TEST(SharerSetTest, UnionAndIntersectAcrossDomainsPanic)
-{
-    SharerSet a(8);
-    SharerSet b(16);
-    EXPECT_THROW(a.unionWith(b), LogicError);
-    EXPECT_THROW(a.intersects(b), LogicError);
-}
-
 /**
  * Word-boundary audit (S3): every multi-word path at domain sizes
  * that sit just below, exactly at, and just above the 64-bit word
@@ -333,33 +280,6 @@ TEST_P(SharerSetBoundary, LastExcludingScansBackAcrossWords)
     EXPECT_EQ(set.lastExcluding(static_cast<CacheId>(n / 2)), n - 1);
     set.remove(static_cast<CacheId>(n - 1));
     EXPECT_EQ(set.lastExcluding(0), invalidCacheId);
-}
-
-TEST_P(SharerSetBoundary, UnionAndIntersectAtWordEdges)
-{
-    const unsigned n = GetParam();
-    SharerSet low(n);
-    low.add(0);
-    // Word-0 edge bit, kept disjoint from high's member (n - 1).
-    if (n > 64)
-        low.add(63);
-    SharerSet high(n);
-    high.add(static_cast<CacheId>(n - 1));
-
-    EXPECT_FALSE(low.intersects(high));
-    SharerSet merged = low;
-    merged.unionWith(high);
-    EXPECT_EQ(merged.count(), low.count() + 1);
-    EXPECT_TRUE(merged.isSupersetOf(low));
-    EXPECT_TRUE(merged.isSupersetOf(high));
-    EXPECT_TRUE(merged.intersects(high));
-    EXPECT_TRUE(merged.intersects(low));
-
-    // A stray bit above numCaches would break count(); equality with
-    // a freshly-built identical set guards the tail word's mask.
-    SharerSet rebuilt(n);
-    merged.forEach([&](CacheId cache) { rebuilt.add(cache); });
-    EXPECT_EQ(rebuilt, merged);
 }
 
 INSTANTIATE_TEST_SUITE_P(WordEdges, SharerSetBoundary,

@@ -14,7 +14,7 @@ namespace
 
 TEST(TangTest, EmptySearch)
 {
-    TangDirectory dir(4);
+    TangDirectory dir(4, 16);
     const auto result = dir.search(10);
     EXPECT_TRUE(result.holders.empty());
     EXPECT_FALSE(result.dirty());
@@ -22,7 +22,7 @@ TEST(TangTest, EmptySearch)
 
 TEST(TangTest, FillAndSearch)
 {
-    TangDirectory dir(4);
+    TangDirectory dir(4, 16);
     dir.recordFill(1, 10);
     dir.recordFill(3, 10);
     const auto result = dir.search(10);
@@ -34,7 +34,7 @@ TEST(TangTest, FillAndSearch)
 
 TEST(TangTest, DirtyTracking)
 {
-    TangDirectory dir(4);
+    TangDirectory dir(4, 16);
     dir.recordFill(2, 10);
     dir.recordDirty(2, 10);
     const auto result = dir.search(10);
@@ -46,7 +46,7 @@ TEST(TangTest, DirtyTracking)
 
 TEST(TangTest, InvalidateRemoves)
 {
-    TangDirectory dir(4);
+    TangDirectory dir(4, 16);
     dir.recordFill(0, 10);
     dir.recordFill(1, 10);
     dir.recordInvalidate(0, 10);
@@ -57,14 +57,14 @@ TEST(TangTest, InvalidateRemoves)
 
 TEST(TangTest, DirtyWithoutFillPanics)
 {
-    TangDirectory dir(4);
+    TangDirectory dir(4, 16);
     EXPECT_THROW(dir.recordDirty(0, 10), LogicError);
     EXPECT_THROW(dir.recordClean(0, 10), LogicError);
 }
 
 TEST(TangTest, TwoDirtyHoldersPanicsOnSearch)
 {
-    TangDirectory dir(4);
+    TangDirectory dir(4, 16);
     dir.recordFill(0, 10);
     dir.recordFill(1, 10);
     dir.recordDirty(0, 10);
@@ -76,7 +76,7 @@ TEST(TangTest, SearchCostIsAllCaches)
 {
     // The organizational drawback: every duplicate directory is
     // searched, unlike the directly-indexed full map.
-    TangDirectory dir(12);
+    TangDirectory dir(12, 16);
     EXPECT_EQ(dir.searchCost(), 12u);
 }
 
@@ -86,45 +86,46 @@ TEST(TangTest, EquivalentToFullMapUnderRandomOps)
     // Feautrier's full map: drive both with the same random
     // fill/dirty/invalidate stream and compare.
     const unsigned caches = 6;
-    TangDirectory tang(caches);
-    FullMapDirectory full(caches);
+    TangDirectory tang(caches, 32);
+    FullMapDirectory full(caches, 32);
     Rng rng(77);
 
     for (int step = 0; step < 5000; ++step) {
         const auto block = static_cast<BlockNum>(rng.below(32));
         const auto cache = static_cast<CacheId>(rng.below(caches));
-        FullMapEntry &entry = full.entry(block);
         switch (rng.below(3)) {
           case 0: // fill clean
             // Keep the single-dirty invariant in the reference model.
-            if (entry.dirty)
+            if (full.dirty(block))
                 break;
             tang.recordFill(cache, block);
-            entry.sharers.add(cache);
+            full.addSharer(block, cache);
             break;
           case 1: // make dirty (only legal for a sole holder)
-            if (entry.sharers.isOnly(cache) && !entry.dirty) {
+            if (full.sharerCount(block) == 1
+                && full.isSharer(block, cache) && !full.dirty(block)) {
                 tang.recordDirty(cache, block);
-                entry.dirty = true;
+                full.setDirty(block, true);
             }
             break;
           default: // invalidate
-            if (entry.sharers.contains(cache)) {
+            if (full.isSharer(block, cache)) {
                 tang.recordInvalidate(cache, block);
-                entry.sharers.remove(cache);
-                entry.dirty = false;
+                full.removeSharer(block, cache);
+                full.setDirty(block, false);
             }
             break;
         }
         const auto result = tang.search(block);
-        ASSERT_EQ(result.holders, entry.sharers) << "step " << step;
-        ASSERT_EQ(result.dirty(), entry.dirty) << "step " << step;
+        ASSERT_EQ(result.holders, full.sharerSnapshot(block))
+            << "step " << step;
+        ASSERT_EQ(result.dirty(), full.dirty(block)) << "step " << step;
     }
 }
 
 TEST(TangTest, RejectsZeroCaches)
 {
-    EXPECT_THROW(TangDirectory(0), UsageError);
+    EXPECT_THROW(TangDirectory(0, 16), UsageError);
 }
 
 } // namespace

@@ -12,14 +12,15 @@ namespace
 
 TEST(TwoBitTest, DefaultsToNotCached)
 {
-    TwoBitDirectory dir;
+    TwoBitDirectory dir(8);
+    EXPECT_EQ(dir.state(7), TwoBitState::NotCached);
+    // Outside the arena every block reads as not cached.
     EXPECT_EQ(dir.state(1234), TwoBitState::NotCached);
-    EXPECT_EQ(dir.trackedBlocks(), 0u);
 }
 
 TEST(TwoBitTest, CleanCopyProgression)
 {
-    TwoBitDirectory dir;
+    TwoBitDirectory dir(8);
     dir.addCleanCopy(1);
     EXPECT_EQ(dir.state(1), TwoBitState::CleanOne);
     dir.addCleanCopy(1);
@@ -30,14 +31,14 @@ TEST(TwoBitTest, CleanCopyProgression)
 
 TEST(TwoBitTest, AddCleanCopyOnDirtyPanics)
 {
-    TwoBitDirectory dir;
+    TwoBitDirectory dir(8);
     dir.makeDirty(1);
     EXPECT_THROW(dir.addCleanCopy(1), LogicError);
 }
 
 TEST(TwoBitTest, MakeDirtyFromAnyCleanState)
 {
-    TwoBitDirectory dir;
+    TwoBitDirectory dir(8);
     dir.makeDirty(1);
     EXPECT_EQ(dir.state(1), TwoBitState::DirtyOne);
 
@@ -53,25 +54,25 @@ TEST(TwoBitTest, MakeDirtyFromAnyCleanState)
 
 TEST(TwoBitTest, MakeUncachedResets)
 {
-    TwoBitDirectory dir;
+    TwoBitDirectory dir(8);
     dir.makeDirty(1);
     dir.makeUncached(1);
     EXPECT_EQ(dir.state(1), TwoBitState::NotCached);
-    EXPECT_EQ(dir.trackedBlocks(), 0u);
 }
 
 TEST(TwoBitTest, SetStateDirect)
 {
-    TwoBitDirectory dir;
+    TwoBitDirectory dir(8);
     dir.setState(1, TwoBitState::CleanMany);
     EXPECT_EQ(dir.state(1), TwoBitState::CleanMany);
     dir.setState(1, TwoBitState::NotCached);
-    EXPECT_EQ(dir.trackedBlocks(), 0u);
+    EXPECT_EQ(dir.state(1), TwoBitState::NotCached);
+    EXPECT_THROW(dir.setState(8, TwoBitState::CleanOne), LogicError);
 }
 
 TEST(TwoBitTest, BlocksIndependent)
 {
-    TwoBitDirectory dir;
+    TwoBitDirectory dir(8);
     dir.makeDirty(1);
     dir.addCleanCopy(2);
     EXPECT_EQ(dir.state(1), TwoBitState::DirtyOne);

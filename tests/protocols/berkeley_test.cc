@@ -11,9 +11,12 @@ namespace
 
 constexpr BlockNum B = 600;
 
+/** Block indices the scenarios touch (all below 1024). */
+constexpr BlockSpace blocks{1024};
+
 TEST(BerkeleyTest, OwnerSuppliesWithoutMemoryUpdate)
 {
-    Berkeley protocol(4);
+    Berkeley protocol(4, blocks);
     protocol.write(0, B, true); // owned-exclusive in 0
     protocol.read(1, B, false);
     EXPECT_EQ(protocol.events().count(EventType::RmBlkDrty), 1u);
@@ -27,7 +30,7 @@ TEST(BerkeleyTest, OwnerSuppliesWithoutMemoryUpdate)
 
 TEST(BerkeleyTest, ExclusiveOwnerWritesForFree)
 {
-    Berkeley protocol(4);
+    Berkeley protocol(4, blocks);
     protocol.write(0, B, true);
     protocol.write(0, B, false);
     EXPECT_EQ(protocol.events().count(EventType::WhBlkDrty), 1u);
@@ -39,7 +42,7 @@ TEST(BerkeleyTest, ExclusiveOwnerWritesForFree)
 
 TEST(BerkeleyTest, SharedOwnerMustReclaimExclusivity)
 {
-    Berkeley protocol(4);
+    Berkeley protocol(4, blocks);
     protocol.write(0, B, true);
     protocol.read(1, B, false); // owner demoted to owned-shared
     protocol.write(0, B, false);
@@ -51,7 +54,7 @@ TEST(BerkeleyTest, SharedOwnerMustReclaimExclusivity)
 
 TEST(BerkeleyTest, ValidHolderWriteBroadcasts)
 {
-    Berkeley protocol(4);
+    Berkeley protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.write(1, B, false);
@@ -62,7 +65,7 @@ TEST(BerkeleyTest, ValidHolderWriteBroadcasts)
 
 TEST(BerkeleyTest, WriteMissTakesOwnership)
 {
-    Berkeley protocol(4);
+    Berkeley protocol(4, blocks);
     protocol.write(0, B, true);
     protocol.write(1, B, false);
     EXPECT_EQ(protocol.events().count(EventType::WmBlkDrty), 1u);
@@ -74,7 +77,7 @@ TEST(BerkeleyTest, WriteMissTakesOwnership)
 
 TEST(BerkeleyTest, CleanMissServedByMemory)
 {
-    Berkeley protocol(4);
+    Berkeley protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     EXPECT_EQ(protocol.ops().memSupplies, 1u);
@@ -83,7 +86,7 @@ TEST(BerkeleyTest, CleanMissServedByMemory)
 
 TEST(BerkeleyTest, NoDirectoryChecksEver)
 {
-    Berkeley protocol(4);
+    Berkeley protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.write(0, B, false);
@@ -94,7 +97,7 @@ TEST(BerkeleyTest, NoDirectoryChecksEver)
 
 TEST(BerkeleyTest, SingleOwnerInvariant)
 {
-    Berkeley protocol(4);
+    Berkeley protocol(4, blocks);
     protocol.write(0, B, true);
     protocol.read(1, B, false);
     protocol.read(2, B, false);
@@ -107,7 +110,7 @@ TEST(BerkeleyTest, SingleOwnerInvariant)
 
 TEST(BerkeleyTest, InvariantsAcrossScenario)
 {
-    Berkeley protocol(4);
+    Berkeley protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.write(2, B, false);

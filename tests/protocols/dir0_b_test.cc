@@ -11,9 +11,12 @@ namespace
 
 constexpr BlockNum B = 300;
 
+/** Block indices the scenarios touch (all below 1024). */
+constexpr BlockSpace blocks{1024};
+
 TEST(Dir0BTest, DirectoryStateProgression)
 {
-    Dir0B protocol(4);
+    Dir0B protocol(4, blocks);
     EXPECT_EQ(protocol.directory().state(B), TwoBitState::NotCached);
     protocol.read(0, B, true);
     EXPECT_EQ(protocol.directory().state(B), TwoBitState::CleanOne);
@@ -27,7 +30,7 @@ TEST(Dir0BTest, CleanOneWriteSkipsBroadcast)
 {
     // The scheme's optimization: "block clean in exactly one cache"
     // obviates the broadcast when its sole holder writes.
-    Dir0B protocol(4);
+    Dir0B protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.write(0, B, false);
     EXPECT_EQ(protocol.events().count(EventType::WhBlkCln), 1u);
@@ -37,7 +40,7 @@ TEST(Dir0BTest, CleanOneWriteSkipsBroadcast)
 
 TEST(Dir0BTest, CleanManyWriteBroadcasts)
 {
-    Dir0B protocol(4);
+    Dir0B protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.read(2, B, false);
@@ -51,7 +54,7 @@ TEST(Dir0BTest, CleanManyWriteBroadcasts)
 
 TEST(Dir0BTest, ReadMissOnDirtyBroadcastsWriteBackRequest)
 {
-    Dir0B protocol(4);
+    Dir0B protocol(4, blocks);
     protocol.write(0, B, true);
     protocol.read(1, B, false);
 
@@ -65,7 +68,7 @@ TEST(Dir0BTest, ReadMissOnDirtyBroadcastsWriteBackRequest)
 
 TEST(Dir0BTest, WriteMissOnDirtyFlushesAndInvalidates)
 {
-    Dir0B protocol(4);
+    Dir0B protocol(4, blocks);
     protocol.write(0, B, true);
     protocol.write(1, B, false);
     EXPECT_EQ(protocol.events().count(EventType::WmBlkDrty), 1u);
@@ -76,7 +79,7 @@ TEST(Dir0BTest, WriteMissOnDirtyFlushesAndInvalidates)
 
 TEST(Dir0BTest, WriteMissOnCleanManyBroadcasts)
 {
-    Dir0B protocol(4);
+    Dir0B protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.write(2, B, false);
@@ -89,7 +92,7 @@ TEST(Dir0BTest, WriteMissOnCleanManyBroadcasts)
 
 TEST(Dir0BTest, WriteHitOnDirtyNeedsNoDirectory)
 {
-    Dir0B protocol(4);
+    Dir0B protocol(4, blocks);
     protocol.write(0, B, true);
     protocol.write(0, B, false);
     EXPECT_EQ(protocol.events().count(EventType::WhBlkDrty), 1u);
@@ -101,7 +104,7 @@ TEST(Dir0BTest, NoDirectedInvalidatesEver)
 {
     // Dir0B keeps no pointers, so it can never send a directed
     // invalidate.
-    Dir0B protocol(4);
+    Dir0B protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.write(0, B, false);
@@ -112,7 +115,7 @@ TEST(Dir0BTest, NoDirectedInvalidatesEver)
 
 TEST(Dir0BTest, CleanOneAfterInvalidationRoundTrip)
 {
-    Dir0B protocol(4);
+    Dir0B protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.write(0, B, false); // back to a single (dirty) copy
@@ -125,7 +128,7 @@ TEST(Dir0BTest, CleanOneAfterInvalidationRoundTrip)
 
 TEST(Dir0BTest, InvariantsAcrossScenario)
 {
-    Dir0B protocol(4);
+    Dir0B protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.checkAllInvariants();
     protocol.read(1, B, false);

@@ -11,9 +11,12 @@ namespace
 
 constexpr BlockNum B = 100;
 
+/** Block indices the scenarios touch (all below 1024). */
+constexpr BlockSpace blocks{1024};
+
 TEST(Dir1NBTest, FirstReferenceInstallsWithoutTraffic)
 {
-    Dir1NB protocol(4);
+    Dir1NB protocol(4, blocks);
     protocol.read(0, B, /* first_ref */ true);
     EXPECT_EQ(protocol.events().count(EventType::RmFirstRef), 1u);
     EXPECT_EQ(protocol.events().count(EventType::RdMiss), 0u);
@@ -24,7 +27,7 @@ TEST(Dir1NBTest, FirstReferenceInstallsWithoutTraffic)
 
 TEST(Dir1NBTest, RereadHits)
 {
-    Dir1NB protocol(4);
+    Dir1NB protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(0, B, false);
     EXPECT_EQ(protocol.events().count(EventType::RdHit), 1u);
@@ -33,7 +36,7 @@ TEST(Dir1NBTest, RereadHits)
 
 TEST(Dir1NBTest, SecondReaderDisplacesFirst)
 {
-    Dir1NB protocol(4);
+    Dir1NB protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
 
@@ -51,7 +54,7 @@ TEST(Dir1NBTest, SecondReaderDisplacesFirst)
 
 TEST(Dir1NBTest, WriteHitOnCleanGoesDirtySilently)
 {
-    Dir1NB protocol(4);
+    Dir1NB protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.write(0, B, false);
     EXPECT_EQ(protocol.events().count(EventType::WrtHit), 1u);
@@ -64,7 +67,7 @@ TEST(Dir1NBTest, WriteHitOnCleanGoesDirtySilently)
 
 TEST(Dir1NBTest, WriteHitOnDirtyIsFree)
 {
-    Dir1NB protocol(4);
+    Dir1NB protocol(4, blocks);
     protocol.write(0, B, true);
     protocol.write(0, B, false);
     EXPECT_EQ(protocol.events().count(EventType::WhBlkDrty), 1u);
@@ -73,7 +76,7 @@ TEST(Dir1NBTest, WriteHitOnDirtyIsFree)
 
 TEST(Dir1NBTest, ReadMissOnDirtyBlockForcesWriteBack)
 {
-    Dir1NB protocol(4);
+    Dir1NB protocol(4, blocks);
     protocol.write(0, B, true); // 0 holds dirty
     protocol.read(1, B, false);
 
@@ -87,7 +90,7 @@ TEST(Dir1NBTest, ReadMissOnDirtyBlockForcesWriteBack)
 
 TEST(Dir1NBTest, WriteMissOnDirtyBlock)
 {
-    Dir1NB protocol(4);
+    Dir1NB protocol(4, blocks);
     protocol.write(0, B, true);
     protocol.write(1, B, false);
     EXPECT_EQ(protocol.events().count(EventType::WmBlkDrty), 1u);
@@ -99,7 +102,7 @@ TEST(Dir1NBTest, SpinLockPingPong)
 {
     // The Section 5.2 pathology: two spinners alternate reads and
     // every read misses.
-    Dir1NB protocol(4);
+    Dir1NB protocol(4, blocks);
     protocol.read(0, B, true);
     for (int round = 0; round < 10; ++round) {
         protocol.read(1, B, false);
@@ -112,7 +115,7 @@ TEST(Dir1NBTest, SpinLockPingPong)
 
 TEST(Dir1NBTest, DirectoryPointerTracksHolder)
 {
-    Dir1NB protocol(4);
+    Dir1NB protocol(4, blocks);
     protocol.read(0, B, true);
     EXPECT_TRUE(protocol.directory().find(B)->pointsTo(0));
     protocol.read(2, B, false);
@@ -122,7 +125,7 @@ TEST(Dir1NBTest, DirectoryPointerTracksHolder)
 
 TEST(Dir1NBTest, DirectoryDirtyBitTracksState)
 {
-    Dir1NB protocol(4);
+    Dir1NB protocol(4, blocks);
     protocol.read(0, B, true);
     EXPECT_FALSE(protocol.directory().find(B)->dirty);
     protocol.write(0, B, false);
@@ -131,7 +134,7 @@ TEST(Dir1NBTest, DirectoryDirtyBitTracksState)
 
 TEST(Dir1NBTest, InvariantsHoldThroughScenario)
 {
-    Dir1NB protocol(4);
+    Dir1NB protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.checkAllInvariants();
     protocol.write(0, B, false);
@@ -145,7 +148,7 @@ TEST(Dir1NBTest, InvariantsHoldThroughScenario)
 
 TEST(Dir1NBTest, IndependentBlocks)
 {
-    Dir1NB protocol(4);
+    Dir1NB protocol(4, blocks);
     protocol.read(0, 1, true);
     protocol.read(1, 2, true);
     EXPECT_EQ(protocol.cacheState(0, 1), Dir1NB::stClean);
@@ -155,7 +158,7 @@ TEST(Dir1NBTest, IndependentBlocks)
 
 TEST(Dir1NBTest, Name)
 {
-    EXPECT_EQ(Dir1NB(2).name(), "Dir1NB");
+    EXPECT_EQ(Dir1NB(2, blocks).name(), "Dir1NB");
 }
 
 } // namespace

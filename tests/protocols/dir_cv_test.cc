@@ -14,9 +14,12 @@ namespace
 
 constexpr BlockNum B = 900;
 
+/** Block indices the scenarios touch (all below 1024). */
+constexpr BlockSpace blocks{1024};
+
 TEST(DirCVTest, SingleSharerIsExact)
 {
-    DirCV protocol(4);
+    DirCV protocol(4, blocks);
     protocol.read(2, B, true);
     const auto *entry = protocol.directory().find(B);
     ASSERT_NE(entry, nullptr);
@@ -26,7 +29,7 @@ TEST(DirCVTest, SingleSharerIsExact)
 
 TEST(DirCVTest, CodeIsAlwaysASuperset)
 {
-    DirCV protocol(4);
+    DirCV protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(3, B, false);
     const auto *entry = protocol.directory().find(B);
@@ -40,7 +43,7 @@ TEST(DirCVTest, SupersetInvalidationWastesMessages)
     // Caches 0 (00) and 3 (11) share: the code degenerates to all
     // four caches, so a write by 0 sends 3 messages though only one
     // other copy exists.
-    DirCV protocol(4);
+    DirCV protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(3, B, false);
     protocol.write(0, B, false);
@@ -52,7 +55,7 @@ TEST(DirCVTest, AdjacentSharersStayTight)
 {
     // Caches 0 (00) and 1 (01) differ in one digit: the superset has
     // two members, so the invalidation costs exactly one message.
-    DirCV protocol(4);
+    DirCV protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.write(0, B, false);
@@ -61,7 +64,7 @@ TEST(DirCVTest, AdjacentSharersStayTight)
 
 TEST(DirCVTest, WriteResetsCodeToWriter)
 {
-    DirCV protocol(4);
+    DirCV protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(3, B, false);
     protocol.write(1, B, false); // write miss
@@ -73,7 +76,7 @@ TEST(DirCVTest, WriteResetsCodeToWriter)
 
 TEST(DirCVTest, DirtyFlushIsOneMessage)
 {
-    DirCV protocol(4);
+    DirCV protocol(4, blocks);
     protocol.write(0, B, true);
     protocol.read(2, B, false);
     EXPECT_EQ(protocol.events().count(EventType::RmBlkDrty), 1u);
@@ -84,7 +87,7 @@ TEST(DirCVTest, DirtyFlushIsOneMessage)
 
 TEST(DirCVTest, NeverFullBroadcastOps)
 {
-    DirCV protocol(8);
+    DirCV protocol(8, blocks);
     protocol.read(0, B, true);
     for (CacheId c = 1; c < 8; ++c)
         protocol.read(c, B, false);
@@ -97,7 +100,7 @@ TEST(DirCVTest, NeverFullBroadcastOps)
 
 TEST(DirCVTest, ReadSharingCostsNoInvalidations)
 {
-    DirCV protocol(4);
+    DirCV protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.read(2, B, false);
@@ -106,7 +109,7 @@ TEST(DirCVTest, ReadSharingCostsNoInvalidations)
 
 TEST(DirCVTest, InvariantsUnderChurn)
 {
-    DirCV protocol(8);
+    DirCV protocol(8, blocks);
     for (int round = 0; round < 30; ++round) {
         const auto cache = static_cast<CacheId>((round * 5) % 8);
         if (round % 7 == 3)
@@ -121,9 +124,9 @@ TEST(DirCVTest, InvariantsUnderChurn)
 
 TEST(DirCVrTest, NameCarriesGranularity)
 {
-    EXPECT_EQ(DirCV(4).name(), "DirCV");
-    EXPECT_EQ(DirCV(6, 4).name(), "DirCVr4");
-    EXPECT_EQ(DirCV(6, 4).directory().regionSize(), 4u);
+    EXPECT_EQ(DirCV(4, blocks).name(), "DirCV");
+    EXPECT_EQ(DirCV(6, blocks, 4).name(), "DirCVr4");
+    EXPECT_EQ(DirCV(6, blocks, 4).directory().regionSize(), 4u);
 }
 
 TEST(DirCVrTest, SameRegionSharersCostClippedFanOut)
@@ -131,7 +134,7 @@ TEST(DirCVrTest, SameRegionSharersCostClippedFanOut)
     // N=6, K=4: caches 4 and 5 live in the clipped last region
     // (width 2). A write by 4 invalidates the region minus the
     // writer: exactly 1 message, not K-1.
-    DirCV protocol(6, 4);
+    DirCV protocol(6, blocks, 4);
     protocol.read(5, B, true);
     protocol.read(4, B, false);
     protocol.write(4, B, false);
@@ -145,7 +148,7 @@ TEST(DirCVrTest, CrossRegionSharersCostBothRegions)
     // Caches 0 (region 0, width 4) and 5 (region 1, width 2) share:
     // the superset is all 6 caches, so a write by 0 sends 5 messages
     // though only one other copy exists.
-    DirCV protocol(6, 4);
+    DirCV protocol(6, blocks, 4);
     protocol.read(0, B, true);
     protocol.read(5, B, false);
     protocol.write(0, B, false);
@@ -158,7 +161,7 @@ TEST(DirCVrTest, DirtyProbeCostsRegionWidthNotGranularity)
     // A dirty block's code denotes the owner's whole region, so the
     // write-back request fans out to every region member. Owner 5
     // sits in the clipped last region: 2 messages, not K=4.
-    DirCV protocol(6, 4);
+    DirCV protocol(6, blocks, 4);
     protocol.write(5, B, true);
     protocol.read(3, B, false);
     EXPECT_EQ(protocol.events().count(EventType::RmBlkDrty), 1u);
@@ -170,7 +173,7 @@ TEST(DirCVrTest, DirtyProbeCostsRegionWidthNotGranularity)
     // must probe 3's region (full width 4... owner region of 3 is
     // region 0) — re-derive: after the read, block is clean with
     // holders {3, 5}; a write miss by 1 invalidates the superset.
-    DirCV wm(6, 4);
+    DirCV wm(6, blocks, 4);
     wm.write(4, B, true);
     wm.write(1, B, false); // dirty branch: owner region {4,5} probed
     EXPECT_EQ(wm.ops().invalMsgs, 2u);
@@ -183,7 +186,7 @@ TEST(DirCVrTest, InvariantsUnderChurnAtOddGeometries)
     for (const auto &[n, k] :
          {std::pair<unsigned, unsigned>{6, 4},
           std::pair<unsigned, unsigned>{13, 5}}) {
-        DirCV protocol(n, k);
+        DirCV protocol(n, blocks, k);
         for (int round = 0; round < 60; ++round) {
             const auto cache =
                 static_cast<CacheId>((round * 7) % n);

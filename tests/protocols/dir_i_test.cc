@@ -13,16 +13,19 @@ namespace
 
 constexpr BlockNum B = 700;
 
+/** Block indices the scenarios touch (all below 1024). */
+constexpr BlockSpace blocks{1024};
+
 TEST(DirIBTest, Names)
 {
-    EXPECT_EQ(DirIB(4, 1).name(), "Dir1B");
-    EXPECT_EQ(DirIB(8, 3).name(), "Dir3B");
-    EXPECT_EQ(DirINB(8, 2).name(), "Dir2NB");
+    EXPECT_EQ(DirIB(4, blocks, 1).name(), "Dir1B");
+    EXPECT_EQ(DirIB(8, blocks, 3).name(), "Dir3B");
+    EXPECT_EQ(DirINB(8, blocks, 2).name(), "Dir2NB");
 }
 
 TEST(DirIBTest, ExactModeUsesDirectedInvalidates)
 {
-    DirIB protocol(4, 2);
+    DirIB protocol(4, blocks, 2);
     protocol.read(0, B, true);
     protocol.read(1, B, false); // 2 pointers: still exact
     protocol.write(0, B, false);
@@ -33,7 +36,7 @@ TEST(DirIBTest, ExactModeUsesDirectedInvalidates)
 
 TEST(DirIBTest, OverflowSetsBroadcastMode)
 {
-    DirIB protocol(4, 1);
+    DirIB protocol(4, blocks, 1);
     protocol.read(0, B, true);
     protocol.read(1, B, false); // overflow: broadcast bit set
     const LimitedEntry *entry = protocol.directory().find(B);
@@ -45,7 +48,7 @@ TEST(DirIBTest, OverflowSetsBroadcastMode)
 
 TEST(DirIBTest, BroadcastModeWriteBroadcasts)
 {
-    DirIB protocol(4, 1);
+    DirIB protocol(4, blocks, 1);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.read(2, B, false);
@@ -60,7 +63,7 @@ TEST(DirIBTest, BroadcastModeWriteBroadcasts)
 
 TEST(DirIBTest, DirtyMissUsesDirectedFlush)
 {
-    DirIB protocol(4, 1);
+    DirIB protocol(4, blocks, 1);
     protocol.write(0, B, true);
     protocol.read(1, B, false);
     // Dirty implies a known single pointer: directed request.
@@ -72,7 +75,7 @@ TEST(DirIBTest, DirtyMissUsesDirectedFlush)
 
 TEST(DirIBTest, InvariantsUnderMixedTraffic)
 {
-    DirIB protocol(4, 2);
+    DirIB protocol(4, blocks, 2);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.read(2, B, false); // broadcast mode
@@ -85,7 +88,7 @@ TEST(DirIBTest, InvariantsUnderMixedTraffic)
 
 TEST(DirINBTest, CopyCountNeverExceedsBudget)
 {
-    DirINB protocol(4, 2);
+    DirINB protocol(4, blocks, 2);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.read(2, B, false); // evicts the oldest copy (cache 0)
@@ -96,7 +99,7 @@ TEST(DirINBTest, CopyCountNeverExceedsBudget)
 
 TEST(DirINBTest, EvictedCopyRemisses)
 {
-    DirINB protocol(4, 2);
+    DirINB protocol(4, blocks, 2);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.read(2, B, false); // cache 0 evicted
@@ -108,7 +111,7 @@ TEST(DirINBTest, EvictedCopyRemisses)
 
 TEST(DirINBTest, NeverBroadcasts)
 {
-    DirINB protocol(4, 2);
+    DirINB protocol(4, blocks, 2);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.write(2, B, false);
@@ -118,7 +121,7 @@ TEST(DirINBTest, NeverBroadcasts)
 
 TEST(DirINBTest, WriteHitInvalidatesPointedCopies)
 {
-    DirINB protocol(4, 3);
+    DirINB protocol(4, blocks, 3);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.read(2, B, false);
@@ -130,7 +133,7 @@ TEST(DirINBTest, WriteHitInvalidatesPointedCopies)
 
 TEST(DirINBTest, FirstRefOverflowImpossible)
 {
-    DirINB protocol(4, 1);
+    DirINB protocol(4, blocks, 1);
     protocol.read(0, B, true);
     EXPECT_EQ(protocol.ops().overflowInvals, 0u);
     EXPECT_EQ(protocol.holders(B).count(), 1u);
@@ -138,7 +141,7 @@ TEST(DirINBTest, FirstRefOverflowImpossible)
 
 TEST(DirINBTest, InvariantsUnderChurn)
 {
-    DirINB protocol(4, 2);
+    DirINB protocol(4, blocks, 2);
     for (int round = 0; round < 8; ++round) {
         protocol.read(static_cast<CacheId>(round % 4), B, round == 0);
         protocol.checkAllInvariants();
@@ -150,8 +153,8 @@ TEST(DirINBTest, InvariantsUnderChurn)
 
 TEST(DirINBTest, BudgetValidation)
 {
-    EXPECT_THROW(DirINB(4, 0), UsageError);
-    EXPECT_THROW(DirIB(4, 0), UsageError);
+    EXPECT_THROW(DirINB(4, blocks, 0), UsageError);
+    EXPECT_THROW(DirIB(4, blocks, 0), UsageError);
 }
 
 // ---- Large-N stress (S2): sharer count far above the pointer
@@ -162,7 +165,7 @@ TEST(DirIBTest, ManySharersBroadcastAccountingAtLargeN)
     // 200 of 256 caches share a block on a 4-pointer directory: one
     // broadcast, zero directed messages, and the writer is the sole
     // holder afterwards with an exact entry again.
-    DirIB protocol(256, 4);
+    DirIB protocol(256, blocks, 4);
     protocol.read(0, B, true);
     for (CacheId c = 1; c < 200; ++c)
         protocol.read(c, B, false);
@@ -193,7 +196,7 @@ TEST(DirINBTest, EvictionChurnAccountingAtLargeN)
     // 200 sequential sharers through a 4-pointer FIFO: each reader
     // past the fourth evicts exactly one copy, so copies never exceed
     // the budget and overflowInvals counts the evictions exactly.
-    DirINB protocol(256, 4);
+    DirINB protocol(256, blocks, 4);
     protocol.read(0, B, true);
     for (CacheId c = 1; c < 200; ++c) {
         protocol.read(c, B, false);

@@ -11,9 +11,12 @@ namespace
 
 constexpr BlockNum B = 200;
 
+/** Block indices the scenarios touch (all below 1024). */
+constexpr BlockSpace blocks{1024};
+
 TEST(DirNNBTest, MultipleCleanCopiesCoexist)
 {
-    DirNNB protocol(4);
+    DirNNB protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.read(2, B, false);
@@ -27,17 +30,16 @@ TEST(DirNNBTest, MultipleCleanCopiesCoexist)
 
 TEST(DirNNBTest, DirectoryBitsMatchHolders)
 {
-    DirNNB protocol(4);
+    DirNNB protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(3, B, false);
-    const FullMapEntry *entry = protocol.directory().find(B);
-    ASSERT_NE(entry, nullptr);
-    EXPECT_EQ(entry->sharers, protocol.holders(B));
+    EXPECT_EQ(protocol.directory().sharerSnapshot(B),
+              protocol.holders(B));
 }
 
 TEST(DirNNBTest, WriteHitSendsOneInvalidatePerCopy)
 {
-    DirNNB protocol(4);
+    DirNNB protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.read(2, B, false);
@@ -49,12 +51,12 @@ TEST(DirNNBTest, WriteHitSendsOneInvalidatePerCopy)
     EXPECT_EQ(protocol.ops().dirChecks, 1u);
     EXPECT_EQ(protocol.holders(B).count(), 1u);
     EXPECT_EQ(protocol.cacheState(0, B), DirNNB::stDirty);
-    EXPECT_TRUE(protocol.directory().find(B)->dirty);
+    EXPECT_TRUE(protocol.directory().dirty(B));
 }
 
 TEST(DirNNBTest, Figure1HistogramSamplesOtherHolders)
 {
-    DirNNB protocol(4);
+    DirNNB protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.read(2, B, false);
@@ -71,7 +73,7 @@ TEST(DirNNBTest, Figure1HistogramSamplesOtherHolders)
 
 TEST(DirNNBTest, ReadMissOnDirtyWritesBack)
 {
-    DirNNB protocol(4);
+    DirNNB protocol(4, blocks);
     protocol.write(0, B, true);
     protocol.read(1, B, false);
 
@@ -81,12 +83,12 @@ TEST(DirNNBTest, ReadMissOnDirtyWritesBack)
     // Owner keeps a now-clean copy; both caches share.
     EXPECT_EQ(protocol.cacheState(0, B), DirNNB::stClean);
     EXPECT_EQ(protocol.cacheState(1, B), DirNNB::stClean);
-    EXPECT_FALSE(protocol.directory().find(B)->dirty);
+    EXPECT_FALSE(protocol.directory().dirty(B));
 }
 
 TEST(DirNNBTest, WriteMissOnDirtyFlushesAndInvalidates)
 {
-    DirNNB protocol(4);
+    DirNNB protocol(4, blocks);
     protocol.write(0, B, true);
     protocol.write(1, B, false);
 
@@ -99,7 +101,7 @@ TEST(DirNNBTest, WriteMissOnDirtyFlushesAndInvalidates)
 
 TEST(DirNNBTest, WriteMissOnCleanCopiesInvalidatesEach)
 {
-    DirNNB protocol(4);
+    DirNNB protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.read(2, B, false);
@@ -114,7 +116,7 @@ TEST(DirNNBTest, WriteMissOnCleanCopiesInvalidatesEach)
 
 TEST(DirNNBTest, WriteHitOnDirtyIsFree)
 {
-    DirNNB protocol(4);
+    DirNNB protocol(4, blocks);
     protocol.write(0, B, true);
     protocol.write(0, B, false);
     EXPECT_EQ(protocol.events().count(EventType::WhBlkDrty), 1u);
@@ -123,7 +125,7 @@ TEST(DirNNBTest, WriteHitOnDirtyIsFree)
 
 TEST(DirNNBTest, NoBroadcastsEver)
 {
-    DirNNB protocol(4);
+    DirNNB protocol(4, blocks);
     protocol.read(0, B, true);
     for (CacheId c = 1; c < 4; ++c)
         protocol.read(c, B, false);
@@ -134,7 +136,7 @@ TEST(DirNNBTest, NoBroadcastsEver)
 
 TEST(DirNNBTest, InvariantsAcrossScenario)
 {
-    DirNNB protocol(4);
+    DirNNB protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.checkAllInvariants();

@@ -11,16 +11,19 @@ namespace
 
 constexpr BlockNum B = 500;
 
+/** Block indices the scenarios touch (all below 1024). */
+constexpr BlockSpace blocks{1024};
+
 TEST(DragonTest, FirstReadIsExclusive)
 {
-    Dragon protocol(4);
+    Dragon protocol(4, blocks);
     protocol.read(0, B, true);
     EXPECT_EQ(protocol.cacheState(0, B), Dragon::stExclusive);
 }
 
 TEST(DragonTest, SecondReaderDemotesToShared)
 {
-    Dragon protocol(4);
+    Dragon protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     EXPECT_EQ(protocol.cacheState(0, B), Dragon::stSharedClean);
@@ -32,7 +35,7 @@ TEST(DragonTest, SecondReaderDemotesToShared)
 
 TEST(DragonTest, NothingIsEverInvalidated)
 {
-    Dragon protocol(4);
+    Dragon protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.read(2, B, false);
@@ -46,7 +49,7 @@ TEST(DragonTest, NothingIsEverInvalidated)
 
 TEST(DragonTest, SharedWriteHitDistributesUpdate)
 {
-    Dragon protocol(4);
+    Dragon protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.write(0, B, false);
@@ -60,7 +63,7 @@ TEST(DragonTest, SharedWriteHitDistributesUpdate)
 
 TEST(DragonTest, LocalWriteHitIsFree)
 {
-    Dragon protocol(4);
+    Dragon protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.write(0, B, false);
     EXPECT_EQ(protocol.events().count(EventType::WhLocal), 1u);
@@ -71,7 +74,7 @@ TEST(DragonTest, LocalWriteHitIsFree)
 
 TEST(DragonTest, OwnershipMigratesBetweenWriters)
 {
-    Dragon protocol(4);
+    Dragon protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.write(0, B, false);
@@ -83,7 +86,7 @@ TEST(DragonTest, OwnershipMigratesBetweenWriters)
 
 TEST(DragonTest, ReadMissOnDirtySuppliedByOwnerWithoutWriteBack)
 {
-    Dragon protocol(4);
+    Dragon protocol(4, blocks);
     protocol.write(0, B, true); // Dirty in 0
     protocol.read(1, B, false);
     EXPECT_EQ(protocol.events().count(EventType::RmBlkDrty), 1u);
@@ -96,7 +99,7 @@ TEST(DragonTest, ReadMissOnDirtySuppliedByOwnerWithoutWriteBack)
 
 TEST(DragonTest, WriteMissToSharedBlockUpdatesAll)
 {
-    Dragon protocol(4);
+    Dragon protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.write(1, B, false);
     EXPECT_EQ(protocol.events().count(EventType::WmBlkCln), 1u);
@@ -110,7 +113,7 @@ TEST(DragonTest, InfiniteCacheMissRateIsNative)
 {
     // Once loaded, a block never misses again, no matter how the
     // other caches write to it.
-    Dragon protocol(4);
+    Dragon protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     for (int i = 0; i < 5; ++i) {
@@ -123,7 +126,7 @@ TEST(DragonTest, InfiniteCacheMissRateIsNative)
 
 TEST(DragonTest, SingleWriterInvariantOnOwnership)
 {
-    Dragon protocol(4);
+    Dragon protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.read(2, B, false);

@@ -14,7 +14,7 @@
 #include "protocols/dir_i_b.hh"
 #include "protocols/dir_i_nb.hh"
 #include "protocols/registry.hh"
-#include "sim/simulator.hh"
+#include "sim/decoded.hh"
 #include "tracegen/generator.hh"
 
 namespace dirsim
@@ -22,17 +22,19 @@ namespace dirsim
 namespace
 {
 
-const Trace &
-testTrace()
+const DecodedTrace &
+testStream()
 {
-    static const Trace trace = generateTrace("pops", 80'000, 4242);
-    return trace;
+    static const DecodedTrace decoded =
+        decodeTrace(generateTrace("pops", 80'000, 4242),
+                    defaultBlockBytes, SharingModel::ByProcess);
+    return decoded;
 }
 
 SimResult
 run(const std::string &scheme)
 {
-    return simulateTrace(testTrace(), scheme);
+    return simulateTrace(testStream(), scheme);
 }
 
 void
@@ -62,24 +64,13 @@ TEST(EquivalenceTest, WtiAndDir0BShareStateChangeModel)
 
 TEST(EquivalenceTest, DirINBWithOnePointerMatchesDir1NB)
 {
-    const SimResult generic = run("Dir2NB");
-    (void)generic; // sanity: the family simulates at all
-    const SimResult dedicated = run("Dir1NB");
-    const SimResult family =
-        simulateTrace(testTrace(), "Dir1NB"); // deterministic check
-    expectSameEvents(dedicated, family,
-                     {EventType::RdHit, EventType::RdMiss,
-                      EventType::WrtHit, EventType::WrtMiss});
-
     // DirINB(1): same residency decisions as Dir1NB, hence identical
     // event counts (op accounting differs only in how the combined
     // flush+invalidate of a dirty displacement is split).
-    const auto protocol_generic = makeProtocol("dir1nb", 5);
-    SimResult one_ptr = run("Dir1NB");
-    // Build DirINB(1) through the family path explicitly.
-    DirINB family_impl(5, 1);
-    const SimResult family_run =
-        simulateTrace(testTrace(), family_impl);
+    const SimResult one_ptr = run("Dir1NB");
+    const DecodedTrace &stream = testStream();
+    DirINB family(stream.cachesNeeded, stream.blockSpace(), 1);
+    const SimResult family_run = simulateTrace(stream, family);
     expectSameEvents(one_ptr, family_run,
                      {EventType::Instr, EventType::Read,
                       EventType::RdHit, EventType::RdMiss,
@@ -100,10 +91,10 @@ TEST(EquivalenceTest, DirINBWithOnePointerMatchesDir1NB)
 
 TEST(EquivalenceTest, DirINBWithFullBudgetMatchesFullMap)
 {
-    const unsigned caches =
-        cachesNeeded(testTrace(), SharingModel::ByProcess);
-    DirINB family(caches, caches);
-    const SimResult family_run = simulateTrace(testTrace(), family);
+    const DecodedTrace &stream = testStream();
+    const unsigned caches = stream.cachesNeeded;
+    DirINB family(caches, stream.blockSpace(), caches);
+    const SimResult family_run = simulateTrace(stream, family);
     const SimResult full_map = run("DirNNB");
 
     for (std::size_t e = 0; e < numEventTypes; ++e) {
@@ -122,10 +113,10 @@ TEST(EquivalenceTest, DirINBWithFullBudgetMatchesFullMap)
 
 TEST(EquivalenceTest, DirIBWithFullBudgetNeverBroadcasts)
 {
-    const unsigned caches =
-        cachesNeeded(testTrace(), SharingModel::ByProcess);
-    DirIB family(caches, caches);
-    const SimResult family_run = simulateTrace(testTrace(), family);
+    const DecodedTrace &stream = testStream();
+    const unsigned caches = stream.cachesNeeded;
+    DirIB family(caches, stream.blockSpace(), caches);
+    const SimResult family_run = simulateTrace(stream, family);
     EXPECT_EQ(family_run.ops.broadcastInvals, 0u);
     const SimResult full_map = run("DirNNB");
     EXPECT_EQ(family_run.ops.invalMsgs, full_map.ops.invalMsgs);

@@ -10,13 +10,16 @@
 #include "cache/finite_cache.hh"
 #include "common/logging.hh"
 #include "protocols/registry.hh"
-#include "sim/simulator.hh"
+#include "sim/decoded.hh"
 #include "tracegen/generator.hh"
 
 namespace dirsim
 {
 namespace
 {
+
+/** Block indices the scenarios touch (all below 32). */
+constexpr BlockSpace blocks{32};
 
 /** Tiny caches: 8 blocks, 2 ways, so evictions are constant. */
 CacheFactory
@@ -26,24 +29,26 @@ tinyFactory()
     config.capacityBytes = 8 * defaultBlockBytes;
     config.ways = 2;
     config.blockBytes = defaultBlockBytes;
-    return [config] { return std::make_unique<FiniteCache>(config); };
+    return [config](const BlockSpace &space) {
+        return std::make_unique<FiniteCache>(config, space);
+    };
 }
 
 TEST(FiniteModeTest, InfiniteByDefault)
 {
-    const auto protocol = makeProtocol("Dir0B", 2);
+    const auto protocol = makeProtocol("Dir0B", 2, blocks);
     EXPECT_FALSE(protocol->finiteCaches());
 }
 
 TEST(FiniteModeTest, FactoryEnablesFiniteMode)
 {
-    const auto protocol = makeProtocol("Dir0B", 2, tinyFactory());
+    const auto protocol = makeProtocol("Dir0B", 2, blocks, tinyFactory());
     EXPECT_TRUE(protocol->finiteCaches());
 }
 
 TEST(FiniteModeTest, CapacityEvictionsDropBlocks)
 {
-    const auto protocol = makeProtocol("DirNNB", 2, tinyFactory());
+    const auto protocol = makeProtocol("DirNNB", 2, blocks, tinyFactory());
     // Touch 32 distinct blocks from one cache: only 8 can remain.
     for (BlockNum block = 0; block < 32; ++block)
         protocol->read(0, block, true);
@@ -56,7 +61,7 @@ TEST(FiniteModeTest, CapacityEvictionsDropBlocks)
 
 TEST(FiniteModeTest, DirtyEvictionWritesBack)
 {
-    const auto protocol = makeProtocol("DirNNB", 2, tinyFactory());
+    const auto protocol = makeProtocol("DirNNB", 2, blocks, tinyFactory());
     // Blocks 0, 8, 16 map to the same set (8 sets); dirty the first.
     protocol->write(0, 0, true);
     protocol->read(0, 8, true);
@@ -67,7 +72,7 @@ TEST(FiniteModeTest, DirtyEvictionWritesBack)
 
 TEST(FiniteModeTest, CleanEvictionIsFree)
 {
-    const auto protocol = makeProtocol("DirNNB", 2, tinyFactory());
+    const auto protocol = makeProtocol("DirNNB", 2, blocks, tinyFactory());
     protocol->read(0, 0, true);
     protocol->read(0, 8, true);
     protocol->read(0, 16, true); // evicts clean block 0
@@ -76,7 +81,7 @@ TEST(FiniteModeTest, CleanEvictionIsFree)
 
 TEST(FiniteModeTest, EvictedBlockRemisses)
 {
-    const auto protocol = makeProtocol("Dir0B", 2, tinyFactory());
+    const auto protocol = makeProtocol("Dir0B", 2, blocks, tinyFactory());
     protocol->read(0, 0, true);
     protocol->read(0, 8, true);
     protocol->read(0, 16, true); // evicts 0
@@ -86,7 +91,7 @@ TEST(FiniteModeTest, EvictedBlockRemisses)
 
 TEST(FiniteModeTest, EvictionDoesNotDisturbOtherCaches)
 {
-    const auto protocol = makeProtocol("DirNNB", 3, tinyFactory());
+    const auto protocol = makeProtocol("DirNNB", 3, blocks, tinyFactory());
     protocol->read(0, 0, true);
     protocol->read(1, 0, false);
     // Cache 0 churns its set until block 0 is evicted from it.
@@ -99,7 +104,7 @@ TEST(FiniteModeTest, EvictionDoesNotDisturbOtherCaches)
 
 TEST(FiniteModeTest, WriteBackCostAppearsInWriteBackRow)
 {
-    const auto protocol = makeProtocol("DirNNB", 2, tinyFactory());
+    const auto protocol = makeProtocol("DirNNB", 2, blocks, tinyFactory());
     protocol->write(0, 0, true);
     protocol->read(0, 8, true);
     protocol->read(0, 16, true);
@@ -156,15 +161,19 @@ TEST(FiniteModeTest, PrebuiltInfiniteProtocolRejectsFiniteConfig)
     // The overload taking an already-built protocol cannot apply the
     // geometry retroactively; it must reject rather than silently
     // ignore SimConfig::finiteCache.
-    const Trace trace = generateTrace("pero", 5'000, 7);
+    const DecodedTrace decoded =
+        decodeTrace(generateTrace("pero", 5'000, 7), defaultBlockBytes,
+                    SharingModel::ByProcess);
     SimConfig config;
     config.finiteCache = FiniteCacheConfig{};
-    const auto infinite = makeProtocol("Dir0B", 4);
-    EXPECT_THROW(simulateTrace(trace, *infinite, config), UsageError);
+    const auto infinite =
+        makeProtocol("Dir0B", 4, decoded.blockSpace());
+    EXPECT_THROW(simulateTrace(decoded, *infinite, config), UsageError);
 
     // A protocol that does run finite caches is honored.
-    const auto finite = makeProtocol("Dir0B", 4, tinyFactory());
-    EXPECT_NO_THROW(simulateTrace(trace, *finite, config));
+    const auto finite =
+        makeProtocol("Dir0B", 4, decoded.blockSpace(), tinyFactory());
+    EXPECT_NO_THROW(simulateTrace(decoded, *finite, config));
 }
 
 TEST(FiniteModeTest, BlockSizeMismatchRejected)

@@ -22,15 +22,18 @@ namespace dirsim
 namespace
 {
 
+/** Block indices the random streams touch (all below 64). */
+constexpr BlockSpace blocks{64};
+
 /** All protocol configurations under test. */
 std::vector<std::unique_ptr<CoherenceProtocol>>
 allProtocols(unsigned caches)
 {
     std::vector<std::unique_ptr<CoherenceProtocol>> protocols;
     for (const auto &name : allSchemes())
-        protocols.push_back(makeProtocol(name, caches));
-    protocols.push_back(std::make_unique<DirIB>(caches, 2));
-    protocols.push_back(std::make_unique<DirINB>(caches, 2));
+        protocols.push_back(makeProtocol(name, caches, blocks));
+    protocols.push_back(std::make_unique<DirIB>(caches, blocks, 2));
+    protocols.push_back(std::make_unique<DirINB>(caches, blocks, 2));
     return protocols;
 }
 
@@ -40,7 +43,7 @@ class ProtocolProperty : public ::testing::TestWithParam<std::string>
     std::unique_ptr<CoherenceProtocol>
     make(unsigned caches) const
     {
-        return makeProtocol(GetParam(), caches);
+        return makeProtocol(GetParam(), caches, blocks);
     }
 
     static bool

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "common/logging.hh"
 #include "protocols/protocol.hh"
 
@@ -14,6 +17,9 @@ namespace dirsim
 {
 namespace
 {
+
+/** Block indices the tests may touch (99 and 12345 lie outside). */
+constexpr BlockSpace blocks{64};
 
 /** Smallest possible protocol: MSI-ish with no ops accounting. */
 class MiniProtocol : public CoherenceProtocol
@@ -76,12 +82,12 @@ class MiniProtocol : public CoherenceProtocol
 
 TEST(ProtocolBaseTest, RejectsEmptyDomain)
 {
-    EXPECT_THROW(MiniProtocol(0), UsageError);
+    EXPECT_THROW(MiniProtocol(0, blocks), UsageError);
 }
 
 TEST(ProtocolBaseTest, OutOfRangeCacheIdPanics)
 {
-    MiniProtocol protocol(2);
+    MiniProtocol protocol(2, blocks);
     EXPECT_THROW(protocol.read(2, 1, true), LogicError);
     EXPECT_THROW(protocol.write(7, 1, true), LogicError);
     EXPECT_THROW(protocol.cacheState(2, 1), LogicError);
@@ -89,7 +95,7 @@ TEST(ProtocolBaseTest, OutOfRangeCacheIdPanics)
 
 TEST(ProtocolBaseTest, HoldersOfUnknownBlockIsEmpty)
 {
-    MiniProtocol protocol(4);
+    MiniProtocol protocol(4, blocks);
     const SharerSet sharers = protocol.holders(12345);
     EXPECT_TRUE(sharers.empty());
     EXPECT_EQ(sharers.numCaches(), 4u);
@@ -97,7 +103,7 @@ TEST(ProtocolBaseTest, HoldersOfUnknownBlockIsEmpty)
 
 TEST(ProtocolBaseTest, ClassifyOthersSeesCleanAndDirty)
 {
-    MiniProtocol protocol(4);
+    MiniProtocol protocol(4, blocks);
     protocol.read(1, 10, true);
     protocol.read(2, 10, false);
 
@@ -114,7 +120,7 @@ TEST(ProtocolBaseTest, ClassifyOthersSeesCleanAndDirty)
 
 TEST(ProtocolBaseTest, ClassifyOthersExcludesSelf)
 {
-    MiniProtocol protocol(4);
+    MiniProtocol protocol(4, blocks);
     protocol.read(0, 10, true);
     const auto others = protocol.classifyOthers(0, 10);
     EXPECT_EQ(others.numOthers, 0u);
@@ -122,14 +128,14 @@ TEST(ProtocolBaseTest, ClassifyOthersExcludesSelf)
 
 TEST(ProtocolBaseTest, SetStateRequiresResidency)
 {
-    MiniProtocol protocol(2);
+    MiniProtocol protocol(2, blocks);
     EXPECT_THROW(protocol.setState(0, 99, MiniProtocol::stDirty),
                  LogicError);
 }
 
 TEST(ProtocolBaseTest, InstallIsIdempotentInOracle)
 {
-    MiniProtocol protocol(2);
+    MiniProtocol protocol(2, blocks);
     protocol.install(0, 5, MiniProtocol::stClean);
     protocol.install(0, 5, MiniProtocol::stDirty);
     EXPECT_EQ(protocol.holders(5).count(), 1u);
@@ -138,25 +144,25 @@ TEST(ProtocolBaseTest, InstallIsIdempotentInOracle)
 
 TEST(ProtocolBaseTest, InvalidateInUnknownIsNoop)
 {
-    MiniProtocol protocol(2);
+    MiniProtocol protocol(2, blocks);
     EXPECT_NO_THROW(protocol.invalidateIn(0, 5));
     EXPECT_TRUE(protocol.holders(5).empty());
 }
 
 TEST(ProtocolBaseTest, ResidentBlocksListsLiveBlocksOnly)
 {
-    MiniProtocol protocol(2);
+    MiniProtocol protocol(2, blocks);
     protocol.read(0, 1, true);
     protocol.read(0, 2, true);
     protocol.invalidateIn(0, 1);
-    const auto blocks = protocol.residentBlocks();
-    ASSERT_EQ(blocks.size(), 1u);
-    EXPECT_EQ(blocks[0], 2u);
+    const auto resident = protocol.residentBlocks();
+    ASSERT_EQ(resident.size(), 1u);
+    EXPECT_EQ(resident[0], 2u);
 }
 
 TEST(ProtocolBaseTest, FirstRefMissPassesEmptyOthers)
 {
-    MiniProtocol protocol(4);
+    MiniProtocol protocol(4, blocks);
     protocol.read(3, 42, true);
     EXPECT_EQ(protocol.lastMissOthers.numOthers, 0u);
     EXPECT_FALSE(protocol.lastMissOthers.anyDirty);
@@ -164,7 +170,7 @@ TEST(ProtocolBaseTest, FirstRefMissPassesEmptyOthers)
 
 TEST(ProtocolBaseTest, InstructionCountingOnly)
 {
-    MiniProtocol protocol(2);
+    MiniProtocol protocol(2, blocks);
     protocol.instruction();
     protocol.instruction();
     EXPECT_EQ(protocol.events().count(EventType::Instr), 2u);
@@ -176,7 +182,7 @@ TEST(ProtocolBaseTest, BaseInvariantDetectsOracleDesync)
 {
     // Sabotage: install in the cache without going through install().
     // checkInvariants must notice the oracle disagreeing.
-    MiniProtocol protocol(2);
+    MiniProtocol protocol(2, blocks);
     protocol.read(0, 7, true);
     protocol.invalidateIn(0, 7);
     // Now resurrect the copy behind the oracle's back via setState —
@@ -187,46 +193,68 @@ TEST(ProtocolBaseTest, BaseInvariantDetectsOracleDesync)
 
 TEST(ProtocolBaseTest, DenseModeMatchesSparseClassification)
 {
-    MiniProtocol sparse(4);
-    MiniProtocol dense(4);
-    dense.reserveBlocks(16);
-    EXPECT_TRUE(dense.denseBlocks());
-    EXPECT_FALSE(sparse.denseBlocks());
-
-    for (MiniProtocol *protocol : {&sparse, &dense}) {
-        protocol->read(1, 10, true);
-        protocol->read(2, 10, false);
-        protocol->write(1, 10, false); // 1 dirty, 2 invalidated
+    // classifyOthers() answers from the holder oracle and the tracked
+    // dirty owner; it must agree with a survey of every other cache's
+    // state, both with real per-cache arenas and with cache state
+    // derived from the oracle.
+    const std::optional<CoherenceProtocol::OracleStates> modes[] = {
+        std::nullopt,
+        CoherenceProtocol::OracleStates{MiniProtocol::stClean,
+                                        MiniProtocol::stDirty}};
+    for (const auto &oracle : modes) {
+        MiniProtocol protocol(4, blocks, {}, oracle);
+        protocol.read(1, 10, true);
+        protocol.read(2, 10, false);
+        protocol.write(1, 10, false); // 1 dirty, 2 invalidated
+        protocol.read(3, 10, false);  // 1 flushed clean; 1 and 3 share
+        protocol.write(3, 11, true);  // 3 holds block 11 dirty
+        for (const BlockNum block : {BlockNum{10}, BlockNum{11}}) {
+            for (CacheId cache = 0; cache < 4; ++cache) {
+                unsigned num_others = 0;
+                CacheId any_holder = invalidCacheId;
+                CacheId dirty_owner = invalidCacheId;
+                for (CacheId other = 0; other < 4; ++other) {
+                    const CacheBlockState state =
+                        protocol.cacheState(other, block);
+                    if (other == cache || state == stateNotPresent)
+                        continue;
+                    ++num_others;
+                    any_holder = other;
+                    if (protocol.isDirtyState(state))
+                        dirty_owner = other;
+                }
+                const auto others = protocol.classifyOthers(cache, block);
+                EXPECT_EQ(others.numOthers, num_others);
+                EXPECT_EQ(others.anyHolder, any_holder);
+                EXPECT_EQ(others.anyDirty, dirty_owner != invalidCacheId);
+                EXPECT_EQ(others.dirtyOwner, dirty_owner);
+            }
+        }
+        EXPECT_EQ(protocol.holders(10).toVector(),
+                  (std::vector<CacheId>{1, 3}));
+        EXPECT_EQ(protocol.residentBlocks(),
+                  (std::vector<BlockNum>{10, 11}));
+        EXPECT_NO_THROW(protocol.checkAllInvariants());
     }
-    const auto a = sparse.classifyOthers(0, 10);
-    const auto b = dense.classifyOthers(0, 10);
-    EXPECT_EQ(b.numOthers, a.numOthers);
-    EXPECT_EQ(b.anyHolder, a.anyHolder);
-    EXPECT_EQ(b.anyDirty, a.anyDirty);
-    EXPECT_EQ(b.dirtyOwner, a.dirtyOwner);
-    EXPECT_EQ(dense.holders(10).toVector(),
-              sparse.holders(10).toVector());
-    EXPECT_EQ(dense.residentBlocks(), sparse.residentBlocks());
-    EXPECT_NO_THROW(dense.checkAllInvariants());
 }
 
 TEST(ProtocolBaseTest, DenseReservationGuards)
 {
-    MiniProtocol touched(2);
-    touched.read(0, 1, true);
-    EXPECT_THROW(touched.reserveBlocks(4), LogicError);
-
-    MiniProtocol fresh(2);
-    fresh.reserveBlocks(4);
-    EXPECT_THROW(fresh.reserveBlocks(4), LogicError);
-    // Blocks outside the reserved arena are rejected at install time.
-    EXPECT_THROW(fresh.install(0, 99, MiniProtocol::stClean),
+    // The block space is fixed at construction: references and
+    // installs outside it are rejected instead of touching memory
+    // outside the arenas.
+    MiniProtocol protocol(2, blocks);
+    EXPECT_THROW(protocol.read(0, blocks.count, true), LogicError);
+    EXPECT_THROW(protocol.write(1, blocks.count + 7, true), LogicError);
+    EXPECT_THROW(protocol.install(0, 99, MiniProtocol::stClean),
                  LogicError);
+    EXPECT_THROW(protocol.checkInvariants(99), LogicError);
+    EXPECT_TRUE(protocol.residentBlocks().empty());
 }
 
 TEST(ProtocolBaseTest, EventAccountingOnHitAndMiss)
 {
-    MiniProtocol protocol(2);
+    MiniProtocol protocol(2, blocks);
     protocol.read(0, 1, true);
     protocol.read(0, 1, false);
     protocol.read(1, 1, false);

@@ -10,10 +10,13 @@ namespace dirsim
 namespace
 {
 
+/** Enough blocks for protocols that are only built and named. */
+constexpr BlockSpace blocks{16};
+
 TEST(RegistryTest, NamedSchemesResolve)
 {
     for (const auto &name : allSchemes()) {
-        const auto protocol = makeProtocol(name, 4);
+        const auto protocol = makeProtocol(name, 4, blocks);
         ASSERT_NE(protocol, nullptr) << name;
         EXPECT_EQ(protocol->name(), name);
         EXPECT_EQ(protocol->numCaches(), 4u);
@@ -22,41 +25,41 @@ TEST(RegistryTest, NamedSchemesResolve)
 
 TEST(RegistryTest, CaseInsensitive)
 {
-    EXPECT_EQ(makeProtocol("dir0b", 2)->name(), "Dir0B");
-    EXPECT_EQ(makeProtocol("DRAGON", 2)->name(), "Dragon");
-    EXPECT_EQ(makeProtocol("wti", 2)->name(), "WTI");
-    EXPECT_EQ(makeProtocol("dirnnb", 2)->name(), "DirNNB");
-    EXPECT_EQ(makeProtocol("yenfu", 2)->name(), "YenFu");
-    EXPECT_EQ(makeProtocol("DirCV", 2)->name(), "DirCV");
+    EXPECT_EQ(makeProtocol("dir0b", 2, blocks)->name(), "Dir0B");
+    EXPECT_EQ(makeProtocol("DRAGON", 2, blocks)->name(), "Dragon");
+    EXPECT_EQ(makeProtocol("wti", 2, blocks)->name(), "WTI");
+    EXPECT_EQ(makeProtocol("dirnnb", 2, blocks)->name(), "DirNNB");
+    EXPECT_EQ(makeProtocol("yenfu", 2, blocks)->name(), "YenFu");
+    EXPECT_EQ(makeProtocol("DirCV", 2, blocks)->name(), "DirCV");
 }
 
 TEST(RegistryTest, ParameterizedFamilies)
 {
-    EXPECT_EQ(makeProtocol("Dir2B", 8)->name(), "Dir2B");
-    EXPECT_EQ(makeProtocol("Dir4NB", 8)->name(), "Dir4NB");
-    EXPECT_EQ(makeProtocol("dir16b", 32)->name(), "Dir16B");
+    EXPECT_EQ(makeProtocol("Dir2B", 8, blocks)->name(), "Dir2B");
+    EXPECT_EQ(makeProtocol("Dir4NB", 8, blocks)->name(), "Dir4NB");
+    EXPECT_EQ(makeProtocol("dir16b", 32, blocks)->name(), "Dir16B");
 }
 
 TEST(RegistryTest, Dir1NBUsesDedicatedImplementation)
 {
     // The explicit single-pointer scheme, not DirINB(1): its name is
     // the classic one and its behaviour is the paper's Dir1NB.
-    const auto protocol = makeProtocol("Dir1NB", 4);
+    const auto protocol = makeProtocol("Dir1NB", 4, blocks);
     EXPECT_EQ(protocol->name(), "Dir1NB");
 }
 
 TEST(RegistryTest, RejectsUnknownNames)
 {
-    EXPECT_THROW(makeProtocol("MOESI", 4), UsageError);
-    EXPECT_THROW(makeProtocol("", 4), UsageError);
-    EXPECT_THROW(makeProtocol("DirXB", 4), UsageError);
-    EXPECT_THROW(makeProtocol("Dir2", 4), UsageError);
+    EXPECT_THROW(makeProtocol("MOESI", 4, blocks), UsageError);
+    EXPECT_THROW(makeProtocol("", 4, blocks), UsageError);
+    EXPECT_THROW(makeProtocol("DirXB", 4, blocks), UsageError);
+    EXPECT_THROW(makeProtocol("Dir2", 4, blocks), UsageError);
 }
 
 TEST(RegistryTest, UnknownNameErrorNamesOffenderAndValidSchemes)
 {
     try {
-        makeProtocol("MOESI", 4);
+        makeProtocol("MOESI", 4, blocks);
         FAIL() << "expected UsageError";
     } catch (const UsageError &error) {
         const std::string what = error.what();
@@ -134,7 +137,7 @@ TEST(RegistryTest, SpecStructure)
 TEST(RegistryTest, SpecFactoryBuildsTheSpecifiedProtocol)
 {
     for (const char *name : {"Dir0B", "Dragon", "Dir3NB", "Dir2B"}) {
-        const auto protocol = makeProtocol(parseScheme(name), 8);
+        const auto protocol = makeProtocol(parseScheme(name), 8, blocks);
         EXPECT_EQ(protocol->name(), name);
         EXPECT_EQ(protocol->numCaches(), 8u);
     }
@@ -145,9 +148,9 @@ TEST(RegistryTest, SpecFactoryRejectsZeroPointerFamilies)
     SchemeSpec spec;
     spec.family = SchemeFamily::DirINB;
     spec.pointers = 0;
-    EXPECT_THROW(makeProtocol(spec, 4), UsageError);
+    EXPECT_THROW(makeProtocol(spec, 4, blocks), UsageError);
     spec.family = SchemeFamily::DirIB;
-    EXPECT_THROW(makeProtocol(spec, 4), UsageError);
+    EXPECT_THROW(makeProtocol(spec, 4, blocks), UsageError);
 }
 
 TEST(RegistryTest, DirCVrRoundTripsAndBuilds)
@@ -160,8 +163,8 @@ TEST(RegistryTest, DirCVrRoundTripsAndBuilds)
     EXPECT_FALSE(spec.parameterized());
     EXPECT_TRUE(spec.broadcast());
 
-    EXPECT_EQ(makeProtocol("dircvr4", 6)->name(), "DirCVr4");
-    EXPECT_EQ(makeProtocol(spec, 1022)->name(), "DirCVr12");
+    EXPECT_EQ(makeProtocol("dircvr4", 6, blocks)->name(), "DirCVr4");
+    EXPECT_EQ(makeProtocol(spec, 1022, blocks)->name(), "DirCVr12");
 
     // The two coarse-vector modes are distinct specs (distinct cell
     // identities), and the ternary name never grows a suffix.
@@ -188,7 +191,7 @@ TEST(RegistryTest, RejectsDir0NB)
 {
     // "The one case that does not make sense is Dir0 NB, since there
     // is no way to obtain exclusive access."
-    EXPECT_THROW(makeProtocol("Dir0NB", 4), UsageError);
+    EXPECT_THROW(makeProtocol("Dir0NB", 4, blocks), UsageError);
 }
 
 TEST(RegistryTest, PaperSchemesAreTheEvaluationSet)
@@ -203,7 +206,7 @@ TEST(RegistryTest, PaperSchemesAreTheEvaluationSet)
 
 TEST(RegistryTest, ZeroCachesRejected)
 {
-    EXPECT_THROW(makeProtocol("Dir0B", 0), UsageError);
+    EXPECT_THROW(makeProtocol("Dir0B", 0, blocks), UsageError);
 }
 
 } // namespace

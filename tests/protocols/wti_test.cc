@@ -11,9 +11,12 @@ namespace
 
 constexpr BlockNum B = 400;
 
+/** Block indices the scenarios touch (all below 1024). */
+constexpr BlockSpace blocks{1024};
+
 TEST(WTITest, EveryWriteGoesToMemory)
 {
-    WTI protocol(4);
+    WTI protocol(4, blocks);
     protocol.write(0, B, true);   // first ref: fetch uncosted
     protocol.write(0, B, false);  // hit
     protocol.write(0, B, false);  // hit
@@ -22,7 +25,7 @@ TEST(WTITest, EveryWriteGoesToMemory)
 
 TEST(WTITest, NoDirtyStateExists)
 {
-    WTI protocol(4);
+    WTI protocol(4, blocks);
     protocol.write(0, B, true);
     EXPECT_EQ(protocol.cacheState(0, B), WTI::stValid);
     EXPECT_FALSE(protocol.isDirtyState(protocol.cacheState(0, B)));
@@ -30,7 +33,7 @@ TEST(WTITest, NoDirtyStateExists)
 
 TEST(WTITest, MissesAlwaysServedByMemory)
 {
-    WTI protocol(4);
+    WTI protocol(4, blocks);
     protocol.write(0, B, true);
     protocol.read(1, B, false);
     // Memory is current under write-through: no write-back, no
@@ -42,7 +45,7 @@ TEST(WTITest, MissesAlwaysServedByMemory)
 
 TEST(WTITest, SnoopersInvalidateOnWrite)
 {
-    WTI protocol(4);
+    WTI protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.read(2, B, false);
@@ -57,7 +60,7 @@ TEST(WTITest, SnoopersInvalidateOnWrite)
 
 TEST(WTITest, WriteMissAllocatesAndWritesThrough)
 {
-    WTI protocol(4);
+    WTI protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.write(1, B, false);
     EXPECT_EQ(protocol.events().count(EventType::WrtMiss), 1u);
@@ -73,7 +76,7 @@ TEST(WTITest, FirstRefWriteStillWritesThrough)
 {
     // Write-policy traffic is not a first-reference miss cost: the
     // word still travels to memory.
-    WTI protocol(4);
+    WTI protocol(4, blocks);
     protocol.write(0, B, true);
     EXPECT_EQ(protocol.ops().writeThroughs, 1u);
     EXPECT_EQ(protocol.ops().memSupplies, 0u); // the fetch is uncosted
@@ -81,7 +84,7 @@ TEST(WTITest, FirstRefWriteStillWritesThrough)
 
 TEST(WTITest, ReadSharingIsCheap)
 {
-    WTI protocol(4);
+    WTI protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.read(0, B, false);
@@ -92,7 +95,7 @@ TEST(WTITest, ReadSharingIsCheap)
 
 TEST(WTITest, RmBlkDrtyNeverOccurs)
 {
-    WTI protocol(4);
+    WTI protocol(4, blocks);
     protocol.write(0, B, true);
     protocol.write(0, B, false);
     protocol.read(1, B, false);
@@ -102,7 +105,7 @@ TEST(WTITest, RmBlkDrtyNeverOccurs)
 
 TEST(WTITest, InvariantsAcrossScenario)
 {
-    WTI protocol(4);
+    WTI protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.write(2, B, false);

@@ -11,16 +11,19 @@ namespace
 
 constexpr BlockNum B = 800;
 
+/** Block indices the scenarios touch (all below 1024). */
+constexpr BlockSpace blocks{1024};
+
 TEST(YenFuTest, SoleCopyCarriesSingleBit)
 {
-    YenFu protocol(4);
+    YenFu protocol(4, blocks);
     protocol.read(0, B, true);
     EXPECT_EQ(protocol.cacheState(0, B), YenFu::stCleanSingle);
 }
 
 TEST(YenFuTest, SecondCopyClearsSingleBitWithASignal)
 {
-    YenFu protocol(4);
+    YenFu protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     EXPECT_EQ(protocol.cacheState(0, B), YenFu::stClean);
@@ -31,7 +34,7 @@ TEST(YenFuTest, SecondCopyClearsSingleBitWithASignal)
 
 TEST(YenFuTest, SingleBitWriteSkipsDirectoryWait)
 {
-    YenFu protocol(4);
+    YenFu protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.write(0, B, false);
     EXPECT_EQ(protocol.events().count(EventType::WhBlkCln), 1u);
@@ -43,12 +46,12 @@ TEST(YenFuTest, SingleBitWriteSkipsDirectoryWait)
     EXPECT_EQ(protocol.ops().writeUpdates, 1u);
     EXPECT_EQ(protocol.ops().busTransactions, 1u);
     EXPECT_EQ(protocol.cacheState(0, B), YenFu::stDirty);
-    EXPECT_TRUE(protocol.directory().find(B)->dirty);
+    EXPECT_TRUE(protocol.directory().dirty(B));
 }
 
 TEST(YenFuTest, SharedWriteBehavesLikeCensierFeautrier)
 {
-    YenFu protocol(4);
+    YenFu protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(1, B, false);
     protocol.read(2, B, false);
@@ -63,7 +66,7 @@ TEST(YenFuTest, SameBusAccessesAsFullMapOnSingleWrite)
     // The write to a sole clean copy: Censier & Feautrier pays one
     // directory check; Yen & Fu pays one notification. Equal bus
     // cycles, different latency.
-    YenFu protocol(4);
+    YenFu protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.write(0, B, false);
     EXPECT_EQ(protocol.ops().dirChecks + protocol.ops().writeUpdates,
@@ -72,7 +75,7 @@ TEST(YenFuTest, SameBusAccessesAsFullMapOnSingleWrite)
 
 TEST(YenFuTest, DirtyMissFlushesLikeFullMap)
 {
-    YenFu protocol(4);
+    YenFu protocol(4, blocks);
     protocol.write(0, B, true);
     protocol.read(1, B, false);
     EXPECT_EQ(protocol.events().count(EventType::RmBlkDrty), 1u);
@@ -86,7 +89,7 @@ TEST(YenFuTest, DirtyMissFlushesLikeFullMap)
 
 TEST(YenFuTest, DirtyRewriteFree)
 {
-    YenFu protocol(4);
+    YenFu protocol(4, blocks);
     protocol.write(0, B, true);
     protocol.write(0, B, false);
     EXPECT_EQ(protocol.events().count(EventType::WhBlkDrty), 1u);
@@ -95,7 +98,7 @@ TEST(YenFuTest, DirtyRewriteFree)
 
 TEST(YenFuTest, InvariantsAcrossScenario)
 {
-    YenFu protocol(4);
+    YenFu protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.checkAllInvariants();
     protocol.read(1, B, false);

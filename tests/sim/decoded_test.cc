@@ -1,10 +1,10 @@
 /**
  * @file
- * Decode-once equality suite: the DecodedTrace pipeline (dense block
- * arenas, hash-free hot path) must produce bit-identical SimResults
- * to the legacy sparse engine — across every paper scheme and suite
- * trace, sequential and parallel grids, traced and untraced runs,
- * and infinite and finite caches.
+ * The decode-once pipeline: DecodedTrace's shape and labels; every
+ * entry point that decodes first (in-memory traces, files, grids at
+ * any job count, traced runs, warm-up) agreeing cell for cell; finite
+ * caches choosing sets by the original block numbers; and the
+ * rejections of mismatched streams and protocols.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "sim/decoded.hh"
 #include "sim/runner.hh"
 #include "sim/suite.hh"
+#include "test_util.hh"
 #include "trace/writer.hh"
 
 namespace dirsim
@@ -123,21 +124,29 @@ TEST(DecodedTraceTest, BitIdenticalAcrossPaperSchemes)
     }
 }
 
-TEST(DecodedTraceTest, FiniteCachesTakeTheSparseEngineIdentically)
+TEST(DecodedTraceTest, FiniteCachesIndexSetsByOriginalBlock)
 {
-    const auto traces = smallSuite();
+    // Blocks 0 and 2 share a set of a two-set direct-mapped cache, but
+    // their dense indices (0 and 1, in first-appearance order) do not:
+    // replacement must follow the original block numbers.
+    const Trace trace = test::makeTrace({
+        test::read(1, 0x00), // block 0, set 0
+        test::read(1, 0x20), // block 2, set 0: evicts block 0
+        test::read(1, 0x00), // a replacement miss, not a hit
+    });
     SimConfig config;
     FiniteCacheConfig geometry;
-    geometry.capacityBytes = 4 * 1024; // tiny: plenty of evictions
-    geometry.ways = 2;
+    geometry.capacityBytes = 2 * defaultBlockBytes;
+    geometry.ways = 1;
     geometry.blockBytes = config.blockBytes;
     config.finiteCache = geometry;
 
-    const DecodedTrace decoded = decodeTrace(
-        traces[0], config.blockBytes, config.sharing);
+    const DecodedTrace decoded =
+        decodeTrace(trace, config.blockBytes, config.sharing);
     for (const std::string scheme : {"Dir0B", "Dir2NB", "YenFu"}) {
-        expectIdentical(simulateTrace(decoded, scheme, config),
-                        simulateTrace(traces[0], scheme, config));
+        const SimResult result = simulateTrace(decoded, scheme, config);
+        EXPECT_EQ(result.events.count(EventType::RdMiss), 1u) << scheme;
+        EXPECT_EQ(result.events.count(EventType::RdHit), 0u) << scheme;
     }
 }
 
@@ -193,22 +202,22 @@ TEST(DecodedTraceTest, WarmupAndInvariantChecksMatch)
 
 TEST(DecodedTraceTest, RunnerGridsMatchLegacyAcrossJobCounts)
 {
+    // Grids at any job count match the one-cell entry point.
     const auto traces = smallSuite();
     const auto &schemes = paperSchemes();
-
-    RunnerConfig legacy;
-    legacy.jobs = 1;
-    legacy.decode = false;
-    const GridResult reference =
-        ExperimentRunner(legacy).run(schemes, traces);
 
     for (const unsigned jobs : {1u, 4u}) {
         RunnerConfig config;
         config.jobs = jobs;
-        config.decode = true;
         const GridResult grid =
             ExperimentRunner(config).run(schemes, traces);
-        expectIdenticalGrids(grid, reference);
+        ASSERT_EQ(grid.schemes.size(), schemes.size());
+        for (std::size_t s = 0; s < schemes.size(); ++s) {
+            ASSERT_EQ(grid.schemes[s].perTrace.size(), traces.size());
+            for (std::size_t t = 0; t < traces.size(); ++t)
+                expectIdentical(grid.schemes[s].perTrace[t],
+                                simulateTrace(traces[t], schemes[s]));
+        }
         for (std::size_t c = 0; c < grid.cells.size(); ++c)
             EXPECT_EQ(grid.cells[c].refs,
                       traces[c % traces.size()].size());
@@ -228,34 +237,24 @@ TEST(DecodedTraceTest, RunFilesReadsOnceAndMatchesLegacy)
     }
     const auto &schemes = paperSchemes();
 
-    RunnerConfig legacy;
-    legacy.jobs = 1;
-    legacy.decode = false;
+    RunnerConfig sequential;
+    sequential.jobs = 1;
     const GridResult reference =
-        ExperimentRunner(legacy).runFiles(schemes, paths);
+        ExperimentRunner(sequential).run(schemes, traces);
 
     for (const unsigned jobs : {1u, 4u}) {
         RunnerConfig config;
         config.jobs = jobs;
-        config.decode = true;
         const GridResult grid =
             ExperimentRunner(config).runFiles(schemes, paths);
         expectIdenticalGrids(grid, reference);
     }
 
-    // The single-file API matches too, hint or no hint.
-    const SimResult legacy_file = [&] {
-        const DecodedTrace decoded = decodeTraceFile(
-            paths[0], defaultBlockBytes, SharingModel::ByProcess);
-        return simulateTrace(decoded, "Dir4NB");
-    }();
+    // The single-file API matches the file's decoded stream.
+    const DecodedTrace decoded = decodeTraceFile(
+        paths[0], defaultBlockBytes, SharingModel::ByProcess);
     expectIdentical(simulateTraceFile(paths[0], "Dir4NB"),
-                    legacy_file);
-    expectIdentical(
-        simulateTraceFile(paths[0], "Dir4NB", SimConfig{},
-                          cachesNeeded(traces[0],
-                                       SharingModel::ByProcess)),
-        legacy_file);
+                    simulateTrace(decoded, "Dir4NB"));
 }
 
 TEST(DecodedTraceTest, MismatchedGeometryIsRejected)
@@ -274,11 +273,15 @@ TEST(DecodedTraceTest, MismatchedGeometryIsRejected)
     EXPECT_THROW(simulateTrace(decoded, "Dir0B", wrong_sharing),
                  UsageError);
 
-    // A protocol domain smaller than the stream's cache ids fails
-    // with the legacy mapper's message.
-    const auto small = makeProtocol("Dir0B", 1);
+    // A protocol domain smaller than the stream's cache ids fails.
+    const auto small = makeProtocol("Dir0B", 1, decoded.blockSpace());
     if (decoded.cachesUsed > 1)
         EXPECT_THROW(simulateTrace(decoded, *small), UsageError);
+
+    // So does a protocol built over another block space.
+    const auto unlabelled = makeProtocol(
+        "Dir0B", decoded.cachesNeeded, BlockSpace{decoded.blockCount()});
+    EXPECT_THROW(simulateTrace(decoded, *unlabelled), UsageError);
 }
 
 TEST(DecodedTraceTest, EmptyTraceFailsLikeTheLegacyPath)

@@ -141,19 +141,17 @@ TEST(RunnerTest, ProgressCarriesThroughputTelemetry)
     std::uint64_t trace_refs = 0;
     for (const Trace &trace : traces)
         trace_refs += trace.size();
-    // plannedRefs is exact on both engines: the decode-once path
-    // counts records while decoding, the legacy path sums
-    // trace.size() — either way, records × schemes, not an estimate.
+    // plannedRefs is exact: the plan counts records while decoding —
+    // records × schemes, not an estimate.
     const std::uint64_t planned = 2 * trace_refs;
 
-    for (const bool decode : {true, false}) {
+    {
         std::mutex mutex;
         std::uint64_t last_completed_refs = 0;
         std::size_t calls = 0;
         bool final_seen = false;
         RunnerConfig config;
         config.jobs = 2;
-        config.decode = decode;
         config.onCellComplete = [&](const GridProgress &progress) {
             std::lock_guard<std::mutex> lock(mutex);
             ++calls;
@@ -179,8 +177,41 @@ TEST(RunnerTest, ProgressCarriesThroughputTelemetry)
         };
         ExperimentRunner(config).run(
             std::vector<std::string>{"Dir0B", "WTI"}, traces);
-        EXPECT_EQ(calls, 2 * traces.size()) << "decode=" << decode;
-        EXPECT_TRUE(final_seen) << "decode=" << decode;
+        EXPECT_EQ(calls, 2 * traces.size());
+        EXPECT_TRUE(final_seen);
+    }
+}
+
+TEST(RunnerTest, RunJobMatchesLegacyEntryPoints)
+{
+    const auto traces = smallSuite();
+    const Trace &trace = traces[0];
+    const SchemeSpec scheme = parseScheme("Dir4NB");
+    const SimResult reference = simulateTrace(trace, scheme);
+
+    // Memory job, default options.
+    const CellOutcome memory = runJob({TraceRef::of(trace), scheme, {}});
+    expectIdentical(memory.result, reference);
+    EXPECT_FALSE(memory.cacheHit);
+    EXPECT_EQ(memory.records, trace.size());
+    EXPECT_EQ(memory.simulatedRefs, trace.size());
+
+    // An already-decoded stream.
+    const DecodedTrace decoded = decodeTrace(
+        trace, defaultBlockBytes, SharingModel::ByProcess);
+    expectIdentical(runJob({TraceRef::of(decoded), scheme, {}}).result,
+                    reference);
+
+    // A batch over every paper scheme, parallel workers, job order.
+    std::vector<SimJob> jobs;
+    for (const std::string &name : paperSchemes())
+        jobs.push_back({TraceRef::of(trace), parseScheme(name), {}});
+    const std::vector<CellOutcome> outcomes =
+        runJobs(jobs, {}, /* workers */ 4);
+    ASSERT_EQ(outcomes.size(), jobs.size());
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        expectIdentical(outcomes[j].result,
+                        simulateTrace(trace, jobs[j].scheme));
     }
 }
 

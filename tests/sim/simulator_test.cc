@@ -4,7 +4,7 @@
 
 #include "common/logging.hh"
 #include "protocols/registry.hh"
-#include "sim/simulator.hh"
+#include "sim/decoded.hh"
 #include "test_util.hh"
 #include "tracegen/generator.hh"
 
@@ -119,8 +119,10 @@ TEST(SimulatorTest, UndersizedProtocolRejected)
         read(100, 0x1000),
         read(101, 0x1000),
     });
-    const auto protocol = makeProtocol("Dir0B", 1);
-    EXPECT_THROW(simulateTrace(trace, *protocol, SimConfig{}),
+    const DecodedTrace decoded = decodeTrace(trace, defaultBlockBytes,
+                                             SharingModel::ByProcess);
+    const auto protocol = makeProtocol("Dir0B", 1, decoded.blockSpace());
+    EXPECT_THROW(simulateTrace(decoded, *protocol, SimConfig{}),
                  UsageError);
 }
 

@@ -1,9 +1,10 @@
 /**
  * @file
- * Streaming-vs-in-memory simulation equality: simulateTraceFile()
- * and ExperimentRunner::runFiles() must produce bit-identical
- * SimResults to the in-memory path for every paper scheme on every
- * standard-suite trace, over both container formats.
+ * File-vs-in-memory simulation equality: simulateTraceFile() and
+ * ExperimentRunner::runFiles(), which decode each file in one
+ * streaming read, must produce bit-identical SimResults to the
+ * in-memory path for every paper scheme on every standard-suite
+ * trace, over both container formats.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
+#include "sim/decoded.hh"
 #include "sim/runner.hh"
 #include "sim/suite.hh"
 #include "trace/reader.hh"
@@ -98,10 +100,12 @@ TEST(StreamingSimTest, StreamingSourceOverloadMatchesProtocolOverload)
     const Trace &trace = traces[1];
     const SimResult in_memory = simulateTrace(trace, "Dir0B");
 
-    const auto protocol = makeProtocol(
-        "Dir0B", cachesNeeded(trace, SharingModel::ByProcess));
     MemoryTraceSource source(trace);
-    expectIdentical(simulateTrace(source, *protocol), in_memory);
+    const DecodedTrace decoded = decodeTrace(source, defaultBlockBytes,
+                                             SharingModel::ByProcess);
+    const auto protocol =
+        makeProtocol("Dir0B", decoded.cachesNeeded, decoded.blockSpace());
+    expectIdentical(simulateTrace(decoded, *protocol), in_memory);
 }
 
 TEST(StreamingSimTest, WarmupAppliesIdenticallyWhenStreaming)
@@ -119,11 +123,11 @@ TEST(StreamingSimTest, ScanTraceFileReportsTheTrace)
     const auto traces = smallSuite();
     const auto paths = writeSuiteFiles(traces);
     for (std::size_t t = 0; t < traces.size(); ++t) {
-        const auto info =
-            scanTraceFile(paths[t], SharingModel::ByProcess);
-        EXPECT_EQ(info.name, traces[t].name());
-        EXPECT_EQ(info.records, traces[t].size());
-        EXPECT_EQ(info.caches,
+        const DecodedTrace decoded = decodeTraceFile(
+            paths[t], defaultBlockBytes, SharingModel::ByProcess);
+        EXPECT_EQ(decoded.name, traces[t].name());
+        EXPECT_EQ(decoded.numRecords(), traces[t].size());
+        EXPECT_EQ(decoded.cachesNeeded,
                   cachesNeeded(traces[t], SharingModel::ByProcess));
     }
 }

@@ -48,13 +48,13 @@ TEST(SweepExpandTest, LabelsCarryOnlyMultiValueAxes)
 
     SweepSpec spec = baseSpec();
     spec.blockBytes = {16, 32};
-    spec.shards = {1, 4};
+    spec.geometries = {SweepGeometry{}, SweepGeometry{false, 65536, 2}};
     const SweepPlan plan = expandSweep(spec);
     ASSERT_EQ(plan.cells.size(), 8u);
-    EXPECT_EQ(plan.cells[0].label, "pops@b16@x1");
-    EXPECT_EQ(plan.cells[1].label, "pops@b16@x4");
-    EXPECT_EQ(plan.cells[2].label, "pops@b32@x1");
-    EXPECT_EQ(plan.cells[3].label, "pops@b32@x4");
+    EXPECT_EQ(plan.cells[0].label, "pops@b16@inf");
+    EXPECT_EQ(plan.cells[1].label, "pops@b16@65536B2w");
+    EXPECT_EQ(plan.cells[2].label, "pops@b32@inf");
+    EXPECT_EQ(plan.cells[3].label, "pops@b32@65536B2w");
 }
 
 TEST(SweepExpandTest, CachesAxisMakesOneInstancePerCount)

@@ -170,21 +170,5 @@ TEST(RunSweepTest, ArtifactsRoundTripThroughJsonl)
     EXPECT_TRUE(loaded.metrics.has("runner.grid.cells"));
 }
 
-TEST(RunSweepTest, ShardAxisIsBitIdentical)
-{
-    // Sharding is a throughput knob: the same cell at any shard
-    // count must produce identical deterministic results.
-    const SweepPlan plan = expandSweep(parseSweepSpec(
-        R"({"name":"shards","schemes":["Dir0B"],)"
-        R"("traces":[{"profile":"pops","refs":20000,"seed":5}],)"
-        R"("shards":[1,4]})"));
-    ASSERT_EQ(plan.cells.size(), 2u);
-    const SweepOutcome outcome = runSweep(plan, {});
-    ASSERT_EQ(outcome.records.size(), 2u);
-    EXPECT_TRUE(outcome.records[0].events
-                == outcome.records[1].events);
-    EXPECT_TRUE(outcome.records[0].ops == outcome.records[1].ops);
-}
-
 } // namespace
 } // namespace dirsim

@@ -24,7 +24,6 @@ const char *const kFullSpec = R"({
   ],
   "block_bytes": [16, 32],
   "geometries": ["infinite", {"capacity_bytes": 65536, "ways": 2}],
-  "shards": [1, 4],
   "warmup_refs": 1000,
   "sharing": "processor"
 })";
@@ -55,7 +54,6 @@ TEST(SweepSpecTest, ParsesEveryMember)
     EXPECT_FALSE(spec.geometries[1].infinite);
     EXPECT_EQ(spec.geometries[1].capacityBytes, 65536u);
     EXPECT_EQ(spec.geometries[1].ways, 2u);
-    EXPECT_EQ(spec.shards, (std::vector<unsigned>{1, 4}));
     EXPECT_EQ(spec.warmupRefs, 1000u);
     EXPECT_EQ(spec.sharing, SharingModel::ByProcessor);
 }
@@ -69,7 +67,6 @@ TEST(SweepSpecTest, MinimalSpecGetsDefaults)
               (std::vector<unsigned>{defaultBlockBytes}));
     ASSERT_EQ(spec.geometries.size(), 1u);
     EXPECT_TRUE(spec.geometries[0].infinite);
-    EXPECT_EQ(spec.shards, (std::vector<unsigned>{1}));
     EXPECT_EQ(spec.warmupRefs, 0u);
     EXPECT_EQ(spec.sharing, SharingModel::ByProcess);
     EXPECT_EQ(spec.traces[0].refs, 60'000u);
@@ -99,6 +96,9 @@ TEST(SweepSpecTest, RejectsBadSpecsWithNamedMember)
         {R"({"name":"x","schemes":["Dir0B"],)"
          R"("traces":[{"profile":"pops"}],"typo_axis":[1]})",
          "typo_axis"},
+        {R"({"name":"x","schemes":["Dir0B"],)"
+         R"("traces":[{"profile":"pops"}],"shards":[1]})",
+         "shards"},
         {R"({"name":"x","schemes":["Dir0B"],)"
          R"("traces":[{"profile":"pops","caches":[70000]}]})",
          "caches"},
