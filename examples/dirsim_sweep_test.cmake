@@ -10,6 +10,9 @@
 #  4. The resumed artifacts diff clean against the uninterrupted
 #     run's (dirsim_report --diff-clean), and the rendered reports
 #     are byte-identical.
+#  5. A fully warm leg misses no cell and generates no trace
+#     (sweep.materialized_traces = 0), and still reports
+#     byte-identically.
 function(run out_var)
     execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc
                     OUTPUT_VARIABLE out ERROR_QUIET)
@@ -89,4 +92,15 @@ run(report_b ${SWEEP} report ${out_b})
 if(NOT report_a STREQUAL report_b)
     message(FATAL_ERROR
         "resumed and uninterrupted reports are not byte-identical")
+endif()
+
+# 5. Fully warm: every cell replays and no trace is generated.
+run(ignored ${SWEEP} resume ${spec} --out ${out_a})
+expect_counter("${out_a}/results.jsonl" "runner.cache.misses" EQUAL 0)
+expect_counter("${out_a}/results.jsonl" "sweep.materialized_traces"
+               EQUAL 0)
+run(report_warm ${SWEEP} report ${out_a})
+if(NOT report_warm STREQUAL report_b)
+    message(FATAL_ERROR
+        "the fully warm leg's report is not byte-identical")
 endif()

@@ -103,12 +103,14 @@ runWithArtifacts(const ExperimentRunner &runner,
     GridResult grid = runner.run(schemes, traces, sim);
     manifest.stampFinish();
 
-    for (const Trace &trace : traces) {
+    // Caches come from the grid's own cell data (the decode counted
+    // them), not from a second scan of every trace.
+    for (std::size_t t = 0; t < traces.size(); ++t) {
         TraceProvenance provenance;
-        provenance.name = trace.name();
+        provenance.name = traces[t].name();
         provenance.source = "memory";
-        provenance.records = trace.size();
-        provenance.caches = cachesNeeded(trace, sim.sharing);
+        provenance.records = traces[t].size();
+        provenance.caches = grid.schemes[0].perTrace[t].numCaches;
         manifest.traces.push_back(std::move(provenance));
     }
     emitArtifacts(std::move(manifest), grid, {}, sink, extraMetrics);

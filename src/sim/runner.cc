@@ -184,8 +184,9 @@ ExperimentRunner::runJobGrid(const std::vector<SimJob> &jobs,
     JobOptions options;
     options.cache = config.cellCache;
 
-    // Planning (decode + checksum each distinct trace once) is grid
-    // setup, charged as Read time; it makes plannedRefs exact.
+    // Planning is grid setup, charged as Read time. It decodes only
+    // files and, with a cache, the streams content keys hash; every
+    // other trace decodes in the first cell that needs it.
     const std::uint64_t plan_start = PhaseTimer::nowNs();
     const SimPlan plan = buildPlan(jobs, options);
     const std::uint64_t plan_ns = PhaseTimer::nowNs() - plan_start;

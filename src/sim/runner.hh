@@ -16,10 +16,10 @@
  *
  * The runner itself is a wrapper over the SimJob engine (sim/job.hh):
  * run()/runFiles() expand the grid into scheme-major SimJobs, build
- * one SimPlan (each distinct trace decoded and checksummed once), and
- * execute the planned cells on the pool. That routing is what gives
- * grids the content-addressed cell cache (RunnerConfig::cellCache)
- * for free.
+ * one SimPlan (each distinct trace decoded and checksummed at most
+ * once, by the plan or by the first cell that needs it), and execute
+ * the planned cells on the pool. That routing is what gives grids the
+ * content-addressed cell cache (RunnerConfig::cellCache) for free.
  */
 
 #ifndef DIRSIM_SIM_RUNNER_HH
@@ -79,7 +79,9 @@ struct GridProgress
     double elapsedSeconds = 0.0;
     /** References simulated by the cells finished so far. */
     std::uint64_t completedRefs = 0;
-    /** References the whole grid will simulate (known up front). */
+    /** References the whole grid will simulate, known up front:
+     *  exact, except that a trace not generated yet counts at its
+     *  target length. */
     std::uint64_t plannedRefs = 0;
     /** Cells served from the cell cache so far. */
     std::size_t cacheHits = 0;
@@ -172,8 +174,10 @@ struct GridResult
     /** Worker threads actually used. */
     unsigned jobs = 1;
     /**
-     * Grid-level work outside any cell: the plan's decode and
-     * checksum passes land here as Read time. Per-cell phase splits
+     * Grid-level work outside any cell: the plan-time decodes (trace
+     * files, and with a cell cache the content-keyed streams) and
+     * checksums land here as Read time. A trace decoded by its first
+     * cell is that cell's Read phase instead; per-cell phase splits
      * live in each SimResult::phases.
      */
     PhaseBreakdown setupPhases;
