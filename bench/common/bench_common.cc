@@ -95,7 +95,8 @@ namespace
 std::vector<SchemeResults>
 timedGridOrThrow(const std::vector<std::string> &schemes)
 {
-    RunnerConfig config = RunnerConfig::fromEnvironment();
+    // jobs = 0: DIRSIM_JOBS, else every hardware thread.
+    RunnerConfig config;
     // Content-addressed cell cache (DIRSIM_CACHE_DIR): reruns of
     // identical (trace, scheme, config) cells replay stored results.
     const auto cache = FileCellCache::fromEnvironment();
@@ -127,12 +128,12 @@ timedGridOrThrow(const std::vector<std::string> &schemes)
                 tracer->exportMetrics(metrics);
             };
         JsonlSink sink(jsonl_path);
-        grid = runWithArtifacts(runner, schemes, suite(), {}, sink,
-                                extra);
+        grid = runWithArtifacts(runner, parseSchemes(schemes), suite(),
+                                {}, sink, extra);
         hud.finish();
         inform("artifacts: wrote ", jsonl_path);
     } else {
-        grid = runner.run(schemes, suite());
+        grid = runner.run(parseSchemes(schemes), suite());
         hud.finish();
     }
     if (tracer)

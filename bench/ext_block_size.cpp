@@ -34,7 +34,7 @@ main()
             double fig1 = 0.0;
             for (const auto &trace : bench::suite()) {
                 const SimResult result =
-                    simulateTrace(trace, scheme, config);
+                    simulateTrace(trace, parseScheme(scheme), config);
                 costs_per_trace.push_back(
                     costFromOps(result.ops, result.totalRefs, costs));
                 miss += result.freqs().get(EventType::RdMiss);

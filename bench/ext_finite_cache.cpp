@@ -118,7 +118,7 @@ main(int argc, char **argv)
             std::vector<CycleBreakdown> per_trace;
             for (const auto &trace : bench::suite()) {
                 const SimResult result =
-                    simulateTrace(trace, scheme_name, config);
+                    simulateTrace(trace, parseScheme(scheme_name), config);
                 per_trace.push_back(
                     costFromOps(result.ops, result.totalRefs, costs));
             }

@@ -36,10 +36,11 @@ main()
     TextTable table({"scheme", "T&T&S", "raw T&S", "slowdown"});
     for (const char *scheme :
          {"Dir0B", "DirNNB", "Dragon", "WTI", "Dir1NB"}) {
+        const SchemeSpec spec = parseScheme(scheme);
         const double with_tts =
-            simulateTrace(tts_trace, scheme).cost(costs).total();
+            simulateTrace(tts_trace, spec).cost(costs).total();
         const double with_ts =
-            simulateTrace(ts_trace, scheme).cost(costs).total();
+            simulateTrace(ts_trace, spec).cost(costs).total();
         table.addRow({
             scheme,
             bench::cyc(with_tts),

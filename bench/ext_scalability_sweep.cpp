@@ -41,7 +41,8 @@ main()
         for (const std::string scheme :
              {"Dir0B", "Dir1B", "Dir2B", "Dir4B", "Dir2NB", "Dir4NB",
               "DirNNB"}) {
-            const SimResult result = simulateTrace(trace, scheme);
+            const SimResult result =
+                simulateTrace(trace, parseScheme(scheme));
             const CycleBreakdown cost = result.cost(costs);
             table.addRow({
                 std::to_string(procs),

@@ -60,11 +60,11 @@ main()
         SimConfig by_process;
         SimConfig by_cpu;
         by_cpu.sharing = SharingModel::ByProcessor;
+        const SchemeSpec dir0b = parseScheme("Dir0B");
         const double proc_cost =
-            simulateTrace(trace, "Dir0B", by_process).cost(costs)
-                .total();
+            simulateTrace(trace, dir0b, by_process).cost(costs).total();
         const double cpu_cost =
-            simulateTrace(trace, "Dir0B", by_cpu).cost(costs).total();
+            simulateTrace(trace, dir0b, by_cpu).cost(costs).total();
 
         table.addRow({
             TextTable::fixed(migration, 3),

@@ -37,10 +37,11 @@ main()
         user_only.push_back(keepUserOnly(trace));
     }
 
-    const auto schemes = paperSchemes();
-    const auto full_grid = runGrid(schemes, bench::suite());
-    const auto lockless_grid = runGrid(schemes, no_locks);
-    const auto user_grid = runGrid(schemes, user_only);
+    const std::vector<SchemeSpec> schemes = parseSchemes(paperSchemes());
+    const ExperimentRunner runner;
+    const auto full_grid = runner.run(schemes, bench::suite()).schemes;
+    const auto lockless_grid = runner.run(schemes, no_locks).schemes;
+    const auto user_grid = runner.run(schemes, user_only).schemes;
 
     TextTable table({"scheme", "total", "locks", "system", "other",
                      "lock share"});
@@ -55,7 +56,7 @@ main()
         const double system = std::max(0.0, full - without_system);
         const double other = std::max(0.0, full - locks - system);
         table.addRow({
-            schemes[i],
+            schemes[i].name(),
             bench::cyc(full),
             bench::cyc(locks),
             bench::cyc(system),

@@ -36,10 +36,11 @@ main()
             config.warmupRefs = static_cast<std::uint64_t>(
                 fraction * static_cast<double>(trace.size()));
             const SimResult r1 =
-                simulateTrace(trace, "Dir1NB", config);
-            const SimResult r0 = simulateTrace(trace, "Dir0B", config);
+                simulateTrace(trace, parseScheme("Dir1NB"), config);
+            const SimResult r0 =
+                simulateTrace(trace, parseScheme("Dir0B"), config);
             const SimResult rd =
-                simulateTrace(trace, "Dragon", config);
+                simulateTrace(trace, parseScheme("Dragon"), config);
             dir1nb.push_back(r1.cost(costs));
             dir0b.push_back(r0.cost(costs));
             dragon.push_back(rd.cost(costs));

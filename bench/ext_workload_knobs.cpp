@@ -34,7 +34,8 @@ report(TextTable &table, const Knob &knob, std::uint64_t refs)
     const char *schemes[4] = {"Dragon", "Dir0B", "WTI", "Dir1NB"};
     Histogram fig1;
     for (int i = 0; i < 4; ++i) {
-        const SimResult result = simulateTrace(trace, schemes[i]);
+        const SimResult result =
+            simulateTrace(trace, parseScheme(schemes[i]));
         totals[i] = result.cost(costs).total();
         if (i == 1)
             fig1 = result.cleanWriteHolders;

@@ -69,8 +69,9 @@ void
 BM_Simulate(benchmark::State &state, const char *scheme)
 {
     const Trace &trace = benchTrace();
+    const SchemeSpec spec = parseScheme(scheme);
     for (auto _ : state) {
-        const SimResult result = simulateTrace(trace, scheme);
+        const SimResult result = simulateTrace(trace, spec);
         benchmark::DoNotOptimize(result.totalRefs);
     }
     state.SetItemsProcessed(
@@ -106,8 +107,9 @@ BM_SimulateDecoded(benchmark::State &state, const char *scheme)
     const Trace &trace = benchTrace();
     const DecodedTrace decoded = decodeTrace(
         trace, defaultBlockBytes, SharingModel::ByProcess);
+    const SchemeSpec spec = parseScheme(scheme);
     for (auto _ : state) {
-        const SimResult result = simulateTrace(decoded, scheme);
+        const SimResult result = simulateTrace(decoded, spec);
         benchmark::DoNotOptimize(result.totalRefs);
     }
     state.SetItemsProcessed(
@@ -139,10 +141,10 @@ BM_RunGrid(benchmark::State &state)
     RunnerConfig config;
     config.jobs = static_cast<unsigned>(state.range(0));
     const ExperimentRunner runner(config);
+    const std::vector<SchemeSpec> schemes = parseSchemes(paperSchemes());
     std::uint64_t grid_refs = 0;
     for (auto _ : state) {
-        const GridResult grid =
-            runner.run(paperSchemes(), gridSuite());
+        const GridResult grid = runner.run(schemes, gridSuite());
         grid_refs = grid.totalRefs();
         benchmark::DoNotOptimize(grid.schemes.size());
     }
@@ -245,13 +247,14 @@ measureWarmCacheReplay(MetricRegistry &metrics)
     config.cellCache =
         std::make_shared<FileCellCache>(cache_dir.string());
     const ExperimentRunner runner(config);
+    const std::vector<SchemeSpec> schemes = parseSchemes(paperSchemes());
 
     GridResult cold, warm;
     const double cold_seconds = secondsOf([&] {
-        cold = runner.run(paperSchemes(), gridSuite());
+        cold = runner.run(schemes, gridSuite());
     });
     const double warm_seconds = secondsOf([&] {
-        warm = runner.run(paperSchemes(), gridSuite());
+        warm = runner.run(schemes, gridSuite());
     });
     fatalIf(warm.cacheHits() != warm.cells.size()
                 || warm.simulatedRefs() != 0,
@@ -300,7 +303,8 @@ main(int argc, char **argv)
             JsonlSink sink(stream);
             const ExperimentRunner runner;
             runWithArtifacts(
-                runner, paperSchemes(), gridSuite(), {}, sink,
+                runner, parseSchemes(paperSchemes()), gridSuite(), {},
+                sink,
                 [&engine_metrics](MetricRegistry &metrics) {
                     metrics.merge(engine_metrics);
                 });

@@ -27,7 +27,10 @@ main(int argc, char **argv)
     std::vector<Trace> filtered;
     for (const auto &trace : bench::suite())
         filtered.push_back(excludeLockRefs(trace));
-    const auto filtered_grid = runGrid(paperSchemes(), filtered);
+    const auto filtered_grid =
+        ExperimentRunner()
+            .run(parseSchemes(paperSchemes()), filtered)
+            .schemes;
 
     TextTable table({"scheme", "with locks", "locks excluded",
                      "change"});

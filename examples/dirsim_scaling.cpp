@@ -83,7 +83,7 @@ run(const std::string &out_dir, std::uint64_t invariant_period)
         const Trace trace = scalingTrace(n, params);
 
         EventTracer tracer(tracer_config);
-        RunnerConfig config = RunnerConfig::fromEnvironment();
+        RunnerConfig config;
         config.makeCellTraceSink =
             [&tracer](const std::string &scheme,
                       const std::string &trace_name) {

@@ -91,7 +91,7 @@ try {
     for (std::size_t s = 0; s < outcomes.size(); ++s)
         std::cerr << "  [" << s + 1 << "/" << outcomes.size() << "] "
                   << outcomes[s].result.scheme << " done in "
-                  << TextTable::fixed(outcomes[s].wallSeconds, 2)
+                  << TextTable::fixed(outcomes[s].timing.wallSeconds, 2)
                   << "s\n";
 
     std::cout << procs << "-processor machine, "

@@ -69,7 +69,8 @@ main()
     TextTable table({"scheme", "rd-hit", "rd-miss", "inval msgs",
                      "bus cycles", "cycles/ref"});
     for (const char *scheme : {"Dir1NB", "Dir0B", "DirNNB", "Dragon"}) {
-        const SimResult result = simulateTrace(trace, scheme);
+        const SimResult result =
+            simulateTrace(trace, parseScheme(scheme));
         const CycleBreakdown cost = result.cost(bus);
         table.addRow({
             scheme,

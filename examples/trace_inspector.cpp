@@ -101,7 +101,8 @@ main(int argc, char **argv)
             const DecodedTrace decoded =
                 decodeTraceFile(input, sim.blockBytes, sim.sharing);
             for (const auto &scheme : schemes)
-                results.push_back(simulateTrace(decoded, scheme, sim));
+                results.push_back(
+                    simulateTrace(decoded, parseScheme(scheme), sim));
         } else {
             const Trace trace = generateTrace(input, refs, seed);
             std::cout << "=== trace characteristics: " << trace.name()
@@ -109,7 +110,8 @@ main(int argc, char **argv)
             stats = computeTraceStats(trace);
             printTraceStats(stats);
             for (const auto &scheme : schemes)
-                results.push_back(simulateTrace(trace, scheme));
+                results.push_back(
+                    simulateTrace(trace, parseScheme(scheme)));
         }
 
         std::cout

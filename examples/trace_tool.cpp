@@ -113,7 +113,8 @@ simulate(const std::string &path, const std::string &scheme)
 {
     // One streaming read decodes the file (about 9 bytes per record
     // stay in memory); the decoded stream is then simulated.
-    const SimResult result = simulateTraceFile(path, scheme);
+    const SimResult result =
+        runJob({TraceRef::file(path), parseScheme(scheme), {}}).result;
     const CycleBreakdown pipe = result.cost(paperPipelinedCosts());
     const CycleBreakdown nonpipe =
         result.cost(paperNonPipelinedCosts());

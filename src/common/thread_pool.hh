@@ -1,8 +1,8 @@
 /**
  * @file
  * A small fixed-size worker pool with a FIFO task queue, the
- * concurrency substrate of the parallel experiment runner
- * (sim/runner.hh).
+ * concurrency substrate of the cell executor (runPlan(),
+ * sim/job.hh).
  *
  * Tasks are plain std::function<void()> closures. An exception
  * escaping a task does not kill the worker: the first one is captured

@@ -9,7 +9,7 @@
  *   #include "dirsim/dirsim.hh"
  *
  *   auto trace  = dirsim::generateTrace("pops", 1'000'000, 42);
- *   auto result = dirsim::simulateTrace(trace, "Dir0B");
+ *   auto result = dirsim::simulateTrace(trace, dirsim::parseScheme("Dir0B"));
  *   auto cost   = result.cost(dirsim::paperPipelinedCosts());
  *   std::cout << cost.total() << " bus cycles per reference\n";
  * @endcode

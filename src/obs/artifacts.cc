@@ -76,21 +76,6 @@ runFilesWithArtifacts(const ExperimentRunner &runner,
 }
 
 GridResult
-runFilesWithArtifacts(const ExperimentRunner &runner,
-                      const std::vector<std::string> &schemes,
-                      const std::vector<std::string> &tracePaths,
-                      const SimConfig &sim, ResultsSink &sink,
-                      const ExtraMetricsFn &extraMetrics)
-{
-    std::vector<SchemeSpec> specs;
-    specs.reserve(schemes.size());
-    for (const std::string &name : schemes)
-        specs.push_back(parseScheme(name));
-    return runFilesWithArtifacts(runner, specs, tracePaths, sim,
-                                 sink, extraMetrics);
-}
-
-GridResult
 runWithArtifacts(const ExperimentRunner &runner,
                  const std::vector<SchemeSpec> &schemes,
                  const std::vector<Trace> &traces,
@@ -115,21 +100,6 @@ runWithArtifacts(const ExperimentRunner &runner,
     }
     emitArtifacts(std::move(manifest), grid, {}, sink, extraMetrics);
     return grid;
-}
-
-GridResult
-runWithArtifacts(const ExperimentRunner &runner,
-                 const std::vector<std::string> &schemes,
-                 const std::vector<Trace> &traces,
-                 const SimConfig &sim, ResultsSink &sink,
-                 const ExtraMetricsFn &extraMetrics)
-{
-    std::vector<SchemeSpec> specs;
-    specs.reserve(schemes.size());
-    for (const std::string &name : schemes)
-        specs.push_back(parseScheme(name));
-    return runWithArtifacts(runner, specs, traces, sim, sink,
-                            extraMetrics);
 }
 
 RunArtifacts

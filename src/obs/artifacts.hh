@@ -48,24 +48,10 @@ GridResult runFilesWithArtifacts(
     const std::vector<std::string> &tracePaths, const SimConfig &sim,
     ResultsSink &sink, const ExtraMetricsFn &extraMetrics = {});
 
-/** Name-based convenience for runFilesWithArtifacts(). */
-GridResult runFilesWithArtifacts(
-    const ExperimentRunner &runner,
-    const std::vector<std::string> &schemes,
-    const std::vector<std::string> &tracePaths, const SimConfig &sim,
-    ResultsSink &sink, const ExtraMetricsFn &extraMetrics = {});
-
 /** In-memory variant: traces are recorded with source "memory" and
  *  no path/checksum provenance. */
 GridResult runWithArtifacts(const ExperimentRunner &runner,
                             const std::vector<SchemeSpec> &schemes,
-                            const std::vector<Trace> &traces,
-                            const SimConfig &sim, ResultsSink &sink,
-                            const ExtraMetricsFn &extraMetrics = {});
-
-/** Name-based convenience for runWithArtifacts(). */
-GridResult runWithArtifacts(const ExperimentRunner &runner,
-                            const std::vector<std::string> &schemes,
                             const std::vector<Trace> &traces,
                             const SimConfig &sim, ResultsSink &sink,
                             const ExtraMetricsFn &extraMetrics = {});

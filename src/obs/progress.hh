@@ -11,10 +11,11 @@
  *
  * @code
  *   ProgressHud hud;
- *   RunnerConfig config = RunnerConfig::fromEnvironment();
+ *   RunnerConfig config; // jobs 0: DIRSIM_JOBS, else every core
  *   if (ProgressHud::enabledFromEnvironment())
  *       config.onCellComplete = hud.callback();
- *   GridResult grid = ExperimentRunner(config).run(schemes, traces);
+ *   GridResult grid = ExperimentRunner(config).run(
+ *       parseSchemes(paperSchemes()), traces);
  *   hud.finish(); // newline-terminate the status line, if any
  * @endcode
  *

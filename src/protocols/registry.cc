@@ -183,6 +183,16 @@ parseScheme(const std::string &name)
           validSchemesText());
 }
 
+std::vector<SchemeSpec>
+parseSchemes(const std::vector<std::string> &names)
+{
+    std::vector<SchemeSpec> specs;
+    specs.reserve(names.size());
+    for (const std::string &name : names)
+        specs.push_back(parseScheme(name));
+    return specs;
+}
+
 std::unique_ptr<CoherenceProtocol>
 makeProtocol(const SchemeSpec &spec, unsigned num_caches,
              const BlockSpace &blocks, const CacheFactory &factory)
@@ -217,13 +227,6 @@ makeProtocol(const SchemeSpec &spec, unsigned num_caches,
                                         spec.pointers, factory);
     }
     panic("SchemeSpec with invalid family");
-}
-
-std::unique_ptr<CoherenceProtocol>
-makeProtocol(const std::string &name, unsigned num_caches,
-             const BlockSpace &blocks, const CacheFactory &factory)
-{
-    return makeProtocol(parseScheme(name), num_caches, blocks, factory);
 }
 
 const std::vector<std::string> &

@@ -4,11 +4,10 @@
  * from a structured SchemeSpec, used by the example CLIs and the
  * experiment layer.
  *
- * The structured path — parseScheme() into a SchemeSpec, then
- * makeProtocol(spec, ...) — is the primary API; the by-name
- * makeProtocol(name, ...) overload is a thin wrapper kept for
- * convenience. Specs carry the family, pointer budget, and broadcast
- * flag explicitly, so callers never re-parse "Dir<i>B" strings.
+ * A scheme name is parsed once, by parseScheme(), into a SchemeSpec;
+ * makeProtocol(spec, ...) and every simulation entry point take the
+ * spec. Specs carry the family, pointer budget, and broadcast flag
+ * explicitly, so callers never re-parse "Dir<i>B" strings.
  */
 
 #ifndef DIRSIM_PROTOCOLS_REGISTRY_HH
@@ -96,6 +95,10 @@ struct SchemeSpec
  */
 SchemeSpec parseScheme(const std::string &name);
 
+/** parseScheme() over a list, e.g. paperSchemes(). */
+std::vector<SchemeSpec> parseSchemes(
+    const std::vector<std::string> &names);
+
 /**
  * Instantiate a protocol from its structured spec.
  *
@@ -108,15 +111,6 @@ SchemeSpec parseScheme(const std::string &name);
  */
 std::unique_ptr<CoherenceProtocol> makeProtocol(
     const SchemeSpec &spec, unsigned num_caches, const BlockSpace &blocks,
-    const CacheFactory &factory = {});
-
-/**
- * Instantiate a protocol by name: parseScheme() + the spec overload.
- *
- * @throws UsageError for unknown names (see parseScheme())
- */
-std::unique_ptr<CoherenceProtocol> makeProtocol(
-    const std::string &name, unsigned num_caches, const BlockSpace &blocks,
     const CacheFactory &factory = {});
 
 /** Names of the four schemes the paper's main evaluation compares. */

@@ -218,11 +218,4 @@ simulateTrace(const DecodedTrace &decoded, const SchemeSpec &scheme,
     return simulateTrace(decoded, *protocol, config);
 }
 
-SimResult
-simulateTrace(const DecodedTrace &decoded, const std::string &scheme,
-              const SimConfig &config)
-{
-    return simulateTrace(decoded, parseScheme(scheme), config);
-}
-
 } // namespace dirsim

@@ -120,7 +120,7 @@ DecodedTrace decodeTrace(TraceSource &source, unsigned block_bytes,
 /**
  * Decode a trace file in a single streaming read — this both sizes
  * the coherence domain and captures the records, so a file is read
- * exactly once (simulateTraceFile, ExperimentRunner::runFiles).
+ * exactly once (a TraceRef::file() job, ExperimentRunner::runFiles).
  */
 DecodedTrace decodeTraceFile(const std::string &path,
                              unsigned block_bytes,
@@ -150,13 +150,6 @@ SimResult simulateTrace(const DecodedTrace &decoded,
  */
 SimResult simulateTrace(const DecodedTrace &decoded,
                         const SchemeSpec &scheme,
-                        const SimConfig &config = {});
-
-/** Legacy string-named convenience for the spec overload; kept as a
- *  one-line wrapper. Prefer runJob({TraceRef::of(decoded),
- *  parseScheme(name), config}) — sim/job.hh, docs/api.md. */
-SimResult simulateTrace(const DecodedTrace &decoded,
-                        const std::string &scheme,
                         const SimConfig &config = {});
 
 } // namespace dirsim

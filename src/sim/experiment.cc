@@ -1,7 +1,6 @@
 #include "sim/experiment.hh"
 
 #include "common/logging.hh"
-#include "sim/runner.hh"
 
 namespace dirsim
 {
@@ -70,14 +69,6 @@ SchemeResults::paperCost(const BusCosts &costs,
         return averagedCost(costs, options);
     return costFromFreqs(*kind, averagedFreqs(), costs,
                          mergedProfile(), options);
-}
-
-std::vector<SchemeResults>
-runGrid(const std::vector<std::string> &schemes,
-        const std::vector<Trace> &traces, const SimConfig &config)
-{
-    const ExperimentRunner runner;
-    return runner.run(schemes, traces, config).schemes;
 }
 
 CycleBreakdown

@@ -54,23 +54,6 @@ struct SchemeResults
                              const CostOptions &options = {}) const;
 };
 
-/**
- * Run every scheme on every trace.
- *
- * A thin wrapper over ExperimentRunner (sim/runner.hh): cells execute
- * on a worker pool sized by DIRSIM_JOBS (default: hardware threads;
- * 1 = the exact legacy sequential path), and the returned ordering
- * and results are identical to a sequential run. Use the runner
- * directly for progress callbacks and per-cell timing.
- *
- * @param schemes scheme names for protocols/registry.hh
- * @param traces input traces
- * @param config simulation parameters
- */
-std::vector<SchemeResults> runGrid(
-    const std::vector<std::string> &schemes,
-    const std::vector<Trace> &traces, const SimConfig &config = {});
-
 /** Component-wise arithmetic mean of breakdowns. */
 CycleBreakdown averageBreakdowns(
     const std::vector<CycleBreakdown> &breakdowns);

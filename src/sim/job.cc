@@ -1,10 +1,11 @@
 #include "sim/job.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
+#include <thread>
 
 #include "common/env.hh"
 #include "common/logging.hh"
@@ -17,12 +18,18 @@ namespace dirsim
 namespace
 {
 
-using Clock = std::chrono::steady_clock;
-
 double
-secondsSince(Clock::time_point start)
+secondsSince(std::uint64_t start_ns)
 {
-    return std::chrono::duration<double>(Clock::now() - start).count();
+    return static_cast<double>(PhaseTimer::nowNs() - start_ns) * 1e-9;
+}
+
+/** Opaque identity of the calling thread for timeline lanes. */
+std::uint64_t
+currentThreadTag()
+{
+    return static_cast<std::uint64_t>(
+        std::hash<std::thread::id>{}(std::this_thread::get_id()));
 }
 
 const char *
@@ -288,23 +295,24 @@ buildPlan(const std::vector<SimJob> &jobs, const JobOptions &options)
         // and the arrays a content key hashes.
         const bool content_keyed = cell.cacheable
             && ref.kind != TraceRef::Kind::Generated;
-        if (!stream.ready
-            && (ref.kind == TraceRef::Kind::File
-                || (content_keyed && checksums.count(&source) == 0))) {
-            materialize(stream);
-            stream.ready = true;
+        const bool unkeyed =
+            content_keyed && checksums.count(&source) == 0;
+        if (unkeyed
+            || (!stream.ready && ref.kind == TraceRef::Kind::File)) {
+            const std::uint64_t read_start = PhaseTimer::nowNs();
+            if (!stream.ready) {
+                materialize(stream);
+                stream.ready = true;
+            }
+            if (unkeyed)
+                checksums[&source] = traceChecksumFnv64(*stream.decoded);
+            plan.decodeNs += PhaseTimer::nowNs() - read_start;
         }
         if (cell.cacheable) {
-            std::uint64_t identity = 0;
-            if (content_keyed) {
-                const auto [it, fresh] = checksums.try_emplace(&source);
-                if (fresh)
-                    it->second = traceChecksumFnv64(*stream.decoded);
-                identity = it->second;
-            } else {
-                identity = ref.recipe.checksum();
-            }
-            cell.cacheKey = cellCacheKey(identity, job.scheme, job.config);
+            cell.cacheKey = cellCacheKey(content_keyed
+                                             ? checksums.at(&source)
+                                             : ref.recipe.checksum(),
+                                         job.scheme, job.config);
         }
 
         if (stream.ready) {
@@ -321,16 +329,37 @@ buildPlan(const std::vector<SimJob> &jobs, const JobOptions &options)
     return plan;
 }
 
+unsigned
+resolveJobs(unsigned requested)
+{
+    if (requested > 0)
+        return requested;
+    const unsigned env = envUnsigned("DIRSIM_JOBS", 0);
+    return env > 0 ? env : ThreadPool::hardwareThreads();
+}
+
+namespace
+{
+
+/**
+ * Execute one cell of a plan: cache lookup, simulation, cache store,
+ * with the whole CellTiming filled in. Safe to call for different
+ * indices from concurrent workers.
+ */
 CellOutcome
 runPlannedCell(const SimPlan &plan, std::size_t index,
-               ProtocolTraceSink *sink)
+               const CellSinkFactory &make_sink)
 {
-    panicIfNot(index < plan.cells.size(),
-               "runPlannedCell index ", index, " outside a plan of ",
-               plan.cells.size(), " cells");
     const PlannedCell &cell = plan.cells[index];
     CellOutcome out;
-    const auto start = Clock::now();
+    CellTiming &timing = out.timing;
+    timing.scheme = cell.scheme.name();
+    timing.traceName = cell.traceName;
+    timing.startNs = PhaseTimer::nowNs();
+    timing.threadTag = currentThreadTag();
+    std::unique_ptr<ProtocolTraceSink> sink;
+    if (make_sink)
+        sink = make_sink(timing.scheme, timing.traceName);
 
     // Traced cells skip the lookup (a replayed result cannot feed the
     // sink) but still store: the result is identical either way. A
@@ -338,9 +367,9 @@ runPlannedCell(const SimPlan &plan, std::size_t index,
     // result.
     if (cell.cacheable && plan.cache && sink == nullptr
         && plan.cache->lookup(cell.cacheKey, out.result)) {
-        out.cacheHit = true;
-        out.records = out.result.totalRefs + cell.config.warmupRefs;
-        out.wallSeconds = secondsSince(start);
+        timing.cacheHit = true;
+        timing.refs = out.result.totalRefs + cell.config.warmupRefs;
+        timing.wallSeconds = secondsSince(timing.startNs);
         return out;
     }
 
@@ -350,23 +379,93 @@ runPlannedCell(const SimPlan &plan, std::size_t index,
 
     SimConfig config = cell.config;
     if (sink != nullptr)
-        config.traceSink = sink;
+        config.traceSink = sink.get();
     out.result = simulateTrace(stream, cell.scheme, config);
     if (!cell.stream->ready)
         out.result.phases.add(Phase::Read, read_ns);
-    out.records = stream.numRecords();
-    out.simulatedRefs = out.records;
-    out.wallSeconds = secondsSince(start);
+    timing.refs = stream.numRecords();
+    timing.simulatedRefs = timing.refs;
     if (cell.cacheable && plan.cache)
-        plan.cache->store(cell.cacheKey, out.result, out.wallSeconds);
+        plan.cache->store(cell.cacheKey, out.result,
+                          secondsSince(timing.startNs));
+    timing.wallSeconds = secondsSince(timing.startNs);
     return out;
+}
+
+} // namespace
+
+PlanRun
+runPlan(const SimPlan &plan, const ExecOptions &options)
+{
+    PlanRun run;
+    run.jobs = resolveJobs(options.jobs);
+    run.outcomes.resize(plan.cells.size());
+    std::uint64_t planned_refs = plan.plannedRefs();
+
+    // Guards the tallies and the outcomes, and serializes the
+    // progress callback.
+    std::mutex mutex;
+    std::size_t completed = 0;
+    std::size_t hits = 0;
+    std::uint64_t completed_refs = 0;
+    bool stopped = false;
+
+    const auto dispatch = [&](std::size_t index) {
+        {
+            // The stop gate: budget and cancellation stop dispatching;
+            // cells in flight still finish and are recorded, which is
+            // what makes a cut sweep resumable.
+            std::lock_guard<std::mutex> lock(mutex);
+            stopped = stopped
+                || (options.cancel != nullptr
+                    && options.cancel->load(std::memory_order_relaxed))
+                || (options.maxSimulatedCells != 0
+                    && completed - hits >= options.maxSimulatedCells);
+            if (stopped)
+                return;
+        }
+        CellOutcome outcome =
+            runPlannedCell(plan, index, options.makeCellTraceSink);
+        std::lock_guard<std::mutex> lock(mutex);
+        ++completed;
+        hits += outcome.timing.cacheHit ? 1 : 0;
+        completed_refs += outcome.timing.refs;
+        // A finished cell's records are exact: replace the estimate.
+        planned_refs += outcome.timing.refs;
+        planned_refs -= plan.cells[index].records;
+        run.outcomes[index] = std::move(outcome);
+        if (options.onProgress) {
+            options.onProgress({completed, plan.cells.size(),
+                                run.outcomes[index]->timing,
+                                secondsSince(run.startNs),
+                                completed_refs, planned_refs, hits});
+        }
+    };
+
+    run.startNs = PhaseTimer::nowNs();
+    if (run.jobs == 1) {
+        for (std::size_t i = 0; i < plan.cells.size(); ++i)
+            dispatch(i);
+    } else {
+        ThreadPool pool(static_cast<unsigned>(std::min<std::size_t>(
+            run.jobs, plan.cells.size())));
+        for (std::size_t i = 0; i < plan.cells.size(); ++i)
+            pool.submit([&dispatch, i] { dispatch(i); });
+        pool.wait();
+    }
+    run.wallSeconds = secondsSince(run.startNs);
+    return run;
 }
 
 CellOutcome
 runJob(const SimJob &job, const JobOptions &options)
 {
     const SimPlan plan = buildPlan({job}, options);
-    return runPlannedCell(plan, 0);
+    ExecOptions sequential;
+    sequential.jobs = 1;
+    CellOutcome outcome = std::move(*runPlan(plan, sequential).outcomes[0]);
+    outcome.result.phases.add(Phase::Read, plan.decodeNs);
+    return outcome;
 }
 
 std::vector<CellOutcome>
@@ -374,23 +473,13 @@ runJobs(const std::vector<SimJob> &jobs, const JobOptions &options,
         unsigned workers)
 {
     const SimPlan plan = buildPlan(jobs, options);
-    std::vector<CellOutcome> outcomes(plan.cells.size());
-    if (workers == 0) {
-        const unsigned env = envUnsigned("DIRSIM_JOBS", 0);
-        workers = env > 0 ? env : ThreadPool::hardwareThreads();
-    }
-    if (workers <= 1 || plan.cells.size() <= 1) {
-        for (std::size_t i = 0; i < plan.cells.size(); ++i)
-            outcomes[i] = runPlannedCell(plan, i);
-        return outcomes;
-    }
-    ThreadPool pool(static_cast<unsigned>(std::min<std::size_t>(
-        workers, plan.cells.size())));
-    for (std::size_t i = 0; i < plan.cells.size(); ++i)
-        pool.submit([&plan, &outcomes, i] {
-            outcomes[i] = runPlannedCell(plan, i);
-        });
-    pool.wait();
+    ExecOptions exec;
+    exec.jobs = workers;
+    PlanRun run = runPlan(plan, exec);
+    std::vector<CellOutcome> outcomes;
+    outcomes.reserve(run.outcomes.size());
+    for (std::optional<CellOutcome> &outcome : run.outcomes)
+        outcomes.push_back(std::move(*outcome));
     return outcomes;
 }
 

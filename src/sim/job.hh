@@ -1,20 +1,23 @@
 /**
  * @file
- * The composable simulation entry point.
+ * The composable simulation entry point and its one cell executor.
  *
  * Every way of running a simulation — an in-memory Trace, a decoded
  * stream, a trace file, a trace generated from a recipe; one scheme
  * or a whole grid — is one shape here: a SimJob (trace reference +
  * scheme + SimConfig) expanded by buildPlan() into a SimPlan of
- * executable cells, each run by runPlannedCell(). Each distinct
- * trace is decoded (sim/decoded.hh) at most once per geometry, and
- * every cell runs the one simulation loop,
- * simulateTrace(DecodedTrace, ...). buildPlan() decodes up front only
- * what the plan needs before any cell starts; every other source is
- * materialized by the first cell that misses. The legacy entry points
- * (the scheme-building simulateTrace() overloads, runGrid(),
- * ExperimentRunner::run()/runFiles()) are thin wrappers over this
- * engine.
+ * executable cells, which runPlan() dispatches. Each distinct trace
+ * is decoded (sim/decoded.hh) at most once per geometry, and every
+ * cell runs the one simulation loop, simulateTrace(DecodedTrace,
+ * ...). buildPlan() decodes up front only what the plan needs before
+ * any cell starts; every other source is materialized by the first
+ * cell that misses.
+ *
+ * runPlan() is the only code that dispatches cells: runJob(),
+ * runJobs(), ExperimentRunner (sim/runner.hh) and runSweep()
+ * (sweep/run.hh) all plan and then call it, so job-count resolution,
+ * the worker pool, progress, per-cell tracing and the stop gate live
+ * in one place.
  *
  * The engine adds a cell cache (CellCache): results keyed by FNV-1a
  * 64 over (trace identity, canonical scheme name, SimConfig, engine
@@ -29,9 +32,12 @@
 #ifndef DIRSIM_SIM_JOB_HH
 #define DIRSIM_SIM_JOB_HH
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -177,8 +183,9 @@ struct PlannedCell
     SimConfig config;
     /** Shared stream (plan-owned); may still be undecoded. */
     PlanStream *stream = nullptr;
-    /** Workload name; empty for a generated trace (the result
-     *  carries it). */
+    /** The name the cell's CellTiming and trace sink carry: the
+     *  workload name, empty for a generated trace (the result
+     *  carries it). A caller may relabel it before runPlan(). */
     std::string traceName;
     /** Records this cell will process: exact, except a generated
      *  trace's target length. */
@@ -195,6 +202,9 @@ struct SimPlan
     /** Per-geometry streams of the sources, shared across cells. */
     std::vector<std::unique_ptr<PlanStream>> streams;
     std::shared_ptr<CellCache> cache;
+    /** Time buildPlan() spent decoding and checksumming up front,
+     *  before any cell ran: read work no cell's phases include. */
+    std::uint64_t decodeNs = 0;
 
     /** Sum of every cell's record count. */
     std::uint64_t plannedRefs() const;
@@ -204,17 +214,139 @@ struct SimPlan
     std::size_t materializedSources() const;
 };
 
+/** Execution metrics of one cell. */
+struct CellTiming
+{
+    std::string scheme;
+    /** The planned cell's traceName (a sweep's cell label). */
+    std::string traceName;
+    /** References the cell covers: the trace's records (incl.
+     *  fetches) when simulated, the replayed result's references
+     *  plus the warm-up on a cache hit. */
+    std::uint64_t refs = 0;
+    double wallSeconds = 0.0;
+    /**
+     * Cell start on the PhaseTimer::nowNs() clock and an opaque tag
+     * of the worker thread that ran it — enough to lay the grid out
+     * on a per-worker timeline (obs/chrome_trace.hh).
+     */
+    std::uint64_t startNs = 0;
+    std::uint64_t threadTag = 0;
+    /** True when the result came from the cell cache. */
+    bool cacheHit = false;
+    /** Records actually simulated: 0 for cache hits. */
+    std::uint64_t simulatedRefs = 0;
+
+    /** Simulation throughput; 0 when the cell ran too fast to time. */
+    double refsPerSecond() const
+    {
+        return wallSeconds > 0.0
+            ? static_cast<double>(refs) / wallSeconds
+            : 0.0;
+    }
+};
+
+/** Snapshot handed to the progress callback after each cell. */
+struct GridProgress
+{
+    /** Cells finished so far (including this one). */
+    std::size_t completedCells = 0;
+    std::size_t totalCells = 0;
+    /** The cell that just finished. */
+    const CellTiming &cell;
+    /** Wall time since the first dispatch. */
+    double elapsedSeconds = 0.0;
+    /** References covered by the cells finished so far. */
+    std::uint64_t completedRefs = 0;
+    /** References the whole plan covers: exact, except that a cell
+     *  whose trace was not generated at planning time counts at its
+     *  target length until it finishes. */
+    std::uint64_t plannedRefs = 0;
+    /** Cells served from the cell cache so far. */
+    std::size_t cacheHits = 0;
+
+    /** Aggregate throughput so far; 0 until measurable. */
+    double refsPerSecond() const
+    {
+        return elapsedSeconds > 0.0
+            ? static_cast<double>(completedRefs) / elapsedSeconds
+            : 0.0;
+    }
+
+    /** Remaining-work estimate from the throughput so far; 0 when
+     *  unknown or done. */
+    double etaSeconds() const
+    {
+        const double rate = refsPerSecond();
+        if (rate <= 0.0 || plannedRefs <= completedRefs)
+            return 0.0;
+        return static_cast<double>(plannedRefs - completedRefs)
+            / rate;
+    }
+};
+
+/**
+ * Invoked after every finished cell. Calls are serialized (never
+ * concurrent) but, with jobs > 1, arrive in completion order, not
+ * plan order.
+ */
+using ProgressCallback = std::function<void(const GridProgress &)>;
+
+/**
+ * Builds one per-cell trace sink (obs/tracer.hh sessions), keyed by
+ * (scheme, trace). Called once per cell on the worker thread that
+ * runs it; the sink is attached via SimConfig::traceSink for that
+ * cell only and destroyed (merging its data) when the cell finishes.
+ * Returning nullptr leaves the cell untraced.
+ */
+using CellSinkFactory =
+    std::function<std::unique_ptr<ProtocolTraceSink>(
+        const std::string &scheme, const std::string &trace)>;
+
 /** What executing one cell produced. */
 struct CellOutcome
 {
     SimResult result;
-    /** True when the result came from the cache, not simulation. */
-    bool cacheHit = false;
-    /** Records actually simulated: 0 on a cache hit. */
-    std::uint64_t simulatedRefs = 0;
-    /** Records the cell covers, simulated or replayed (a hit counts
-     *  the result's totalRefs plus the warm-up). */
-    std::uint64_t records = 0;
+    CellTiming timing;
+};
+
+/** How runPlan() dispatches a plan's cells. */
+struct ExecOptions
+{
+    /** Worker threads; 0 = resolveJobs(0), 1 = every cell in plan
+     *  order on the calling thread. */
+    unsigned jobs = 0;
+
+    /** Optional per-cell completion hook (see ProgressCallback). */
+    ProgressCallback onProgress;
+
+    /** Optional per-cell tracer-session factory. Tracing disables the
+     *  cache lookup — a replayed result cannot feed a tracer — but
+     *  the result is still stored. */
+    CellSinkFactory makeCellTraceSink;
+
+    /**
+     * Stop gate, checked before each dispatch: no further cell starts
+     * once this many cells have *simulated* (cache hits are free; 0 =
+     * unlimited) or once *cancel reads true. Cells in flight still
+     * finish and are recorded, so up to jobs - 1 cells can land past
+     * the budget.
+     */
+    std::uint64_t maxSimulatedCells = 0;
+    const std::atomic<bool> *cancel = nullptr;
+};
+
+/** What runPlan() produced. */
+struct PlanRun
+{
+    /** One entry per plan cell, in plan order; empty for a cell the
+     *  stop gate kept from starting. */
+    std::vector<std::optional<CellOutcome>> outcomes;
+    /** The resolved job count. */
+    unsigned jobs = 1;
+    /** First dispatch on the PhaseTimer::nowNs() clock, and the wall
+     *  time from there until the last cell finished. */
+    std::uint64_t startNs = 0;
     double wallSeconds = 0.0;
 };
 
@@ -232,28 +364,38 @@ SimPlan buildPlan(const std::vector<SimJob> &jobs,
                   const JobOptions &options = {});
 
 /**
- * Execute one cell of a plan: cache lookup, simulation, cache store.
- * A hit never touches the trace. A miss on a stream that is not
- * decoded yet materializes it under its source's latch and charges
- * the wait to the result's Read phase; every other cell of the stream
- * then shares it. Safe to call for different indices from concurrent
- * workers.
- * @p sink, when set, observes this cell (as SimConfig::traceSink);
- * tracing disables the cache *lookup* — a replayed result cannot feed
- * a tracer — but the result is still stored.
+ * The job count a request resolves to: @p requested when non-zero,
+ * else the DIRSIM_JOBS environment override when set and non-zero,
+ * else the hardware thread count. The only reader of DIRSIM_JOBS.
+ * @throws UsageError when DIRSIM_JOBS is malformed
  */
-CellOutcome runPlannedCell(const SimPlan &plan, std::size_t index,
-                           ProtocolTraceSink *sink = nullptr);
+unsigned resolveJobs(unsigned requested);
 
-/** Plan and run a single job. */
+/**
+ * Execute a plan's cells: the one cell dispatcher.
+ *
+ * At one job every cell runs in plan order on the calling thread;
+ * otherwise on one ThreadPool of min(jobs, cells) workers. Each cell
+ * is a cache lookup, else a simulation and a cache store. A hit never
+ * touches the trace; a miss on a stream not decoded yet materializes
+ * it under its source's latch and charges the wait to the result's
+ * Read phase. Results do not depend on the job count.
+ *
+ * @throws the first cell's exception (e.g. UsageError), after the
+ *         remaining dispatched cells finish
+ */
+PlanRun runPlan(const SimPlan &plan, const ExecOptions &options = {});
+
+/** Plan and run a single job on the calling thread. The plan's
+ *  up-front decode (SimPlan::decodeNs) is the cell's, so it is added
+ *  to the result's Read phase. */
 CellOutcome runJob(const SimJob &job, const JobOptions &options = {});
 
 /**
- * Plan and run a batch of jobs on @p workers threads (0 = the
- * DIRSIM_JOBS/hardware default; 1 = sequential on this thread).
- * Outcomes are returned in job order regardless of scheduling. For
- * scheme x trace grids with progress callbacks and timing telemetry,
- * use ExperimentRunner (a wrapper over the same engine).
+ * Plan and run a batch of jobs on @p workers threads (resolveJobs();
+ * 1 = sequential on this thread). Outcomes are returned in job order
+ * regardless of scheduling. For scheme x trace grids with progress
+ * callbacks, use ExperimentRunner (a wrapper over the same executor).
  */
 std::vector<CellOutcome> runJobs(const std::vector<SimJob> &jobs,
                                  const JobOptions &options = {},

@@ -36,12 +36,8 @@ scalingSchemes()
     // Dir0B through Dir_inf, plus both coarse-vector codes. The
     // region granularity 12 deliberately divides none of the default
     // cache counts, so every entry carries a short last region.
-    std::vector<SchemeSpec> specs;
-    for (const char *name :
-         {"Dir0B", "Dir1NB", "Dir2NB", "Dir4NB", "Dir4B", "DirCV",
-          "DirCVr12", "DirNNB"})
-        specs.push_back(parseScheme(name));
-    return specs;
+    return parseSchemes({"Dir0B", "Dir1NB", "Dir2NB", "Dir4NB", "Dir4B",
+                         "DirCV", "DirCVr12", "DirNNB"});
 }
 
 } // namespace dirsim

@@ -2,7 +2,6 @@
 
 #include "common/env.hh"
 #include "common/logging.hh"
-#include "sim/decoded.hh"
 #include "sim/job.hh"
 
 namespace dirsim
@@ -71,35 +70,6 @@ simulateTrace(const Trace &trace, const SchemeSpec &scheme,
               const SimConfig &config)
 {
     return runJob({TraceRef::of(trace), scheme, config}).result;
-}
-
-SimResult
-simulateTraceFile(const std::string &path, const SchemeSpec &scheme,
-                  const SimConfig &config)
-{
-    // One streaming read both sizes the coherence domain and captures
-    // the records; the whole decode is the cell's Read phase.
-    const std::uint64_t read_start = PhaseTimer::nowNs();
-    const DecodedTrace decoded =
-        decodeTraceFile(path, config.blockBytes, config.sharing);
-    const std::uint64_t read_ns = PhaseTimer::nowNs() - read_start;
-    SimResult result = simulateTrace(decoded, scheme, config);
-    result.phases.add(Phase::Read, read_ns);
-    return result;
-}
-
-SimResult
-simulateTraceFile(const std::string &path, const std::string &scheme,
-                  const SimConfig &config)
-{
-    return simulateTraceFile(path, parseScheme(scheme), config);
-}
-
-SimResult
-simulateTrace(const Trace &trace, const std::string &scheme,
-              const SimConfig &config)
-{
-    return simulateTrace(trace, parseScheme(scheme), config);
 }
 
 } // namespace dirsim

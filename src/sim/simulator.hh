@@ -132,20 +132,10 @@ struct SimResult
  *
  * One-line wrapper over the SimJob engine (sim/job.hh): the trace is
  * decoded (sim/decoded.hh) and the decoded stream simulated. New
- * code that wants the result cache should build a SimJob and call
- * runJob().
+ * code that wants the result cache, a trace file or a grid should
+ * build SimJobs and call runJob()/runJobs().
  */
 SimResult simulateTrace(const Trace &trace, const SchemeSpec &scheme,
-                        const SimConfig &config = {});
-
-/**
- * Legacy string-named convenience: parse the scheme name
- * (protocols/registry.hh), then run the spec-based overload. Kept as
- * a one-line wrapper for downstream code; prefer
- * runJob({TraceRef::of(trace), parseScheme(name), config}) — see
- * docs/api.md for the migration table.
- */
-SimResult simulateTrace(const Trace &trace, const std::string &scheme,
                         const SimConfig &config = {});
 
 /** Caches @p trace needs under @p sharing (distinct pids or CPUs). */
@@ -156,29 +146,6 @@ unsigned cachesNeeded(const Trace &trace, SharingModel sharing);
  * caches) when unset, a validated FiniteCache factory when set.
  */
 CacheFactory cacheFactoryFor(const SimConfig &config);
-
-/**
- * Simulate a trace file end to end: one streaming read decodes the
- * file (sim/decoded.hh) — validating it, sizing the coherence domain
- * and capturing the records at once — and the decoded stream is
- * simulated. The decode is the result's Read phase. The decoded
- * stream stays in memory, about 9 bytes per record.
- *
- * New code that wants the result cache should run a SimJob on a
- * TraceRef::file() instead (sim/job.hh, docs/api.md).
- */
-SimResult simulateTraceFile(const std::string &path,
-                            const SchemeSpec &scheme,
-                            const SimConfig &config = {});
-
-/**
- * Legacy string-named convenience for simulateTraceFile(); kept as a
- * one-line wrapper. Prefer a SimJob over TraceRef::file() with
- * parseScheme() (docs/api.md).
- */
-SimResult simulateTraceFile(const std::string &path,
-                            const std::string &scheme,
-                            const SimConfig &config = {});
 
 } // namespace dirsim
 

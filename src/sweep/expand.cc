@@ -136,8 +136,7 @@ expandSweep(const SweepSpec &spec)
 
     SweepPlan plan;
     plan.spec = spec;
-    for (const std::string &name : spec.schemes)
-        plan.schemes.push_back(parseScheme(name));
+    plan.schemes = parseSchemes(spec.schemes);
     for (const SweepTraceEntry &entry : spec.traces) {
         for (SweepTraceInstance &instance : instancesOf(entry))
             plan.traces.push_back(std::move(instance));

@@ -136,7 +136,7 @@ TEST_P(FreqVsOps, Agree)
 {
     const auto &[scheme, bus_kind] = GetParam();
     static const Trace trace = generateTrace("pops", 120'000, 314);
-    const SimResult result = simulateTrace(trace, scheme);
+    const SimResult result = simulateTrace(trace, parseScheme(scheme));
 
     const BusCosts costs =
         deriveBusCosts(paperBusTiming(), bus_kind);

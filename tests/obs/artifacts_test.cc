@@ -24,7 +24,8 @@ smallTraces()
             generateTrace("thor", 20'000, 4)};
 }
 
-const std::vector<std::string> kSchemes{"Dir0B", "WTI"};
+const std::vector<SchemeSpec> kSchemes =
+    parseSchemes({"Dir0B", "WTI"});
 
 /** Run the small grid through a JSONL sink, return the text. */
 std::string
@@ -50,7 +51,8 @@ TEST(RunWithArtifactsTest, ArtifactsRoundTripThroughJsonl)
     const RunArtifacts loaded = loadArtifacts(in);
 
     ASSERT_TRUE(loaded.hasManifest);
-    EXPECT_EQ(loaded.manifest.schemes, kSchemes);
+    EXPECT_EQ(loaded.manifest.schemes,
+              (std::vector<std::string>{"Dir0B", "WTI"}));
     EXPECT_EQ(loaded.manifest.jobs, grid.jobs);
     ASSERT_EQ(loaded.manifest.traces.size(), 2u);
     EXPECT_EQ(loaded.manifest.traces[0].source, "memory");

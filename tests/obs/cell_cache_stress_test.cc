@@ -43,7 +43,7 @@ TEST(FileCellCacheStressTest, ConcurrentSameKeyStoresNeverTear)
 {
     const std::string dir = freshCacheDir("same_key");
     const Trace trace = generateTrace("pops", 8'000, 7);
-    const SimResult result = simulateTrace(trace, "Dir0B");
+    const SimResult result = simulateTrace(trace, parseScheme("Dir0B"));
     constexpr std::uint64_t key = 0xfeedbeefcafe01u;
     constexpr std::uint64_t storesPerWriter = 200;
 
@@ -121,7 +121,7 @@ TEST(FileCellCacheStressTest, ManyThreadsDistinctKeysAllSurvive)
 {
     const std::string dir = freshCacheDir("distinct_keys");
     const Trace trace = generateTrace("pops", 8'000, 9);
-    const SimResult result = simulateTrace(trace, "WTI");
+    const SimResult result = simulateTrace(trace, parseScheme("WTI"));
 
     FileCellCache cache(dir);
     constexpr unsigned threads = 4;

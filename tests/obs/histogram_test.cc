@@ -138,7 +138,7 @@ TEST(FixedHistogramTest, TracerInvalidationsMatchFigureOneCounters)
             SimConfig sim;
             sim.traceSink = session.get();
             const SimResult result =
-                simulateTrace(trace, scheme, sim);
+                simulateTrace(trace, parseScheme(scheme), sim);
             session.reset();
 
             const Histogram &golden = result.cleanWriteHolders;

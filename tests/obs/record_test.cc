@@ -21,7 +21,7 @@ sampleRecord()
 {
     static const CellRecord record = [] {
         const Trace trace = generateTrace("pops", 20'000, 11);
-        const SimResult result = simulateTrace(trace, "Dir0B");
+        const SimResult result = simulateTrace(trace, parseScheme("Dir0B"));
         CellTiming timing;
         timing.scheme = result.scheme;
         timing.traceName = result.traceName;

@@ -22,7 +22,7 @@ sampleRecord()
 {
     static const CellRecord record = [] {
         const Trace trace = generateTrace("pero", 20'000, 5);
-        const SimResult result = simulateTrace(trace, "WTI");
+        const SimResult result = simulateTrace(trace, parseScheme("WTI"));
         CellTiming timing;
         timing.wallSeconds = 0.5;
         return CellRecord::fromCell(result, timing);

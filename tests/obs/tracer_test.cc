@@ -38,7 +38,7 @@ tracedRun(EventTracer &tracer, const Trace &trace,
     auto session = tracer.session(scheme, trace.name(), block);
     SimConfig sim;
     sim.traceSink = session.get();
-    return simulateTrace(trace, scheme, sim);
+    return simulateTrace(trace, parseScheme(scheme), sim);
     // session merges into the tracer on destruction
 }
 
@@ -64,7 +64,7 @@ TEST(TracerConfigTest, FromEnvironmentReadsOverrides)
 TEST(EventTracerTest, TracedRunIsBitIdenticalToUntraced)
 {
     const Trace trace = benchTrace();
-    const SimResult plain = simulateTrace(trace, "Dir1NB");
+    const SimResult plain = simulateTrace(trace, parseScheme("Dir1NB"));
 
     for (const unsigned period : {1u, 7u}) {
         TracerConfig config;
@@ -226,7 +226,8 @@ TEST(EventTracerTest, ParallelRunnerMergesOneTimelinePerCell)
     params.refsPerTrace = 20'000;
     params.seed = 5;
     const std::vector<Trace> traces = standardSuite(params);
-    const std::vector<std::string> schemes{"Dir1NB", "Dir0B"};
+    const std::vector<SchemeSpec> schemes =
+        parseSchemes({"Dir1NB", "Dir0B"});
 
     RunnerConfig sequential;
     sequential.jobs = 1;
@@ -271,7 +272,8 @@ TEST(ChromeTraceTest, GridExportsOneLanePerWorker)
     params.refsPerTrace = 15'000;
     params.seed = 9;
     const std::vector<Trace> traces = standardSuite(params);
-    const std::vector<std::string> schemes{"Dir1NB", "WTI"};
+    const std::vector<SchemeSpec> schemes =
+        parseSchemes({"Dir1NB", "WTI"});
 
     TracerConfig tracer_config;
     tracer_config.samplePeriod = 50;

@@ -34,7 +34,7 @@ testStream()
 SimResult
 run(const std::string &scheme)
 {
-    return simulateTrace(testStream(), scheme);
+    return simulateTrace(testStream(), parseScheme(scheme));
 }
 
 void

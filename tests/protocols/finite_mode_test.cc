@@ -36,19 +36,21 @@ tinyFactory()
 
 TEST(FiniteModeTest, InfiniteByDefault)
 {
-    const auto protocol = makeProtocol("Dir0B", 2, blocks);
+    const auto protocol = makeProtocol(parseScheme("Dir0B"), 2, blocks);
     EXPECT_FALSE(protocol->finiteCaches());
 }
 
 TEST(FiniteModeTest, FactoryEnablesFiniteMode)
 {
-    const auto protocol = makeProtocol("Dir0B", 2, blocks, tinyFactory());
+    const auto protocol =
+        makeProtocol(parseScheme("Dir0B"), 2, blocks, tinyFactory());
     EXPECT_TRUE(protocol->finiteCaches());
 }
 
 TEST(FiniteModeTest, CapacityEvictionsDropBlocks)
 {
-    const auto protocol = makeProtocol("DirNNB", 2, blocks, tinyFactory());
+    const auto protocol =
+        makeProtocol(parseScheme("DirNNB"), 2, blocks, tinyFactory());
     // Touch 32 distinct blocks from one cache: only 8 can remain.
     for (BlockNum block = 0; block < 32; ++block)
         protocol->read(0, block, true);
@@ -61,7 +63,8 @@ TEST(FiniteModeTest, CapacityEvictionsDropBlocks)
 
 TEST(FiniteModeTest, DirtyEvictionWritesBack)
 {
-    const auto protocol = makeProtocol("DirNNB", 2, blocks, tinyFactory());
+    const auto protocol =
+        makeProtocol(parseScheme("DirNNB"), 2, blocks, tinyFactory());
     // Blocks 0, 8, 16 map to the same set (8 sets); dirty the first.
     protocol->write(0, 0, true);
     protocol->read(0, 8, true);
@@ -72,7 +75,8 @@ TEST(FiniteModeTest, DirtyEvictionWritesBack)
 
 TEST(FiniteModeTest, CleanEvictionIsFree)
 {
-    const auto protocol = makeProtocol("DirNNB", 2, blocks, tinyFactory());
+    const auto protocol =
+        makeProtocol(parseScheme("DirNNB"), 2, blocks, tinyFactory());
     protocol->read(0, 0, true);
     protocol->read(0, 8, true);
     protocol->read(0, 16, true); // evicts clean block 0
@@ -81,7 +85,8 @@ TEST(FiniteModeTest, CleanEvictionIsFree)
 
 TEST(FiniteModeTest, EvictedBlockRemisses)
 {
-    const auto protocol = makeProtocol("Dir0B", 2, blocks, tinyFactory());
+    const auto protocol =
+        makeProtocol(parseScheme("Dir0B"), 2, blocks, tinyFactory());
     protocol->read(0, 0, true);
     protocol->read(0, 8, true);
     protocol->read(0, 16, true); // evicts 0
@@ -91,7 +96,8 @@ TEST(FiniteModeTest, EvictedBlockRemisses)
 
 TEST(FiniteModeTest, EvictionDoesNotDisturbOtherCaches)
 {
-    const auto protocol = makeProtocol("DirNNB", 3, blocks, tinyFactory());
+    const auto protocol =
+        makeProtocol(parseScheme("DirNNB"), 3, blocks, tinyFactory());
     protocol->read(0, 0, true);
     protocol->read(1, 0, false);
     // Cache 0 churns its set until block 0 is evicted from it.
@@ -104,7 +110,8 @@ TEST(FiniteModeTest, EvictionDoesNotDisturbOtherCaches)
 
 TEST(FiniteModeTest, WriteBackCostAppearsInWriteBackRow)
 {
-    const auto protocol = makeProtocol("DirNNB", 2, blocks, tinyFactory());
+    const auto protocol =
+        makeProtocol(parseScheme("DirNNB"), 2, blocks, tinyFactory());
     protocol->write(0, 0, true);
     protocol->read(0, 8, true);
     protocol->read(0, 16, true);
@@ -127,21 +134,22 @@ TEST_P(FiniteModeAllSchemes, InvariantsSurviveCapacityPressure)
     cache_config.capacityBytes = 4 * 1024; // 256 blocks: heavy churn
     cache_config.ways = 2;
     config.finiteCache = cache_config;
-    EXPECT_NO_THROW(simulateTrace(trace, GetParam(), config));
+    EXPECT_NO_THROW(simulateTrace(trace, parseScheme(GetParam()), config));
 }
 
 TEST_P(FiniteModeAllSchemes, SmallerCachesMissMore)
 {
     const Trace trace = generateTrace("pero", 60'000, 7);
     SimConfig infinite;
-    const SimResult base = simulateTrace(trace, GetParam(), infinite);
+    const SchemeSpec scheme = parseScheme(GetParam());
+    const SimResult base = simulateTrace(trace, scheme, infinite);
 
     SimConfig finite;
     FiniteCacheConfig cache_config;
     cache_config.capacityBytes = 8 * 1024;
     cache_config.ways = 2;
     finite.finiteCache = cache_config;
-    const SimResult capped = simulateTrace(trace, GetParam(), finite);
+    const SimResult capped = simulateTrace(trace, scheme, finite);
 
     EXPECT_GT(capped.events.count(EventType::RdMiss),
               base.events.count(EventType::RdMiss));
@@ -167,12 +175,13 @@ TEST(FiniteModeTest, PrebuiltInfiniteProtocolRejectsFiniteConfig)
     SimConfig config;
     config.finiteCache = FiniteCacheConfig{};
     const auto infinite =
-        makeProtocol("Dir0B", 4, decoded.blockSpace());
+        makeProtocol(parseScheme("Dir0B"), 4, decoded.blockSpace());
     EXPECT_THROW(simulateTrace(decoded, *infinite, config), UsageError);
 
     // A protocol that does run finite caches is honored.
     const auto finite =
-        makeProtocol("Dir0B", 4, decoded.blockSpace(), tinyFactory());
+        makeProtocol(parseScheme("Dir0B"), 4, decoded.blockSpace(),
+                     tinyFactory());
     EXPECT_NO_THROW(simulateTrace(decoded, *finite, config));
 }
 
@@ -183,7 +192,8 @@ TEST(FiniteModeTest, BlockSizeMismatchRejected)
     config.blockBytes = 32;
     FiniteCacheConfig cache_config; // blockBytes 16
     config.finiteCache = cache_config;
-    EXPECT_THROW(simulateTrace(trace, "Dir0B", config), UsageError);
+    EXPECT_THROW(simulateTrace(trace, parseScheme("Dir0B"), config),
+                 UsageError);
 }
 
 } // namespace

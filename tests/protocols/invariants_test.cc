@@ -31,7 +31,7 @@ allProtocols(unsigned caches)
 {
     std::vector<std::unique_ptr<CoherenceProtocol>> protocols;
     for (const auto &name : allSchemes())
-        protocols.push_back(makeProtocol(name, caches, blocks));
+        protocols.push_back(makeProtocol(parseScheme(name), caches, blocks));
     protocols.push_back(std::make_unique<DirIB>(caches, blocks, 2));
     protocols.push_back(std::make_unique<DirINB>(caches, blocks, 2));
     return protocols;
@@ -43,7 +43,7 @@ class ProtocolProperty : public ::testing::TestWithParam<std::string>
     std::unique_ptr<CoherenceProtocol>
     make(unsigned caches) const
     {
-        return makeProtocol(GetParam(), caches, blocks);
+        return makeProtocol(parseScheme(GetParam()), caches, blocks);
     }
 
     static bool
@@ -145,13 +145,13 @@ TEST_P(ProtocolProperty, GeneratedTraceKeepsInvariants)
     const Trace trace = generateTrace("thor", 60'000, 77);
     SimConfig config;
     config.invariantCheckPeriod = 5'000;
-    EXPECT_NO_THROW(simulateTrace(trace, GetParam(), config));
+    EXPECT_NO_THROW(simulateTrace(trace, parseScheme(GetParam()), config));
 }
 
 TEST_P(ProtocolProperty, EventIdentitiesHold)
 {
     const Trace trace = generateTrace("pops", 60'000, 78);
-    const SimResult result = simulateTrace(trace, GetParam());
+    const SimResult result = simulateTrace(trace, parseScheme(GetParam()));
     const EventCounts &e = result.events;
 
     // Read = RdHit + RdMiss + RmFirstRef.

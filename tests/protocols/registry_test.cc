@@ -16,7 +16,7 @@ constexpr BlockSpace blocks{16};
 TEST(RegistryTest, NamedSchemesResolve)
 {
     for (const auto &name : allSchemes()) {
-        const auto protocol = makeProtocol(name, 4, blocks);
+        const auto protocol = makeProtocol(parseScheme(name), 4, blocks);
         ASSERT_NE(protocol, nullptr) << name;
         EXPECT_EQ(protocol->name(), name);
         EXPECT_EQ(protocol->numCaches(), 4u);
@@ -25,41 +25,45 @@ TEST(RegistryTest, NamedSchemesResolve)
 
 TEST(RegistryTest, CaseInsensitive)
 {
-    EXPECT_EQ(makeProtocol("dir0b", 2, blocks)->name(), "Dir0B");
-    EXPECT_EQ(makeProtocol("DRAGON", 2, blocks)->name(), "Dragon");
-    EXPECT_EQ(makeProtocol("wti", 2, blocks)->name(), "WTI");
-    EXPECT_EQ(makeProtocol("dirnnb", 2, blocks)->name(), "DirNNB");
-    EXPECT_EQ(makeProtocol("yenfu", 2, blocks)->name(), "YenFu");
-    EXPECT_EQ(makeProtocol("DirCV", 2, blocks)->name(), "DirCV");
+    EXPECT_EQ(makeProtocol(parseScheme("dir0b"), 2, blocks)->name(), "Dir0B");
+    EXPECT_EQ(makeProtocol(parseScheme("DRAGON"), 2, blocks)->name(),
+              "Dragon");
+    EXPECT_EQ(makeProtocol(parseScheme("wti"), 2, blocks)->name(), "WTI");
+    EXPECT_EQ(makeProtocol(parseScheme("dirnnb"), 2, blocks)->name(),
+              "DirNNB");
+    EXPECT_EQ(makeProtocol(parseScheme("yenfu"), 2, blocks)->name(), "YenFu");
+    EXPECT_EQ(makeProtocol(parseScheme("DirCV"), 2, blocks)->name(), "DirCV");
 }
 
 TEST(RegistryTest, ParameterizedFamilies)
 {
-    EXPECT_EQ(makeProtocol("Dir2B", 8, blocks)->name(), "Dir2B");
-    EXPECT_EQ(makeProtocol("Dir4NB", 8, blocks)->name(), "Dir4NB");
-    EXPECT_EQ(makeProtocol("dir16b", 32, blocks)->name(), "Dir16B");
+    EXPECT_EQ(makeProtocol(parseScheme("Dir2B"), 8, blocks)->name(), "Dir2B");
+    EXPECT_EQ(makeProtocol(parseScheme("Dir4NB"), 8, blocks)->name(),
+              "Dir4NB");
+    EXPECT_EQ(makeProtocol(parseScheme("dir16b"), 32, blocks)->name(),
+              "Dir16B");
 }
 
 TEST(RegistryTest, Dir1NBUsesDedicatedImplementation)
 {
     // The explicit single-pointer scheme, not DirINB(1): its name is
     // the classic one and its behaviour is the paper's Dir1NB.
-    const auto protocol = makeProtocol("Dir1NB", 4, blocks);
+    const auto protocol = makeProtocol(parseScheme("Dir1NB"), 4, blocks);
     EXPECT_EQ(protocol->name(), "Dir1NB");
 }
 
 TEST(RegistryTest, RejectsUnknownNames)
 {
-    EXPECT_THROW(makeProtocol("MOESI", 4, blocks), UsageError);
-    EXPECT_THROW(makeProtocol("", 4, blocks), UsageError);
-    EXPECT_THROW(makeProtocol("DirXB", 4, blocks), UsageError);
-    EXPECT_THROW(makeProtocol("Dir2", 4, blocks), UsageError);
+    EXPECT_THROW(makeProtocol(parseScheme("MOESI"), 4, blocks), UsageError);
+    EXPECT_THROW(makeProtocol(parseScheme(""), 4, blocks), UsageError);
+    EXPECT_THROW(makeProtocol(parseScheme("DirXB"), 4, blocks), UsageError);
+    EXPECT_THROW(makeProtocol(parseScheme("Dir2"), 4, blocks), UsageError);
 }
 
 TEST(RegistryTest, UnknownNameErrorNamesOffenderAndValidSchemes)
 {
     try {
-        makeProtocol("MOESI", 4, blocks);
+        makeProtocol(parseScheme("MOESI"), 4, blocks);
         FAIL() << "expected UsageError";
     } catch (const UsageError &error) {
         const std::string what = error.what();
@@ -163,7 +167,8 @@ TEST(RegistryTest, DirCVrRoundTripsAndBuilds)
     EXPECT_FALSE(spec.parameterized());
     EXPECT_TRUE(spec.broadcast());
 
-    EXPECT_EQ(makeProtocol("dircvr4", 6, blocks)->name(), "DirCVr4");
+    EXPECT_EQ(makeProtocol(parseScheme("dircvr4"), 6, blocks)->name(),
+              "DirCVr4");
     EXPECT_EQ(makeProtocol(spec, 1022, blocks)->name(), "DirCVr12");
 
     // The two coarse-vector modes are distinct specs (distinct cell
@@ -191,7 +196,7 @@ TEST(RegistryTest, RejectsDir0NB)
 {
     // "The one case that does not make sense is Dir0 NB, since there
     // is no way to obtain exclusive access."
-    EXPECT_THROW(makeProtocol("Dir0NB", 4, blocks), UsageError);
+    EXPECT_THROW(makeProtocol(parseScheme("Dir0NB"), 4, blocks), UsageError);
 }
 
 TEST(RegistryTest, PaperSchemesAreTheEvaluationSet)
@@ -206,7 +211,7 @@ TEST(RegistryTest, PaperSchemesAreTheEvaluationSet)
 
 TEST(RegistryTest, ZeroCachesRejected)
 {
-    EXPECT_THROW(makeProtocol("Dir0B", 0, blocks), UsageError);
+    EXPECT_THROW(makeProtocol(parseScheme("Dir0B"), 0, blocks), UsageError);
 }
 
 } // namespace

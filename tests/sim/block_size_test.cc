@@ -31,7 +31,7 @@ class BlockSizeTest : public ::testing::TestWithParam<unsigned>
     {
         SimConfig config;
         config.blockBytes = GetParam();
-        return simulateTrace(trace(), scheme, config);
+        return simulateTrace(trace(), parseScheme(scheme), config);
     }
 };
 
@@ -65,8 +65,8 @@ TEST_P(BlockSizeTest, InvariantsHold)
     SimConfig config;
     config.blockBytes = GetParam();
     config.invariantCheckPeriod = 10'000;
-    EXPECT_NO_THROW(simulateTrace(trace(), "DirNNB", config));
-    EXPECT_NO_THROW(simulateTrace(trace(), "Dragon", config));
+    EXPECT_NO_THROW(simulateTrace(trace(), parseScheme("DirNNB"), config));
+    EXPECT_NO_THROW(simulateTrace(trace(), parseScheme("Dragon"), config));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, BlockSizeTest,
@@ -81,7 +81,7 @@ TEST(BlockSizeTrendTest, CoarserBlocksReduceCompulsoryMisses)
         SimConfig config;
         config.blockBytes = block_bytes;
         const SimResult result =
-            simulateTrace(trace, "Dragon", config);
+            simulateTrace(trace, parseScheme("Dragon"), config);
         const std::uint64_t first_refs =
             result.events.count(EventType::RmFirstRef)
             + result.events.count(EventType::WmFirstRef);
@@ -103,7 +103,7 @@ TEST(BlockSizeTrendTest, FalseSharingOffsetsCoalescing)
         SimConfig config;
         config.blockBytes = block_bytes;
         const SimResult result =
-            simulateTrace(trace, "Dir0B", config);
+            simulateTrace(trace, parseScheme("Dir0B"), config);
         return result.freqs().get(EventType::RdMiss);
     };
     EXPECT_GT(coherence_misses(32), coherence_misses(8));

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/experiment.hh"
+#include "sim/runner.hh"
 #include "sim/suite.hh"
 #include "trace/filter.hh"
 
@@ -30,9 +31,11 @@ class CalibrationTest : public ::testing::Test
         params.seed = 88;
         traces = new std::vector<Trace>(standardSuite(params));
         grid = new std::vector<SchemeResults>(
-            runGrid({"Dir1NB", "WTI", "Dir0B", "Dragon", "DirNNB",
-                     "Berkeley"},
-                    *traces));
+            ExperimentRunner()
+                .run(parseSchemes({"Dir1NB", "WTI", "Dir0B", "Dragon",
+                                   "DirNNB", "Berkeley"}),
+                     *traces)
+                .schemes);
     }
 
     static void
@@ -172,7 +175,10 @@ TEST_F(CalibrationTest, Section52SpinLockImpact)
     std::vector<Trace> filtered;
     for (const auto &trace : *traces)
         filtered.push_back(excludeLockRefs(trace));
-    const auto filtered_grid = runGrid({"Dir1NB", "Dir0B"}, filtered);
+    const auto filtered_grid =
+        ExperimentRunner()
+            .run(parseSchemes({"Dir1NB", "Dir0B"}), filtered)
+            .schemes;
 
     const double dir1nb_before = pipelinedTotal("Dir1NB");
     const double dir1nb_after =

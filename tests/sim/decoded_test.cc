@@ -117,7 +117,7 @@ TEST(DecodedTraceTest, BitIdenticalAcrossPaperSchemes)
         const DecodedTrace decoded =
             decodeTrace(trace, defaultBlockBytes,
                         SharingModel::ByProcess);
-        for (const auto &scheme : paperSchemes()) {
+        for (const SchemeSpec &scheme : parseSchemes(paperSchemes())) {
             expectIdentical(simulateTrace(decoded, scheme),
                             simulateTrace(trace, scheme));
         }
@@ -144,7 +144,8 @@ TEST(DecodedTraceTest, FiniteCachesIndexSetsByOriginalBlock)
     const DecodedTrace decoded =
         decodeTrace(trace, config.blockBytes, config.sharing);
     for (const std::string scheme : {"Dir0B", "Dir2NB", "YenFu"}) {
-        const SimResult result = simulateTrace(decoded, scheme, config);
+        const SimResult result =
+            simulateTrace(decoded, parseScheme(scheme), config);
         EXPECT_EQ(result.events.count(EventType::RdMiss), 1u) << scheme;
         EXPECT_EQ(result.events.count(EventType::RdHit), 0u) << scheme;
     }
@@ -156,7 +157,7 @@ TEST(DecodedTraceTest, TracedRunsStayIdenticalAndLabelRealBlocks)
     const Trace &trace = traces[1];
     const DecodedTrace decoded = decodeTrace(
         trace, defaultBlockBytes, SharingModel::ByProcess);
-    const SimResult untraced = simulateTrace(trace, "Dir1NB");
+    const SimResult untraced = simulateTrace(trace, parseScheme("Dir1NB"));
 
     TracerConfig tracer_config;
     tracer_config.samplePeriod = 64;
@@ -165,7 +166,7 @@ TEST(DecodedTraceTest, TracedRunsStayIdenticalAndLabelRealBlocks)
         SimConfig config;
         auto session = tracer.session("Dir1NB", trace.name());
         config.traceSink = session.get();
-        expectIdentical(simulateTrace(decoded, "Dir1NB", config),
+        expectIdentical(simulateTrace(decoded, parseScheme("Dir1NB"), config),
                         untraced);
     }
 
@@ -195,8 +196,9 @@ TEST(DecodedTraceTest, WarmupAndInvariantChecksMatch)
     const DecodedTrace decoded = decodeTrace(
         traces[2], config.blockBytes, config.sharing);
     for (const std::string scheme : {"Dir0B", "DirNNB", "DirCV"}) {
-        expectIdentical(simulateTrace(decoded, scheme, config),
-                        simulateTrace(traces[2], scheme, config));
+        expectIdentical(
+            simulateTrace(decoded, parseScheme(scheme), config),
+            simulateTrace(traces[2], parseScheme(scheme), config));
     }
 }
 
@@ -204,7 +206,7 @@ TEST(DecodedTraceTest, RunnerGridsMatchLegacyAcrossJobCounts)
 {
     // Grids at any job count match the one-cell entry point.
     const auto traces = smallSuite();
-    const auto &schemes = paperSchemes();
+    const std::vector<SchemeSpec> schemes = parseSchemes(paperSchemes());
 
     for (const unsigned jobs : {1u, 4u}) {
         RunnerConfig config;
@@ -235,7 +237,7 @@ TEST(DecodedTraceTest, RunFilesReadsOnceAndMatchesLegacy)
         writeBinaryTraceFile(trace, path);
         paths.push_back(path);
     }
-    const auto &schemes = paperSchemes();
+    const std::vector<SchemeSpec> schemes = parseSchemes(paperSchemes());
 
     RunnerConfig sequential;
     sequential.jobs = 1;
@@ -250,11 +252,12 @@ TEST(DecodedTraceTest, RunFilesReadsOnceAndMatchesLegacy)
         expectIdenticalGrids(grid, reference);
     }
 
-    // The single-file API matches the file's decoded stream.
+    // A single file job matches the file's decoded stream.
     const DecodedTrace decoded = decodeTraceFile(
         paths[0], defaultBlockBytes, SharingModel::ByProcess);
-    expectIdentical(simulateTraceFile(paths[0], "Dir4NB"),
-                    simulateTrace(decoded, "Dir4NB"));
+    const SchemeSpec dir4nb = parseScheme("Dir4NB");
+    expectIdentical(runJob({TraceRef::file(paths[0]), dir4nb, {}}).result,
+                    simulateTrace(decoded, dir4nb));
 }
 
 TEST(DecodedTraceTest, MismatchedGeometryIsRejected)
@@ -265,22 +268,25 @@ TEST(DecodedTraceTest, MismatchedGeometryIsRejected)
 
     SimConfig wrong_block;
     wrong_block.blockBytes = defaultBlockBytes * 2;
-    EXPECT_THROW(simulateTrace(decoded, "Dir0B", wrong_block),
+    EXPECT_THROW(simulateTrace(decoded, parseScheme("Dir0B"), wrong_block),
                  UsageError);
 
     SimConfig wrong_sharing;
     wrong_sharing.sharing = SharingModel::ByProcessor;
-    EXPECT_THROW(simulateTrace(decoded, "Dir0B", wrong_sharing),
+    EXPECT_THROW(simulateTrace(decoded, parseScheme("Dir0B"), wrong_sharing),
                  UsageError);
 
     // A protocol domain smaller than the stream's cache ids fails.
-    const auto small = makeProtocol("Dir0B", 1, decoded.blockSpace());
-    if (decoded.cachesUsed > 1)
+    const auto small =
+        makeProtocol(parseScheme("Dir0B"), 1, decoded.blockSpace());
+    if (decoded.cachesUsed > 1) {
         EXPECT_THROW(simulateTrace(decoded, *small), UsageError);
+    }
 
     // So does a protocol built over another block space.
-    const auto unlabelled = makeProtocol(
-        "Dir0B", decoded.cachesNeeded, BlockSpace{decoded.blockCount()});
+    const auto unlabelled =
+        makeProtocol(parseScheme("Dir0B"), decoded.cachesNeeded,
+                     BlockSpace{decoded.blockCount()});
     EXPECT_THROW(simulateTrace(decoded, *unlabelled), UsageError);
 }
 
@@ -290,7 +296,7 @@ TEST(DecodedTraceTest, EmptyTraceFailsLikeTheLegacyPath)
     const DecodedTrace decoded = decodeTrace(
         empty, defaultBlockBytes, SharingModel::ByProcess);
     EXPECT_EQ(decoded.numRecords(), 0u);
-    EXPECT_THROW(simulateTrace(decoded, "Dir0B"), UsageError);
+    EXPECT_THROW(simulateTrace(decoded, parseScheme("Dir0B")), UsageError);
 }
 
 } // namespace

@@ -1,0 +1,247 @@
+/**
+ * @file
+ * The executor's contract (sim/job.hh runPlan()), checked through
+ * each of its callers — runPlan itself, runJobs, ExperimentRunner and
+ * runSweep — at one job and at four: results bit-identical to the
+ * sequential run, a serialized once-per-cell progress callback that
+ * ends at the planned reference count, cell errors surfacing as
+ * UsageError, and the sweep budget's bound on cells in flight.
+ * Labelled `runner`, so the tsan preset runs it.
+ */
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <filesystem>
+#include <functional>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "common/logging.hh"
+#include "obs/cell_cache.hh"
+#include "obs/record.hh"
+#include "sim/runner.hh"
+#include "sweep/run.hh"
+#include "tracegen/generator.hh"
+
+namespace dirsim
+{
+namespace
+{
+
+constexpr std::uint64_t kRefs = 12'000;
+
+const std::vector<std::string> kSchemes = {"Dir0B", "WTI", "Dragon"};
+
+const std::vector<Trace> &
+traces()
+{
+    static const std::vector<Trace> suite = {
+        generateTrace("pops", kRefs, 5), generateTrace("thor", kRefs, 6)};
+    return suite;
+}
+
+/** The scheme-major jobs of the grid every caller runs. */
+std::vector<SimJob>
+gridJobs(const SimConfig &config)
+{
+    std::vector<SimJob> jobs;
+    for (const SchemeSpec &scheme : parseSchemes(kSchemes))
+        for (const Trace &trace : traces())
+            jobs.push_back({TraceRef::of(trace), scheme, config});
+    return jobs;
+}
+
+/** The same grid as a sweep: generated traces, scheme-major. */
+SweepPlan
+sweepPlan(std::uint64_t warmup)
+{
+    std::string schemes;
+    for (const std::string &name : kSchemes)
+        schemes += (schemes.empty() ? "\"" : ",\"") + name + "\"";
+    return expandSweep(parseSweepSpec(
+        R"({"name":"contract","schemes":[)" + schemes + "],"
+        + R"("traces":[{"profile":"pops","refs":12000,"seed":5},)"
+        + R"({"profile":"thor","refs":12000,"seed":6}],)"
+        + R"("warmup_refs":)" + std::to_string(warmup) + "}"));
+}
+
+std::vector<CellRecord>
+recordsOf(std::vector<std::optional<CellOutcome>> outcomes)
+{
+    std::vector<CellRecord> records;
+    for (const std::optional<CellOutcome> &outcome : outcomes)
+        records.push_back(
+            CellRecord::fromCell(outcome->result, outcome->timing));
+    return records;
+}
+
+/** One caller of the executor over the grid. */
+struct Caller
+{
+    std::string name;
+    /** False for runJobs, which takes no progress callback. */
+    bool reportsProgress = true;
+    std::function<std::vector<CellRecord>(
+        unsigned jobs, std::uint64_t warmup,
+        const ProgressCallback &progress)>
+        run;
+};
+
+std::vector<Caller>
+callers()
+{
+    std::vector<Caller> all;
+    all.push_back({"runPlan", true,
+                   [](unsigned jobs, std::uint64_t warmup,
+                      const ProgressCallback &progress) {
+                       SimConfig config;
+                       config.warmupRefs = warmup;
+                       const SimPlan plan = buildPlan(gridJobs(config));
+                       ExecOptions options;
+                       options.jobs = jobs;
+                       options.onProgress = progress;
+                       return recordsOf(runPlan(plan, options).outcomes);
+                   }});
+    all.push_back({"runJobs", false,
+                   [](unsigned jobs, std::uint64_t warmup,
+                      const ProgressCallback &) {
+                       SimConfig config;
+                       config.warmupRefs = warmup;
+                       std::vector<std::optional<CellOutcome>> outcomes;
+                       for (CellOutcome &outcome :
+                            runJobs(gridJobs(config), {}, jobs))
+                           outcomes.push_back(std::move(outcome));
+                       return recordsOf(std::move(outcomes));
+                   }});
+    all.push_back({"ExperimentRunner", true,
+                   [](unsigned jobs, std::uint64_t warmup,
+                      const ProgressCallback &progress) {
+                       SimConfig config;
+                       config.warmupRefs = warmup;
+                       RunnerConfig runner;
+                       runner.jobs = jobs;
+                       runner.onCellComplete = progress;
+                       const GridResult grid =
+                           ExperimentRunner(runner).run(
+                               parseSchemes(kSchemes), traces(), config);
+                       std::vector<CellRecord> records;
+                       for (std::size_t i = 0; i < grid.cells.size();
+                            ++i) {
+                           const std::size_t n = traces().size();
+                           records.push_back(CellRecord::fromCell(
+                               grid.schemes[i / n].perTrace[i % n],
+                               grid.cells[i]));
+                       }
+                       return records;
+                   }});
+    all.push_back({"runSweep", true,
+                   [](unsigned jobs, std::uint64_t warmup,
+                      const ProgressCallback &progress) {
+                       SweepOptions options;
+                       options.jobs = jobs;
+                       options.onProgress = progress;
+                       return runSweep(sweepPlan(warmup), options)
+                           .records;
+                   }});
+    return all;
+}
+
+void
+expectSameCells(const std::vector<CellRecord> &a,
+                const std::vector<CellRecord> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].scheme, b[i].scheme);
+        EXPECT_EQ(a[i].trace, b[i].trace);
+        EXPECT_EQ(a[i].numCaches, b[i].numCaches);
+        EXPECT_EQ(a[i].totalRefs, b[i].totalRefs);
+        EXPECT_TRUE(a[i].events == b[i].events) << a[i].trace;
+        EXPECT_TRUE(a[i].ops == b[i].ops) << a[i].trace;
+        EXPECT_TRUE(a[i].cleanWriteHolders == b[i].cleanWriteHolders)
+            << a[i].trace;
+    }
+}
+
+TEST(ExecutorContractTest, ResultsAreBitIdenticalAcrossJobCounts)
+{
+    for (const Caller &caller : callers()) {
+        SCOPED_TRACE(caller.name);
+        const std::vector<CellRecord> sequential = caller.run(1, 0, {});
+        ASSERT_EQ(sequential.size(), kSchemes.size() * traces().size());
+        expectSameCells(caller.run(4, 0, {}), sequential);
+    }
+}
+
+TEST(ExecutorContractTest, ProgressFiresOncePerCellAndNeverConcurrently)
+{
+    const std::size_t cells = kSchemes.size() * traces().size();
+    for (const Caller &caller : callers()) {
+        if (!caller.reportsProgress)
+            continue;
+        for (const unsigned jobs : {1u, 4u}) {
+            SCOPED_TRACE(caller.name + " jobs=" + std::to_string(jobs));
+            std::atomic<bool> inside{false};
+            std::size_t calls = 0;
+            std::uint64_t completed_refs = 0;
+            std::uint64_t planned_refs = 0;
+            caller.run(jobs, 0, [&](const GridProgress &progress) {
+                EXPECT_FALSE(inside.exchange(true)) << "overlapping call";
+                ++calls;
+                EXPECT_EQ(progress.completedCells, calls);
+                EXPECT_EQ(progress.totalCells, cells);
+                EXPECT_GE(progress.completedRefs, completed_refs);
+                completed_refs = progress.completedRefs;
+                planned_refs = progress.plannedRefs;
+                inside.store(false);
+            });
+            EXPECT_EQ(calls, cells);
+            EXPECT_GT(planned_refs, 0u);
+            EXPECT_EQ(completed_refs, planned_refs);
+        }
+    }
+}
+
+TEST(ExecutorContractTest, WarmupPastTheTraceSurfacesAsUsageError)
+{
+    for (const Caller &caller : callers()) {
+        for (const unsigned jobs : {1u, 4u}) {
+            SCOPED_TRACE(caller.name + " jobs=" + std::to_string(jobs));
+            EXPECT_THROW(caller.run(jobs, 2 * kRefs, {}), UsageError);
+        }
+    }
+}
+
+TEST(ExecutorContractTest, SweepBudgetIsCheckedBeforeEachDispatch)
+{
+    // 16 cells; the gate admits a cell while fewer than B have
+    // simulated, so at most jobs - 1 = 3 others can land past B.
+    const SweepPlan plan = expandSweep(parseSweepSpec(
+        R"({"name":"budget","schemes":["Dir0B","WTI","Dragon","Dir1NB"],)"
+        R"("traces":[{"profile":"pops","refs":12000,"seed":5},)"
+        R"({"profile":"thor","refs":12000,"seed":6}],)"
+        R"("block_bytes":[16,32]})"));
+    ASSERT_EQ(plan.cells.size(), 16u);
+    const std::filesystem::path dir =
+        std::filesystem::path(testing::TempDir()) / "dirsim_executor"
+        / "budget";
+    std::filesystem::remove_all(dir);
+    constexpr std::uint64_t budget = 2;
+    SweepOptions options;
+    options.jobs = 4;
+    options.cache = std::make_shared<FileCellCache>(dir.string());
+    options.maxSimulatedCells = budget;
+    const SweepOutcome outcome = runSweep(plan, options);
+    EXPECT_FALSE(outcome.completed);
+    EXPECT_EQ(outcome.cacheHits, 0u);
+    EXPECT_GE(outcome.cacheMisses, budget);
+    EXPECT_LE(outcome.cacheMisses, budget + 3);
+    EXPECT_EQ(outcome.records.size(), outcome.cacheMisses);
+}
+
+} // namespace
+} // namespace dirsim

@@ -4,6 +4,7 @@
 
 #include "common/logging.hh"
 #include "sim/experiment.hh"
+#include "sim/runner.hh"
 #include "sim/suite.hh"
 #include "tracegen/generator.hh"
 
@@ -21,10 +22,18 @@ smallSuite()
     return standardSuite(params);
 }
 
+/** Every named scheme on every trace, through the runner. */
+std::vector<SchemeResults>
+runSchemes(const std::vector<std::string> &schemes,
+           const std::vector<Trace> &traces)
+{
+    return ExperimentRunner().run(parseSchemes(schemes), traces).schemes;
+}
+
 TEST(ExperimentTest, GridCoversSchemesAndTraces)
 {
     const auto traces = smallSuite();
-    const auto grid = runGrid({"Dir0B", "Dragon"}, traces);
+    const auto grid = runSchemes({"Dir0B", "Dragon"}, traces);
     ASSERT_EQ(grid.size(), 2u);
     EXPECT_EQ(grid[0].scheme, "Dir0B");
     EXPECT_EQ(grid[0].perTrace.size(), 3u);
@@ -35,14 +44,14 @@ TEST(ExperimentTest, GridCoversSchemesAndTraces)
 TEST(ExperimentTest, GridRejectsEmptyInputs)
 {
     const auto traces = smallSuite();
-    EXPECT_THROW(runGrid({}, traces), UsageError);
-    EXPECT_THROW(runGrid({"Dir0B"}, {}), UsageError);
+    EXPECT_THROW(runSchemes({}, traces), UsageError);
+    EXPECT_THROW(runSchemes({"Dir0B"}, {}), UsageError);
 }
 
 TEST(ExperimentTest, AveragedFreqsIsMeanOfPerTrace)
 {
     const auto traces = smallSuite();
-    const auto grid = runGrid({"Dir0B"}, traces);
+    const auto grid = runSchemes({"Dir0B"}, traces);
     const EventFreqs avg = grid[0].averagedFreqs();
     double manual = 0.0;
     for (const auto &result : grid[0].perTrace)
@@ -54,7 +63,7 @@ TEST(ExperimentTest, AveragedFreqsIsMeanOfPerTrace)
 TEST(ExperimentTest, MergedHistogramSumsSamples)
 {
     const auto traces = smallSuite();
-    const auto grid = runGrid({"Dir0B"}, traces);
+    const auto grid = runSchemes({"Dir0B"}, traces);
     std::uint64_t total = 0;
     for (const auto &result : grid[0].perTrace)
         total += result.cleanWriteHolders.samples();
@@ -64,7 +73,7 @@ TEST(ExperimentTest, MergedHistogramSumsSamples)
 TEST(ExperimentTest, MergedOpsAndRefs)
 {
     const auto traces = smallSuite();
-    const auto grid = runGrid({"WTI"}, traces);
+    const auto grid = runSchemes({"WTI"}, traces);
     std::uint64_t refs = 0;
     std::uint64_t wt = 0;
     for (const auto &result : grid[0].perTrace) {
@@ -78,7 +87,7 @@ TEST(ExperimentTest, MergedOpsAndRefs)
 TEST(ExperimentTest, AveragedCostIsMeanOfPerTraceCosts)
 {
     const auto traces = smallSuite();
-    const auto grid = runGrid({"Dragon"}, traces);
+    const auto grid = runSchemes({"Dragon"}, traces);
     const BusCosts costs = paperPipelinedCosts();
     const CycleBreakdown avg = grid[0].averagedCost(costs);
     double manual = 0.0;
@@ -91,7 +100,7 @@ TEST(ExperimentTest, AveragedCostIsMeanOfPerTraceCosts)
 TEST(ExperimentTest, PaperCostAgreesWithOpsCost)
 {
     const auto traces = smallSuite();
-    const auto grid = runGrid({"Dir0B", "Dragon"}, traces);
+    const auto grid = runSchemes({"Dir0B", "Dragon"}, traces);
     const BusCosts costs = paperPipelinedCosts();
     for (const auto &scheme : grid) {
         const double paper_path = scheme.paperCost(costs).total();
@@ -104,7 +113,7 @@ TEST(ExperimentTest, PaperCostAgreesWithOpsCost)
 TEST(ExperimentTest, PaperCostFallsBackForParameterizedSchemes)
 {
     const auto traces = smallSuite();
-    const auto grid = runGrid({"Dir2B"}, traces);
+    const auto grid = runSchemes({"Dir2B"}, traces);
     const BusCosts costs = paperPipelinedCosts();
     EXPECT_NEAR(grid[0].paperCost(costs).total(),
                 grid[0].averagedCost(costs).total(), 1e-12);

@@ -59,8 +59,9 @@ state()
         JsonlSink sink(os);
         const ExperimentRunner runner;
         ParityFixtureState built;
-        built.grid = runFilesWithArtifacts(runner, paperSchemes(),
-                                           paths, SimConfig{}, sink);
+        built.grid = runFilesWithArtifacts(
+            runner, parseSchemes(paperSchemes()), paths, SimConfig{},
+            sink);
         for (const auto &path : paths)
             std::remove(path.c_str());
 

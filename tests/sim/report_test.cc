@@ -6,6 +6,7 @@
 
 #include "common/logging.hh"
 #include "sim/report.hh"
+#include "sim/runner.hh"
 #include "sim/suite.hh"
 
 namespace dirsim
@@ -20,8 +21,10 @@ smallGrid()
         SuiteParams params;
         params.refsPerTrace = 30'000;
         params.seed = 21;
-        return runGrid({"Dir0B", "Dragon", "WTI"},
-                       standardSuite(params));
+        return ExperimentRunner()
+            .run(parseSchemes({"Dir0B", "Dragon", "WTI"}),
+                 standardSuite(params))
+            .schemes;
     }();
     return grid;
 }

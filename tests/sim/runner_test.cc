@@ -3,15 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <map>
 #include <mutex>
-#include <cstdlib>
-#include <thread>
+#include <optional>
+#include <set>
 #include <vector>
 
 #include "common/logging.hh"
 #include "sim/runner.hh"
 #include "sim/suite.hh"
+#include "sweep/run.hh"
 
 namespace dirsim
 {
@@ -72,11 +74,12 @@ TEST(RunnerTest, ParallelGridIsBitIdenticalToSequential)
     const auto traces = smallSuite();
 
     // The sequential reference: plain per-cell simulation, no runner.
+    const std::vector<SchemeSpec> schemes = parseSchemes(paperSchemes());
     std::vector<std::vector<SimResult>> reference;
-    for (const auto &name : paperSchemes()) {
+    for (const SchemeSpec &scheme : schemes) {
         std::vector<SimResult> row;
         for (const auto &trace : traces)
-            row.push_back(simulateTrace(trace, name));
+            row.push_back(simulateTrace(trace, scheme));
         reference.push_back(std::move(row));
     }
 
@@ -84,7 +87,7 @@ TEST(RunnerTest, ParallelGridIsBitIdenticalToSequential)
         RunnerConfig config;
         config.jobs = jobs;
         const ExperimentRunner runner(config);
-        const GridResult grid = runner.run(paperSchemes(), traces);
+        const GridResult grid = runner.run(schemes, traces);
         EXPECT_EQ(grid.jobs, jobs);
         ASSERT_EQ(grid.schemes.size(), paperSchemes().size());
         for (std::size_t s = 0; s < grid.schemes.size(); ++s) {
@@ -98,32 +101,14 @@ TEST(RunnerTest, ParallelGridIsBitIdenticalToSequential)
     }
 }
 
-TEST(RunnerTest, RunGridWrapperMatchesRunner)
-{
-    const auto traces = smallSuite();
-    const auto wrapped = runGrid({"Dir0B", "WTI"}, traces);
-    RunnerConfig config;
-    config.jobs = 2;
-    const GridResult direct =
-        ExperimentRunner(config).run(
-            std::vector<std::string>{"Dir0B", "WTI"}, traces);
-    ASSERT_EQ(wrapped.size(), direct.schemes.size());
-    for (std::size_t s = 0; s < wrapped.size(); ++s) {
-        for (std::size_t t = 0; t < traces.size(); ++t) {
-            expectIdentical(wrapped[s].perTrace[t],
-                            direct.schemes[s].perTrace[t]);
-        }
-    }
-}
-
 TEST(RunnerTest, CellTimingsCoverTheGridInOrder)
 {
     const auto traces = smallSuite();
     RunnerConfig config;
     config.jobs = 2;
     const GridResult grid =
-        ExperimentRunner(config).run(
-            std::vector<std::string>{"Dir0B", "Dragon"}, traces);
+        ExperimentRunner(config).run(parseSchemes({"Dir0B", "Dragon"}),
+                                     traces);
     ASSERT_EQ(grid.cells.size(), 2 * traces.size());
     for (std::size_t s = 0; s < 2; ++s) {
         for (std::size_t t = 0; t < traces.size(); ++t) {
@@ -157,8 +142,7 @@ TEST(RunnerTest, ProgressCallbackFiresOncePerCell)
         max_completed.store(
             std::max(max_completed.load(), progress.completedCells));
     };
-    ExperimentRunner(config).run(
-            std::vector<std::string>{"Dir0B", "WTI"}, traces);
+    ExperimentRunner(config).run(parseSchemes({"Dir0B", "WTI"}), traces);
     EXPECT_EQ(calls.load(), 2 * traces.size());
     EXPECT_EQ(max_completed.load(), 2 * traces.size());
 }
@@ -203,8 +187,8 @@ TEST(RunnerTest, ProgressCarriesThroughputTelemetry)
                 EXPECT_GT(progress.etaSeconds(), 0.0);
             }
         };
-        ExperimentRunner(config).run(
-            std::vector<std::string>{"Dir0B", "WTI"}, traces);
+        ExperimentRunner(config).run(parseSchemes({"Dir0B", "WTI"}),
+                                     traces);
         EXPECT_EQ(calls, 2 * traces.size());
         EXPECT_TRUE(final_seen);
     }
@@ -220,9 +204,9 @@ TEST(RunnerTest, RunJobMatchesLegacyEntryPoints)
     // Memory job, default options.
     const CellOutcome memory = runJob({TraceRef::of(trace), scheme, {}});
     expectIdentical(memory.result, reference);
-    EXPECT_FALSE(memory.cacheHit);
-    EXPECT_EQ(memory.records, trace.size());
-    EXPECT_EQ(memory.simulatedRefs, trace.size());
+    EXPECT_FALSE(memory.timing.cacheHit);
+    EXPECT_EQ(memory.timing.refs, trace.size());
+    EXPECT_EQ(memory.timing.simulatedRefs, trace.size());
 
     // An already-decoded stream.
     const DecodedTrace decoded = decodeTrace(
@@ -261,8 +245,9 @@ TEST(RunnerTest, UncachedGridDecodesInItsCells)
     const SimPlan plan = buildPlan(jobs);
     EXPECT_EQ(plan.materializedSources(), 0u);
     EXPECT_EQ(plan.plannedRefs(), schemes.size() * trace_refs);
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        runPlannedCell(plan, i);
+    ExecOptions every_cell_at_once;
+    every_cell_at_once.jobs = static_cast<unsigned>(jobs.size());
+    runPlan(plan, every_cell_at_once);
     EXPECT_EQ(plan.materializedSources(), traces.size());
 
     for (const unsigned workers : {1u, 4u}) {
@@ -292,17 +277,16 @@ TEST(RunnerTest, UncachedGridDecodesInItsCells)
     }
 }
 
-/** Run every cell of @p plan at once, one thread per cell. */
+/** Run every cell of @p plan at once, one worker per cell. */
 std::vector<CellOutcome>
 runAllAtOnce(const SimPlan &plan)
 {
-    std::vector<CellOutcome> outcomes(plan.cells.size());
-    std::vector<std::thread> workers;
-    for (std::size_t i = 0; i < plan.cells.size(); ++i)
-        workers.emplace_back(
-            [&plan, &outcomes, i] { outcomes[i] = runPlannedCell(plan, i); });
-    for (std::thread &worker : workers)
-        worker.join();
+    ExecOptions options;
+    options.jobs = static_cast<unsigned>(plan.cells.size());
+    std::vector<CellOutcome> outcomes;
+    for (std::optional<CellOutcome> &outcome :
+         runPlan(plan, options).outcomes)
+        outcomes.push_back(std::move(*outcome));
     return outcomes;
 }
 
@@ -331,8 +315,8 @@ TEST(RunnerTest, GeneratedTraceMaterializesOnceAndNeverOnAHit)
     const std::vector<CellOutcome> cold = runAllAtOnce(cold_plan);
     EXPECT_EQ(cold_plan.materializedSources(), 1u);
     for (std::size_t j = 0; j < jobs.size(); ++j) {
-        EXPECT_FALSE(cold[j].cacheHit);
-        EXPECT_EQ(cold[j].records, trace.size());
+        EXPECT_FALSE(cold[j].timing.cacheHit);
+        EXPECT_EQ(cold[j].timing.refs, trace.size());
         expectIdentical(cold[j].result,
                         simulateTrace(trace, jobs[j].scheme, config));
     }
@@ -343,9 +327,9 @@ TEST(RunnerTest, GeneratedTraceMaterializesOnceAndNeverOnAHit)
     const std::vector<CellOutcome> warm = runAllAtOnce(warm_plan);
     EXPECT_EQ(warm_plan.materializedSources(), 0u);
     for (std::size_t j = 0; j < jobs.size(); ++j) {
-        EXPECT_TRUE(warm[j].cacheHit);
-        EXPECT_EQ(warm[j].records, trace.size());
-        EXPECT_EQ(warm[j].simulatedRefs, 0u);
+        EXPECT_TRUE(warm[j].timing.cacheHit);
+        EXPECT_EQ(warm[j].timing.refs, trace.size());
+        EXPECT_EQ(warm[j].timing.simulatedRefs, 0u);
         expectIdentical(warm[j].result, cold[j].result);
     }
 }
@@ -355,8 +339,8 @@ TEST(RunnerTest, CellTimingsCarryTimelineCoordinates)
     const auto traces = smallSuite();
     RunnerConfig config;
     config.jobs = 1;
-    const GridResult grid = ExperimentRunner(config).run(
-        std::vector<std::string>{"Dir0B"}, traces);
+    const GridResult grid =
+        ExperimentRunner(config).run({parseScheme("Dir0B")}, traces);
     EXPECT_GT(grid.startNs, 0u);
     for (const CellTiming &cell : grid.cells) {
         EXPECT_GE(cell.startNs, grid.startNs);
@@ -373,9 +357,9 @@ TEST(RunnerTest, CellErrorsPropagateFromWorkers)
     RunnerConfig config;
     config.jobs = 2;
     const ExperimentRunner runner(config);
-    EXPECT_THROW(runner.run(std::vector<std::string>{"Dir0B", "WTI"},
-                            traces, sim),
-                 UsageError);
+    EXPECT_THROW(
+        runner.run(parseSchemes({"Dir0B", "WTI"}), traces, sim),
+        UsageError);
 }
 
 TEST(RunnerTest, EmptyInputsRejected)
@@ -387,36 +371,42 @@ TEST(RunnerTest, EmptyInputsRejected)
     EXPECT_THROW(runner.run({parseScheme("Dir0B")}, {}), UsageError);
 }
 
-TEST(RunnerTest, SpecOverloadMatchesNameOverload)
-{
-    const auto traces = smallSuite();
-    RunnerConfig config;
-    config.jobs = 2;
-    const ExperimentRunner runner(config);
-    const GridResult by_spec =
-        runner.run({parseScheme("Dir2B")}, traces);
-    const GridResult by_name =
-        runner.run(std::vector<std::string>{"Dir2B"}, traces);
-    EXPECT_EQ(by_spec.schemes[0].scheme, "Dir2B");
-    for (std::size_t t = 0; t < traces.size(); ++t) {
-        expectIdentical(by_spec.schemes[0].perTrace[t],
-                        by_name.schemes[0].perTrace[t]);
-    }
-}
-
 TEST(RunnerTest, JobsResolveFromEnvironment)
 {
+    // resolveJobs() is the one reader of DIRSIM_JOBS; runJobs, the
+    // runner and the sweep all resolve a 0 job count through it.
     unsetenv("DIRSIM_JOBS");
-    EXPECT_EQ(RunnerConfig::fromEnvironment().jobs, 0u);
-    EXPECT_GE(RunnerConfig::defaultJobs(), 1u);
+    EXPECT_GE(resolveJobs(0), 1u);
+    EXPECT_EQ(resolveJobs(5), 5u);
 
     setenv("DIRSIM_JOBS", "3", 1);
-    EXPECT_EQ(RunnerConfig::fromEnvironment().jobs, 3u);
-    EXPECT_EQ(RunnerConfig::defaultJobs(), 3u);
+    EXPECT_EQ(resolveJobs(0), 3u);
     EXPECT_EQ(ExperimentRunner().resolvedJobs(), 3u);
+    const auto traces = smallSuite();
+    std::vector<SimJob> jobs;
+    for (const char *name : {"Dir0B", "WTI"})
+        for (const Trace &trace : traces)
+            jobs.push_back({TraceRef::of(trace), parseScheme(name), {}});
+    EXPECT_EQ(runPlan(buildPlan(jobs)).jobs, 3u);
+    // runJobs(..., 0) runs on a pool of 3 workers, never the caller.
+    std::set<std::uint64_t> lanes;
+    for (const CellOutcome &outcome : runJobs(jobs, {}, 0))
+        lanes.insert(outcome.timing.threadTag);
+    EXPECT_LE(lanes.size(), 3u);
+    EXPECT_EQ(lanes.count(runJob(jobs[0]).timing.threadTag), 0u);
+    const SweepPlan sweep = expandSweep(parseSweepSpec(
+        R"({"name":"jobs","schemes":["Dir0B"],)"
+        R"("traces":[{"profile":"pops","refs":2000,"seed":5}]})"));
+    EXPECT_EQ(runSweep(sweep, {}).manifest.jobs, 3u);
 
+    // A malformed override is rejected wherever it is resolved.
     setenv("DIRSIM_JOBS", "nope", 1);
-    EXPECT_THROW(RunnerConfig::fromEnvironment(), UsageError);
+    EXPECT_THROW(resolveJobs(0), UsageError);
+    EXPECT_THROW(ExperimentRunner().resolvedJobs(), UsageError);
+    EXPECT_THROW(runJobs(jobs, {}, 0), UsageError);
+    EXPECT_THROW(runSweep(sweep, {}), UsageError);
+    // An explicit job count never reads the environment.
+    EXPECT_EQ(resolveJobs(5), 5u);
     unsetenv("DIRSIM_JOBS");
 
     RunnerConfig fixed;

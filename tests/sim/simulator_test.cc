@@ -26,7 +26,7 @@ TEST(SimulatorTest, CountsInstructions)
         instr(100, 0x14),
         read(100, 0x1000),
     });
-    const SimResult result = simulateTrace(trace, "Dir0B");
+    const SimResult result = simulateTrace(trace, parseScheme("Dir0B"));
     EXPECT_EQ(result.events.count(EventType::Instr), 2u);
     EXPECT_EQ(result.events.count(EventType::Read), 1u);
     EXPECT_EQ(result.totalRefs, 3u);
@@ -42,7 +42,7 @@ TEST(SimulatorTest, FirstReferenceExclusion)
         write(100, 0x2000),
         write(101, 0x2000),
     });
-    const SimResult result = simulateTrace(trace, "Dir0B");
+    const SimResult result = simulateTrace(trace, parseScheme("Dir0B"));
     EXPECT_EQ(result.events.count(EventType::RmFirstRef), 1u);
     EXPECT_EQ(result.events.count(EventType::RdMiss), 1u);
     EXPECT_EQ(result.events.count(EventType::WmFirstRef), 1u);
@@ -57,7 +57,7 @@ TEST(SimulatorTest, FirstRefTrackingIsBlockGrained)
         read(100, 0x1000),
         read(100, 0x100c),
     });
-    const SimResult result = simulateTrace(trace, "Dir0B");
+    const SimResult result = simulateTrace(trace, parseScheme("Dir0B"));
     EXPECT_EQ(result.events.count(EventType::RmFirstRef), 1u);
     EXPECT_EQ(result.events.count(EventType::RdHit), 1u);
 }
@@ -70,7 +70,8 @@ TEST(SimulatorTest, BlockSizeChangesGranularity)
     });
     SimConfig config;
     config.blockBytes = 4;
-    const SimResult result = simulateTrace(trace, "Dir0B", config);
+    const SimResult result =
+        simulateTrace(trace, parseScheme("Dir0B"), config);
     // With 4-byte blocks the second word is its own first reference.
     EXPECT_EQ(result.events.count(EventType::RmFirstRef), 2u);
 }
@@ -83,7 +84,7 @@ TEST(SimulatorTest, ProcessSharingModelKeysCachesByPid)
         rec(0, 100, RefType::Read, 0x1000),
         rec(3, 100, RefType::Read, 0x1000),
     });
-    const SimResult result = simulateTrace(trace, "Dir0B");
+    const SimResult result = simulateTrace(trace, parseScheme("Dir0B"));
     EXPECT_EQ(result.events.count(EventType::RdHit), 1u);
     EXPECT_EQ(result.numCaches, 1u);
 }
@@ -96,7 +97,8 @@ TEST(SimulatorTest, ProcessorSharingModelKeysCachesByCpu)
     });
     SimConfig config;
     config.sharing = SharingModel::ByProcessor;
-    const SimResult result = simulateTrace(trace, "Dir0B", config);
+    const SimResult result =
+        simulateTrace(trace, parseScheme("Dir0B"), config);
     // Different CPUs: two caches, the second access is a miss.
     EXPECT_EQ(result.events.count(EventType::RdHit), 0u);
     EXPECT_EQ(result.events.count(EventType::RdMiss), 1u);
@@ -121,7 +123,8 @@ TEST(SimulatorTest, UndersizedProtocolRejected)
     });
     const DecodedTrace decoded = decodeTrace(trace, defaultBlockBytes,
                                              SharingModel::ByProcess);
-    const auto protocol = makeProtocol("Dir0B", 1, decoded.blockSpace());
+    const auto protocol =
+        makeProtocol(parseScheme("Dir0B"), 1, decoded.blockSpace());
     EXPECT_THROW(simulateTrace(decoded, *protocol, SimConfig{}),
                  UsageError);
 }
@@ -129,7 +132,7 @@ TEST(SimulatorTest, UndersizedProtocolRejected)
 TEST(SimulatorTest, EmptyTraceRejected)
 {
     Trace empty("e", 4);
-    EXPECT_THROW(simulateTrace(empty, "Dir0B"), UsageError);
+    EXPECT_THROW(simulateTrace(empty, parseScheme("Dir0B")), UsageError);
 }
 
 TEST(SimulatorTest, BadBlockSizeRejected)
@@ -137,13 +140,14 @@ TEST(SimulatorTest, BadBlockSizeRejected)
     const Trace trace = makeTrace({read(100, 0x1000)});
     SimConfig config;
     config.blockBytes = 12;
-    EXPECT_THROW(simulateTrace(trace, "Dir0B", config), UsageError);
+    EXPECT_THROW(simulateTrace(trace, parseScheme("Dir0B"), config),
+                 UsageError);
 }
 
 TEST(SimulatorTest, ResultMetadata)
 {
     const Trace trace = generateTrace("pero", 20'000, 6);
-    const SimResult result = simulateTrace(trace, "Dragon");
+    const SimResult result = simulateTrace(trace, parseScheme("Dragon"));
     EXPECT_EQ(result.scheme, "Dragon");
     EXPECT_EQ(result.traceName, "pero");
     EXPECT_EQ(result.totalRefs, trace.size());
@@ -155,7 +159,7 @@ TEST(SimulatorTest, InvariantCheckingPathRuns)
     const Trace trace = generateTrace("pops", 20'000, 7);
     SimConfig config;
     config.invariantCheckPeriod = 1'000;
-    EXPECT_NO_THROW(simulateTrace(trace, "Dir0B", config));
+    EXPECT_NO_THROW(simulateTrace(trace, parseScheme("Dir0B"), config));
 }
 
 TEST(SimulatorTest, InstructionsNeverTouchCoherenceState)
@@ -166,15 +170,15 @@ TEST(SimulatorTest, InstructionsNeverTouchCoherenceState)
         instr(100, 0x1000),
         read(101, 0x1000),
     });
-    const SimResult result = simulateTrace(trace, "Dir0B");
+    const SimResult result = simulateTrace(trace, parseScheme("Dir0B"));
     EXPECT_EQ(result.events.count(EventType::RmFirstRef), 1u);
 }
 
 TEST(SimulatorTest, DeterministicResults)
 {
     const Trace trace = generateTrace("thor", 30'000, 8);
-    const SimResult a = simulateTrace(trace, "Dir0B");
-    const SimResult b = simulateTrace(trace, "Dir0B");
+    const SimResult a = simulateTrace(trace, parseScheme("Dir0B"));
+    const SimResult b = simulateTrace(trace, parseScheme("Dir0B"));
     for (std::size_t e = 0; e < numEventTypes; ++e) {
         const auto event = static_cast<EventType>(e);
         EXPECT_EQ(a.events.count(event), b.events.count(event));
@@ -186,11 +190,11 @@ TEST(SimulatorTest, WarmupDiscardsEarlyEvents)
 {
     const Trace trace = generateTrace("pops", 40'000, 12);
     SimConfig cold;
-    const SimResult full = simulateTrace(trace, "Dir0B", cold);
+    const SimResult full = simulateTrace(trace, parseScheme("Dir0B"), cold);
 
     SimConfig warmed;
     warmed.warmupRefs = trace.size() / 2;
-    const SimResult tail = simulateTrace(trace, "Dir0B", warmed);
+    const SimResult tail = simulateTrace(trace, parseScheme("Dir0B"), warmed);
 
     EXPECT_LT(tail.totalRefs, full.totalRefs);
     EXPECT_NEAR(static_cast<double>(tail.totalRefs),
@@ -207,8 +211,8 @@ TEST(SimulatorTest, ZeroWarmupIsIdentity)
     SimConfig none;
     SimConfig zero;
     zero.warmupRefs = 0;
-    const SimResult a = simulateTrace(trace, "Dragon", none);
-    const SimResult b = simulateTrace(trace, "Dragon", zero);
+    const SimResult a = simulateTrace(trace, parseScheme("Dragon"), none);
+    const SimResult b = simulateTrace(trace, parseScheme("Dragon"), zero);
     for (std::size_t e = 0; e < numEventTypes; ++e) {
         const auto event = static_cast<EventType>(e);
         EXPECT_EQ(a.events.count(event), b.events.count(event));
@@ -220,7 +224,8 @@ TEST(SimulatorTest, WarmupLongerThanTraceRejected)
     const Trace trace = generateTrace("pero", 5'000, 14);
     SimConfig config;
     config.warmupRefs = trace.size() + 1;
-    EXPECT_THROW(simulateTrace(trace, "Dir0B", config), UsageError);
+    EXPECT_THROW(simulateTrace(trace, parseScheme("Dir0B"), config),
+                 UsageError);
 }
 
 TEST(SimulatorTest, WarmupCostIsSteadyStateOrBetter)
@@ -234,9 +239,9 @@ TEST(SimulatorTest, WarmupCostIsSteadyStateOrBetter)
     warmed.warmupRefs = trace.size() / 4;
     const BusCosts costs = paperPipelinedCosts();
     const double full =
-        simulateTrace(trace, "Dir0B", cold).cost(costs).total();
+        simulateTrace(trace, parseScheme("Dir0B"), cold).cost(costs).total();
     const double tail =
-        simulateTrace(trace, "Dir0B", warmed).cost(costs).total();
+        simulateTrace(trace, parseScheme("Dir0B"), warmed).cost(costs).total();
     EXPECT_LE(tail, full * 1.05);
 }
 
@@ -253,8 +258,8 @@ TEST(SimulatorTest, SharingModelsAgreeWithoutMigration)
     SimConfig by_proc;
     SimConfig by_cpu;
     by_cpu.sharing = SharingModel::ByProcessor;
-    const SimResult a = simulateTrace(trace, "Dir0B", by_proc);
-    const SimResult b = simulateTrace(trace, "Dir0B", by_cpu);
+    const SimResult a = simulateTrace(trace, parseScheme("Dir0B"), by_proc);
+    const SimResult b = simulateTrace(trace, parseScheme("Dir0B"), by_cpu);
     for (std::size_t e = 0; e < numEventTypes; ++e) {
         const auto event = static_cast<EventType>(e);
         EXPECT_EQ(a.events.count(event), b.events.count(event))

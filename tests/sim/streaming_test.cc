@@ -1,6 +1,7 @@
 /**
  * @file
- * File-vs-in-memory simulation equality: simulateTraceFile() and
+ * File-vs-in-memory simulation equality: a file job
+ * (runJob({TraceRef::file(path), ...})) and
  * ExperimentRunner::runFiles(), which decode each file in one
  * streaming read, must produce bit-identical SimResults to the
  * in-memory path for every paper scheme on every standard-suite
@@ -50,6 +51,15 @@ expectIdentical(const SimResult &a, const SimResult &b)
         << a.scheme << "/" << a.traceName;
 }
 
+/** Simulate one scheme on a trace file: a file job. */
+SimResult
+simulateFile(const std::string &path, const std::string &scheme,
+             const SimConfig &config = {})
+{
+    return runJob({TraceRef::file(path), parseScheme(scheme), config})
+        .result;
+}
+
 /** Write every suite trace to a binary v2 file; return the paths. */
 std::vector<std::string>
 writeSuiteFiles(const std::vector<Trace> &traces)
@@ -76,9 +86,8 @@ TEST(StreamingSimTest, FileStreamingIsBitIdenticalToInMemory)
     for (const auto &scheme : paperSchemes()) {
         for (std::size_t t = 0; t < traces.size(); ++t) {
             const SimResult in_memory =
-                simulateTrace(traces[t], scheme);
-            const SimResult streamed =
-                simulateTraceFile(paths[t], scheme);
+                simulateTrace(traces[t], parseScheme(scheme));
+            const SimResult streamed = simulateFile(paths[t], scheme);
             expectIdentical(streamed, in_memory);
         }
     }
@@ -90,21 +99,21 @@ TEST(StreamingSimTest, TextContainerStreamsIdenticallyToo)
     const std::string path = testing::TempDir() + "/streaming_text_"
         + std::to_string(::getpid()) + ".txt";
     writeTextTraceFile(traces[0], path);
-    expectIdentical(simulateTraceFile(path, "Dir1NB"),
-                    simulateTrace(traces[0], "Dir1NB"));
+    expectIdentical(simulateFile(path, "Dir1NB"),
+                    simulateTrace(traces[0], parseScheme("Dir1NB")));
 }
 
 TEST(StreamingSimTest, StreamingSourceOverloadMatchesProtocolOverload)
 {
     const auto traces = smallSuite();
     const Trace &trace = traces[1];
-    const SimResult in_memory = simulateTrace(trace, "Dir0B");
+    const SimResult in_memory = simulateTrace(trace, parseScheme("Dir0B"));
 
     MemoryTraceSource source(trace);
     const DecodedTrace decoded = decodeTrace(source, defaultBlockBytes,
                                              SharingModel::ByProcess);
-    const auto protocol =
-        makeProtocol("Dir0B", decoded.cachesNeeded, decoded.blockSpace());
+    const auto protocol = makeProtocol(
+        parseScheme("Dir0B"), decoded.cachesNeeded, decoded.blockSpace());
     expectIdentical(simulateTrace(decoded, *protocol), in_memory);
 }
 
@@ -114,8 +123,20 @@ TEST(StreamingSimTest, WarmupAppliesIdenticallyWhenStreaming)
     const auto paths = writeSuiteFiles(traces);
     SimConfig config;
     config.warmupRefs = 5'000;
-    expectIdentical(simulateTraceFile(paths[2], "Dir4NB", config),
-                    simulateTrace(traces[2], "Dir4NB", config));
+    expectIdentical(simulateFile(paths[2], "Dir4NB", config),
+                    simulateTrace(traces[2], parseScheme("Dir4NB"), config));
+}
+
+TEST(StreamingSimTest, FileJobChargesItsDecodeToRead)
+{
+    // The plan decodes a file before its one cell runs; runJob charges
+    // that decode to the cell's Read phase.
+    const auto traces = smallSuite();
+    const auto paths = writeSuiteFiles(traces);
+    const SimResult streamed = simulateFile(paths[0], "Dir0B");
+    EXPECT_GT(streamed.phases.get(Phase::Read), 0u);
+    expectIdentical(streamed,
+                    simulateTrace(traces[0], parseScheme("Dir0B")));
 }
 
 TEST(StreamingSimTest, ScanTraceFileReportsTheTrace)
@@ -136,7 +157,7 @@ TEST(StreamingSimTest, RunFilesMatchesRunAcrossJobCounts)
 {
     const auto traces = smallSuite();
     const auto paths = writeSuiteFiles(traces);
-    const auto &schemes = paperSchemes();
+    const std::vector<SchemeSpec> schemes = parseSchemes(paperSchemes());
 
     RunnerConfig sequential;
     sequential.jobs = 1;
@@ -168,7 +189,7 @@ TEST(StreamingSimTest, RunFilesMatchesRunAcrossJobCounts)
 
 TEST(StreamingSimTest, MissingOrCorruptFilesFailCleanly)
 {
-    EXPECT_THROW(simulateTraceFile("/nonexistent/x.trace", "Dir0B"),
+    EXPECT_THROW(simulateFile("/nonexistent/x.trace", "Dir0B"),
                  UsageError);
     const std::string path = testing::TempDir() + "/streaming_bad_"
         + std::to_string(::getpid()) + ".txt";
@@ -178,12 +199,10 @@ TEST(StreamingSimTest, MissingOrCorruptFilesFailCleanly)
         std::ofstream os(path, std::ios::app);
         os << "0 1 read zzz -\n";
     }
-    EXPECT_THROW(simulateTraceFile(path, "Dir0B"), UsageError);
-    EXPECT_THROW(
-        ExperimentRunner().runFiles(
-            std::vector<std::string>{"Dir0B"},
-            std::vector<std::string>{path}),
-        UsageError);
+    EXPECT_THROW(simulateFile(path, "Dir0B"), UsageError);
+    EXPECT_THROW(ExperimentRunner().runFiles({parseScheme("Dir0B")},
+                                             {path}),
+                 UsageError);
 }
 
 } // namespace

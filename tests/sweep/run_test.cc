@@ -271,17 +271,41 @@ TEST(RunSweepTest, CancelStopsDispatch)
 TEST(RunSweepTest, ProgressReportsEveryCell)
 {
     const SweepPlan plan = smallPlan();
-    std::vector<std::string> seen;
-    SweepOptions options;
-    options.jobs = 1;
-    options.onProgress = [&](const GridProgress &progress) {
-        seen.push_back(progress.cell.traceName);
-        EXPECT_EQ(progress.totalCells, plan.cells.size());
-    };
-    runSweep(plan, options);
-    ASSERT_EQ(seen.size(), plan.cells.size());
-    for (std::size_t i = 0; i < seen.size(); ++i)
-        EXPECT_EQ(seen[i], plan.cells[i].label);
+    for (const unsigned jobs : {1u, 4u}) {
+        std::vector<CellTiming> seen;
+        SweepOptions options;
+        options.jobs = jobs;
+        options.onProgress = [&](const GridProgress &progress) {
+            seen.push_back(progress.cell);
+            EXPECT_EQ(progress.totalCells, plan.cells.size());
+        };
+        const SweepOutcome outcome = runSweep(plan, options);
+        ASSERT_EQ(seen.size(), plan.cells.size());
+        if (jobs == 1) {
+            for (std::size_t i = 0; i < seen.size(); ++i)
+                EXPECT_EQ(seen[i].traceName, plan.cells[i].label);
+        }
+        // Each progress cell is its outcome's timing, timeline
+        // coordinates included.
+        for (const CellTiming &cell : seen) {
+            std::size_t i = 0;
+            while (i < outcome.timings.size()
+                   && (outcome.timings[i].traceName != cell.traceName
+                       || outcome.timings[i].scheme != cell.scheme))
+                ++i;
+            ASSERT_LT(i, outcome.timings.size()) << cell.traceName;
+            const CellTiming &timing = outcome.timings[i];
+            EXPECT_EQ(cell.scheme, timing.scheme);
+            EXPECT_EQ(cell.refs, timing.refs);
+            EXPECT_EQ(cell.wallSeconds, timing.wallSeconds);
+            EXPECT_EQ(cell.startNs, timing.startNs);
+            EXPECT_EQ(cell.threadTag, timing.threadTag);
+            EXPECT_EQ(cell.cacheHit, timing.cacheHit);
+            EXPECT_EQ(cell.simulatedRefs, timing.simulatedRefs);
+            EXPECT_GE(cell.startNs, outcome.startNs);
+            EXPECT_NE(cell.threadTag, 0u);
+        }
+    }
 }
 
 TEST(RunSweepTest, ArtifactsRoundTripThroughJsonl)
