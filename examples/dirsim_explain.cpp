@@ -164,13 +164,6 @@ main(int argc, char **argv)
         std::cout << "=== " << scheme.name() << " on "
                   << trace.name() << ", block " << block << " ===\n";
 
-#ifdef DIRSIM_NO_TRACER
-        std::cerr << "error: this binary was built with "
-                     "-DDIRSIM_TRACER=OFF; the tracer hook is "
-                     "compiled out\n";
-        return 1;
-#endif
-
         fatalIf(tracer.timelines().empty(),
                 "tracer produced no timeline");
         const CellTimeline &timeline = tracer.timelines().front();

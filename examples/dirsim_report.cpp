@@ -60,19 +60,22 @@ printManifest(const RunManifest &manifest)
     std::cout << '\n';
 }
 
-/** One tracer distribution as a value/count/fraction table. */
+/** The tracer's write-run-length distribution, when the run was
+ *  traced (DIRSIM_TRACE_SAMPLE; obs/tracer.hh). */
 void
-renderOneDistribution(const MetricRegistry &metrics,
-                      const std::string &name, const char *title)
+renderWriteRunLengths(const RunArtifacts &artifacts)
 {
-    const std::string prefix = "trace.dist." + name;
-    if (!metrics.has(prefix + ".samples"))
+    const std::string prefix = "trace.dist.write_run_length";
+    if (!artifacts.hasMetrics
+        || !artifacts.metrics.has(prefix + ".samples"))
         return;
+    const MetricRegistry &metrics = artifacts.metrics;
     const std::uint64_t samples = metrics.counter(prefix + ".samples");
     if (samples == 0)
         return;
-    std::cout << '\n' << title << " (" << TextTable::grouped(samples)
-              << " samples)\n";
+    std::cout << "\nTracer: write-run length (consecutive writes by "
+                 "one cache before a handoff; "
+              << TextTable::grouped(samples) << " samples)\n";
     TextTable table({"value", "count", "fraction"});
     const auto row = [&](const std::string &label,
                          std::uint64_t count) {
@@ -91,24 +94,6 @@ renderOneDistribution(const MetricRegistry &metrics,
         row(">=" + std::to_string(traceDistBuckets),
             metrics.counter(prefix + ".overflow"));
     table.print(std::cout);
-}
-
-/** The tracer's trace.dist.* sections, when the run carried them. */
-void
-renderTraceDistributions(const RunArtifacts &artifacts)
-{
-    if (!artifacts.hasMetrics)
-        return;
-    renderOneDistribution(
-        artifacts.metrics, "inval_on_clean_write",
-        "Figure 1 (tracer): caches invalidated on a write to a "
-        "clean block");
-    renderOneDistribution(artifacts.metrics, "sharer_set_size",
-                          "Tracer: sharer-set size at clean-block "
-                          "writes (writer included)");
-    renderOneDistribution(artifacts.metrics, "write_run_length",
-                          "Tracer: write-run length (consecutive "
-                          "writes by one cache before a handoff)");
 }
 
 int
@@ -143,6 +128,17 @@ render(const std::string &path)
                  "(per trace)\n";
     busCyclesTable(grid, true).print(std::cout);
 
+    // Figure 1 from each scheme's own counters. Schemes that record
+    // no Figure 1 samples (Dir1NB, WTI, Dragon) get no table.
+    for (const SchemeResults &scheme : grid) {
+        if (scheme.mergedCleanWriteHolders().samples() == 0)
+            continue;
+        std::cout << "\nFigure 1 (" << scheme.scheme
+                  << "): percent of clean-block writes invalidating "
+                     "k other caches\n";
+        invalidationHistogramTable(scheme).print(std::cout);
+    }
+
     // Per-cell execution metadata the text reports never had.
     std::cout << "\nExecution: wall time and phase split per cell\n";
     TextTable timing({"scheme", "trace", "refs", "wall s", "refs/s",
@@ -165,11 +161,7 @@ render(const std::string &path)
     }
     timing.print(std::cout);
 
-    // Runs traced with DIRSIM_TRACE_SAMPLE carry exact protocol
-    // distributions in their metrics record (obs/tracer.hh); the
-    // invalidation distribution is the paper's Figure 1 re-rendered
-    // from the tracer instead of the per-cell histograms.
-    renderTraceDistributions(artifacts);
+    renderWriteRunLengths(artifacts);
     return 0;
 }
 

@@ -7,8 +7,9 @@
  * one JSONL artifacts file per N. `report` re-reads those artifacts
  * and renders the scalability curves the Section 6 debate is about:
  * bus cycles per reference and invalidation traffic as a function of
- * N per scheme, plus the exact invalidation-size distributions the
- * tracer recorded at each machine size.
+ * N per scheme, plus, at each machine size, the invalidation-size
+ * distribution of the cells' Figure 1 counters and the write-run
+ * lengths the tracer recorded.
  *
  * Usage:
  *   dirsim_scaling run <out_dir> [--invariants <period>]
@@ -23,7 +24,9 @@
  * on usage errors.
  */
 
+#include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -63,8 +66,8 @@ run(const std::string &out_dir, std::uint64_t invariant_period)
     sim.invariantCheckPeriod = invariant_period;
 
     // The tracer rides along on every run so the artifacts carry the
-    // exact trace.dist.* distributions; DIRSIM_TRACE_SAMPLE only
-    // thins the event timeline, never the distributions.
+    // exact write-run-length distribution; DIRSIM_TRACE_SAMPLE only
+    // thins the event timeline, never the distribution.
     TracerConfig tracer_config = TracerConfig::fromEnvironment();
     if (!tracer_config.enabled())
         tracer_config.samplePeriod = 4096;
@@ -149,58 +152,40 @@ curveTable(const std::vector<SizePoint> &points,
     table.print(std::cout);
 }
 
-/** One tracer distribution across machine sizes, nonzero rows only. */
+/**
+ * One distribution per machine size as a value-by-N fraction table:
+ * rows only for values some N recorded, then the sample counts.
+ */
 void
 distributionTable(const std::vector<SizePoint> &points,
-                  const std::string &name, const char *title)
+                  const std::vector<Histogram> &dists, const char *title,
+                  const std::function<std::string(std::uint64_t)> &label)
 {
     std::cout << '\n' << title << '\n';
-    const std::string prefix = "trace.dist." + name;
     std::vector<std::string> header{"value"};
     for (const SizePoint &point : points)
         header.push_back("N=" + std::to_string(point.numCaches));
     TextTable table(std::move(header));
 
-    const auto counter = [&](const SizePoint &point,
-                             const std::string &key) -> std::uint64_t {
-        return point.artifacts.hasMetrics
-                    && point.artifacts.metrics.has(key)
-            ? point.artifacts.metrics.counter(key)
-            : 0;
-    };
-    const auto fraction = [&](const SizePoint &point,
-                              const std::string &key) {
-        const std::uint64_t samples =
-            counter(point, prefix + ".samples");
-        if (samples == 0)
-            return std::string("-");
-        return TextTable::fixed(
-            static_cast<double>(counter(point, key))
-                / static_cast<double>(samples),
-            4);
-    };
-
-    for (std::size_t v = 0; v < traceDistBuckets; ++v) {
-        const std::string key = prefix + "." + std::to_string(v);
+    std::uint64_t max_value = 0;
+    for (const Histogram &dist : dists)
+        max_value = std::max(max_value, dist.maxValue());
+    for (std::uint64_t v = 0; v <= max_value; ++v) {
         bool any = false;
-        for (const SizePoint &point : points)
-            any = any || counter(point, key) != 0;
+        for (const Histogram &dist : dists)
+            any = any || dist.count(v) != 0;
         if (!any)
             continue;
-        std::vector<std::string> row{std::to_string(v)};
-        for (const SizePoint &point : points)
-            row.push_back(fraction(point, key));
+        std::vector<std::string> row{label(v)};
+        for (const Histogram &dist : dists)
+            row.push_back(dist.samples() == 0
+                              ? std::string("-")
+                              : TextTable::fixed(dist.fraction(v), 4));
         table.addRow(std::move(row));
     }
-    std::vector<std::string> overflow{
-        ">=" + std::to_string(traceDistBuckets)};
     std::vector<std::string> samples{"samples"};
-    for (const SizePoint &point : points) {
-        overflow.push_back(fraction(point, prefix + ".overflow"));
-        samples.push_back(TextTable::grouped(
-            counter(point, prefix + ".samples")));
-    }
-    table.addRow(std::move(overflow));
+    for (const Histogram &dist : dists)
+        samples.push_back(TextTable::grouped(dist.samples()));
     table.addRule();
     table.addRow(std::move(samples));
     table.print(std::cout);
@@ -254,18 +239,39 @@ report(const std::string &out_dir)
                              cell.cleanWriteHolders.mean(), 4);
                });
 
+    // Figure 1 per machine size: every cell's clean-block writes.
+    std::vector<Histogram> invalidations(points.size());
+    for (std::size_t p = 0; p < points.size(); ++p)
+        for (const CellRecord &cell : points[p].artifacts.cells)
+            invalidations[p].merge(cell.cleanWriteHolders);
     distributionTable(
-        points, "inval_on_clean_write",
-        "Invalidation distribution vs N (tracer; fraction of "
-        "clean-block writes invalidating k caches)");
+        points, invalidations,
+        "Invalidation distribution vs N (fraction of clean-block "
+        "writes invalidating k caches)",
+        [](std::uint64_t v) { return std::to_string(v); });
+
+    // The tracer's write runs; its capped histogram parks runs of
+    // traceDistBuckets or more writes in one overflow row.
+    const std::string runs = "trace.dist.write_run_length.";
+    std::vector<Histogram> run_lengths(points.size());
+    for (std::size_t p = 0; p < points.size(); ++p) {
+        const RunArtifacts &artifacts = points[p].artifacts;
+        for (std::uint64_t v = 0; v <= traceDistBuckets; ++v) {
+            const std::string key =
+                runs + (v == traceDistBuckets ? std::string("overflow")
+                                              : std::to_string(v));
+            if (artifacts.hasMetrics && artifacts.metrics.has(key))
+                run_lengths[p].add(v, artifacts.metrics.counter(key));
+        }
+    }
     distributionTable(
-        points, "sharer_set_size",
-        "Sharer-set size at clean-block writes vs N (tracer; "
-        "writer included)");
-    distributionTable(
-        points, "write_run_length",
+        points, run_lengths,
         "Write-run length vs N (tracer; consecutive writes by one "
-        "cache before a handoff)");
+        "cache before a handoff)",
+        [](std::uint64_t v) {
+            return v == traceDistBuckets ? ">=" + std::to_string(v)
+                                         : std::to_string(v);
+        });
     return 0;
 }
 

@@ -26,9 +26,11 @@ main()
     //    the scheme, the parameters — and runJob() is the one entry
     //    point (sim/job.hh; docs/api.md).
     const SimResult dir0b =
-        runJob({TraceRef::of(trace), parseScheme("Dir0B")}).result;
+        runJob({TraceRef::of(trace), parseScheme("Dir0B"), SimConfig{}})
+            .result;
     const SimResult dragon =
-        runJob({TraceRef::of(trace), parseScheme("Dragon")}).result;
+        runJob({TraceRef::of(trace), parseScheme("Dragon"), SimConfig{}})
+            .result;
 
     // 3. Weight the recorded events by a bus cost model.
     const BusCosts bus = paperPipelinedCosts();

@@ -1,7 +1,7 @@
 /**
  * @file
  * Dependency-free JSON support for the observability subsystem
- * (src/obs): a streaming writer used by the JSONL/CSV result sinks
+ * (src/obs): a streaming writer used by the JSONL result sink
  * and a small validating parser used by `dirsim_report` and the
  * manifest cross-checks.
  *

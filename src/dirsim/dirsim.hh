@@ -31,7 +31,6 @@
 #include "common/log.hh"
 #include "common/logging.hh"
 #include "common/random.hh"
-#include "common/stats.hh"
 #include "common/table.hh"
 #include "common/thread_pool.hh"
 #include "common/types.hh"
@@ -40,7 +39,6 @@
 #include "directory/limited.hh"
 #include "directory/sharer_set.hh"
 #include "directory/storage.hh"
-#include "directory/tang.hh"
 #include "directory/two_bit.hh"
 #include "obs/artifacts.hh"
 #include "obs/cell_cache.hh"

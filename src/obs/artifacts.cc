@@ -18,7 +18,7 @@ namespace
 void
 emitArtifacts(RunManifest manifest, const GridResult &grid,
               const std::vector<std::string> &tracePaths,
-              ResultsSink &sink, const ExtraMetricsFn &extra_metrics)
+              JsonlSink &sink, const ExtraMetricsFn &extra_metrics)
 {
     manifest.jobs = grid.jobs;
     sink.writeManifest(manifest);
@@ -46,7 +46,7 @@ GridResult
 runFilesWithArtifacts(const ExperimentRunner &runner,
                       const std::vector<SchemeSpec> &schemes,
                       const std::vector<std::string> &tracePaths,
-                      const SimConfig &sim, ResultsSink &sink,
+                      const SimConfig &sim, JsonlSink &sink,
                       const ExtraMetricsFn &extraMetrics)
 {
     RunManifest manifest = RunManifest::capture(schemes, sim);
@@ -79,7 +79,7 @@ GridResult
 runWithArtifacts(const ExperimentRunner &runner,
                  const std::vector<SchemeSpec> &schemes,
                  const std::vector<Trace> &traces,
-                 const SimConfig &sim, ResultsSink &sink,
+                 const SimConfig &sim, JsonlSink &sink,
                  const ExtraMetricsFn &extraMetrics)
 {
     RunManifest manifest = RunManifest::capture(schemes, sim);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Observed experiment runs: execute a grid and persist its structured
- * artifacts (manifest + per-cell records + metrics) to a ResultsSink,
+ * artifacts (manifest + per-cell records + metrics) to a JsonlSink,
  * and load such artifacts back for reporting, diffing, and
  * regression checks.
  *
@@ -46,14 +46,14 @@ GridResult runFilesWithArtifacts(
     const ExperimentRunner &runner,
     const std::vector<SchemeSpec> &schemes,
     const std::vector<std::string> &tracePaths, const SimConfig &sim,
-    ResultsSink &sink, const ExtraMetricsFn &extraMetrics = {});
+    JsonlSink &sink, const ExtraMetricsFn &extraMetrics = {});
 
 /** In-memory variant: traces are recorded with source "memory" and
  *  no path/checksum provenance. */
 GridResult runWithArtifacts(const ExperimentRunner &runner,
                             const std::vector<SchemeSpec> &schemes,
                             const std::vector<Trace> &traces,
-                            const SimConfig &sim, ResultsSink &sink,
+                            const SimConfig &sim, JsonlSink &sink,
                             const ExtraMetricsFn &extraMetrics = {});
 
 /** A results file, loaded. */

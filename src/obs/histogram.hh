@@ -1,6 +1,7 @@
 /**
  * @file
- * Fixed-bucket distribution histograms for the event tracer.
+ * Fixed-bucket distribution histograms for the event tracer and the
+ * daemon's latency metrics.
  *
  * Unlike the growable dense common/histogram.hh (which sizes itself
  * to the data and is subtractable for warm-up discard), a
@@ -10,9 +11,10 @@
  * histograms merge iff their bucket counts match (anything else is a
  * caller bug and throws).
  *
- * The tracer (obs/tracer.hh) keeps one of these per distribution —
- * invalidation count, sharer-set size, write-run length — per cell
- * session, and merges them into per-run totals.
+ * The tracer (obs/tracer.hh) keeps its write-run-length distribution
+ * in one of these per cell session and merges them into a per-run
+ * total; dirsim_serve keeps its queue-wait and run-duration
+ * histograms in them for /metrics.
  */
 
 #ifndef DIRSIM_OBS_HISTOGRAM_HH

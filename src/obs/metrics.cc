@@ -176,26 +176,6 @@ MetricRegistry::merge(const MetricRegistry &other)
 }
 
 void
-MetricRegistry::importCounters(const std::string &prefix,
-                               const CounterSet &counters)
-{
-    for (const auto &[name, value] : counters)
-        add(prefix + "." + name, value);
-}
-
-void
-MetricRegistry::importHistogram(const std::string &prefix,
-                                const Histogram &histogram)
-{
-    add(prefix + ".samples", histogram.samples());
-    const auto &buckets = histogram.buckets();
-    for (std::size_t v = 0; v < buckets.size(); ++v) {
-        if (buckets[v] != 0)
-            add(prefix + "." + std::to_string(v), buckets[v]);
-    }
-}
-
-void
 MetricRegistry::writeJson(JsonWriter &writer) const
 {
     writer.beginObject();

@@ -3,12 +3,12 @@
  * MetricRegistry: one hierarchical namespace for every number a run
  * produces.
  *
- * The simulator historically grew three ad-hoc stat containers — the
- * fixed-enum EventCounts/OpCounts, the free-form CounterSet
- * (src/common/stats.hh), and Histogram — each with its own merge and
- * output conventions. MetricRegistry unifies them under dotted
- * hierarchical names ("sim.pops.Dir0B.events.wm_blk_cln",
- * "runner.cell.wall_ms") with three metric types:
+ * The simulator counts in typed containers — the fixed-enum
+ * EventCounts/OpCounts and the Figure 1 Histogram — each with its
+ * own merge conventions. MetricRegistry gives every number a run
+ * reports one namespace of dotted hierarchical names
+ * ("sim.pops.Dir0B.events.wm_blk_cln", "runner.cell.wall_ms") with
+ * three metric types:
  *
  *  - counter: monotonically accumulated u64 (event/op counts)
  *  - gauge:   last-written double (wall seconds, refs/sec, jobs)
@@ -16,8 +16,8 @@
  *             for per-cell wall times without dense-histogram memory
  *
  * Metrics iterate in name order for stable output, merge across
- * registries (grid shards, repeated runs), and serialize to JSON for
- * the JSONL sinks (obs/sink.hh).
+ * registries (grid cells, repeated runs), and serialize to JSON for
+ * the JSONL sink (obs/sink.hh).
  */
 
 #ifndef DIRSIM_OBS_METRICS_HH
@@ -27,9 +27,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-
-#include "common/histogram.hh"
-#include "common/stats.hh"
 
 namespace dirsim
 {
@@ -119,22 +116,11 @@ class MetricRegistry
     /**
      * Merge another registry: counters add, gauges take the other's
      * value, timers combine their summaries. Merging a registry into
-     * itself is a no-op (mirroring CounterSet::merge).
+     * itself is a no-op (the values are already here).
      *
      * @throws UsageError when a shared name has different kinds
      */
     void merge(const MetricRegistry &other);
-
-    /** Import every counter of a CounterSet under @p prefix. */
-    void importCounters(const std::string &prefix,
-                        const CounterSet &counters);
-
-    /**
-     * Import a dense Histogram as counters
-     * "<prefix>.<bucket>" (plus "<prefix>.samples").
-     */
-    void importHistogram(const std::string &prefix,
-                         const Histogram &histogram);
 
     /** Name-ordered iteration. */
     auto begin() const { return entries.begin(); }

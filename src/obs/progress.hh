@@ -6,8 +6,8 @@
  * a single self-rewriting status line: cells done, the cell that just
  * finished, aggregate refs/s, and an ETA from the planned-vs-completed
  * reference counts. It is opt-in (DIRSIM_PROGRESS=1) and writes only
- * to stderr, so machine-readable stdout (JSONL, CSV, report text)
- * stays clean.
+ * to stderr, so machine-readable stdout (JSONL, report text) stays
+ * clean.
  *
  * @code
  *   ProgressHud hud;

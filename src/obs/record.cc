@@ -1,10 +1,7 @@
 #include "obs/record.hh"
 
-#include <sstream>
-
 #include "common/json.hh"
 #include "common/logging.hh"
-#include "common/table.hh"
 
 namespace dirsim
 {
@@ -213,66 +210,6 @@ CellRecord::fromJson(const JsonValue &json)
                           phases.at(toString(phase)).asU64());
     }
     return record;
-}
-
-const std::vector<std::string> &
-CellRecord::csvHeader()
-{
-    static const std::vector<std::string> header = [] {
-        std::vector<std::string> out{"scheme", "trace", "trace_path",
-                                     "caches", "total_refs"};
-        for (std::size_t e = 0; e < numEventTypes; ++e)
-            out.push_back(
-                "events." + eventKey(static_cast<EventType>(e)));
-        for (const auto &[name, member] : opFields())
-            out.push_back(std::string("ops.") + name);
-        out.push_back("clean_write_holders");
-        out.push_back("wall_seconds");
-        out.push_back("refs_per_second");
-        for (std::size_t p = 0; p < numPhases; ++p)
-            out.push_back(std::string("phase_ns.")
-                          + toString(static_cast<Phase>(p)));
-        out.push_back("pipelined_total");
-        out.push_back("non_pipelined_total");
-        out.push_back("transactions_per_ref");
-        return out;
-    }();
-    return header;
-}
-
-std::vector<std::string>
-CellRecord::csvRow() const
-{
-    std::vector<std::string> row{scheme, trace, tracePath,
-                                 std::to_string(numCaches),
-                                 std::to_string(totalRefs)};
-    for (std::size_t e = 0; e < numEventTypes; ++e)
-        row.push_back(std::to_string(
-            events.count(static_cast<EventType>(e))));
-    for (const auto &[name, member] : opFields())
-        row.push_back(std::to_string(ops.*member));
-
-    // Histogram buckets as "c0;c1;...", dense from zero.
-    std::ostringstream holders;
-    const auto &buckets = cleanWriteHolders.buckets();
-    for (std::size_t v = 0; v < buckets.size(); ++v) {
-        if (v > 0)
-            holders << ';';
-        holders << buckets[v];
-    }
-    row.push_back(holders.str());
-
-    row.push_back(TextTable::fixed(wallSeconds, 6));
-    row.push_back(TextTable::fixed(refsPerSecond(), 1));
-    for (std::size_t p = 0; p < numPhases; ++p)
-        row.push_back(
-            std::to_string(phases.get(static_cast<Phase>(p))));
-    const CycleBreakdown pipe = cost(paperPipelinedCosts());
-    row.push_back(TextTable::fixed(pipe.total(), 6));
-    row.push_back(
-        TextTable::fixed(cost(paperNonPipelinedCosts()).total(), 6));
-    row.push_back(TextTable::fixed(pipe.transactions, 6));
-    return row;
 }
 
 std::vector<SchemeResults>

@@ -32,15 +32,13 @@ class JsonWriter;
 class JsonValue;
 
 /**
- * Stable snake_case key for an event type, used in JSONL/CSV columns
- * and metric names (e.g. RdMiss -> "rd_miss", WmBlkCln ->
- * "wm_blk_cln").
+ * Stable snake_case key for an event type, used in JSONL records and
+ * metric names (e.g. RdMiss -> "rd_miss", WmBlkCln -> "wm_blk_cln").
  */
 const std::string &eventKey(EventType event);
 
 /** The OpCounts fields as (key, member pointer) pairs, in a fixed
- *  order shared by the JSON schema, the CSV columns, and the metric
- *  names. */
+ *  order shared by the JSON schema and the metric names. */
 const std::vector<std::pair<const char *,
                             std::uint64_t OpCounts::*>> &
 opFields();
@@ -97,12 +95,6 @@ struct CellRecord
      * @throws UsageError on missing fields or malformed values
      */
     static CellRecord fromJson(const JsonValue &json);
-
-    /** Column names of the CSV schema, in csvRow() order. */
-    static const std::vector<std::string> &csvHeader();
-
-    /** This record as one CSV row (same order as csvHeader()). */
-    std::vector<std::string> csvRow() const;
 };
 
 /**

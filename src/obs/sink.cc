@@ -6,10 +6,6 @@
 namespace dirsim
 {
 
-void
-ResultsSink::writeMetrics(const MetricRegistry &)
-{}
-
 namespace
 {
 
@@ -69,108 +65,6 @@ void
 JsonlSink::finish()
 {
     fatalIf(finished, "JsonlSink::finish() called twice");
-    finished = true;
-    os->flush();
-    fatalIf(os->fail(), "I/O error writing results",
-            path.empty() ? std::string()
-                         : (" to '" + path + "'"));
-}
-
-std::string
-csvField(const std::string &value)
-{
-    const bool needs_quoting =
-        value.find_first_of(",\"\n\r") != std::string::npos;
-    if (!needs_quoting)
-        return value;
-    std::string quoted = "\"";
-    for (const char c : value) {
-        if (c == '"')
-            quoted += '"';
-        quoted += c;
-    }
-    quoted += '"';
-    return quoted;
-}
-
-CsvSink::CsvSink(std::ostream &os_arg) : os(&os_arg) {}
-
-CsvSink::CsvSink(const std::string &path_arg)
-    : owned(openFile(path_arg)), os(owned.get()), path(path_arg)
-{}
-
-std::ostream &
-CsvSink::stream()
-{
-    fatalIf(finished, "CsvSink written to after finish()");
-    return *os;
-}
-
-void
-CsvSink::writeManifest(const RunManifest &manifest)
-{
-    std::ostream &out = stream();
-    out << "# dirsim results, schema " << RunManifest::schemaVersion
-        << "\n";
-    out << "# started " << manifest.startedAt << ", finished "
-        << manifest.finishedAt << ", host " << manifest.host
-        << ", jobs " << manifest.jobs << "\n";
-    out << "# config: block_bytes=" << manifest.blockBytes
-        << " sharing=" << manifest.sharing
-        << " warmup_refs=" << manifest.warmupRefs << "\n";
-    for (const TraceProvenance &trace : manifest.traces) {
-        out << "# trace " << trace.name << ": source=" << trace.source
-            << " records=" << trace.records
-            << " caches=" << trace.caches;
-        if (!trace.path.empty())
-            out << " path=" << trace.path;
-        if (trace.hasChecksum) {
-            char buf[17];
-            std::snprintf(buf, sizeof(buf), "%016llx",
-                          static_cast<unsigned long long>(
-                              trace.checksum));
-            out << " fnv64=" << buf;
-        }
-        out << "\n";
-    }
-    for (const auto &[name, value] : manifest.env)
-        out << "# env " << name << "=" << value << "\n";
-}
-
-void
-CsvSink::headerRowOnce()
-{
-    if (wroteHeader)
-        return;
-    wroteHeader = true;
-    std::ostream &out = stream();
-    const auto &header = CellRecord::csvHeader();
-    for (std::size_t i = 0; i < header.size(); ++i) {
-        if (i > 0)
-            out << ',';
-        out << csvField(header[i]);
-    }
-    out << "\n";
-}
-
-void
-CsvSink::writeCell(const CellRecord &record)
-{
-    headerRowOnce();
-    std::ostream &out = stream();
-    const auto row = record.csvRow();
-    for (std::size_t i = 0; i < row.size(); ++i) {
-        if (i > 0)
-            out << ',';
-        out << csvField(row[i]);
-    }
-    out << "\n";
-}
-
-void
-CsvSink::finish()
-{
-    fatalIf(finished, "CsvSink::finish() called twice");
     finished = true;
     os->flush();
     fatalIf(os->fail(), "I/O error writing results",

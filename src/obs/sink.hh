@@ -1,19 +1,14 @@
 /**
  * @file
- * ResultsSink: where structured run artifacts go.
+ * JsonlSink: where structured run artifacts go.
  *
  * A sink receives the run manifest, one CellRecord per grid cell (in
  * grid order, so output is deterministic regardless of worker
- * scheduling), and optionally a MetricRegistry snapshot. Two
- * implementations ship:
- *
- *  - JsonlSink: one JSON object per line — a "manifest" line, then
- *    "cell" lines, then an optional "metrics" line. This is the
- *    machine-readable format `dirsim_report` consumes and the
- *    BENCH_*.json perf-trajectory files use.
- *  - CsvSink: a flat spreadsheet-friendly view — manifest as
- *    '#'-prefixed comment lines, then a header row and one row per
- *    cell (schema in CellRecord::csvHeader()).
+ * scheduling), and optionally a MetricRegistry snapshot, and writes
+ * them as JSON Lines: a "manifest" line, then "cell" lines, then an
+ * optional "metrics" line. This is the machine-readable format
+ * `dirsim_report` consumes and the BENCH_*.json perf-trajectory
+ * files use.
  */
 
 #ifndef DIRSIM_OBS_SINK_HH
@@ -31,27 +26,8 @@
 namespace dirsim
 {
 
-/** Consumer of one run's structured artifacts. */
-class ResultsSink
-{
-  public:
-    virtual ~ResultsSink() = default;
-
-    /** Called once, before any cell, with the completed manifest. */
-    virtual void writeManifest(const RunManifest &manifest) = 0;
-
-    /** Called once per grid cell, in grid (scheme-major) order. */
-    virtual void writeCell(const CellRecord &record) = 0;
-
-    /** Optional registry snapshot; default implementation ignores. */
-    virtual void writeMetrics(const MetricRegistry &metrics);
-
-    /** Flush; further writes are a usage error. */
-    virtual void finish() = 0;
-};
-
-/** Streams artifacts as JSON Lines. */
-class JsonlSink : public ResultsSink
+/** Streams one run's structured artifacts as JSON Lines. */
+class JsonlSink
 {
   public:
     /** Write to a caller-owned stream (tests, stdout). */
@@ -60,10 +36,17 @@ class JsonlSink : public ResultsSink
     /** Write to @p path. @throws UsageError when unwritable */
     explicit JsonlSink(const std::string &path);
 
-    void writeManifest(const RunManifest &manifest) override;
-    void writeCell(const CellRecord &record) override;
-    void writeMetrics(const MetricRegistry &metrics) override;
-    void finish() override;
+    /** Called once, before any cell, with the completed manifest. */
+    void writeManifest(const RunManifest &manifest);
+
+    /** Called once per grid cell, in grid (scheme-major) order. */
+    void writeCell(const CellRecord &record);
+
+    /** Optional registry snapshot. */
+    void writeMetrics(const MetricRegistry &metrics);
+
+    /** Flush; further writes are a usage error. */
+    void finish();
 
   private:
     std::ostream &stream();
@@ -73,33 +56,6 @@ class JsonlSink : public ResultsSink
     std::string path; ///< for diagnostics; empty for stream sinks
     bool finished = false;
 };
-
-/** Streams cell records as CSV (manifest as '#' comments). */
-class CsvSink : public ResultsSink
-{
-  public:
-    explicit CsvSink(std::ostream &os_arg);
-
-    /** @throws UsageError when @p path cannot be opened */
-    explicit CsvSink(const std::string &path);
-
-    void writeManifest(const RunManifest &manifest) override;
-    void writeCell(const CellRecord &record) override;
-    void finish() override;
-
-  private:
-    std::ostream &stream();
-    void headerRowOnce();
-
-    std::unique_ptr<std::ofstream> owned;
-    std::ostream *os;
-    std::string path;
-    bool wroteHeader = false;
-    bool finished = false;
-};
-
-/** Quote/escape one CSV field per RFC 4180 (only when needed). */
-std::string csvField(const std::string &value);
 
 } // namespace dirsim
 

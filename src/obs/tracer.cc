@@ -58,8 +58,6 @@ EventTracer::absorb(Session &session)
     }
 
     std::lock_guard<std::mutex> lock(mutex);
-    invalHist.merge(session.invalHist);
-    sharerHist.merge(session.sharerHist);
     runHist.merge(session.runHist);
     emitted += session.ringSeen;
     droppedTotal += session.ringDropped;
@@ -75,22 +73,15 @@ void
 EventTracer::exportMetrics(MetricRegistry &metrics) const
 {
     std::lock_guard<std::mutex> lock(mutex);
-    const auto exportHist = [&](const char *name,
-                                const FixedHistogram &hist) {
-        const std::string prefix =
-            std::string("trace.dist.") + name;
-        metrics.add(prefix + ".samples", hist.samples());
-        if (hist.overflow() != 0)
-            metrics.add(prefix + ".overflow", hist.overflow());
-        for (std::uint64_t v = 0; v < hist.bucketCount(); ++v) {
-            if (hist.count(v) != 0)
-                metrics.add(prefix + "." + std::to_string(v),
-                            hist.count(v));
-        }
-    };
-    exportHist("inval_on_clean_write", invalHist);
-    exportHist("sharer_set_size", sharerHist);
-    exportHist("write_run_length", runHist);
+    const std::string prefix = "trace.dist.write_run_length";
+    metrics.add(prefix + ".samples", runHist.samples());
+    if (runHist.overflow() != 0)
+        metrics.add(prefix + ".overflow", runHist.overflow());
+    for (std::uint64_t v = 0; v < runHist.bucketCount(); ++v) {
+        if (runHist.count(v) != 0)
+            metrics.add(prefix + "." + std::to_string(v),
+                        runHist.count(v));
+    }
     metrics.add("trace.events.emitted", emitted);
     metrics.add("trace.events.dropped", droppedTotal);
     metrics.set("trace.sample_period", tracerConfig.samplePeriod);
@@ -135,14 +126,6 @@ EventTracer::Session::emit(const ProtocolTraceEvent &event)
     ring[ringHead] = stamped;
     ringHead = (ringHead + 1) % capacity;
     ++ringDropped;
-}
-
-void
-EventTracer::Session::cleanWriteSample(unsigned num_others)
-{
-    invalHist.add(num_others);
-    // The holder set at that write includes the writer itself.
-    sharerHist.add(static_cast<std::uint64_t>(num_others) + 1);
 }
 
 void

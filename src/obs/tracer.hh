@@ -6,19 +6,17 @@
  * cell gets its own CellTraceSession, which is what actually plugs
  * into the protocol (SimConfig::traceSink). A session is touched by
  * exactly one worker thread for the lifetime of its cell — it owns a
- * private bounded ring buffer and private distribution histograms,
- * so the simulation hot path takes no locks; the tracer's mutex is
+ * private bounded ring buffer and a private write-run histogram, so
+ * the simulation hot path takes no locks; the tracer's mutex is
  * taken only at session open and close (merge). That is what keeps
  * the per-thread ring buffers ThreadSanitizer-clean under the
  * parallel runner.
  *
  * Volume control is layered:
- *  - compile time: DIRSIM_NO_TRACER removes the protocol hook
- *    entirely (CMake option DIRSIM_TRACER=OFF);
  *  - run time: TracerConfig::samplePeriod (DIRSIM_TRACE_SAMPLE)
  *    thins the *timeline* — only every Nth reference produces a full
- *    ProtocolTraceEvent. The distribution histograms are fed from
- *    the unsampled callbacks, so they are exact at every sampling
+ *    ProtocolTraceEvent. The write-run histogram is fed from the
+ *    unsampled dataRef() callback, so it is exact at every sampling
  *    period whenever a session is attached at all;
  *  - space: the ring keeps the most recent ringCapacity events per
  *    cell (DIRSIM_TRACE_RING) and counts what it dropped.
@@ -98,19 +96,13 @@ class EventTracer
      * it (or calling finish()) merges its data into this tracer.
      *
      * @param block_filter when set, only timeline events touching
-     *        this block are kept (histograms still see everything)
+     *        this block are kept (the histogram still sees everything)
      */
     std::unique_ptr<Session> session(
         std::string scheme, std::string trace,
         std::optional<BlockNum> block_filter = std::nullopt);
 
     const TracerConfig &config() const { return tracerConfig; }
-
-    /** Figure 1: other holders invalidated on clean-block writes. */
-    const FixedHistogram &invalidations() const { return invalHist; }
-
-    /** Holder-set size (writer included) at those same writes. */
-    const FixedHistogram &sharerSetSizes() const { return sharerHist; }
 
     /** Lengths of uninterrupted single-writer runs per block. */
     const FixedHistogram &writeRunLengths() const { return runHist; }
@@ -128,10 +120,11 @@ class EventTracer
     }
 
     /**
-     * Export the distributions and volume counters into @p metrics
-     * under "trace.": trace.dist.<name>.{samples,overflow,<k>}
-     * counters for each histogram plus trace.events.{emitted,kept,
-     * dropped} — the shape dirsim_report re-renders Figure 1 from.
+     * Export the write-run histogram and volume counters into
+     * @p metrics under "trace.":
+     * trace.dist.write_run_length.{samples,overflow,<k>} counters
+     * plus trace.events.{emitted,dropped} — the shape dirsim_report
+     * re-renders the write-run table from.
      */
     void exportMetrics(MetricRegistry &metrics) const;
 
@@ -142,8 +135,6 @@ class EventTracer
 
     TracerConfig tracerConfig;
     mutable std::mutex mutex;
-    FixedHistogram invalHist{traceDistBuckets};
-    FixedHistogram sharerHist{traceDistBuckets};
     FixedHistogram runHist{traceDistBuckets};
     std::vector<CellTimeline> cellTimelines;
     std::uint64_t emitted = 0;
@@ -168,7 +159,6 @@ class EventTracer::Session : public ProtocolTraceSink
     }
 
     void emit(const ProtocolTraceEvent &event) override;
-    void cleanWriteSample(unsigned num_others) override;
     void dataRef(BlockNum block, CacheId cache,
                  bool is_write) override;
 
@@ -200,8 +190,6 @@ class EventTracer::Session : public ProtocolTraceSink
     std::uint64_t ringSeen = 0;
     std::uint64_t ringDropped = 0;
 
-    FixedHistogram invalHist{traceDistBuckets};
-    FixedHistogram sharerHist{traceDistBuckets};
     FixedHistogram runHist{traceDistBuckets};
     std::unordered_map<BlockNum, WriteRun> openRuns;
     bool finished = false;

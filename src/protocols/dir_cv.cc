@@ -120,12 +120,12 @@ DirCV::handleWriteMiss(CacheId cache, BlockNum block,
 }
 
 void
-DirCV::onEviction(CacheId cache, BlockNum block, CacheBlockState state)
+DirCV::onEviction(CacheId, BlockNum block, CacheBlockState state)
 {
     // Neither code can subtract a member, so clean evictions leave
     // the (still correct) superset in place. A dirty eviction implies
-    // the code denoted only {cache} (ternary) or its region; the
-    // write-back resets it.
+    // the code denoted only the evicting cache (ternary) or its
+    // region; the write-back resets it.
     if (isDirtyState(state)) {
         CoarseVectorDirectory::Entry &entry = dir.entry(block);
         entry.sharers.clear();

@@ -1,7 +1,6 @@
 #include "protocols/events.hh"
 
 #include "common/logging.hh"
-#include "common/stats.hh"
 
 namespace dirsim
 {

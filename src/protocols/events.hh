@@ -232,12 +232,12 @@ struct ProtocolTraceEvent
  *
  * The interface lives here (not in src/obs) so the protocol layer
  * never depends on the observability library; obs/tracer.hh provides
- * the production implementation. Three channels with different
+ * the production implementation. Two channels with different
  * volumes:
  *
- *  - dataRef() / cleanWriteSample() fire on *every* data reference /
- *    clean-write while a sink is attached, so distribution histograms
- *    built from them are exact regardless of sampling.
+ *  - dataRef() fires on *every* data reference while a sink is
+ *    attached, so distributions built from it are exact regardless
+ *    of sampling.
  *  - emit() fires only for references selected by samplePeriod()
  *    (1 = every reference, N = every Nth, 0 = never) and carries the
  *    full before/after transition detail.
@@ -252,9 +252,6 @@ class ProtocolTraceSink
 
     /** A sampled reference's full transition record. */
     virtual void emit(const ProtocolTraceEvent &event) = 0;
-
-    /** Figure 1 sample: other holders on a write to a clean block. */
-    virtual void cleanWriteSample(unsigned num_others) = 0;
 
     /** Every data reference (feeds write-run-length tracking). */
     virtual void dataRef(BlockNum block, CacheId cache,

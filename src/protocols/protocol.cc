@@ -84,12 +84,10 @@ void
 CoherenceProtocol::read(CacheId cache, BlockNum block, bool first_ref)
 {
     checkReference(cache, block);
-#ifndef DIRSIM_NO_TRACER
     if (traceSink != nullptr) {
         tracedRef(cache, block, first_ref, false);
         return;
     }
-#endif
     processRead(cache, block, first_ref);
 }
 
@@ -97,16 +95,12 @@ void
 CoherenceProtocol::write(CacheId cache, BlockNum block, bool first_ref)
 {
     checkReference(cache, block);
-#ifndef DIRSIM_NO_TRACER
     if (traceSink != nullptr) {
         tracedRef(cache, block, first_ref, true);
         return;
     }
-#endif
     processWrite(cache, block, first_ref);
 }
-
-#ifndef DIRSIM_NO_TRACER
 
 void
 CoherenceProtocol::tracedRef(CacheId cache, BlockNum block,
@@ -155,8 +149,6 @@ CoherenceProtocol::tracedRef(CacheId cache, BlockNum block,
     event.ref = eventCounts.totalRefs();
     traceSink->emit(event);
 }
-
-#endif // DIRSIM_NO_TRACER
 
 void
 CoherenceProtocol::processRead(CacheId cache, BlockNum block,

@@ -107,12 +107,11 @@ class CoherenceProtocol
      *
      * While attached, every data reference additionally reports to
      * the sink (ProtocolTraceSink in protocols/events.hh): dataRef()
-     * and cleanWriteSample() always, emit() at the sink's sampling
-     * period. Events carry original block numbers (BlockSpace
-     * labels). Tracing never changes protocol state, event counts, or
-     * operation tallies — a traced run's SimResult is bit-identical
-     * to an untraced one (asserted by test). Compiled out entirely
-     * (and ignored) when DIRSIM_NO_TRACER is defined.
+     * always, emit() at the sink's sampling period. Events carry
+     * original block numbers (BlockSpace labels). Tracing never
+     * changes protocol state, event counts, or operation tallies — a
+     * traced run's SimResult is bit-identical to an untraced one
+     * (asserted by test).
      */
     void attachTracer(ProtocolTraceSink *sink);
 
@@ -228,10 +227,6 @@ class CoherenceProtocol
     void sampleCleanWrite(unsigned num_others)
     {
         cleanWriteHist.add(num_others);
-#ifndef DIRSIM_NO_TRACER
-        if (traceSink != nullptr)
-            traceSink->cleanWriteSample(num_others);
-#endif
     }
 
     EventCounts eventCounts;
@@ -259,11 +254,9 @@ class CoherenceProtocol
     void processRead(CacheId cache, BlockNum block, bool first_ref);
     void processWrite(CacheId cache, BlockNum block, bool first_ref);
 
-#ifndef DIRSIM_NO_TRACER
     /** The traced slow path: report, sample, capture, delegate. */
     void tracedRef(CacheId cache, BlockNum block, bool first_ref,
                    bool is_write);
-#endif
 
     /** cacheState() body without the range checks. */
     CacheBlockState stateOf(CacheId cache, BlockNum block) const;

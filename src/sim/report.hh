@@ -23,7 +23,8 @@ namespace dirsim
  * Table 4 view: event frequencies (percent of all references) with
  * one column per scheme, in the paper's row order.
  *
- * @param grid per-scheme results (runGrid output)
+ * @param grid per-scheme results (GridResult::schemes, or
+ *        toSchemeResults() of a loaded artifacts file)
  * @param paper_layout when true, cells the paper leaves blank for a
  *        scheme (e.g. rm-blk-cln for WTI) print as "-"
  */

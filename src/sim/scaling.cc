@@ -18,18 +18,6 @@ scalingTrace(unsigned num_cpus, const ScalingParams &params)
                          params.seed * 31 + num_cpus);
 }
 
-std::vector<Trace>
-scalingSuite(const ScalingParams &params)
-{
-    fatalIf(params.cacheCounts.empty(),
-            "scaling suite needs at least one cache count");
-    std::vector<Trace> traces;
-    traces.reserve(params.cacheCounts.size());
-    for (const unsigned n : params.cacheCounts)
-        traces.push_back(scalingTrace(n, params));
-    return traces;
-}
-
 std::vector<SchemeSpec>
 scalingSchemes()
 {

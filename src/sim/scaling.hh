@@ -29,10 +29,6 @@ namespace dirsim
 Trace scalingTrace(unsigned num_cpus,
                    const ScalingParams &params = {});
 
-/** Generate one trace per params.cacheCounts entry, in order. */
-std::vector<Trace> scalingSuite(
-    const ScalingParams &params = ScalingParams::fromEnvironment());
-
 /**
  * The scheme axis of the scaling report: Dir0B through the full map
  * (Dir_inf), including the broadcast and no-broadcast limited-pointer

@@ -70,12 +70,11 @@ struct SimConfig
 
     /**
      * When set, the protocol reports every data reference to this
-     * sink (CoherenceProtocol::attachTracer): distribution callbacks
-     * always, full transition events at the sink's sampling period.
-     * Observation only — results are bit-identical with or without a
-     * sink. Not serialized into manifests; the caller owns the
-     * sink's lifetime (it must outlive the simulation call). Ignored
-     * in DIRSIM_NO_TRACER builds.
+     * sink (CoherenceProtocol::attachTracer): dataRef() always, full
+     * transition events at the sink's sampling period. Observation
+     * only — results are bit-identical with or without a sink. Not
+     * serialized into manifests; the caller owns the sink's lifetime
+     * (it must outlive the simulation call).
      */
     ProtocolTraceSink *traceSink = nullptr;
 

@@ -437,7 +437,9 @@ SweepSpec
 parseSweepSpec(const JsonValue &json)
 {
     SpecReader reader(nullptr);
-    return readSpec(reader, json);
+    SweepSpec spec = readSpec(reader, json);
+    lintGeometries(reader, spec);
+    return spec;
 }
 
 SweepSpec

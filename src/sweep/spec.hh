@@ -14,9 +14,11 @@
  * Two entry points consume a spec:
  *
  *  - parseSweepSpec(): strict — throws UsageError on the first
- *    problem, with the offending member named. The run paths
- *    (`dirsim_sweep`, the `dirsim_serve` POST handler) use this; a
- *    daemon turns the exception into a 400 with the message as the
+ *    problem, with the offending member named, including a finite
+ *    geometry that is impossible at one of the spec's block sizes.
+ *    The run paths (`dirsim_sweep`, the `dirsim_serve` POST handler)
+ *    use this, so no cell runs before the whole spec is known good;
+ *    a daemon turns the exception into a 400 with the message as the
  *    diagnostic.
  *  - lintSweepSpec(): exhaustive — collects *every* problem
  *    (unknown schemes, empty axes, cache counts past the trace

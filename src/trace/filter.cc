@@ -1,7 +1,5 @@
 #include "trace/filter.hh"
 
-#include <algorithm>
-
 namespace dirsim
 {
 
@@ -46,37 +44,6 @@ keepUserOnly(const Trace &trace)
     return filterTrace(trace, [](const TraceRecord &r) {
         return !r.isSystem();
     });
-}
-
-Trace
-dataRefsOnly(const Trace &trace)
-{
-    return filterTrace(trace, [](const TraceRecord &r) {
-        return r.isData();
-    });
-}
-
-Trace
-remapProcessesToCpus(const Trace &trace)
-{
-    Trace out(trace.name(), trace.numCpus());
-    out.reserve(trace.size());
-    for (auto record : trace) {
-        record.pid = record.cpu;
-        out.append(record);
-    }
-    return out;
-}
-
-Trace
-truncateTrace(const Trace &trace, std::size_t n)
-{
-    Trace out(trace.name(), trace.numCpus());
-    const std::size_t count = std::min(n, trace.size());
-    out.reserve(count);
-    for (std::size_t i = 0; i < count; ++i)
-        out.append(trace[i]);
-    return out;
 }
 
 } // namespace dirsim

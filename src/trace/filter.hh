@@ -5,9 +5,10 @@
  *  - excludeLockRefs(): Section 5.2 re-runs the simulations
  *    "excluding all the tests on locks".
  *  - keepUserOnly(): isolate application behaviour from OS activity.
- *  - remapProcessesToCpus(): switch from the process-sharing model to
- *    the processor-sharing model (the paper checked both and found
- *    them similar because migration is rare).
+ *
+ * The paper's other trace variant, per-processor rather than
+ * per-process caches, is a SimConfig choice (SharingModel), not a
+ * rewritten trace.
  */
 
 #ifndef DIRSIM_TRACE_FILTER_HH
@@ -26,18 +27,6 @@ Trace excludeSpinReads(const Trace &trace);
 
 /** Keep only user-mode references. */
 Trace keepUserOnly(const Trace &trace);
-
-/** Keep only data references (drop instruction fetches). */
-Trace dataRefsOnly(const Trace &trace);
-
-/**
- * Rewrite every record's pid to its cpu, so a downstream simulator
- * keyed on process ids models per-processor caches instead.
- */
-Trace remapProcessesToCpus(const Trace &trace);
-
-/** Keep only the first @p n records (for quick experiments). */
-Trace truncateTrace(const Trace &trace, std::size_t n);
 
 } // namespace dirsim
 

@@ -2,12 +2,13 @@
  * @file
  * Record-at-a-time trace access.
  *
- * A TraceSource yields one TraceRecord per call, so consumers (the
- * simulator, statistics, validation tools) can process traces far
- * larger than memory: the streaming readers in trace/reader.hh hold
- * only fixed-size parser state regardless of trace length, and the
- * simulation loop in sim/simulator.hh consumes any source without
- * materializing a Trace.
+ * A TraceSource yields one TraceRecord per call, so consumers
+ * (statistics, validation tools) can read traces far larger than
+ * memory: the streaming readers in trace/reader.hh hold only
+ * fixed-size parser state regardless of trace length. A simulation
+ * does not stream: decodeTrace() (sim/decoded.hh) drains the source
+ * once into a DecodedTrace of about 9.4 bytes per reference, which
+ * every cell then replays.
  */
 
 #ifndef DIRSIM_TRACE_SOURCE_HH

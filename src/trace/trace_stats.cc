@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "common/bitops.hh"
-#include "common/stats.hh"
 
 namespace dirsim
 {

@@ -239,8 +239,9 @@ TEST_P(SharerSetBoundary, EdgeMembersRoundTrip)
     EXPECT_EQ(set.countExcluding(static_cast<CacheId>(n - 1)),
               edges.size() - 1);
     // Excluding a non-member (or an out-of-domain id) excludes nothing.
-    if (n > 2)
+    if (n > 2) {
         EXPECT_EQ(set.countExcluding(2), edges.size());
+    }
     EXPECT_EQ(set.countExcluding(invalidCacheId), edges.size());
 }
 
@@ -255,9 +256,10 @@ TEST_P(SharerSetBoundary, IsOnlySinglePassAtWordEdges)
         set.add(sole);
         EXPECT_TRUE(set.isOnly(sole)) << "n=" << n << " " << sole;
         for (const CacheId other : probes) {
-            if (other != sole)
+            if (other != sole) {
                 EXPECT_FALSE(set.isOnly(other))
                     << "n=" << n << " " << other;
+            }
         }
         // A second member in any word breaks soleness.
         const CacheId extra = sole == 0 ? 1 : 0;

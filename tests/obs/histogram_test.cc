@@ -7,9 +7,6 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "obs/histogram.hh"
-#include "obs/tracer.hh"
-#include "sim/simulator.hh"
-#include "sim/suite.hh"
 
 namespace dirsim
 {
@@ -112,56 +109,6 @@ TEST(FixedHistogramTest, FromJsonRejectsInconsistentSamples)
     EXPECT_THROW(
         FixedHistogram::fromJson(JsonValue::parse("{\"x\": 1}")),
         UsageError);
-}
-
-/**
- * Golden distribution test: on every paper scheme, the tracer's
- * invalidation histogram must reproduce the simulator's own Figure 1
- * counters (SimResult::cleanWriteHolders) bit for bit — both observe
- * every clean-block write, just through different plumbing. The
- * sharer-set histogram is the same distribution shifted by the
- * writer itself.
- */
-TEST(FixedHistogramTest, TracerInvalidationsMatchFigureOneCounters)
-{
-    SuiteParams params;
-    params.refsPerTrace = 40'000;
-    params.seed = 7;
-    const std::vector<Trace> traces = standardSuite(params);
-
-    for (const std::string &scheme : paperSchemes()) {
-        for (const Trace &trace : traces) {
-            TracerConfig config;
-            config.samplePeriod = 1;
-            EventTracer tracer(config);
-            auto session = tracer.session(scheme, trace.name());
-            SimConfig sim;
-            sim.traceSink = session.get();
-            const SimResult result =
-                simulateTrace(trace, parseScheme(scheme), sim);
-            session.reset();
-
-            const Histogram &golden = result.cleanWriteHolders;
-            const FixedHistogram &traced = tracer.invalidations();
-            ASSERT_EQ(traced.samples(), golden.samples())
-                << scheme << "/" << trace.name();
-            ASSERT_LT(golden.maxValue(), traceDistBuckets);
-            for (std::uint64_t v = 0; v < traceDistBuckets; ++v) {
-                ASSERT_EQ(traced.count(v), golden.count(v))
-                    << scheme << "/" << trace.name() << " bucket "
-                    << v;
-            }
-            EXPECT_EQ(traced.overflow(), 0u);
-
-            const FixedHistogram &sharers = tracer.sharerSetSizes();
-            EXPECT_EQ(sharers.samples(), golden.samples());
-            for (std::uint64_t v = 0; v + 1 < traceDistBuckets; ++v) {
-                ASSERT_EQ(sharers.count(v + 1), golden.count(v))
-                    << scheme << "/" << trace.name() << " sharers "
-                    << v + 1;
-            }
-        }
-    }
 }
 
 } // namespace

@@ -112,30 +112,6 @@ TEST(MetricRegistryTest, MergeKindMismatchThrows)
     EXPECT_THROW(a.merge(b), UsageError);
 }
 
-TEST(MetricRegistryTest, ImportCounters)
-{
-    CounterSet counters;
-    counters.add("hits", 3);
-    counters.add("misses", 1);
-    MetricRegistry metrics;
-    metrics.importCounters("gen.pops", counters);
-    EXPECT_EQ(metrics.counter("gen.pops.hits"), 3u);
-    EXPECT_EQ(metrics.counter("gen.pops.misses"), 1u);
-}
-
-TEST(MetricRegistryTest, ImportHistogram)
-{
-    Histogram histogram;
-    histogram.add(0, 4);
-    histogram.add(2, 1);
-    MetricRegistry metrics;
-    metrics.importHistogram("fig1", histogram);
-    EXPECT_EQ(metrics.counter("fig1.samples"), 5u);
-    EXPECT_EQ(metrics.counter("fig1.0"), 4u);
-    EXPECT_FALSE(metrics.has("fig1.1")); // empty buckets skipped
-    EXPECT_EQ(metrics.counter("fig1.2"), 1u);
-}
-
 TEST(MetricRegistryTest, IterationIsNameOrdered)
 {
     MetricRegistry metrics;

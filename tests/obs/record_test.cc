@@ -117,14 +117,6 @@ TEST(CellRecordTest, FromJsonRejectsMissingFields)
                  UsageError);
 }
 
-TEST(CellRecordTest, CsvRowMatchesHeader)
-{
-    const CellRecord record = sampleRecord();
-    EXPECT_EQ(record.csvRow().size(), CellRecord::csvHeader().size());
-    EXPECT_EQ(CellRecord::csvHeader().front(), "scheme");
-    EXPECT_EQ(record.csvRow().front(), "Dir0B");
-}
-
 TEST(ToSchemeResultsTest, RegroupsByFirstAppearance)
 {
     CellRecord a = sampleRecord();

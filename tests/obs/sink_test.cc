@@ -51,15 +51,6 @@ lines(const std::string &text)
     return out;
 }
 
-TEST(CsvFieldTest, QuotesOnlyWhenNeeded)
-{
-    EXPECT_EQ(csvField("plain"), "plain");
-    EXPECT_EQ(csvField(""), "");
-    EXPECT_EQ(csvField("a,b"), "\"a,b\"");
-    EXPECT_EQ(csvField("say \"hi\""), "\"say \"\"hi\"\"\"");
-    EXPECT_EQ(csvField("line\nbreak"), "\"line\nbreak\"");
-}
-
 TEST(JsonlSinkTest, WritesOneDocumentPerLine)
 {
     std::ostringstream os;
@@ -116,38 +107,6 @@ TEST(JsonlSinkTest, FileSinkWrites)
     EXPECT_EQ(JsonValue::parse(line).at("kind").asString(),
               "manifest");
     std::remove(path.c_str());
-}
-
-TEST(CsvSinkTest, ManifestAsCommentsThenHeaderThenRows)
-{
-    std::ostringstream os;
-    CsvSink sink(os);
-    sink.writeManifest(sampleManifest());
-    sink.writeCell(sampleRecord());
-    sink.writeCell(sampleRecord());
-    sink.finish();
-
-    const auto all = lines(os.str());
-    std::size_t header_at = all.size();
-    for (std::size_t i = 0; i < all.size(); ++i) {
-        if (all[i].rfind("scheme,", 0) == 0) {
-            header_at = i;
-            break;
-        }
-        EXPECT_EQ(all[i].front(), '#') << all[i];
-    }
-    ASSERT_LT(header_at, all.size());
-    // Exactly one header row, then one line per cell.
-    EXPECT_EQ(all.size(), header_at + 3);
-    EXPECT_EQ(all[header_at + 1].rfind("WTI,", 0), 0u);
-}
-
-TEST(CsvSinkTest, FinishTwiceThrows)
-{
-    std::ostringstream os;
-    CsvSink sink(os);
-    sink.finish();
-    EXPECT_THROW(sink.finish(), UsageError);
 }
 
 } // namespace

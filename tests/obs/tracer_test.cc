@@ -97,9 +97,8 @@ TEST(EventTracerTest, SamplingThinsTheTimelineOnly)
 
     // The timeline thins with the period...
     EXPECT_EQ(sparse.emittedEvents(), dense.emittedEvents() / 10);
-    // ...but the distributions stay exact (fed off-sample).
-    EXPECT_EQ(sparse.invalidations(), dense.invalidations());
-    EXPECT_EQ(sparse.sharerSetSizes(), dense.sharerSetSizes());
+    // ...but the write-run distribution stays exact (fed off-sample).
+    EXPECT_GT(dense.writeRunLengths().samples(), 0u);
     EXPECT_EQ(sparse.writeRunLengths(), dense.writeRunLengths());
 }
 
@@ -144,8 +143,7 @@ TEST(EventTracerTest, BlockFilterNarrowsTimelineNotHistograms)
         EXPECT_EQ(event.block, block);
     EXPECT_LT(timeline.events.size() + timeline.dropped,
               unfiltered.emittedEvents());
-    // Histograms are exact regardless of the timeline filter.
-    EXPECT_EQ(filtered.invalidations(), unfiltered.invalidations());
+    // The histogram is exact regardless of the timeline filter.
     EXPECT_EQ(filtered.writeRunLengths(),
               unfiltered.writeRunLengths());
 }
@@ -206,15 +204,11 @@ TEST(EventTracerTest, ExportMetricsUsesTraceDistNamespace)
 
     MetricRegistry metrics;
     tracer.exportMetrics(metrics);
-    ASSERT_TRUE(
-        metrics.has("trace.dist.inval_on_clean_write.samples"));
-    EXPECT_EQ(
-        metrics.counter("trace.dist.inval_on_clean_write.samples"),
-        tracer.invalidations().samples());
-    EXPECT_EQ(metrics.counter("trace.dist.inval_on_clean_write.0"),
-              tracer.invalidations().count(0));
-    EXPECT_TRUE(metrics.has("trace.dist.sharer_set_size.samples"));
-    EXPECT_TRUE(metrics.has("trace.dist.write_run_length.samples"));
+    ASSERT_TRUE(metrics.has("trace.dist.write_run_length.samples"));
+    EXPECT_EQ(metrics.counter("trace.dist.write_run_length.samples"),
+              tracer.writeRunLengths().samples());
+    EXPECT_EQ(metrics.counter("trace.dist.write_run_length.1"),
+              tracer.writeRunLengths().count(1));
     EXPECT_EQ(metrics.counter("trace.events.emitted"),
               tracer.emittedEvents());
     EXPECT_DOUBLE_EQ(metrics.gauge("trace.sample_period"), 2.0);

@@ -131,6 +131,9 @@ TEST(SweepServerTest, MalformedSpecsGet400WithDiagnostics)
         R"({"bogus": true})",
         R"({"name":"x","schemes":["NotAScheme"],)"
         R"("traces":[{"profile":"pops"}]})",
+        R"({"name":"x","schemes":["Dir0B"],)"
+        R"("traces":[{"profile":"pops"}],"geometries":["infinite",)"
+        R"({"capacity_bytes":100,"ways":3}]})",
     };
     for (const std::string &spec : bad) {
         const HttpClientResponse response =

@@ -159,13 +159,11 @@ TEST(ScalingSuiteTest, SchemesAndTraces)
     EXPECT_TRUE(has_region_cv);
 
     ScalingParams params = tinyParams();
-    params.cacheCounts = {4, 6};
     params.refsPerTrace = 5'000;
-    const std::vector<Trace> suite = scalingSuite(params);
-    ASSERT_EQ(suite.size(), 2u);
-    EXPECT_EQ(suite[0].name(), "scale4");
-    EXPECT_EQ(suite[1].name(), "scale6");
-    EXPECT_EQ(suite[1].numCpus(), 6u);
+    EXPECT_EQ(scalingTrace(4, params).name(), "scale4");
+    const Trace six = scalingTrace(6, params);
+    EXPECT_EQ(six.name(), "scale6");
+    EXPECT_EQ(six.numCpus(), 6u);
 }
 
 TEST(ScalingSuiteTest, EnvironmentOverridesParse)
@@ -224,7 +222,7 @@ TEST(ScalingSmokeTest, SmallNGridRunsCleanWithInvariantsOn)
         EXPECT_EQ(scheme.perTrace[0].numCaches, 6u);
         EXPECT_EQ(scheme.perTrace[0].totalRefs, trace.size());
     }
-    EXPECT_GT(tracer.sharerSetSizes().samples(), 0u);
+    EXPECT_GT(tracer.writeRunLengths().samples(), 0u);
 }
 
 } // namespace

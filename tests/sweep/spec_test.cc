@@ -102,6 +102,10 @@ TEST(SweepSpecTest, RejectsBadSpecsWithNamedMember)
         {R"({"name":"x","schemes":["Dir0B"],)"
          R"("traces":[{"profile":"pops","caches":[70000]}]})",
          "caches"},
+        {R"({"name":"x","schemes":["Dir0B"],)"
+         R"("traces":[{"profile":"pops"}],"geometries":["infinite",)"
+         R"({"capacity_bytes":100,"ways":3}]})",
+         "geometries[1]"},
     };
     for (const auto &[text, member] : cases) {
         try {

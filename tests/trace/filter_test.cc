@@ -12,7 +12,6 @@ namespace
 
 using test::instr;
 using test::read;
-using test::rec;
 using test::write;
 
 Trace
@@ -56,14 +55,6 @@ TEST(FilterTest, KeepUserOnlyDropsSystem)
         EXPECT_FALSE(record.isSystem());
 }
 
-TEST(FilterTest, DataRefsOnlyDropsInstr)
-{
-    const Trace filtered = dataRefsOnly(mixedTrace());
-    EXPECT_EQ(filtered.size(), 5u);
-    for (const auto &record : filtered)
-        EXPECT_TRUE(record.isData());
-}
-
 TEST(FilterTest, FiltersPreserveMetadataAndOrder)
 {
     const Trace filtered = excludeLockRefs(mixedTrace());
@@ -75,36 +66,11 @@ TEST(FilterTest, FiltersPreserveMetadataAndOrder)
     EXPECT_EQ(filtered[2].addr, 0x2010u);
 }
 
-TEST(FilterTest, RemapProcessesToCpus)
-{
-    Trace trace("t", 4);
-    trace.append(rec(2, 555, RefType::Read, 0x0));
-    const Trace remapped = remapProcessesToCpus(trace);
-    ASSERT_EQ(remapped.size(), 1u);
-    EXPECT_EQ(remapped[0].pid, 2u);
-    EXPECT_EQ(remapped[0].cpu, 2u);
-}
-
-TEST(FilterTest, TruncateShortens)
-{
-    const Trace truncated = truncateTrace(mixedTrace(), 2);
-    EXPECT_EQ(truncated.size(), 2u);
-    EXPECT_TRUE(truncated[0].isInstr());
-}
-
-TEST(FilterTest, TruncateBeyondSizeIsIdentity)
-{
-    const Trace original = mixedTrace();
-    const Trace truncated = truncateTrace(original, 100);
-    EXPECT_EQ(truncated.size(), original.size());
-}
-
 TEST(FilterTest, FilterOnEmptyTrace)
 {
     Trace empty("e", 2);
     EXPECT_EQ(excludeLockRefs(empty).size(), 0u);
     EXPECT_EQ(keepUserOnly(empty).size(), 0u);
-    EXPECT_EQ(truncateTrace(empty, 5).size(), 0u);
 }
 
 } // namespace

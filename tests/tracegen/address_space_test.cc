@@ -37,8 +37,9 @@ TEST(AddressSpaceTest, SegmentsDoNotOverlap)
     // below the next segment's base.
     for (std::size_t i = 0; i < std::size(samples); ++i) {
         EXPECT_GE(samples[i], bases[i]) << "segment " << i;
-        if (i + 1 < std::size(bases))
+        if (i + 1 < std::size(bases)) {
             EXPECT_LT(samples[i], bases[i + 1]) << "segment " << i;
+        }
     }
 }
 
