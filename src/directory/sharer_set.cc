@@ -168,7 +168,7 @@ SharerSet::isSupersetOf(const SharerSet &other) const
 void
 SharerStore::reset(unsigned domain_arg, std::uint64_t block_count)
 {
-    panicIfNot(domain_arg <= 0xffff,
+    panicIfNot(domain_arg <= maxCacheDomain,
                "SharerStore: domain ", domain_arg,
                " exceeds the 16-bit inline id limit");
     domain = domain_arg;

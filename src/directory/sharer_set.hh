@@ -155,6 +155,13 @@ class CacheIdList
 };
 
 /**
+ * The largest coherence domain the engine holds: SharerStore's hybrid
+ * mode stores cache ids inline as 16-bit values. decodeTrace()
+ * (sim/decoded.hh) rejects a trace that needs more caches.
+ */
+inline constexpr unsigned maxCacheDomain = 0xffff;
+
+/**
  * The per-block sharer sets of a whole dense arena, block-addressed.
  *
  * Storage is one flat word vector, sized once in reset():

@@ -88,6 +88,18 @@ class CoherenceProtocol
     /**
      * Process one data read.
      *
+     * Contract, on infinite caches: every scheme leaves the
+     * referencing cache holding the block after any reference (each
+     * miss hook installs it; no write hit drops the writer's copy),
+     * and only a reference to a block takes it out of a cache. So a
+     * read by the cache that made the block's last reference is a
+     * hit that adds Read and RdHit and changes nothing else: no cache
+     * or directory state, no bus operation, no Figure 1 sample.
+     * simulateTrace() (sim/decoded.hh) skips such private re-reads on
+     * that premise, which the property test
+     * PrivateRereadChangesOnlyReadHitCounters
+     * (tests/protocols/invariants_test.cc) checks for every scheme.
+     *
      * @param cache issuing cache
      * @param block referenced block index (panics outside the block
      *        space)

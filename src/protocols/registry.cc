@@ -163,8 +163,9 @@ parseScheme(const std::string &name)
         fatalIf(region == 0,
                 "DirCVr0 is not a scheme; use 'DirCV' for the ternary "
                 "code");
-        fatalIf(region > 65535, "DirCVr region granularity ", region,
-                " exceeds the largest cache domain (65535)");
+        fatalIf(region > maxCacheDomain, "DirCVr region granularity ",
+                region, " exceeds the largest cache domain (",
+                maxCacheDomain, ")");
         return named(SchemeFamily::DirCV,
                      static_cast<unsigned>(region));
     }

@@ -18,6 +18,13 @@
  * retains the original block numbers for trace-sink labeling and for
  * finite caches (whose set indexing needs real addresses).
  *
+ * The same pass classifies the records. A *coherence reference* is a
+ * write, a first reference, or a read of a block whose last reference
+ * came from a different cache; the rest — instruction fetches and
+ * *private re-reads* (a cache reading a block it made the last
+ * reference to) — change no state on infinite caches, so those cells
+ * replay only the coherence references.
+ *
  * simulateTrace(DecodedTrace, CoherenceProtocol &, ...) is the one
  * loop that walks references: every other entry point decodes first
  * and ends there.
@@ -65,6 +72,14 @@ struct DecodedTrace
     std::vector<CacheId> caches;
     /** Dense block index -> original block number. */
     std::vector<BlockNum> denseToBlock;
+    /**
+     * Ascending record indices of the coherence references (see the
+     * file comment); empty for a stream of more than 2^32 records,
+     * whose indices a u32 cannot hold. Not part of the stream's
+     * identity: it follows from the arrays above, and
+     * traceChecksumFnv64() does not hash it.
+     */
+    std::vector<std::uint32_t> coherenceRefs;
 
     /** The geometry the stream was decoded under. */
     unsigned blockBytes = 0;
@@ -109,11 +124,15 @@ struct DecodedTrace
  * Decode an in-memory trace under @p block_bytes / @p sharing.
  * The trace may be empty (simulating the result then fails exactly
  * like simulating the empty trace itself).
+ *
+ * @throws UsageError when the trace needs more caches than the
+ *         engine holds (maxCacheDomain, directory/sharer_set.hh)
  */
 DecodedTrace decodeTrace(const Trace &trace, unsigned block_bytes,
                          SharingModel sharing);
 
-/** Streaming variant: decode @p source to exhaustion. */
+/** Streaming variant: decode @p source to exhaustion; throws as
+ *  the in-memory one does. */
 DecodedTrace decodeTrace(TraceSource &source, unsigned block_bytes,
                          SharingModel sharing);
 
@@ -129,6 +148,16 @@ DecodedTrace decodeTraceFile(const std::string &path,
 /**
  * Run a decoded stream through @p protocol: the simulation loop every
  * entry point ends in.
+ *
+ * On infinite caches the loop visits only decoded.coherenceRefs and
+ * adds the skipped records to the protocol's counters in bulk: an
+ * instruction fetch adds Instr, a private re-read Read and RdHit
+ * (the contract on CoherenceProtocol::read()). Every counter, the
+ * warm-up snapshot included, equals the full walk's. The full walk
+ * runs when the caches are finite (a hit updates LRU state), when a
+ * trace sink is attached (it sees every data reference), when
+ * config.invariantCheckPeriod is set, and for a stream of more than
+ * 2^32 records.
  *
  * The protocol must be built over decoded.blockSpace() with enough
  * caches for decoded.cachesUsed; config.blockBytes and config.sharing

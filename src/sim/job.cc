@@ -4,6 +4,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <numeric>
 #include <sstream>
 #include <thread>
 
@@ -394,6 +395,34 @@ runPlannedCell(const SimPlan &plan, std::size_t index,
 
 } // namespace
 
+std::vector<std::size_t>
+dispatchOrder(const SimPlan &plan, unsigned jobs)
+{
+    std::vector<std::size_t> order(plan.cells.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    if (jobs <= 1)
+        return order;
+    // Each source's cells, sources in order of first appearance.
+    std::vector<std::vector<std::size_t>> by_source;
+    std::map<const PlanSource *, std::size_t> slot_of;
+    for (std::size_t i = 0; i < plan.cells.size(); ++i) {
+        const auto [it, fresh] = slot_of.try_emplace(
+            plan.cells[i].stream->source, by_source.size());
+        if (fresh)
+            by_source.emplace_back();
+        by_source[it->second].push_back(i);
+    }
+    order.clear();
+    for (std::size_t round = 0; order.size() < plan.cells.size();
+         ++round) {
+        for (const std::vector<std::size_t> &cells : by_source) {
+            if (round < cells.size())
+                order.push_back(cells[round]);
+        }
+    }
+    return order;
+}
+
 PlanRun
 runPlan(const SimPlan &plan, const ExecOptions &options)
 {
@@ -442,14 +471,15 @@ runPlan(const SimPlan &plan, const ExecOptions &options)
         }
     };
 
+    const std::vector<std::size_t> order = dispatchOrder(plan, run.jobs);
     run.startNs = PhaseTimer::nowNs();
     if (run.jobs == 1) {
-        for (std::size_t i = 0; i < plan.cells.size(); ++i)
+        for (const std::size_t i : order)
             dispatch(i);
     } else {
         ThreadPool pool(static_cast<unsigned>(std::min<std::size_t>(
             run.jobs, plan.cells.size())));
-        for (std::size_t i = 0; i < plan.cells.size(); ++i)
+        for (const std::size_t i : order)
             pool.submit([&dispatch, i] { dispatch(i); });
         pool.wait();
     }

@@ -372,10 +372,21 @@ SimPlan buildPlan(const std::vector<SimJob> &jobs,
 unsigned resolveJobs(unsigned requested);
 
 /**
+ * The order runPlan() hands @p plan's cells out at @p jobs workers:
+ * plan order at one job; otherwise round-robin across sources, each
+ * source's cells in plan order. A plan emitted trace-major (a sweep)
+ * would otherwise start its first wave on one source, whose first
+ * cell generates and decodes it while the rest wait on its latch.
+ */
+std::vector<std::size_t> dispatchOrder(const SimPlan &plan,
+                                       unsigned jobs);
+
+/**
  * Execute a plan's cells: the one cell dispatcher.
  *
  * At one job every cell runs in plan order on the calling thread;
- * otherwise on one ThreadPool of min(jobs, cells) workers. Each cell
+ * otherwise on one ThreadPool of min(jobs, cells) workers, in
+ * dispatchOrder(). Outcomes are in plan order either way. Each cell
  * is a cache lookup, else a simulation and a cache store. A hit never
  * touches the trace; a miss on a stream not decoded yet materializes
  * it under its source's latch and charges the wait to the result's

@@ -7,8 +7,10 @@
  * memory: the streaming readers in trace/reader.hh hold only
  * fixed-size parser state regardless of trace length. A simulation
  * does not stream: decodeTrace() (sim/decoded.hh) drains the source
- * once into a DecodedTrace of about 9.4 bytes per reference, which
- * every cell then replays.
+ * once into a DecodedTrace of 9 bytes per record plus 4 per coherence
+ * reference (about 9.6 bytes per record on the paper traces), which
+ * every cell then replays. An in-memory Trace needs no source: its
+ * decodeTrace() overload walks the records directly.
  */
 
 #ifndef DIRSIM_TRACE_SOURCE_HH
@@ -58,42 +60,8 @@ class TraceSource
         return std::nullopt;
     }
 
-    /** Human-readable format name ("binary v2", "text", "memory"). */
+    /** Human-readable format name ("binary v2", "text"). */
     virtual const char *format() const = 0;
-};
-
-/** Adapts an in-memory Trace to the TraceSource interface. */
-class MemoryTraceSource : public TraceSource
-{
-  public:
-    /** @param trace_arg must outlive the source */
-    explicit MemoryTraceSource(const Trace &trace_arg)
-        : trace(trace_arg)
-    {}
-
-    bool
-    next(TraceRecord &record) override
-    {
-        if (index >= trace.size())
-            return false;
-        record = trace[index++];
-        return true;
-    }
-
-    const std::string &name() const override { return trace.name(); }
-    unsigned numCpus() const override { return trace.numCpus(); }
-
-    std::optional<std::uint64_t>
-    sizeHint() const override
-    {
-        return trace.size();
-    }
-
-    const char *format() const override { return "memory"; }
-
-  private:
-    const Trace &trace;
-    std::size_t index = 0;
 };
 
 /**

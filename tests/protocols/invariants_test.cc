@@ -1,14 +1,17 @@
 /**
  * @file
  * Property tests: every protocol maintains its coherence invariants
- * under random reference streams, and invalidation protocols leave a
- * writer as the block's sole holder.
+ * under random reference streams, invalidation protocols leave a
+ * writer as the block's sole holder, and a private re-read changes
+ * nothing but the read-hit counters.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "common/random.hh"
 #include "protocols/dir_i_b.hh"
@@ -140,6 +143,71 @@ TEST_P(ProtocolProperty, WriterAlwaysEndsWithCopy)
     }
 }
 
+/** Every cache's state of every block, and every block's holders. */
+struct ProtocolState
+{
+    std::vector<CacheBlockState> states;
+    std::vector<SharerSet> holders;
+    bool operator==(const ProtocolState &) const = default;
+};
+
+ProtocolState
+stateOf(const CoherenceProtocol &protocol, BlockNum num_blocks)
+{
+    ProtocolState state;
+    for (BlockNum block = 0; block < num_blocks; ++block) {
+        state.holders.push_back(protocol.holders(block));
+        for (CacheId cache = 0; cache < protocol.numCaches(); ++cache)
+            state.states.push_back(protocol.cacheState(cache, block));
+    }
+    return state;
+}
+
+TEST_P(ProtocolProperty, PrivateRereadChangesOnlyReadHitCounters)
+{
+    // The premise of the elided walk (simulateTrace() in
+    // sim/decoded.hh): on infinite caches, a cache reading a block it
+    // made the last reference to changes nothing but Read and RdHit.
+    // 65 caches put the holder oracle's SharerStore in hybrid mode.
+    constexpr BlockNum num_blocks = 12;
+    for (const unsigned caches : {4u, 65u}) {
+        SCOPED_TRACE(std::to_string(caches) + " caches");
+        auto protocol = make(caches);
+        Rng rng(0x5eed + caches);
+        std::vector<CacheId> last(num_blocks, invalidCacheId);
+        unsigned rereads = 0;
+        for (int step = 0; step < 3'000; ++step) {
+            const auto block = static_cast<BlockNum>(rng.below(num_blocks));
+            if (last[block] != invalidCacheId && rng.chance(0.4)) {
+                const EventCounts events = protocol->events();
+                const OpCounts ops = protocol->ops();
+                const Histogram histogram = protocol->cleanWriteHolders();
+                const ProtocolState before = stateOf(*protocol, num_blocks);
+                protocol->read(last[block], block, false);
+                EventCounts expected = events;
+                expected.add(EventType::Read);
+                expected.add(EventType::RdHit);
+                ASSERT_TRUE(protocol->events() == expected) << "step " << step;
+                ASSERT_TRUE(protocol->ops() == ops) << "step " << step;
+                ASSERT_TRUE(protocol->cleanWriteHolders() == histogram)
+                    << "step " << step;
+                ASSERT_TRUE(stateOf(*protocol, num_blocks) == before)
+                    << "step " << step;
+                ++rereads;
+                continue;
+            }
+            const auto cache = static_cast<CacheId>(rng.below(caches));
+            const bool first = last[block] == invalidCacheId;
+            if (rng.chance(0.6))
+                protocol->read(cache, block, first);
+            else
+                protocol->write(cache, block, first);
+            last[block] = cache;
+        }
+        EXPECT_GT(rereads, 500u);
+    }
+}
+
 TEST_P(ProtocolProperty, GeneratedTraceKeepsInvariants)
 {
     const Trace trace = generateTrace("thor", 60'000, 77);
@@ -181,7 +249,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllSchemes, ProtocolProperty,
     ::testing::Values("Dir1NB", "WTI", "Dir0B", "Dragon", "DirNNB",
                       "Berkeley", "YenFu", "DirCV", "Dir2B", "Dir2NB",
-                      "Dir3B", "Dir3NB"));
+                      "Dir3B", "Dir3NB", "DirCVr2"));
 
 TEST(ProtocolInvariantsTest, MixedFleetOnOneStream)
 {

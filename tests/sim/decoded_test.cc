@@ -3,14 +3,17 @@
  * The decode-once pipeline: DecodedTrace's shape and labels; every
  * entry point that decodes first (in-memory traces, files, grids at
  * any job count, traced runs, warm-up) agreeing cell for cell; finite
- * caches choosing sets by the original block numbers; and the
- * rejections of mismatched streams and protocols.
+ * caches choosing sets by the original block numbers; the coherence
+ * references infinite-cache cells replay, which give the full walk's
+ * results at every warm-up; the pinned content key; and the
+ * rejections of mismatched streams, protocols and oversized domains.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -18,11 +21,14 @@
 #include "common/bitops.hh"
 #include "common/logging.hh"
 #include "obs/tracer.hh"
+#include "protocols/registry.hh"
 #include "sim/decoded.hh"
 #include "sim/runner.hh"
+#include "sim/scaling.hh"
 #include "sim/suite.hh"
 #include "test_util.hh"
 #include "trace/writer.hh"
+#include "tracegen/generator.hh"
 
 namespace dirsim
 {
@@ -85,8 +91,12 @@ TEST(DecodedTraceTest, DecodeReportsExactShape)
 
         // Replay the stream by hand: kinds and flags must mirror the
         // raw records, each dense index must label the real block,
-        // and the first-ref flag must fire exactly once per block.
+        // the first-ref flag must fire exactly once per block, and a
+        // data record is a coherence reference unless it reads a
+        // block its own cache referenced last.
         std::vector<bool> seen(decoded.blockCount(), false);
+        std::vector<CacheId> last(decoded.blockCount(), invalidCacheId);
+        std::vector<std::uint32_t> coherence;
         std::uint64_t data_refs = 0;
         for (std::size_t i = 0; i < trace.size(); ++i) {
             const TraceRecord &record = trace[i];
@@ -104,9 +114,13 @@ TEST(DecodedTraceTest, DecodeReportsExactShape)
             EXPECT_EQ((op & decodedOpFirstRef) != 0, !seen[index]);
             seen[index] = true;
             EXPECT_LT(decoded.caches[i], decoded.cachesUsed);
+            if (record.isWrite() || last[index] != decoded.caches[i])
+                coherence.push_back(static_cast<std::uint32_t>(i));
+            last[index] = decoded.caches[i];
             ++data_refs;
         }
         EXPECT_EQ(decoded.dataRefs, data_refs);
+        EXPECT_EQ(decoded.coherenceRefs, coherence);
     }
 }
 
@@ -297,6 +311,209 @@ TEST(DecodedTraceTest, EmptyTraceFailsLikeTheLegacyPath)
         empty, defaultBlockBytes, SharingModel::ByProcess);
     EXPECT_EQ(decoded.numRecords(), 0u);
     EXPECT_THROW(simulateTrace(decoded, parseScheme("Dir0B")), UsageError);
+}
+
+/**
+ * One record per classification case, at 16-byte blocks. Pids 1 and
+ * 5 share cpu 1, so record 11 is a coherence reference under
+ * ByProcess and a private re-read under ByProcessor.
+ */
+Trace
+classifiedTrace()
+{
+    return test::makeTrace({
+        test::instr(1, 0x1000), //  0 fetch
+        test::read(1, 0x00),    //  1 A: first reference
+        test::read(1, 0x04),    //  2 A: private re-read
+        test::read(2, 0x08),    //  3 A: another cache's read
+        test::read(1, 0x0c),    //  4 A: re-read after another's read
+        test::write(2, 0x10),   //  5 B: first reference, a write
+        test::read(2, 0x14),    //  6 B: re-read after its own write
+        test::instr(2, 0x1004), //  7 fetch
+        test::write(2, 0x18),   //  8 B: write by its last referencer
+        test::read(1, 0x10),    //  9 B: another cache's read
+        test::read(1, 0x1c),    // 10 B: private re-read
+        test::read(5, 0x00),    // 11 A: pid 5 on cpu 1
+        test::read(5, 0x04),    // 12 A: private re-read
+    });
+}
+
+TEST(DecodedTraceTest, CoherenceReferencesArePinned)
+{
+    const Trace trace = classifiedTrace();
+    const DecodedTrace by_process = decodeTrace(
+        trace, defaultBlockBytes, SharingModel::ByProcess);
+    EXPECT_EQ(by_process.coherenceRefs,
+              (std::vector<std::uint32_t>{1, 3, 4, 5, 8, 9, 11}));
+    // 13 records x 9 B, 2 blocks x 8 B, 7 coherence references x 4 B.
+    EXPECT_EQ(by_process.memoryBytes(), 13u * 9 + 2 * 8 + 7 * 4);
+
+    const DecodedTrace by_processor = decodeTrace(
+        trace, defaultBlockBytes, SharingModel::ByProcessor);
+    EXPECT_EQ(by_processor.coherenceRefs,
+              (std::vector<std::uint32_t>{1, 3, 4, 5, 8, 9}));
+}
+
+TEST(DecodedTraceTest, ElidedWalkMatchesTheFullWalkAtEveryWarmup)
+{
+    // An invariant-check period forces the full walk and changes no
+    // result. Every warm-up boundary of the hand-written stream is
+    // covered: inside a skipped run (2, 6, 7), on a coherence
+    // reference (1, 3, ...), and past the last one (12; 10 to 12
+    // under ByProcessor).
+    const Trace trace = classifiedTrace();
+    std::vector<std::string> schemes = allSchemes();
+    schemes.push_back("DirCVr2");
+    for (const SharingModel sharing :
+         {SharingModel::ByProcess, SharingModel::ByProcessor}) {
+        const DecodedTrace decoded =
+            decodeTrace(trace, defaultBlockBytes, sharing);
+        SimConfig elided;
+        elided.sharing = sharing;
+        SimConfig full = elided;
+        full.invariantCheckPeriod = 1;
+        for (std::uint64_t w = 0; w <= decoded.numRecords(); ++w) {
+            elided.warmupRefs = full.warmupRefs = w;
+            for (const std::string &name : schemes) {
+                SCOPED_TRACE(name + " warm-up " + std::to_string(w));
+                const SchemeSpec scheme = parseScheme(name);
+                if (w == decoded.numRecords()) {
+                    EXPECT_THROW(simulateTrace(decoded, scheme, elided),
+                                 UsageError);
+                    continue;
+                }
+                expectIdentical(simulateTrace(decoded, scheme, elided),
+                                simulateTrace(decoded, scheme, full));
+            }
+        }
+    }
+
+    // Generated streams at a spread of boundaries: a paper trace, and
+    // a 130-cache scaling trace whose sharer sets run in hybrid mode
+    // and spill.
+    ScalingParams params;
+    params.refsPerTrace = 3'000;
+    const Trace thor = generateTrace("thor", 3'000, 19);
+    const Trace wide = scalingTrace(130, params);
+    const std::vector<std::pair<const Trace *, std::vector<SchemeSpec>>>
+        streams = {{&thor, parseSchemes(paperSchemes())},
+                   {&wide, scalingSchemes()}};
+    for (const auto &[source, stream_schemes] : streams) {
+        const DecodedTrace decoded = decodeTrace(
+            *source, defaultBlockBytes, SharingModel::ByProcess);
+        SimConfig elided;
+        SimConfig full;
+        full.invariantCheckPeriod = decoded.numRecords();
+        for (std::uint64_t w = 0; w < decoded.numRecords(); w += 149) {
+            elided.warmupRefs = full.warmupRefs = w;
+            for (const SchemeSpec &scheme : stream_schemes) {
+                SCOPED_TRACE(source->name() + " " + scheme.name()
+                             + " warm-up " + std::to_string(w));
+                expectIdentical(simulateTrace(decoded, scheme, elided),
+                                simulateTrace(decoded, scheme, full));
+            }
+        }
+    }
+}
+
+/** Counts the data references a simulation reports to its sink. */
+class CountingSink : public ProtocolTraceSink
+{
+  public:
+    void emit(const ProtocolTraceEvent &) override {}
+    void dataRef(BlockNum, CacheId, bool) override { ++dataRefs; }
+    std::uint64_t dataRefs = 0;
+};
+
+TEST(DecodedTraceTest, SinkOnInfiniteCachesSeesEveryDataReference)
+{
+    const auto traces = smallSuite();
+    const DecodedTrace decoded = decodeTrace(
+        traces[0], defaultBlockBytes, SharingModel::ByProcess);
+    ASSERT_LT(decoded.coherenceRefs.size(), decoded.dataRefs);
+    for (const SchemeSpec &scheme : parseSchemes(paperSchemes())) {
+        CountingSink sink;
+        SimConfig config;
+        config.traceSink = &sink;
+        const SimResult traced = simulateTrace(decoded, scheme, config);
+        EXPECT_EQ(sink.dataRefs, decoded.dataRefs) << scheme.name();
+        expectIdentical(traced, simulateTrace(decoded, scheme));
+    }
+}
+
+/** Expect @p decode to throw a UsageError naming @p trace, the
+ *  caches it needs and the limit. */
+template <typename Decode>
+void
+expectDomainRejected(const Decode &decode, const std::string &trace,
+                     const std::string &needed)
+{
+    try {
+        decode();
+        ADD_FAILURE() << "decoding '" << trace << "' did not throw";
+    } catch (const UsageError &error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find(trace), std::string::npos) << what;
+        EXPECT_NE(what.find(needed), std::string::npos) << what;
+        EXPECT_NE(what.find(std::to_string(maxCacheDomain)),
+                  std::string::npos)
+            << what;
+    }
+}
+
+TEST(DecodedTraceTest, ByProcessDomainAboveTheLimitIsRejected)
+{
+    Trace many("many_pids", 4);
+    for (ProcId pid = 0; pid < 70'000; ++pid)
+        many.append(test::read(pid, 0x40));
+    expectDomainRejected(
+        [&] {
+            decodeTrace(many, defaultBlockBytes, SharingModel::ByProcess);
+        },
+        "many_pids", "70000");
+    // By processor the same records need only their 4 CPUs' caches.
+    EXPECT_EQ(decodeTrace(many, defaultBlockBytes,
+                          SharingModel::ByProcessor)
+                  .cachesNeeded,
+              4u);
+}
+
+TEST(DecodedTraceTest, ByProcessorDomainAboveTheLimitIsRejected)
+{
+    // A reader accepts cpu 65535 when the header declares no count.
+    Trace wide("wide_cpu", 0);
+    wide.append(test::rec(65535, 7, RefType::Read, 0x40));
+    expectDomainRejected(
+        [&] {
+            decodeTrace(wide, defaultBlockBytes,
+                        SharingModel::ByProcessor);
+        },
+        "wide_cpu", "65536");
+
+    // A file job fails while planning, before any cell runs.
+    const std::string path = testing::TempDir() + "/decoded_wide_"
+        + std::to_string(::getpid()) + ".txt";
+    writeTextTraceFile(wide, path);
+    SimConfig config;
+    config.sharing = SharingModel::ByProcessor;
+    EXPECT_THROW(buildPlan({{TraceRef::file(path), parseScheme("Dir0B"),
+                             config}}),
+                 UsageError);
+}
+
+TEST(DecodedTraceTest, ContentKeyIsPinned)
+{
+    // Values from before DecodedTrace carried its coherence index,
+    // which is no part of the key: a moved key would orphan every
+    // content-keyed cell-cache entry without an error.
+    const Trace trace = TraceRecipe{"pops", 0, 20'000, 7}.generate();
+    const DecodedTrace decoded = decodeTrace(trace, 16,
+                                             SharingModel::ByProcess);
+    ASSERT_EQ(decoded.numRecords(), 20'042u);
+    const std::uint64_t checksum = traceChecksumFnv64(decoded);
+    EXPECT_EQ(checksum, 0xe307d8a036816dd8ull);
+    EXPECT_EQ(cellCacheKey(checksum, parseScheme("Dir1NB"), SimConfig{}),
+              0x01ed81f0dd47b949ull);
 }
 
 } // namespace

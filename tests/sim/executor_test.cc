@@ -5,18 +5,23 @@
  * runSweep — at one job and at four: results bit-identical to the
  * sequential run, a serialized once-per-cell progress callback that
  * ends at the planned reference count, cell errors surfacing as
- * UsageError, and the sweep budget's bound on cells in flight.
+ * UsageError, the sweep budget's bound on cells in flight, and a
+ * first wave of workers that reads distinct sources.
  * Labelled `runner`, so the tsan preset runs it.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -241,6 +246,54 @@ TEST(ExecutorContractTest, SweepBudgetIsCheckedBeforeEachDispatch)
     EXPECT_GE(outcome.cacheMisses, budget);
     EXPECT_LE(outcome.cacheMisses, budget + 3);
     EXPECT_EQ(outcome.records.size(), outcome.cacheMisses);
+}
+
+TEST(ExecutorContractTest, FirstWaveNamesDistinctSources)
+{
+    // Trace-major, as expandSweep() emits a sweep: five generated
+    // sources (planning materializes none) x the three schemes.
+    std::vector<SimJob> jobs;
+    for (const std::uint64_t seed : {1, 2, 3, 4, 5}) {
+        for (const SchemeSpec &scheme : parseSchemes(kSchemes)) {
+            jobs.push_back({TraceRef::generated({"pops", 0, kRefs, seed}),
+                            scheme, SimConfig{}});
+        }
+    }
+    const SimPlan plan = buildPlan(jobs);
+    ASSERT_EQ(plan.sources.size(), 5u);
+    const auto source_of = [&plan](std::size_t cell) {
+        return plan.cells[cell].stream->source;
+    };
+
+    std::vector<std::size_t> plan_order(plan.cells.size());
+    std::iota(plan_order.begin(), plan_order.end(), std::size_t{0});
+    EXPECT_EQ(dispatchOrder(plan, 1), plan_order);
+
+    for (const unsigned workers : {2u, 4u, 8u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(workers));
+        const std::vector<std::size_t> order =
+            dispatchOrder(plan, workers);
+        std::vector<std::size_t> sorted = order;
+        std::sort(sorted.begin(), sorted.end());
+        ASSERT_EQ(sorted, plan_order);
+
+        const std::size_t wave =
+            std::min<std::size_t>(workers, plan.sources.size());
+        std::set<const PlanSource *> first_wave;
+        for (std::size_t k = 0; k < wave; ++k)
+            first_wave.insert(source_of(order[k]));
+        EXPECT_EQ(first_wave.size(), wave);
+
+        // Each source's cells still go out in plan order.
+        std::map<const PlanSource *, std::size_t> previous;
+        for (const std::size_t cell : order) {
+            const auto it = previous.find(source_of(cell));
+            if (it != previous.end()) {
+                EXPECT_LT(it->second, cell);
+            }
+            previous[source_of(cell)] = cell;
+        }
+    }
 }
 
 } // namespace

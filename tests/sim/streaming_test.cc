@@ -109,8 +109,11 @@ TEST(StreamingSimTest, StreamingSourceOverloadMatchesProtocolOverload)
     const Trace &trace = traces[1];
     const SimResult in_memory = simulateTrace(trace, parseScheme("Dir0B"));
 
-    MemoryTraceSource source(trace);
-    const DecodedTrace decoded = decodeTrace(source, defaultBlockBytes,
+    const std::string path = testing::TempDir() + "/streaming_source_"
+        + std::to_string(::getpid()) + ".trace";
+    writeBinaryTraceFile(trace, path);
+    const auto source = openTraceSource(path);
+    const DecodedTrace decoded = decodeTrace(*source, defaultBlockBytes,
                                              SharingModel::ByProcess);
     const auto protocol = makeProtocol(
         parseScheme("Dir0B"), decoded.cachesNeeded, decoded.blockSpace());

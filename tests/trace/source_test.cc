@@ -134,18 +134,6 @@ TEST(TraceSourceTest, StreamingTextMatchesMaterializedRead)
     EXPECT_EQ(i, original.size());
 }
 
-TEST(TraceSourceTest, MemoryTraceSourceYieldsTheTrace)
-{
-    const Trace original = exhaustiveTrace();
-    MemoryTraceSource source(original);
-    EXPECT_EQ(source.name(), "combo");
-    EXPECT_EQ(source.numCpus(), 4u);
-    EXPECT_STREQ(source.format(), "memory");
-    ASSERT_TRUE(source.sizeHint().has_value());
-    EXPECT_EQ(*source.sizeHint(), original.size());
-    expectSameTrace(readTrace(source), original);
-}
-
 TEST(TraceSourceTest, HeaderKeysParseWhitespaceInsensitively)
 {
     std::stringstream buffer(
