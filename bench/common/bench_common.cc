@@ -32,9 +32,10 @@ usageExit(const SimulationError &error)
 
 } // namespace
 
-void
-initArtifacts(int argc, char **argv)
+std::vector<std::string>
+initArtifacts(int argc, char **argv, const std::string &operands)
 {
+    std::vector<std::string> positional;
     try {
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
@@ -44,6 +45,8 @@ initArtifacts(int argc, char **argv)
             } else if (arg == "--chrome") {
                 fatalIf(i + 1 >= argc, "--chrome requires a path");
                 chrome_path = argv[++i];
+            } else if (!operands.empty() && !arg.starts_with("-")) {
+                positional.push_back(arg);
             } else {
                 fatal("unknown argument '", arg,
                       "' (supported: --jsonl <path>, "
@@ -53,9 +56,11 @@ initArtifacts(int argc, char **argv)
     } catch (const SimulationError &error) {
         std::cerr << "error: " << error.what() << '\n';
         std::cerr << "usage: " << argv[0]
+                  << (operands.empty() ? "" : " " + operands)
                   << " [--jsonl <path>] [--chrome <path>]\n";
         std::exit(1);
     }
+    return positional;
 }
 
 void
@@ -183,29 +188,6 @@ std::vector<SchemeResults>
 gridFor(const std::vector<std::string> &schemes)
 {
     return timedGrid(schemes);
-}
-
-const SchemeResults &
-findScheme(const std::vector<SchemeResults> &grid,
-           const std::string &name)
-{
-    for (const auto &results : grid) {
-        if (results.scheme == name)
-            return results;
-    }
-    fatal("scheme '", name, "' not present in the grid");
-}
-
-std::string
-cyc(double value)
-{
-    return TextTable::fixed(value, 4);
-}
-
-std::string
-pct(double fraction)
-{
-    return TextTable::fixed(100.0 * fraction, 2);
 }
 
 } // namespace dirsim::bench

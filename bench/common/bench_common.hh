@@ -1,11 +1,11 @@
 /**
  * @file
- * Shared infrastructure for the repro_* benchmark binaries.
+ * Shared infrastructure for the `repro` driver and the ext_* studies.
  *
- * Every binary reproduces one table or figure of the paper on the
- * standard synthetic suite (sim/suite.hh). Trace length defaults to
- * the suite default and can be raised to paper scale (3.2M refs) via
- * the DIRSIM_SUITE_REFS environment variable.
+ * Each binary runs on the standard synthetic suite (sim/suite.hh).
+ * Trace length defaults to the suite default and can be raised to
+ * paper scale (3.2M refs) via the DIRSIM_SUITE_REFS environment
+ * variable.
  */
 
 #ifndef DIRSIM_BENCH_BENCH_COMMON_HH
@@ -20,20 +20,26 @@ namespace dirsim::bench
 {
 
 /**
- * Parse the shared repro-bench command line. Supported:
+ * Parse the shared bench command line. Supported:
  *   --jsonl <path>   record the first experiment grid this process
  *                    runs as structured artifacts (manifest + cell
  *                    records + metrics, obs/sink.hh) at <path>
  *   --chrome <path>  export the first grid as a Chrome trace_event
  *                    timeline (obs/chrome_trace.hh) at <path>
- * Unknown arguments are a usage error. Call first thing in main().
+ * Any other option is a usage error, and so is any positional
+ * argument unless @p operands names them. Call first thing in main().
  *
  * The grids also honor DIRSIM_PROGRESS=1 (live stderr HUD,
  * obs/progress.hh) and DIRSIM_TRACE_SAMPLE=<period> (coherence event
  * tracer, obs/tracer.hh; its distributions land in the --jsonl
  * metrics and its sampled events in the --chrome timeline).
+ *
+ * @param operands the usage text of the positional arguments the
+ *        binary takes; empty when it takes none
+ * @return the positional arguments, in order
  */
-void initArtifacts(int argc, char **argv);
+std::vector<std::string> initArtifacts(int argc, char **argv,
+                                       const std::string &operands = "");
 
 /** Print the standard banner naming the reproduced artifact. */
 void banner(const std::string &artifact, const std::string &caption);
@@ -51,16 +57,6 @@ const std::vector<SchemeResults> &paperGrid();
 /** Grid over the suite for arbitrary schemes (uncached, parallel). */
 std::vector<SchemeResults> gridFor(
     const std::vector<std::string> &schemes);
-
-/** Look up one scheme's results in a grid. */
-const SchemeResults &findScheme(
-    const std::vector<SchemeResults> &grid, const std::string &name);
-
-/** "0.0491"-style formatting used throughout the tables. */
-std::string cyc(double value);
-
-/** Percent-of-references formatting with Table 4's two decimals. */
-std::string pct(double fraction);
 
 } // namespace dirsim::bench
 

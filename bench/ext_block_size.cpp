@@ -47,8 +47,8 @@ main()
             table.addRow({
                 std::to_string(block_bytes) + "B",
                 scheme,
-                bench::cyc(avg.total()),
-                bench::pct(miss / n),
+                cyc(avg.total()),
+                pct(miss / n),
                 TextTable::fixed(fig1 / n, 3),
             });
         }

@@ -106,7 +106,7 @@ main(int argc, char **argv)
         extra = std::max(extra, 0.0);
 
         for (const auto &scheme_name : schemes) {
-            const auto &scheme = bench::findScheme(grid, scheme_name);
+            const auto &scheme = *findScheme(grid, scheme_name);
             const double infinite =
                 scheme.averagedCost(costs).total();
             const double estimate =
@@ -128,9 +128,9 @@ main(int argc, char **argv)
             table.addRow({
                 std::to_string(kib) + " KiB",
                 scheme_name,
-                bench::cyc(infinite),
-                bench::cyc(estimate),
-                bench::cyc(simulated),
+                cyc(infinite),
+                cyc(estimate),
+                cyc(simulated),
                 TextTable::pct(
                     100.0 * (estimate - simulated)
                         / std::max(simulated, 1e-12), 1),

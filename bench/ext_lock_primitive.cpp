@@ -43,8 +43,8 @@ main()
             simulateTrace(ts_trace, spec).cost(costs).total();
         table.addRow({
             scheme,
-            bench::cyc(with_tts),
-            bench::cyc(with_ts),
+            cyc(with_tts),
+            cyc(with_ts),
             TextTable::fixed(with_ts / with_tts, 2) + "x",
         });
     }

@@ -43,7 +43,10 @@ main(int argc, char **argv)
         });
     }
     saturation.print(std::cout);
-    std::cout << "(paper: ~15 for the best scheme at q=0)\n\n";
+    const std::string paper_processors =
+        TextTable::fixed(published().estimateProcessors, 0);
+    std::cout << "(paper: ~" << paper_processors
+              << " for the best scheme at q=0)\n\n";
 
     TextTable table({"procs", "scheme", "bus util", "queue cyc",
                      "eff procs", "efficiency"});
@@ -73,8 +76,9 @@ main(int argc, char **argv)
     std::cout << "\nReading guide: the scheme ordering of Figure 2 "
                  "translates directly into\nhow many processors a "
                  "single bus can feed — the quantitative version of\n"
-                 "the paper's argument that anything beyond ~15-20 "
-                 "processors needs the\ngeneral interconnection "
+                 "the paper's argument that anything beyond ~"
+              << paper_processors
+              << "-20 processors needs the\ngeneral interconnection "
                  "network that only directory schemes support.\n";
     return 0;
 }

@@ -47,8 +47,8 @@ main()
             table.addRow({
                 std::to_string(procs),
                 scheme,
-                bench::cyc(cost.total()),
-                bench::pct(result.freqs().get(EventType::RdMiss)),
+                cyc(cost.total()),
+                pct(result.freqs().get(EventType::RdMiss)),
                 TextTable::fixed(
                     1000.0
                         * static_cast<double>(

@@ -69,8 +69,8 @@ main()
         table.addRow({
             TextTable::fixed(migration, 3),
             TextTable::grouped(migrations),
-            bench::cyc(proc_cost),
-            bench::cyc(cpu_cost),
+            cyc(proc_cost),
+            cyc(cpu_cost),
             TextTable::pct(
                 100.0 * (cpu_cost - proc_cost)
                     / std::max(proc_cost, 1e-12), 1),

@@ -57,10 +57,10 @@ main()
         const double other = std::max(0.0, full - locks - system);
         table.addRow({
             schemes[i].name(),
-            bench::cyc(full),
-            bench::cyc(locks),
-            bench::cyc(system),
-            bench::cyc(other),
+            cyc(full),
+            cyc(locks),
+            cyc(system),
+            cyc(other),
             TextTable::pct(100.0 * locks / full, 1),
         });
     }

@@ -48,18 +48,22 @@ main()
         }
         table.addRow({
             TextTable::pct(100.0 * fraction, 0),
-            bench::cyc(averageBreakdowns(dir1nb).total()),
-            bench::cyc(averageBreakdowns(dir0b).total()),
-            bench::cyc(averageBreakdowns(dragon).total()),
-            bench::pct(miss / 3.0),
+            cyc(averageBreakdowns(dir1nb).total()),
+            cyc(averageBreakdowns(dir0b).total()),
+            cyc(averageBreakdowns(dragon).total()),
+            pct(miss / 3.0),
         });
     }
     table.print(std::cout);
 
+    const auto paper = [](const char *scheme) {
+        return cyc(publishedScheme(scheme)->cyclesPerRef);
+    };
     std::cout << "\nReading guide: costs fall and flatten as the "
                  "cold-sharing transient is\nexcluded; the plateau "
                  "approximates what the paper's longer traces\n"
-                 "measured (paper: Dir1NB 0.3210, Dir0B 0.0491, "
-                 "Dragon 0.0336).\n";
+                 "measured (paper: Dir1NB "
+              << paper("Dir1NB") << ", Dir0B " << paper("Dir0B")
+              << ", Dragon " << paper("Dragon") << ").\n";
     return 0;
 }

@@ -1,13 +1,13 @@
 /**
  * @file
- * Example: `dirsim_report` — re-render the paper tables from a JSONL
+ * Example: `dirsim_report` — re-render the paper's views from a JSONL
  * results file, or diff two runs.
  *
  * Rendering consumes the structured artifacts a run wrote through
- * JsonlSink (obs/sink.hh) and feeds the reconstructed per-scheme
- * results through the very same report.hh table builders the
- * in-process reports use, so the output is bit-identical to what the
- * run itself would have printed — the artifacts lose nothing.
+ * JsonlSink (obs/sink.hh) and prints every sim/report view whose
+ * schemes the run holds through printView(), the function the `repro`
+ * driver prints them with, so each section is byte-identical to what
+ * the run itself printed — the artifacts lose nothing.
  *
  * Usage:
  *   dirsim_report <results.jsonl>             render the report
@@ -107,40 +107,12 @@ render(const std::string &path)
         toSchemeResults(artifacts.cells);
     fatalIf(grid.empty(), "'", path, "' holds no cell records");
 
-    std::cout << "Table 4: event frequencies (percent of all "
-                 "references)\n";
-    eventFrequencyTable(grid, true).print(std::cout);
-
-    std::cout << "\nTable 5: bus cycles per reference (pipelined "
-                 "bus)\n";
-    costBreakdownTable(grid, paperPipelinedCosts()).print(std::cout);
-
-    std::cout << "\nTable 5b: bus cycles per reference "
-                 "(non-pipelined bus)\n";
-    costBreakdownTable(grid, paperNonPipelinedCosts())
-        .print(std::cout);
-
-    std::cout << "\nFigure 2: cycles per reference on both buses "
-                 "(averaged)\n";
-    busCyclesTable(grid).print(std::cout);
-
-    std::cout << "\nFigure 3: cycles per reference on both buses "
-                 "(per trace)\n";
-    busCyclesTable(grid, true).print(std::cout);
-
-    // Figure 1 from each scheme's own counters. Schemes that record
-    // no Figure 1 samples (Dir1NB, WTI, Dragon) get no table.
-    for (const SchemeResults &scheme : grid) {
-        if (scheme.mergedCleanWriteHolders().samples() == 0)
-            continue;
-        std::cout << "\nFigure 1 (" << scheme.scheme
-                  << "): percent of clean-block writes invalidating "
-                     "k other caches\n";
-        invalidationHistogramTable(scheme).print(std::cout);
-    }
+    // Every paper view whose schemes the run holds, in paper order.
+    for (const ReportView &view : reportViews())
+        printView(std::cout, view, grid);
 
     // Per-cell execution metadata the text reports never had.
-    std::cout << "\nExecution: wall time and phase split per cell\n";
+    std::cout << "Execution: wall time and phase split per cell\n";
     TextTable timing({"scheme", "trace", "refs", "wall s", "refs/s",
                       "read ms", "warmup ms", "simulate ms",
                       "reduce ms"});

@@ -24,8 +24,8 @@
  * the deterministic stand-in for an interrupt, used by the tier-1
  * resume smoke test.
  *
- * `report` renders the deterministic tables (event frequencies,
- * cost breakdowns) from a sweep's artifacts — no wall-clock fields,
+ * `report` prints every paper view (sim/report.hh) whose schemes the
+ * sweep holds from its artifacts — no wall-clock fields,
  * so an interrupted-then-resumed sweep reports byte-identically to
  * an uninterrupted one.
  *
@@ -188,14 +188,9 @@ reportCommand(const std::string &target)
 
     // Deterministic fields only: two runs of the same finished sweep
     // (interrupted + resumed or not) print byte-identical reports.
-    std::cout << "sweep cells: " << artifacts.cells.size() << '\n';
-    std::cout << "\nEvent frequencies (percent of all references)\n";
-    eventFrequencyTable(grid, true).print(std::cout);
-    std::cout << "\nBus cycles per reference (pipelined bus)\n";
-    costBreakdownTable(grid, paperPipelinedCosts()).print(std::cout);
-    std::cout << "\nBus cycles per reference (non-pipelined bus)\n";
-    costBreakdownTable(grid, paperNonPipelinedCosts())
-        .print(std::cout);
+    std::cout << "sweep cells: " << artifacts.cells.size() << "\n\n";
+    for (const ReportView &view : reportViews())
+        printView(std::cout, view, grid);
     return 0;
 }
 

@@ -96,6 +96,6 @@ main()
         "that flush\ncritical sections (they behave like Dir1NB).\n\n"
         "Section 5.2's fix in numbers: run the same comparison on "
         "your own traces\nwith trace filters (excludeLockRefs) -- "
-        "see bench/repro_sec5_2_spinlocks.\n";
+        "see `repro sec5.2`.\n";
     return 0;
 }

@@ -1,7 +1,7 @@
 /**
  * @file
- * Plain-text table formatter used by the repro_* benchmark binaries to
- * print paper tables and figure data series.
+ * Plain-text table formatter used by the report views (sim/report.hh)
+ * and the benches to print paper tables and figure data series.
  */
 
 #ifndef DIRSIM_COMMON_TABLE_HH

@@ -78,30 +78,4 @@ directoryBitsPerBlock(DirectoryOrg org, const StorageParams &params)
     panic("unknown DirectoryOrg ", static_cast<int>(org));
 }
 
-std::vector<StorageRow>
-storageTable(const std::vector<unsigned> &cache_counts,
-             const std::vector<unsigned> &pointer_budgets)
-{
-    std::vector<StorageRow> rows;
-    for (const unsigned n : cache_counts) {
-        StorageParams params;
-        params.numCaches = n;
-        for (const DirectoryOrg org :
-             {DirectoryOrg::FullMap, DirectoryOrg::TwoBit,
-              DirectoryOrg::CoarseVector}) {
-            rows.push_back(
-                {org, n, 0, directoryBitsPerBlock(org, params)});
-        }
-        for (const unsigned i : pointer_budgets) {
-            params.numPointers = i;
-            for (const DirectoryOrg org :
-                 {DirectoryOrg::LimitedPtr, DirectoryOrg::LimitedPtrB}) {
-                rows.push_back(
-                    {org, n, i, directoryBitsPerBlock(org, params)});
-            }
-        }
-    }
-    return rows;
-}
-
 } // namespace dirsim

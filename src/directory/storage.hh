@@ -9,8 +9,6 @@
 #define DIRSIM_DIRECTORY_STORAGE_HH
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace dirsim
 {
@@ -54,25 +52,6 @@ struct StorageParams
  */
 double directoryBitsPerBlock(DirectoryOrg org,
                              const StorageParams &params);
-
-/** One row of the storage-overhead table. */
-struct StorageRow
-{
-    DirectoryOrg org;
-    unsigned numCaches;
-    unsigned numPointers;
-    double bitsPerBlock;
-};
-
-/**
- * Build the storage table for a sweep of cache counts.
- *
- * @param cache_counts n values to tabulate
- * @param pointer_budgets i values for the limited schemes
- */
-std::vector<StorageRow> storageTable(
-    const std::vector<unsigned> &cache_counts,
-    const std::vector<unsigned> &pointer_budgets);
 
 } // namespace dirsim
 

@@ -71,6 +71,17 @@ SchemeResults::paperCost(const BusCosts &costs,
                          mergedProfile(), options);
 }
 
+const SchemeResults *
+findScheme(const std::vector<SchemeResults> &grid,
+           const std::string &name)
+{
+    for (const auto &results : grid) {
+        if (results.scheme == name)
+            return &results;
+    }
+    return nullptr;
+}
+
 CycleBreakdown
 averageBreakdowns(const std::vector<CycleBreakdown> &breakdowns)
 {

@@ -54,6 +54,10 @@ struct SchemeResults
                              const CostOptions &options = {}) const;
 };
 
+/** @p name's results in @p grid; nullptr when the grid lacks it. */
+const SchemeResults *findScheme(const std::vector<SchemeResults> &grid,
+                                const std::string &name);
+
 /** Component-wise arithmetic mean of breakdowns. */
 CycleBreakdown averageBreakdowns(
     const std::vector<CycleBreakdown> &breakdowns);

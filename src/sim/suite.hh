@@ -2,8 +2,8 @@
  * @file
  * The standard experiment suite: the three synthetic workload traces
  * standing in for the paper's POPS / THOR / PERO ATUM traces, at a
- * common length and with fixed seeds, so every repro_* benchmark
- * operates on identical inputs.
+ * common length and with fixed seeds, so every `repro` artifact and
+ * ext_* study operates on identical inputs.
  */
 
 #ifndef DIRSIM_SIM_SUITE_HH

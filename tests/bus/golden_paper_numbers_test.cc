@@ -4,30 +4,16 @@
  * frequencies through our cost models and verify we recover the
  * paper's published Table 5 / Section 5 / Section 6 numbers. This
  * pins down the cost-model half of the reproduction independently of
- * our synthetic traces.
- *
- * Published inputs (percent of all references, averaged over the
- * three traces):            Dir1NB   WTI   Dir0B  Dragon
- *   rd-miss (rm)              5.18   0.62   0.62   0.30
- *     rm-blk-cln              4.78    -     0.23   0.14
- *     rm-blk-drty             0.40    -     0.40   0.17
- *   write                    10.46  10.46  10.46  10.46
- *     wh-blk-cln                -     -     0.41    -
- *     wh-distrib                -     -      -     1.74
- *   wrt-miss (wm)             0.17   0.12   0.11   0.02
- *     wm-blk-cln              0.08    -     0.02   0.01
- *     wm-blk-drty             0.09    -     0.09   0.01
- *
- * Published outputs (pipelined bus, bus cycles per reference):
- *   Dir1NB 0.3210, WTI 0.1466, Dir0B 0.0491, Dragon 0.0336,
- *   Dir0B dir-access component 0.0041,
- *   Section 5.1: Dragon 0.0336 + 0.0206q, Dir0B 0.0491 + 0.0114q,
- *   Section 6: DirN NB sequential invalidation 0.0499.
+ * our synthetic traces. Inputs and expected values come from the one
+ * table of published numbers, published() in sim/report.hh.
  */
+
+#include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "bus/cost_model.hh"
+#include "sim/report.hh"
 
 namespace dirsim
 {
@@ -36,57 +22,33 @@ namespace
 
 using E = EventType;
 
-EventFreqs
-paperDir1NB()
+const PublishedScheme &
+paper(const char *scheme)
 {
-    EventFreqs f;
-    f.set(E::RdMiss, 0.0518);
-    f.set(E::RmBlkCln, 0.0478);
-    f.set(E::RmBlkDrty, 0.0040);
-    f.set(E::WrtMiss, 0.0017);
-    f.set(E::WmBlkCln, 0.0008);
-    f.set(E::WmBlkDrty, 0.0009);
-    return f;
+    return *publishedScheme(scheme);
 }
 
+/** @p scheme's published Table 4 row as fractions of references. */
 EventFreqs
-paperWTI()
+paperFreqs(const char *scheme)
 {
     EventFreqs f;
-    f.set(E::RdMiss, 0.0062);
-    f.set(E::Write, 0.1046);
-    f.set(E::WrtMiss, 0.0012);
-    return f;
-}
-
-EventFreqs
-paperDir0B()
-{
-    EventFreqs f;
-    f.set(E::RdMiss, 0.0062);
-    f.set(E::RmBlkCln, 0.0023);
-    f.set(E::RmBlkDrty, 0.0040);
-    f.set(E::WhBlkCln, 0.0041);
-    f.set(E::WrtMiss, 0.0011);
-    f.set(E::WmBlkCln, 0.0002);
-    f.set(E::WmBlkDrty, 0.0009);
+    for (std::size_t e = 0; e < numEventTypes; ++e) {
+        const double percent = paper(scheme).eventPercent[e];
+        if (!std::isnan(percent))
+            f.set(static_cast<E>(e), percent / 100.0);
+    }
     return f;
 }
 
 EventFreqs
 paperDragon()
 {
-    EventFreqs f;
-    // The published sub-rows (0.14 + 0.17) round to 0.31 while the
-    // parent rm row reads 0.30; we use sub-rows consistent with the
-    // parent, as the paper's own totals evidently did.
-    f.set(E::RdMiss, 0.0030);
-    f.set(E::RmBlkCln, 0.0014);
+    EventFreqs f = paperFreqs("Dragon");
+    // Override: the published sub-rows (0.14 + 0.17) round to 0.31
+    // while the parent rm row reads 0.30; we use sub-rows consistent
+    // with the parent, as the paper's own totals evidently did.
     f.set(E::RmBlkDrty, 0.0016);
-    f.set(E::WhDistrib, 0.0174);
-    f.set(E::WrtMiss, 0.0002);
-    f.set(E::WmBlkCln, 0.0001);
-    f.set(E::WmBlkDrty, 0.0001);
     return f;
 }
 
@@ -95,10 +57,10 @@ const BusCosts pipelined = paperPipelinedCosts();
 TEST(GoldenTest, Dir1NBTotalExact)
 {
     const CycleBreakdown cost =
-        costFromFreqs(SchemeKind::Dir1NB, paperDir1NB(), pipelined);
+        costFromFreqs(SchemeKind::Dir1NB, paperFreqs("Dir1NB"), pipelined);
     // The paper's 0.3210 decomposes, under our accounting convention,
     // as mem 0.2479 + wb 0.0196 + inv 0.0535.
-    EXPECT_NEAR(cost.total(), 0.3210, 0.0002);
+    EXPECT_NEAR(cost.total(), paper("Dir1NB").cyclesPerRef, 0.0002);
     EXPECT_NEAR(cost.memAccess, 0.2479, 0.0002);
     EXPECT_NEAR(cost.writeBack, 0.0196, 0.0002);
     EXPECT_NEAR(cost.invalidate, 0.0535, 0.0002);
@@ -108,28 +70,29 @@ TEST(GoldenTest, Dir1NBTotalExact)
 TEST(GoldenTest, WTITotalNearPaper)
 {
     const CycleBreakdown cost =
-        costFromFreqs(SchemeKind::WTI, paperWTI(), pipelined);
+        costFromFreqs(SchemeKind::WTI, paperFreqs("WTI"), pipelined);
     // Our model gives 0.1416 against the published 0.1466; the write-
     // through component (0.1046) is exact, and the residual 0.005 is
     // consistent with rounding of the published 10.46% write rate.
-    EXPECT_NEAR(cost.writeThroughOrUpdate, 0.1046, 0.0001);
-    EXPECT_NEAR(cost.total(), 0.1466, 0.006);
+    EXPECT_NEAR(cost.writeThroughOrUpdate,
+                paperFreqs("WTI").get(E::Write), 0.0001);
+    EXPECT_NEAR(cost.total(), paper("WTI").cyclesPerRef, 0.006);
 }
 
 TEST(GoldenTest, Dir0BTotalNearPaper)
 {
     const CycleBreakdown cost =
-        costFromFreqs(SchemeKind::Dir0B, paperDir0B(), pipelined);
-    EXPECT_NEAR(cost.total(), 0.0491, 0.001);
-    // Published directory-access component: 0.0041 (wh-blk-cln * 1).
-    EXPECT_NEAR(cost.dirAccess, 0.0041, 0.0001);
+        costFromFreqs(SchemeKind::Dir0B, paperFreqs("Dir0B"), pipelined);
+    EXPECT_NEAR(cost.total(), paper("Dir0B").cyclesPerRef, 0.001);
+    // Published directory-access component (wh-blk-cln * 1).
+    EXPECT_NEAR(cost.dirAccess, paper("Dir0B").dirAccess, 0.0001);
 }
 
 TEST(GoldenTest, DragonTotalExact)
 {
     const CycleBreakdown cost =
         costFromFreqs(SchemeKind::Dragon, paperDragon(), pipelined);
-    EXPECT_NEAR(cost.total(), 0.0336, 0.0002);
+    EXPECT_NEAR(cost.total(), paper("Dragon").cyclesPerRef, 0.0002);
     // "The Dragon scheme splits its bus cycles evenly between loading
     // up each cache with data and using the bus on write hits."
     EXPECT_NEAR(cost.memAccess, 0.0160, 0.0002);
@@ -143,9 +106,11 @@ TEST(GoldenTest, Section51TransactionCoefficients)
     const CycleBreakdown dragon =
         costFromFreqs(SchemeKind::Dragon, paperDragon(), pipelined);
     const CycleBreakdown dir0b =
-        costFromFreqs(SchemeKind::Dir0B, paperDir0B(), pipelined);
-    EXPECT_NEAR(dragon.transactions, 0.0206, 0.0002);
-    EXPECT_NEAR(dir0b.transactions, 0.0114, 0.0002);
+        costFromFreqs(SchemeKind::Dir0B, paperFreqs("Dir0B"), pipelined);
+    EXPECT_NEAR(dragon.transactions, paper("Dragon").transactionsPerRef,
+                0.0002);
+    EXPECT_NEAR(dir0b.transactions, paper("Dir0B").transactionsPerRef,
+                0.0002);
 }
 
 TEST(GoldenTest, Section51GapShrinksToTwelvePercentAtQOne)
@@ -155,13 +120,24 @@ TEST(GoldenTest, Section51GapShrinksToTwelvePercentAtQOne)
     const CycleBreakdown dragon =
         costFromFreqs(SchemeKind::Dragon, paperDragon(), pipelined);
     const CycleBreakdown dir0b =
-        costFromFreqs(SchemeKind::Dir0B, paperDir0B(), pipelined);
+        costFromFreqs(SchemeKind::Dir0B, paperFreqs("Dir0B"), pipelined);
     const double gap_q0 = dir0b.total() / dragon.total() - 1.0;
     const double gap_q1 =
         dir0b.totalWithOverhead(1.0) / dragon.totalWithOverhead(1.0)
         - 1.0;
-    EXPECT_NEAR(gap_q0, 0.46, 0.04);
-    EXPECT_NEAR(gap_q1, 0.12, 0.02);
+    // The paper's 46% and 12%, from its published linear models.
+    const PublishedScheme &paper_dir0b = paper("Dir0B");
+    const PublishedScheme &paper_dragon = paper("Dragon");
+    EXPECT_NEAR(gap_q0,
+                paper_dir0b.cyclesPerRef / paper_dragon.cyclesPerRef
+                    - 1.0,
+                0.04);
+    EXPECT_NEAR(gap_q1,
+                (paper_dir0b.cyclesPerRef + paper_dir0b.transactionsPerRef)
+                        / (paper_dragon.cyclesPerRef
+                           + paper_dragon.transactionsPerRef)
+                    - 1.0,
+                0.02);
 }
 
 TEST(GoldenTest, Section6SequentialInvalidationDelta)
@@ -176,10 +152,11 @@ TEST(GoldenTest, Section6SequentialInvalidationDelta)
     profile.meanOtherHolders = 1.19;
     profile.fracWithHolders = 1.0;
     const CycleBreakdown broadcast = costFromFreqs(
-        SchemeKind::Dir0B, paperDir0B(), pipelined, profile);
+        SchemeKind::Dir0B, paperFreqs("Dir0B"), pipelined, profile);
     const CycleBreakdown sequential = costFromFreqs(
-        SchemeKind::DirNNB, paperDir0B(), pipelined, profile);
-    EXPECT_NEAR(sequential.total() - broadcast.total(), 0.0008,
+        SchemeKind::DirNNB, paperFreqs("Dir0B"), pipelined, profile);
+    EXPECT_NEAR(sequential.total() - broadcast.total(),
+                paper("DirNNB").cyclesPerRef - paper("Dir0B").cyclesPerRef,
                 0.0003);
 }
 
@@ -189,9 +166,9 @@ TEST(GoldenTest, BerkeleyRoughlyMidwayBetweenDir0BAndDragon)
     // dirty blocks cache-to-cache) "plac[es] it roughly midway
     // between the Dir0B and Dragon schemes".
     const CycleBreakdown berkeley = costFromFreqs(
-        SchemeKind::Berkeley, paperDir0B(), pipelined);
+        SchemeKind::Berkeley, paperFreqs("Dir0B"), pipelined);
     const CycleBreakdown dir0b =
-        costFromFreqs(SchemeKind::Dir0B, paperDir0B(), pipelined);
+        costFromFreqs(SchemeKind::Dir0B, paperFreqs("Dir0B"), pipelined);
     const CycleBreakdown dragon =
         costFromFreqs(SchemeKind::Dragon, paperDragon(), pipelined);
     EXPECT_LT(berkeley.total(), dir0b.total());
@@ -205,12 +182,12 @@ TEST(GoldenTest, BerkeleyRoughlyMidwayBetweenDir0BAndDragon)
 TEST(GoldenTest, SchemeOrderingMatchesFigure2)
 {
     const double dir1nb =
-        costFromFreqs(SchemeKind::Dir1NB, paperDir1NB(), pipelined)
+        costFromFreqs(SchemeKind::Dir1NB, paperFreqs("Dir1NB"), pipelined)
             .total();
     const double wti =
-        costFromFreqs(SchemeKind::WTI, paperWTI(), pipelined).total();
+        costFromFreqs(SchemeKind::WTI, paperFreqs("WTI"), pipelined).total();
     const double dir0b =
-        costFromFreqs(SchemeKind::Dir0B, paperDir0B(), pipelined)
+        costFromFreqs(SchemeKind::Dir0B, paperFreqs("Dir0B"), pipelined)
             .total();
     const double dragon =
         costFromFreqs(SchemeKind::Dragon, paperDragon(), pipelined)
@@ -220,19 +197,21 @@ TEST(GoldenTest, SchemeOrderingMatchesFigure2)
     EXPECT_GT(dir0b, dragon);
     // "DiroB is shown to use close to 50% more bus cycles than the
     // Dragon scheme."
-    EXPECT_NEAR(dir0b / dragon, 1.46, 0.08);
+    EXPECT_NEAR(dir0b / dragon,
+                paper("Dir0B").cyclesPerRef / paper("Dragon").cyclesPerRef,
+                0.08);
 }
 
 TEST(GoldenTest, NonPipelinedPreservesOrdering)
 {
     const BusCosts nonpipe = paperNonPipelinedCosts();
     const double dir1nb =
-        costFromFreqs(SchemeKind::Dir1NB, paperDir1NB(), nonpipe)
+        costFromFreqs(SchemeKind::Dir1NB, paperFreqs("Dir1NB"), nonpipe)
             .total();
     const double wti =
-        costFromFreqs(SchemeKind::WTI, paperWTI(), nonpipe).total();
+        costFromFreqs(SchemeKind::WTI, paperFreqs("WTI"), nonpipe).total();
     const double dir0b =
-        costFromFreqs(SchemeKind::Dir0B, paperDir0B(), nonpipe)
+        costFromFreqs(SchemeKind::Dir0B, paperFreqs("Dir0B"), nonpipe)
             .total();
     const double dragon =
         costFromFreqs(SchemeKind::Dragon, paperDragon(), nonpipe)
@@ -243,8 +222,8 @@ TEST(GoldenTest, NonPipelinedPreservesOrdering)
     EXPECT_GT(wti, dir0b);
     EXPECT_GT(dir0b, dragon);
     // And every scheme costs more on the multiplexed bus.
-    EXPECT_GT(dir1nb, 0.3210);
-    EXPECT_GT(dragon, 0.0336);
+    EXPECT_GT(dir1nb, paper("Dir1NB").cyclesPerRef);
+    EXPECT_GT(dragon, paper("Dragon").cyclesPerRef);
 }
 
 TEST(GoldenTest, Section5BusScalingEstimate)
@@ -254,8 +233,11 @@ TEST(GoldenTest, Section5BusScalingEstimate)
     // performance of 15 effective processors" for a 10-MIPS CPU.
     const CycleBreakdown dragon =
         costFromFreqs(SchemeKind::Dragon, paperDragon(), pipelined);
-    // Dragon is "the best scheme" referenced: ~0.03 cycles/ref.
-    EXPECT_NEAR(dragon.total(), 0.03, 0.005);
+    // Dragon is "the best scheme" referenced.
+    const PublishedNumbers &numbers = published();
+    EXPECT_NEAR(effectiveProcessorLimit(dragon, numbers.estimateMips,
+                                        numbers.estimateBusCycleNs),
+                numbers.estimateProcessors, 0.5);
 }
 
 TEST(GoldenTest, CoherenceMissShare)
@@ -263,11 +245,16 @@ TEST(GoldenTest, CoherenceMissShare)
     // "Consistency-related misses therefore comprise 0.41/1.13 = 36%
     // of the total miss rate": Dir0B data miss rate (incl. first
     // references) 1.13% against Dragon's native 0.72%.
-    const double dir0b_miss = 0.0062 + 0.0011 + 0.0032 + 0.0008;
-    const double native_miss = 0.0030 + 0.0002 + 0.0032 + 0.0008;
+    const auto miss_rate = [](const EventFreqs &f) {
+        return f.get(E::RdMiss) + f.get(E::WrtMiss)
+            + f.get(E::RmFirstRef) + f.get(E::WmFirstRef);
+    };
+    const double dir0b_miss = miss_rate(paperFreqs("Dir0B"));
+    const double native_miss = miss_rate(paperDragon());
     EXPECT_NEAR(dir0b_miss, 0.0113, 1e-9);
     EXPECT_NEAR(native_miss, 0.0072, 1e-9);
-    EXPECT_NEAR((dir0b_miss - native_miss) / dir0b_miss, 0.36, 0.01);
+    EXPECT_NEAR((dir0b_miss - native_miss) / dir0b_miss,
+                published().coherenceMissShare, 0.01);
 }
 
 } // namespace

@@ -47,14 +47,14 @@ file(MAKE_DIRECTORY ${cache_dir})
 
 run(${CMAKE_COMMAND} -E env DIRSIM_SUITE_REFS=20000
     DIRSIM_CACHE_DIR=${cache_dir}
-    ${BENCH} --jsonl ${cold})
+    ${BENCH} table4 --jsonl ${cold})
 expect_counter(${cold} "runner.cache.hits" 0)
 
 # Fully warm: 12 cells (4 schemes x 3 traces), all replayed, nothing
 # simulated.
 run(${CMAKE_COMMAND} -E env DIRSIM_SUITE_REFS=20000
     DIRSIM_CACHE_DIR=${cache_dir}
-    ${BENCH} --jsonl ${warm})
+    ${BENCH} table4 --jsonl ${warm})
 diff_clean(${cold} ${warm} "the warm-cache run")
 expect_counter(${warm} "runner.cache.misses" 0)
 expect_counter(${warm} "runner.cache.hits" 12)
@@ -66,7 +66,7 @@ list(GET entries 0 victim)
 file(WRITE ${victim} "this is not a cell record\n")
 run(${CMAKE_COMMAND} -E env DIRSIM_SUITE_REFS=20000
     DIRSIM_CACHE_DIR=${cache_dir}
-    ${BENCH} --jsonl ${repaired})
+    ${BENCH} table4 --jsonl ${repaired})
 diff_clean(${cold} ${repaired} "the corrupted-entry run")
 expect_counter(${repaired} "runner.cache.misses" 1)
 expect_counter(${repaired} "runner.cache.hits" 11)

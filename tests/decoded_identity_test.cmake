@@ -13,7 +13,7 @@ endfunction()
 
 set(result "${WORKDIR}/decoded_identity.jsonl")
 run(${CMAKE_COMMAND} -E env DIRSIM_SUITE_REFS=20000
-    ${BENCH} --jsonl ${result})
+    ${BENCH} table4 --jsonl ${result})
 execute_process(COMMAND ${REPORT} --diff
                     ${GOLDEN}/table4_20k.jsonl ${result}
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out)

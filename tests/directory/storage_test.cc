@@ -159,17 +159,6 @@ TEST(StorageTest, RejectsDegenerateInputs)
         UsageError);
 }
 
-TEST(StorageTest, TableCoversRequestedSweep)
-{
-    const auto rows = storageTable({4, 16}, {1, 2});
-    // Per n: FullMap, TwoBit, CoarseVector + 2 orgs x 2 budgets = 7.
-    EXPECT_EQ(rows.size(), 14u);
-    for (const auto &row : rows) {
-        EXPECT_GT(row.bitsPerBlock, 0.0);
-        EXPECT_TRUE(row.numCaches == 4 || row.numCaches == 16);
-    }
-}
-
 TEST(StorageTest, OrgNames)
 {
     EXPECT_STREQ(toString(DirectoryOrg::FullMap), "full-map");

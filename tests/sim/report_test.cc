@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -29,6 +30,137 @@ smallGrid()
     return grid;
 }
 
+/** The paper grid with its schemes in reverse order. */
+const std::vector<SchemeResults> &
+reversedPaperGrid()
+{
+    static const std::vector<SchemeResults> grid = [] {
+        SuiteParams params;
+        params.refsPerTrace = 30'000;
+        params.seed = 21;
+        return ExperimentRunner()
+            .run(parseSchemes({"Dragon", "Dir0B", "WTI", "Dir1NB"}),
+                 standardSuite(params))
+            .schemes;
+    }();
+    return grid;
+}
+
+/** The named view's section over @p grid. */
+std::string
+renderView(const std::string &name,
+           const std::vector<SchemeResults> &grid)
+{
+    std::ostringstream os;
+    printView(os, *findView(name), grid);
+    return os.str();
+}
+
+/** The whitespace-separated cells of the line that starts with
+ *  @p prefix. */
+std::vector<std::string>
+cellsOf(const std::string &text, const std::string &prefix)
+{
+    std::istringstream lines(text);
+    for (std::string line; std::getline(lines, line);) {
+        if (line.rfind(prefix, 0) != 0)
+            continue;
+        std::istringstream words(line);
+        std::vector<std::string> cells;
+        for (std::string word; words >> word;)
+            cells.push_back(word);
+        return cells;
+    }
+    ADD_FAILURE() << "no line starts with '" << prefix << "'";
+    return {};
+}
+
+/** A published number as the views print it. */
+std::string
+paperText(double value, int digits)
+{
+    return std::isnan(value) ? "-" : TextTable::fixed(value, digits);
+}
+
+TEST(ReportTest, PublishedValuesFollowTheirSchemeInAnyOrder)
+{
+    const auto &grid = reversedPaperGrid();
+
+    // Table 4: each "(paper)" column follows its scheme's column.
+    const std::string table4 = eventFrequencyTable(grid).toString();
+    const std::vector<std::string> header = cellsOf(table4, "Event");
+    ASSERT_EQ(header.size(), 9u);
+    for (std::size_t e = 0; e < numEventTypes; ++e) {
+        const auto event = static_cast<EventType>(e);
+        const std::vector<std::string> row =
+            cellsOf(table4, std::string(toString(event)) + " ");
+        ASSERT_EQ(row.size(), header.size()) << toString(event);
+        for (std::size_t col = 1; col < header.size(); col += 2) {
+            EXPECT_EQ(header[col + 1], "(paper)");
+            EXPECT_EQ(row[col + 1],
+                      paperText(publishedScheme(header[col])
+                                    ->eventPercent[e],
+                                2))
+                << header[col] << ' ' << toString(event);
+        }
+    }
+
+    // Table 5: the published cumulative row, column by column.
+    const std::string table5 = renderView("table5", grid);
+    const std::vector<std::string> schemes =
+        cellsOf(table5, "Access type");
+    const std::vector<std::string> paper_row =
+        cellsOf(table5, "(paper cumulative)");
+    ASSERT_EQ(schemes.size(), 6u);
+    ASSERT_EQ(paper_row.size(), 6u);
+    for (std::size_t col = 2; col < schemes.size(); ++col) {
+        EXPECT_EQ(paper_row[col],
+                  paperText(publishedScheme(schemes[col])->cyclesPerRef,
+                            4))
+            << schemes[col];
+    }
+
+    // Figure 2: paper(pipe) on each scheme's own row.
+    const std::string fig2 = renderView("fig2", grid);
+    for (const SchemeResults &scheme : grid) {
+        const std::vector<std::string> row =
+            cellsOf(fig2, scheme.scheme + " ");
+        ASSERT_GE(row.size(), 5u);
+        EXPECT_EQ(row[4],
+                  paperText(publishedScheme(scheme.scheme)->cyclesPerRef,
+                            4))
+            << scheme.scheme;
+    }
+
+    // Section 5.1: each linear model quotes its own scheme's paper
+    // model, and the q table's columns follow the grid.
+    const std::string sec51 = renderView("sec5.1", grid);
+    const BusCosts pipe = paperPipelinedCosts();
+    for (const SchemeResults &scheme : grid) {
+        const std::vector<std::string> model =
+            cellsOf(sec51, "  " + scheme.scheme + ":");
+        const PublishedScheme &paper = *publishedScheme(scheme.scheme);
+        if (std::isnan(paper.transactionsPerRef)) {
+            EXPECT_EQ(model.size(), 6u) << scheme.scheme;
+            continue;
+        }
+        ASSERT_EQ(model.size(), 10u) << scheme.scheme;
+        EXPECT_EQ(model[7], TextTable::fixed(paper.cyclesPerRef, 4));
+        EXPECT_EQ(model[9],
+                  TextTable::fixed(paper.transactionsPerRef, 4) + "q)");
+    }
+    const std::vector<std::string> q_header = cellsOf(sec51, "q ");
+    const std::vector<std::string> q0 = cellsOf(sec51, "0.0 ");
+    ASSERT_EQ(q_header.size(), grid.size() + 2);
+    ASSERT_EQ(q0.size(), q_header.size());
+    for (std::size_t s = 0; s < grid.size(); ++s) {
+        EXPECT_EQ(q_header[s + 1], grid[s].scheme);
+        EXPECT_EQ(q0[s + 1],
+                  TextTable::fixed(grid[s].averagedCost(pipe).total(),
+                                   4));
+    }
+}
+
 TEST(ReportTest, EventTableHasAllRowsAndColumns)
 {
     const TextTable table = eventFrequencyTable(smallGrid());
@@ -41,8 +173,7 @@ TEST(ReportTest, EventTableHasAllRowsAndColumns)
 
 TEST(ReportTest, PaperLayoutBlanksInapplicableCells)
 {
-    const TextTable table =
-        eventFrequencyTable(smallGrid(), /* paper_layout */ true);
+    const TextTable table = eventFrequencyTable(smallGrid());
     const std::string out = table.toString();
     // WTI has no dirty state: the rm-blk-drty row must contain "-".
     const auto row_pos = out.find("rm-blk-drty");
@@ -74,9 +205,9 @@ TEST(ReportTest, HistogramTableCoversTraces)
 
 TEST(ReportTest, BusCyclesTableBothShapes)
 {
-    const TextTable averaged = busCyclesTable(smallGrid());
+    const TextTable averaged = busCyclesAveragedTable(smallGrid());
     EXPECT_EQ(averaged.rows(), 3u);
-    const TextTable per_trace = busCyclesTable(smallGrid(), true);
+    const TextTable per_trace = busCyclesPerTraceTable(smallGrid());
     EXPECT_EQ(per_trace.rows(), 9u); // 3 schemes x 3 traces
 }
 
@@ -98,7 +229,8 @@ TEST(ReportTest, EmptyGridRejected)
     EXPECT_THROW(eventFrequencyTable({}), UsageError);
     EXPECT_THROW(costBreakdownTable({}, paperPipelinedCosts()),
                  UsageError);
-    EXPECT_THROW(busCyclesTable({}), UsageError);
+    EXPECT_THROW(busCyclesAveragedTable({}), UsageError);
+    EXPECT_THROW(busCyclesPerTraceTable({}), UsageError);
 }
 
 } // namespace

@@ -18,10 +18,10 @@ set(traced "${WORKDIR}/tracer_identity_traced.jsonl")
 
 run(${CMAKE_COMMAND} -E env DIRSIM_SUITE_REFS=20000
     DIRSIM_TRACE_SAMPLE=0
-    ${BENCH} --jsonl ${plain})
+    ${BENCH} table4 --jsonl ${plain})
 run(${CMAKE_COMMAND} -E env DIRSIM_SUITE_REFS=20000
     DIRSIM_TRACE_SAMPLE=4 DIRSIM_TRACE_RING=64
-    ${BENCH} --jsonl ${traced})
+    ${BENCH} table4 --jsonl ${traced})
 
 execute_process(COMMAND ${REPORT} --diff ${plain} ${traced}
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out)
