@@ -9,8 +9,9 @@
  * fig2 fig3 fig4 fig5 sec5.1 sec5.2 sec6. Each artifact that comes
  * from one grid is a sim/report view, printed through printView()
  * byte for byte as `dirsim_report` prints it from this run's --jsonl.
- * Tables 1-3 and Section 5.2 render here: their inputs are bus
- * constants, traces, or a second, lock-filtered grid. The suite is
+ * Tables 1-2 and Section 5.2 render here: their inputs are bus
+ * constants or a second, lock-filtered grid; Table 3 prints the
+ * suite's statistics through traceStatsTable(). The suite is
  * generated once and the paper grid runs once per process; --jsonl
  * and --chrome record the first grid the process runs
  * (bench_common.hh).
@@ -76,23 +77,10 @@ printTable2()
 void
 printTable3()
 {
-    TextTable table({"Trace", "Refs", "Instr", "DRd", "DWrt", "User",
-                     "Sys", "DRd/DWrt", "spin/DRd"});
-    for (const auto &trace : bench::suite()) {
-        const TraceStats stats = computeTraceStats(trace);
-        table.addRow({
-            stats.name,
-            TextTable::grouped(stats.refs),
-            TextTable::grouped(stats.instr),
-            TextTable::grouped(stats.dataReads),
-            TextTable::grouped(stats.dataWrites),
-            TextTable::grouped(stats.user),
-            TextTable::grouped(stats.sys),
-            TextTable::fixed(stats.readWriteRatio(), 2),
-            TextTable::fixed(stats.spinReadFraction(), 3),
-        });
-    }
-    table.print(std::cout);
+    std::vector<TraceStats> stats;
+    for (const auto &trace : bench::suite())
+        stats.push_back(computeTraceStats(trace));
+    traceStatsTable(stats).print(std::cout);
 
     std::cout << "\nSection 4.4 checks: POPS/THOR show heavy "
                  "test-and-test-and-set spinning\n(paper: roughly one "

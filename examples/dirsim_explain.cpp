@@ -23,7 +23,7 @@
  * is always "not present".
  */
 
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -49,13 +49,19 @@ parseSchemeArg(const std::string &arg)
     return parseScheme(compact);
 }
 
-/** Load a trace file (by trace_tool's extension convention). */
-Trace
-loadTrace(const std::string &path)
+/** The block operand: decimal, or hex after "0x". */
+BlockNum
+parseBlock(const std::string &arg)
 {
-    if (path.size() > 4 && path.ends_with(".txt"))
-        return readTextTraceFile(path);
-    return readBinaryTraceFile(path);
+    if (!arg.starts_with("0x"))
+        return parseDecimal(arg, "<block>");
+    BlockNum block = 0;
+    const char *end = arg.data() + arg.size();
+    const auto [stop, error] =
+        std::from_chars(arg.data() + 2, end, block, 16);
+    fatalIf(error != std::errc{} || stop != end,
+            "<block> '", arg, "' is not a block number");
+    return block;
 }
 
 /**
@@ -132,21 +138,21 @@ main(int argc, char **argv)
     const std::string scheme_arg = argv[1];
     const std::string input = argc > 2 ? argv[2] : "pops";
     const std::string block_arg = argc > 3 ? argv[3] : "auto";
-    const std::uint64_t refs =
-        argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 200'000;
-    const std::uint64_t seed =
-        argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 1;
 
     try {
+        const std::uint64_t refs =
+            argc > 4 ? parseDecimal(argv[4], "<refs>") : 200'000;
+        const std::uint64_t seed =
+            argc > 5 ? parseDecimal(argv[5], "<seed>") : 1;
         const SchemeSpec scheme = parseSchemeArg(scheme_arg);
         const Trace trace = std::ifstream(input).good()
-            ? loadTrace(input)
+            ? readTraceFile(input)
             : generateTrace(input, refs, seed);
 
         SimConfig sim = SimConfig::fromEnvironment();
         const BlockNum block = block_arg == "auto"
             ? hottestBlock(trace, sim.blockBytes)
-            : std::strtoull(block_arg.c_str(), nullptr, 0);
+            : parseBlock(block_arg);
 
         // Sample every reference and keep a deep ring: the point is
         // a complete narrative for one block, not low overhead.

@@ -2,7 +2,7 @@
 # file through `repro table4 --jsonl`, re-render the paper's grid
 # views from it (Figure 1 included, from the cell records of an
 # untraced run), check that a self-diff reports zero deltas, and
-# cross-check the embedded manifest with dirsim_validate --manifest.
+# cross-check the embedded manifest with trace_tool verify.
 function(run)
     execute_process(COMMAND ${ARGV} RESULT_VARIABLE rc OUTPUT_QUIET)
     if(NOT rc EQUAL 0)
@@ -29,7 +29,7 @@ foreach(title "Table 4:" "Table 5:" "Figure 1:" "Figure 2:" "Figure 3:"
     endif()
 endforeach()
 run(${REPORT} --diff ${results} ${results})
-run(${VALIDATOR} --manifest ${results})
+run(${TOOL} verify ${results})
 
 # A missing results file must fail cleanly (exit 2, no crash).
 execute_process(COMMAND ${REPORT} ${WORKDIR}/no_such_results.jsonl

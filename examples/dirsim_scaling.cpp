@@ -6,10 +6,11 @@
  * cache count N, with the coherence event tracer attached, and writes
  * one JSONL artifacts file per N. `report` re-reads those artifacts
  * and renders the scalability curves the Section 6 debate is about:
- * bus cycles per reference and invalidation traffic as a function of
- * N per scheme, plus, at each machine size, the invalidation-size
- * distribution of the cells' Figure 1 counters and the write-run
- * lengths the tracer recorded.
+ * bus cycles per reference, invalidation traffic and directory
+ * storage per memory block as a function of N per scheme, plus, at
+ * each machine size, the invalidation-size distribution of the
+ * cells' Figure 1 counters and the write-run lengths the tracer
+ * recorded.
  *
  * Usage:
  *   dirsim_scaling run <out_dir> [--invariants <period>]
@@ -29,6 +30,7 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -131,7 +133,8 @@ cellFor(const SizePoint &point, const std::string &scheme)
           "DIRSIM_SCALING_* environment");
 }
 
-/** One scheme-by-N curve table from a per-cell value. */
+/** One scheme-by-N curve table from a value of each cell and its
+ *  machine size N. */
 template <typename ValueFn>
 void
 curveTable(const std::vector<SizePoint> &points,
@@ -146,7 +149,7 @@ curveTable(const std::vector<SizePoint> &points,
     for (const std::string &scheme : schemes) {
         std::vector<std::string> row{scheme};
         for (const SizePoint &point : points)
-            row.push_back(value(cellFor(point, scheme)));
+            row.push_back(value(cellFor(point, scheme), point.numCaches));
         table.addRow(std::move(row));
     }
     table.print(std::cout);
@@ -207,20 +210,20 @@ report(const std::string &out_dir)
 
     curveTable(points, schemes,
                "Bus cycles per reference vs N (pipelined bus)",
-               [](const CellRecord &cell) {
+               [](const CellRecord &cell, unsigned) {
                    return TextTable::fixed(
                        cell.cost(paperPipelinedCosts()).total(), 4);
                });
     curveTable(points, schemes,
                "Bus cycles per reference vs N (non-pipelined bus)",
-               [](const CellRecord &cell) {
+               [](const CellRecord &cell, unsigned) {
                    return TextTable::fixed(
                        cell.cost(paperNonPipelinedCosts()).total(),
                        4);
                });
     curveTable(points, schemes,
                "Invalidation messages per 1,000 references vs N",
-               [](const CellRecord &cell) {
+               [](const CellRecord &cell, unsigned) {
                    return TextTable::fixed(
                        1000.0
                            * static_cast<double>(
@@ -231,8 +234,18 @@ report(const std::string &out_dir)
                        3);
                });
     curveTable(points, schemes,
+               "Directory bits per memory block vs N (-: no storage formula)",
+               [](const CellRecord &cell, unsigned n) {
+                   // N, not the cell's cache count: a short trace
+                   // need not reference every cache.
+                   const std::optional<double> bits =
+                       directoryBitsPerBlock(parseScheme(cell.scheme), n);
+                   return bits ? TextTable::fixed(*bits, 0)
+                               : std::string("-");
+               });
+    curveTable(points, schemes,
                "Mean caches invalidated per clean-block write vs N",
-               [](const CellRecord &cell) {
+               [](const CellRecord &cell, unsigned) {
                    return cell.cleanWriteHolders.samples() == 0
                        ? std::string("-")
                        : TextTable::fixed(
@@ -287,7 +300,7 @@ main(int argc, char **argv)
             bool ok = true;
             for (std::size_t i = 2; i < args.size(); i += 2) {
                 if (args[i] == "--invariants" && i + 1 < args.size())
-                    invariants = std::stoull(args[i + 1]);
+                    invariants = parseDecimal(args[i + 1], "--invariants");
                 else
                     ok = false;
             }

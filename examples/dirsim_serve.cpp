@@ -40,6 +40,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -92,8 +93,8 @@ parseClientArgs(const std::vector<std::string> &args)
             return args[++i];
         };
         if (arg == "--port") {
-            parsed.port =
-                static_cast<std::uint16_t>(std::stoul(next()));
+            parsed.port = static_cast<std::uint16_t>(
+                parseDecimal(next(), "--port", 65535));
         } else if (arg == "--client") {
             parsed.client = next();
         } else if (arg == "--out") {
@@ -306,13 +307,13 @@ daemonCommand(const std::vector<std::string> &args)
             return args[++i];
         };
         if (arg == "--port") {
-            config.port =
-                static_cast<std::uint16_t>(std::stoul(next()));
+            config.port = static_cast<std::uint16_t>(
+                parseDecimal(next(), "--port", 65535));
         } else if (arg == "--queue") {
-            config.queueCapacity = std::stoull(next());
+            config.queueCapacity = parseDecimal(next(), "--queue");
         } else if (arg == "--jobs") {
-            config.jobs =
-                static_cast<unsigned>(std::stoul(next()));
+            config.jobs = static_cast<unsigned>(parseDecimal(
+                next(), "--jobs", std::numeric_limits<unsigned>::max()));
         } else if (arg == "--discipline") {
             config.discipline = next();
         } else if (arg == "--hold") {
@@ -371,8 +372,7 @@ main(int argc, char **argv)
         std::cerr << "error: " << error.what() << '\n';
         return 2;
     } catch (const std::exception &error) {
-        // Bad numeric flags (std::stoul) and the like: usage, not
-        // a crash.
+        // A filesystem or system error: a diagnostic, not a crash.
         std::cerr << "error: " << error.what() << '\n';
         return 2;
     }

@@ -10,6 +10,11 @@
  *   dirsim_sweep plan <spec.json>
  *   dirsim_sweep report <DIR | results.jsonl>
  *
+ * `plan` lints the spec first (lintSweepSpec()): a spec with any
+ * problem prints every diagnostic and the count and exits 1. A clean
+ * spec prints its cells. `run` and `resume` accept exactly the specs
+ * `plan` passes, and stop on the first problem.
+ *
  * `run` executes the sweep with a FileCellCache at <out>/cells, so
  * every finished cell persists immediately; on completion the
  * artifacts land in <out>/results.jsonl. An interrupted run (the
@@ -29,12 +34,16 @@
  * so an interrupted-then-resumed sweep reports byte-identically to
  * an uninterrupted one.
  *
- * Exit status: 0 done, 2 usage errors, 3 interrupted (budget).
+ * Exit status: 0 done, 1 `plan` found problems, 2 usage errors, 3
+ * interrupted (budget).
  */
 
 #include <filesystem>
+#include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -82,10 +91,10 @@ parseArgs(const std::vector<std::string> &args)
         if (arg == "--out") {
             parsed.out = next();
         } else if (arg == "--jobs") {
-            parsed.jobs = static_cast<unsigned>(
-                std::stoul(next()));
+            parsed.jobs = static_cast<unsigned>(parseDecimal(
+                next(), "--jobs", std::numeric_limits<unsigned>::max()));
         } else if (arg == "--max-cells") {
-            parsed.maxCells = std::stoull(next());
+            parsed.maxCells = parseDecimal(next(), "--max-cells");
         } else if (arg == "--force") {
             parsed.force = true;
         } else if (!arg.empty() && arg[0] == '-') {
@@ -103,7 +112,22 @@ parseArgs(const std::vector<std::string> &args)
 int
 planCommand(const SweepCliArgs &args)
 {
-    const SweepSpec spec = loadSweepSpec(args.spec);
+    std::ifstream in(args.spec, std::ios::binary);
+    fatalIf(!in, "cannot open sweep spec '", args.spec, "'");
+    std::ostringstream text;
+    text << in.rdbuf();
+    const std::vector<SweepDiagnostic> diagnostics =
+        lintSweepSpec(text.str());
+    if (!diagnostics.empty()) {
+        std::cout << args.spec << ": INVALID\n";
+        for (const SweepDiagnostic &diagnostic : diagnostics)
+            std::cerr << "error: " << diagnostic.where << ": "
+                      << diagnostic.message << '\n';
+        std::cerr << diagnostics.size() << " problem(s) found\n";
+        return 1;
+    }
+
+    const SweepSpec spec = parseSweepSpec(text.str());
     const SweepPlan plan = expandSweep(spec);
     std::cout << "sweep " << spec.name << ": "
               << plan.cells.size() << " cells ("
@@ -216,8 +240,7 @@ main(int argc, char **argv)
         std::cerr << "error: " << error.what() << '\n';
         return 2;
     } catch (const std::exception &error) {
-        // Bad numeric flags (std::stoul) and the like: usage, not
-        // a crash.
+        // A filesystem or system error: a diagnostic, not a crash.
         std::cerr << "error: " << error.what() << '\n';
         return 2;
     }

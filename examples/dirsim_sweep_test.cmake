@@ -1,7 +1,8 @@
 # The tier-1 resume smoke for dirsim_sweep (docs/sweep.md):
 #
-#  1. The spec lints clean (dirsim_validate --sweep) and a broken
-#     variant is rejected with exit 1.
+#  1. The spec lints clean (dirsim_sweep plan); a broken variant
+#     and one that repeats an axis value exit 1, and a malformed
+#     --jobs exits 2 before any cell runs.
 #  2. A run under --max-cells 2 stops with exit 3 and writes no
 #     results.jsonl — only cached cells.
 #  3. Resuming the same spec completes: the resumed leg reports
@@ -47,16 +48,39 @@ file(WRITE ${spec} "{\n"
     "  \"block_bytes\": [16, 32]\n"
     "}\n")
 
-# 1. Lint: the spec is clean; a broken variant exits 1.
-run(ignored ${VALIDATOR} --sweep ${spec})
+# 1. Lint: the spec is clean; broken variants exit 1 with every
+#    problem named; a malformed --jobs is a usage error (exit 2) that
+#    runs no cell.
+run(ignored ${SWEEP} plan ${spec})
 set(bad_spec "${WORKDIR}/sweep_smoke_bad.spec.json")
 file(WRITE ${bad_spec} "{\"name\":\"bad\",\"schemes\":[\"Nope\"],"
     "\"traces\":[{\"profile\":\"pops\"}]}\n")
-execute_process(COMMAND ${VALIDATOR} --sweep ${bad_spec}
-                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
-if(NOT rc EQUAL 1)
+set(dup_spec "${WORKDIR}/sweep_smoke_dup.spec.json")
+file(WRITE ${dup_spec} "{\"name\":\"dup\","
+    "\"schemes\":[\"Dir0B\",\"dir0b\",\"WTI\"],"
+    "\"traces\":[{\"profile\":\"pops\",\"refs\":2000}]}\n")
+foreach(broken ${bad_spec} ${dup_spec})
+    execute_process(COMMAND ${SWEEP} plan ${broken}
+                    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+    if(NOT rc EQUAL 1 OR NOT err MATCHES "[0-9]+ problem\\(s\\) found")
+        message(FATAL_ERROR
+            "plan accepted a broken sweep spec (rc=${rc}): ${err}")
+    endif()
+endforeach()
+execute_process(COMMAND ${SWEEP} run ${dup_spec}
+                        --out ${WORKDIR}/sweep_smoke_dup
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "schemes\\[1\\]")
     message(FATAL_ERROR
-        "validator accepted a broken sweep spec (rc=${rc})")
+        "run accepted a repeated scheme (rc=${rc}): ${err}")
+endif()
+execute_process(COMMAND ${SWEEP} run ${spec} --out ${out_a} --jobs -1
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "--jobs")
+    message(FATAL_ERROR "run accepted --jobs -1 (rc=${rc}): ${err}")
+endif()
+if(EXISTS "${out_a}")
+    message(FATAL_ERROR "run --jobs -1 started the sweep")
 endif()
 
 # 2. Interrupt: the budget stops the run with exit 3, no results.

@@ -1,24 +1,41 @@
 /**
  * @file
- * Example: a command-line utility for working with trace files —
- * generate, convert between the binary and text formats, filter,
- * characterize, and simulate. External traces in the same
- * (cpu, pid, type, addr) shape can be analysed the same way.
+ * Example: `trace_tool` — the trace CLI. It generates, converts and
+ * filters trace files, characterizes them (Table 3), replays them
+ * under any schemes (the paper's grid views) and checks a run's
+ * trace files against its manifest. External traces in the same
+ * (cpu, pid, type, addr) shape are analysed the same way.
  *
  * Usage:
  *   trace_tool generate <workload> <refs> <seed> <out>
  *   trace_tool convert  <in> <out>
  *   trace_tool filter   (--no-locks|--no-spins|--user-only) <in> <out>
- *   trace_tool stats    <in>
- *   trace_tool simulate <in> <scheme>
+ *   trace_tool stats    <file>...
+ *   trace_tool simulate <file> [scheme...]
+ *   trace_tool verify   <results.jsonl>
  *
  * Files ending in ".txt" use the text format; everything else is the
- * binary format.
+ * binary format (see docs/trace-format.md).
+ *
+ * `stats` streams each file through the validating readers in
+ * bounded memory, so every record is checked and a binary v2
+ * checksum verified, and prints one Table 3 over the valid files and
+ * their references by address segment. `simulate` decodes the file
+ * once, runs every named scheme (default: every named scheme dirsim
+ * implements) under SimConfig::fromEnvironment() (DIRSIM_BLOCK_BYTES,
+ * DIRSIM_WARMUP_REFS, DIRSIM_SHARING), and prints every paper view
+ * (sim/report.hh) the grid holds. `verify` re-checksums every
+ * file-sourced trace a results manifest records (docs/observability.md)
+ * and reports each as OK, MISMATCH or MISSING.
+ *
+ * Exit status: 0 on success; 1 when a file is rejected, a manifest
+ * check finds a problem or a command fails; 2 on usage errors.
  */
 
-#include <cstdlib>
+#include <algorithm>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "dirsim/dirsim.hh"
 
@@ -26,29 +43,6 @@ namespace
 {
 
 using namespace dirsim;
-
-bool
-isTextPath(const std::string &path)
-{
-    return path.size() >= 4
-        && path.compare(path.size() - 4, 4, ".txt") == 0;
-}
-
-Trace
-load(const std::string &path)
-{
-    return isTextPath(path) ? readTextTraceFile(path)
-                            : readBinaryTraceFile(path);
-}
-
-void
-store(const Trace &trace, const std::string &path)
-{
-    if (isTextPath(path))
-        writeTextTraceFile(trace, path);
-    else
-        writeBinaryTraceFile(trace, path);
-}
 
 int
 usage()
@@ -59,75 +53,175 @@ usage()
         "  trace_tool convert  <in> <out>\n"
         "  trace_tool filter   (--no-locks|--no-spins|--user-only) "
         "<in> <out>\n"
-        "  trace_tool stats    <in>\n"
-        "  trace_tool simulate <in> <scheme>\n";
+        "  trace_tool stats    <file>...\n"
+        "  trace_tool simulate <file> [scheme...]\n"
+        "  trace_tool verify   <results.jsonl>\n";
     return 2;
 }
 
-void
-printStats(const Trace &trace)
+int
+generate(const std::vector<std::string> &operands)
 {
-    const TraceStats stats = computeTraceStats(trace);
-    TextTable table({"metric", "value"});
-    table.addRow({"name", stats.name});
-    table.addRow({"refs", TextTable::grouped(stats.refs)});
-    table.addRow({"instr", TextTable::grouped(stats.instr)});
-    table.addRow({"data reads", TextTable::grouped(stats.dataReads)});
-    table.addRow({"data writes",
-                  TextTable::grouped(stats.dataWrites)});
-    table.addRow({"system refs", TextTable::grouped(stats.sys)});
-    table.addRow({"processes",
-                  TextTable::grouped(stats.numProcesses)});
-    table.addRow({"cpus", std::to_string(trace.numCpus())});
-    table.addRow({"read/write ratio",
-                  TextTable::fixed(stats.readWriteRatio(), 2)});
-    table.addRow({"spin reads / reads",
-                  TextTable::fixed(stats.spinReadFraction(), 3)});
-    table.addRow({"shared block fraction",
-                  TextTable::fixed(stats.sharedBlockFraction(), 3)});
-    table.print(std::cout);
-
-    // For traces produced by the synthetic generator, break the
-    // references down by address segment.
-    const SegmentProfile profile = profileSegments(trace);
-    if (profile.count(SegmentKind::Unknown) != profile.total) {
-        std::cout << "\nreferences by segment:\n";
-        TextTable segments({"segment", "refs", "fraction"});
-        for (int k = 0; k <= static_cast<int>(SegmentKind::Unknown);
-             ++k) {
-            const auto kind = static_cast<SegmentKind>(k);
-            if (profile.count(kind) == 0)
-                continue;
-            segments.addRow({
-                toString(kind),
-                TextTable::grouped(profile.count(kind)),
-                TextTable::fixed(profile.fraction(kind), 3),
-            });
-        }
-        segments.print(std::cout);
+    std::uint64_t refs = 0;
+    std::uint64_t seed = 0;
+    try {
+        refs = parseDecimal(operands[1], "<refs>");
+        seed = parseDecimal(operands[2], "<seed>");
+    } catch (const UsageError &error) {
+        std::cerr << "error: " << error.what() << '\n';
+        return usage();
     }
+    const Trace trace = generateTrace(operands[0], refs, seed);
+    writeTraceFile(trace, operands[3]);
+    std::cout << "wrote " << trace.size() << " references to "
+              << operands[3] << '\n';
+    return 0;
 }
 
-void
-simulate(const std::string &path, const std::string &scheme)
+int
+filter(const std::vector<std::string> &operands)
 {
-    // One streaming read decodes the file (about 9 bytes per record
-    // stay in memory); the decoded stream is then simulated.
-    const SimResult result =
-        runJob({TraceRef::file(path), parseScheme(scheme), {}}).result;
-    const CycleBreakdown pipe = result.cost(paperPipelinedCosts());
-    const CycleBreakdown nonpipe =
-        result.cost(paperNonPipelinedCosts());
-    std::cout << result.scheme << " on '" << result.traceName << "': "
-              << TextTable::fixed(pipe.total(), 4)
-              << " (pipelined) / "
-              << TextTable::fixed(nonpipe.total(), 4)
-              << " (non-pipelined) bus cycles per reference\n"
-              << "read miss rate "
-              << TextTable::pct(
-                     result.events.percentOfRefs(EventType::RdMiss))
-              << ", transactions/ref "
-              << TextTable::fixed(pipe.transactions, 4) << '\n';
+    const std::string &mode = operands[0];
+    Trace (*keep)(const Trace &) = nullptr;
+    if (mode == "--no-locks")
+        keep = excludeLockRefs;
+    else if (mode == "--no-spins")
+        keep = excludeSpinReads;
+    else if (mode == "--user-only")
+        keep = keepUserOnly;
+    else
+        return usage();
+    const Trace input = readTraceFile(operands[1]);
+    const Trace output = keep(input);
+    writeTraceFile(output, operands[2]);
+    std::cout << "kept " << output.size() << " of " << input.size()
+              << " references\n";
+    return 0;
+}
+
+/** References by address segment, one column per trace; nothing
+ *  when no trace holds a generator address. */
+void
+printSegments(const std::vector<TraceStats> &traces,
+              const std::vector<SegmentProfile> &profiles)
+{
+    const bool generated = std::any_of(
+        profiles.begin(), profiles.end(), [](const SegmentProfile &p) {
+            return p.count(SegmentKind::Unknown) != p.total;
+        });
+    if (!generated)
+        return;
+    std::vector<std::string> header{"segment"};
+    for (const TraceStats &stats : traces)
+        header.push_back(stats.name);
+    TextTable table(std::move(header));
+    for (int k = 0; k <= static_cast<int>(SegmentKind::Unknown); ++k) {
+        const auto kind = static_cast<SegmentKind>(k);
+        std::vector<std::string> row{toString(kind)};
+        bool any = false;
+        for (const SegmentProfile &profile : profiles) {
+            any = any || profile.count(kind) != 0;
+            row.push_back(TextTable::grouped(profile.count(kind)) + " ("
+                          + TextTable::fixed(profile.fraction(kind), 3)
+                          + ")");
+        }
+        if (any)
+            table.addRow(std::move(row));
+    }
+    std::cout << "\nreferences by segment (fraction of the trace):\n";
+    table.print(std::cout);
+}
+
+int
+stats(const std::vector<std::string> &paths)
+{
+    std::vector<TraceStats> traces;
+    std::vector<SegmentProfile> profiles;
+    bool all_ok = true;
+    for (const std::string &path : paths) {
+        try {
+            // Draining the source runs every record-level check and
+            // the binary v2 checksum; one pass feeds both tables.
+            const auto source = openTraceSource(path);
+            TraceStatsBuilder builder;
+            SegmentProfile profile;
+            TraceRecord record;
+            while (source->next(record)) {
+                builder.add(record);
+                profile.add(record.addr);
+            }
+            traces.push_back(
+                builder.finish(source->name(), source->numCpus()));
+            profiles.push_back(profile);
+            std::cout << path << ": OK (" << source->format() << ", "
+                      << TextTable::grouped(traces.back().refs)
+                      << " records)\n";
+        } catch (const SimulationError &error) {
+            std::cout << path << ": INVALID\n";
+            std::cerr << "error: " << error.what() << '\n';
+            all_ok = false;
+        }
+    }
+    if (!traces.empty()) {
+        std::cout << "\nTable 3: summary of trace characteristics\n";
+        traceStatsTable(traces).print(std::cout);
+        printSegments(traces, profiles);
+    }
+    return all_ok ? 0 : 1;
+}
+
+int
+simulate(const std::string &path, const std::vector<std::string> &names)
+{
+    const std::vector<SchemeSpec> schemes =
+        parseSchemes(names.empty() ? allSchemes() : names);
+    // One streaming read decodes the file; every cell replays it.
+    const GridResult grid = ExperimentRunner().runFiles(
+        schemes, {path}, SimConfig::fromEnvironment());
+    const SimResult &cell = grid.schemes.front().perTrace.front();
+    std::cout << "'" << cell.traceName << "' (" << path << "): "
+              << TextTable::grouped(cell.totalRefs) << " references, "
+              << cell.numCaches << " caches, " << schemes.size()
+              << " scheme(s)\n\n";
+    for (const ReportView &view : reportViews())
+        printView(std::cout, view, grid.schemes);
+    return 0;
+}
+
+/** Cross-check a results manifest's trace checksums against disk. */
+int
+verify(const std::string &results_path)
+{
+    const RunArtifacts artifacts = loadArtifacts(results_path);
+    fatalIf(!artifacts.hasManifest, "'", results_path,
+            "' holds no run manifest");
+    bool all_ok = true;
+    std::size_t checked = 0;
+    for (const TraceProvenance &trace : artifacts.manifest.traces) {
+        if (trace.source != "file" || !trace.hasChecksum) {
+            std::cout << trace.name << ": SKIPPED (source '"
+                      << trace.source << "', no file checksum)\n";
+            continue;
+        }
+        ++checked;
+        try {
+            if (fileChecksumFnv64(trace.path) == trace.checksum) {
+                std::cout << trace.name << ": OK (" << trace.path
+                          << ")\n";
+            } else {
+                std::cout << trace.name << ": MISMATCH (" << trace.path
+                          << " changed since the run)\n";
+                all_ok = false;
+            }
+        } catch (const SimulationError &) {
+            std::cout << trace.name << ": MISSING (" << trace.path
+                      << " unreadable)\n";
+            all_ok = false;
+        }
+    }
+    std::cout << checked << " trace file(s) checked, "
+              << (all_ok ? "all match" : "PROBLEMS FOUND") << '\n';
+    return all_ok ? 0 : 1;
 }
 
 } // namespace
@@ -135,51 +229,30 @@ simulate(const std::string &path, const std::string &scheme)
 int
 main(int argc, char **argv)
 {
-    if (argc < 2)
+    const std::vector<std::string> args(argv + 1, argv + argc);
+    if (args.empty())
         return usage();
-    const std::string command = argv[1];
+    const std::string &command = args[0];
+    const std::vector<std::string> operands(args.begin() + 1, args.end());
 
     try {
-        if (command == "generate" && argc == 6) {
-            const Trace trace = generateTrace(
-                argv[2], std::strtoull(argv[3], nullptr, 10),
-                std::strtoull(argv[4], nullptr, 10));
-            store(trace, argv[5]);
-            std::cout << "wrote " << trace.size() << " references to "
-                      << argv[5] << '\n';
+        if (command == "generate" && operands.size() == 4)
+            return generate(operands);
+        if (command == "convert" && operands.size() == 2) {
+            writeTraceFile(readTraceFile(operands[0]), operands[1]);
+            std::cout << "converted " << operands[0] << " -> "
+                      << operands[1] << '\n';
             return 0;
         }
-        if (command == "convert" && argc == 4) {
-            store(load(argv[2]), argv[3]);
-            std::cout << "converted " << argv[2] << " -> " << argv[3]
-                      << '\n';
-            return 0;
-        }
-        if (command == "filter" && argc == 5) {
-            const std::string mode = argv[2];
-            const Trace input = load(argv[3]);
-            Trace output;
-            if (mode == "--no-locks")
-                output = excludeLockRefs(input);
-            else if (mode == "--no-spins")
-                output = excludeSpinReads(input);
-            else if (mode == "--user-only")
-                output = keepUserOnly(input);
-            else
-                return usage();
-            store(output, argv[4]);
-            std::cout << "kept " << output.size() << " of "
-                      << input.size() << " references\n";
-            return 0;
-        }
-        if (command == "stats" && argc == 3) {
-            printStats(load(argv[2]));
-            return 0;
-        }
-        if (command == "simulate" && argc == 4) {
-            simulate(argv[2], argv[3]);
-            return 0;
-        }
+        if (command == "filter" && operands.size() == 3)
+            return filter(operands);
+        if (command == "stats" && !operands.empty())
+            return stats(operands);
+        if (command == "simulate" && !operands.empty())
+            return simulate(operands[0], {operands.begin() + 1,
+                                          operands.end()});
+        if (command == "verify" && operands.size() == 1)
+            return verify(operands[0]);
     } catch (const SimulationError &error) {
         std::cerr << "error: " << error.what() << '\n';
         return 1;

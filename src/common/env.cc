@@ -1,12 +1,29 @@
 #include "common/env.hh"
 
+#include <charconv>
 #include <cstdlib>
-#include <limits>
 
 #include "common/logging.hh"
 
 namespace dirsim
 {
+
+std::uint64_t
+parseDecimal(std::string_view text, std::string_view what,
+             std::uint64_t max)
+{
+    fatalIf(text.empty()
+                || text.find_first_not_of("0123456789")
+                    != std::string_view::npos,
+            what, " '", text, "' is not a number");
+    // Only digits remain, so from_chars fails only on overflow.
+    std::uint64_t value = 0;
+    const std::errc error =
+        std::from_chars(text.data(), text.data() + text.size(), value).ec;
+    fatalIf(error != std::errc{} || value > max, what, " ", text,
+            " is out of range (max ", max, ")");
+    return value;
+}
 
 std::optional<std::string>
 envString(const char *name)
@@ -23,36 +40,19 @@ envU64(const char *name, std::uint64_t fallback)
     const auto value = envString(name);
     if (!value)
         return fallback;
-    // std::stoull skips leading whitespace and silently wraps
-    // negative values ("-1" -> 2^64-1), so insist on pure digits
-    // before parsing.
-    fatalIf(value->find_first_not_of("0123456789")
-                != std::string::npos,
-            "environment variable ", name, "='", *value,
-            "' is not a number");
-    try {
-        std::size_t consumed = 0;
-        const std::uint64_t parsed = std::stoull(*value, &consumed);
-        fatalIf(consumed != value->size(),
-                "environment variable ", name, "='", *value,
-                "' is not a number");
-        return parsed;
-    } catch (const SimulationError &) {
-        throw;
-    } catch (const std::exception &) {
-        fatal("environment variable ", name, "='", *value,
-              "' is not a number");
-    }
+    return parseDecimal(*value,
+                        std::string("environment variable ") + name);
 }
 
 unsigned
 envUnsigned(const char *name, unsigned fallback)
 {
-    const std::uint64_t value = envU64(name, fallback);
-    fatalIf(value > std::numeric_limits<unsigned>::max(),
-            "environment variable ", name, "=", value,
-            " is out of range");
-    return static_cast<unsigned>(value);
+    const auto value = envString(name);
+    if (!value)
+        return fallback;
+    return static_cast<unsigned>(
+        parseDecimal(*value, std::string("environment variable ") + name,
+                     std::numeric_limits<unsigned>::max()));
 }
 
 } // namespace dirsim

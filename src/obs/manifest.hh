@@ -11,7 +11,7 @@
  * format v2 hash), every DIRSIM_* environment override in effect,
  * the worker count, the host, and start/end timestamps.
  *
- * `dirsim_validate --manifest` cross-checks the recorded trace
+ * `trace_tool verify` cross-checks the recorded trace
  * checksums against the files on disk; `dirsim_report` prints the
  * manifest next to the re-rendered tables.
  */

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cctype>
 
+#include "common/env.hh"
 #include "common/logging.hh"
+#include "directory/storage.hh"
 #include "protocols/berkeley.hh"
 #include "protocols/dir0_b.hh"
 #include "protocols/dir1_nb.hh"
@@ -132,6 +134,37 @@ SchemeSpec::name() const
     panic("SchemeSpec with invalid family");
 }
 
+std::optional<double>
+directoryBitsPerBlock(const SchemeSpec &spec, unsigned num_caches)
+{
+    StorageParams params;
+    params.numCaches = num_caches;
+    params.numPointers = spec.pointers;
+    switch (spec.family) {
+      case SchemeFamily::Dir0B:
+        return directoryBitsPerBlock(DirectoryOrg::TwoBit, params);
+      case SchemeFamily::Dir1NB:
+      case SchemeFamily::DirINB:
+        return directoryBitsPerBlock(DirectoryOrg::LimitedPtr, params);
+      case SchemeFamily::DirIB:
+        return directoryBitsPerBlock(DirectoryOrg::LimitedPtrB, params);
+      case SchemeFamily::DirNNB:
+        return directoryBitsPerBlock(DirectoryOrg::FullMap, params);
+      case SchemeFamily::DirCV:
+        if (spec.pointers == 0)
+            return directoryBitsPerBlock(DirectoryOrg::CoarseVector,
+                                         params);
+        params.regionSize = spec.pointers;
+        return directoryBitsPerBlock(DirectoryOrg::RegionVector, params);
+      case SchemeFamily::WTI:
+      case SchemeFamily::Dragon:
+      case SchemeFamily::Berkeley:
+      case SchemeFamily::YenFu:
+        return std::nullopt;
+    }
+    panic("SchemeSpec with invalid family");
+}
+
 SchemeSpec
 parseScheme(const std::string &name)
 {
@@ -153,19 +186,12 @@ parseScheme(const std::string &name)
     if (key == "dircv")
         return named(SchemeFamily::DirCV);
     if (key.rfind("dircvr", 0) == 0) {
-        const std::string digits = key.substr(6);
-        fatalIf(digits.empty()
-                    || digits.find_first_not_of("0123456789")
-                           != std::string::npos,
-                "DirCVr<K> needs an integer region granularity, got '",
-                name, "'");
-        const unsigned long region = std::stoul(digits);
+        const std::uint64_t region = parseDecimal(
+            key.substr(6), "DirCVr<K> region granularity of '" + name + "'",
+            maxCacheDomain);
         fatalIf(region == 0,
                 "DirCVr0 is not a scheme; use 'DirCV' for the ternary "
                 "code");
-        fatalIf(region > maxCacheDomain, "DirCVr region granularity ",
-                region, " exceeds the largest cache domain (",
-                maxCacheDomain, ")");
         return named(SchemeFamily::DirCV,
                      static_cast<unsigned>(region));
     }

@@ -14,6 +14,7 @@
 #define DIRSIM_PROTOCOLS_REGISTRY_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -80,6 +81,18 @@ struct SchemeSpec
 
     bool operator==(const SchemeSpec &) const = default;
 };
+
+/**
+ * Directory bits per memory block that @p spec's directory stores on
+ * a machine of @p num_caches caches (directory/storage.hh). The one
+ * map from scheme to organization: Dir0B two-bit; Dir1NB and
+ * Dir<i>NB limited pointers; Dir<i>B limited pointers plus the
+ * broadcast bit; DirNNB full map; DirCV coarse vector; DirCVr<K> the
+ * region vector with K. nullopt for the schemes with no storage
+ * formula: the snoopy ones and YenFu.
+ */
+std::optional<double> directoryBitsPerBlock(const SchemeSpec &spec,
+                                            unsigned num_caches);
 
 /**
  * Parse a scheme name into its structured spec.

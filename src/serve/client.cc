@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/env.hh"
 #include "common/logging.hh"
 #include "serve/http.hh"
 
@@ -193,12 +194,8 @@ httpRequest(
         readHead(sock, response.headers, response.body);
     if (const std::string *length =
             findHeader(response.headers, "content-length")) {
-        std::size_t expect = 0;
-        try {
-            expect = std::stoull(*length);
-        } catch (const std::exception &) {
-            fatal("malformed Content-Length '", *length, "'");
-        }
+        const std::size_t expect =
+            parseDecimal(*length, "Content-Length");
         fatalIf(expect > httpMaxBodyBytes,
                 "response body exceeds ", httpMaxBodyBytes,
                 " bytes");

@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/env.hh"
 #include "common/logging.hh"
 
 namespace dirsim
@@ -155,9 +156,9 @@ HttpConnection::readRequest(HttpRequest &out, std::string &error)
     std::size_t content_length = 0;
     if (const std::string *value = out.header("content-length")) {
         try {
-            content_length = std::stoull(*value);
-        } catch (const std::exception &) {
-            error = "malformed Content-Length '" + *value + "'";
+            content_length = parseDecimal(*value, "Content-Length");
+        } catch (const UsageError &parse_error) {
+            error = parse_error.what();
             return false;
         }
     }

@@ -83,12 +83,9 @@ pathSegments(const std::string &path)
 bool
 parseRunId(const std::string &text, std::uint64_t &id)
 {
-    if (text.empty()
-        || text.find_first_not_of("0123456789") != std::string::npos)
-        return false;
     try {
-        id = std::stoull(text);
-    } catch (const std::exception &) {
+        id = parseDecimal(text, "run id");
+    } catch (const UsageError &) {
         return false;
     }
     return true;

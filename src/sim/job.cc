@@ -498,19 +498,4 @@ runJob(const SimJob &job, const JobOptions &options)
     return outcome;
 }
 
-std::vector<CellOutcome>
-runJobs(const std::vector<SimJob> &jobs, const JobOptions &options,
-        unsigned workers)
-{
-    const SimPlan plan = buildPlan(jobs, options);
-    ExecOptions exec;
-    exec.jobs = workers;
-    PlanRun run = runPlan(plan, exec);
-    std::vector<CellOutcome> outcomes;
-    outcomes.reserve(run.outcomes.size());
-    for (std::optional<CellOutcome> &outcome : run.outcomes)
-        outcomes.push_back(std::move(*outcome));
-    return outcomes;
-}
-
 } // namespace dirsim

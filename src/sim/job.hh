@@ -14,10 +14,9 @@
  * cell that misses.
  *
  * runPlan() is the only code that dispatches cells: runJob(),
- * runJobs(), ExperimentRunner (sim/runner.hh) and runSweep()
- * (sweep/run.hh) all plan and then call it, so job-count resolution,
- * the worker pool, progress, per-cell tracing and the stop gate live
- * in one place.
+ * ExperimentRunner (sim/runner.hh) and runSweep() (sweep/run.hh) all
+ * plan and then call it, so job-count resolution, the worker pool,
+ * progress, per-cell tracing and the stop gate live in one place.
  *
  * The engine adds a cell cache (CellCache): results keyed by FNV-1a
  * 64 over (trace identity, canonical scheme name, SimConfig, engine
@@ -401,16 +400,6 @@ PlanRun runPlan(const SimPlan &plan, const ExecOptions &options = {});
  *  up-front decode (SimPlan::decodeNs) is the cell's, so it is added
  *  to the result's Read phase. */
 CellOutcome runJob(const SimJob &job, const JobOptions &options = {});
-
-/**
- * Plan and run a batch of jobs on @p workers threads (resolveJobs();
- * 1 = sequential on this thread). Outcomes are returned in job order
- * regardless of scheduling. For scheme x trace grids with progress
- * callbacks, use ExperimentRunner (a wrapper over the same executor).
- */
-std::vector<CellOutcome> runJobs(const std::vector<SimJob> &jobs,
-                                 const JobOptions &options = {},
-                                 unsigned workers = 1);
 
 } // namespace dirsim
 

@@ -6,7 +6,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
-#include "directory/storage.hh"
+#include "protocols/registry.hh"
 
 namespace dirsim
 {
@@ -234,7 +234,8 @@ printFigure1(std::ostream &os, const std::vector<SchemeResults> &grid)
                   100.0 * published().cleanWritesAtMostOneInval, 0)
            << "%)\n";
         os << "mean invalidations per such write: "
-           << TextTable::fixed(merged.mean(), 2) << '\n';
+           << TextTable::fixed(merged.mean(), 2) << " ("
+           << TextTable::grouped(merged.samples()) << " writes)\n";
     }
 }
 
@@ -292,18 +293,22 @@ void
 printFigure5(std::ostream &os, const std::vector<SchemeResults> &grid)
 {
     const BusCosts costs = paperPipelinedCosts();
+    const BusCosts nonpipe = paperNonPipelinedCosts();
     double max_cpt = 0.0;
     for (const auto &scheme : grid) {
         max_cpt = std::max(
             max_cpt, scheme.averagedCost(costs).cyclesPerTransaction());
     }
-    TextTable table({"scheme", "txns/ref", "cycles/txn", "bar"});
+    TextTable table({"scheme", "txns/ref", "pipelined", "non-pipelined",
+                     "bar(pipelined)"});
     for (const auto &scheme : grid) {
         const CycleBreakdown b = scheme.averagedCost(costs);
         table.addRow({
             scheme.scheme,
             cyc(b.transactions),
             TextTable::fixed(b.cyclesPerTransaction(), 2),
+            TextTable::fixed(
+                scheme.averagedCost(nonpipe).cyclesPerTransaction(), 2),
             asciiBar(b.cyclesPerTransaction(), max_cpt, 40),
         });
     }
@@ -439,21 +444,13 @@ printSection6(std::ostream &os, const std::vector<SchemeResults> &grid)
     TextTable storage({"caches n", "full-map", "two-bit", "Dir1B",
                        "Dir2B", "coarse-vector"});
     for (const unsigned n : {4u, 16u, 64u, 256u, 1024u}) {
-        StorageParams params;
-        params.numCaches = n;
-        const auto bits = [&params](DirectoryOrg org, unsigned i) {
-            params.numPointers = i;
-            return TextTable::fixed(directoryBitsPerBlock(org, params),
-                                    0);
-        };
-        storage.addRow({
-            std::to_string(n),
-            bits(DirectoryOrg::FullMap, 1),
-            bits(DirectoryOrg::TwoBit, 1),
-            bits(DirectoryOrg::LimitedPtrB, 1),
-            bits(DirectoryOrg::LimitedPtrB, 2),
-            bits(DirectoryOrg::CoarseVector, 1),
-        });
+        std::vector<std::string> row{std::to_string(n)};
+        for (const char *scheme :
+             {"DirNNB", "Dir0B", "Dir1B", "Dir2B", "DirCV"}) {
+            row.push_back(TextTable::fixed(
+                *directoryBitsPerBlock(parseScheme(scheme), n), 0));
+        }
+        storage.addRow(std::move(row));
     }
     storage.print(os);
     os << "\nExpected shape: limited-pointer and coarse-vector storage "
@@ -654,8 +651,8 @@ reportViews()
          {},
          printFigure4},
         {"fig5",
-         "Figure 5: average bus cycles per bus transaction (pipelined "
-         "bus)",
+         "Figure 5: average bus cycles per bus transaction (both "
+         "buses)",
          {},
          printFigure5},
         {"sec5.1",
@@ -697,53 +694,52 @@ printView(std::ostream &os, const ReportView &view,
     os << view.title << '\n' << body.str() << '\n';
 }
 
-void
-printRunReport(std::ostream &os, const SimResult &result)
+TextTable
+traceStatsTable(const std::vector<TraceStats> &traces)
 {
-    os << "scheme " << result.scheme << " on '" << result.traceName
-       << "' (" << TextTable::grouped(result.totalRefs)
-       << " references, " << result.numCaches << " caches)\n\n";
-
-    os << "event frequencies (% of all references):\n";
-    TextTable events({"event", "%"});
-    for (std::size_t e = 0; e < numEventTypes; ++e) {
-        const auto event = static_cast<EventType>(e);
-        if (result.events.count(event) == 0)
-            continue;
-        events.addRow({toString(event),
-                       TextTable::fixed(
-                           result.events.percentOfRefs(event), 3)});
-    }
-    events.print(os);
-
-    os << "\nbus cycles per memory reference:\n";
-    TextTable costs_table({"bus", "dir", "inv", "wb", "mem", "wt/wup",
-                           "total", "cyc/txn"});
-    for (const BusKind kind :
-         {BusKind::Pipelined, BusKind::NonPipelined}) {
-        const BusCosts bus = deriveBusCosts(paperBusTiming(), kind);
-        const CycleBreakdown b = result.cost(bus);
-        costs_table.addRow({
-            toString(kind),
-            TextTable::fixed(b.dirAccess, 4),
-            TextTable::fixed(b.invalidate, 4),
-            TextTable::fixed(b.writeBack, 4),
-            TextTable::fixed(b.memAccess, 4),
-            TextTable::fixed(b.writeThroughOrUpdate, 4),
-            TextTable::fixed(b.total(), 4),
-            TextTable::fixed(b.cyclesPerTransaction(), 2),
+    std::vector<std::string> header{"Trace"};
+    for (const TraceStats &stats : traces)
+        header.push_back(stats.name);
+    TextTable table(std::move(header));
+    const auto add_row = [&](const char *label, auto format) {
+        std::vector<std::string> row{label};
+        for (const TraceStats &stats : traces)
+            row.push_back(format(stats));
+        table.addRow(std::move(row));
+    };
+    const auto count = [&](const char *label,
+                           std::uint64_t TraceStats::*field) {
+        add_row(label, [field](const TraceStats &stats) {
+            return TextTable::grouped(stats.*field);
         });
-    }
-    costs_table.print(os);
-
-    if (result.cleanWriteHolders.samples() > 0) {
-        os << "\nwrites to previously-clean blocks: "
-           << TextTable::grouped(result.cleanWriteHolders.samples())
-           << ", share invalidating <=1 remote copy "
-           << TextTable::fixed(
-                  result.cleanWriteHolders.fractionAtMost(1), 3)
-           << '\n';
-    }
+    };
+    const auto ratio = [&](const char *label,
+                           double (TraceStats::*value)() const,
+                           int digits) {
+        add_row(label, [value, digits](const TraceStats &stats) {
+            return TextTable::fixed((stats.*value)(), digits);
+        });
+    };
+    count("Refs", &TraceStats::refs);
+    count("Instr", &TraceStats::instr);
+    count("DRd", &TraceStats::dataReads);
+    count("DWrt", &TraceStats::dataWrites);
+    count("User", &TraceStats::user);
+    count("Sys", &TraceStats::sys);
+    ratio("DRd/DWrt", &TraceStats::readWriteRatio, 2);
+    ratio("spin/DRd", &TraceStats::spinReadFraction, 3);
+    table.addRule();
+    add_row("cpus", [](const TraceStats &stats) {
+        return std::to_string(stats.numCpus);
+    });
+    count("processes", &TraceStats::numProcesses);
+    count("lock spin reads", &TraceStats::lockSpinReads);
+    count("lock writes", &TraceStats::lockWrites);
+    ratio("Sys/Refs", &TraceStats::systemFraction, 3);
+    count("data blocks", &TraceStats::dataBlocks);
+    count("shared data blocks", &TraceStats::sharedDataBlocks);
+    ratio("shared/data blocks", &TraceStats::sharedBlockFraction, 3);
+    return table;
 }
 
 } // namespace dirsim

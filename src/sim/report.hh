@@ -6,11 +6,12 @@
  *
  * Each artifact that comes from one grid (Table 4, Table 5, Figures
  * 1-5, Sections 5.1 and 6) is one ReportView, printed through
- * printView(). The `repro` driver, `dirsim_report` and `dirsim_sweep
- * report` all print through it, so one grid renders to the same bytes
- * wherever it is printed. published() is the one copy of the paper's
- * numbers in the tree; the views, the benches and the golden-number
- * test read it.
+ * printView(). The `repro` driver, `dirsim_report`, `dirsim_sweep
+ * report` and `trace_tool simulate` all print through it, so one grid
+ * renders to the same bytes wherever it is printed. Table 3 comes
+ * from trace statistics, not a grid: traceStatsTable() renders it.
+ * published() is the one copy of the paper's numbers in the tree;
+ * the views, the benches and the golden-number test read it.
  */
 
 #ifndef DIRSIM_SIM_REPORT_HH
@@ -24,6 +25,7 @@
 
 #include "common/table.hh"
 #include "sim/experiment.hh"
+#include "trace/trace_stats.hh"
 
 namespace dirsim
 {
@@ -162,10 +164,13 @@ void printView(std::ostream &os, const ReportView &view,
                const std::vector<SchemeResults> &grid);
 
 /**
- * One-stop textual report for a single run: event frequencies, both
- * bus costs, transactions, and the Figure-1 summary.
+ * Table 3: trace characteristics, one row per metric and one column
+ * per trace. The paper's columns (Refs, Instr, DRd, DWrt, User, Sys,
+ * DRd/DWrt, spin/DRd) lead, then every other TraceStats field. The
+ * one rendering of TraceStats, for `repro table3` and `trace_tool
+ * stats`.
  */
-void printRunReport(std::ostream &os, const SimResult &result);
+TextTable traceStatsTable(const std::vector<TraceStats> &traces);
 
 } // namespace dirsim
 

@@ -131,8 +131,8 @@ struct SimResult
  *
  * One-line wrapper over the SimJob engine (sim/job.hh): the trace is
  * decoded (sim/decoded.hh) and the decoded stream simulated. New
- * code that wants the result cache, a trace file or a grid should
- * build SimJobs and call runJob()/runJobs().
+ * code that wants the result cache or a trace file should build a
+ * SimJob and call runJob(); a grid runs on ExperimentRunner.
  */
 SimResult simulateTrace(const Trace &trace, const SchemeSpec &scheme,
                         const SimConfig &config = {});

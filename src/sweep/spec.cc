@@ -1,5 +1,6 @@
 #include "sweep/spec.hh"
 
+#include <algorithm>
 #include <fstream>
 #include <limits>
 #include <set>
@@ -340,16 +341,55 @@ readSpec(SpecReader &reader, const JsonValue &json)
     return spec;
 }
 
-/** One axis value's identity for repeat detection. */
-std::string
-traceEntryIdentity(const SweepTraceEntry &entry, unsigned caches)
+/** One value of the traces axis: an entry at one cache count. */
+struct TraceInstance
 {
-    if (entry.kind == SweepTraceEntry::Kind::File)
-        return "file:" + entry.file;
-    std::ostringstream id;
-    id << "gen:" << entry.profile << ":" << caches << ":" << entry.refs
-       << ":" << entry.seed;
-    return id.str();
+    const SweepTraceEntry *entry;
+    unsigned caches;
+
+    bool
+    operator==(const TraceInstance &other) const
+    {
+        const SweepTraceEntry &a = *entry;
+        const SweepTraceEntry &b = *other.entry;
+        if (a.kind != b.kind)
+            return false;
+        if (a.kind == SweepTraceEntry::Kind::File)
+            return a.file == b.file;
+        return a.profile == b.profile && caches == other.caches
+            && a.refs == b.refs && a.seed == b.seed;
+    }
+
+    /** The value as a diagnostic names it. */
+    std::string
+    label() const
+    {
+        if (entry->kind == SweepTraceEntry::Kind::File)
+            return "file:" + entry->file;
+        std::ostringstream id;
+        id << "gen:" << entry->profile << ":" << caches << ":"
+           << entry->refs << ":" << entry->seed;
+        return id.str();
+    }
+};
+
+/** Report each value of @p axis that repeats an earlier one. */
+template <typename T, typename Label>
+void
+reportRepeats(SpecReader &reader, const std::string &axis,
+              const std::vector<T> &values, Label label)
+{
+    // Axes hold a handful of values and every sweep parses its spec
+    // (perfbench times it as setup_s), so compare pairwise instead
+    // of building a set of keys.
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        const auto earlier = values.begin() + i;
+        if (std::find(values.begin(), earlier, values[i]) != earlier) {
+            reader.problem(axis + "[" + std::to_string(i) + "]",
+                           "duplicate axis value '", label(values[i]),
+                           "' expands into duplicate cells");
+        }
+    }
 }
 
 /** Report axis values that repeat — each repeat multiplies the whole
@@ -357,44 +397,22 @@ traceEntryIdentity(const SweepTraceEntry &entry, unsigned caches)
 void
 lintDuplicates(SpecReader &reader, const SweepSpec &spec)
 {
-    const auto repeats = [&reader](const std::string &axis,
-                                   const std::vector<std::string> &ids) {
-        std::set<std::string> seen;
-        for (std::size_t i = 0; i < ids.size(); ++i) {
-            if (!seen.insert(ids[i]).second) {
-                reader.problem(
-                    axis + "[" + std::to_string(i) + "]",
-                    "duplicate axis value '", ids[i],
-                    "' expands into duplicate cells");
-            }
-        }
-    };
-    repeats("schemes", spec.schemes);
-
-    std::vector<std::string> trace_ids;
+    const auto itself = [](const auto &value) { return value; };
+    reportRepeats(reader, "schemes", spec.schemes, itself);
+    std::vector<TraceInstance> traces;
     for (const SweepTraceEntry &entry : spec.traces) {
-        if (entry.caches.empty()) {
-            trace_ids.push_back(traceEntryIdentity(entry, 0));
-        } else {
-            for (const unsigned caches : entry.caches)
-                trace_ids.push_back(traceEntryIdentity(entry, caches));
-        }
+        if (entry.caches.empty())
+            traces.push_back({&entry, 0});
+        for (const unsigned caches : entry.caches)
+            traces.push_back({&entry, caches});
     }
-    repeats("traces", trace_ids);
-
-    const auto numbers = [](const std::vector<unsigned> &axis) {
-        std::vector<std::string> ids;
-        ids.reserve(axis.size());
-        for (const unsigned value : axis)
-            ids.push_back(std::to_string(value));
-        return ids;
-    };
-    repeats("block_bytes", numbers(spec.blockBytes));
-
-    std::vector<std::string> geometry_ids;
-    for (const SweepGeometry &geometry : spec.geometries)
-        geometry_ids.push_back(geometry.label());
-    repeats("geometries", geometry_ids);
+    reportRepeats(reader, "traces", traces,
+                  [](const TraceInstance &trace) { return trace.label(); });
+    reportRepeats(reader, "block_bytes", spec.blockBytes, itself);
+    reportRepeats(reader, "geometries", spec.geometries,
+                  [](const SweepGeometry &geometry) {
+                      return geometry.label();
+                  });
 }
 
 /** Check every finite geometry against every block size. */
@@ -436,8 +454,11 @@ SweepGeometry::label() const
 SweepSpec
 parseSweepSpec(const JsonValue &json)
 {
+    // The linter's checks in the linter's order, stopping at the
+    // first problem.
     SpecReader reader(nullptr);
     SweepSpec spec = readSpec(reader, json);
+    lintDuplicates(reader, spec);
     lintGeometries(reader, spec);
     return spec;
 }

@@ -14,16 +14,17 @@
  * Two entry points consume a spec:
  *
  *  - parseSweepSpec(): strict — throws UsageError on the first
- *    problem, with the offending member named, including a finite
- *    geometry that is impossible at one of the spec's block sizes.
- *    The run paths (`dirsim_sweep`, the `dirsim_serve` POST handler)
- *    use this, so no cell runs before the whole spec is known good;
- *    a daemon turns the exception into a 400 with the message as the
- *    diagnostic.
+ *    problem lintSweepSpec() would report, with the offending member
+ *    named. The run paths (`dirsim_sweep`, the `dirsim_serve` POST
+ *    handler) use this, so no cell runs before the whole spec is
+ *    known good; a daemon turns the exception into a 400 with the
+ *    message as the diagnostic.
  *  - lintSweepSpec(): exhaustive — collects *every* problem
  *    (unknown schemes, empty axes, cache counts past the trace
  *    format's u16 cpu ids, impossible geometries, duplicate cells)
- *    so `dirsim_validate --sweep` can report them all at once.
+ *    so `dirsim_sweep plan` can report them all at once.
+ *
+ * The two accept exactly the same specs.
  *
  * See docs/sweep.md for the schema and worked examples.
  */
@@ -121,8 +122,8 @@ struct SweepSpec
  * Parse a complete sweep spec from JSON text.
  *
  * @throws UsageError on malformed JSON (message carries the byte
- *         offset) or on the first structural problem (message names
- *         the member)
+ *         offset) or on the first problem lintSweepSpec() reports
+ *         (message names the member)
  */
 SweepSpec parseSweepSpec(std::string_view text);
 

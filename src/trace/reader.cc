@@ -374,14 +374,24 @@ TextTraceReader::next(TraceRecord &record)
 
 // --- whole-trace convenience ---------------------------------------------
 
+bool
+isTextTracePath(const std::string &path)
+{
+    return path.ends_with(".txt");
+}
+
 std::unique_ptr<TraceSource>
 openTraceSource(const std::string &path)
 {
-    const bool text = path.size() >= 4
-        && path.compare(path.size() - 4, 4, ".txt") == 0;
-    if (text)
+    if (isTextTracePath(path))
         return std::make_unique<TextTraceReader>(path);
     return std::make_unique<BinaryTraceReader>(path);
+}
+
+Trace
+readTraceFile(const std::string &path)
+{
+    return readTrace(*openTraceSource(path));
 }
 
 Trace
@@ -392,23 +402,9 @@ readBinaryTrace(std::istream &is)
 }
 
 Trace
-readBinaryTraceFile(const std::string &path)
-{
-    BinaryTraceReader reader(path);
-    return readTrace(reader);
-}
-
-Trace
 readTextTrace(std::istream &is)
 {
     TextTraceReader reader(is);
-    return readTrace(reader);
-}
-
-Trace
-readTextTraceFile(const std::string &path)
-{
-    TextTraceReader reader(path);
     return readTrace(reader);
 }
 

@@ -124,13 +124,23 @@ class TextTraceReader : public TraceSource
 };
 
 /**
- * Open a trace file as a streaming source: paths ending in ".txt" are
- * text traces, everything else binary (the trace_tool convention).
+ * The file-name rule of every trace-file entry point: a path ending
+ * in ".txt" is a text trace, every other path a binary container.
+ */
+bool isTextTracePath(const std::string &path);
+
+/**
+ * Open a trace file as a streaming source, text or binary by
+ * isTextTracePath().
  *
  * @throws UsageError if the file cannot be opened or its header is
  *         malformed
  */
 std::unique_ptr<TraceSource> openTraceSource(const std::string &path);
+
+/** Read a trace file into memory, text or binary by
+ *  isTextTracePath(). */
+Trace readTraceFile(const std::string &path);
 
 /**
  * Read a binary trace written by writeBinaryTrace() into memory.
@@ -140,9 +150,6 @@ std::unique_ptr<TraceSource> openTraceSource(const std::string &path);
  */
 Trace readBinaryTrace(std::istream &is);
 
-/** Read a binary trace from @p path. */
-Trace readBinaryTraceFile(const std::string &path);
-
 /**
  * Read a text trace written by writeTextTrace() into memory.
  *
@@ -150,9 +157,6 @@ Trace readBinaryTraceFile(const std::string &path);
  * lines throw UsageError with the offending line number.
  */
 Trace readTextTrace(std::istream &is);
-
-/** Read a text trace from @p path. */
-Trace readTextTraceFile(const std::string &path);
 
 } // namespace dirsim
 

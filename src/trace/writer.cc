@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "common/logging.hh"
+#include "trace/reader.hh"
 
 namespace dirsim
 {
@@ -148,6 +149,15 @@ writeTextTraceFile(const Trace &trace, const std::string &path)
     std::ofstream os(path);
     fatalIf(!os, "cannot open '", path, "' for writing");
     writeTextTrace(trace, os);
+}
+
+void
+writeTraceFile(const Trace &trace, const std::string &path)
+{
+    if (isTextTracePath(path))
+        writeTextTraceFile(trace, path);
+    else
+        writeBinaryTraceFile(trace, path);
 }
 
 } // namespace dirsim

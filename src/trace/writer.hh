@@ -47,6 +47,10 @@ void writeTextTrace(const Trace &trace, std::ostream &os);
 /** Write a text trace to @p path; throws UsageError on I/O failure. */
 void writeTextTraceFile(const Trace &trace, const std::string &path);
 
+/** Write @p trace to @p path, text or binary (v2) by
+ *  isTextTracePath() (trace/reader.hh). */
+void writeTraceFile(const Trace &trace, const std::string &path);
+
 } // namespace dirsim
 
 #endif // DIRSIM_TRACE_WRITER_HH

@@ -22,14 +22,10 @@ parseCacheCounts(const std::string &text)
         const std::string item = text.substr(
             pos, comma == std::string::npos ? std::string::npos
                                             : comma - pos);
-        fatalIf(item.empty() || item.find_first_not_of("0123456789")
-                                    != std::string::npos,
-                "DIRSIM_SCALING_NS: bad cache count '", item,
-                "' in '", text, "'");
-        const unsigned long value = std::stoul(item);
-        fatalIf(value == 0 || value > 65535,
-                "DIRSIM_SCALING_NS: cache count ", value,
-                " outside [1, 65535]");
+        const std::uint64_t value =
+            parseDecimal(item, "DIRSIM_SCALING_NS cache count", 65535);
+        fatalIf(value == 0, "DIRSIM_SCALING_NS: cache count 0 outside "
+                            "[1, 65535]");
         counts.push_back(static_cast<unsigned>(value));
         if (comma == std::string::npos)
             break;

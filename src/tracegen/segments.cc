@@ -68,15 +68,19 @@ SegmentProfile::fraction(SegmentKind kind) const
         / static_cast<double>(total);
 }
 
+void
+SegmentProfile::add(Addr addr)
+{
+    ++refs[static_cast<int>(classifyAddress(addr))];
+    ++total;
+}
+
 SegmentProfile
 profileSegments(const Trace &trace)
 {
     SegmentProfile profile;
-    for (const auto &record : trace) {
-        ++profile.refs[static_cast<int>(
-            classifyAddress(record.addr))];
-        ++profile.total;
-    }
+    for (const auto &record : trace)
+        profile.add(record.addr);
     return profile;
 }
 

@@ -47,6 +47,9 @@ struct SegmentProfile
 
     std::uint64_t total = 0;
 
+    /** Count one reference to @p addr. */
+    void add(Addr addr);
+
     std::uint64_t
     count(SegmentKind kind) const
     {

@@ -1,14 +1,16 @@
 /**
  * @file
- * Tests for the DIRSIM_* environment parsing (common/env.hh) — in
- * particular that envU64() rejects anything but pure digits instead
- * of letting std::stoull wrap negatives ("-1" -> 2^64-1) or skip
- * leading whitespace.
+ * Tests for the strict decimal parser and the DIRSIM_* environment
+ * parsing built on it (common/env.hh) — in particular that both
+ * reject anything but pure digits instead of letting std::stoull wrap
+ * negatives ("-1" -> 2^64-1), skip leading whitespace or stop at the
+ * first non-digit.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "common/env.hh"
 #include "common/logging.hh"
@@ -73,6 +75,32 @@ TEST_F(EnvTest, RejectsOverflow)
 {
     set("18446744073709551616"); // 2^64
     EXPECT_THROW(envU64(var, 42), UsageError);
+}
+
+TEST_F(EnvTest, ParseDecimalAcceptsDigitsUpToTheBound)
+{
+    EXPECT_EQ(parseDecimal("0", "n"), 0u);
+    EXPECT_EQ(parseDecimal("65535", "--port", 65535), 65535u);
+    EXPECT_EQ(parseDecimal("18446744073709551615", "n"),
+              ~std::uint64_t{0});
+}
+
+TEST_F(EnvTest, ParseDecimalRejectsWhatStoullWouldWrapOrTruncate)
+{
+    for (const char *bad : {"-1", "4x", "+1", "", " 4", "0x10"}) {
+        EXPECT_THROW(parseDecimal(bad, "--jobs"), UsageError)
+            << "'" << bad << "'";
+    }
+    EXPECT_THROW(parseDecimal("18446744073709551616", "n"), // 2^64
+                 UsageError);
+    try {
+        parseDecimal("70000", "--port", 65535);
+        FAIL() << "accepted a value over the bound";
+    } catch (const UsageError &error) {
+        EXPECT_NE(std::string(error.what()).find("--port"),
+                  std::string::npos)
+            << error.what();
+    }
 }
 
 TEST_F(EnvTest, EnvUnsignedRejectsValuesThatDoNotFit)

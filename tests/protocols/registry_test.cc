@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/logging.hh"
 #include "protocols/registry.hh"
 
@@ -74,6 +79,29 @@ TEST(RegistryTest, UnknownNameErrorNamesOffenderAndValidSchemes)
         EXPECT_NE(what.find("Dir<i>B"), std::string::npos) << what;
         EXPECT_NE(what.find("Dir<i>NB"), std::string::npos) << what;
     }
+}
+
+TEST(RegistryTest, DirectoryStorageFollowsTheScheme)
+{
+    // Bits per memory block at n = 64 (6-bit pointers).
+    const std::vector<std::pair<std::string, double>> bits{
+        {"Dir0B", 2.0},   // two-bit
+        {"Dir1NB", 8.0},  // 1 pointer + 1-bit count + dirty
+        {"Dir2NB", 15.0}, // 2 pointers + 2-bit count + dirty
+        {"Dir2B", 16.0},  // Dir2NB + broadcast bit
+        {"DirNNB", 65.0}, // full map + dirty
+        {"DirCV", 13.0},  // 2 log2 n + dirty
+        {"DirCVr16", 5.0}, // 4 regions + dirty
+    };
+    for (const auto &[name, expected] : bits) {
+        const std::optional<double> value =
+            directoryBitsPerBlock(parseScheme(name), 64);
+        ASSERT_TRUE(value.has_value()) << name;
+        EXPECT_DOUBLE_EQ(*value, expected) << name;
+    }
+    for (const char *name : {"WTI", "Dragon", "Berkeley", "YenFu"})
+        EXPECT_FALSE(directoryBitsPerBlock(parseScheme(name), 64))
+            << name;
 }
 
 TEST(RegistryTest, SpecRoundTripsForNamedSchemes)
@@ -180,6 +208,7 @@ TEST(RegistryTest, DirCVrRoundTripsAndBuilds)
     EXPECT_THROW(parseScheme("DirCVr"), UsageError);
     EXPECT_THROW(parseScheme("DirCVrx"), UsageError);
     EXPECT_THROW(parseScheme("DirCVr70000"), UsageError);
+    EXPECT_THROW(parseScheme("DirCVr99999999999999999999"), UsageError);
 }
 
 TEST(RegistryTest, ValidSchemesTextMentionsEverything)

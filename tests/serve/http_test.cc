@@ -147,6 +147,23 @@ TEST(HttpConnectionTest, MalformedInputIsDiagnosed)
     }
 }
 
+TEST(HttpConnectionTest, ContentLengthMustBeAllDigits)
+{
+    // std::stoull would read "12abc" as 12 and frame the body on it;
+    // the server answers any such parse error with a 400.
+    for (const char *length : {"12abc", "-1", "+12", " 12x"}) {
+        WirePair wire;
+        HttpConnection connection(wire.server);
+        wire.feed(std::string("POST /runs HTTP/1.1\r\nContent-Length: ")
+                  + length + "\r\n\r\n{\"name\":\"s\"}");
+        HttpRequest request;
+        std::string error;
+        EXPECT_FALSE(connection.readRequest(request, error)) << length;
+        EXPECT_NE(error.find("Content-Length"), std::string::npos)
+            << error;
+    }
+}
+
 TEST(HttpConnectionTest, OversizedDeclaredBodyRejected)
 {
     WirePair wire;

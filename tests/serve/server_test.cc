@@ -134,6 +134,9 @@ TEST(SweepServerTest, MalformedSpecsGet400WithDiagnostics)
         R"({"name":"x","schemes":["Dir0B"],)"
         R"("traces":[{"profile":"pops"}],"geometries":["infinite",)"
         R"({"capacity_bytes":100,"ways":3}]})",
+        // A repeated axis value: the linter's duplicate check.
+        R"({"name":"x","schemes":["Dir0B","dir0b","WTI"],)"
+        R"("traces":[{"profile":"pops"}]})",
     };
     for (const std::string &spec : bad) {
         const HttpClientResponse response =

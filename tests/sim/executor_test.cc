@@ -1,8 +1,8 @@
 /**
  * @file
  * The executor's contract (sim/job.hh runPlan()), checked through
- * each of its callers — runPlan itself, runJobs, ExperimentRunner and
- * runSweep — at one job and at four: results bit-identical to the
+ * each of its callers — runPlan itself, ExperimentRunner and runSweep
+ * — at one job and at four: results bit-identical to the
  * sequential run, a serialized once-per-cell progress callback that
  * ends at the planned reference count, cell errors surfacing as
  * UsageError, the sweep budget's bound on cells in flight, and a
@@ -88,8 +88,6 @@ recordsOf(std::vector<std::optional<CellOutcome>> outcomes)
 struct Caller
 {
     std::string name;
-    /** False for runJobs, which takes no progress callback. */
-    bool reportsProgress = true;
     std::function<std::vector<CellRecord>(
         unsigned jobs, std::uint64_t warmup,
         const ProgressCallback &progress)>
@@ -100,7 +98,7 @@ std::vector<Caller>
 callers()
 {
     std::vector<Caller> all;
-    all.push_back({"runPlan", true,
+    all.push_back({"runPlan",
                    [](unsigned jobs, std::uint64_t warmup,
                       const ProgressCallback &progress) {
                        SimConfig config;
@@ -111,18 +109,7 @@ callers()
                        options.onProgress = progress;
                        return recordsOf(runPlan(plan, options).outcomes);
                    }});
-    all.push_back({"runJobs", false,
-                   [](unsigned jobs, std::uint64_t warmup,
-                      const ProgressCallback &) {
-                       SimConfig config;
-                       config.warmupRefs = warmup;
-                       std::vector<std::optional<CellOutcome>> outcomes;
-                       for (CellOutcome &outcome :
-                            runJobs(gridJobs(config), {}, jobs))
-                           outcomes.push_back(std::move(outcome));
-                       return recordsOf(std::move(outcomes));
-                   }});
-    all.push_back({"ExperimentRunner", true,
+    all.push_back({"ExperimentRunner",
                    [](unsigned jobs, std::uint64_t warmup,
                       const ProgressCallback &progress) {
                        SimConfig config;
@@ -143,7 +130,7 @@ callers()
                        }
                        return records;
                    }});
-    all.push_back({"runSweep", true,
+    all.push_back({"runSweep",
                    [](unsigned jobs, std::uint64_t warmup,
                       const ProgressCallback &progress) {
                        SweepOptions options;
@@ -186,8 +173,6 @@ TEST(ExecutorContractTest, ProgressFiresOncePerCellAndNeverConcurrently)
 {
     const std::size_t cells = kSchemes.size() * traces().size();
     for (const Caller &caller : callers()) {
-        if (!caller.reportsProgress)
-            continue;
         for (const unsigned jobs : {1u, 4u}) {
             SCOPED_TRACE(caller.name + " jobs=" + std::to_string(jobs));
             std::atomic<bool> inside{false};

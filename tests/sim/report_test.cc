@@ -211,17 +211,41 @@ TEST(ReportTest, BusCyclesTableBothShapes)
     EXPECT_EQ(per_trace.rows(), 9u); // 3 schemes x 3 traces
 }
 
-TEST(ReportTest, RunReportMentionsKeyFacts)
+TEST(ReportTest, TraceStatsTableHasEveryFieldWithinEightyColumns)
 {
-    const SimResult &result = smallGrid().front().perTrace.front();
-    std::ostringstream os;
-    printRunReport(os, result);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("Dir0B"), std::string::npos);
-    EXPECT_NE(out.find("pops"), std::string::npos);
-    EXPECT_NE(out.find("pipelined"), std::string::npos);
-    EXPECT_NE(out.find("non-pipelined"), std::string::npos);
-    EXPECT_NE(out.find("<=1 remote copy"), std::string::npos);
+    // The full-size suite: its counts are the widest Table 3 prints.
+    std::vector<TraceStats> stats;
+    for (const char *name : {"pops", "thor", "pero"}) {
+        TraceStats trace;
+        trace.name = name;
+        trace.numCpus = 4;
+        trace.numProcesses = 12;
+        trace.refs = trace.instr = trace.dataReads = trace.dataWrites =
+            trace.user = trace.sys = trace.lockSpinReads =
+                trace.lockWrites = trace.dataBlocks =
+                    trace.sharedDataBlocks = 1'500'000;
+        stats.push_back(trace);
+    }
+    stats[1].dataWrites = 4;
+    const TextTable table = traceStatsTable(stats);
+    EXPECT_EQ(table.rows(), 17u); // 16 metrics and the rule
+    const std::string out = table.toString();
+    std::istringstream lines(out);
+    for (std::string line; std::getline(lines, line);)
+        EXPECT_LE(line.size(), 79u) << line;
+    EXPECT_EQ(cellsOf(out, "Trace"),
+              (std::vector<std::string>{"Trace", "pops", "thor", "pero"}));
+    EXPECT_EQ(cellsOf(out, "DRd/DWrt"),
+              (std::vector<std::string>{"DRd/DWrt", "1.00", "375000.00",
+                                        "1.00"}));
+    for (const char *row :
+         {"Refs", "Instr", "DRd", "DWrt", "User", "Sys", "spin/DRd",
+          "cpus", "processes", "lock spin reads", "lock writes",
+          "Sys/Refs", "data blocks", "shared data blocks",
+          "shared/data blocks"})
+        EXPECT_NE(out.find(std::string("\n") + row + " "),
+                  std::string::npos)
+            << row;
 }
 
 TEST(ReportTest, EmptyGridRejected)

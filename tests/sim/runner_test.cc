@@ -214,15 +214,16 @@ TEST(RunnerTest, RunJobMatchesLegacyEntryPoints)
     expectIdentical(runJob({TraceRef::of(decoded), scheme, {}}).result,
                     reference);
 
-    // A batch over every paper scheme, parallel workers, job order.
+    // A plan over every paper scheme, parallel workers, job order.
     std::vector<SimJob> jobs;
     for (const std::string &name : paperSchemes())
         jobs.push_back({TraceRef::of(trace), parseScheme(name), {}});
-    const std::vector<CellOutcome> outcomes =
-        runJobs(jobs, {}, /* workers */ 4);
-    ASSERT_EQ(outcomes.size(), jobs.size());
+    ExecOptions four_workers;
+    four_workers.jobs = 4;
+    const PlanRun run = runPlan(buildPlan(jobs), four_workers);
+    ASSERT_EQ(run.outcomes.size(), jobs.size());
     for (std::size_t j = 0; j < jobs.size(); ++j) {
-        expectIdentical(outcomes[j].result,
+        expectIdentical(run.outcomes[j]->result,
                         simulateTrace(trace, jobs[j].scheme));
     }
 }
@@ -373,7 +374,7 @@ TEST(RunnerTest, EmptyInputsRejected)
 
 TEST(RunnerTest, JobsResolveFromEnvironment)
 {
-    // resolveJobs() is the one reader of DIRSIM_JOBS; runJobs, the
+    // resolveJobs() is the one reader of DIRSIM_JOBS; runPlan, the
     // runner and the sweep all resolve a 0 job count through it.
     unsetenv("DIRSIM_JOBS");
     EXPECT_GE(resolveJobs(0), 1u);
@@ -387,11 +388,13 @@ TEST(RunnerTest, JobsResolveFromEnvironment)
     for (const char *name : {"Dir0B", "WTI"})
         for (const Trace &trace : traces)
             jobs.push_back({TraceRef::of(trace), parseScheme(name), {}});
-    EXPECT_EQ(runPlan(buildPlan(jobs)).jobs, 3u);
-    // runJobs(..., 0) runs on a pool of 3 workers, never the caller.
+    // runPlan at job count 0 runs on a pool of 3 workers, never the
+    // caller.
+    const PlanRun pooled = runPlan(buildPlan(jobs));
+    EXPECT_EQ(pooled.jobs, 3u);
     std::set<std::uint64_t> lanes;
-    for (const CellOutcome &outcome : runJobs(jobs, {}, 0))
-        lanes.insert(outcome.timing.threadTag);
+    for (const std::optional<CellOutcome> &outcome : pooled.outcomes)
+        lanes.insert(outcome->timing.threadTag);
     EXPECT_LE(lanes.size(), 3u);
     EXPECT_EQ(lanes.count(runJob(jobs[0]).timing.threadTag), 0u);
     const SweepPlan sweep = expandSweep(parseSweepSpec(
@@ -403,7 +406,7 @@ TEST(RunnerTest, JobsResolveFromEnvironment)
     setenv("DIRSIM_JOBS", "nope", 1);
     EXPECT_THROW(resolveJobs(0), UsageError);
     EXPECT_THROW(ExperimentRunner().resolvedJobs(), UsageError);
-    EXPECT_THROW(runJobs(jobs, {}, 0), UsageError);
+    EXPECT_THROW(runPlan(buildPlan(jobs)), UsageError);
     EXPECT_THROW(runSweep(sweep, {}), UsageError);
     // An explicit job count never reads the environment.
     EXPECT_EQ(resolveJobs(5), 5u);

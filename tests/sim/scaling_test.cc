@@ -185,6 +185,8 @@ TEST(ScalingSuiteTest, EnvironmentOverridesParse)
     EXPECT_THROW(ScalingParams::fromEnvironment(), UsageError);
     ::setenv("DIRSIM_SCALING_NS", "65536", 1);
     EXPECT_THROW(ScalingParams::fromEnvironment(), UsageError);
+    ::setenv("DIRSIM_SCALING_NS", "4,99999999999999999999", 1);
+    EXPECT_THROW(ScalingParams::fromEnvironment(), UsageError);
     ::unsetenv("DIRSIM_SCALING_NS");
     ::unsetenv("DIRSIM_SCALING_REFS");
     ::unsetenv("DIRSIM_SCALING_SEED");

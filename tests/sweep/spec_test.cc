@@ -119,6 +119,21 @@ TEST(SweepSpecTest, RejectsBadSpecsWithNamedMember)
     }
 }
 
+TEST(SweepSpecTest, RepeatedAxisValueThrowsNamingTheRepeat)
+{
+    // "dir0b" canonicalizes to Dir0B: a run would hold two Dir0B
+    // columns and one of them would replay the other's cache entry.
+    try {
+        parseSweepSpec(R"({"name":"x","schemes":["Dir0B","dir0b","WTI"],)"
+                       R"("traces":[{"profile":"pops"}]})");
+        FAIL() << "accepted a repeated scheme";
+    } catch (const UsageError &error) {
+        EXPECT_NE(std::string(error.what()).find("schemes[1]"),
+                  std::string::npos)
+            << error.what();
+    }
+}
+
 TEST(SweepSpecTest, GeometryLabels)
 {
     EXPECT_EQ(SweepGeometry{}.label(), "inf");
@@ -182,6 +197,45 @@ TEST(SweepLintTest, ReportsDuplicatesAndImpossibleGeometries)
     EXPECT_TRUE(mentions(diags, "traces[1]"));      // dup trace
     EXPECT_TRUE(mentions(diags, "block_bytes[1]")); // dup block
     EXPECT_TRUE(mentions(diags, "geometries[0]"));  // impossible
+}
+
+TEST(SweepLintTest, ParseAcceptsExactlyWhatTheLinterAccepts)
+{
+    // Every spec these tests feed either side: parseSweepSpec() must
+    // accept it iff the linter finds nothing, and otherwise throw on
+    // the linter's first diagnostic.
+    const std::vector<std::string> specs{
+        kFullSpec,
+        R"({"name":"x","schemes":["Dir0B","dir0b"],)"
+        R"("traces":[{"profile":"pops"}]})",
+        R"({"name":"x","schemes":["Dir0B"],"traces":[{"profile":"pops"},)"
+        R"({"profile":"pops","seed":88}]})",
+        R"({"name":"x","schemes":["Dir0B"],)"
+        R"("traces":[{"profile":"scale","caches":[8,8]}]})",
+        R"({"name":"x","schemes":["Dir0B"],)"
+        R"("traces":[{"profile":"pops"}],"block_bytes":[16,16]})",
+        R"({"name":"x","schemes":["Dir0B"],)"
+        R"("traces":[{"profile":"pops"}],)"
+        R"("geometries":["infinite","infinite"]})",
+        R"({"name":"x","schemes":["Dir0B"],)"
+        R"("traces":[{"profile":"pops"}],"block_bytes":[16,131072],)"
+        R"("geometries":[{"capacity_bytes":65536,"ways":2}]})",
+        R"({"name":"x","schemes":["Nope","WTI","WTI"],)"
+        R"("traces":[{"profile":"pops"}]})",
+        "{\"name\": ",
+    };
+    for (const std::string &text : specs) {
+        const std::vector<SweepDiagnostic> diags = lintSweepSpec(text);
+        try {
+            parseSweepSpec(text);
+            EXPECT_TRUE(diags.empty()) << "parse accepted: " << text;
+        } catch (const UsageError &error) {
+            ASSERT_FALSE(diags.empty()) << "lint accepted: " << text;
+            EXPECT_NE(std::string(error.what()).find(diags[0].message),
+                      std::string::npos)
+                << error.what() << " vs " << diags[0].message;
+        }
+    }
 }
 
 TEST(SweepLintTest, MalformedJsonIsADiagnosticNotAThrow)

@@ -157,15 +157,15 @@ TEST(SerializationTest, FileRoundTrip)
     const std::string path =
         testing::TempDir() + "/dirsim_roundtrip.trace";
     writeBinaryTraceFile(original, path);
-    const Trace loaded = readBinaryTraceFile(path);
+    const Trace loaded = readTraceFile(path);
     EXPECT_EQ(loaded.size(), original.size());
 }
 
 TEST(SerializationTest, MissingFileThrows)
 {
-    EXPECT_THROW(readBinaryTraceFile("/nonexistent/dir/x.trace"),
+    EXPECT_THROW(readTraceFile("/nonexistent/dir/x.trace"),
                  UsageError);
-    EXPECT_THROW(readTextTraceFile("/nonexistent/dir/x.trace"),
+    EXPECT_THROW(readTraceFile("/nonexistent/dir/x.txt"),
                  UsageError);
 }
 

@@ -274,6 +274,27 @@ TEST(TraceSourceTest, FileRoundTripThroughOpenTraceSource)
     expectSameTrace(readTrace(*txt_source), original);
 }
 
+TEST(TraceSourceTest, OneTextPathRuleForReadWriteAndStream)
+{
+    EXPECT_TRUE(isTextTracePath("a.txt"));
+    EXPECT_TRUE(isTextTracePath(".txt"));
+    EXPECT_FALSE(isTextTracePath("a.trace"));
+    EXPECT_FALSE(isTextTracePath("a.txt.gz"));
+    EXPECT_FALSE(isTextTracePath("a.TXT"));
+
+    // writeTraceFile() and readTraceFile() pick the format by the same
+    // rule openTraceSource() streams it by.
+    const Trace original = exhaustiveTrace();
+    for (const char *name : {"/helpers_rt.trace", "/helpers_rt.txt"}) {
+        const std::string path = testing::TempDir() + name;
+        writeTraceFile(original, path);
+        EXPECT_STREQ(openTraceSource(path)->format(),
+                     isTextTracePath(path) ? "text" : "binary v2")
+            << path;
+        expectSameTrace(readTraceFile(path), original);
+    }
+}
+
 TEST(TraceSourceTest, WriterRejectsUnserializableTraces)
 {
     Trace stray("stray", 4);
