@@ -44,9 +44,7 @@ finiteMissRate(const Trace &trace, const FiniteCacheConfig &config)
         FiniteCache &cache = it->second;
         const BlockNum block =
             blockNumber(record.addr, config.blockBytes);
-        if (cache.contains(block)) {
-            cache.touch(block);
-        } else {
+        if (cache.access(block) == stateNotPresent) {
             ++misses;
             cache.set(block, 1);
         }

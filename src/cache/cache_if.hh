@@ -17,9 +17,11 @@
 #define DIRSIM_CACHE_CACHE_IF_HH
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace dirsim
@@ -56,18 +58,51 @@ struct BlockSpace
     bool operator==(const BlockSpace &) const = default;
 };
 
+/** One cache line: a block and its state (stateNotPresent: no line). */
+struct CacheLine
+{
+    BlockNum block = 0;
+    CacheBlockState state = stateNotPresent;
+};
+
+/** Releases the cache models' calloc'd arenas. */
+struct FreeDeleter
+{
+    void operator()(void *p) const { std::free(p); }
+};
+
+/** A cache model's per-block or per-line arena (callocArena()). */
+template <typename T>
+using CallocArena = std::unique_ptr<T[], FreeDeleter>;
+
+/**
+ * @p count zeroed Ts from calloc rather than a std::vector: a grid at
+ * large N builds one arena per cache per cell, and zero-filling them
+ * all eagerly costs more than the simulation when each cache touches
+ * a sliver of its arena. calloc leaves untouched pages on the
+ * kernel's zero page, so memory and setup follow what a cache uses.
+ */
+template <typename T>
+CallocArena<T>
+callocArena(std::size_t count)
+{
+    auto *arena =
+        static_cast<T *>(std::calloc(count > 0 ? count : 1, sizeof(T)));
+    fatalIf(arena == nullptr, "cannot allocate a cache arena of ", count,
+            " entries");
+    return CallocArena<T>(arena);
+}
+
 /**
  * Abstract per-process cache holding protocol state per block.
  *
  * Implementations: InfiniteCache (the paper's model, no replacement)
- * and FiniteCache (set-associative LRU with eviction callbacks).
+ * and FiniteCache (set-associative LRU, whose set() returns the line
+ * replacement evicted).
  */
 class CacheModel
 {
   public:
-    /** Callback invoked with (block, state) on a replacement. */
-    using EvictionHook = std::function<void(BlockNum, CacheBlockState)>;
-
     virtual ~CacheModel() = default;
 
     /**
@@ -76,12 +111,21 @@ class CacheModel
     virtual CacheBlockState lookup(BlockNum block) const = 0;
 
     /**
-     * Install or update @p block with @p state.
+     * A reference's probe: lookup() that, on a hit, also marks
+     * @p block most-recently-used, in one pass over its set. Caches
+     * without replacement only look up.
+     */
+    virtual CacheBlockState access(BlockNum block) = 0;
+
+    /**
+     * Install or update @p block with @p state; either makes it
+     * most-recently-used.
      *
      * @param state must not be stateNotPresent (panics otherwise)
-     * @return true if the block was newly installed
+     * @return the line an install evicted to make room, or a line
+     *         with state stateNotPresent when none was evicted
      */
-    virtual bool set(BlockNum block, CacheBlockState state) = 0;
+    virtual CacheLine set(BlockNum block, CacheBlockState state) = 0;
 
     /**
      * Remove @p block.
@@ -100,18 +144,6 @@ class CacheModel
     virtual void forEach(
         const std::function<void(BlockNum, CacheBlockState)> &fn)
         const = 0;
-
-    /**
-     * Mark @p block most-recently-used (replacement metadata only).
-     * No-op for caches without replacement.
-     */
-    virtual void touch(BlockNum block) { (void)block; }
-
-    /**
-     * Register the hook invoked when replacement evicts a block.
-     * No-op for caches that never evict.
-     */
-    virtual void setEvictionHook(EvictionHook hook) { (void)hook; }
 
     bool contains(BlockNum block) const
     {

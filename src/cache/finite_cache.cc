@@ -1,5 +1,7 @@
 #include "cache/finite_cache.hh"
 
+#include <cstring>
+
 #include "common/bitops.hh"
 #include "common/logging.hh"
 
@@ -18,6 +20,9 @@ FiniteCacheConfig::check() const
     checkBlockSize(blockBytes);
     fatalIf(capacityBytes == 0 || !isPowerOfTwo(capacityBytes),
             "finite cache capacity must be a non-zero power of two");
+    fatalIf(capacityBytes > maxCapacityBytes, "finite cache capacity ",
+            capacityBytes, " bytes exceeds the limit of ",
+            maxCapacityBytes, " bytes (2^32)");
     fatalIf(ways == 0, "finite cache must have at least one way");
     const std::uint64_t lines = capacityBytes / blockBytes;
     fatalIf(lines == 0 || lines % ways != 0,
@@ -32,77 +37,85 @@ FiniteCache::FiniteCache(const FiniteCacheConfig &config_arg,
     : cfg(config_arg), blocks(blocks_arg)
 {
     cfg.check();
-    sets.resize(cfg.numSets());
+    setMask = cfg.numSets() - 1;
+    lines = callocArena<Line>(cfg.capacityBytes / cfg.blockBytes);
 }
 
-FiniteCache::Set &
-FiniteCache::setFor(BlockNum block)
+unsigned
+FiniteCache::find(const Line *set, BlockNum block) const
 {
-    return sets[blocks.label(block) & (sets.size() - 1)];
-}
-
-const FiniteCache::Set &
-FiniteCache::setFor(BlockNum block) const
-{
-    return sets[blocks.label(block) & (sets.size() - 1)];
+    unsigned way = 0;
+    while (way < cfg.ways && set[way].state != stateNotPresent
+           && set[way].block != block)
+        ++way;
+    return way;
 }
 
 CacheBlockState
 FiniteCache::lookup(BlockNum block) const
 {
-    for (const auto &line : setFor(block)) {
-        if (line.block == block)
-            return line.state;
-    }
-    return stateNotPresent;
+    const Line *set = setFor(block);
+    const unsigned way = find(set, block);
+    return way < cfg.ways ? set[way].state : stateNotPresent;
 }
 
-bool
+CacheBlockState
+FiniteCache::access(BlockNum block)
+{
+    Line *set = setFor(block);
+    const unsigned way = find(set, block);
+    if (way == cfg.ways || set[way].state == stateNotPresent)
+        return stateNotPresent;
+    const Line hit = set[way];
+    std::memmove(set + 1, set, way * sizeof(Line)); // promote to MRU
+    set[0] = hit;
+    return hit.state;
+}
+
+CacheLine
 FiniteCache::set(BlockNum block, CacheBlockState state)
 {
     panicIfNot(state != stateNotPresent,
                "FiniteCache::set with the reserved not-present state");
-    Set &s = setFor(block);
-    for (auto it = s.begin(); it != s.end(); ++it) {
-        if (it->block == block) {
-            it->state = state;
-            s.splice(s.begin(), s, it); // promote to MRU
-            return false;
-        }
-    }
-    if (s.size() == cfg.ways) {
-        const Line victim = s.back();
-        s.pop_back();
-        --resident;
+    if (block >> 32 != 0) [[unlikely]]
+        panic("FiniteCache::set: block ", block, " exceeds 32 bits");
+    Line *set = setFor(block);
+    unsigned way = find(set, block);
+    CacheLine victim;
+    if (way == cfg.ways) {
+        // A full set without the block: its LRU line makes room.
+        way = cfg.ways - 1;
+        victim = {set[way].block, set[way].state};
         ++evicted;
-        if (onEvict)
-            onEvict(victim.block, victim.state);
+    } else if (set[way].state == stateNotPresent) {
+        ++resident;
     }
-    s.push_front(Line{block, state});
-    ++resident;
-    return true;
+    std::memmove(set + 1, set, way * sizeof(Line)); // promote to MRU
+    set[0] = Line{static_cast<std::uint32_t>(block), state};
+    return victim;
 }
 
 CacheBlockState
 FiniteCache::invalidate(BlockNum block)
 {
-    Set &s = setFor(block);
-    for (auto it = s.begin(); it != s.end(); ++it) {
-        if (it->block == block) {
-            const CacheBlockState old = it->state;
-            s.erase(it);
-            --resident;
-            return old;
-        }
-    }
-    return stateNotPresent;
+    Line *set = setFor(block);
+    const unsigned way = find(set, block);
+    if (way == cfg.ways || set[way].state == stateNotPresent)
+        return stateNotPresent;
+    const CacheBlockState old = set[way].state;
+    // Close the gap; the set's last line becomes empty.
+    std::memmove(set + way, set + way + 1,
+                 (cfg.ways - 1 - way) * sizeof(Line));
+    set[cfg.ways - 1] = Line{};
+    --resident;
+    return old;
 }
 
 void
 FiniteCache::clear()
 {
-    for (auto &s : sets)
-        s.clear();
+    // Fresh calloc instead of a fill: the zeroing stays lazy.
+    lines = callocArena<Line>(cfg.capacityBytes / cfg.blockBytes);
     resident = 0;
 }
 
@@ -110,21 +123,10 @@ void
 FiniteCache::forEach(
     const std::function<void(BlockNum, CacheBlockState)> &fn) const
 {
-    for (const auto &s : sets) {
-        for (const auto &line : s)
-            fn(line.block, line.state);
-    }
-}
-
-void
-FiniteCache::touch(BlockNum block)
-{
-    Set &s = setFor(block);
-    for (auto it = s.begin(); it != s.end(); ++it) {
-        if (it->block == block) {
-            s.splice(s.begin(), s, it);
-            return;
-        }
+    const std::size_t count = cfg.capacityBytes / cfg.blockBytes;
+    for (std::size_t i = 0; i < count; ++i) {
+        if (lines[i].state != stateNotPresent)
+            fn(lines[i].block, lines[i].state);
     }
 }
 

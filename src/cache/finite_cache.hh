@@ -9,8 +9,7 @@
 #ifndef DIRSIM_CACHE_FINITE_CACHE_HH
 #define DIRSIM_CACHE_FINITE_CACHE_HH
 
-#include <list>
-#include <vector>
+#include <memory>
 
 #include "cache/cache_if.hh"
 
@@ -20,7 +19,11 @@ namespace dirsim
 /** Geometry of a FiniteCache. */
 struct FiniteCacheConfig
 {
-    /** Total capacity in bytes; must be a power of two. */
+    /** Capacity limit: a cache reserves address space for all its
+     *  lines when built. 16384× ext_finite_cache's largest size. */
+    static constexpr std::uint64_t maxCapacityBytes = 1ull << 32;
+
+    /** Total capacity in bytes; a power of two <= maxCapacityBytes. */
     std::uint64_t capacityBytes = 64 * 1024;
     /** Associativity; must divide capacity/blockBytes. */
     unsigned ways = 4;
@@ -35,13 +38,16 @@ struct FiniteCacheConfig
 };
 
 /**
- * Set-associative LRU cache with an eviction callback.
+ * Set-associative LRU cache. set() returns the line an install
+ * evicted, so the protocol engine can write a dirty victim back and
+ * update the directory, keeping the coherence state consistent.
  *
- * The protocol engine registers the callback so an evicted dirty
- * block can be written back and the directory updated, keeping the
- * global coherence state consistent.
+ * Each set is `ways` contiguous lines: the resident ones first, in
+ * MRU order, then empty ones (state stateNotPresent). A probe scans
+ * from the front; promoting a line shifts the lines before it down
+ * one, so LRU and forEach() order are those of a per-set list.
  */
-class FiniteCache : public CacheModel
+class FiniteCache final : public CacheModel
 {
   public:
     /**
@@ -50,31 +56,20 @@ class FiniteCache : public CacheModel
      *        as in hardware, so replacement does not depend on the
      *        order in which the trace first touched blocks. The
      *        default space has no labels: indices are block numbers.
+     *        Either way a cached block is below 2^32.
      */
     explicit FiniteCache(const FiniteCacheConfig &config_arg,
                          const BlockSpace &blocks_arg = {});
 
     CacheBlockState lookup(BlockNum block) const override;
-    bool set(BlockNum block, CacheBlockState state) override;
+    CacheBlockState access(BlockNum block) override;
+    CacheLine set(BlockNum block, CacheBlockState state) override;
     CacheBlockState invalidate(BlockNum block) override;
     std::size_t residentBlocks() const override { return resident; }
     void clear() override;
     void forEach(
         const std::function<void(BlockNum, CacheBlockState)> &fn)
         const override;
-
-    /**
-     * Register the hook invoked with (block, state) each time LRU
-     * replacement evicts a block.
-     */
-    void
-    setEvictionHook(EvictionHook hook) override
-    {
-        onEvict = std::move(hook);
-    }
-
-    /** Mark @p block most-recently-used without changing its state. */
-    void touch(BlockNum block) override;
 
     const FiniteCacheConfig &config() const { return cfg; }
 
@@ -84,21 +79,31 @@ class FiniteCache : public CacheModel
   private:
     struct Line
     {
-        BlockNum block;
+        std::uint32_t block;
         CacheBlockState state;
     };
-    /** One LRU list per set: front == most recently used. */
-    using Set = std::list<Line>;
 
-    Set &setFor(BlockNum block);
-    const Set &setFor(BlockNum block) const;
+    /** The first (MRU) line of @p block's set. */
+    Line *setFor(BlockNum block) const
+    {
+        return &lines[(blocks.label(block) & setMask) * cfg.ways];
+    }
+
+    /**
+     * Position of @p block in @p set, or of the set's first empty
+     * line when it is absent, or ways when it is absent and the set
+     * is full.
+     */
+    unsigned find(const Line *set, BlockNum block) const;
 
     FiniteCacheConfig cfg;
     BlockSpace blocks;
-    std::vector<Set> sets;
+    std::uint64_t setMask = 0;
+    /** numSets × ways lines, set-major: only the pages of sets the
+     *  cache touches materialize. */
+    CallocArena<Line> lines;
     std::size_t resident = 0;
     std::uint64_t evicted = 0;
-    EvictionHook onEvict;
 };
 
 } // namespace dirsim

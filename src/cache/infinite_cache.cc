@@ -6,18 +6,12 @@ namespace dirsim
 {
 
 InfiniteCache::InfiniteCache(std::uint64_t block_count_arg)
-    : blockCount(block_count_arg)
+    : states(callocArena<CacheBlockState>(block_count_arg)),
+      blockCount(block_count_arg)
 {
-    allocate();
 }
 
-CacheBlockState
-InfiniteCache::lookup(BlockNum block) const
-{
-    return block < blockCount ? states[block] : stateNotPresent;
-}
-
-bool
+CacheLine
 InfiniteCache::set(BlockNum block, CacheBlockState state)
 {
     panicIfNot(state != stateNotPresent,
@@ -26,10 +20,9 @@ InfiniteCache::set(BlockNum block, CacheBlockState state)
                "InfiniteCache::set: block ", block,
                " outside the arena of ", blockCount, " blocks");
     CacheBlockState &slot = states[block];
-    const bool inserted = slot == stateNotPresent;
+    resident += slot == stateNotPresent ? 1 : 0;
     slot = state;
-    resident += inserted ? 1 : 0;
-    return inserted;
+    return {};
 }
 
 CacheBlockState
@@ -47,7 +40,7 @@ void
 InfiniteCache::clear()
 {
     // Fresh calloc instead of a fill: the zeroing stays lazy.
-    allocate();
+    states = callocArena<CacheBlockState>(blockCount);
     resident = 0;
 }
 
@@ -59,18 +52,6 @@ InfiniteCache::forEach(
         if (states[block] != stateNotPresent)
             fn(block, states[block]);
     }
-}
-
-void
-InfiniteCache::allocate()
-{
-    // calloc so untouched pages never materialize; see the header.
-    auto *arena = static_cast<CacheBlockState *>(std::calloc(
-        blockCount > 0 ? blockCount : 1, sizeof(CacheBlockState)));
-    panicIfNot(arena != nullptr,
-               "InfiniteCache: cannot allocate an arena of ",
-               blockCount, " blocks");
-    states.reset(arena);
 }
 
 } // namespace dirsim

@@ -1,7 +1,9 @@
 #include "common/random.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.hh"
 
@@ -101,32 +103,6 @@ Rng::geometric(double p)
         std::floor(std::log(u) / std::log(1.0 - p)));
 }
 
-std::size_t
-Rng::weighted(const std::vector<double> &weights)
-{
-    double total = 0.0;
-    for (double w : weights) {
-        panicIfNot(w >= 0.0, "Rng::weighted: negative weight");
-        total += w;
-    }
-    panicIfNot(total > 0.0, "Rng::weighted: weights sum to zero");
-
-    double target = uniform() * total;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        target -= weights[i];
-        if (target < 0.0)
-            return i;
-    }
-    return weights.size() - 1;
-}
-
-std::uint64_t
-Rng::zipf(std::uint64_t n, double s)
-{
-    ZipfSampler sampler(n, s);
-    return sampler(*this);
-}
-
 Rng
 Rng::split()
 {
@@ -136,6 +112,8 @@ Rng::split()
 ZipfSampler::ZipfSampler(std::uint64_t n, double s)
 {
     panicIfNot(n >= 1, "ZipfSampler: empty range");
+    panicIfNot(n <= std::numeric_limits<std::uint32_t>::max(),
+               "ZipfSampler: ", n, " ranks exceed the guide table's u32");
     cdf.resize(n);
     double running = 0.0;
     for (std::uint64_t r = 0; r < n; ++r) {
@@ -144,14 +122,36 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double s)
     }
     for (auto &c : cdf)
         c /= running;
+
+    // One merge pass: guide[k] = lower_bound(cdf, k·2^-b), the CDF
+    // being non-decreasing. k·2^-b is exact for k <= 2^b <= 2^32.
+    const std::uint64_t buckets = std::bit_ceil(n);
+    guide.resize(buckets + 1);
+    std::uint32_t r = 0;
+    for (std::uint64_t k = 0; k <= buckets; ++k) {
+        const double boundary =
+            static_cast<double>(k) / static_cast<double>(buckets);
+        while (r < n && cdf[r] < boundary)
+            ++r;
+        guide[k] = r;
+    }
 }
 
 std::uint64_t
-ZipfSampler::operator()(Rng &rng) const
+ZipfSampler::rank(double u) const
 {
-    const double u = rng.uniform();
-    const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-    const auto index = static_cast<std::uint64_t>(it - cdf.begin());
+    // u·2^b is exact, so u lies in bucket k = floor(u·2^b) and its
+    // rank in [guide[k], guide[k+1]]: a search of [guide[k],
+    // guide[k+1]) that finds no CDF >= u returns guide[k+1] itself.
+    if (!(u >= 0.0 && u < 1.0)) [[unlikely]]
+        panic("ZipfSampler::rank: ", u, " is outside [0, 1)");
+    const auto k = static_cast<std::size_t>(
+        u * static_cast<double>(guide.size() - 1));
+    const auto first = cdf.begin() + guide[k];
+    const auto last = cdf.begin() + guide[k + 1];
+    const auto index =
+        static_cast<std::uint64_t>(std::lower_bound(first, last, u)
+                                   - cdf.begin());
     return std::min<std::uint64_t>(index, cdf.size() - 1);
 }
 

@@ -54,24 +54,6 @@ class Rng
      */
     std::uint64_t geometric(double p);
 
-    /**
-     * Draw an index from an unnormalized discrete weight vector.
-     *
-     * @param weights non-negative weights with a positive sum
-     * @return index in [0, weights.size())
-     */
-    std::size_t weighted(const std::vector<double> &weights);
-
-    /**
-     * Zipf-like draw over [0, n): rank r has weight 1/(r+1)^s.
-     *
-     * Used for skewed shared-data popularity. Implemented by inverse
-     * transform on a precomputable CDF is avoided here for simplicity;
-     * this method recomputes harmonics only for small n, so prefer
-     * ZipfSampler for hot paths.
-     */
-    std::uint64_t zipf(std::uint64_t n, double s);
-
     /** Split off an independent child stream (for per-process RNGs). */
     Rng split();
 
@@ -80,26 +62,34 @@ class Rng
 };
 
 /**
- * Precomputed Zipf sampler for repeated skewed draws over a fixed
- * range; O(log n) per draw via binary search on the CDF.
+ * Precomputed Zipf sampler over a fixed range (rank r has weight
+ * 1/(r+1)^s), in expected O(1) per draw: a guide table cuts [0, 1)
+ * into 2^b >= n equal buckets, so a draw searches the CDF only within
+ * its bucket, and returns the rank a whole-CDF search would.
  */
 class ZipfSampler
 {
   public:
     /**
-     * @param n number of ranks (must be >= 1)
+     * @param n number of ranks (must be in [1, 2^32))
      * @param s skew exponent (s = 0 degenerates to uniform)
      */
     ZipfSampler(std::uint64_t n, double s);
 
     /** Draw a rank in [0, n). */
-    std::uint64_t operator()(Rng &rng) const;
+    std::uint64_t operator()(Rng &rng) const { return rank(rng.uniform()); }
 
-    /** Number of ranks. */
-    std::uint64_t size() const { return cdf.size(); }
+    /**
+     * The rank a draw of @p u in [0, 1) maps to: the first rank whose
+     * CDF is at least @p u.
+     */
+    std::uint64_t rank(double u) const;
 
   private:
     std::vector<double> cdf;
+    /** guide[k]: the first rank whose CDF reaches k·2^-b, where 2^b
+     *  is the least power of two >= n. */
+    std::vector<std::uint32_t> guide;
 };
 
 } // namespace dirsim

@@ -34,10 +34,6 @@ CoherenceProtocol::CoherenceProtocol(unsigned num_caches_arg,
                 std::make_unique<InfiniteCache>(blocks.count));
         fatalIf(caches.back() == nullptr,
                 "the cache factory returned a null cache");
-        caches.back()->setEvictionHook(
-            [this, cache](BlockNum block, CacheBlockState state) {
-                handleEviction(cache, block, state);
-            });
     }
 }
 
@@ -157,10 +153,8 @@ CoherenceProtocol::processRead(CacheId cache, BlockNum block,
     eventCounts.add(EventType::Read);
 
     if (oracleMode ? holderSets.contains(block, cache)
-                   : caches[cache]->contains(block)) {
+                   : caches[cache]->access(block) != stateNotPresent) {
         eventCounts.add(EventType::RdHit);
-        if (!oracleMode)
-            caches[cache]->touch(block);
         return;
     }
 
@@ -185,11 +179,10 @@ CoherenceProtocol::processWrite(CacheId cache, BlockNum block,
 {
     eventCounts.add(EventType::Write);
 
-    const CacheBlockState state = stateOf(cache, block);
+    const CacheBlockState state =
+        oracleMode ? stateOf(cache, block) : caches[cache]->access(block);
     if (state != stateNotPresent) {
         eventCounts.add(EventType::WrtHit);
-        if (!oracleMode)
-            caches[cache]->touch(block);
         handleWriteHit(cache, block, state);
         return;
     }
@@ -354,12 +347,15 @@ CoherenceProtocol::install(CacheId cache, BlockNum block,
     if (block >= blocks.count) [[unlikely]]
         panic(name(), ": block ", block, " outside the block space of ",
               blocks.count, " blocks");
-    // Order matters with finite caches: the insertion may trigger an
-    // eviction whose hook edits the holder oracle, so the oracle
+    // Order matters with finite caches: the insertion may evict a
+    // line, whose handling edits the holder oracle, so the oracle
     // entry for the new block is added afterwards. In oracle mode the
     // oracle *is* the cache state, so there is nothing else to write.
-    if (!oracleMode)
-        caches[cache]->set(block, state);
+    if (!oracleMode) {
+        const CacheLine victim = caches[cache]->set(block, state);
+        if (victim.state != stateNotPresent)
+            handleEviction(cache, victim.block, victim.state);
+    }
     holderSets.add(block, cache);
     if (isDirtyState(state))
         dirtyOwners[block] = cache;

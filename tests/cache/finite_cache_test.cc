@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <list>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/finite_cache.hh"
@@ -49,10 +52,31 @@ TEST(FiniteCacheConfigTest, RejectsBadGeometry)
     EXPECT_THROW(config.check(), UsageError);
 }
 
+TEST(FiniteCacheConfigTest, RejectsCapacityAboveTheLimit)
+{
+    FiniteCacheConfig config;
+    config.ways = 1;
+    config.capacityBytes = FiniteCacheConfig::maxCapacityBytes;
+    EXPECT_NO_THROW(config.check());
+
+    config.capacityBytes = 1ull << 40; // 1 TiB, direct-mapped
+    try {
+        config.check();
+        FAIL() << "a 2^40-byte cache passed the check";
+    } catch (const UsageError &error) {
+        EXPECT_NE(std::string(error.what()).find("4294967296"),
+                  std::string::npos)
+            << error.what();
+    }
+    config.capacityBytes = FiniteCacheConfig::maxCapacityBytes * 2;
+    EXPECT_THROW(config.check(), UsageError);
+    EXPECT_THROW(FiniteCache cache(config), UsageError);
+}
+
 TEST(FiniteCacheTest, BasicInstallAndLookup)
 {
     FiniteCache cache(smallConfig());
-    EXPECT_TRUE(cache.set(3, 1));
+    EXPECT_EQ(cache.set(3, 1).state, stateNotPresent); // no victim
     EXPECT_EQ(cache.lookup(3), 1);
     EXPECT_EQ(cache.residentBlocks(), 1u);
 }
@@ -61,7 +85,7 @@ TEST(FiniteCacheTest, UpdateDoesNotGrow)
 {
     FiniteCache cache(smallConfig());
     cache.set(3, 1);
-    EXPECT_FALSE(cache.set(3, 2));
+    EXPECT_EQ(cache.set(3, 2).state, stateNotPresent);
     EXPECT_EQ(cache.residentBlocks(), 1u);
     EXPECT_EQ(cache.lookup(3), 2);
 }
@@ -72,7 +96,7 @@ TEST(FiniteCacheTest, EvictsLruWithinSet)
     // Blocks 0, 8, 16 all map to set 0 (8 sets); ways = 2.
     cache.set(0, 1);
     cache.set(8, 1);
-    cache.touch(0); // 8 is now LRU
+    EXPECT_EQ(cache.access(0), 1); // 8 is now LRU
     cache.set(16, 1);
     EXPECT_TRUE(cache.contains(0));
     EXPECT_FALSE(cache.contains(8));
@@ -80,20 +104,18 @@ TEST(FiniteCacheTest, EvictsLruWithinSet)
     EXPECT_EQ(cache.evictions(), 1u);
 }
 
-TEST(FiniteCacheTest, EvictionHookReceivesVictim)
+TEST(FiniteCacheTest, SetReturnsVictim)
 {
     FiniteCache cache(smallConfig());
-    std::vector<std::pair<BlockNum, CacheBlockState>> evicted;
-    cache.setEvictionHook([&](BlockNum block, CacheBlockState state) {
-        evicted.emplace_back(block, state);
-    });
-    cache.set(0, 1);
-    cache.set(8, 2);
-    cache.set(16, 1); // evicts 0 (LRU)
-    ASSERT_EQ(evicted.size(), 1u);
-    EXPECT_EQ(evicted[0].first, 0u);
-    EXPECT_EQ(evicted[0].second, 1);
+    EXPECT_EQ(cache.set(0, 1).state, stateNotPresent);
+    EXPECT_EQ(cache.set(8, 2).state, stateNotPresent);
+    const CacheLine victim = cache.set(16, 1); // evicts 0 (LRU)
+    EXPECT_EQ(victim.block, 0u);
+    EXPECT_EQ(victim.state, 1);
+    EXPECT_EQ(cache.evictions(), 1u);
+    EXPECT_EQ(cache.residentBlocks(), 2u);
 }
+
 
 TEST(FiniteCacheTest, SetPromotesToMru)
 {
@@ -173,30 +195,113 @@ TEST(FiniteCacheTest, ReservedStateRejected)
 
 TEST(FiniteCacheTest, LruStressAgainstModel)
 {
-    // Property check against a tiny reference model of one set.
+    // Property check against a per-set std::list reference: every
+    // mutator, on 8 sets of 4 ways, over a block range that overflows
+    // each set, with labelled (non-identity) block indices so sets
+    // follow the labels.
     FiniteCacheConfig config;
-    config.capacityBytes = 64; // 4 blocks
-    config.ways = 4;           // 1 set
+    config.capacityBytes = 512; // 32 blocks
+    config.ways = 4;            // 8 sets
     config.blockBytes = 16;
-    FiniteCache cache(config);
+    const unsigned sets = 8;
+    std::vector<BlockNum> labels(96);
+    for (BlockNum i = 0; i < labels.size(); ++i)
+        labels[i] = i * 7 + 3;
+    const BlockSpace space{static_cast<std::uint32_t>(labels.size()),
+                           labels.data()};
+    FiniteCache cache(config, space);
 
-    std::vector<BlockNum> lru; // front = LRU
+    struct Line
+    {
+        BlockNum block;
+        CacheBlockState state;
+    };
+    std::vector<std::list<Line>> model(sets); // front = MRU
+    const auto setOf = [&](BlockNum block) {
+        return space.label(block) % sets;
+    };
+    const auto findIn = [&](BlockNum block) {
+        auto &set = model[setOf(block)];
+        return std::make_pair(
+            &set, std::find_if(set.begin(), set.end(), [&](const Line &l) {
+                return l.block == block;
+            }));
+    };
+
     std::uint64_t x = 12345;
-    for (int i = 0; i < 2000; ++i) {
+    const auto next = [&](std::uint64_t bound) {
         x = x * 6364136223846793005ull + 1442695040888963407ull;
-        const BlockNum block = (x >> 33) % 9;
-        const auto it = std::find(lru.begin(), lru.end(), block);
-        if (it != lru.end())
-            lru.erase(it);
-        else if (lru.size() == 4)
-            lru.erase(lru.begin());
-        lru.push_back(block);
-        cache.set(block, 1);
+        return (x >> 33) % bound;
+    };
+    std::uint64_t evictions = 0;
+    for (int i = 0; i < 20000; ++i) {
+        const BlockNum block = next(labels.size());
+        const auto state = static_cast<CacheBlockState>(1 + next(3));
+        auto [set, it] = findIn(block);
+        switch (i % 2000 == 1999 ? 4 : next(4)) {
+        case 0:
+        case 1: { // set: install or update
+            CacheLine expected;
+            if (it != set->end()) {
+                set->erase(it);
+            } else if (set->size() == config.ways) {
+                expected = {set->back().block, set->back().state};
+                set->pop_back();
+                ++evictions;
+            }
+            set->push_front(Line{block, state});
+            const CacheLine victim = cache.set(block, state);
+            ASSERT_EQ(victim.state, expected.state) << i;
+            if (expected.state != stateNotPresent) {
+                ASSERT_EQ(victim.block, expected.block) << i;
+            }
+            break;
+        }
+        case 2: { // access
+            CacheBlockState expected = stateNotPresent;
+            if (it != set->end()) {
+                expected = it->state;
+                set->splice(set->begin(), *set, it);
+            }
+            ASSERT_EQ(cache.access(block), expected) << i;
+            break;
+        }
+        case 3: { // invalidate
+            CacheBlockState expected = stateNotPresent;
+            if (it != set->end()) {
+                expected = it->state;
+                set->erase(it);
+            }
+            ASSERT_EQ(cache.invalidate(block), expected) << i;
+            break;
+        }
+        default: // clear, every 2000 operations
+            for (auto &s : model)
+                s.clear();
+            cache.clear();
+            break;
+        }
 
-        ASSERT_EQ(cache.residentBlocks(), lru.size());
-        for (const BlockNum resident : lru)
-            ASSERT_TRUE(cache.contains(resident));
+        std::vector<std::pair<BlockNum, CacheBlockState>> expected;
+        for (const auto &s : model) {
+            for (const Line &line : s)
+                expected.emplace_back(line.block, line.state);
+        }
+        std::vector<std::pair<BlockNum, CacheBlockState>> visited;
+        cache.forEach([&](BlockNum b, CacheBlockState st) {
+            visited.emplace_back(b, st);
+        });
+        ASSERT_EQ(visited, expected) << i;
+        ASSERT_EQ(cache.residentBlocks(), expected.size()) << i;
+        for (BlockNum b = 0; b < labels.size(); ++b) {
+            const auto [s, line] = findIn(b);
+            ASSERT_EQ(cache.lookup(b),
+                      line != s->end() ? line->state : stateNotPresent)
+                << i << " block " << b;
+        }
     }
+    EXPECT_EQ(cache.evictions(), evictions);
+    EXPECT_GT(evictions, 1000u);
 }
 
 } // namespace

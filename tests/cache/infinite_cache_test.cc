@@ -23,7 +23,7 @@ TEST(InfiniteCacheTest, StartsEmpty)
 TEST(InfiniteCacheTest, SetInstallsAndReports)
 {
     InfiniteCache cache(64);
-    EXPECT_TRUE(cache.set(10, 1));
+    EXPECT_EQ(cache.set(10, 1).state, stateNotPresent); // no victim
     EXPECT_EQ(cache.lookup(10), 1);
     EXPECT_TRUE(cache.contains(10));
     EXPECT_EQ(cache.residentBlocks(), 1u);
@@ -32,10 +32,10 @@ TEST(InfiniteCacheTest, SetInstallsAndReports)
 TEST(InfiniteCacheTest, SetUpdatesInPlace)
 {
     InfiniteCache cache(64);
-    EXPECT_TRUE(cache.set(10, 1));
-    EXPECT_FALSE(cache.set(10, 2)); // not newly installed
+    cache.set(10, 1);
+    cache.set(10, 2);
     EXPECT_EQ(cache.lookup(10), 2);
-    EXPECT_EQ(cache.residentBlocks(), 1u);
+    EXPECT_EQ(cache.residentBlocks(), 1u); // not newly installed
 }
 
 TEST(InfiniteCacheTest, ReservedStateRejected)
@@ -57,7 +57,7 @@ TEST(InfiniteCacheTest, NeverEvicts)
 {
     InfiniteCache cache(100'000);
     for (BlockNum block = 0; block < 100'000; ++block)
-        cache.set(block, 1);
+        ASSERT_EQ(cache.set(block, 1).state, stateNotPresent);
     EXPECT_EQ(cache.residentBlocks(), 100'000u);
     EXPECT_TRUE(cache.contains(0));
     EXPECT_TRUE(cache.contains(99'999));
@@ -94,8 +94,8 @@ TEST(InfiniteCacheTest, DenseBackendMirrorsSparseSemantics)
     InfiniteCache cache(64);
     EXPECT_EQ(cache.residentBlocks(), 0u);
 
-    EXPECT_TRUE(cache.set(10, 1));
-    EXPECT_FALSE(cache.set(10, 2)); // update, not a new install
+    cache.set(10, 1);
+    cache.set(10, 2); // update, not a new install
     EXPECT_EQ(cache.lookup(10), 2);
     EXPECT_TRUE(cache.contains(10));
     EXPECT_EQ(cache.lookup(11), stateNotPresent);
@@ -116,7 +116,8 @@ TEST(InfiniteCacheTest, DenseBackendMirrorsSparseSemantics)
     cache.clear();
     EXPECT_EQ(cache.residentBlocks(), 0u);
     // The arena survives the clear; blocks outside it are rejected.
-    EXPECT_TRUE(cache.set(63, 1));
+    cache.set(63, 1);
+    EXPECT_EQ(cache.residentBlocks(), 1u);
     EXPECT_THROW(cache.set(64, 1), LogicError);
 }
 

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -150,27 +156,6 @@ TEST(RngTest, GeometricRejectsBadP)
     EXPECT_THROW(rng.geometric(1.5), LogicError);
 }
 
-TEST(RngTest, WeightedRespectsWeights)
-{
-    Rng rng(31);
-    const std::vector<double> weights{1.0, 0.0, 3.0};
-    int counts[3] = {0, 0, 0};
-    const int trials = 40000;
-    for (int i = 0; i < trials; ++i)
-        ++counts[rng.weighted(weights)];
-    EXPECT_EQ(counts[1], 0);
-    EXPECT_NEAR(static_cast<double>(counts[0]) / trials, 0.25, 0.02);
-    EXPECT_NEAR(static_cast<double>(counts[2]) / trials, 0.75, 0.02);
-}
-
-TEST(RngTest, WeightedRejectsDegenerateInput)
-{
-    Rng rng(37);
-    EXPECT_THROW(rng.weighted({}), LogicError);
-    EXPECT_THROW(rng.weighted({0.0, 0.0}), LogicError);
-    EXPECT_THROW(rng.weighted({1.0, -1.0}), LogicError);
-}
-
 TEST(RngTest, SplitStreamsAreIndependent)
 {
     Rng parent(41);
@@ -224,6 +209,62 @@ TEST(ZipfSamplerTest, AlwaysInRange)
 TEST(ZipfSamplerTest, EmptyRangePanics)
 {
     EXPECT_THROW(ZipfSampler(0, 1.0), LogicError);
+}
+
+TEST(ZipfSamplerTest, GuideMatchesFullSearch)
+{
+    // The guide table must return exactly the rank a search of the
+    // whole CDF returns: at every bucket boundary, just below each,
+    // and on random draws. The shapes include the tracegen profiles'.
+    const std::vector<std::pair<std::uint64_t, double>> shapes{
+        {1, 2.0},     {10, 0.0},     {4096, 0.6},
+        {5000, 1.0},  {12288, 0.85}, {32768, 0.70},
+    };
+    for (const auto &[n, s] : shapes) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " s=" + std::to_string(s));
+        const ZipfSampler sampler(n, s);
+        // The reference: the sampler's CDF, built the same way, and a
+        // search of all of it.
+        std::vector<double> cdf(n);
+        double running = 0.0;
+        for (std::uint64_t r = 0; r < n; ++r) {
+            running += 1.0 / std::pow(static_cast<double>(r + 1), s);
+            cdf[r] = running;
+        }
+        for (double &c : cdf)
+            c /= running;
+        const auto full = [&](double u) {
+            const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+            return std::min<std::uint64_t>(
+                static_cast<std::uint64_t>(it - cdf.begin()), n - 1);
+        };
+
+        const std::uint64_t buckets = std::bit_ceil(n);
+        for (std::uint64_t k = 0; k < buckets; ++k) {
+            const double boundary = static_cast<double>(k)
+                / static_cast<double>(buckets);
+            ASSERT_EQ(sampler.rank(boundary), full(boundary)) << k;
+            // The double just below each boundary, the last one (1.0)
+            // included: the largest draw Rng::uniform() can make.
+            const double below = std::nextafter(
+                static_cast<double>(k + 1) / static_cast<double>(buckets),
+                0.0);
+            ASSERT_EQ(sampler.rank(below), full(below)) << k;
+        }
+
+        Rng rng(61 + n);
+        for (int i = 0; i < 1000000; ++i) {
+            const double u = rng.uniform();
+            ASSERT_EQ(sampler.rank(u), full(u)) << u;
+        }
+    }
+}
+
+TEST(ZipfSamplerTest, RankRejectsDrawsOutsideTheUnitInterval)
+{
+    const ZipfSampler sampler(16, 1.0);
+    EXPECT_THROW(sampler.rank(1.0), LogicError);
+    EXPECT_THROW(sampler.rank(-0.25), LogicError);
 }
 
 } // namespace

@@ -137,6 +137,9 @@ TEST(SweepServerTest, MalformedSpecsGet400WithDiagnostics)
         // A repeated axis value: the linter's duplicate check.
         R"({"name":"x","schemes":["Dir0B","dir0b","WTI"],)"
         R"("traces":[{"profile":"pops"}]})",
+        // A 2^40-byte cache: above FiniteCacheConfig's limit.
+        R"({"name":"x","schemes":["Dir0B"],"traces":[{"profile":"pops"}],)"
+        R"("geometries":[{"capacity_bytes":1099511627776,"ways":1}]})",
     };
     for (const std::string &spec : bad) {
         const HttpClientResponse response =

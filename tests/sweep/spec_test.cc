@@ -199,6 +199,28 @@ TEST(SweepLintTest, ReportsDuplicatesAndImpossibleGeometries)
     EXPECT_TRUE(mentions(diags, "geometries[0]"));  // impossible
 }
 
+TEST(SweepLintTest, RejectsCapacitiesAboveTheLimit)
+{
+    // 2^40 bytes direct-mapped would reserve terabytes per cache; the
+    // limit (2^32 bytes) turns it into a diagnostic before any cell.
+    const std::string spec =
+        R"({"name":"huge","schemes":["Dir0B"],)"
+        R"("traces":[{"profile":"pops"}],)"
+        R"("geometries":[{"capacity_bytes":1099511627776,"ways":1}]})";
+    const std::vector<SweepDiagnostic> diags = lintSweepSpec(spec);
+    ASSERT_EQ(diags.size(), 1u);
+    EXPECT_EQ(diags[0].where, "geometries[0]");
+    EXPECT_TRUE(mentions(diags, "4294967296")) << diags[0].message;
+    EXPECT_THROW(parseSweepSpec(spec), UsageError);
+
+    EXPECT_TRUE(lintSweepSpec(
+                    R"({"name":"max","schemes":["Dir0B"],)"
+                    R"("traces":[{"profile":"pops"}],)"
+                    R"("geometries":[{"capacity_bytes":4294967296,)"
+                    R"("ways":1}]})")
+                    .empty());
+}
+
 TEST(SweepLintTest, ParseAcceptsExactlyWhatTheLinterAccepts)
 {
     // Every spec these tests feed either side: parseSweepSpec() must
@@ -220,6 +242,8 @@ TEST(SweepLintTest, ParseAcceptsExactlyWhatTheLinterAccepts)
         R"({"name":"x","schemes":["Dir0B"],)"
         R"("traces":[{"profile":"pops"}],"block_bytes":[16,131072],)"
         R"("geometries":[{"capacity_bytes":65536,"ways":2}]})",
+        R"({"name":"x","schemes":["Dir0B"],"traces":[{"profile":"pops"}],)"
+        R"("geometries":[{"capacity_bytes":8589934592,"ways":4}]})",
         R"({"name":"x","schemes":["Nope","WTI","WTI"],)"
         R"("traces":[{"profile":"pops"}]})",
         "{\"name\": ",
