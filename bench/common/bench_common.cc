@@ -136,31 +136,36 @@ timedGridOrThrow(const std::vector<std::string> &schemes)
         grid = runWithArtifacts(runner, parseSchemes(schemes), suite(),
                                 {}, sink, extra);
         hud.finish();
-        inform("artifacts: wrote ", jsonl_path);
+        logEvent(LogLevel::Info, "bench.artifacts.written")
+            .field("path", jsonl_path);
     } else {
         grid = runner.run(parseSchemes(schemes), suite());
         hud.finish();
     }
     if (tracer)
-        inform("tracer: sampled ", tracer->emittedEvents(),
-               " events (period ", tracer_config.samplePeriod,
-               ", ring ", tracer_config.ringCapacity, ", dropped ",
-               tracer->droppedEvents(), ")");
+        logEvent(LogLevel::Info, "bench.tracer.sampled")
+            .field("events", tracer->emittedEvents())
+            .field("period", tracer_config.samplePeriod)
+            .field("ring", static_cast<std::uint64_t>(
+                               tracer_config.ringCapacity))
+            .field("dropped", tracer->droppedEvents());
     if (!chrome_path.empty()) {
         writeChromeTraceFile(chrome_path, grid, tracer.get());
-        inform("chrome trace: wrote ", chrome_path);
+        logEvent(LogLevel::Info, "bench.chrome.written")
+            .field("path", chrome_path);
         chrome_path.clear(); // first grid only, like --jsonl
     }
-    inform("grid: ", schemes.size(), " schemes x ", suite().size(),
-           " traces on ", grid.jobs, " jobs in ",
-           TextTable::fixed(grid.wallSeconds, 2), "s (",
-           TextTable::grouped(
-               static_cast<std::uint64_t>(grid.refsPerSecond())),
-           " refs/s)");
+    logEvent(LogLevel::Info, "bench.grid")
+        .field("schemes", static_cast<std::uint64_t>(schemes.size()))
+        .field("traces", static_cast<std::uint64_t>(suite().size()))
+        .field("jobs", grid.jobs)
+        .field("wall_seconds", grid.wallSeconds)
+        .field("refs_per_second", grid.refsPerSecond());
     if (cache)
-        inform("cell cache: ", grid.cacheHits(), " hits, ",
-               grid.cacheMisses(), " misses (",
-               cache->directory(), ")");
+        logEvent(LogLevel::Info, "bench.cell_cache")
+            .field("hits", grid.cacheHits())
+            .field("misses", grid.cacheMisses())
+            .field("dir", cache->directory());
     return std::move(grid.schemes);
 }
 

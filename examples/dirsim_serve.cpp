@@ -5,21 +5,22 @@
  * external HTTP tooling.
  *
  * Daemon:
- *   dirsim_serve [--port P] [--queue N] [--jobs N]
- *                [--discipline fcfs|round-robin] [--hold]
+ *   dirsim_serve [--port P] [--queue N] [--jobs N] [--hold]
  *                [--journal DIR]
  *
- * Binds 127.0.0.1 (port 0 = ephemeral), prints one
+ * Binds 127.0.0.1 (port 0 = ephemeral; default), prints one
  * "dirsim_serve listening on 127.0.0.1:<port>" line to stdout, and
- * serves until POST /shutdown. Defaults come from the
- * DIRSIM_SERVE_{PORT,QUEUE,JOBS,DISCIPLINE} environment; flags win.
+ * serves until POST /shutdown. Queued runs are served round-robin
+ * across `submit --client` identities; runs submitted without one
+ * share one identity and start in submission order. --queue bounds
+ * the waiting runs (default 8); --jobs sets each run's workers
+ * (default DIRSIM_JOBS, else every hardware thread).
  * DIRSIM_CACHE_DIR wires the shared cell cache, so re-submitted
- * sweeps replay instead of re-simulating. --journal (or
- * DIRSIM_JOURNAL_DIR) enables the persistent run journal: a
- * restarted daemon replays it and lists its predecessors' runs,
- * with in-flight ones marked "interrupted" (docs/journal.md).
- * DIRSIM_LOG_LEVEL / DIRSIM_LOG_FILE control the structured JSONL
- * log (docs/observability.md).
+ * sweeps replay instead of re-simulating. --journal enables the
+ * persistent run journal: a restarted daemon replays it and lists
+ * its predecessors' runs, with in-flight ones marked "interrupted"
+ * (docs/journal.md). DIRSIM_LOG_LEVEL / DIRSIM_LOG_FILE control the
+ * structured JSONL log (docs/observability.md).
  *
  * Client subcommands (all take --port P):
  *   dirsim_serve submit <spec.json> [--client NAME]   -> prints id
@@ -57,8 +58,7 @@ usage()
 {
     std::cerr
         << "usage: dirsim_serve [--port P] [--queue N] [--jobs N] "
-           "[--discipline fcfs|round-robin] [--hold] "
-           "[--journal DIR]\n"
+           "[--hold] [--journal DIR]\n"
            "       dirsim_serve submit <spec.json> --port P "
            "[--client NAME]\n"
            "       dirsim_serve wait <id> --port P\n"
@@ -298,7 +298,8 @@ shutdownCommand(const ClientArgs &args)
 int
 daemonCommand(const std::vector<std::string> &args)
 {
-    ServeConfig config = ServeConfig::fromEnvironment();
+    ServeConfig config;
+    config.cache = FileCellCache::fromEnvironment();
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
         const auto next = [&]() -> const std::string & {
@@ -314,8 +315,6 @@ daemonCommand(const std::vector<std::string> &args)
         } else if (arg == "--jobs") {
             config.jobs = static_cast<unsigned>(parseDecimal(
                 next(), "--jobs", std::numeric_limits<unsigned>::max()));
-        } else if (arg == "--discipline") {
-            config.discipline = next();
         } else if (arg == "--hold") {
             config.hold = true;
         } else if (arg == "--journal") {

@@ -2,11 +2,10 @@
  * @file
  * Leveled structured (JSONL) logging for long-lived dirsim services.
  *
- * common/logging.hh covers *errors* (typed exceptions) plus the
- * legacy warn()/inform() stderr lines; this header covers *events*:
- * a daemon that serves traffic for days needs machine-parseable
- * diagnostics, not ad-hoc prose. Every emitted line is one JSON
- * object:
+ * common/logging.hh covers *errors* (typed exceptions); this header
+ * covers *events*: a daemon that serves traffic for days needs
+ * machine-parseable diagnostics, not ad-hoc prose. Every emitted
+ * line is one JSON object:
  *
  *   {"ts":"2026-08-08T12:34:56Z","mono_ns":123456789,
  *    "level":"info","event":"serve.run.finished",
@@ -20,7 +19,7 @@
  * Usage is a fluent builder that emits on destruction:
  *
  *   logEvent(LogLevel::Info, "serve.start")
- *       .field("port", port).field("discipline", name);
+ *       .field("port", port).field("queue_capacity", capacity);
  *
  * A disabled level costs one atomic load; field formatting is
  * skipped entirely. The sink is stderr by default, or an append-mode

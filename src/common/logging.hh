@@ -10,8 +10,9 @@
  *  - fatal()  -> SimulationError subclass UsageError: the caller
  *               supplied an impossible configuration or malformed
  *               input (the user's fault).
- *  - warn()   -> message on stderr, execution continues.
- *  - inform() -> status message on stderr, execution continues.
+ *
+ * Diagnostics that let execution continue are structured log events
+ * (common/log.hh).
  */
 
 #ifndef DIRSIM_COMMON_LOGGING_HH
@@ -64,9 +65,6 @@ formatMessage(Args &&...args)
     return os.str();
 }
 
-/** Emit a tagged diagnostic line on stderr. */
-void emitDiagnostic(const char *tag, const std::string &message);
-
 } // namespace detail
 
 /**
@@ -93,24 +91,6 @@ template <typename... Args>
 fatal(Args &&...args)
 {
     throw UsageError(detail::formatMessage(std::forward<Args>(args)...));
-}
-
-/** Report a suspicious-but-survivable condition on stderr. */
-template <typename... Args>
-void
-warn(Args &&...args)
-{
-    detail::emitDiagnostic(
-        "warn", detail::formatMessage(std::forward<Args>(args)...));
-}
-
-/** Report normal operating status on stderr. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::emitDiagnostic(
-        "info", detail::formatMessage(std::forward<Args>(args)...));
 }
 
 /**

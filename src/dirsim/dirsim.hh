@@ -44,7 +44,6 @@
 #include "obs/cell_cache.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/exposition.hh"
-#include "obs/histogram.hh"
 #include "obs/journal.hh"
 #include "obs/manifest.hh"
 #include "obs/metrics.hh"

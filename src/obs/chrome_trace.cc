@@ -25,46 +25,11 @@ usSince(std::uint64_t ns, std::uint64_t origin_ns)
     return static_cast<double>(ns - origin_ns) / 1e3;
 }
 
-/**
- * Map worker-thread tags to small stable lane ids, in order of each
- * worker's first cell start — lane 1 is the worker that started
- * first, giving deterministic lane layout for a sequential run.
- */
-std::map<std::uint64_t, unsigned>
-laneMap(const GridResult &grid)
+/** Nanoseconds in @p seconds of wall time. */
+std::uint64_t
+nsOf(double seconds)
 {
-    std::vector<const CellTiming *> cells;
-    cells.reserve(grid.cells.size());
-    for (const CellTiming &cell : grid.cells)
-        cells.push_back(&cell);
-    std::sort(cells.begin(), cells.end(),
-              [](const CellTiming *a, const CellTiming *b) {
-                  return a->startNs < b->startNs;
-              });
-    std::map<std::uint64_t, unsigned> lanes;
-    for (const CellTiming *cell : cells) {
-        if (!lanes.contains(cell->threadTag)) {
-            const auto lane = static_cast<unsigned>(lanes.size() + 1);
-            lanes.emplace(cell->threadTag, lane);
-        }
-    }
-    return lanes;
-}
-
-/** One complete ("X") slice. */
-void
-writeSlice(JsonWriter &writer, const std::string &name,
-           const char *category, unsigned tid, double ts_us,
-           double dur_us)
-{
-    writer.beginObject();
-    writer.key("name").value(name);
-    writer.key("cat").value(category);
-    writer.key("ph").value("X");
-    writer.key("pid").value(1u);
-    writer.key("tid").value(tid);
-    writer.key("ts").value(ts_us);
-    writer.key("dur").value(dur_us);
+    return static_cast<std::uint64_t>(seconds * 1e9);
 }
 
 void
@@ -100,9 +65,18 @@ writeChromeSpans(std::ostream &os,
                         lane_names[lane]);
 
     for (const TraceSpan &span : spans) {
-        writeSlice(writer, span.name, span.category.c_str(),
-                   span.lane, usSince(span.startNs, origin_ns),
-                   static_cast<double>(span.durationNs) / 1e3);
+        writer.beginObject();
+        writer.key("name").value(span.name);
+        writer.key("cat").value(span.category);
+        writer.key("ph").value(span.instant ? "i" : "X");
+        if (span.instant)
+            writer.key("s").value("t");
+        writer.key("pid").value(1u);
+        writer.key("tid").value(span.lane);
+        writer.key("ts").value(usSince(span.startNs, origin_ns));
+        if (!span.instant)
+            writer.key("dur").value(
+                static_cast<double>(span.durationNs) / 1e3);
         if (!span.args.empty()) {
             writer.key("args").beginObject();
             for (const auto &[key, value] : span.args)
@@ -117,73 +91,84 @@ writeChromeSpans(std::ostream &os,
     os << '\n';
 }
 
+std::vector<TraceSpan>
+workerCellSpans(const std::vector<CellTiming> &cells,
+                std::vector<std::string> &lane_names)
+{
+    std::vector<const CellTiming *> by_start;
+    by_start.reserve(cells.size());
+    for (const CellTiming &cell : cells)
+        by_start.push_back(&cell);
+    std::stable_sort(by_start.begin(), by_start.end(),
+                     [](const CellTiming *a, const CellTiming *b) {
+                         return a->startNs < b->startNs;
+                     });
+    std::map<std::uint64_t, unsigned> lanes;
+    for (const CellTiming *cell : by_start) {
+        if (lanes.contains(cell->threadTag))
+            continue;
+        lanes.emplace(cell->threadTag,
+                      static_cast<unsigned>(lane_names.size()));
+        lane_names.push_back("worker " + std::to_string(lanes.size()));
+    }
+
+    std::vector<TraceSpan> spans;
+    spans.reserve(cells.size());
+    for (const CellTiming &cell : cells) {
+        TraceSpan span;
+        span.name = cell.scheme + "/" + cell.traceName;
+        span.category = "cell";
+        span.lane = lanes.at(cell.threadTag);
+        span.startNs = cell.startNs;
+        span.durationNs = nsOf(cell.wallSeconds);
+        span.args = {
+            {"refs", std::to_string(cell.refs)},
+            {"refs_per_second",
+             std::to_string(
+                 static_cast<std::uint64_t>(cell.refsPerSecond()))},
+            {"cache_hit", cell.cacheHit ? "true" : "false"}};
+        spans.push_back(std::move(span));
+    }
+    return spans;
+}
+
 void
 writeChromeTrace(std::ostream &os, const GridResult &grid,
                  const EventTracer *tracer)
 {
-    const std::map<std::uint64_t, unsigned> lanes = laneMap(grid);
+    std::vector<std::string> lane_names{"grid"};
+    const std::vector<TraceSpan> cells =
+        workerCellSpans(grid.cells, lane_names);
 
-    // Cell identity -> lane, for placing tracer timelines.
+    // The grid itself, on its own lane.
+    std::vector<TraceSpan> spans;
+    spans.push_back(
+        {"grid", "grid", 0, grid.startNs, nsOf(grid.wallSeconds),
+         {{"jobs", std::to_string(grid.jobs)},
+          {"cells", std::to_string(grid.cells.size())},
+          {"refs", std::to_string(grid.totalRefs())}}});
+
+    // Each cell, then its phases laid out back-to-back inside it.
     std::map<std::string, unsigned> cell_lanes;
     const std::size_t num_traces =
         grid.schemes.empty() ? 0 : grid.schemes[0].perTrace.size();
-
-    JsonWriter writer(os);
-    writer.beginObject();
-    writer.key("displayTimeUnit").value("ms");
-    writer.key("traceEvents").beginArray();
-
-    writeThreadName(writer, 0, "grid");
-    for (const auto &[tag, lane] : lanes)
-        writeThreadName(writer, lane,
-                        "worker " + std::to_string(lane));
-
-    // The grid itself, on its own lane.
-    writeSlice(writer, "grid", "grid", 0, 0.0,
-               grid.wallSeconds * 1e6);
-    writer.key("args").beginObject();
-    writer.key("jobs").value(grid.jobs);
-    writer.key("cells").value(
-        static_cast<std::uint64_t>(grid.cells.size()));
-    writer.key("refs").value(grid.totalRefs());
-    writer.endObject();
-    writer.endObject();
-
     for (std::size_t s = 0; s < grid.schemes.size(); ++s) {
         for (std::size_t t = 0; t < num_traces; ++t) {
-            const std::size_t index = s * num_traces + t;
-            const CellTiming &cell = grid.cells[index];
-            const SimResult &result = grid.schemes[s].perTrace[t];
-            const unsigned lane = lanes.at(cell.threadTag);
-            const std::string name =
-                cell.scheme + "/" + cell.traceName;
-            cell_lanes.emplace(name, lane);
-            const double cell_ts =
-                usSince(cell.startNs, grid.startNs);
-
-            writeSlice(writer, name, "cell", lane, cell_ts,
-                       cell.wallSeconds * 1e6);
-            writer.key("args").beginObject();
-            writer.key("refs").value(cell.refs);
-            writer.key("refs_per_second")
-                .value(cell.refsPerSecond());
-            writer.endObject();
-            writer.endObject();
-
-            // Phase slices, laid out back-to-back inside the cell.
-            double phase_ts = cell_ts;
+            const TraceSpan &cell = cells[s * num_traces + t];
+            const PhaseBreakdown &phases =
+                grid.schemes[s].perTrace[t].phases;
+            cell_lanes.emplace(cell.name, cell.lane);
+            spans.push_back(cell);
+            std::uint64_t phase_start = cell.startNs;
             for (std::size_t p = 0; p < numPhases; ++p) {
                 const auto phase = static_cast<Phase>(p);
-                const double dur_us =
-                    static_cast<double>(result.phases.get(phase))
-                    / 1e3;
-                if (dur_us <= 0.0)
+                const std::uint64_t phase_ns = phases.get(phase);
+                if (phase_ns == 0)
                     continue;
-                writeSlice(writer,
-                           std::string("phase:") + toString(phase),
-                           "phase", lane, phase_ts, dur_us);
-                writer.endObject();
-                phase_ts += dur_us;
+                spans.push_back({std::string("phase:") + toString(phase),
+                                 "phase", cell.lane, phase_start,
+                                 phase_ns, {}});
+                phase_start += phase_ns;
             }
         }
     }
@@ -196,36 +181,33 @@ writeChromeTrace(std::ostream &os, const GridResult &grid,
             const unsigned lane =
                 it != cell_lanes.end() ? it->second : 0;
             for (const ProtocolTraceEvent &event : timeline.events) {
-                writer.beginObject();
-                writer.key("name").value(toString(event.type));
-                writer.key("cat").value("protocol");
-                writer.key("ph").value("i");
-                writer.key("s").value("t");
-                writer.key("pid").value(1u);
-                writer.key("tid").value(lane);
-                writer.key("ts").value(
-                    usSince(event.tsNs, grid.startNs));
-                writer.key("args").beginObject();
-                writer.key("cell").value(cell_name);
-                writer.key("ref").value(event.ref);
-                writer.key("block").value(event.block);
-                writer.key("cache").value(event.cache);
-                writer.key("state_before")
-                    .value(static_cast<unsigned>(event.stateBefore));
-                writer.key("state_after")
-                    .value(static_cast<unsigned>(event.stateAfter));
-                writer.key("others_before")
-                    .value(event.othersBefore);
-                writer.key("others_after").value(event.othersAfter);
-                writer.endObject();
-                writer.endObject();
+                TraceSpan instant;
+                instant.name = toString(event.type);
+                instant.category = "protocol";
+                instant.lane = lane;
+                instant.startNs = event.tsNs;
+                instant.instant = true;
+                instant.args = {
+                    {"cell", cell_name},
+                    {"ref", std::to_string(event.ref)},
+                    {"block", std::to_string(event.block)},
+                    {"cache", std::to_string(event.cache)},
+                    {"state_before",
+                     std::to_string(
+                         static_cast<unsigned>(event.stateBefore))},
+                    {"state_after",
+                     std::to_string(
+                         static_cast<unsigned>(event.stateAfter))},
+                    {"others_before",
+                     std::to_string(event.othersBefore)},
+                    {"others_after",
+                     std::to_string(event.othersAfter)}};
+                spans.push_back(std::move(instant));
             }
         }
     }
 
-    writer.endArray();
-    writer.endObject();
-    os << '\n';
+    writeChromeSpans(os, spans, grid.startNs, lane_names);
 }
 
 void

@@ -2,13 +2,18 @@
  * @file
  * Chrome trace_event JSON export of a finished grid.
  *
- * writeChromeTrace() lays a GridResult out as a Chrome
- * trace_event-format document ({"traceEvents": [...]}) loadable in
- * chrome://tracing or Perfetto: one timeline lane per worker thread,
- * one complete ("X") slice per grid cell, nested slices for the
- * cell's phase breakdown (read/warmup/simulate/reduce, from the PR 3
- * phase timers), and — when an EventTracer ran alongside — instant
- * ("i") events for the sampled protocol transitions.
+ * writeChromeSpans() is the one writer of Chrome trace_event-format
+ * documents ({"traceEvents": [...]}, loadable in chrome://tracing or
+ * Perfetto); every timeline is a list of TraceSpans handed to it.
+ * workerCellSpans() lays a run's cells out on worker lanes for both
+ * the grid export and the daemon's GET /runs/{id}/trace.
+ *
+ * writeChromeTrace() lays a GridResult out as: one timeline lane per
+ * worker thread, one complete ("X") slice per grid cell, nested
+ * slices for the cell's phase breakdown (read/warmup/simulate/
+ * reduce, from the phase timers), and — when an EventTracer ran
+ * alongside — instant ("i") events for the sampled protocol
+ * transitions. Every arg is a string.
  *
  * Timestamps are microseconds relative to the grid start, taken from
  * the same PhaseTimer::nowNs() clock the cells and tracer sessions
@@ -35,10 +40,11 @@ namespace dirsim
 class EventTracer;
 
 /**
- * One generic timeline slice for writeChromeSpans(): anything with a
- * start and a duration on the PhaseTimer::nowNs() clock. The daemon
- * uses these for its run-scoped traces (queue-wait, run execution,
- * per-cell slices, HTTP requests) without needing a GridResult.
+ * One timeline event for writeChromeSpans(): a slice with a start
+ * and a duration on the PhaseTimer::nowNs() clock, or an instant.
+ * The daemon uses these for its run-scoped traces (queue-wait, run
+ * execution, per-cell slices, HTTP requests) without needing a
+ * GridResult.
  */
 struct TraceSpan
 {
@@ -51,6 +57,9 @@ struct TraceSpan
     std::uint64_t durationNs = 0;
     /** Extra args rendered as strings under the slice. */
     std::vector<std::pair<std::string, std::string>> args;
+    /** A thread-scoped instant ("i") event at startNs instead of a
+     *  complete ("X") slice; durationNs is ignored. */
+    bool instant = false;
 };
 
 /**
@@ -64,8 +73,20 @@ void writeChromeSpans(
     const std::vector<std::string> &lane_names = {});
 
 /**
+ * Lay @p cells out on worker lanes: one "cell" span per timing, in
+ * input order, named "<scheme>/<trace>" with args refs,
+ * refs_per_second (whole) and cache_hit. Each worker takes the next
+ * free lane, lane_names.size() onward, in order of its first cell
+ * start, so a sequential run lands on one lane; @p lane_names gains
+ * "worker 1".."worker N" for those lanes.
+ */
+std::vector<TraceSpan>
+workerCellSpans(const std::vector<CellTiming> &cells,
+                std::vector<std::string> &lane_names);
+
+/**
  * Write @p grid (and, optionally, @p tracer's sampled timelines) as
- * a Chrome trace_event JSON document.
+ * a Chrome trace_event JSON document through writeChromeSpans().
  */
 void writeChromeTrace(std::ostream &os, const GridResult &grid,
                       const EventTracer *tracer = nullptr);

@@ -9,8 +9,8 @@
 #include <set>
 #include <sstream>
 
+#include "common/histogram.hh"
 #include "common/logging.hh"
-#include "obs/histogram.hh"
 #include "obs/metrics.hh"
 
 namespace dirsim
@@ -164,20 +164,17 @@ PromWriter::sample(const std::string &name,
 void
 PromWriter::histogram(const std::string &name,
                       const std::vector<PromLabel> &labels,
-                      const FixedHistogram &hist,
+                      const Histogram &hist,
                       const std::vector<double> &upper_bounds,
                       double sum)
 {
-    fatalIf(upper_bounds.size() != hist.bucketCount(),
-            "histogram '", name, "' has ", hist.bucketCount(),
-            " buckets but ", upper_bounds.size(), " upper bounds");
     for (std::size_t i = 1; i < upper_bounds.size(); ++i)
         fatalIf(upper_bounds[i] <= upper_bounds[i - 1],
                 "histogram '", name,
                 "' upper bounds are not strictly increasing");
 
     std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < hist.bucketCount(); ++i) {
+    for (std::size_t i = 0; i < upper_bounds.size(); ++i) {
         cumulative += hist.count(i);
         std::vector<PromLabel> bucket_labels = labels;
         bucket_labels.push_back(

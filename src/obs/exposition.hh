@@ -13,10 +13,10 @@
  *    "sim_pops_Dir0B_events_rd_hit").
  *
  *  - hand-labelled service metrics via PromWriter: request counters
- *    by {endpoint, status}, per-discipline queue-wait and
- *    run-duration FixedHistograms with *cumulative* buckets — the
- *    waiting-time and service-time distributions the bus
- *    service-discipline literature asks for, not just means.
+ *    by {endpoint, status}, and the queue-wait and run-duration
+ *    Histograms with *cumulative* buckets — the waiting-time and
+ *    service-time distributions the bus service-discipline
+ *    literature asks for, not just means.
  *
  * lintPrometheusText() is the format gate the tests (and operators)
  * run over any exposition body: metric-name/label grammar, value
@@ -38,8 +38,8 @@
 namespace dirsim
 {
 
+class Histogram;
 class MetricRegistry;
-class FixedHistogram;
 
 /**
  * Sanitize an arbitrary dotted metric name into the Prometheus
@@ -85,18 +85,19 @@ class PromWriter
 
     /**
      * A full histogram family body (the TYPE line is the caller's):
-     * cumulative <name>_bucket{le="..."} samples — one per regular
-     * bucket, bucket i counting values at or below @p upper_bounds[i]
+     * cumulative <name>_bucket{le="..."} samples — one per bound,
+     * the one for @p upper_bounds[i] counting @p hist's buckets 0..i
      * — a closing le="+Inf" bucket equal to the sample total, then
      * <name>_sum (@p sum, in the same unit as the bounds) and
-     * <name>_count.
+     * <name>_count. Buckets at or past upper_bounds.size() count
+     * only in +Inf.
      *
-     * @throws UsageError when @p upper_bounds does not match the
-     *         histogram's bucket count or is not strictly increasing
+     * @throws UsageError when @p upper_bounds is not strictly
+     *         increasing
      */
     void histogram(const std::string &name,
                    const std::vector<PromLabel> &labels,
-                   const FixedHistogram &hist,
+                   const Histogram &hist,
                    const std::vector<double> &upper_bounds,
                    double sum);
 

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <ctime>
 #include <fstream>
 
 #include <unistd.h>
 
 #include "common/json.hh"
+#include "common/log.hh"
 #include "common/logging.hh"
 #include "trace/format.hh"
 
@@ -93,17 +93,6 @@ dirsimEnvironment()
     return vars;
 }
 
-std::string
-utcTimestamp()
-{
-    const std::time_t now = std::time(nullptr);
-    std::tm utc{};
-    gmtime_r(&now, &utc);
-    char buf[32];
-    std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &utc);
-    return buf;
-}
-
 RunManifest
 RunManifest::capture(const std::vector<SchemeSpec> &schemes,
                      const SimConfig &config)
@@ -132,13 +121,13 @@ RunManifest::capture(const std::vector<SchemeSpec> &schemes,
 void
 RunManifest::stampStart()
 {
-    startedAt = utcTimestamp();
+    startedAt = logTimestampUtc();
 }
 
 void
 RunManifest::stampFinish()
 {
-    finishedAt = utcTimestamp();
+    finishedAt = logTimestampUtc();
 }
 
 SimConfig

@@ -102,9 +102,6 @@ std::uint64_t fileChecksumFnv64(const std::string &path);
 std::vector<std::pair<std::string, std::string>>
 dirsimEnvironment();
 
-/** Current time as ISO 8601 UTC ("2026-08-06T12:34:56Z"). */
-std::string utcTimestamp();
-
 } // namespace dirsim
 
 #endif // DIRSIM_OBS_MANIFEST_HH

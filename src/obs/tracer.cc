@@ -10,6 +10,19 @@
 namespace dirsim
 {
 
+namespace
+{
+
+/** Record a finished write run; runs of traceDistBuckets writes or
+ *  more share the last (overflow) bucket. */
+void
+addRun(Histogram &runs, std::uint64_t length)
+{
+    runs.add(std::min<std::uint64_t>(length, traceDistBuckets));
+}
+
+} // namespace
+
 TracerConfig
 TracerConfig::fromEnvironment()
 {
@@ -75,9 +88,10 @@ EventTracer::exportMetrics(MetricRegistry &metrics) const
     std::lock_guard<std::mutex> lock(mutex);
     const std::string prefix = "trace.dist.write_run_length";
     metrics.add(prefix + ".samples", runHist.samples());
-    if (runHist.overflow() != 0)
-        metrics.add(prefix + ".overflow", runHist.overflow());
-    for (std::uint64_t v = 0; v < runHist.bucketCount(); ++v) {
+    if (runHist.count(traceDistBuckets) != 0)
+        metrics.add(prefix + ".overflow",
+                    runHist.count(traceDistBuckets));
+    for (std::uint64_t v = 0; v < traceDistBuckets; ++v) {
         if (runHist.count(v) != 0)
             metrics.add(prefix + "." + std::to_string(v),
                         runHist.count(v));
@@ -136,7 +150,7 @@ EventTracer::Session::dataRef(BlockNum block, CacheId cache,
     if (!is_write) {
         // Any read to the block ends the current write run.
         if (it != openRuns.end()) {
-            runHist.add(it->second.length);
+            addRun(runHist, it->second.length);
             openRuns.erase(it);
         }
         return;
@@ -150,7 +164,7 @@ EventTracer::Session::dataRef(BlockNum block, CacheId cache,
         return;
     }
     // A different cache took over writing: close and restart.
-    runHist.add(it->second.length);
+    addRun(runHist, it->second.length);
     it->second = WriteRun{cache, 1};
 }
 
@@ -161,7 +175,7 @@ EventTracer::Session::finish()
         return;
     finished = true;
     for (const auto &[block, run] : openRuns)
-        runHist.add(run.length);
+        addRun(runHist, run.length);
     openRuns.clear();
     owner->absorb(*this);
 }

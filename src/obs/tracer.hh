@@ -33,13 +33,18 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/histogram.hh"
+#include "common/histogram.hh"
 #include "protocols/events.hh"
 
 namespace dirsim
 {
 
 class MetricRegistry;
+
+/** Write runs of this many writes or more share the last bucket of
+ *  the write-run histogram, which exportMetrics() names "overflow";
+ *  shorter runs resolve exactly. */
+inline constexpr std::size_t traceDistBuckets = 64;
 
 /** Tracer knobs. */
 struct TracerConfig
@@ -104,8 +109,9 @@ class EventTracer
 
     const TracerConfig &config() const { return tracerConfig; }
 
-    /** Lengths of uninterrupted single-writer runs per block. */
-    const FixedHistogram &writeRunLengths() const { return runHist; }
+    /** Lengths of uninterrupted single-writer runs per block, each
+     *  clamped to traceDistBuckets. */
+    const Histogram &writeRunLengths() const { return runHist; }
 
     /** Timeline events emitted across all sessions (kept+dropped). */
     std::uint64_t emittedEvents() const { return emitted; }
@@ -135,7 +141,7 @@ class EventTracer
 
     TracerConfig tracerConfig;
     mutable std::mutex mutex;
-    FixedHistogram runHist{traceDistBuckets};
+    Histogram runHist;
     std::vector<CellTimeline> cellTimelines;
     std::uint64_t emitted = 0;
     std::uint64_t droppedTotal = 0;
@@ -190,7 +196,7 @@ class EventTracer::Session : public ProtocolTraceSink
     std::uint64_t ringSeen = 0;
     std::uint64_t ringDropped = 0;
 
-    FixedHistogram runHist{traceDistBuckets};
+    Histogram runHist;
     std::unordered_map<BlockNum, WriteRun> openRuns;
     bool finished = false;
 };

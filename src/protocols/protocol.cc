@@ -367,16 +367,13 @@ void
 CoherenceProtocol::setState(CacheId cache, BlockNum block,
                             CacheBlockState state)
 {
-    if (oracleMode) {
-        if (!holderSets.contains(block, cache)) [[unlikely]]
-            panic(name(), ": setState for a block cache ", cache,
-                  " does not hold");
-    } else {
-        if (!caches[cache]->contains(block)) [[unlikely]]
-            panic(name(), ": setState for a block cache ", cache,
-                  " does not hold");
+    // The holder oracle mirrors every cache's residency, so one
+    // check serves both modes and set() is the only cache probe.
+    if (!holderSets.contains(block, cache)) [[unlikely]]
+        panic(name(), ": setState for a block cache ", cache,
+              " does not hold");
+    if (!oracleMode)
         caches[cache]->set(block, state);
-    }
     if (isDirtyState(state))
         dirtyOwners[block] = cache;
     else if (dirtyOwners[block] == cache)

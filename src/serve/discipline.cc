@@ -2,38 +2,8 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
-
 namespace dirsim
 {
-
-void
-FcfsDiscipline::enqueue(const QueuedRun &run)
-{
-    queue.push_back(run);
-}
-
-std::optional<QueuedRun>
-FcfsDiscipline::dequeue()
-{
-    if (queue.empty())
-        return std::nullopt;
-    QueuedRun run = queue.front();
-    queue.pop_front();
-    return run;
-}
-
-bool
-FcfsDiscipline::remove(std::uint64_t id)
-{
-    const auto it = std::find_if(
-        queue.begin(), queue.end(),
-        [&](const QueuedRun &run) { return run.id == id; });
-    if (it == queue.end())
-        return false;
-    queue.erase(it);
-    return true;
-}
 
 void
 RoundRobinDiscipline::enqueue(const QueuedRun &run)
@@ -93,17 +63,6 @@ RoundRobinDiscipline::size() const
     for (const auto &[client, queue] : queues)
         total += queue.size();
     return total;
-}
-
-std::unique_ptr<ServiceDiscipline>
-makeDiscipline(const std::string &name)
-{
-    if (name == "fcfs")
-        return std::make_unique<FcfsDiscipline>();
-    if (name == "round-robin" || name == "rr")
-        return std::make_unique<RoundRobinDiscipline>();
-    fatal("unknown service discipline '", name,
-          "' (expected 'fcfs' or 'round-robin')");
 }
 
 } // namespace dirsim

@@ -1,19 +1,20 @@
 /**
  * @file
- * Service disciplines: the order the daemon's worker drains queued
- * sweeps.
+ * The daemon's run queue: the order its worker drains queued sweeps.
  *
  * The worker ThreadPool is a shared resource exactly like the bus in
- * the service-discipline literature: with plain FCFS, one client
- * submitting a giant sweep makes every later client wait the whole
- * campaign out. The round-robin discipline arbitrates *across
- * clients* (one queue per X-Dirsim-Client identity, drained in
+ * the service-discipline literature: with one arrival-order queue,
+ * one client submitting a giant sweep makes every later client wait
+ * the whole campaign out. The queue therefore arbitrates *across
+ * clients* (one FIFO per X-Dirsim-Client identity, drained in
  * rotation), so interactive one-cell sweeps interleave with batch
- * campaigns regardless of arrival order.
+ * campaigns regardless of arrival order. Submissions without the
+ * header share one anonymous identity, so a daemon whose clients
+ * send none serves in arrival order.
  *
- * Disciplines order queued runs only — they are plain data
- * structures, not thread-safe; the server serializes access under
- * its state mutex (and tests drive them directly).
+ * The queue orders runs only — it is a plain data structure, not
+ * thread-safe; the server serializes access under its state mutex
+ * (and tests drive it directly).
  */
 
 #ifndef DIRSIM_SERVE_DISCIPLINE_HH
@@ -22,7 +23,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 
@@ -40,58 +40,28 @@ struct QueuedRun
     bool operator==(const QueuedRun &) const = default;
 };
 
-/** The queue-drain policy interface. */
-class ServiceDiscipline
-{
-  public:
-    virtual ~ServiceDiscipline() = default;
-
-    /** Policy name ("fcfs", "round-robin"). */
-    virtual const char *name() const = 0;
-
-    /** Add a run to the queue. */
-    virtual void enqueue(const QueuedRun &run) = 0;
-
-    /** Remove and return the next run to serve; nullopt when empty. */
-    virtual std::optional<QueuedRun> dequeue() = 0;
-
-    /** Drop a queued run (cancellation).
-     *  @return true when it was queued */
-    virtual bool remove(std::uint64_t id) = 0;
-
-    virtual std::size_t size() const = 0;
-
-    bool empty() const { return size() == 0; }
-};
-
-/** First come, first served: one global arrival-order queue. */
-class FcfsDiscipline : public ServiceDiscipline
-{
-  public:
-    const char *name() const override { return "fcfs"; }
-    void enqueue(const QueuedRun &run) override;
-    std::optional<QueuedRun> dequeue() override;
-    bool remove(std::uint64_t id) override;
-    std::size_t size() const override { return queue.size(); }
-
-  private:
-    std::deque<QueuedRun> queue;
-};
-
 /**
  * Round-robin across clients: per-client FIFO queues drained in a
  * fixed rotation, continuing after the last-served client. A client
  * with ten queued sweeps yields after each one to every other
- * waiting client.
+ * waiting client; a single identity is served in arrival order.
  */
-class RoundRobinDiscipline : public ServiceDiscipline
+class RoundRobinDiscipline
 {
   public:
-    const char *name() const override { return "round-robin"; }
-    void enqueue(const QueuedRun &run) override;
-    std::optional<QueuedRun> dequeue() override;
-    bool remove(std::uint64_t id) override;
-    std::size_t size() const override;
+    /** Add a run to the queue. */
+    void enqueue(const QueuedRun &run);
+
+    /** Remove and return the next run to serve; nullopt when empty. */
+    std::optional<QueuedRun> dequeue();
+
+    /** Drop a queued run (cancellation).
+     *  @return true when it was queued */
+    bool remove(std::uint64_t id);
+
+    std::size_t size() const;
+
+    bool empty() const { return rotation.empty(); }
 
   private:
     /** Client rotation in first-appearance order; clients whose
@@ -100,10 +70,6 @@ class RoundRobinDiscipline : public ServiceDiscipline
     std::deque<std::string> rotation;
     std::map<std::string, std::deque<QueuedRun>> queues;
 };
-
-/** Build a discipline by name. @throws UsageError on unknown names */
-std::unique_ptr<ServiceDiscipline> makeDiscipline(
-    const std::string &name);
 
 } // namespace dirsim
 

@@ -1,6 +1,5 @@
 #include "serve/server.hh"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <sstream>
@@ -11,7 +10,6 @@
 #include "common/log.hh"
 #include "common/logging.hh"
 #include "obs/artifacts.hh"
-#include "obs/cell_cache.hh"
 #include "obs/exposition.hh"
 #include "obs/phase.hh"
 #include "obs/sink.hh"
@@ -24,9 +22,10 @@ namespace dirsim
 namespace
 {
 
-/** Regular buckets of the latency histograms: log2 milliseconds,
- *  bucket b holding waits in [2^(b-1), 2^b - 1] ms (bucket 0 =
- *  sub-millisecond). 2^31 ms ≈ 25 days — nothing overflows. */
+/** Exposed buckets of the latency histograms: log2 milliseconds,
+ *  bucket b = bit_width(whole milliseconds) holding durations below
+ *  2^b ms (bucket 0 = sub-millisecond). Durations of 2^31 ms (about
+ *  25 days) or more count only in +Inf. */
 constexpr std::size_t latencyBuckets = 32;
 
 std::uint64_t
@@ -35,15 +34,15 @@ latencyBucket(std::uint64_t duration_ns)
     return std::bit_width(duration_ns / 1000000);
 }
 
-/** Cumulative upper bounds of the latency buckets, in seconds. */
+/** Cumulative upper bounds of the latency buckets, in seconds:
+ *  bucket b holds durations below 2^b ms. */
 std::vector<double>
 latencyBounds()
 {
     std::vector<double> bounds;
     bounds.reserve(latencyBuckets);
     for (std::size_t b = 0; b < latencyBuckets; ++b)
-        bounds.push_back((std::pow(2.0, static_cast<double>(b)) - 1.0)
-                         / 1e3);
+        bounds.push_back(std::pow(2.0, static_cast<double>(b)) / 1e3);
     return bounds;
 }
 
@@ -140,28 +139,8 @@ stateEventLine(const std::string &state)
 
 } // namespace
 
-ServeConfig
-ServeConfig::fromEnvironment()
-{
-    ServeConfig config;
-    const unsigned port = envUnsigned("DIRSIM_SERVE_PORT", 0);
-    fatalIf(port > 65535, "DIRSIM_SERVE_PORT ", port,
-            " is not a valid port");
-    config.port = static_cast<std::uint16_t>(port);
-    config.queueCapacity = envU64("DIRSIM_SERVE_QUEUE", 8);
-    config.jobs = envUnsigned("DIRSIM_SERVE_JOBS", 0);
-    config.discipline =
-        envString("DIRSIM_SERVE_DISCIPLINE").value_or("fcfs");
-    config.cache = FileCellCache::fromEnvironment();
-    config.journalDir =
-        envString("DIRSIM_JOURNAL_DIR").value_or("");
-    return config;
-}
-
 SweepServer::SweepServer(ServeConfig config_arg)
-    : config(std::move(config_arg)),
-      queueWaitHist(latencyBuckets),
-      runDurationHist(latencyBuckets)
+    : config(std::move(config_arg))
 {
 }
 
@@ -210,7 +189,6 @@ void
 SweepServer::start()
 {
     fatalIf(started, "server already started");
-    queue = makeDiscipline(config.discipline);
     holding = config.hold;
     serverStartNs = PhaseTimer::nowNs();
     if (!config.journalDir.empty()) {
@@ -223,7 +201,6 @@ SweepServer::start()
     workerThread = std::thread(&SweepServer::workerLoop, this);
     logEvent(LogLevel::Info, "serve.start")
         .field("port", static_cast<unsigned>(listener->port()))
-        .field("discipline", config.discipline)
         .field("queue_capacity",
                static_cast<std::uint64_t>(config.queueCapacity))
         .field("journal", config.journalDir.empty()
@@ -366,9 +343,8 @@ SweepServer::handle(const HttpRequest &request,
         std::lock_guard<std::mutex> lock(stateMutex);
         writer.beginObject()
             .key("service").value("dirsim_serve")
-            .key("discipline").value(queue->name())
             .key("queue_depth").value(
-                static_cast<std::uint64_t>(queue->size()))
+                static_cast<std::uint64_t>(queue.size()))
             .key("queue_capacity").value(
                 static_cast<std::uint64_t>(config.queueCapacity))
             .key("holding").value(holding)
@@ -510,7 +486,7 @@ SweepServer::handleSubmit(const HttpRequest &request)
         std::lock_guard<std::mutex> lock(stateMutex);
         if (stopping)
             return errorResponse(503, "daemon is shutting down");
-        if (queue->size() >= config.queueCapacity)
+        if (queue.size() >= config.queueCapacity)
             return errorResponse(
                 429, "queue full ("
                     + std::to_string(config.queueCapacity)
@@ -526,7 +502,7 @@ SweepServer::handleSubmit(const HttpRequest &request)
         entry->events.push_back("{\"kind\":\"state\",\"state\":"
                                 "\"queued\"}");
         runs.emplace(id, std::move(entry));
-        queue->enqueue({id, client});
+        queue.enqueue({id, client});
 
         JournalEvent event;
         event.kind = "submitted";
@@ -630,9 +606,8 @@ SweepServer::handleServiceStatus()
     JsonWriter writer(os);
     writer.beginObject()
         .key("service").value("dirsim_serve")
-        .key("discipline").value(queue->name())
         .key("queue_depth").value(
-            static_cast<std::uint64_t>(queue->size()))
+            static_cast<std::uint64_t>(queue.size()))
         .key("queue_capacity").value(
             static_cast<std::uint64_t>(config.queueCapacity))
         .key("holding").value(holding)
@@ -668,9 +643,8 @@ SweepServer::handleMetrics()
     prom.help("dirsim_serve_queue_depth",
               "Runs waiting in the service queue");
     prom.type("dirsim_serve_queue_depth", "gauge");
-    prom.sample("dirsim_serve_queue_depth",
-                {{"discipline", queue->name()}},
-                static_cast<std::uint64_t>(queue->size()));
+    prom.sample("dirsim_serve_queue_depth", {},
+                static_cast<std::uint64_t>(queue.size()));
 
     prom.help("dirsim_serve_queue_capacity",
               "Queued-run bound; submissions past it get 429");
@@ -700,16 +674,14 @@ SweepServer::handleMetrics()
     prom.help("dirsim_serve_queue_wait_seconds",
               "Submission-to-dispatch wait per run");
     prom.type("dirsim_serve_queue_wait_seconds", "histogram");
-    prom.histogram("dirsim_serve_queue_wait_seconds",
-                   {{"discipline", queue->name()}}, queueWaitHist,
-                   bounds, queueWaitSumSeconds);
+    prom.histogram("dirsim_serve_queue_wait_seconds", {},
+                   queueWaitHist, bounds, queueWaitSumSeconds);
 
     prom.help("dirsim_serve_run_duration_seconds",
               "Sweep execution wall time per run");
     prom.type("dirsim_serve_run_duration_seconds", "histogram");
-    prom.histogram("dirsim_serve_run_duration_seconds",
-                   {{"discipline", queue->name()}}, runDurationHist,
-                   bounds, runDurationSumSeconds);
+    prom.histogram("dirsim_serve_run_duration_seconds", {},
+                   runDurationHist, bounds, runDurationSumSeconds);
 
     prom.help("dirsim_serve_cells_completed_total",
               "Sweep cells finished across all runs");
@@ -768,8 +740,8 @@ SweepServer::handleTrace(std::uint64_t id)
                 + " predates this daemon process; its timeline was "
                   "not recorded");
 
-    // Lane 0: the run's own lifecycle. Workers get lanes 1..N in
-    // order of first cell start; HTTP requests share the last lane.
+    // Lane 0: the run's own lifecycle. Workers get lanes 1..N
+    // (workerCellSpans()); HTTP requests share the last lane.
     std::vector<TraceSpan> spans;
     const std::uint64_t started_mark =
         entry.startedNs != 0 ? entry.startedNs : now;
@@ -802,35 +774,12 @@ SweepServer::handleTrace(std::uint64_t id)
         spans.push_back(std::move(run));
     }
 
-    std::vector<const CellTiming *> cells;
-    cells.reserve(entry.timings.size());
-    for (const CellTiming &cell : entry.timings)
-        cells.push_back(&cell);
-    std::sort(cells.begin(), cells.end(),
-              [](const CellTiming *a, const CellTiming *b) {
-                  return a->startNs < b->startNs;
-              });
-    std::map<std::uint64_t, unsigned> lanes;
-    for (const CellTiming *cell : cells)
-        if (!lanes.contains(cell->threadTag))
-            lanes.emplace(cell->threadTag,
-                          static_cast<unsigned>(lanes.size() + 1));
-    for (const CellTiming *cell : cells) {
-        TraceSpan span;
-        span.name = cell->scheme + "/" + cell->traceName;
-        span.category = "cell";
-        span.lane = lanes.at(cell->threadTag);
-        span.startNs = cell->startNs;
-        span.durationNs = static_cast<std::uint64_t>(
-            cell->wallSeconds * 1e9);
-        span.args.emplace_back("refs", std::to_string(cell->refs));
-        span.args.emplace_back("cache_hit",
-                               cell->cacheHit ? "true" : "false");
-        spans.push_back(std::move(span));
-    }
+    std::vector<std::string> lane_names{"run"};
+    for (TraceSpan &cell : workerCellSpans(entry.timings, lane_names))
+        spans.push_back(std::move(cell));
 
-    const unsigned http_lane =
-        static_cast<unsigned>(lanes.size() + 1);
+    const auto http_lane = static_cast<unsigned>(lane_names.size());
+    lane_names.push_back("http");
     for (const TraceSpan &request : httpSpans) {
         // Keep requests overlapping the run's window; the submitting
         // POST itself starts a hair before submittedNs is stamped,
@@ -843,12 +792,6 @@ SweepServer::handleTrace(std::uint64_t id)
         span.lane = http_lane;
         spans.push_back(std::move(span));
     }
-
-    std::vector<std::string> lane_names;
-    lane_names.push_back("run");
-    for (unsigned lane = 1; lane <= lanes.size(); ++lane)
-        lane_names.push_back("worker " + std::to_string(lane));
-    lane_names.push_back("http");
 
     std::ostringstream os;
     writeChromeSpans(os, spans, entry.submittedNs, lane_names);
@@ -936,7 +879,7 @@ SweepServer::handleCancel(std::uint64_t id)
                              "unknown run " + std::to_string(id));
     RunEntry &entry = *it->second;
     if (entry.state == "queued") {
-        queue->remove(id);
+        queue.remove(id);
         entry.state = "cancelled";
         entry.finishedNs = PhaseTimer::nowNs();
         entry.events.push_back("{\"kind\":\"state\",\"state\":"
@@ -1013,11 +956,11 @@ SweepServer::workerLoop()
         {
             std::unique_lock<std::mutex> lock(stateMutex);
             workCv.wait(lock, [&] {
-                return stopping || (!holding && !queue->empty());
+                return stopping || (!holding && !queue.empty());
             });
             if (stopping)
                 return;
-            const std::optional<QueuedRun> next = queue->dequeue();
+            const std::optional<QueuedRun> next = queue.dequeue();
             if (!next)
                 continue;
             entry = runs.at(next->id).get();

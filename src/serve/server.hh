@@ -3,10 +3,10 @@
  * SweepServer: the dirsim_serve daemon core.
  *
  * A loopback HTTP/1.1 service that accepts sweep specs over POST,
- * queues them under a pluggable service discipline (serve/
- * discipline.hh), executes them one at a time on the sweep engine
- * (sweep/run.hh), streams per-cell progress as JSONL, and serves
- * finished artifacts and artifact diffs. The HTTP surface
+ * queues them round-robin across clients (serve/discipline.hh),
+ * executes them one at a time on the sweep engine (sweep/run.hh),
+ * streams per-cell progress as JSONL, and serves finished artifacts
+ * and artifact diffs. The HTTP surface
  * (docs/sweep.md, "The HTTP surface"):
  *
  *   GET  /                      service status + queue depth
@@ -30,12 +30,12 @@
  *   POST /admin/release         release a --hold'ed worker
  *   POST /shutdown              stop the daemon
  *
- * With a journal directory configured (--journal /
- * DIRSIM_JOURNAL_DIR), every run state transition is appended to a
- * persistent JSONL journal (obs/journal.hh) and replayed on startup,
- * so a restarted daemon lists its predecessors' runs — runs that were
- * in flight when the process died come back as "interrupted", and
- * resubmitting their spec resumes from the cell cache.
+ * With a journal directory configured (--journal), every run state
+ * transition is appended to a persistent JSONL journal
+ * (obs/journal.hh) and replayed on startup, so a restarted daemon
+ * lists its predecessors' runs — runs that were in flight when the
+ * process died come back as "interrupted", and resubmitting their
+ * spec resumes from the cell cache.
  *
  * Degradation is graceful by construction: a malformed spec is a 400
  * with the parser's diagnostic, a full queue is a 429 (the submitter
@@ -43,9 +43,9 @@
  * the next cell boundary, a corrupt journal record is skipped with a
  * warning, and every handler failure is a response, never a crash.
  *
- * Identity for the round-robin discipline comes from the
- * X-Dirsim-Client request header (absent = one shared anonymous
- * identity).
+ * Identity for the round-robin queue comes from the X-Dirsim-Client
+ * request header (absent = one shared anonymous identity, served in
+ * arrival order).
  */
 
 #ifndef DIRSIM_SERVE_SERVER_HH
@@ -61,8 +61,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/histogram.hh"
 #include "obs/chrome_trace.hh"
-#include "obs/histogram.hh"
 #include "obs/journal.hh"
 #include "obs/metrics.hh"
 #include "serve/discipline.hh"
@@ -73,7 +73,7 @@
 namespace dirsim
 {
 
-/** SweepServer knobs (CLI flags / DIRSIM_SERVE_* environment). */
+/** SweepServer knobs (dirsim_serve's flags). */
 struct ServeConfig
 {
     /** Listen port; 0 binds an ephemeral port (read it back via
@@ -85,9 +85,6 @@ struct ServeConfig
 
     /** Worker threads per sweep (SweepOptions::jobs; 0 = default). */
     unsigned jobs = 0;
-
-    /** Service discipline: "fcfs" or "round-robin". */
-    std::string discipline = "fcfs";
 
     /**
      * Start with the worker held: submissions queue but nothing
@@ -102,11 +99,6 @@ struct ServeConfig
     /** Journal directory (obs/journal.hh); empty = no persistence.
      *  Created on start when absent. */
     std::string journalDir;
-
-    /** Apply DIRSIM_SERVE_{PORT,QUEUE,JOBS,DISCIPLINE} over the
-     *  defaults, wire DIRSIM_CACHE_DIR as the cache, and
-     *  DIRSIM_JOURNAL_DIR as the journal directory. */
-    static ServeConfig fromEnvironment();
 };
 
 /** The daemon: listener + per-connection handlers + one sweep
@@ -208,7 +200,7 @@ class SweepServer
     std::condition_variable workCv;   ///< worker: queue/stop changes
     std::condition_variable eventsCv; ///< streamers: event appends
     std::condition_variable stopCv;   ///< waitForShutdown
-    std::unique_ptr<ServiceDiscipline> queue;
+    RoundRobinDiscipline queue;
     std::map<std::uint64_t, std::unique_ptr<RunEntry>> runs;
     std::uint64_t nextId = 1;
     bool holding = false;
@@ -227,8 +219,8 @@ class SweepServer
 
     /** Queue-wait / run-duration distributions, log2-millisecond
      *  buckets (serve/server.cc latencyBucket()). */
-    FixedHistogram queueWaitHist;
-    FixedHistogram runDurationHist;
+    Histogram queueWaitHist;
+    Histogram runDurationHist;
     double queueWaitSumSeconds = 0.0;
     double runDurationSumSeconds = 0.0;
 

@@ -155,22 +155,5 @@ TEST_F(StructuredLogTest, FileSinkAppendsAcrossReopen)
     EXPECT_NE(lines[1].find("second"), std::string::npos);
 }
 
-TEST_F(StructuredLogTest, LegacyDiagnosticsRouteThroughTheSink)
-{
-    const std::string path = freshSink("legacy");
-    StructuredLog::global().setLevel(LogLevel::Info);
-    warn("disk ", 93, "% full");
-    inform("resuming");
-    const std::vector<std::string> lines = readLines(path);
-    ASSERT_EQ(lines.size(), 2u);
-    const JsonValue first = JsonValue::parse(lines[0]);
-    EXPECT_EQ(first.at("level").asString(), "warn");
-    EXPECT_EQ(first.at("event").asString(), "dirsim.warn");
-    EXPECT_EQ(first.at("msg").asString(), "disk 93% full");
-    const JsonValue second = JsonValue::parse(lines[1]);
-    EXPECT_EQ(second.at("level").asString(), "info");
-    EXPECT_EQ(second.at("msg").asString(), "resuming");
-}
-
 } // namespace
 } // namespace dirsim

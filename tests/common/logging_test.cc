@@ -51,12 +51,6 @@ TEST(LoggingTest, FatalIfThrowsWhenTrue)
     EXPECT_NO_THROW(fatalIf(false, "unused"));
 }
 
-TEST(LoggingTest, WarnAndInformDoNotThrow)
-{
-    EXPECT_NO_THROW(warn("just a warning ", 1));
-    EXPECT_NO_THROW(inform("status ", 2));
-}
-
 TEST(LoggingTest, UsageErrorDistinctFromLogicError)
 {
     try {

@@ -168,7 +168,7 @@ TEST(EventTracerTest, WriteRunLengthsFollowWriterHandoffs)
     EventTracer tracer(config);
     tracedRun(tracer, trace, "Dir1NB");
 
-    const FixedHistogram &runs = tracer.writeRunLengths();
+    const Histogram &runs = tracer.writeRunLengths();
     EXPECT_EQ(runs.samples(), 2u);
     EXPECT_EQ(runs.count(3), 1u);
     EXPECT_EQ(runs.count(2), 1u);
@@ -188,10 +188,39 @@ TEST(EventTracerTest, OpenRunsFlushOnSessionClose)
     EventTracer tracer(config);
     tracedRun(tracer, trace, "Dir0B");
 
-    const FixedHistogram &runs = tracer.writeRunLengths();
+    const Histogram &runs = tracer.writeRunLengths();
     EXPECT_EQ(runs.samples(), 2u);
     EXPECT_EQ(runs.count(2), 1u);
     EXPECT_EQ(runs.count(1), 1u);
+}
+
+TEST(EventTracerTest, LongWriteRunsExportAsOverflow)
+{
+    using test::read;
+    using test::write;
+    Trace trace;
+    trace.setName("long-run");
+    // One run of 70 writes and one of 63, each ended by a read.
+    for (int i = 0; i < 70; ++i)
+        trace.append(write(0, 0));
+    trace.append(read(1, 0));
+    for (int i = 0; i < 63; ++i)
+        trace.append(write(0, 64));
+    trace.append(read(1, 64));
+
+    TracerConfig config;
+    config.samplePeriod = 1;
+    EventTracer tracer(config);
+    tracedRun(tracer, trace, "Dir1NB");
+
+    MetricRegistry metrics;
+    tracer.exportMetrics(metrics);
+    const std::string prefix = "trace.dist.write_run_length.";
+    EXPECT_EQ(metrics.counter(prefix + "samples"), 2u);
+    EXPECT_EQ(metrics.counter(prefix + "overflow"), 1u);
+    EXPECT_EQ(metrics.counter(prefix + "63"), 1u);
+    EXPECT_FALSE(metrics.has(prefix + "64"));
+    EXPECT_FALSE(metrics.has(prefix + "70"));
 }
 
 TEST(EventTracerTest, ExportMetricsUsesTraceDistNamespace)

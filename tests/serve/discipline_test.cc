@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/logging.hh"
 #include "serve/discipline.hh"
 
 namespace dirsim
@@ -13,34 +12,38 @@ namespace
 {
 
 std::vector<std::uint64_t>
-drain(ServiceDiscipline &discipline)
+drain(RoundRobinDiscipline &queue)
 {
     std::vector<std::uint64_t> order;
-    while (auto run = discipline.dequeue())
+    while (auto run = queue.dequeue())
         order.push_back(run->id);
     return order;
 }
 
-TEST(FcfsDisciplineTest, ServesInArrivalOrder)
+TEST(RoundRobinDisciplineTest, OneIdentityServesInArrivalOrder)
 {
-    FcfsDiscipline fcfs;
-    EXPECT_TRUE(fcfs.empty());
-    fcfs.enqueue({1, "alice"});
-    fcfs.enqueue({2, "bob"});
-    fcfs.enqueue({3, "alice"});
-    EXPECT_EQ(fcfs.size(), 3u);
-    EXPECT_EQ(drain(fcfs), (std::vector<std::uint64_t>{1, 2, 3}));
-    EXPECT_EQ(fcfs.dequeue(), std::nullopt);
+    // No X-Dirsim-Client header: every run shares the anonymous
+    // identity, so the queue is first come, first served.
+    RoundRobinDiscipline rr;
+    EXPECT_TRUE(rr.empty());
+    rr.enqueue({1, ""});
+    rr.enqueue({2, ""});
+    rr.enqueue({3, ""});
+    EXPECT_EQ(rr.size(), 3u);
+    EXPECT_EQ(drain(rr), (std::vector<std::uint64_t>{1, 2, 3}));
+    EXPECT_TRUE(rr.empty());
+    EXPECT_EQ(rr.dequeue(), std::nullopt);
 }
 
-TEST(FcfsDisciplineTest, RemoveDropsOnlyTheTarget)
+TEST(RoundRobinDisciplineTest, RemoveDropsOnlyTheTarget)
 {
-    FcfsDiscipline fcfs;
-    fcfs.enqueue({1, ""});
-    fcfs.enqueue({2, ""});
-    EXPECT_TRUE(fcfs.remove(1));
-    EXPECT_FALSE(fcfs.remove(99));
-    EXPECT_EQ(drain(fcfs), (std::vector<std::uint64_t>{2}));
+    RoundRobinDiscipline rr;
+    rr.enqueue({1, ""});
+    rr.enqueue({2, ""});
+    rr.enqueue({3, ""});
+    EXPECT_TRUE(rr.remove(2));
+    EXPECT_FALSE(rr.remove(99));
+    EXPECT_EQ(drain(rr), (std::vector<std::uint64_t>{1, 3}));
 }
 
 TEST(RoundRobinDisciplineTest, InterleavesAcrossClients)
@@ -101,15 +104,6 @@ TEST(RoundRobinDisciplineTest, ReEnqueueAfterServiceGoesToBack)
     rr.enqueue({3, "a"});
     EXPECT_EQ(rr.dequeue()->id, 2u);
     EXPECT_EQ(rr.dequeue()->id, 3u);
-}
-
-TEST(MakeDisciplineTest, BuildsByName)
-{
-    EXPECT_STREQ(makeDiscipline("fcfs")->name(), "fcfs");
-    EXPECT_STREQ(makeDiscipline("round-robin")->name(),
-                 "round-robin");
-    EXPECT_STREQ(makeDiscipline("rr")->name(), "round-robin");
-    EXPECT_THROW(makeDiscipline("priority"), UsageError);
 }
 
 } // namespace

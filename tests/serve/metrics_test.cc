@@ -124,7 +124,6 @@ TEST(ServeTelemetryTest, StatusReportsOperationalDetail)
     ASSERT_EQ(response.status, 200);
     const JsonValue json = JsonValue::parse(response.body);
     EXPECT_EQ(json.at("service").asString(), "dirsim_serve");
-    EXPECT_EQ(json.at("discipline").asString(), "fcfs");
     EXPECT_EQ(json.at("queue_depth").asU64(), 0u);
     EXPECT_EQ(json.at("active_run").asU64(), 0u);
     EXPECT_GE(json.at("uptime_seconds").asDouble(), 0.0);
@@ -176,14 +175,11 @@ TEST(ServeTelemetryTest, MetricsLintCleanAndAgreeWithEventStream)
                     "dirsim_serve_requests_total{endpoint="
                     "\"/runs/{id}/events\",status=\"200\"}"),
         1.0);
-    EXPECT_EQ(sampleValue(
-                  text, "dirsim_serve_queue_wait_seconds_count{"
-                        "discipline=\"fcfs\"}"),
+    EXPECT_EQ(sampleValue(text, "dirsim_serve_queue_wait_seconds_count"),
               1.0);
-    EXPECT_EQ(sampleValue(
-                  text, "dirsim_serve_run_duration_seconds_count{"
-                        "discipline=\"fcfs\"}"),
-              1.0);
+    EXPECT_EQ(
+        sampleValue(text, "dirsim_serve_run_duration_seconds_count"),
+        1.0);
     // The finished sweep's own registry is merged and re-exposed
     // under the dirsim_sweep prefix.
     EXPECT_EQ(sampleValue(text, "dirsim_sweep_sweep_cells_total"),
@@ -197,6 +193,55 @@ TEST(ServeTelemetryTest, MetricsLintCleanAndAgreeWithEventStream)
                           "dirsim_serve_requests_total{endpoint="
                           "\"/metrics\",status=\"200\"}"),
               1.0);
+}
+
+/**
+ * For one histogram family of an exposition, whatever its labels:
+ * the `le` bound of the first bucket whose cumulative count reaches
+ * 1, and the family's _sum (-1 for either when absent).
+ */
+std::pair<double, double>
+firstBoundAndSum(const std::string &exposition,
+                 const std::string &family)
+{
+    double bound = -1.0;
+    double sum = -1.0;
+    std::istringstream in(exposition);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (!line.starts_with(family))
+            continue;
+        const double value = std::stod(line.substr(line.rfind(' ') + 1));
+        if (line.starts_with(family + "_sum")) {
+            sum = value;
+        } else if (line.starts_with(family + "_bucket{") && bound < 0.0
+                   && value >= 1.0) {
+            const std::size_t le = line.find("le=\"") + 4;
+            bound = std::stod(line.substr(le, line.find('"', le) - le));
+        }
+    }
+    return {bound, sum};
+}
+
+TEST(ServeTelemetryTest, LatencyBucketBoundsCoverTheirSamples)
+{
+    TestServer daemon;
+    const std::uint64_t id = submit(daemon.port(), kSpec);
+    EXPECT_EQ(drainEvents(daemon.port(), id).first, "done");
+
+    const HttpClientResponse response =
+        httpRequest(daemon.port(), "GET", "/metrics");
+    ASSERT_EQ(response.status, 200);
+    // One run: each histogram holds one sample, so its _sum is that
+    // sample, which the first bucket holding it must bound.
+    for (const std::string family :
+         {"dirsim_serve_queue_wait_seconds",
+          "dirsim_serve_run_duration_seconds"}) {
+        const auto [bound, sum] =
+            firstBoundAndSum(response.body, family);
+        EXPECT_GT(sum, 0.0) << family;
+        EXPECT_GE(bound, sum) << family << "\n" << response.body;
+    }
 }
 
 TEST(ServeTelemetryTest, TraceRendersTheRunTimeline)

@@ -4,6 +4,8 @@
  * (serve/server.hh), driven through the bundled HTTP client.
  */
 
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -14,6 +16,7 @@
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "obs/artifacts.hh"
+#include "obs/journal.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
 #include "sweep/run.hh"
@@ -237,6 +240,59 @@ TEST(SweepServerTest, RunsListOldestFirst)
     EXPECT_EQ(runs.at(std::size_t{1}).at("id").asU64(), b);
     EXPECT_EQ(runs.at(std::size_t{1}).at("client").asString(),
               "bob");
+}
+
+/**
+ * Submit @p clients' runs (one per entry, "" = no X-Dirsim-Client
+ * header) to a held daemon journaling into a fresh directory, release
+ * it, wait for every run, and return the run ids in the order the
+ * journal's "started" events list them.
+ */
+std::vector<std::uint64_t>
+startOrder(const char *name, const std::vector<std::string> &clients)
+{
+    const std::filesystem::path dir =
+        std::filesystem::path(testing::TempDir())
+        / "dirsim_serve_start_order" / name;
+    std::filesystem::remove_all(dir);
+    ServeConfig config;
+    config.hold = true;
+    config.journalDir = dir.string();
+    std::vector<std::uint64_t> ids;
+    {
+        TestServer daemon(config);
+        for (const std::string &client : clients)
+            ids.push_back(submit(daemon.port(), kSpec, client));
+        EXPECT_EQ(httpRequest(daemon.port(), "POST", "/admin/release")
+                      .status,
+                  200);
+        for (const std::uint64_t id : ids)
+            EXPECT_EQ(waitForRun(daemon.port(), id), "done");
+    }
+    std::vector<std::uint64_t> started;
+    std::ifstream journal(journalPathInDir(dir.string()));
+    std::string line;
+    while (std::getline(journal, line)) {
+        const JsonValue json = JsonValue::parse(line);
+        if (json.at("kind").asString() == "started")
+            started.push_back(json.at("run").asU64());
+    }
+    return started;
+}
+
+TEST(SweepServerTest, QueueServesClientsRoundRobin)
+{
+    // Client a queues two runs before b queues one: b's run goes
+    // between a's two.
+    const std::vector<std::uint64_t> rr =
+        startOrder("clients", {"a", "a", "b"});
+    EXPECT_EQ(rr, (std::vector<std::uint64_t>{1, 3, 2}));
+
+    // Without the header every run shares one identity and starts
+    // in submission order.
+    const std::vector<std::uint64_t> anonymous =
+        startOrder("anonymous", {"", "", ""});
+    EXPECT_EQ(anonymous, (std::vector<std::uint64_t>{1, 2, 3}));
 }
 
 TEST(SweepServerTest, ShutdownEndpointReleasesWaiters)
