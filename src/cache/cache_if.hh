@@ -10,18 +10,17 @@
  * Blocks are named by dense indices (sim/decoded.hh): a simulation
  * knows every block it will touch before it starts, so every
  * per-block arena is a flat array sized once, at construction, from a
- * BlockSpace.
+ * BlockSpace, by callocArena() (common/arena.hh).
  */
 
 #ifndef DIRSIM_CACHE_CACHE_IF_HH
 #define DIRSIM_CACHE_CACHE_IF_HH
 
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 
-#include "common/logging.hh"
+#include "common/arena.hh"
 #include "common/types.hh"
 
 namespace dirsim
@@ -64,34 +63,6 @@ struct CacheLine
     BlockNum block = 0;
     CacheBlockState state = stateNotPresent;
 };
-
-/** Releases the cache models' calloc'd arenas. */
-struct FreeDeleter
-{
-    void operator()(void *p) const { std::free(p); }
-};
-
-/** A cache model's per-block or per-line arena (callocArena()). */
-template <typename T>
-using CallocArena = std::unique_ptr<T[], FreeDeleter>;
-
-/**
- * @p count zeroed Ts from calloc rather than a std::vector: a grid at
- * large N builds one arena per cache per cell, and zero-filling them
- * all eagerly costs more than the simulation when each cache touches
- * a sliver of its arena. calloc leaves untouched pages on the
- * kernel's zero page, so memory and setup follow what a cache uses.
- */
-template <typename T>
-CallocArena<T>
-callocArena(std::size_t count)
-{
-    auto *arena =
-        static_cast<T *>(std::calloc(count > 0 ? count : 1, sizeof(T)));
-    fatalIf(arena == nullptr, "cannot allocate a cache arena of ", count,
-            " entries");
-    return CallocArena<T>(arena);
-}
 
 /**
  * Abstract per-process cache holding protocol state per block.
@@ -144,11 +115,6 @@ class CacheModel
     virtual void forEach(
         const std::function<void(BlockNum, CacheBlockState)> &fn)
         const = 0;
-
-    bool contains(BlockNum block) const
-    {
-        return lookup(block) != stateNotPresent;
-    }
 };
 
 /** Factory producing one cache over @p blocks per coherence-domain

@@ -1,6 +1,8 @@
 #include "directory/coarse_vector.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
@@ -22,196 +24,196 @@ digitCount(unsigned num_caches, unsigned region_size)
 
 } // namespace
 
-CoarseVector::CoarseVector(unsigned num_caches_arg,
-                           unsigned region_size_arg)
-    : numCaches(num_caches_arg), regionGranularity(region_size_arg),
-      numDigits(digitCount(num_caches_arg, region_size_arg))
-{
-    fatalIf(numCaches == 0, "CoarseVector over an empty domain");
-    const unsigned words =
-        (numDigits + digitsPerWord - 1) / digitsPerWord;
-    if (words > inlineWords)
-        heapCode.assign(words, 0);
-}
-
+template <bool Mutable>
 void
-CoarseVector::add(CacheId cache)
+CoarseVectorDirectory::BasicEntry<Mutable>::add(CacheId cache)
+    requires Mutable
 {
-    panicIfNot(cache < numCaches,
-               "CoarseVector::add: cache ", cache, " out of domain ",
-               numCaches);
-    if (regionGranularity != 0) {
-        setDigit(cache / regionGranularity, Digit::One);
-        hasMember = true;
-        return;
+    panicIfNot(cache < dir->caches, "CoarseVectorDirectory: cache ",
+               cache, " out of domain ", dir->caches);
+    if (dir->regionGranularity != 0) {
+        const unsigned region = cache / dir->regionGranularity;
+        code[region / 64] |= std::uint64_t{1} << (region % 64);
+    } else if (empty()) {
+        // Every digit fixed to the cache's bits.
+        code[0] = (std::uint64_t{dir->digitMask()} << 32) | cache;
+    } else {
+        // Digits where the cache differs from the code become BOTH.
+        const std::uint32_t mask = ternaryMask() & ~(ternaryValue() ^ cache);
+        code[0] = (std::uint64_t{mask} << 32) | (ternaryValue() & mask);
     }
-    if (!hasMember) {
-        for (unsigned d = 0; d < numDigits; ++d)
-            setDigit(d, ((cache >> d) & 1) ? Digit::One : Digit::Zero);
-        hasMember = true;
-        return;
-    }
-    for (unsigned d = 0; d < numDigits; ++d) {
-        const Digit bit = ((cache >> d) & 1) ? Digit::One : Digit::Zero;
-        const Digit cur = digitAt(d);
-        if (cur != Digit::Both && cur != bit)
-            setDigit(d, Digit::Both);
-    }
+    *flags |= memberFlag;
 }
 
+template <bool Mutable>
 void
-CoarseVector::clear()
+CoarseVectorDirectory::BasicEntry<Mutable>::clear() requires Mutable
 {
-    hasMember = false;
-    // Digit::Zero packs to 0, so the code word array just zero-fills.
-    if (heapCode.empty())
-        inlineCode.fill(0);
-    else
-        std::fill(heapCode.begin(), heapCode.end(), 0);
+    std::memset(code, 0, dir->codeWordCount * sizeof(std::uint64_t));
+    *flags = static_cast<std::uint8_t>(*flags & ~memberFlag);
 }
 
+template <bool Mutable>
+bool
+CoarseVectorDirectory::BasicEntry<Mutable>::denotes(CacheId cache) const
+{
+    if (empty() || cache >= dir->caches)
+        return false;
+    if (dir->regionGranularity != 0) {
+        const unsigned region = cache / dir->regionGranularity;
+        return (code[region / 64] >> (region % 64)) & 1;
+    }
+    return (cache & ternaryMask()) == ternaryValue();
+}
+
+template <bool Mutable>
 unsigned
-CoarseVector::bothDigits() const
+CoarseVectorDirectory::BasicEntry<Mutable>::bothDigits() const
 {
+    if (empty() || dir->regionGranularity != 0)
+        return 0;
+    return dir->numDigits
+           - static_cast<unsigned>(std::popcount(ternaryMask()));
+}
+
+template <bool Mutable>
+unsigned
+CoarseVectorDirectory::BasicEntry<Mutable>::flaggedRegions() const
+{
+    panicIfNot(dir->regionGranularity != 0,
+               "flaggedRegions() on a ternary CoarseVectorDirectory");
     unsigned n = 0;
-    for (unsigned d = 0; d < numDigits; ++d)
-        n += digitAt(d) == Digit::Both ? 1 : 0;
+    for (unsigned w = 0; w < dir->codeWordCount; ++w)
+        n += static_cast<unsigned>(std::popcount(code[w]));
     return n;
 }
 
-unsigned
-CoarseVector::regionCount() const
-{
-    panicIfNot(regionGranularity != 0,
-               "regionCount() on a ternary CoarseVector");
-    return numDigits;
-}
-
-unsigned
-CoarseVector::regionWidth(unsigned region) const
-{
-    panicIfNot(regionGranularity != 0,
-               "regionWidth() on a ternary CoarseVector");
-    panicIfNot(region < numDigits, "CoarseVector: region ", region,
-               " out of range ", numDigits);
-    // The last region is clipped when K does not divide n.
-    const unsigned begin = region * regionGranularity;
-    return std::min(regionGranularity, numCaches - begin);
-}
-
-unsigned
-CoarseVector::flaggedRegions() const
-{
-    panicIfNot(regionGranularity != 0,
-               "flaggedRegions() on a ternary CoarseVector");
-    unsigned n = 0;
-    for (unsigned r = 0; r < numDigits; ++r)
-        n += digitAt(r) == Digit::One ? 1 : 0;
-    return n;
-}
-
-void
-CoarseVector::fixedBits(unsigned &mask, unsigned &val) const
-{
-    mask = 0;
-    val = 0;
-    for (unsigned d = 0; d < numDigits; ++d) {
-        const Digit dig = digitAt(d);
-        if (dig == Digit::Both)
-            continue;
-        mask |= 1u << d;
-        if (dig == Digit::One)
-            val |= 1u << d;
-    }
-}
-
+template <bool Mutable>
 SharerSet
-CoarseVector::decode() const
+CoarseVectorDirectory::BasicEntry<Mutable>::decode() const
 {
-    SharerSet result(numCaches);
-    forEachMember([&](CacheId cache) { result.add(cache); });
+    SharerSet result(dir->caches);
+    for (CacheId cache = 0; cache < dir->caches; ++cache) {
+        if (denotes(cache))
+            result.add(cache);
+    }
     return result;
 }
 
+template <bool Mutable>
 unsigned
-CoarseVector::supersetSize() const
+CoarseVectorDirectory::BasicEntry<Mutable>::supersetSize() const
 {
-    if (!hasMember)
+    if (empty())
         return 0;
-    if (regionGranularity != 0) {
-        // Sum of clipped widths: counting regionGranularity for the
-        // last region would overstate the fan-out when K does not
-        // divide n.
-        unsigned size = 0;
-        for (unsigned r = 0; r < numDigits; ++r)
-            if (digitAt(r) == Digit::One)
-                size += regionWidth(r);
-        return size;
+    const unsigned n = dir->caches;
+    const unsigned k = dir->regionGranularity;
+    if (k != 0) {
+        // Every flagged region is K wide except a clipped last one:
+        // counting K for it would overstate the fan-out when K does
+        // not divide n.
+        const unsigned last = dir->numDigits - 1;
+        const bool last_flagged = (code[last / 64] >> (last % 64)) & 1;
+        return flaggedRegions() * k
+               - (last_flagged ? k - (n - last * k) : 0);
     }
-    unsigned mask = 0;
-    unsigned val = 0;
-    fixedBits(mask, val);
-    unsigned size = 0;
-    for (CacheId cache = 0; cache < numCaches; ++cache)
-        size += (cache & mask) == val ? 1 : 0;
-    return size;
+    // Count the x < n with (x & mask) == value. Walking n's bits from
+    // the top while x's prefix equals n's: where n has a 1 and x may
+    // take a 0, every completion of x's free lower digits is below n;
+    // the walk ends where the code forces x off n's prefix.
+    const std::uint32_t mask = ternaryMask();
+    const std::uint32_t value = ternaryValue();
+    const std::uint32_t free = ~mask & dir->digitMask();
+    unsigned count = 0;
+    for (unsigned b = dir->numDigits + 1; b-- > 0;) {
+        const std::uint32_t bit = std::uint32_t{1} << b;
+        const bool fixed = mask & bit;
+        const bool one = value & bit;
+        if (n & bit) {
+            if (!(fixed && one))
+                count += 1u << std::popcount(free & (bit - 1));
+            if (fixed && !one)
+                return count;
+        } else if (fixed && one) {
+            return count;
+        }
+    }
+    return count; // x == n itself is not below n
 }
 
+template <bool Mutable>
 std::string
-CoarseVector::toString() const
+CoarseVectorDirectory::BasicEntry<Mutable>::toString() const
 {
+    if (empty())
+        return "(empty)";
     std::string out;
-    if (regionGranularity != 0) {
+    if (dir->regionGranularity != 0) {
         // Region bits, region 0 first: "1.0.1" (flagged/unflagged).
-        for (unsigned r = 0; r < numDigits; ++r) {
+        for (unsigned r = 0; r < dir->numDigits; ++r) {
             if (r != 0)
                 out += '.';
-            out += digitAt(r) == Digit::One ? '1' : '0';
+            out += (code[r / 64] >> (r % 64)) & 1 ? '1' : '0';
         }
-        return hasMember ? out : std::string("(empty)");
+        return out;
     }
     // Most-significant digit first, matching the paper's description
     // of the word as an index.
-    for (unsigned d = numDigits; d-- > 0;) {
-        switch (digitAt(d)) {
-          case Digit::Zero:
-            out += '0';
-            break;
-          case Digit::One:
-            out += '1';
-            break;
-          case Digit::Both:
+    for (unsigned d = dir->numDigits; d-- > 0;) {
+        if (!((ternaryMask() >> d) & 1))
             out += '*';
-            break;
-        }
+        else
+            out += (ternaryValue() >> d) & 1 ? '1' : '0';
         if (d != 0)
             out += ' ';
     }
-    return hasMember ? out : std::string("(empty)");
+    return out;
 }
+
+template class CoarseVectorDirectory::BasicEntry<true>;
+template class CoarseVectorDirectory::BasicEntry<false>;
 
 CoarseVectorDirectory::CoarseVectorDirectory(unsigned num_caches_arg,
                                              unsigned region_size_arg,
                                              std::uint64_t block_count)
-    : caches(num_caches_arg), regionGranularity(region_size_arg)
+    : caches(num_caches_arg), regionGranularity(region_size_arg),
+      numDigits(0), codeWordCount(0), blocks(block_count)
 {
     fatalIf(caches == 0, "directory needs at least one cache");
-    entries.assign(block_count, Entry(caches, regionGranularity));
+    fatalIf(caches > maxCacheDomain, "a coarse-vector directory over ",
+            caches, " caches exceeds the domain limit of ",
+            maxCacheDomain);
+    numDigits = digitCount(caches, regionGranularity);
+    codeWordCount = regionGranularity == 0 ? 1 : (numDigits + 63) / 64;
+    words = callocArena<std::uint64_t>(block_count * codeWordCount);
+    flags = callocArena<std::uint8_t>(block_count);
 }
 
-CoarseVectorDirectory::Entry &
-CoarseVectorDirectory::entry(BlockNum block)
+unsigned
+CoarseVectorDirectory::regionCount() const
 {
-    panicIfNot(block < entries.size(),
-               "CoarseVectorDirectory: block ", block,
-               " outside the arena of ", entries.size(), " blocks");
-    return entries[block];
+    panicIfNot(regionGranularity != 0,
+               "regionCount() on a ternary CoarseVectorDirectory");
+    return numDigits;
 }
 
-const CoarseVectorDirectory::Entry *
-CoarseVectorDirectory::find(BlockNum block) const
+unsigned
+CoarseVectorDirectory::regionWidth(unsigned region) const
 {
-    return block < entries.size() ? &entries[block] : nullptr;
+    panicIfNot(regionGranularity != 0,
+               "regionWidth() on a ternary CoarseVectorDirectory");
+    panicIfNot(region < numDigits, "CoarseVectorDirectory: region ",
+               region, " out of range ", numDigits);
+    // The last region is clipped when K does not divide n.
+    const unsigned begin = region * regionGranularity;
+    return std::min(regionGranularity, caches - begin);
+}
+
+void
+CoarseVectorDirectory::rangePanic(BlockNum block) const
+{
+    panic("CoarseVectorDirectory: block ", block,
+          " outside the arena of ", blocks, " blocks");
 }
 
 } // namespace dirsim

@@ -10,20 +10,23 @@
 #ifndef DIRSIM_DIRECTORY_COARSE_VECTOR_HH
 #define DIRSIM_DIRECTORY_COARSE_VECTOR_HH
 
-#include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
+#include <type_traits>
 
+#include "common/arena.hh"
 #include "directory/sharer_set.hh"
 
 namespace dirsim
 {
 
 /**
- * Superset code over cache indices, in one of two representations:
+ * A directory whose entries keep a dirty bit plus a superset code
+ * over cache indices, for the Section 6 limited-broadcast
+ * evaluation. The code takes one of two forms, the same for every
+ * entry of a directory:
  *
- *  - Ternary (region_size == 0, the default): the Section 6 word of
+ *  - Ternary (region_size == 0): the Section 6 word of
  *    d = ceil(log2 n) digits described in the file comment.
  *
  *  - Region vector (region_size == K >= 1): one presence bit per
@@ -33,14 +36,16 @@ namespace dirsim
  *    last region is narrower — regionWidth() is the clipped width,
  *    and every fan-out count uses it, never a blanket r*K.
  *
- * Digits are packed two bits each into words held inline (up to 128
- * digits — every configuration the scaling suite runs, including
- * region mode at N=1024 with K=12), falling back to a heap word array
- * sized once at construction. A dense arena of directory entries is
- * therefore a single flat allocation, and probing the code via
- * forEachMember()/supersetSize() never materializes a SharerSet.
+ * The entries of the blocks [0, block_count) live in two calloc'd
+ * arenas: the code words of every block and one flags byte per block
+ * (dirty, has-member). A ternary code is one word: digit i is
+ * fixed when bit 32+i is set, to the value of bit i, and BOTH
+ * otherwise, so 0, 1 and BOTH are the bit pairs (1,0), (1,1) and
+ * (0,0). A region code keeps region r's flag in bit r%64 of word
+ * r/64. All-zero bytes are an empty entry, so construction
+ * zero-fills nothing, and the geometry is kept once, here.
  *
- * Invariants (property-tested):
+ * Invariants (property-tested against brute-force enumeration):
  *  - decode() is always a superset of the exact sharer set encoded;
  *  - ternary: a code holding a single cache decodes exactly to that
  *    cache, and with k digits marked BOTH the superset has exactly
@@ -49,25 +54,115 @@ namespace dirsim
  *    regions clipped to the domain, and supersetSize() equals the
  *    sum of their clipped widths.
  */
-class CoarseVector
+class CoarseVectorDirectory
 {
   public:
     /**
-     * @param num_caches_arg domain size n (>= 1)
-     * @param region_size_arg 0 for the ternary code, else the region
-     *        granularity K (need not divide n)
+     * One block's entry: a handle over the block's slice of the
+     * directory's arenas, valid while the directory lives. Entry
+     * edits the entry; ConstEntry only reads it.
      */
-    explicit CoarseVector(unsigned num_caches_arg,
-                          unsigned region_size_arg = 0);
+    template <bool Mutable>
+    class BasicEntry
+    {
+        template <typename T>
+        using Slot = std::conditional_t<Mutable, T, const T>;
 
-    /** True when no cache has been encoded since the last clear. */
-    bool empty() const { return !hasMember; }
+      public:
+        BasicEntry(const CoarseVectorDirectory &dir_arg,
+                   Slot<std::uint64_t> *code_arg,
+                   Slot<std::uint8_t> *flags_arg)
+            : dir(&dir_arg), code(code_arg), flags(flags_arg)
+        {}
 
-    /** Fold cache @p cache into the code. */
-    void add(CacheId cache);
+        bool dirty() const { return *flags & dirtyFlag; }
+        void setDirty(bool dirty_arg) requires Mutable
+        {
+            *flags = static_cast<std::uint8_t>(
+                dirty_arg ? *flags | dirtyFlag : *flags & ~dirtyFlag);
+        }
 
-    /** Reset to the empty code. */
-    void clear();
+        /** True when no cache has been encoded since the last clear. */
+        bool empty() const { return !(*flags & memberFlag); }
+
+        /** Fold cache @p cache into the code. */
+        void add(CacheId cache) requires Mutable;
+
+        /** Reset the code to empty; the dirty bit is kept. */
+        void clear() requires Mutable;
+
+        /** True iff @p cache is in the denoted superset (false for an
+         *  empty code or a cache outside the domain). */
+        bool denotes(CacheId cache) const;
+
+        /** Number of digits currently BOTH (0 in region mode). */
+        unsigned bothDigits() const;
+
+        /** Region mode: number of regions currently flagged. */
+        unsigned flaggedRegions() const;
+
+        /** The denoted superset of caches (clipped to the domain),
+         *  for invariant checks: O(n). */
+        SharerSet decode() const;
+
+        /**
+         * Size of the denoted superset, in O(digits) without visiting
+         * it: region mode sums the flagged regions' clipped widths,
+         * ternary mode counts the indices below n that match the
+         * fixed digits in one pass over n's bits.
+         */
+        unsigned supersetSize() const;
+
+        /** Render like "1 0 * 1" with '*' for BOTH, most-significant
+         *  digit first; region codes like "1.0.1", region 0 first. */
+        std::string toString() const;
+
+      private:
+        static constexpr std::uint8_t dirtyFlag = 1;
+        static constexpr std::uint8_t memberFlag = 2;
+
+        std::uint32_t ternaryValue() const
+        {
+            return static_cast<std::uint32_t>(code[0]);
+        }
+        std::uint32_t ternaryMask() const
+        {
+            return static_cast<std::uint32_t>(code[0] >> 32);
+        }
+
+        const CoarseVectorDirectory *dir;
+        Slot<std::uint64_t> *code;
+        Slot<std::uint8_t> *flags;
+    };
+
+    using Entry = BasicEntry<true>;
+    using ConstEntry = BasicEntry<false>;
+
+    /**
+     * @param num_caches_arg caches in the domain, 1..maxCacheDomain
+     * @param region_size_arg 0 for ternary entries, else the region
+     *        granularity K (need not divide n)
+     * @param block_count blocks the directory covers
+     */
+    CoarseVectorDirectory(unsigned num_caches_arg,
+                          unsigned region_size_arg,
+                          std::uint64_t block_count);
+
+    /** The entry of @p block; panics outside the directory. */
+    Entry entry(BlockNum block)
+    {
+        checkBlock(block);
+        return {*this, words.get() + block * codeWordCount,
+                flags.get() + block};
+    }
+    ConstEntry entry(BlockNum block) const
+    {
+        checkBlock(block);
+        return {*this, words.get() + block * codeWordCount,
+                flags.get() + block};
+    }
+
+    unsigned numCaches() const { return caches; }
 
     /** Region granularity K, or 0 for the ternary code. */
     unsigned regionSize() const { return regionGranularity; }
@@ -78,9 +173,6 @@ class CoarseVector
      */
     unsigned digits() const { return numDigits; }
 
-    /** Number of digits currently BOTH (0 in region mode). */
-    unsigned bothDigits() const;
-
     /** Region mode: number of regions ceil(n / K). */
     unsigned regionCount() const;
 
@@ -89,56 +181,7 @@ class CoarseVector
      *  does not divide n. */
     unsigned regionWidth(unsigned region) const;
 
-    /** Region mode: number of regions currently flagged. */
-    unsigned flaggedRegions() const;
-
-    /**
-     * Visit the denoted superset in ascending cache order without
-     * materializing it — the alloc-free decode used by the
-     * invalidation fan-out. Region mode walks the flagged regions'
-     * clipped ranges; ternary mode matches each index against the
-     * mask/value the non-BOTH digits pin down.
-     */
-    template <typename Fn>
-    void forEachMember(Fn &&fn) const
-    {
-        if (!hasMember)
-            return;
-        if (regionGranularity != 0) {
-            for (unsigned r = 0; r < numDigits; ++r) {
-                if (digitAt(r) != Digit::One)
-                    continue;
-                const CacheId begin = r * regionGranularity;
-                const CacheId end = begin + regionWidth(r);
-                for (CacheId cache = begin; cache < end; ++cache)
-                    fn(cache);
-            }
-            return;
-        }
-        unsigned mask = 0;
-        unsigned val = 0;
-        fixedBits(mask, val);
-        for (CacheId cache = 0; cache < numCaches; ++cache) {
-            if ((cache & mask) == val)
-                fn(cache);
-        }
-    }
-
-    /** The denoted superset of caches (clipped to the domain). */
-    SharerSet decode() const;
-
-    /**
-     * Size of the denoted superset — the invalidation fan-out when
-     * the code is probed. Region mode sums the flagged regions'
-     * clipped widths (O(regions)); ternary mode counts the matching
-     * indices. Neither allocates.
-     */
-    unsigned supersetSize() const;
-
-    /** Render like "1 0 * 1" with '*' for BOTH (for diagnostics). */
-    std::string toString() const;
-
-    /** Hardware cost of the code in bits: 2 per ternary digit, or 1
+    /** Hardware cost of a code in bits: 2 per ternary digit, or 1
      *  per region bit. */
     unsigned storageBits() const
     {
@@ -146,95 +189,31 @@ class CoarseVector
     }
 
   private:
-    enum class Digit : std::uint8_t { Zero, One, Both };
-
-    /** Two bits per digit. */
-    static constexpr unsigned digitsPerWord = 32;
-    /** Inline code words: 128 digits before the heap fallback. */
-    static constexpr unsigned inlineWords = 4;
-
-    const std::uint64_t *codeWords() const
+    void checkBlock(BlockNum block) const
     {
-        return heapCode.empty() ? inlineCode.data() : heapCode.data();
+        if (block >= blocks) [[unlikely]]
+            rangePanic(block);
     }
-    std::uint64_t *codeWords()
+    [[noreturn]] void rangePanic(BlockNum block) const;
+
+    /** Ternary: the bits the digits cover. */
+    std::uint32_t digitMask() const
     {
-        return heapCode.empty() ? inlineCode.data() : heapCode.data();
+        return static_cast<std::uint32_t>((std::uint64_t{1} << numDigits)
+                                          - 1);
     }
 
-    Digit digitAt(unsigned digit) const
-    {
-        const std::uint64_t word = codeWords()[digit / digitsPerWord];
-        return static_cast<Digit>(
-            (word >> (2 * (digit % digitsPerWord))) & 3);
-    }
-
-    void setDigit(unsigned digit, Digit value)
-    {
-        std::uint64_t &word = codeWords()[digit / digitsPerWord];
-        const unsigned shift = 2 * (digit % digitsPerWord);
-        word = (word & ~(std::uint64_t{3} << shift))
-               | (static_cast<std::uint64_t>(value) << shift);
-    }
-
-    /** Ternary: the index mask/value the non-BOTH digits pin down. */
-    void fixedBits(unsigned &mask, unsigned &val) const;
-
-    unsigned numCaches;
+    unsigned caches;
     /** Region granularity K; 0 selects the ternary code. */
     unsigned regionGranularity;
-    /** Ternary digits, or region presence bits (Zero/One). */
+    /** Ternary digits, or regions. */
     unsigned numDigits;
-    bool hasMember = false;
-    /** Packed digits, 2 bits each (Zero = 0, so clear() zero-fills). */
-    std::array<std::uint64_t, inlineWords> inlineCode{};
-    /** Heap fallback when the code needs more than 128 digits. */
-    std::vector<std::uint64_t> heapCode;
-};
-
-/**
- * A directory whose entries keep a dirty bit plus a CoarseVector, for
- * the Section 6 limited-broadcast evaluation. One entry per block in
- * [0, block_count), materialized at construction, so entry access is
- * an array load.
- */
-class CoarseVectorDirectory
-{
-  public:
-    struct Entry
-    {
-        explicit Entry(unsigned num_caches, unsigned region_size = 0)
-            : sharers(num_caches, region_size)
-        {}
-        bool dirty = false;
-        CoarseVector sharers;
-    };
-
-    /**
-     * @param num_caches_arg caches in the domain
-     * @param region_size_arg 0 for ternary entries, else the region
-     *        granularity K (see CoarseVector)
-     * @param block_count blocks the directory covers
-     */
-    CoarseVectorDirectory(unsigned num_caches_arg,
-                          unsigned region_size_arg,
-                          std::uint64_t block_count);
-
-    /** The entry of @p block; panics outside the directory. */
-    Entry &entry(BlockNum block);
-
-    /** The entry of @p block, or nullptr outside the directory. */
-    const Entry *find(BlockNum block) const;
-
-    unsigned numCaches() const { return caches; }
-
-    /** Region granularity of the entries (0 = ternary). */
-    unsigned regionSize() const { return regionGranularity; }
-
-  private:
-    unsigned caches;
-    unsigned regionGranularity;
-    std::vector<Entry> entries;
+    unsigned codeWordCount;
+    std::uint64_t blocks;
+    /** Block b's code: [b * codeWordCount, (b + 1) * codeWordCount). */
+    CallocArena<std::uint64_t> words;
+    /** Block b's dirty and has-member flags. */
+    CallocArena<std::uint8_t> flags;
 };
 
 } // namespace dirsim

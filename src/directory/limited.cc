@@ -5,97 +5,85 @@
 namespace dirsim
 {
 
-LimitedEntry::LimitedEntry(unsigned num_pointers_arg,
-                           bool allow_broadcast_arg)
-    : numPointers(num_pointers_arg), allowBroadcast(allow_broadcast_arg)
-{
-    fatalIf(numPointers == 0,
-            "Dir_0 entries keep no pointers; Dir_0 NB cannot grant "
-            "exclusive access (see the paper) and Dir_0 B is the "
-            "two-bit directory (directory/two_bit.hh)");
-    if (numPointers > inlineCap)
-        heapPtrs.resize(numPointers);
-}
-
+template <bool Mutable>
 LimitedAddOutcome
-LimitedEntry::addSharer(CacheId cache, CacheId *victim)
+BasicLimitedEntry<Mutable>::addSharer(CacheId cache,
+                                      CacheId *victim) requires Mutable
 {
-    if (broadcast)
+    if (broadcastRequired())
         return LimitedAddOutcome::AlreadyBroadcast;
     if (pointsTo(cache))
         return LimitedAddOutcome::Recorded;
-    if (used < numPointers) {
-        data()[used++] = cache;
+    const unsigned used = pointerCount();
+    if (used < budget) {
+        ptrs[used] = cache;
+        ++*state; // the count is the word's low bits
         return LimitedAddOutcome::Recorded;
     }
     if (allowBroadcast) {
-        broadcast = true;
-        used = 0;
+        // Broadcast mode forgets the pointers; dirty is kept.
+        *state = (*state & dirtyBit) | broadcastBit;
         return LimitedAddOutcome::BroadcastSet;
     }
     panicIfNot(victim != nullptr,
                "Dir_i NB overflow requires a victim out-parameter");
-    *victim = data()[0];
+    *victim = ptrs[0];
     return LimitedAddOutcome::EvictionRequired;
 }
 
+template <bool Mutable>
 void
-LimitedEntry::removeSharer(CacheId cache)
+BasicLimitedEntry<Mutable>::removeSharer(CacheId cache) requires Mutable
 {
-    CacheId *ptrs = data();
-    for (std::uint32_t i = 0; i < used; ++i) {
+    const unsigned used = pointerCount();
+    for (unsigned i = 0; i < used; ++i) {
         if (ptrs[i] != cache)
             continue;
         // Close the gap, preserving FIFO order.
-        for (std::uint32_t j = i + 1; j < used; ++j)
+        for (unsigned j = i + 1; j < used; ++j)
             ptrs[j - 1] = ptrs[j];
-        --used;
+        --*state;
         return;
     }
 }
 
-void
-LimitedEntry::reset()
-{
-    used = 0;
-    broadcast = false;
-    dirty = false;
-}
-
+template <bool Mutable>
 bool
-LimitedEntry::pointsTo(CacheId cache) const
+BasicLimitedEntry<Mutable>::pointsTo(CacheId cache) const
 {
-    const CacheId *ptrs = data();
-    for (std::uint32_t i = 0; i < used; ++i) {
+    const unsigned used = pointerCount();
+    for (unsigned i = 0; i < used; ++i) {
         if (ptrs[i] == cache)
             return true;
     }
     return false;
 }
 
+template class BasicLimitedEntry<true>;
+template class BasicLimitedEntry<false>;
+
 LimitedDirectory::LimitedDirectory(unsigned num_pointers_arg,
                                    bool allow_broadcast_arg,
                                    std::uint64_t block_count)
-    : numPointers(num_pointers_arg), allowBroadcast(allow_broadcast_arg)
+    : numPointers(num_pointers_arg), allowBroadcast(allow_broadcast_arg),
+      blocks(block_count)
 {
-    fatalIf(numPointers == 0, "LimitedDirectory needs i >= 1");
-    entries.assign(block_count,
-                   LimitedEntry(numPointers, allowBroadcast));
+    fatalIf(numPointers == 0,
+            "Dir_0 entries keep no pointers; Dir_0 NB cannot grant "
+            "exclusive access (see the paper) and Dir_0 B is the "
+            "two-bit directory (directory/two_bit.hh)");
+    fatalIf(numPointers > LimitedEntry::countMask, "a pointer budget of ",
+            numPointers, " exceeds the entry's limit of ",
+            LimitedEntry::countMask);
+    ptrs = callocArena<CacheId>(block_count * numPointers);
+    states = callocArena<std::uint32_t>(block_count);
 }
 
-LimitedEntry &
-LimitedDirectory::entry(BlockNum block)
+void
+LimitedDirectory::rangePanic(BlockNum block) const
 {
-    panicIfNot(block < entries.size(),
-               "LimitedDirectory: block ", block,
-               " outside the arena of ", entries.size(), " blocks");
-    return entries[block];
-}
-
-const LimitedEntry *
-LimitedDirectory::find(BlockNum block) const
-{
-    return block < entries.size() ? &entries[block] : nullptr;
+    panic("LimitedDirectory: block ", block, " outside the arena of ",
+          blocks, " blocks");
 }
 
 } // namespace dirsim

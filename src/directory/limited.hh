@@ -9,10 +9,10 @@
 #ifndef DIRSIM_DIRECTORY_LIMITED_HH
 #define DIRSIM_DIRECTORY_LIMITED_HH
 
-#include <array>
 #include <cstdint>
-#include <vector>
+#include <type_traits>
 
+#include "common/arena.hh"
 #include "directory/sharer_set.hh"
 
 namespace dirsim
@@ -35,27 +35,35 @@ enum class LimitedAddOutcome
 };
 
 /**
- * A Dir_i directory entry.
+ * One block's Dir_i entry: a handle over the block's slice of its
+ * LimitedDirectory's arenas, valid while the directory lives.
+ * LimitedEntry edits the entry; ConstLimitedEntry only reads it.
  *
  * Pointer order is FIFO: on Dir_i NB overflow the oldest pointer is
  * offered as the eviction victim, a deterministic stand-in for the
  * arbitrary choice the paper leaves open.
- *
- * Pointers are stored inline (no heap) for budgets up to 8 — every
- * Dir_i the paper evaluates — so a dense arena of entries is a single
- * flat allocation; larger budgets fall back to a heap array sized
- * once at construction.
  */
-class LimitedEntry
+template <bool Mutable>
+class BasicLimitedEntry
 {
-  public:
-    /**
-     * @param num_pointers_arg i, the pointer budget (>= 1)
-     * @param allow_broadcast_arg true for Dir_i B, false for Dir_i NB
-     */
-    LimitedEntry(unsigned num_pointers_arg, bool allow_broadcast_arg);
+    template <typename T>
+    using Slot = std::conditional_t<Mutable, T, const T>;
 
-    bool dirty = false;
+  public:
+    /** The entry of one block: its @p budget_arg pointer slots and
+     *  its state word (LimitedDirectory::entry()). */
+    BasicLimitedEntry(Slot<CacheId> *ptrs_arg,
+                      Slot<std::uint32_t> *state_arg,
+                      unsigned budget_arg, bool allow_broadcast_arg)
+        : ptrs(ptrs_arg), state(state_arg), budget(budget_arg),
+          allowBroadcast(allow_broadcast_arg)
+    {}
+
+    bool dirty() const { return *state & dirtyBit; }
+    void setDirty(bool dirty_arg) requires Mutable
+    {
+        *state = dirty_arg ? *state | dirtyBit : *state & ~dirtyBit;
+    }
 
     /**
      * Record that @p cache now holds the block.
@@ -67,56 +75,51 @@ class LimitedEntry
      * @param cache the new sharer
      * @param victim out-parameter set on EvictionRequired
      */
-    LimitedAddOutcome addSharer(CacheId cache, CacheId *victim = nullptr);
+    LimitedAddOutcome addSharer(CacheId cache,
+                                CacheId *victim = nullptr) requires Mutable;
 
     /** Remove @p cache's pointer if present (no-op in broadcast mode). */
-    void removeSharer(CacheId cache);
+    void removeSharer(CacheId cache) requires Mutable;
 
     /** Forget everything (after a full or directed invalidation). */
-    void reset();
+    void reset() requires Mutable { *state = 0; }
 
     /** True when only a broadcast can reach all copies. */
-    bool broadcastRequired() const { return broadcast; }
+    bool broadcastRequired() const { return *state & broadcastBit; }
 
     /** True if @p cache is known (by pointer) to hold the block. */
     bool pointsTo(CacheId cache) const;
 
     /** Exact pointer count (meaningless when broadcastRequired()). */
-    unsigned pointerCount() const { return used; }
+    unsigned pointerCount() const { return *state & countMask; }
 
     /** Pointers in FIFO order (oldest first). */
-    CacheIdSpan pointerList() const { return {data(), used}; }
+    CacheIdSpan pointerList() const { return {ptrs, pointerCount()}; }
 
-    unsigned capacity() const { return numPointers; }
-    bool broadcastAllowed() const { return allowBroadcast; }
+    /** The largest pointer budget the state word can count. */
+    static constexpr std::uint32_t countMask = (1u << 30) - 1;
 
   private:
-    static constexpr unsigned inlineCap = 8;
+    /** State word: pointer count (bits 0..29), dirty, broadcast. */
+    static constexpr std::uint32_t dirtyBit = 1u << 30;
+    static constexpr std::uint32_t broadcastBit = 1u << 31;
 
-    const CacheId *data() const
-    {
-        return numPointers <= inlineCap ? inlinePtrs.data()
-                                        : heapPtrs.data();
-    }
-    CacheId *data()
-    {
-        return numPointers <= inlineCap ? inlinePtrs.data()
-                                        : heapPtrs.data();
-    }
-
-    unsigned numPointers;
+    /** FIFO, oldest first; valid prefix of length pointerCount(). */
+    Slot<CacheId> *ptrs;
+    Slot<std::uint32_t> *state;
+    unsigned budget;
     bool allowBroadcast;
-    bool broadcast = false;
-    std::uint32_t used = 0;
-    /** FIFO, oldest first; valid prefix of length @c used. */
-    std::array<CacheId, inlineCap> inlinePtrs;
-    /** Overflow storage when the budget exceeds inlineCap. */
-    std::vector<CacheId> heapPtrs;
 };
 
+using LimitedEntry = BasicLimitedEntry<true>;
+using ConstLimitedEntry = BasicLimitedEntry<false>;
+
 /**
- * One LimitedEntry per block in [0, block_count), materialized at
- * construction, so entry access is an array load.
+ * The Dir_i entries of the blocks [0, block_count) in two calloc'd
+ * arenas: block_count × i pointer slots and one state word per block
+ * (pointer count, dirty bit, broadcast bit). All-zero bytes are an
+ * empty entry, so construction zero-fills nothing, and the budget and
+ * the broadcast flag are kept once, here, rather than per entry.
  */
 class LimitedDirectory
 {
@@ -130,18 +133,37 @@ class LimitedDirectory
                      std::uint64_t block_count);
 
     /** The entry of @p block; panics outside the directory. */
-    LimitedEntry &entry(BlockNum block);
-
-    /** The entry of @p block, or nullptr outside the directory. */
-    const LimitedEntry *find(BlockNum block) const;
+    LimitedEntry entry(BlockNum block)
+    {
+        checkBlock(block);
+        return {ptrs.get() + block * numPointers, states.get() + block,
+                numPointers, allowBroadcast};
+    }
+    ConstLimitedEntry entry(BlockNum block) const
+    {
+        checkBlock(block);
+        return {ptrs.get() + block * numPointers, states.get() + block,
+                numPointers, allowBroadcast};
+    }
 
     unsigned pointerBudget() const { return numPointers; }
     bool broadcastAllowed() const { return allowBroadcast; }
 
   private:
+    void checkBlock(BlockNum block) const
+    {
+        if (block >= blocks) [[unlikely]]
+            rangePanic(block);
+    }
+    [[noreturn]] void rangePanic(BlockNum block) const;
+
     unsigned numPointers;
     bool allowBroadcast;
-    std::vector<LimitedEntry> entries;
+    std::uint64_t blocks;
+    /** Block b's pointers: [b * numPointers, (b + 1) * numPointers). */
+    CallocArena<CacheId> ptrs;
+    /** Block b's state word. */
+    CallocArena<std::uint32_t> states;
 };
 
 } // namespace dirsim

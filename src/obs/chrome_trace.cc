@@ -49,46 +49,61 @@ writeThreadName(JsonWriter &writer, unsigned tid,
 
 } // namespace
 
+ChromeSpanWriter::ChromeSpanWriter(
+    std::ostream &os_arg, std::uint64_t origin_ns,
+    const std::vector<std::string> &lane_names)
+    : os(os_arg), writer(os_arg), originNs(origin_ns)
+{
+    writer.beginObject();
+    writer.key("displayTimeUnit").value("ms");
+    writer.key("traceEvents").beginArray();
+    for (std::size_t lane = 0; lane < lane_names.size(); ++lane)
+        writeThreadName(writer, static_cast<unsigned>(lane),
+                        lane_names[lane]);
+}
+
+void
+ChromeSpanWriter::write(const TraceSpan &span)
+{
+    writer.beginObject();
+    writer.key("name").value(span.name);
+    writer.key("cat").value(span.category);
+    writer.key("ph").value(span.instant ? "i" : "X");
+    if (span.instant)
+        writer.key("s").value("t");
+    writer.key("pid").value(1u);
+    writer.key("tid").value(span.lane);
+    writer.key("ts").value(usSince(span.startNs, originNs));
+    if (!span.instant)
+        writer.key("dur").value(
+            static_cast<double>(span.durationNs) / 1e3);
+    if (!span.args.empty()) {
+        writer.key("args").beginObject();
+        for (const auto &[key, value] : span.args)
+            writer.key(key).value(value);
+        writer.endObject();
+    }
+    writer.endObject();
+}
+
+void
+ChromeSpanWriter::finish()
+{
+    writer.endArray();
+    writer.endObject();
+    os << '\n';
+}
+
 void
 writeChromeSpans(std::ostream &os,
                  const std::vector<TraceSpan> &spans,
                  std::uint64_t origin_ns,
                  const std::vector<std::string> &lane_names)
 {
-    JsonWriter writer(os);
-    writer.beginObject();
-    writer.key("displayTimeUnit").value("ms");
-    writer.key("traceEvents").beginArray();
-
-    for (std::size_t lane = 0; lane < lane_names.size(); ++lane)
-        writeThreadName(writer, static_cast<unsigned>(lane),
-                        lane_names[lane]);
-
-    for (const TraceSpan &span : spans) {
-        writer.beginObject();
-        writer.key("name").value(span.name);
-        writer.key("cat").value(span.category);
-        writer.key("ph").value(span.instant ? "i" : "X");
-        if (span.instant)
-            writer.key("s").value("t");
-        writer.key("pid").value(1u);
-        writer.key("tid").value(span.lane);
-        writer.key("ts").value(usSince(span.startNs, origin_ns));
-        if (!span.instant)
-            writer.key("dur").value(
-                static_cast<double>(span.durationNs) / 1e3);
-        if (!span.args.empty()) {
-            writer.key("args").beginObject();
-            for (const auto &[key, value] : span.args)
-                writer.key(key).value(value);
-            writer.endObject();
-        }
-        writer.endObject();
-    }
-
-    writer.endArray();
-    writer.endObject();
-    os << '\n';
+    ChromeSpanWriter writer(os, origin_ns, lane_names);
+    for (const TraceSpan &span : spans)
+        writer.write(span);
+    writer.finish();
 }
 
 std::vector<TraceSpan>
@@ -139,14 +154,13 @@ writeChromeTrace(std::ostream &os, const GridResult &grid,
     std::vector<std::string> lane_names{"grid"};
     const std::vector<TraceSpan> cells =
         workerCellSpans(grid.cells, lane_names);
+    ChromeSpanWriter out(os, grid.startNs, lane_names);
 
     // The grid itself, on its own lane.
-    std::vector<TraceSpan> spans;
-    spans.push_back(
-        {"grid", "grid", 0, grid.startNs, nsOf(grid.wallSeconds),
-         {{"jobs", std::to_string(grid.jobs)},
-          {"cells", std::to_string(grid.cells.size())},
-          {"refs", std::to_string(grid.totalRefs())}}});
+    out.write({"grid", "grid", 0, grid.startNs, nsOf(grid.wallSeconds),
+               {{"jobs", std::to_string(grid.jobs)},
+                {"cells", std::to_string(grid.cells.size())},
+                {"refs", std::to_string(grid.totalRefs())}}});
 
     // Each cell, then its phases laid out back-to-back inside it.
     std::map<std::string, unsigned> cell_lanes;
@@ -158,16 +172,16 @@ writeChromeTrace(std::ostream &os, const GridResult &grid,
             const PhaseBreakdown &phases =
                 grid.schemes[s].perTrace[t].phases;
             cell_lanes.emplace(cell.name, cell.lane);
-            spans.push_back(cell);
+            out.write(cell);
             std::uint64_t phase_start = cell.startNs;
             for (std::size_t p = 0; p < numPhases; ++p) {
                 const auto phase = static_cast<Phase>(p);
                 const std::uint64_t phase_ns = phases.get(phase);
                 if (phase_ns == 0)
                     continue;
-                spans.push_back({std::string("phase:") + toString(phase),
-                                 "phase", cell.lane, phase_start,
-                                 phase_ns, {}});
+                out.write({std::string("phase:") + toString(phase),
+                           "phase", cell.lane, phase_start, phase_ns,
+                           {}});
                 phase_start += phase_ns;
             }
         }
@@ -202,12 +216,13 @@ writeChromeTrace(std::ostream &os, const GridResult &grid,
                      std::to_string(event.othersBefore)},
                     {"others_after",
                      std::to_string(event.othersAfter)}};
-                spans.push_back(std::move(instant));
+                // Written and dropped: the export never holds the
+                // tracer's events a second time.
+                out.write(instant);
             }
         }
     }
-
-    writeChromeSpans(os, spans, grid.startNs, lane_names);
+    out.finish();
 }
 
 void

@@ -2,9 +2,11 @@
  * @file
  * Chrome trace_event JSON export of a finished grid.
  *
- * writeChromeSpans() is the one writer of Chrome trace_event-format
+ * ChromeSpanWriter is the one writer of Chrome trace_event-format
  * documents ({"traceEvents": [...]}, loadable in chrome://tracing or
- * Perfetto); every timeline is a list of TraceSpans handed to it.
+ * Perfetto); every timeline is a sequence of TraceSpans handed to it
+ * one at a time, each written as it arrives, so a timeline of any
+ * length is never held whole. writeChromeSpans() feeds it a list.
  * workerCellSpans() lays a run's cells out on worker lanes for both
  * the grid export and the daemon's GET /runs/{id}/trace.
  *
@@ -32,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.hh"
 #include "sim/runner.hh"
 
 namespace dirsim
@@ -63,10 +66,30 @@ struct TraceSpan
 };
 
 /**
- * Write free-form spans as a Chrome trace_event document.
- * Timestamps are emitted relative to @p origin_ns (a span starting
- * before the origin clamps to 0); @p lane_names labels lanes 0..N-1.
+ * A Chrome trace_event document written span by span: the
+ * constructor opens it and labels the lanes, write() emits one span,
+ * finish() closes it. Timestamps are emitted relative to the origin
+ * (a span starting before it clamps to 0).
  */
+class ChromeSpanWriter
+{
+  public:
+    /** @p lane_names labels lanes 0..N-1. */
+    ChromeSpanWriter(std::ostream &os_arg, std::uint64_t origin_ns,
+                     const std::vector<std::string> &lane_names);
+
+    void write(const TraceSpan &span);
+
+    /** Close the document; write nothing after. */
+    void finish();
+
+  private:
+    std::ostream &os;
+    JsonWriter writer;
+    std::uint64_t originNs;
+};
+
+/** Write @p spans through a ChromeSpanWriter. */
 void writeChromeSpans(
     std::ostream &os, const std::vector<TraceSpan> &spans,
     std::uint64_t origin_ns,
@@ -86,7 +109,8 @@ workerCellSpans(const std::vector<CellTiming> &cells,
 
 /**
  * Write @p grid (and, optionally, @p tracer's sampled timelines) as
- * a Chrome trace_event JSON document through writeChromeSpans().
+ * a Chrome trace_event JSON document through a ChromeSpanWriter,
+ * one span at a time.
  */
 void writeChromeTrace(std::ostream &os, const GridResult &grid,
                       const EventTracer *tracer = nullptr);

@@ -16,9 +16,9 @@ Dir1NB::Dir1NB(unsigned num_caches_arg, const BlockSpace &blocks_arg,
 void
 Dir1NB::onEviction(CacheId cache, BlockNum block, CacheBlockState)
 {
-    LimitedEntry &entry = dir.entry(block);
+    LimitedEntry entry = dir.entry(block);
     entry.removeSharer(cache);
-    entry.dirty = false;
+    entry.setDirty(false);
 }
 
 void
@@ -43,11 +43,11 @@ Dir1NB::displace(BlockNum block, const Others &others, bool first)
 void
 Dir1NB::takeOwnership(CacheId cache, BlockNum block, bool dirty)
 {
-    LimitedEntry &entry = dir.entry(block);
+    LimitedEntry entry = dir.entry(block);
     const auto outcome = entry.addSharer(cache);
     panicIfNot(outcome == LimitedAddOutcome::Recorded,
                "Dir1NB directory pointer was not free");
-    entry.dirty = dirty;
+    entry.setDirty(dirty);
 }
 
 void
@@ -79,7 +79,7 @@ Dir1NB::handleWriteHit(CacheId cache, BlockNum block,
     }
     eventCounts.add(EventType::WhBlkCln);
     setState(cache, block, stDirty);
-    dir.entry(block).dirty = true;
+    dir.entry(block).setDirty(true);
 }
 
 void
@@ -104,16 +104,16 @@ Dir1NB::checkInvariants(BlockNum block) const
     panicIfNot(sharers.count() <= 1,
                "Dir1NB: block ", block, " resides in ", sharers.count(),
                " caches");
-    const LimitedEntry *entry = dir.find(block);
+    const ConstLimitedEntry entry = dir.entry(block);
     if (sharers.count() == 1) {
-        panicIfNot(entry != nullptr && entry->pointsTo(sharers.first()),
+        panicIfNot(entry.pointsTo(sharers.first()),
                    "Dir1NB: directory pointer disagrees with the caches "
                    "for block ", block);
-        panicIfNot(entry->dirty
+        panicIfNot(entry.dirty()
                        == isDirtyState(cacheState(sharers.first(), block)),
                    "Dir1NB: directory dirty bit stale for block ", block);
-    } else if (entry != nullptr) {
-        panicIfNot(entry->pointerCount() == 0,
+    } else {
+        panicIfNot(entry.pointerCount() == 0,
                    "Dir1NB: dangling directory pointer for block ", block);
     }
 }

@@ -22,54 +22,56 @@ DirCV::name() const
 }
 
 unsigned
-DirCV::dirtyProbeMsgs(const CoarseVectorDirectory::Entry &entry) const
+DirCV::dirtyProbeMsgs(BlockNum block) const
 {
     if (dir.regionSize() == 0)
         return 1;
-    return entry.sharers.supersetSize();
+    return dir.entry(block).supersetSize();
 }
 
 void
 DirCV::invalidateSuperset(CacheId keeper, BlockNum block, bool costed)
 {
-    CoarseVectorDirectory::Entry &entry = dir.entry(block);
+    CoarseVectorDirectory::Entry entry = dir.entry(block);
     // One message per denoted cache: holders are invalidated, the
     // spurious members of the superset cost a wasted message each.
-    entry.sharers.forEachMember([&](CacheId target) {
-        if (target == keeper)
-            return;
-        if (costed)
-            ++opCounts.invalMsgs;
-        invalidateIn(target, block);
-    });
-    entry.sharers.clear();
+    if (costed)
+        opCounts.invalMsgs +=
+            entry.supersetSize() - (entry.denotes(keeper) ? 1 : 0);
+    CacheIdList sharers;
+    snapshotHolders(block, sharers);
+    for (const CacheId holder : sharers) {
+        if (holder != keeper && entry.denotes(holder))
+            invalidateIn(holder, block);
+    }
+    entry.clear();
     if (keeper != invalidCacheId)
-        entry.sharers.add(keeper);
+        entry.add(keeper);
 }
 
 void
 DirCV::handleReadMiss(CacheId cache, BlockNum block,
                       const Others &others, bool first)
 {
-    CoarseVectorDirectory::Entry &entry = dir.entry(block);
+    CoarseVectorDirectory::Entry entry = dir.entry(block);
     if (others.anyDirty) {
         // Ternary: dirty implies the last write reset the code to
         // exactly the owner, so the write-back request is a single
         // message. Region mode only narrows the owner to its region,
         // so the request goes to every region member.
         if (!first) {
-            opCounts.invalMsgs += dirtyProbeMsgs(entry);
+            opCounts.invalMsgs += dirtyProbeMsgs(block);
             ++opCounts.dirtySupplies;
         }
         setState(others.dirtyOwner, block, stClean);
-        entry.dirty = false;
+        entry.setDirty(false);
     } else if (!first) {
         ++opCounts.memSupplies;
     }
     if (!first)
         ++opCounts.busTransactions;
     install(cache, block, stClean);
-    entry.sharers.add(cache);
+    entry.add(cache);
 }
 
 void
@@ -87,21 +89,21 @@ DirCV::handleWriteHit(CacheId cache, BlockNum block,
     ++opCounts.busTransactions;
     invalidateSuperset(cache, block, /* costed */ true);
     setState(cache, block, stDirty);
-    dir.entry(block).dirty = true;
+    dir.entry(block).setDirty(true);
 }
 
 void
 DirCV::handleWriteMiss(CacheId cache, BlockNum block,
                        const Others &others, bool first)
 {
-    CoarseVectorDirectory::Entry &entry = dir.entry(block);
+    CoarseVectorDirectory::Entry entry = dir.entry(block);
     if (others.anyDirty) {
         if (!first) {
-            opCounts.invalMsgs += dirtyProbeMsgs(entry);
+            opCounts.invalMsgs += dirtyProbeMsgs(block);
             ++opCounts.dirtySupplies;
         }
         invalidateIn(others.dirtyOwner, block);
-        entry.sharers.clear();
+        entry.clear();
     } else if (others.numOthers > 0) {
         if (!first)
             sampleCleanWrite(others.numOthers);
@@ -114,9 +116,9 @@ DirCV::handleWriteMiss(CacheId cache, BlockNum block,
     if (!first)
         ++opCounts.busTransactions;
     install(cache, block, stDirty);
-    entry.sharers.clear();
-    entry.sharers.add(cache);
-    entry.dirty = true;
+    entry.clear();
+    entry.add(cache);
+    entry.setDirty(true);
 }
 
 void
@@ -127,9 +129,9 @@ DirCV::onEviction(CacheId, BlockNum block, CacheBlockState state)
     // the code denoted only the evicting cache (ternary) or its
     // region; the write-back resets it.
     if (isDirtyState(state)) {
-        CoarseVectorDirectory::Entry &entry = dir.entry(block);
-        entry.sharers.clear();
-        entry.dirty = false;
+        CoarseVectorDirectory::Entry entry = dir.entry(block);
+        entry.clear();
+        entry.setDirty(false);
     }
 }
 
@@ -138,32 +140,25 @@ DirCV::checkInvariants(BlockNum block) const
 {
     CoherenceProtocol::checkInvariants(block);
     const SharerSet sharers = holders(block);
-    const CoarseVectorDirectory::Entry *entry = dir.find(block);
-    if (entry == nullptr) {
-        panicIfNot(sharers.empty(),
-                   "DirCV: caches hold block ", block,
-                   " the directory never saw");
-        return;
-    }
+    const CoarseVectorDirectory::ConstEntry entry = dir.entry(block);
     // The defining property: the code always denotes a superset of
     // the true holders.
-    panicIfNot(entry->sharers.decode().isSupersetOf(sharers),
+    panicIfNot(entry.decode().isSupersetOf(sharers),
                "DirCV: code is not a superset for block ", block);
-    if (entry->dirty) {
+    if (entry.dirty()) {
         panicIfNot(sharers.count() == 1,
                    "DirCV: dirty block ", block, " has ",
                    sharers.count(), " sharers");
         if (dir.regionSize() == 0) {
-            panicIfNot(
-                entry->sharers.decode().isOnly(sharers.first()),
-                "DirCV: dirty block ", block,
-                " has an inexact code");
+            panicIfNot(entry.decode().isOnly(sharers.first()),
+                       "DirCV: dirty block ", block,
+                       " has an inexact code");
         } else {
             // Region mode cannot be exact: the tightest legal code
             // is the owner's region alone.
-            panicIfNot(entry->sharers.flaggedRegions() == 1,
+            panicIfNot(entry.flaggedRegions() == 1,
                        "DirCV: dirty block ", block, " flags ",
-                       entry->sharers.flaggedRegions(), " regions");
+                       entry.flaggedRegions(), " regions");
         }
     }
 }

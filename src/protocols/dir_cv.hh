@@ -32,7 +32,7 @@ class DirCV : public CoherenceProtocol
     static constexpr CacheBlockState stDirty = 2;
 
     /** @param region_size_arg 0 for the ternary code, else the
-     *         region granularity K (see CoarseVector). */
+     *         region granularity K (see CoarseVectorDirectory). */
     DirCV(unsigned num_caches_arg, const BlockSpace &blocks_arg,
           unsigned region_size_arg = 0, const CacheFactory &factory = {});
 
@@ -59,19 +59,20 @@ class DirCV : public CoherenceProtocol
   private:
     /**
      * Sequential invalidations to the denoted superset (except
-     * @p keeper), then reset the code to exactly {keeper}.
+     * @p keeper), then reset the code to exactly {keeper}. One
+     * message is charged per denoted cache, but only the holders
+     * among them are invalidated: the others hold nothing to lose.
      */
     void invalidateSuperset(CacheId keeper, BlockNum block,
                             bool costed);
 
     /**
-     * Messages needed to reach the dirty owner through the code: 1
-     * in ternary mode (a dirty code is exactly the owner), the
-     * denoted superset's size in region mode (the code only narrows
-     * the owner down to its region).
+     * Messages needed to reach the dirty owner of @p block through
+     * the code: 1 in ternary mode (a dirty code is exactly the
+     * owner), the denoted superset's size in region mode (the code
+     * only narrows the owner down to its region).
      */
-    unsigned dirtyProbeMsgs(const CoarseVectorDirectory::Entry &entry)
-        const;
+    unsigned dirtyProbeMsgs(BlockNum block) const;
 
     CoarseVectorDirectory dir;
 };

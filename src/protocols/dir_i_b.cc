@@ -18,10 +18,10 @@ DirIB::onEviction(CacheId cache, BlockNum block, CacheBlockState state)
 {
     // Replacement hint: while the entry is exact the freed pointer is
     // reclaimed. In broadcast mode there is nothing to update.
-    LimitedEntry &entry = dir.entry(block);
+    LimitedEntry entry = dir.entry(block);
     entry.removeSharer(cache);
     if (isDirtyState(state))
-        entry.dirty = false;
+        entry.setDirty(false);
 }
 
 std::string
@@ -41,7 +41,7 @@ DirIB::recordSharer(BlockNum block, CacheId cache)
 void
 DirIB::invalidateOthers(CacheId keeper, BlockNum block, bool costed)
 {
-    LimitedEntry &entry = dir.entry(block);
+    LimitedEntry entry = dir.entry(block);
     CacheIdList sharers;
     snapshotHolders(block, sharers);
     const bool broadcast = entry.broadcastRequired();
@@ -72,7 +72,7 @@ DirIB::handleReadMiss(CacheId cache, BlockNum block,
             ++opCounts.dirtySupplies;
         }
         setState(others.dirtyOwner, block, stClean);
-        dir.entry(block).dirty = false;
+        dir.entry(block).setDirty(false);
     } else if (!first) {
         ++opCounts.memSupplies;
     }
@@ -97,7 +97,7 @@ DirIB::handleWriteHit(CacheId cache, BlockNum block,
     ++opCounts.busTransactions;
     invalidateOthers(cache, block, /* costed */ true);
     setState(cache, block, stDirty);
-    dir.entry(block).dirty = true;
+    dir.entry(block).setDirty(true);
 }
 
 void
@@ -124,7 +124,7 @@ DirIB::handleWriteMiss(CacheId cache, BlockNum block,
         ++opCounts.busTransactions;
     install(cache, block, stDirty);
     recordSharer(block, cache);
-    dir.entry(block).dirty = true;
+    dir.entry(block).setDirty(true);
 }
 
 void
@@ -132,22 +132,16 @@ DirIB::checkInvariants(BlockNum block) const
 {
     CoherenceProtocol::checkInvariants(block);
     const SharerSet sharers = holders(block);
-    const LimitedEntry *entry = dir.find(block);
-    if (entry == nullptr) {
-        panicIfNot(sharers.empty(),
-                   "DirIB: caches hold block ", block,
-                   " the directory never saw");
-        return;
-    }
-    if (!entry->broadcastRequired()) {
+    const ConstLimitedEntry entry = dir.entry(block);
+    if (!entry.broadcastRequired()) {
         // Exact mode: pointers must equal the true sharer set.
-        panicIfNot(entry->pointerCount() == sharers.count(),
+        panicIfNot(entry.pointerCount() == sharers.count(),
                    name(), ": pointer count disagrees for block ", block);
-        for (const CacheId cache : entry->pointerList())
+        for (const CacheId cache : entry.pointerList())
             panicIfNot(sharers.contains(cache),
                        name(), ": stale pointer for block ", block);
     }
-    if (entry->dirty)
+    if (entry.dirty())
         panicIfNot(sharers.count() == 1,
                    name(), ": dirty block ", block, " has ",
                    sharers.count(), " sharers");

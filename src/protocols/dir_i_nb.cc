@@ -16,10 +16,10 @@ DirINB::DirINB(unsigned num_caches_arg, const BlockSpace &blocks_arg,
 void
 DirINB::onEviction(CacheId cache, BlockNum block, CacheBlockState state)
 {
-    LimitedEntry &entry = dir.entry(block);
+    LimitedEntry entry = dir.entry(block);
     entry.removeSharer(cache);
     if (isDirtyState(state))
-        entry.dirty = false;
+        entry.setDirty(false);
 }
 
 std::string
@@ -31,7 +31,7 @@ DirINB::name() const
 void
 DirINB::recordSharer(BlockNum block, CacheId cache, bool costed)
 {
-    LimitedEntry &entry = dir.entry(block);
+    LimitedEntry entry = dir.entry(block);
     CacheId victim = invalidCacheId;
     auto outcome = entry.addSharer(cache, &victim);
     if (outcome == LimitedAddOutcome::EvictionRequired) {
@@ -50,7 +50,7 @@ DirINB::recordSharer(BlockNum block, CacheId cache, bool costed)
 void
 DirINB::invalidateOthers(CacheId keeper, BlockNum block, bool costed)
 {
-    LimitedEntry &entry = dir.entry(block);
+    LimitedEntry entry = dir.entry(block);
     // Snapshot: the loop removes pointers while it walks them.
     CacheIdList victims;
     for (const CacheId victim : entry.pointerList())
@@ -75,7 +75,7 @@ DirINB::handleReadMiss(CacheId cache, BlockNum block,
             ++opCounts.dirtySupplies;
         }
         setState(others.dirtyOwner, block, stClean);
-        dir.entry(block).dirty = false;
+        dir.entry(block).setDirty(false);
     } else if (!first) {
         ++opCounts.memSupplies;
     }
@@ -100,7 +100,7 @@ DirINB::handleWriteHit(CacheId cache, BlockNum block,
     ++opCounts.busTransactions;
     invalidateOthers(cache, block, /* costed */ true);
     setState(cache, block, stDirty);
-    dir.entry(block).dirty = true;
+    dir.entry(block).setDirty(true);
 }
 
 void
@@ -127,7 +127,7 @@ DirINB::handleWriteMiss(CacheId cache, BlockNum block,
         ++opCounts.busTransactions;
     install(cache, block, stDirty);
     recordSharer(block, cache, !first);
-    dir.entry(block).dirty = true;
+    dir.entry(block).setDirty(true);
 }
 
 void
@@ -139,18 +139,12 @@ DirINB::checkInvariants(BlockNum block) const
                name(), ": block ", block, " resides in ",
                sharers.count(), " caches, budget ",
                dir.pointerBudget());
-    const LimitedEntry *entry = dir.find(block);
-    if (entry == nullptr) {
-        panicIfNot(sharers.empty(),
-                   name(), ": caches hold block ", block,
-                   " the directory never saw");
-        return;
-    }
-    panicIfNot(!entry->broadcastRequired(),
+    const ConstLimitedEntry entry = dir.entry(block);
+    panicIfNot(!entry.broadcastRequired(),
                name(), ": no-broadcast entry in broadcast mode");
-    panicIfNot(entry->pointerCount() == sharers.count(),
+    panicIfNot(entry.pointerCount() == sharers.count(),
                name(), ": pointer count disagrees for block ", block);
-    for (const CacheId cache : entry->pointerList())
+    for (const CacheId cache : entry.pointerList())
         panicIfNot(sharers.contains(cache),
                    name(), ": stale pointer for block ", block);
 }

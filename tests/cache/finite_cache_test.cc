@@ -98,9 +98,9 @@ TEST(FiniteCacheTest, EvictsLruWithinSet)
     cache.set(8, 1);
     EXPECT_EQ(cache.access(0), 1); // 8 is now LRU
     cache.set(16, 1);
-    EXPECT_TRUE(cache.contains(0));
-    EXPECT_FALSE(cache.contains(8));
-    EXPECT_TRUE(cache.contains(16));
+    EXPECT_NE(cache.lookup(0), stateNotPresent);
+    EXPECT_EQ(cache.lookup(8), stateNotPresent);
+    EXPECT_NE(cache.lookup(16), stateNotPresent);
     EXPECT_EQ(cache.evictions(), 1u);
 }
 
@@ -124,8 +124,8 @@ TEST(FiniteCacheTest, SetPromotesToMru)
     cache.set(8, 1);
     cache.set(0, 2); // rewrite promotes block 0
     cache.set(16, 1);
-    EXPECT_TRUE(cache.contains(0));
-    EXPECT_FALSE(cache.contains(8));
+    EXPECT_NE(cache.lookup(0), stateNotPresent);
+    EXPECT_EQ(cache.lookup(8), stateNotPresent);
 }
 
 TEST(FiniteCacheTest, DifferentSetsDoNotInterfere)
@@ -147,8 +147,8 @@ TEST(FiniteCacheTest, InvalidateFreesWay)
     EXPECT_EQ(cache.invalidate(0), 1);
     cache.set(16, 1);
     EXPECT_EQ(cache.evictions(), 0u);
-    EXPECT_TRUE(cache.contains(8));
-    EXPECT_TRUE(cache.contains(16));
+    EXPECT_NE(cache.lookup(8), stateNotPresent);
+    EXPECT_NE(cache.lookup(16), stateNotPresent);
 }
 
 TEST(FiniteCacheTest, InvalidateMissingReturnsNotPresent)
@@ -173,7 +173,7 @@ TEST(FiniteCacheTest, ClearEmptiesAllSets)
     cache.clear();
     EXPECT_EQ(cache.residentBlocks(), 0u);
     for (BlockNum block = 0; block < 20; ++block)
-        EXPECT_FALSE(cache.contains(block));
+        EXPECT_EQ(cache.lookup(block), stateNotPresent);
 }
 
 TEST(FiniteCacheTest, ForEachVisitsResidentOnly)

@@ -17,7 +17,6 @@ TEST(InfiniteCacheTest, StartsEmpty)
     InfiniteCache cache(64);
     EXPECT_EQ(cache.residentBlocks(), 0u);
     EXPECT_EQ(cache.lookup(42), stateNotPresent);
-    EXPECT_FALSE(cache.contains(42));
 }
 
 TEST(InfiniteCacheTest, SetInstallsAndReports)
@@ -25,7 +24,7 @@ TEST(InfiniteCacheTest, SetInstallsAndReports)
     InfiniteCache cache(64);
     EXPECT_EQ(cache.set(10, 1).state, stateNotPresent); // no victim
     EXPECT_EQ(cache.lookup(10), 1);
-    EXPECT_TRUE(cache.contains(10));
+    EXPECT_NE(cache.lookup(10), stateNotPresent);
     EXPECT_EQ(cache.residentBlocks(), 1u);
 }
 
@@ -49,7 +48,7 @@ TEST(InfiniteCacheTest, InvalidateReturnsOldState)
     InfiniteCache cache(64);
     cache.set(10, 3);
     EXPECT_EQ(cache.invalidate(10), 3);
-    EXPECT_FALSE(cache.contains(10));
+    EXPECT_EQ(cache.lookup(10), stateNotPresent);
     EXPECT_EQ(cache.invalidate(10), stateNotPresent);
 }
 
@@ -59,8 +58,8 @@ TEST(InfiniteCacheTest, NeverEvicts)
     for (BlockNum block = 0; block < 100'000; ++block)
         ASSERT_EQ(cache.set(block, 1).state, stateNotPresent);
     EXPECT_EQ(cache.residentBlocks(), 100'000u);
-    EXPECT_TRUE(cache.contains(0));
-    EXPECT_TRUE(cache.contains(99'999));
+    EXPECT_NE(cache.lookup(0), stateNotPresent);
+    EXPECT_NE(cache.lookup(99'999), stateNotPresent);
 }
 
 TEST(InfiniteCacheTest, ClearRemovesEverything)
@@ -70,7 +69,7 @@ TEST(InfiniteCacheTest, ClearRemovesEverything)
     cache.set(2, 2);
     cache.clear();
     EXPECT_EQ(cache.residentBlocks(), 0u);
-    EXPECT_FALSE(cache.contains(1));
+    EXPECT_EQ(cache.lookup(1), stateNotPresent);
 }
 
 TEST(InfiniteCacheTest, ForEachVisitsAll)
@@ -97,7 +96,7 @@ TEST(InfiniteCacheTest, DenseBackendMirrorsSparseSemantics)
     cache.set(10, 1);
     cache.set(10, 2); // update, not a new install
     EXPECT_EQ(cache.lookup(10), 2);
-    EXPECT_TRUE(cache.contains(10));
+    EXPECT_NE(cache.lookup(10), stateNotPresent);
     EXPECT_EQ(cache.lookup(11), stateNotPresent);
     EXPECT_EQ(cache.residentBlocks(), 1u);
 

@@ -347,6 +347,29 @@ TEST(ChromeTraceTest, GridExportsOneLanePerWorker)
     EXPECT_GT(phases, 0u);
 }
 
+TEST(ChromeTraceTest, SpanWriterBytesArePinned)
+{
+    // The exact document for a slice with args and an instant: the
+    // grid export and the daemon's run trace both write through
+    // ChromeSpanWriter.
+    const std::vector<TraceSpan> spans{
+        {"cell", "cell", 1, 3'500, 2'000'000, {{"refs", "42"}}},
+        {"RdMiss", "protocol", 1, 4'000, 0, {}, true}};
+    std::ostringstream all;
+    writeChromeSpans(all, spans, 1'000, {"grid", "worker 1"});
+    EXPECT_EQ(all.str(),
+              R"({"displayTimeUnit":"ms","traceEvents":[)"
+              R"({"name":"thread_name","ph":"M","pid":1,"tid":0,)"
+              R"("args":{"name":"grid"}},)"
+              R"({"name":"thread_name","ph":"M","pid":1,"tid":1,)"
+              R"("args":{"name":"worker 1"}},)"
+              R"({"name":"cell","cat":"cell","ph":"X","pid":1,"tid":1,)"
+              R"("ts":2.5,"dur":2000,"args":{"refs":"42"}},)"
+              R"({"name":"RdMiss","cat":"protocol","ph":"i","s":"t",)"
+              R"("pid":1,"tid":1,"ts":3}]})"
+              "\n");
+}
+
 TEST(ChromeTraceTest, FileWriterRejectsUnwritablePath)
 {
     const GridResult grid;

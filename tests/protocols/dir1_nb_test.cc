@@ -117,19 +117,19 @@ TEST(Dir1NBTest, DirectoryPointerTracksHolder)
 {
     Dir1NB protocol(4, blocks);
     protocol.read(0, B, true);
-    EXPECT_TRUE(protocol.directory().find(B)->pointsTo(0));
+    EXPECT_TRUE(protocol.directory().entry(B).pointsTo(0));
     protocol.read(2, B, false);
-    EXPECT_TRUE(protocol.directory().find(B)->pointsTo(2));
-    EXPECT_FALSE(protocol.directory().find(B)->pointsTo(0));
+    EXPECT_TRUE(protocol.directory().entry(B).pointsTo(2));
+    EXPECT_FALSE(protocol.directory().entry(B).pointsTo(0));
 }
 
 TEST(Dir1NBTest, DirectoryDirtyBitTracksState)
 {
     Dir1NB protocol(4, blocks);
     protocol.read(0, B, true);
-    EXPECT_FALSE(protocol.directory().find(B)->dirty);
+    EXPECT_FALSE(protocol.directory().entry(B).dirty());
     protocol.write(0, B, false);
-    EXPECT_TRUE(protocol.directory().find(B)->dirty);
+    EXPECT_TRUE(protocol.directory().entry(B).dirty());
 }
 
 TEST(Dir1NBTest, InvariantsHoldThroughScenario)

@@ -1,10 +1,13 @@
 /** @file Scenario tests for the coarse-vector limited-broadcast
  *  directory (DirCV). */
 
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cache/infinite_cache.hh"
 #include "protocols/dir_cv.hh"
 
 namespace dirsim
@@ -21,10 +24,9 @@ TEST(DirCVTest, SingleSharerIsExact)
 {
     DirCV protocol(4, blocks);
     protocol.read(2, B, true);
-    const auto *entry = protocol.directory().find(B);
-    ASSERT_NE(entry, nullptr);
-    EXPECT_EQ(entry->sharers.supersetSize(), 1u);
-    EXPECT_TRUE(entry->sharers.decode().contains(2));
+    const auto entry = protocol.directory().entry(B);
+    EXPECT_EQ(entry.supersetSize(), 1u);
+    EXPECT_TRUE(entry.decode().contains(2));
 }
 
 TEST(DirCVTest, CodeIsAlwaysASuperset)
@@ -32,9 +34,9 @@ TEST(DirCVTest, CodeIsAlwaysASuperset)
     DirCV protocol(4, blocks);
     protocol.read(0, B, true);
     protocol.read(3, B, false);
-    const auto *entry = protocol.directory().find(B);
+    const auto entry = protocol.directory().entry(B);
     EXPECT_TRUE(
-        entry->sharers.decode().isSupersetOf(protocol.holders(B)));
+        entry.decode().isSupersetOf(protocol.holders(B)));
     protocol.checkAllInvariants();
 }
 
@@ -68,10 +70,10 @@ TEST(DirCVTest, WriteResetsCodeToWriter)
     protocol.read(0, B, true);
     protocol.read(3, B, false);
     protocol.write(1, B, false); // write miss
-    const auto *entry = protocol.directory().find(B);
-    EXPECT_EQ(entry->sharers.supersetSize(), 1u);
-    EXPECT_TRUE(entry->sharers.decode().contains(1));
-    EXPECT_TRUE(entry->dirty);
+    const auto entry = protocol.directory().entry(B);
+    EXPECT_EQ(entry.supersetSize(), 1u);
+    EXPECT_TRUE(entry.decode().contains(1));
+    EXPECT_TRUE(entry.dirty());
 }
 
 TEST(DirCVTest, DirtyFlushIsOneMessage)
@@ -118,6 +120,87 @@ TEST(DirCVTest, InvariantsUnderChurn)
             protocol.read(cache, B, round == 0);
         protocol.checkAllInvariants();
     }
+}
+
+/** An infinite cache that counts the invalidations it receives. */
+class CountingCache final : public CacheModel
+{
+  public:
+    CountingCache(std::uint64_t block_count, unsigned &count)
+        : cache(block_count), invalidations(count)
+    {}
+
+    CacheBlockState lookup(BlockNum block) const override
+    {
+        return cache.lookup(block);
+    }
+    CacheBlockState access(BlockNum block) override
+    {
+        return cache.access(block);
+    }
+    CacheLine set(BlockNum block, CacheBlockState state) override
+    {
+        return cache.set(block, state);
+    }
+    CacheBlockState invalidate(BlockNum block) override
+    {
+        ++invalidations;
+        return cache.invalidate(block);
+    }
+    std::size_t residentBlocks() const override
+    {
+        return cache.residentBlocks();
+    }
+    void clear() override { cache.clear(); }
+    void forEach(const std::function<void(BlockNum, CacheBlockState)> &fn)
+        const override
+    {
+        cache.forEach(fn);
+    }
+
+  private:
+    InfiniteCache cache;
+    unsigned &invalidations;
+};
+
+/** Caches whose invalidation counts land in @p counts, by cache id. */
+CacheFactory
+countingCaches(std::vector<unsigned> &counts)
+{
+    return [&counts, next = std::size_t{0}](
+               const BlockSpace &space) mutable {
+        return std::make_unique<CountingCache>(space.count,
+                                               counts.at(next++));
+    };
+}
+
+TEST(DirCVTest, SupersetMessagesInvalidateOnlyHolders)
+{
+    // Ternary: caches 1 (001) and 2 (010) of 8 share, so the code
+    // "0 * *" denotes {0, 1, 2, 3}. A write by 1 charges a message to
+    // each of 0, 2 and 3, but only 2 holds a copy to lose.
+    std::vector<unsigned> ternary(8, 0);
+    DirCV protocol(8, blocks, 0, countingCaches(ternary));
+    protocol.read(1, B, true);
+    protocol.read(2, B, false);
+    EXPECT_EQ(protocol.directory().entry(B).supersetSize(), 4u);
+    protocol.write(1, B, false);
+    EXPECT_EQ(protocol.ops().invalMsgs, 3u);
+    EXPECT_EQ(protocol.holders(B).toVector(), (std::vector<CacheId>{1}));
+    EXPECT_EQ(ternary, (std::vector<unsigned>{0, 0, 1, 0, 0, 0, 0, 0}));
+    protocol.checkAllInvariants();
+
+    // Region (N=6, K=4): holders 0 and 5 flag both regions, so a write
+    // miss by 3 charges all 6 caches but reaches only 0 and 5.
+    std::vector<unsigned> region(6, 0);
+    DirCV regions(6, blocks, 4, countingCaches(region));
+    regions.read(0, B, true);
+    regions.read(5, B, false);
+    regions.write(3, B, false);
+    EXPECT_EQ(regions.ops().invalMsgs, 6u);
+    EXPECT_EQ(regions.holders(B).toVector(), (std::vector<CacheId>{3}));
+    EXPECT_EQ(region, (std::vector<unsigned>{1, 0, 0, 0, 0, 1}));
+    regions.checkAllInvariants();
 }
 
 // ---- Region-vector mode: DirCVr<K> over a clipped last region. ----

@@ -39,9 +39,7 @@ TEST(DirIBTest, OverflowSetsBroadcastMode)
     DirIB protocol(4, blocks, 1);
     protocol.read(0, B, true);
     protocol.read(1, B, false); // overflow: broadcast bit set
-    const LimitedEntry *entry = protocol.directory().find(B);
-    ASSERT_NE(entry, nullptr);
-    EXPECT_TRUE(entry->broadcastRequired());
+    EXPECT_TRUE(protocol.directory().entry(B).broadcastRequired());
     // Both copies still exist (overflow costs nothing yet).
     EXPECT_EQ(protocol.holders(B).count(), 2u);
 }
@@ -57,8 +55,8 @@ TEST(DirIBTest, BroadcastModeWriteBroadcasts)
     EXPECT_EQ(protocol.ops().invalMsgs, 0u);
     EXPECT_EQ(protocol.holders(B).count(), 1u);
     // After the invalidation the entry is exact again.
-    EXPECT_FALSE(protocol.directory().find(B)->broadcastRequired());
-    EXPECT_TRUE(protocol.directory().find(B)->dirty);
+    EXPECT_FALSE(protocol.directory().entry(B).broadcastRequired());
+    EXPECT_TRUE(protocol.directory().entry(B).dirty());
 }
 
 TEST(DirIBTest, DirtyMissUsesDirectedFlush)
@@ -169,14 +167,14 @@ TEST(DirIBTest, ManySharersBroadcastAccountingAtLargeN)
     protocol.read(0, B, true);
     for (CacheId c = 1; c < 200; ++c)
         protocol.read(c, B, false);
-    EXPECT_TRUE(protocol.directory().find(B)->broadcastRequired());
+    EXPECT_TRUE(protocol.directory().entry(B).broadcastRequired());
     protocol.checkAllInvariants();
 
     protocol.write(0, B, false);
     EXPECT_EQ(protocol.ops().broadcastInvals, 1u);
     EXPECT_EQ(protocol.ops().invalMsgs, 0u);
     EXPECT_EQ(protocol.holders(B).count(), 1u);
-    EXPECT_FALSE(protocol.directory().find(B)->broadcastRequired());
+    EXPECT_FALSE(protocol.directory().entry(B).broadcastRequired());
     protocol.checkAllInvariants();
 
     // Re-sharing after the reset is exact up to the budget again:
