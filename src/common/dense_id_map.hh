@@ -18,19 +18,22 @@ namespace dirsim
 
 /**
  * The decode pass (sim/decoded.cc) calls insert-or-find once per
- * trace record to densify block numbers and cache keys, so the map it
- * uses *is* the decode hot path. std::unordered_map spends most of
- * that time in node allocation and bucket chasing; this table is a
- * flat open-addressed array with linear probing, a power-of-two
- * capacity grown at 50% load, and a multiplicative hash that spreads
- * the near-sequential block numbers traces produce. Ids are handed
- * out as 0, 1, 2, ... by first appearance — exactly the densification
- * contract — and the map never erases.
+ * data record to densify block numbers, so the map it uses *is* the
+ * decode hot path. std::unordered_map spends most of that time in
+ * node allocation and bucket chasing; this table is a flat
+ * open-addressed array of 4-byte ids with linear probing, a
+ * power-of-two capacity grown at 50% load, and a multiplicative hash
+ * that spreads the near-sequential block numbers traces produce. The
+ * keys themselves are kept once, in id order (keys()), so a slot is a
+ * quarter of a key-and-id pair and the decoder takes the key list as
+ * its dense-to-block table. Ids are handed out as 0, 1, 2, ... by
+ * first appearance — exactly the densification contract — and the
+ * map never erases.
  */
 class DenseIdMap
 {
   public:
-    DenseIdMap() { slots.resize(initialCapacity); }
+    DenseIdMap() : slots(initialCapacity, emptySlot) {}
 
     /**
      * The id for @p key, assigning `size()` on first sight.
@@ -39,20 +42,26 @@ class DenseIdMap
      */
     std::pair<std::uint32_t, bool> idFor(std::uint64_t key)
     {
-        if ((count + 1) * 2 > slots.size())
+        if ((keyList.size() + 1) * 2 > slots.size())
             grow();
-        Slot &slot = probe(slots, key);
-        if (slot.id != emptySlot)
-            return {slot.id, false};
-        if (count == maxIds) [[unlikely]]
+        std::uint32_t &slot = probe(key);
+        if (slot != emptySlot)
+            return {slot, false};
+        if (keyList.size() == maxIds) [[unlikely]]
             panic("DenseIdMap: more than 2^32 - 1 distinct keys");
-        slot.key = key;
-        slot.id = static_cast<std::uint32_t>(count++);
-        return {slot.id, true};
+        slot = static_cast<std::uint32_t>(keyList.size());
+        keyList.push_back(key);
+        return {slot, true};
     }
 
     /** Distinct keys seen so far. */
-    std::size_t size() const { return count; }
+    std::size_t size() const { return keyList.size(); }
+
+    /** Every key seen, indexed by its id. */
+    const std::vector<std::uint64_t> &keys() const & { return keyList; }
+
+    /** The key list, moved out of an expiring map. */
+    std::vector<std::uint64_t> keys() && { return std::move(keyList); }
 
   private:
     /** An unoccupied slot; ids stop one short of it (maxIds). */
@@ -60,38 +69,40 @@ class DenseIdMap
     static constexpr std::size_t maxIds = emptySlot;
     static constexpr std::size_t initialCapacity = 1024;
 
-    struct Slot
+    static std::size_t hash(std::uint64_t key, std::size_t mask)
     {
-        std::uint64_t key = 0;
-        std::uint32_t id = emptySlot;
-    };
-
-    /** The slot holding @p key, or the free slot it belongs in. */
-    static Slot &probe(std::vector<Slot> &table, std::uint64_t key)
-    {
-        const std::size_t mask = table.size() - 1;
-        std::size_t index =
-            static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull)
-                                     >> 32)
+        return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull)
+                                        >> 32)
             & mask;
-        while (table[index].id != emptySlot
-               && table[index].key != key)
-            index = (index + 1) & mask;
-        return table[index];
     }
 
+    /** The slot holding @p key's id, or the free slot it belongs in. */
+    std::uint32_t &probe(std::uint64_t key)
+    {
+        const std::size_t mask = slots.size() - 1;
+        std::size_t index = hash(key, mask);
+        while (slots[index] != emptySlot && keyList[slots[index]] != key)
+            index = (index + 1) & mask;
+        return slots[index];
+    }
+
+    /** Double the table, re-placing every id (the keys are distinct,
+     *  so no key is compared). */
     void grow()
     {
-        std::vector<Slot> next(slots.size() * 2);
-        for (const Slot &slot : slots) {
-            if (slot.id != emptySlot)
-                probe(next, slot.key) = slot;
+        std::vector<std::uint32_t> next(slots.size() * 2, emptySlot);
+        const std::size_t mask = next.size() - 1;
+        for (std::size_t id = 0; id < keyList.size(); ++id) {
+            std::size_t index = hash(keyList[id], mask);
+            while (next[index] != emptySlot)
+                index = (index + 1) & mask;
+            next[index] = static_cast<std::uint32_t>(id);
         }
         slots.swap(next);
     }
 
-    std::vector<Slot> slots;
-    std::size_t count = 0;
+    std::vector<std::uint32_t> slots;
+    std::vector<std::uint64_t> keyList;
 };
 
 } // namespace dirsim

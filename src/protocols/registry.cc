@@ -5,6 +5,7 @@
 
 #include "common/env.hh"
 #include "common/logging.hh"
+#include "directory/limited.hh"
 #include "directory/storage.hh"
 #include "protocols/berkeley.hh"
 #include "protocols/dir0_b.hh"
@@ -35,34 +36,32 @@ lower(const std::string &s)
 }
 
 /**
- * Parse "dir<i>b" / "dir<i>nb" into (i, broadcast); returns false
- * when @p name is not of that shape.
+ * Parse "dir<i>b" / "dir<i>nb" (@p key, lower-cased @p name) into
+ * (i, broadcast); returns false when @p key is not of that shape.
+ *
+ * @throws UsageError when i exceeds the largest pointer budget a
+ *         LimitedDirectory counts
  */
 bool
-parseDirFamily(const std::string &name, unsigned &pointers,
-               bool &broadcast)
+parseDirFamily(const std::string &key, const std::string &name,
+               unsigned &pointers, bool &broadcast)
 {
-    if (name.rfind("dir", 0) != 0)
+    if (key.rfind("dir", 0) != 0)
         return false;
-    std::size_t pos = 3;
-    std::size_t digits = 0;
-    unsigned value = 0;
-    while (pos < name.size() && std::isdigit(
-               static_cast<unsigned char>(name[pos]))) {
-        value = value * 10 + static_cast<unsigned>(name[pos] - '0');
-        ++pos;
-        ++digits;
-    }
-    if (digits == 0)
+    const std::size_t end = key.find_first_not_of("0123456789", 3);
+    if (end == 3 || end == std::string::npos)
         return false;
-    const std::string suffix = name.substr(pos);
+    const std::string suffix = key.substr(end);
     if (suffix == "b")
         broadcast = true;
     else if (suffix == "nb")
         broadcast = false;
     else
         return false;
-    pointers = value;
+    pointers = static_cast<unsigned>(
+        parseDecimal(key.substr(3, end - 3),
+                     "Dir<i> pointer count of '" + name + "'",
+                     LimitedEntry::countMask));
     return true;
 }
 
@@ -198,7 +197,7 @@ parseScheme(const std::string &name)
 
     unsigned pointers = 0;
     bool broadcast = false;
-    if (parseDirFamily(key, pointers, broadcast)) {
+    if (parseDirFamily(key, name, pointers, broadcast)) {
         fatalIf(pointers == 0 && !broadcast,
                 "Dir0NB cannot grant exclusive access (see the paper)");
         fatalIf(pointers == 0, "Dir0B is a named scheme; use 'Dir0B'");

@@ -1,6 +1,8 @@
 #include "sim/decoded.hh"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 
 #include "common/bitops.hh"
 #include "common/dense_id_map.hh"
@@ -15,8 +17,11 @@ namespace dirsim
 namespace
 {
 
-/** Records a u32 coherence index can address. */
-constexpr std::uint64_t indexableRecords = std::uint64_t{1} << 32;
+/** Data records a u32 coherence index can address. */
+constexpr std::uint64_t indexableDataRefs = std::uint64_t{1} << 32;
+
+static_assert(maxCacheDomain <= std::numeric_limits<std::uint16_t>::max(),
+              "DecodedTrace::caches holds cache ids in 16 bits");
 
 /**
  * Add to @p events the records before @p boundary that the elided
@@ -46,16 +51,21 @@ class Decoder
     {
         out.blockBytes = block_bytes;
         out.sharing = sharing;
+        // The data share of a trace is not known in advance, so the
+        // operand columns reserve for every record: the pages the
+        // instruction share leaves unwritten are never touched.
+        out.dataBits.reserve((expected_records + 63) / 64);
         out.ops.reserve(expected_records);
         out.blocks.reserve(expected_records);
         out.caches.reserve(expected_records);
         // Coherence references are 14–19% of a paper trace's records,
-        // so the index grows in place and finish()'s shrink is its one
-        // copy. Growing by doubling instead frees a chunk per step,
-        // and each freed mmap'd chunk raises glibc's mmap threshold,
-        // moving later decodes onto the heap: perfbench's
-        // finite_sweep peaked 7.8% above the parent that way, 3.4%
-        // with this reserve.
+        // so the index fills this reserve in place and is never
+        // copied; like the columns' unwritten tails, its unused part
+        // costs address space, not memory. Growing by doubling
+        // instead frees a chunk per step, and each freed mmap'd chunk
+        // raises glibc's mmap threshold, moving later decodes onto
+        // the heap: perfbench's finite_sweep peaked 7.8% higher that
+        // way. A shrink to fit would write the index a second time.
         out.coherenceRefs.reserve(expected_records / 4);
     }
 
@@ -80,38 +90,36 @@ class Decoder
                 maxCpu = record.cpu;
         }
 
-        const std::uint64_t index = out.ops.size();
-        if (record.isInstr()) {
-            // Zero-filled so the arrays stay index-aligned; the op
-            // kind alone routes the record.
-            out.ops.push_back(decodedOpInstr);
-            out.blocks.push_back(0);
-            out.caches.push_back(0);
+        const std::uint64_t index = out.records++;
+        if (index % 64 == 0)
+            out.dataBits.push_back(0);
+        if (record.isInstr())
             return;
-        }
+        out.dataBits.back() |= std::uint64_t{1} << (index % 64);
 
         if (currentCache == invalidCacheId)
             currentCache = cacheIds.idFor(key).first;
-        const BlockNum block = record.addr >> blockShift;
-        const auto [dense_block, first_ref] = blockIds.idFor(block);
+        const auto [dense_block, first_ref] =
+            blockIds.idFor(record.addr >> blockShift);
+        const std::uint64_t data_index = out.ops.size();
         std::uint8_t op = record.isRead() ? decodedOpRead
                                           : decodedOpWrite;
         if (first_ref) {
             op |= decodedOpFirstRef;
-            out.denseToBlock.push_back(block);
             lastReferencer.push_back(currentCache);
             out.coherenceRefs.push_back(
-                static_cast<std::uint32_t>(index));
+                static_cast<std::uint32_t>(data_index));
         } else if (op == decodedOpWrite
                    || lastReferencer[dense_block] != currentCache) {
             lastReferencer[dense_block] = currentCache;
             out.coherenceRefs.push_back(
-                static_cast<std::uint32_t>(index));
+                static_cast<std::uint32_t>(data_index));
         }
         out.ops.push_back(op);
         out.blocks.push_back(dense_block);
-        out.caches.push_back(currentCache);
-        ++out.dataRefs;
+        // finish() rejects a domain past maxCacheDomain, so an id
+        // this cast would wrap never reaches a simulation.
+        out.caches.push_back(static_cast<std::uint16_t>(currentCache));
     }
 
     /** The decoded stream, named @p name; @p header_cpus sizes a
@@ -132,9 +140,9 @@ class Decoder
         fatalIf(out.cachesNeeded > maxCacheDomain, "trace '", name,
                 "' needs ", out.cachesNeeded,
                 " caches; the engine holds at most ", maxCacheDomain);
-        if (out.numRecords() > indexableRecords)
+        if (out.dataRefs() > indexableDataRefs)
             out.coherenceRefs = {};
-        out.coherenceRefs.shrink_to_fit();
+        out.denseToBlock = std::move(blockIds).keys();
         return std::move(out);
     }
 
@@ -158,11 +166,28 @@ class Decoder
 } // namespace
 
 std::uint64_t
+DecodedTrace::dataBefore(std::uint64_t record) const
+{
+    record = std::min(record, records);
+    const std::uint64_t whole = record / 64;
+    std::uint64_t count = 0;
+    for (std::uint64_t w = 0; w < whole; ++w)
+        count += static_cast<std::uint64_t>(std::popcount(dataBits[w]));
+    if (record % 64 != 0) {
+        const std::uint64_t below = (std::uint64_t{1} << (record % 64)) - 1;
+        count += static_cast<std::uint64_t>(
+            std::popcount(dataBits[whole] & below));
+    }
+    return count;
+}
+
+std::uint64_t
 DecodedTrace::memoryBytes() const
 {
-    return ops.size() * sizeof(std::uint8_t)
+    return dataBits.size() * sizeof(std::uint64_t)
+        + ops.size() * sizeof(std::uint8_t)
         + blocks.size() * sizeof(std::uint32_t)
-        + caches.size() * sizeof(CacheId)
+        + caches.size() * sizeof(std::uint16_t)
         + denseToBlock.size() * sizeof(BlockNum)
         + coherenceRefs.size() * sizeof(std::uint32_t);
 }
@@ -232,10 +257,17 @@ simulateTrace(const DecodedTrace &decoded,
     const bool elide = !protocol.finiteCaches()
         && protocol.tracer() == nullptr
         && config.invariantCheckPeriod == 0
-        && num_records <= indexableRecords;
+        && decoded.dataRefs() <= indexableDataRefs;
     const std::uint32_t *const coherence = decoded.coherenceRefs.data();
     const std::uint64_t visits =
         elide ? decoded.coherenceRefs.size() : num_records;
+    // The warm-up boundary in the walk's own positions: the full walk
+    // counts records, the elided walk data indices, and a data record
+    // is at or past record warmupRefs exactly when its data index is
+    // at or past the data records before it.
+    const std::uint64_t boundary = elide
+        ? decoded.dataBefore(config.warmupRefs)
+        : config.warmupRefs;
 
     EventCounts warmup_events;
     OpCounts warmup_ops;
@@ -253,13 +285,8 @@ simulateTrace(const DecodedTrace &decoded,
     const auto take_warmup = [&](std::uint64_t visited) {
         warmup_events = protocol.events();
         if (elide) {
-            const auto fetches = static_cast<std::uint64_t>(std::count(
-                decoded.ops.begin(),
-                decoded.ops.begin()
-                    + static_cast<std::ptrdiff_t>(config.warmupRefs),
-                decodedOpInstr));
-            addSkipped(warmup_events, config.warmupRefs, fetches,
-                       visited);
+            addSkipped(warmup_events, config.warmupRefs,
+                       config.warmupRefs - boundary, visited);
         }
         warmup_ops = protocol.ops();
         warmup_hist = protocol.cleanWriteHolders();
@@ -270,16 +297,19 @@ simulateTrace(const DecodedTrace &decoded,
 
     std::uint64_t data_refs = 0;
     for (std::uint64_t visit = 0; visit < visits; ++visit) {
-        const std::uint64_t i = elide ? coherence[visit] : visit;
-        if (!warmup_taken && i >= config.warmupRefs)
+        const std::uint64_t at = elide ? coherence[visit] : visit;
+        if (!warmup_taken && at >= boundary)
             take_warmup(visit);
-        const std::uint8_t op = decoded.ops[i];
-        if ((op & decodedOpKindMask) == decodedOpInstr) {
+        if (!elide && !decoded.isData(at)) {
             protocol.instruction();
             continue;
         }
-        const CacheId cache = decoded.caches[i];
-        const BlockNum block = decoded.blocks[i];
+        // In the full walk the data records passed so far number the
+        // current one.
+        const std::uint64_t d = elide ? at : data_refs;
+        const std::uint8_t op = decoded.ops[d];
+        const CacheId cache = decoded.caches[d];
+        const BlockNum block = decoded.blocks[d];
         const bool first_ref = (op & decodedOpFirstRef) != 0;
         if ((op & decodedOpKindMask) == decodedOpRead)
             protocol.read(cache, block, first_ref);
@@ -296,7 +326,7 @@ simulateTrace(const DecodedTrace &decoded,
         take_warmup(visits);
     if (elide) {
         addSkipped(protocol.events(), num_records,
-                   num_records - decoded.dataRefs, visits);
+                   num_records - decoded.dataRefs(), visits);
     }
     if (config.invariantCheckPeriod != 0)
         protocol.checkAllInvariants();

@@ -7,9 +7,13 @@
  * into block numbers, re-discovers first references, and re-maps pids
  * onto caches — identical work per cell. DecodedTrace performs that
  * work exactly once: a single pass over a Trace or TraceSource emits
- * a compact structure-of-arrays record stream (op kind + first-ref
- * flag, densified block index, dense cache id) plus the exact block,
- * cache, and reference counts a simulation needs.
+ * a compact structure-of-arrays record stream plus the exact block,
+ * cache, and reference counts a simulation needs. About half of a
+ * paper trace is instruction fetches, which carry no operands, so the
+ * stream marks each record's kind with one bit and keeps operands
+ * (op kind + first-ref flag, densified block index, dense cache id)
+ * for the data records only: 1 bit per record plus 7 bytes per data
+ * record.
  *
  * The densified block index is the key enabler: with blocks numbered
  * 0..blockCount-1 in order of first appearance, every per-block arena
@@ -44,7 +48,11 @@
 namespace dirsim
 {
 
-/** DecodedTrace::ops encoding: low bits = kind, bit 4 = first ref. */
+/**
+ * DecodedTrace::ops encoding: low bits = kind, bit 4 = first ref. The
+ * stream holds no instruction ops; decodedOpInstr is the op byte
+ * traceChecksumFnv64() hashes for an instruction record.
+ */
 constexpr std::uint8_t decodedOpInstr = 0;
 constexpr std::uint8_t decodedOpRead = 1;
 constexpr std::uint8_t decodedOpWrite = 2;
@@ -54,9 +62,10 @@ constexpr std::uint8_t decodedOpFirstRef = 0x10;
 /**
  * A trace decoded into simulation operands (see the file comment).
  *
- * The three record arrays are index-aligned with the source record
- * order; instruction rows carry zeros in blocks[]/caches[] so the
- * arrays never need separate cursors. The struct is immutable after
+ * dataBits marks the data records among all records; the three
+ * operand columns (ops, blocks, caches) hold one entry per data
+ * record, in record order, so the data record with data index d is
+ * the (d+1)-th set bit of dataBits. The struct is immutable after
  * decoding and safe to share read-only across concurrent simulations
  * (the runner decodes each trace once per grid).
  */
@@ -64,20 +73,28 @@ struct DecodedTrace
 {
     std::string name; ///< workload name (trace/file header)
 
-    /** decodedOp* kind plus the decodedOpFirstRef flag. */
+    /**
+     * One bit per record, 64 to a word: bit i % 64 of word i / 64 is
+     * set when record i is a data record (a read or a write). Bits
+     * past numRecords() are clear.
+     */
+    std::vector<std::uint64_t> dataBits;
+    /** Per data record: decodedOp* kind plus decodedOpFirstRef. */
     std::vector<std::uint8_t> ops;
-    /** Densified block index (first-appearance order over data refs). */
+    /** Per data record: densified block index (first-appearance
+     *  order). */
     std::vector<std::uint32_t> blocks;
-    /** Dense cache id (first-appearance order over data refs). */
-    std::vector<CacheId> caches;
+    /** Per data record: dense cache id (first-appearance order);
+     *  below maxCacheDomain, so 16 bits hold it. */
+    std::vector<std::uint16_t> caches;
     /** Dense block index -> original block number. */
     std::vector<BlockNum> denseToBlock;
     /**
-     * Ascending record indices of the coherence references (see the
-     * file comment); empty for a stream of more than 2^32 records,
-     * whose indices a u32 cannot hold. Not part of the stream's
-     * identity: it follows from the arrays above, and
-     * traceChecksumFnv64() does not hash it.
+     * Ascending data indices (into the operand columns) of the
+     * coherence references (see the file comment); empty for a stream
+     * of more than 2^32 data records, whose indices a u32 cannot
+     * hold. Not part of the stream's identity: it follows from the
+     * columns above, and traceChecksumFnv64() does not hash it.
      */
     std::vector<std::uint32_t> coherenceRefs;
 
@@ -97,11 +114,25 @@ struct DecodedTrace
      * processes consume no cache).
      */
     unsigned cachesUsed = 0;
-    /** Data references in the stream (reads + writes). */
-    std::uint64_t dataRefs = 0;
+    /** Records decoded (see numRecords()). */
+    std::uint64_t records = 0;
 
     /** Total records (instructions included). */
-    std::uint64_t numRecords() const { return ops.size(); }
+    std::uint64_t numRecords() const { return records; }
+
+    /** Data references in the stream (reads + writes). */
+    std::uint64_t dataRefs() const { return ops.size(); }
+
+    /** Whether record @p record (< numRecords()) is a data record. */
+    bool isData(std::uint64_t record) const
+    {
+        return (dataBits[record / 64] >> (record % 64) & 1) != 0;
+    }
+
+    /** Data records among the first @p record records (all of them
+     *  past numRecords()): record @p record's data index when it is a
+     *  data record. */
+    std::uint64_t dataBefore(std::uint64_t record) const;
 
     /** Distinct blocks the data references touch. */
     std::uint32_t blockCount() const
@@ -116,7 +147,7 @@ struct DecodedTrace
         return {blockCount(), denseToBlock.data()};
     }
 
-    /** Heap bytes held by the record arrays (for diagnostics). */
+    /** Bytes held by the bitmap and the arrays (for diagnostics). */
     std::uint64_t memoryBytes() const;
 };
 
@@ -154,10 +185,11 @@ DecodedTrace decodeTraceFile(const std::string &path,
  * instruction fetch adds Instr, a private re-read Read and RdHit
  * (the contract on CoherenceProtocol::read()). Every counter, the
  * warm-up snapshot included, equals the full walk's. The full walk
- * runs when the caches are finite (a hit updates LRU state), when a
- * trace sink is attached (it sees every data reference), when
- * config.invariantCheckPeriod is set, and for a stream of more than
- * 2^32 records.
+ * visits every record in order, counting each instruction fetch as
+ * it passes; it runs when the caches are finite (a hit updates LRU
+ * state), when a trace sink is attached (it sees every data
+ * reference), when config.invariantCheckPeriod is set, and for a
+ * stream of more than 2^32 data records.
  *
  * The protocol must be built over decoded.blockSpace() with enough
  * caches for decoded.cachesUsed; config.blockBytes and config.sharing

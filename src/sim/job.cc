@@ -1,6 +1,7 @@
 #include "sim/job.hh"
 
 #include <algorithm>
+#include <bit>
 #include <fstream>
 #include <functional>
 #include <map>
@@ -154,6 +155,34 @@ TraceRef::generated(TraceRecipe recipe)
     return ref;
 }
 
+namespace
+{
+
+/**
+ * Hash one column of a decoded stream's canonical record-aligned
+ * layout: a Row per record, zero for an instruction record and
+ * @p column's entry for a data record, rebuilt one bitmap word (64
+ * records) at a time.
+ */
+template <typename Row, typename Column>
+void
+hashColumn(traceformat::Fnv64 &fnv, const DecodedTrace &decoded,
+           const Column &column)
+{
+    std::uint64_t data = 0;
+    for (std::size_t w = 0; w < decoded.dataBits.size(); ++w) {
+        const auto rows = static_cast<std::size_t>(std::min<std::uint64_t>(
+            64, decoded.numRecords() - std::uint64_t{w} * 64));
+        Row buf[64] = {};
+        for (std::uint64_t bits = decoded.dataBits[w]; bits != 0;
+             bits &= bits - 1)
+            buf[std::countr_zero(bits)] = column[data++];
+        fnv.update(buf, rows * sizeof(Row));
+    }
+}
+
+} // namespace
+
 std::uint64_t
 traceChecksumFnv64(const DecodedTrace &decoded)
 {
@@ -162,14 +191,15 @@ traceChecksumFnv64(const DecodedTrace &decoded)
     const std::uint64_t shape[5] = {
         decoded.blockBytes,
         decoded.sharing == SharingModel::ByProcess ? 0u : 1u,
-        decoded.cachesNeeded, decoded.cachesUsed, decoded.dataRefs};
+        decoded.cachesNeeded, decoded.cachesUsed, decoded.dataRefs()};
     fnv.update(shape, sizeof(shape));
-    fnv.update(decoded.ops.data(),
-               decoded.ops.size() * sizeof(decoded.ops[0]));
-    fnv.update(decoded.blocks.data(),
-               decoded.blocks.size() * sizeof(decoded.blocks[0]));
-    fnv.update(decoded.caches.data(),
-               decoded.caches.size() * sizeof(decoded.caches[0]));
+    // Per record, in three passes: the op byte (decodedOpInstr for an
+    // instruction), the u32 dense block and the u32 cache id (zero
+    // for an instruction).
+    static_assert(decodedOpInstr == 0);
+    hashColumn<std::uint8_t>(fnv, decoded, decoded.ops);
+    hashColumn<std::uint32_t>(fnv, decoded, decoded.blocks);
+    hashColumn<CacheId>(fnv, decoded, decoded.caches);
     fnv.update(decoded.denseToBlock.data(),
                decoded.denseToBlock.size()
                    * sizeof(decoded.denseToBlock[0]));

@@ -116,9 +116,15 @@ class CellCache
  */
 inline constexpr std::uint32_t engineSchemaVersion = 1;
 
-/** FNV-1a 64 over a decoded stream's name, geometry, and arrays.
- *  Decoding is deterministic, so a file and the in-memory trace read
- *  from it produce the same decoded checksum. */
+/**
+ * FNV-1a 64 over a decoded stream's name, geometry, records and
+ * block table. The records are hashed as one record-aligned column
+ * each: an op byte per record, then a u32 dense block per record,
+ * then a u32 cache id per record, with instruction records as zeros,
+ * so the key does not follow the in-memory layout. Decoding is
+ * deterministic, so a file and the in-memory trace read from it
+ * produce the same decoded checksum.
+ */
 std::uint64_t traceChecksumFnv64(const DecodedTrace &decoded);
 
 /**

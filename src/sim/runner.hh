@@ -128,9 +128,9 @@ class ExperimentRunner
      *
      * Each file is read exactly once: the up-front decode pass
      * validates it, sizes the coherence domain, and captures the
-     * compact record stream (about 9 bytes per record) every cell
-     * then replays from memory. Results are bit-identical to loading
-     * the files and calling run().
+     * compact record stream (one bit per record plus 7 bytes per
+     * data record) every cell then replays from memory. Results are
+     * bit-identical to loading the files and calling run().
      *
      * @param schemes scheme specs (see protocols/registry.hh)
      * @param tracePaths trace files (".txt" = text, else binary)

@@ -7,10 +7,11 @@
  * memory: the streaming readers in trace/reader.hh hold only
  * fixed-size parser state regardless of trace length. A simulation
  * does not stream: decodeTrace() (sim/decoded.hh) drains the source
- * once into a DecodedTrace of 9 bytes per record plus 4 per coherence
- * reference (about 9.6 bytes per record on the paper traces), which
- * every cell then replays. An in-memory Trace needs no source: its
- * decodeTrace() overload walks the records directly.
+ * once into a DecodedTrace of one bit per record, 7 bytes per data
+ * record and 4 per coherence reference (4.1–4.5 bytes per record on
+ * the paper traces), which every cell then replays. An in-memory
+ * Trace needs no source: its decodeTrace() overload walks the
+ * records directly.
  */
 
 #ifndef DIRSIM_TRACE_SOURCE_HH

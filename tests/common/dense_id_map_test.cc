@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <map>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -69,6 +71,29 @@ TEST(DenseIdMapTest, CollidingLowBitsStayDistinct)
     for (std::uint32_t i = 0; i < 1000; ++i)
         EXPECT_EQ(map.idFor(std::uint64_t{1} << 40 | i).first, i);
     EXPECT_EQ(map.size(), 1000u);
+}
+
+TEST(DenseIdMapTest, KeysListEveryKeyInIdOrderAcrossGrowth)
+{
+    // keys()[id] is the key that id was assigned to, through several
+    // doublings of the table; the rvalue overload hands over the
+    // same list.
+    DenseIdMap map;
+    std::vector<std::uint64_t> expected;
+    std::mt19937_64 rng(7);
+    for (int step = 0; step < 20000; ++step) {
+        const std::uint64_t key = (step % 4 == 0) ? rng() : step / 3;
+        if (map.idFor(key).second)
+            expected.push_back(key);
+        if (step == 0 || step == 511 || step == 513 || step == 4096) {
+            EXPECT_EQ(map.keys(), expected) << "step " << step;
+        }
+    }
+    ASSERT_GT(expected.size(), 4096u);
+    EXPECT_EQ(map.keys(), expected);
+    for (std::uint32_t id = 0; id < expected.size(); ++id)
+        EXPECT_EQ(map.idFor(expected[id]).first, id);
+    EXPECT_EQ(std::move(map).keys(), expected);
 }
 
 } // namespace

@@ -65,6 +65,28 @@ TEST(RegistryTest, RejectsUnknownNames)
     EXPECT_THROW(makeProtocol(parseScheme("Dir2"), 4, blocks), UsageError);
 }
 
+TEST(RegistryTest, PointerCountPastTheBudgetLimitIsRejected)
+{
+    // i goes through parseDecimal() bounded by the largest budget a
+    // LimitedDirectory counts (2^30 - 1), so no name wraps to a
+    // smaller scheme: 2^32 + 1 used to parse as Dir1NB.
+    for (const std::string name :
+         {"Dir4294967297NB", "Dir18446744073709551616B",
+          "Dir1073741824NB"}) {
+        try {
+            parseScheme(name);
+            ADD_FAILURE() << name << " parsed";
+        } catch (const UsageError &error) {
+            EXPECT_NE(std::string(error.what()).find(name),
+                      std::string::npos)
+                << error.what();
+        }
+    }
+    const SchemeSpec widest = parseScheme("Dir1073741823B");
+    EXPECT_EQ(widest.family, SchemeFamily::DirIB);
+    EXPECT_EQ(widest.pointers, (1u << 30) - 1);
+}
+
 TEST(RegistryTest, UnknownNameErrorNamesOffenderAndValidSchemes)
 {
     try {

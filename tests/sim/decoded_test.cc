@@ -5,7 +5,8 @@
  * any job count, traced runs, warm-up) agreeing cell for cell; finite
  * caches choosing sets by the original block numbers; the coherence
  * references infinite-cache cells replay, which give the full walk's
- * results at every warm-up; the pinned content key; and the
+ * results at every warm-up; the content checksum over the
+ * record-aligned layout and the pinned content key; and the
  * rejections of mismatched streams, protocols and oversized domains.
  */
 
@@ -27,6 +28,7 @@
 #include "sim/scaling.hh"
 #include "sim/suite.hh"
 #include "test_util.hh"
+#include "trace/format.hh"
 #include "trace/writer.hh"
 #include "tracegen/generator.hh"
 
@@ -87,39 +89,42 @@ TEST(DecodedTraceTest, DecodeReportsExactShape)
         EXPECT_GT(decoded.blockCount(), 0u);
         EXPECT_EQ(decoded.ops.size(), decoded.blocks.size());
         EXPECT_EQ(decoded.ops.size(), decoded.caches.size());
+        EXPECT_EQ(decoded.dataBits.size(), (trace.size() + 63) / 64);
         EXPECT_GT(decoded.memoryBytes(), 0u);
 
-        // Replay the stream by hand: kinds and flags must mirror the
-        // raw records, each dense index must label the real block,
-        // the first-ref flag must fire exactly once per block, and a
-        // data record is a coherence reference unless it reads a
-        // block its own cache referenced last.
+        // Replay the stream by hand: the bitmap must mark exactly the
+        // data records, which the columns hold in record order; kinds
+        // and flags must mirror the raw records, each dense index must
+        // label the real block, the first-ref flag must fire exactly
+        // once per block, and a data record is a coherence reference
+        // unless it reads a block its own cache referenced last.
         std::vector<bool> seen(decoded.blockCount(), false);
         std::vector<CacheId> last(decoded.blockCount(), invalidCacheId);
         std::vector<std::uint32_t> coherence;
         std::uint64_t data_refs = 0;
         for (std::size_t i = 0; i < trace.size(); ++i) {
             const TraceRecord &record = trace[i];
-            const std::uint8_t op = decoded.ops[i];
-            if (record.isInstr()) {
-                EXPECT_EQ(op, decodedOpInstr);
+            EXPECT_EQ(decoded.dataBefore(i), data_refs);
+            EXPECT_EQ(decoded.isData(i), !record.isInstr());
+            if (record.isInstr())
                 continue;
-            }
+            const std::uint64_t d = data_refs++;
+            const std::uint8_t op = decoded.ops[d];
             EXPECT_EQ(op & decodedOpKindMask,
                       record.isRead() ? decodedOpRead : decodedOpWrite);
-            const std::uint32_t index = decoded.blocks[i];
+            const std::uint32_t index = decoded.blocks[d];
             ASSERT_LT(index, decoded.blockCount());
             EXPECT_EQ(decoded.denseToBlock[index],
                       blockNumber(record.addr, defaultBlockBytes));
             EXPECT_EQ((op & decodedOpFirstRef) != 0, !seen[index]);
             seen[index] = true;
-            EXPECT_LT(decoded.caches[i], decoded.cachesUsed);
-            if (record.isWrite() || last[index] != decoded.caches[i])
-                coherence.push_back(static_cast<std::uint32_t>(i));
-            last[index] = decoded.caches[i];
-            ++data_refs;
+            EXPECT_LT(decoded.caches[d], decoded.cachesUsed);
+            if (record.isWrite() || last[index] != decoded.caches[d])
+                coherence.push_back(static_cast<std::uint32_t>(d));
+            last[index] = decoded.caches[d];
         }
-        EXPECT_EQ(decoded.dataRefs, data_refs);
+        EXPECT_EQ(decoded.dataRefs(), data_refs);
+        EXPECT_EQ(decoded.dataBefore(trace.size() + 64), data_refs);
         EXPECT_EQ(decoded.coherenceRefs, coherence);
     }
 }
@@ -343,15 +348,18 @@ TEST(DecodedTraceTest, CoherenceReferencesArePinned)
     const Trace trace = classifiedTrace();
     const DecodedTrace by_process = decodeTrace(
         trace, defaultBlockBytes, SharingModel::ByProcess);
+    // Data indices: records 0 and 7 are fetches, so records 1-6 are
+    // data records 0-5 and records 8-12 are data records 6-10.
     EXPECT_EQ(by_process.coherenceRefs,
-              (std::vector<std::uint32_t>{1, 3, 4, 5, 8, 9, 11}));
-    // 13 records x 9 B, 2 blocks x 8 B, 7 coherence references x 4 B.
-    EXPECT_EQ(by_process.memoryBytes(), 13u * 9 + 2 * 8 + 7 * 4);
+              (std::vector<std::uint32_t>{0, 2, 3, 4, 6, 7, 9}));
+    // One bitmap word, 11 data records x 7 B (op, u32 block, u16
+    // cache), 2 blocks x 8 B, 7 coherence references x 4 B.
+    EXPECT_EQ(by_process.memoryBytes(), 8u + 11 * 7 + 2 * 8 + 7 * 4);
 
     const DecodedTrace by_processor = decodeTrace(
         trace, defaultBlockBytes, SharingModel::ByProcessor);
     EXPECT_EQ(by_processor.coherenceRefs,
-              (std::vector<std::uint32_t>{1, 3, 4, 5, 8, 9}));
+              (std::vector<std::uint32_t>{0, 2, 3, 4, 6, 7}));
 }
 
 TEST(DecodedTraceTest, ElidedWalkMatchesTheFullWalkAtEveryWarmup)
@@ -416,6 +424,61 @@ TEST(DecodedTraceTest, ElidedWalkMatchesTheFullWalkAtEveryWarmup)
     }
 }
 
+/**
+ * @p records records over four blocks and three pids: all fetches
+ * (kind 0), all data (kind 1), or mixed (kind 2: two data records in
+ * three, and the last record of every 64 a data record).
+ */
+Trace
+patternTrace(std::size_t records, int kind)
+{
+    Trace trace("pattern" + std::to_string(kind), 4);
+    for (std::size_t i = 0; i < records; ++i) {
+        const auto pid = static_cast<ProcId>(1 + i % 3);
+        const Addr addr = 0x40 * (i % 4) + 4 * (i % 3);
+        const bool data =
+            kind == 1 || (kind == 2 && (i % 3 != 0 || i % 64 == 63));
+        if (!data)
+            trace.append(test::instr(pid, 0x1000 + 4 * i));
+        else if (i % 5 == 1)
+            trace.append(test::write(pid, addr));
+        else
+            trace.append(test::read(pid, addr));
+    }
+    return trace;
+}
+
+TEST(DecodedTraceTest, ElidedWalkMatchesTheFullWalkAtBitmapWordEdges)
+{
+    // The elided walk turns the warm-up boundary into a data index by
+    // a popcount over the bitmap; these boundaries sit on both sides
+    // of its first two word edges, in a generated paper trace and in
+    // a mixed pattern whose word-final records are data records.
+    std::vector<std::string> schemes = allSchemes();
+    schemes.push_back("DirCVr2");
+    for (const Trace &trace :
+         {generateTrace("pops", 1'000, 23), patternTrace(200, 2)}) {
+        const DecodedTrace decoded = decodeTrace(
+            trace, defaultBlockBytes, SharingModel::ByProcess);
+        SimConfig elided;
+        SimConfig full;
+        full.invariantCheckPeriod = decoded.numRecords();
+        for (const std::uint64_t w : {63u, 64u, 65u, 127u, 128u}) {
+            elided.warmupRefs = full.warmupRefs = w;
+            for (const std::string &name : schemes) {
+                SCOPED_TRACE(trace.name() + " " + name + " warm-up "
+                             + std::to_string(w));
+                const SchemeSpec scheme = parseScheme(name);
+                const SimResult result =
+                    simulateTrace(decoded, scheme, elided);
+                EXPECT_EQ(result.totalRefs, decoded.numRecords() - w);
+                expectIdentical(result,
+                                simulateTrace(decoded, scheme, full));
+            }
+        }
+    }
+}
+
 /** Counts the data references a simulation reports to its sink. */
 class CountingSink : public ProtocolTraceSink
 {
@@ -430,13 +493,13 @@ TEST(DecodedTraceTest, SinkOnInfiniteCachesSeesEveryDataReference)
     const auto traces = smallSuite();
     const DecodedTrace decoded = decodeTrace(
         traces[0], defaultBlockBytes, SharingModel::ByProcess);
-    ASSERT_LT(decoded.coherenceRefs.size(), decoded.dataRefs);
+    ASSERT_LT(decoded.coherenceRefs.size(), decoded.dataRefs());
     for (const SchemeSpec &scheme : parseSchemes(paperSchemes())) {
         CountingSink sink;
         SimConfig config;
         config.traceSink = &sink;
         const SimResult traced = simulateTrace(decoded, scheme, config);
-        EXPECT_EQ(sink.dataRefs, decoded.dataRefs) << scheme.name();
+        EXPECT_EQ(sink.dataRefs, decoded.dataRefs()) << scheme.name();
         expectIdentical(traced, simulateTrace(decoded, scheme));
     }
 }
@@ -515,6 +578,91 @@ TEST(DecodedTraceTest, ContentKeyIsPinned)
     EXPECT_EQ(cellCacheKey(checksum, parseScheme("Dir1NB"), SimConfig{}),
               0x01ed81f0dd47b949ull);
 }
+
+/** A source over an in-memory trace that declares no size, as a text
+ *  file does, so the decode grows every array as it goes. */
+class UnsizedSource : public TraceSource
+{
+  public:
+    explicit UnsizedSource(const Trace &trace_arg) : trace(trace_arg) {}
+
+    bool
+    next(TraceRecord &record) override
+    {
+        if (position == trace.size())
+            return false;
+        record = trace[position++];
+        return true;
+    }
+
+    const std::string &name() const override { return trace.name(); }
+    unsigned numCpus() const override { return trace.numCpus(); }
+    const char *format() const override { return "unsized"; }
+
+  private:
+    const Trace &trace;
+    std::size_t position = 0;
+};
+
+/**
+ * The content checksum recomputed from the record-aligned arrays it
+ * is defined over: per record of @p trace an op byte, a u32 block and
+ * a u32 cache id, decodedOpInstr and zeros for a fetch.
+ */
+std::uint64_t
+expandedChecksum(const Trace &trace, const DecodedTrace &decoded)
+{
+    std::vector<std::uint8_t> ops(trace.size(), decodedOpInstr);
+    std::vector<std::uint32_t> blocks(trace.size(), 0);
+    std::vector<std::uint32_t> caches(trace.size(), 0);
+    std::uint64_t data_refs = 0;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        if (trace[i].isInstr())
+            continue;
+        ops[i] = decoded.ops.at(data_refs);
+        blocks[i] = decoded.blocks.at(data_refs);
+        caches[i] = decoded.caches.at(data_refs);
+        ++data_refs;
+    }
+    traceformat::Fnv64 fnv;
+    fnv.update(decoded.name.data(), decoded.name.size());
+    const std::uint64_t shape[5] = {
+        decoded.blockBytes,
+        decoded.sharing == SharingModel::ByProcess ? 0u : 1u,
+        decoded.cachesNeeded, decoded.cachesUsed, data_refs};
+    fnv.update(shape, sizeof(shape));
+    fnv.update(ops.data(), ops.size());
+    fnv.update(blocks.data(), blocks.size() * sizeof(std::uint32_t));
+    fnv.update(caches.data(), caches.size() * sizeof(std::uint32_t));
+    fnv.update(decoded.denseToBlock.data(),
+               decoded.denseToBlock.size() * sizeof(BlockNum));
+    return fnv.value();
+}
+
+TEST(DecodedTraceTest, ChecksumHashesTheRecordAlignedLayout)
+{
+    // Record counts around the bitmap's word edges, with every record
+    // a fetch, every record a data record, and a mix; decoded in
+    // memory (sized) and from a source with no size hint.
+    for (const std::size_t records :
+         {0u, 1u, 63u, 64u, 65u, 127u, 128u, 129u}) {
+        for (const int kind : {0, 1, 2}) {
+            const Trace trace = patternTrace(records, kind);
+            SCOPED_TRACE(trace.name() + " x " + std::to_string(records));
+            const DecodedTrace sized = decodeTrace(
+                trace, defaultBlockBytes, SharingModel::ByProcess);
+            UnsizedSource source(trace);
+            const DecodedTrace unsized = decodeTrace(
+                source, defaultBlockBytes, SharingModel::ByProcess);
+            EXPECT_EQ(unsized.dataBits, sized.dataBits);
+            EXPECT_EQ(unsized.dataRefs(), sized.dataRefs());
+            const std::uint64_t expected = expandedChecksum(trace, sized);
+            EXPECT_EQ(traceChecksumFnv64(sized), expected);
+            EXPECT_EQ(traceChecksumFnv64(unsized), expected);
+        }
+    }
+}
+
 
 } // namespace
 } // namespace dirsim
