@@ -17,7 +17,12 @@ alternating from pair to pair, with the same environment (its own
 
 It prints, per metric, each side's median and quartiles, the ratio of
 the medians (NEW / OLD) and the pairs NEW won, reading each metric's
-better direction and bound from OLD's BENCHMARK.json. It exits 1 when
+better direction and bound from OLD's BENCHMARK.json. Then, per side,
+the median and range of the minor page faults of a run: the
+getrusage(RUSAGE_CHILDREN) delta around each run.py call, which covers
+run.py's up-to-date build check as well as the benchmark itself. A
+flip of glibc's heap trimming shows there as a jump in faults, where
+otherwise it reads as an unexplained `setup_s` move. It exits 1 when
 a run fails or reports failed cells, or when an end-to-end metric's
 median ratio is worse than its bound.
 """
@@ -25,6 +30,7 @@ median ratio is worse than its bound.
 import argparse
 import json
 import os
+import resource
 import shutil
 import statistics
 import subprocess
@@ -64,20 +70,27 @@ def build(tree):
         raise SystemExit(f"ab_pairs: building {tree} failed")
 
 
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+
+
 def run_once(tree, args):
-    """One run.py invocation; its result object, or None on failure."""
+    """One run.py invocation: (its result object, or None on failure;
+    the minor page faults of the run and its descendants)."""
     command = [sys.executable, "perfbench/run.py", "--workload",
                args.workload, "--seconds", str(args.seconds)]
+    before = minor_faults()
     result = subprocess.run(command, cwd=tree, env=child_env(tree),
                             capture_output=True, text=True)
+    faults = minor_faults() - before
     lines = result.stdout.strip().splitlines()
     if result.returncode != 0 or not lines:
         sys.stderr.write(result.stderr[-2000:])
-        return None
+        return None, faults
     try:
-        return json.loads(lines[-1])
+        return json.loads(lines[-1]), faults
     except json.JSONDecodeError:
-        return None
+        return None, faults
 
 
 def quartiles(values):
@@ -170,11 +183,13 @@ def main():
             build(trees[side])
 
         runs = {"old": [], "new": []}
+        faults = {"old": [], "new": []}
         failed = False
         for pair in range(args.pairs):
             order = ("old", "new") if pair % 2 == 0 else ("new", "old")
             for side in order:
-                result = run_once(trees[side], args)
+                result, run_faults = run_once(trees[side], args)
+                faults[side].append(run_faults)
                 if result is None or result.get("failed", 1) != 0:
                     print(f"pair {pair + 1}: {side} run failed",
                           file=sys.stderr)
@@ -187,6 +202,10 @@ def main():
         print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s, "
               f"old {args.old} vs new {args.new}")
         breaches = report(runs, metric_specs(args.old))
+        for side in ("old", "new"):
+            print(f"{side} minor page faults per run: median "
+                  f"{statistics.median(faults[side]):,.0f} [range "
+                  f"{min(faults[side]):,}, {max(faults[side]):,}]")
         if breaches:
             print("past their bound: " + ", ".join(breaches))
         return 1 if failed or breaches else 0

@@ -42,7 +42,7 @@ CoarseVectorDirectory::BasicEntry<Mutable>::add(CacheId cache)
         const std::uint32_t mask = ternaryMask() & ~(ternaryValue() ^ cache);
         code[0] = (std::uint64_t{mask} << 32) | (ternaryValue() & mask);
     }
-    *flags |= memberFlag;
+    *member = 1;
 }
 
 template <bool Mutable>
@@ -50,7 +50,7 @@ void
 CoarseVectorDirectory::BasicEntry<Mutable>::clear() requires Mutable
 {
     std::memset(code, 0, dir->codeWordCount * sizeof(std::uint64_t));
-    *flags = static_cast<std::uint8_t>(*flags & ~memberFlag);
+    *member = 0;
 }
 
 template <bool Mutable>
@@ -186,7 +186,7 @@ CoarseVectorDirectory::CoarseVectorDirectory(unsigned num_caches_arg,
     numDigits = digitCount(caches, regionGranularity);
     codeWordCount = regionGranularity == 0 ? 1 : (numDigits + 63) / 64;
     words = callocArena<std::uint64_t>(block_count * codeWordCount);
-    flags = callocArena<std::uint8_t>(block_count);
+    members = callocArena<std::uint8_t>(block_count);
 }
 
 unsigned

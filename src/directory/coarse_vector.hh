@@ -5,6 +5,10 @@
  * constrains that bit of the cache index; BOTH leaves it free, so the
  * word always denotes a superset of the caches holding the block and
  * costs 2*log2(n) bits.
+ *
+ * An entry keeps only the code: the dirty owner lives in the engine
+ * (protocols/protocol.hh), and directory/storage.hh prices the dirty
+ * bit of the hardware entry.
  */
 
 #ifndef DIRSIM_DIRECTORY_COARSE_VECTOR_HH
@@ -21,10 +25,9 @@ namespace dirsim
 {
 
 /**
- * A directory whose entries keep a dirty bit plus a superset code
- * over cache indices, for the Section 6 limited-broadcast
- * evaluation. The code takes one of two forms, the same for every
- * entry of a directory:
+ * A directory whose entries keep a superset code over cache indices,
+ * for the Section 6 limited-broadcast evaluation. The code takes one
+ * of two forms, the same for every entry of a directory:
  *
  *  - Ternary (region_size == 0): the Section 6 word of
  *    d = ceil(log2 n) digits described in the file comment.
@@ -37,13 +40,13 @@ namespace dirsim
  *    and every fan-out count uses it, never a blanket r*K.
  *
  * The entries of the blocks [0, block_count) live in two calloc'd
- * arenas: the code words of every block and one flags byte per block
- * (dirty, has-member). A ternary code is one word: digit i is
- * fixed when bit 32+i is set, to the value of bit i, and BOTH
- * otherwise, so 0, 1 and BOTH are the bit pairs (1,0), (1,1) and
- * (0,0). A region code keeps region r's flag in bit r%64 of word
- * r/64. All-zero bytes are an empty entry, so construction
- * zero-fills nothing, and the geometry is kept once, here.
+ * arenas: the code words of every block and one has-member byte per
+ * block. A ternary code is one word: digit i is fixed when bit 32+i
+ * is set, to the value of bit i, and BOTH otherwise, so 0, 1 and
+ * BOTH are the bit pairs (1,0), (1,1) and (0,0). A region code keeps
+ * region r's flag in bit r%64 of word r/64. All-zero bytes are an
+ * empty entry, so construction zero-fills nothing, and the geometry
+ * is kept once, here.
  *
  * Invariants (property-tested against brute-force enumeration):
  *  - decode() is always a superset of the exact sharer set encoded;
@@ -71,24 +74,17 @@ class CoarseVectorDirectory
       public:
         BasicEntry(const CoarseVectorDirectory &dir_arg,
                    Slot<std::uint64_t> *code_arg,
-                   Slot<std::uint8_t> *flags_arg)
-            : dir(&dir_arg), code(code_arg), flags(flags_arg)
+                   Slot<std::uint8_t> *member_arg)
+            : dir(&dir_arg), code(code_arg), member(member_arg)
         {}
 
-        bool dirty() const { return *flags & dirtyFlag; }
-        void setDirty(bool dirty_arg) requires Mutable
-        {
-            *flags = static_cast<std::uint8_t>(
-                dirty_arg ? *flags | dirtyFlag : *flags & ~dirtyFlag);
-        }
-
         /** True when no cache has been encoded since the last clear. */
-        bool empty() const { return !(*flags & memberFlag); }
+        bool empty() const { return *member == 0; }
 
         /** Fold cache @p cache into the code. */
         void add(CacheId cache) requires Mutable;
 
-        /** Reset the code to empty; the dirty bit is kept. */
+        /** Reset the code to empty. */
         void clear() requires Mutable;
 
         /** True iff @p cache is in the denoted superset (false for an
@@ -118,9 +114,6 @@ class CoarseVectorDirectory
         std::string toString() const;
 
       private:
-        static constexpr std::uint8_t dirtyFlag = 1;
-        static constexpr std::uint8_t memberFlag = 2;
-
         std::uint32_t ternaryValue() const
         {
             return static_cast<std::uint32_t>(code[0]);
@@ -132,7 +125,7 @@ class CoarseVectorDirectory
 
         const CoarseVectorDirectory *dir;
         Slot<std::uint64_t> *code;
-        Slot<std::uint8_t> *flags;
+        Slot<std::uint8_t> *member;
     };
 
     using Entry = BasicEntry<true>;
@@ -153,13 +146,13 @@ class CoarseVectorDirectory
     {
         checkBlock(block);
         return {*this, words.get() + block * codeWordCount,
-                flags.get() + block};
+                members.get() + block};
     }
     ConstEntry entry(BlockNum block) const
     {
         checkBlock(block);
         return {*this, words.get() + block * codeWordCount,
-                flags.get() + block};
+                members.get() + block};
     }
 
     unsigned numCaches() const { return caches; }
@@ -212,8 +205,8 @@ class CoarseVectorDirectory
     std::uint64_t blocks;
     /** Block b's code: [b * codeWordCount, (b + 1) * codeWordCount). */
     CallocArena<std::uint64_t> words;
-    /** Block b's dirty and has-member flags. */
-    CallocArena<std::uint8_t> flags;
+    /** Block b's has-member flag. */
+    CallocArena<std::uint8_t> members;
 };
 
 } // namespace dirsim

@@ -1,12 +1,12 @@
 /**
  * @file
- * Sharer tracking for directory entries and the engine's holder
- * oracle, in two forms:
+ * Sharer tracking for the engine's holder oracle, in two forms:
  *
  *  - SharerSet: a self-contained dynamic bit vector over the cache
  *    domain, used for holder snapshots, invariant checks, and tests.
  *
- *  - SharerStore: the arena form every protocol and directory keeps.
+ *  - SharerStore: the arena form the holder oracle keeps, the one
+ *    record of who holds each block (protocols/protocol.hh).
  *    One flat word vector holds the sharer sets of *every* block, so
  *    a protocol instance makes a single allocation instead of one
  *    heap bit-vector per block. Per block the store keeps a hybrid

@@ -35,7 +35,6 @@
 #include "common/thread_pool.hh"
 #include "common/types.hh"
 #include "directory/coarse_vector.hh"
-#include "directory/full_map.hh"
 #include "directory/limited.hh"
 #include "directory/sharer_set.hh"
 #include "directory/storage.hh"

@@ -9,16 +9,14 @@ Dir1NB::Dir1NB(unsigned num_caches_arg, const BlockSpace &blocks_arg,
                const CacheFactory &factory)
     : CoherenceProtocol(num_caches_arg, blocks_arg, factory,
                         OracleStates{stClean, stDirty}),
-      dir(1, /* allow_broadcast */ false, blocks_arg.count)
+      dir(1, blocks_arg.count)
 {
 }
 
 void
 Dir1NB::onEviction(CacheId cache, BlockNum block, CacheBlockState)
 {
-    LimitedEntry entry = dir.entry(block);
-    entry.removeSharer(cache);
-    entry.setDirty(false);
+    dir.entry(block).removeSharer(cache);
 }
 
 void
@@ -41,13 +39,11 @@ Dir1NB::displace(BlockNum block, const Others &others, bool first)
 }
 
 void
-Dir1NB::takeOwnership(CacheId cache, BlockNum block, bool dirty)
+Dir1NB::takeOwnership(CacheId cache, BlockNum block)
 {
-    LimitedEntry entry = dir.entry(block);
-    const auto outcome = entry.addSharer(cache);
+    const auto outcome = dir.entry(block).addSharer(cache);
     panicIfNot(outcome == LimitedAddOutcome::Recorded,
                "Dir1NB directory pointer was not free");
-    entry.setDirty(dirty);
 }
 
 void
@@ -63,7 +59,7 @@ Dir1NB::handleReadMiss(CacheId cache, BlockNum block,
         ++opCounts.busTransactions;
     }
     install(cache, block, stClean);
-    takeOwnership(cache, block, /* dirty */ false);
+    takeOwnership(cache, block);
 }
 
 void
@@ -79,7 +75,6 @@ Dir1NB::handleWriteHit(CacheId cache, BlockNum block,
     }
     eventCounts.add(EventType::WhBlkCln);
     setState(cache, block, stDirty);
-    dir.entry(block).setDirty(true);
 }
 
 void
@@ -93,7 +88,7 @@ Dir1NB::handleWriteMiss(CacheId cache, BlockNum block,
         ++opCounts.busTransactions;
     }
     install(cache, block, stDirty);
-    takeOwnership(cache, block, /* dirty */ true);
+    takeOwnership(cache, block);
 }
 
 void
@@ -109,9 +104,6 @@ Dir1NB::checkInvariants(BlockNum block) const
         panicIfNot(entry.pointsTo(sharers.first()),
                    "Dir1NB: directory pointer disagrees with the caches "
                    "for block ", block);
-        panicIfNot(entry.dirty()
-                       == isDirtyState(cacheState(sharers.first(), block)),
-                   "Dir1NB: directory dirty bit stale for block ", block);
     } else {
         panicIfNot(entry.pointerCount() == 0,
                    "Dir1NB: dangling directory pointer for block ", block);

@@ -9,6 +9,13 @@
  * trivially scalable, but read sharing is punished hard — the paper
  * measures a ~6x bus-cycle penalty versus Dir0B, dominated by spin
  * locks bouncing between caches (Section 5.2).
+ *
+ * The pointer repeats the engine's holder oracle (the sole holder) and
+ * the dirty bit is the holder's cache state, so no decision reads the
+ * directory. It keeps its pointer and count arenas anyway: deleting
+ * them changes the size of a paper-grid cell's allocations, which
+ * moves the benchmark's set-up time through glibc's heap trimming
+ * (docs/performance.md, "Heap trimming").
  */
 
 #ifndef DIRSIM_PROTOCOLS_DIR1_NB_HH
@@ -59,7 +66,7 @@ class Dir1NB : public CoherenceProtocol
     void displace(BlockNum block, const Others &others, bool first);
 
     /** Record the new sole holder in the directory. */
-    void takeOwnership(CacheId cache, BlockNum block, bool dirty);
+    void takeOwnership(CacheId cache, BlockNum block);
 
     LimitedDirectory dir;
 };

@@ -64,7 +64,6 @@ DirCV::handleReadMiss(CacheId cache, BlockNum block,
             ++opCounts.dirtySupplies;
         }
         setState(others.dirtyOwner, block, stClean);
-        entry.setDirty(false);
     } else if (!first) {
         ++opCounts.memSupplies;
     }
@@ -89,7 +88,6 @@ DirCV::handleWriteHit(CacheId cache, BlockNum block,
     ++opCounts.busTransactions;
     invalidateSuperset(cache, block, /* costed */ true);
     setState(cache, block, stDirty);
-    dir.entry(block).setDirty(true);
 }
 
 void
@@ -118,7 +116,6 @@ DirCV::handleWriteMiss(CacheId cache, BlockNum block,
     install(cache, block, stDirty);
     entry.clear();
     entry.add(cache);
-    entry.setDirty(true);
 }
 
 void
@@ -128,11 +125,8 @@ DirCV::onEviction(CacheId, BlockNum block, CacheBlockState state)
     // the (still correct) superset in place. A dirty eviction implies
     // the code denoted only the evicting cache (ternary) or its
     // region; the write-back resets it.
-    if (isDirtyState(state)) {
-        CoarseVectorDirectory::Entry entry = dir.entry(block);
-        entry.clear();
-        entry.setDirty(false);
-    }
+    if (isDirtyState(state))
+        dir.entry(block).clear();
 }
 
 void
@@ -145,21 +139,21 @@ DirCV::checkInvariants(BlockNum block) const
     // the true holders.
     panicIfNot(entry.decode().isSupersetOf(sharers),
                "DirCV: code is not a superset for block ", block);
-    if (entry.dirty()) {
-        panicIfNot(sharers.count() == 1,
-                   "DirCV: dirty block ", block, " has ",
-                   sharers.count(), " sharers");
-        if (dir.regionSize() == 0) {
-            panicIfNot(entry.decode().isOnly(sharers.first()),
-                       "DirCV: dirty block ", block,
-                       " has an inexact code");
-        } else {
-            // Region mode cannot be exact: the tightest legal code
-            // is the owner's region alone.
-            panicIfNot(entry.flaggedRegions() == 1,
-                       "DirCV: dirty block ", block, " flags ",
-                       entry.flaggedRegions(), " regions");
-        }
+    const CacheId owner = dirtyHolder(block);
+    if (owner == invalidCacheId)
+        return;
+    panicIfNot(sharers.count() == 1,
+               "DirCV: dirty block ", block, " has ", sharers.count(),
+               " sharers");
+    if (dir.regionSize() == 0) {
+        panicIfNot(entry.decode().isOnly(owner),
+                   "DirCV: dirty block ", block, " has an inexact code");
+    } else {
+        // Region mode cannot be exact: the tightest legal code is the
+        // owner's region alone.
+        panicIfNot(entry.flaggedRegions() == 1,
+                   "DirCV: dirty block ", block, " flags ",
+                   entry.flaggedRegions(), " regions");
     }
 }
 

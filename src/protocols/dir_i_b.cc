@@ -9,42 +9,26 @@ DirIB::DirIB(unsigned num_caches_arg, const BlockSpace &blocks_arg,
              unsigned num_pointers_arg, const CacheFactory &factory)
     : CoherenceProtocol(num_caches_arg, blocks_arg, factory,
                         OracleStates{stClean, stDirty}),
-      dir(num_pointers_arg, /* allow_broadcast */ true, blocks_arg.count)
+      numPointers(num_pointers_arg)
 {
-}
-
-void
-DirIB::onEviction(CacheId cache, BlockNum block, CacheBlockState state)
-{
-    // Replacement hint: while the entry is exact the freed pointer is
-    // reclaimed. In broadcast mode there is nothing to update.
-    LimitedEntry entry = dir.entry(block);
-    entry.removeSharer(cache);
-    if (isDirtyState(state))
-        entry.setDirty(false);
+    fatalIf(numPointers == 0,
+            "Dir_0 B keeps no pointers: it is the two-bit directory "
+            "(directory/two_bit.hh)");
+    broadcastBits = callocArena<std::uint8_t>(blocks_arg.count);
 }
 
 std::string
 DirIB::name() const
 {
-    return "Dir" + std::to_string(dir.pointerBudget()) + "B";
-}
-
-void
-DirIB::recordSharer(BlockNum block, CacheId cache)
-{
-    const auto outcome = dir.entry(block).addSharer(cache);
-    panicIfNot(outcome != LimitedAddOutcome::EvictionRequired,
-               "DirIB entries never require eviction");
+    return "Dir" + std::to_string(numPointers) + "B";
 }
 
 void
 DirIB::invalidateOthers(CacheId keeper, BlockNum block, bool costed)
 {
-    LimitedEntry entry = dir.entry(block);
     CacheIdList sharers;
     snapshotHolders(block, sharers);
-    const bool broadcast = entry.broadcastRequired();
+    const bool broadcast = broadcastBits[block] != 0;
     if (broadcast && costed)
         ++opCounts.broadcastInvals;
     for (const CacheId holder : sharers) {
@@ -55,9 +39,7 @@ DirIB::invalidateOthers(CacheId keeper, BlockNum block, bool costed)
         invalidateIn(holder, block);
     }
     // After the invalidation the keeper is the only (known) sharer.
-    entry.reset();
-    if (keeper != invalidCacheId)
-        recordSharer(block, keeper);
+    broadcastBits[block] = 0;
 }
 
 void
@@ -72,14 +54,16 @@ DirIB::handleReadMiss(CacheId cache, BlockNum block,
             ++opCounts.dirtySupplies;
         }
         setState(others.dirtyOwner, block, stClean);
-        dir.entry(block).setDirty(false);
     } else if (!first) {
         ++opCounts.memSupplies;
     }
     if (!first)
         ++opCounts.busTransactions;
     install(cache, block, stClean);
-    recordSharer(block, cache);
+    // The pointer array overflows: only a broadcast reaches every
+    // copy from now on.
+    if (holderCount(block) > numPointers)
+        broadcastBits[block] = 1;
 }
 
 void
@@ -97,7 +81,6 @@ DirIB::handleWriteHit(CacheId cache, BlockNum block,
     ++opCounts.busTransactions;
     invalidateOthers(cache, block, /* costed */ true);
     setState(cache, block, stDirty);
-    dir.entry(block).setDirty(true);
 }
 
 void
@@ -110,7 +93,7 @@ DirIB::handleWriteMiss(CacheId cache, BlockNum block,
             ++opCounts.dirtySupplies;
         }
         invalidateIn(others.dirtyOwner, block);
-        dir.entry(block).reset();
+        broadcastBits[block] = 0;
     } else if (others.numOthers > 0) {
         if (!first)
             sampleCleanWrite(others.numOthers);
@@ -123,28 +106,20 @@ DirIB::handleWriteMiss(CacheId cache, BlockNum block,
     if (!first)
         ++opCounts.busTransactions;
     install(cache, block, stDirty);
-    recordSharer(block, cache);
-    dir.entry(block).setDirty(true);
 }
 
 void
 DirIB::checkInvariants(BlockNum block) const
 {
     CoherenceProtocol::checkInvariants(block);
-    const SharerSet sharers = holders(block);
-    const ConstLimitedEntry entry = dir.entry(block);
-    if (!entry.broadcastRequired()) {
-        // Exact mode: pointers must equal the true sharer set.
-        panicIfNot(entry.pointerCount() == sharers.count(),
-                   name(), ": pointer count disagrees for block ", block);
-        for (const CacheId cache : entry.pointerList())
-            panicIfNot(sharers.contains(cache),
-                       name(), ": stale pointer for block ", block);
-    }
-    if (entry.dirty())
-        panicIfNot(sharers.count() == 1,
-                   name(), ": dirty block ", block, " has ",
-                   sharers.count(), " sharers");
+    const unsigned count = holderCount(block);
+    // A clear bit means the i pointers still name every copy.
+    panicIfNot(broadcastBits[block] != 0 || count <= numPointers,
+               name(), ": block ", block, " has ", count,
+               " holders and no broadcast bit");
+    panicIfNot(dirtyHolder(block) == invalidCacheId || count == 1,
+               name(), ": dirty block ", block, " has ", count,
+               " sharers");
 }
 
 } // namespace dirsim

@@ -7,12 +7,19 @@
  * must be broadcast. Dir1B is the paper's headline variant: since a
  * single invalidation is the common case, its cost model is
  * 0.0485 + 0.0006*b cycles per reference on their traces.
+ *
+ * While the bit is clear the i pointers name exactly the engine's
+ * holders (protocols/protocol.hh), whom the directed invalidations
+ * walk, so the scheme keeps only the broadcast bit: one byte per
+ * block. directory/storage.hh prices the whole entry.
  */
 
 #ifndef DIRSIM_PROTOCOLS_DIR_I_B_HH
 #define DIRSIM_PROTOCOLS_DIR_I_B_HH
 
-#include "directory/limited.hh"
+#include <cstdint>
+
+#include "common/arena.hh"
 #include "protocols/protocol.hh"
 
 namespace dirsim
@@ -40,15 +47,14 @@ class DirIB : public CoherenceProtocol
     }
     void checkInvariants(BlockNum block) const override;
 
-    unsigned pointerBudget() const { return dir.pointerBudget(); }
+    unsigned pointerBudget() const { return numPointers; }
 
-  protected:
-    void onEviction(CacheId cache, BlockNum block,
-                    CacheBlockState state) override;
-
-  public:
-    /** The limited-pointer directory (exposed for tests). */
-    const LimitedDirectory &directory() const { return dir; }
+    /** True when @p block's broadcast bit is set: its next
+     *  invalidation is a broadcast. */
+    bool broadcastBit(BlockNum block) const
+    {
+        return block < blockSpace().count && broadcastBits[block] != 0;
+    }
 
   protected:
     void handleReadMiss(CacheId cache, BlockNum block,
@@ -59,16 +65,18 @@ class DirIB : public CoherenceProtocol
                          const Others &others, bool first) override;
 
   private:
-    /** Record a new sharer; overflow flips the entry to broadcast. */
-    void recordSharer(BlockNum block, CacheId cache);
-
     /**
      * Invalidate all copies but @p keeper's: directed messages while
-     * the directory is exact, one broadcast otherwise.
+     * the directory is exact, one broadcast otherwise. Either way the
+     * entry is exact afterwards.
      */
     void invalidateOthers(CacheId keeper, BlockNum block, bool costed);
 
-    LimitedDirectory dir;
+    unsigned numPointers;
+    /** Block b's broadcast bit: set when an install leaves more than
+     *  i holders, cleared by the invalidating write; an eviction
+     *  leaves it (the directory cannot tell how many copies remain). */
+    CallocArena<std::uint8_t> broadcastBits;
 };
 
 } // namespace dirsim

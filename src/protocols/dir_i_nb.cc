@@ -9,17 +9,14 @@ DirINB::DirINB(unsigned num_caches_arg, const BlockSpace &blocks_arg,
                unsigned num_pointers_arg, const CacheFactory &factory)
     : CoherenceProtocol(num_caches_arg, blocks_arg, factory,
                         OracleStates{stClean, stDirty}),
-      dir(num_pointers_arg, /* allow_broadcast */ false, blocks_arg.count)
+      dir(num_pointers_arg, blocks_arg.count)
 {
 }
 
 void
-DirINB::onEviction(CacheId cache, BlockNum block, CacheBlockState state)
+DirINB::onEviction(CacheId cache, BlockNum block, CacheBlockState)
 {
-    LimitedEntry entry = dir.entry(block);
-    entry.removeSharer(cache);
-    if (isDirtyState(state))
-        entry.setDirty(false);
+    dir.entry(block).removeSharer(cache);
 }
 
 std::string
@@ -75,7 +72,6 @@ DirINB::handleReadMiss(CacheId cache, BlockNum block,
             ++opCounts.dirtySupplies;
         }
         setState(others.dirtyOwner, block, stClean);
-        dir.entry(block).setDirty(false);
     } else if (!first) {
         ++opCounts.memSupplies;
     }
@@ -100,7 +96,6 @@ DirINB::handleWriteHit(CacheId cache, BlockNum block,
     ++opCounts.busTransactions;
     invalidateOthers(cache, block, /* costed */ true);
     setState(cache, block, stDirty);
-    dir.entry(block).setDirty(true);
 }
 
 void
@@ -127,7 +122,6 @@ DirINB::handleWriteMiss(CacheId cache, BlockNum block,
         ++opCounts.busTransactions;
     install(cache, block, stDirty);
     recordSharer(block, cache, !first);
-    dir.entry(block).setDirty(true);
 }
 
 void
@@ -140,8 +134,6 @@ DirINB::checkInvariants(BlockNum block) const
                sharers.count(), " caches, budget ",
                dir.pointerBudget());
     const ConstLimitedEntry entry = dir.entry(block);
-    panicIfNot(!entry.broadcastRequired(),
-               name(), ": no-broadcast entry in broadcast mode");
     panicIfNot(entry.pointerCount() == sharers.count(),
                name(), ": pointer count disagrees for block ", block);
     for (const CacheId cache : entry.pointerList())

@@ -9,6 +9,10 @@
  * broadcasts altogether" (Section 6). Dir1NB is the i = 1 special
  * case and DirN NB the i = n case; both identities are asserted by
  * the test suite against the dedicated implementations.
+ *
+ * The directory keeps the i pointers in arrival order, since the
+ * oldest is the victim, and nothing else: the dirty owner lives in
+ * the engine (protocols/protocol.hh).
  */
 
 #ifndef DIRSIM_PROTOCOLS_DIR_I_NB_HH

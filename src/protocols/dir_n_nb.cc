@@ -8,31 +8,21 @@ namespace dirsim
 DirNNB::DirNNB(unsigned num_caches_arg, const BlockSpace &blocks_arg,
                const CacheFactory &factory)
     : CoherenceProtocol(num_caches_arg, blocks_arg, factory,
-                        OracleStates{stClean, stDirty}),
-      dir(num_caches_arg, blocks_arg.count)
+                        OracleStates{stClean, stDirty})
 {
-}
-
-void
-DirNNB::onEviction(CacheId cache, BlockNum block, CacheBlockState state)
-{
-    dir.removeSharer(block, cache);
-    if (isDirtyState(state))
-        dir.setDirty(block, false);
 }
 
 void
 DirNNB::invalidateOthers(CacheId keeper, BlockNum block, bool costed)
 {
     CacheIdList victims;
-    dir.appendSharers(block, victims);
+    snapshotHolders(block, victims);
     for (const CacheId victim : victims) {
         if (victim == keeper)
             continue;
         if (costed)
             ++opCounts.invalMsgs; // one directed message per copy
         invalidateIn(victim, block);
-        dir.removeSharer(block, victim);
     }
 }
 
@@ -48,14 +38,12 @@ DirNNB::handleReadMiss(CacheId cache, BlockNum block,
             ++opCounts.dirtySupplies;
         }
         setState(others.dirtyOwner, block, stClean);
-        dir.setDirty(block, false);
     } else if (!first) {
         ++opCounts.memSupplies;
     }
     if (!first)
         ++opCounts.busTransactions;
     install(cache, block, stClean);
-    dir.addSharer(block, cache);
 }
 
 void
@@ -75,7 +63,6 @@ DirNNB::handleWriteHit(CacheId cache, BlockNum block,
     ++opCounts.busTransactions;
     invalidateOthers(cache, block, /* costed */ true);
     setState(cache, block, stDirty);
-    dir.setDirty(block, true);
 }
 
 void
@@ -89,7 +76,6 @@ DirNNB::handleWriteMiss(CacheId cache, BlockNum block,
             ++opCounts.invalMsgs;
         }
         invalidateIn(others.dirtyOwner, block);
-        dir.removeSharer(block, others.dirtyOwner);
     } else if (others.numOthers > 0) {
         if (!first)
             sampleCleanWrite(others.numOthers);
@@ -102,28 +88,18 @@ DirNNB::handleWriteMiss(CacheId cache, BlockNum block,
     if (!first)
         ++opCounts.busTransactions;
     install(cache, block, stDirty);
-    dir.addSharer(block, cache);
-    dir.setDirty(block, true);
 }
 
 void
 DirNNB::checkInvariants(BlockNum block) const
 {
     CoherenceProtocol::checkInvariants(block);
-    const SharerSet sharers = holders(block);
-    panicIfNot(dir.sharerSnapshot(block) == sharers,
-               "DirNNB: directory present bits disagree with the caches "
-               "for block ", block);
-    panicIfNot(!dir.dirty(block) || dir.sharerCount(block) <= 1,
-               "DirNNB: dirty block ", block, " has multiple sharers");
-    if (!sharers.empty()) {
-        bool any_dirty = false;
-        sharers.forEach([&](CacheId holder) {
-            any_dirty |= isDirtyState(cacheState(holder, block));
-        });
-        panicIfNot(dir.dirty(block) == any_dirty,
-                   "DirNNB: directory dirty bit stale for block ", block);
-    }
+    // Every write invalidates the other copies, so a dirty block has
+    // exactly one holder.
+    panicIfNot(dirtyHolder(block) == invalidCacheId
+                   || holderCount(block) == 1,
+               "DirNNB: dirty block ", block, " has ", holderCount(block),
+               " holders");
 }
 
 } // namespace dirsim

@@ -5,6 +5,12 @@
  * bit per memory block, so every copy's location is known and no
  * broadcast is ever needed.
  *
+ * A full map's present bits and dirty bit are exactly the engine's
+ * holder oracle and dirty owner (protocols/protocol.hh), so the
+ * scheme keeps no directory of its own: it invalidates the oracle's
+ * holders in ascending order. directory/storage.hh still prices the
+ * organization at n + 1 bits per block.
+ *
  * Section 6 of the paper evaluates exactly this scheme: the bus
  * cycles per reference rise only from 0.0491 (Dir0B, broadcast) to
  * 0.0499 (sequential invalidates) because over 85% of writes to
@@ -14,7 +20,6 @@
 #ifndef DIRSIM_PROTOCOLS_DIR_N_NB_HH
 #define DIRSIM_PROTOCOLS_DIR_N_NB_HH
 
-#include "directory/full_map.hh"
 #include "protocols/protocol.hh"
 
 namespace dirsim
@@ -38,14 +43,6 @@ class DirNNB : public CoherenceProtocol
     void checkInvariants(BlockNum block) const override;
 
   protected:
-    void onEviction(CacheId cache, BlockNum block,
-                    CacheBlockState state) override;
-
-  public:
-    /** The full-map directory (exposed for tests). */
-    const FullMapDirectory &directory() const { return dir; }
-
-  protected:
     void handleReadMiss(CacheId cache, BlockNum block,
                         const Others &others, bool first) override;
     void handleWriteHit(CacheId cache, BlockNum block,
@@ -55,15 +52,11 @@ class DirNNB : public CoherenceProtocol
 
   private:
     /**
-     * Send directed invalidations to every holder but @p keeper,
-     * removing their copies and directory bits.
+     * Send directed invalidations to every holder but @p keeper.
      *
      * @param costed false while handling uncosted first references
-     * @param overflow unused here; see Dir_i NB for the distinction
      */
     void invalidateOthers(CacheId keeper, BlockNum block, bool costed);
-
-    FullMapDirectory dir;
 };
 
 } // namespace dirsim

@@ -249,6 +249,17 @@ CoherenceProtocol::firstHolder(BlockNum block) const
     return holderSets.first(block);
 }
 
+CacheId
+CoherenceProtocol::dirtyHolder(BlockNum block) const
+{
+    CacheId owner = invalidCacheId;
+    holders(block).forEach([&](CacheId holder) {
+        if (isDirtyState(stateOf(holder, block)))
+            owner = holder;
+    });
+    return owner;
+}
+
 std::vector<BlockNum>
 CoherenceProtocol::residentBlocks() const
 {

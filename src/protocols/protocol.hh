@@ -2,10 +2,16 @@
  * @file
  * The coherence-protocol engine interface.
  *
- * A protocol owns one infinite cache per process (the paper's model)
- * plus whatever directory organization it needs, processes the data
- * references of a trace in order, and tallies the Table 4 events, the
- * concrete bus operations, and the Figure 1 invalidation histogram.
+ * A protocol owns one infinite cache per process (the paper's model),
+ * processes the data references of a trace in order, and tallies the
+ * Table 4 events, the concrete bus operations, and the Figure 1
+ * invalidation histogram.
+ *
+ * The engine keeps the one record of who holds each block: the holder
+ * oracle (the exact holder set) and the dirty owner. A scheme adds
+ * only the directory state its own decisions read — Dir0B's two bits,
+ * Dir_i NB's pointers, Dir_i B's broadcast bit, DirCV's superset code
+ * — and a full map (DirNNB, YenFu) adds none.
  *
  * The engine deliberately separates a protocol's *state-change
  * specification* from its *cost*: protocols record what happened;
@@ -163,8 +169,9 @@ class CoherenceProtocol
     /**
      * Verify the protocol's coherence invariants for @p block,
      * throwing LogicError on violation. The base check enforces the
-     * universal single-writer rule; subclasses add scheme-specific
-     * checks (pointer budgets, directory agreement, ...).
+     * universal single-writer rule and that each cache's state agrees
+     * with the holder oracle and the dirty owner; subclasses add
+     * scheme-specific checks (pointer budgets, superset codes, ...).
      */
     virtual void checkInvariants(BlockNum block) const;
 
@@ -196,6 +203,13 @@ class CoherenceProtocol
 
     /** Lowest-numbered holder of @p block; panics when none. */
     CacheId firstHolder(BlockNum block) const;
+
+    /**
+     * The holder of @p block whose cacheState() is dirty, or
+     * invalidCacheId: what a directory's dirty bit would say, for the
+     * schemes' invariant checks.
+     */
+    CacheId dirtyHolder(BlockNum block) const;
 
     /**
      * Apply a read miss.

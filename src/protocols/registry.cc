@@ -61,7 +61,7 @@ parseDirFamily(const std::string &key, const std::string &name,
     pointers = static_cast<unsigned>(
         parseDecimal(key.substr(3, end - 3),
                      "Dir<i> pointer count of '" + name + "'",
-                     LimitedEntry::countMask));
+                     LimitedEntry::maxPointers));
     return true;
 }
 

@@ -7,8 +7,7 @@ namespace dirsim
 
 YenFu::YenFu(unsigned num_caches_arg, const BlockSpace &blocks_arg,
              const CacheFactory &factory)
-    : CoherenceProtocol(num_caches_arg, blocks_arg, factory),
-      dir(num_caches_arg, blocks_arg.count)
+    : CoherenceProtocol(num_caches_arg, blocks_arg, factory)
 {
 }
 
@@ -16,14 +15,13 @@ void
 YenFu::invalidateOthers(CacheId keeper, BlockNum block, bool costed)
 {
     CacheIdList victims;
-    dir.appendSharers(block, victims);
+    snapshotHolders(block, victims);
     for (const CacheId victim : victims) {
         if (victim == keeper)
             continue;
         if (costed)
             ++opCounts.invalMsgs;
         invalidateIn(victim, block);
-        dir.removeSharer(block, victim);
     }
 }
 
@@ -53,7 +51,6 @@ YenFu::handleReadMiss(CacheId cache, BlockNum block,
             ++opCounts.dirtySupplies;
         }
         setState(others.dirtyOwner, block, stClean);
-        dir.setDirty(block, false);
         install(cache, block, stClean);
     } else if (others.numOthers == 0) {
         if (!first)
@@ -74,7 +71,6 @@ YenFu::handleReadMiss(CacheId cache, BlockNum block,
     }
     if (!first)
         ++opCounts.busTransactions;
-    dir.addSharer(block, cache);
 }
 
 void
@@ -95,7 +91,6 @@ YenFu::handleWriteHit(CacheId cache, BlockNum block,
         ++opCounts.writeUpdates;
         ++opCounts.busTransactions;
         setState(cache, block, stDirty);
-        dir.setDirty(block, true);
         return;
     }
 
@@ -106,7 +101,6 @@ YenFu::handleWriteHit(CacheId cache, BlockNum block,
     ++opCounts.busTransactions;
     invalidateOthers(cache, block, /* costed */ true);
     setState(cache, block, stDirty);
-    dir.setDirty(block, true);
 }
 
 void
@@ -119,7 +113,6 @@ YenFu::handleWriteMiss(CacheId cache, BlockNum block,
             ++opCounts.invalMsgs;
         }
         invalidateIn(others.dirtyOwner, block);
-        dir.removeSharer(block, others.dirtyOwner);
     } else if (others.numOthers > 0) {
         if (!first)
             sampleCleanWrite(others.numOthers);
@@ -132,16 +125,11 @@ YenFu::handleWriteMiss(CacheId cache, BlockNum block,
     if (!first)
         ++opCounts.busTransactions;
     install(cache, block, stDirty);
-    dir.addSharer(block, cache);
-    dir.setDirty(block, true);
 }
 
 void
-YenFu::onEviction(CacheId cache, BlockNum block, CacheBlockState state)
+YenFu::onEviction(CacheId, BlockNum block, CacheBlockState)
 {
-    dir.removeSharer(block, cache);
-    if (isDirtyState(state))
-        dir.setDirty(block, false);
     // If exactly one clean copy survives, its single bit is set.
     restoreSingleBit(block, /* costed */ true);
 }
@@ -151,9 +139,6 @@ YenFu::checkInvariants(BlockNum block) const
 {
     CoherenceProtocol::checkInvariants(block);
     const SharerSet sharers = holders(block);
-    panicIfNot(dir.sharerSnapshot(block) == sharers,
-               "YenFu: directory present bits disagree for block ",
-               block);
     // The single-bit semantics: set iff the sole copy.
     sharers.forEach([&](CacheId holder) {
         const CacheBlockState state = cacheState(holder, block);

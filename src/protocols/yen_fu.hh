@@ -13,12 +13,15 @@
  * explicitly: single-bit maintenance signals and the background
  * dirty-notification are tallied as one-word update operations
  * (OpCounts::writeUpdates, the "wt or wup" cost row).
+ *
+ * The central directory is a full map, which the engine's holder
+ * oracle and dirty owner already are (see protocols/dir_n_nb.hh), so
+ * the scheme keeps only its cache states, the single bits among them.
  */
 
 #ifndef DIRSIM_PROTOCOLS_YEN_FU_HH
 #define DIRSIM_PROTOCOLS_YEN_FU_HH
 
-#include "directory/full_map.hh"
 #include "protocols/protocol.hh"
 
 namespace dirsim
@@ -45,9 +48,6 @@ class YenFu : public CoherenceProtocol
     }
     void checkInvariants(BlockNum block) const override;
 
-    /** The (unchanged) full-map directory. */
-    const FullMapDirectory &directory() const { return dir; }
-
   protected:
     void handleReadMiss(CacheId cache, BlockNum block,
                         const Others &others, bool first) override;
@@ -67,8 +67,6 @@ class YenFu : public CoherenceProtocol
      * (one maintenance signal on the bus).
      */
     void restoreSingleBit(BlockNum block, bool costed);
-
-    FullMapDirectory dir;
 };
 
 } // namespace dirsim

@@ -521,16 +521,12 @@ TEST(CoarseVectorDirectoryTest, EntriesAreIndependentAtTheArenaEdges)
             auto entry = dir.entry(block);
             entry.add(1023);
             entry.add(0);
-            entry.setDirty(true);
             EXPECT_TRUE(view.entry(block).denotes(1023));
             EXPECT_TRUE(view.entry(neighbour).empty());
-            EXPECT_FALSE(view.entry(neighbour).dirty());
-            // clear() resets the code and keeps the dirty bit.
+            EXPECT_FALSE(view.entry(neighbour).denotes(1023));
             entry.clear();
             EXPECT_TRUE(entry.empty());
-            EXPECT_TRUE(entry.dirty());
-            entry.setDirty(false);
-            EXPECT_FALSE(view.entry(block).dirty());
+            EXPECT_FALSE(view.entry(block).denotes(0));
         }
         EXPECT_THROW(dir.entry(1000), LogicError);
         EXPECT_THROW(view.entry(1000), LogicError);

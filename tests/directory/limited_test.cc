@@ -24,40 +24,27 @@ pointers(const LimitedEntry &entry)
 
 TEST(LimitedEntryTest, RecordsUpToBudget)
 {
-    LimitedDirectory dir(2, /* broadcast */ true, 1);
+    LimitedDirectory dir(2, 1);
     LimitedEntry entry = dir.entry(0);
     EXPECT_EQ(entry.addSharer(1), LimitedAddOutcome::Recorded);
     EXPECT_EQ(entry.addSharer(2), LimitedAddOutcome::Recorded);
     EXPECT_EQ(entry.pointerCount(), 2u);
     EXPECT_TRUE(entry.pointsTo(1));
     EXPECT_TRUE(entry.pointsTo(2));
-    EXPECT_FALSE(entry.broadcastRequired());
 }
 
 TEST(LimitedEntryTest, DuplicateAddIsRecorded)
 {
-    LimitedDirectory dir(2, true, 1);
+    LimitedDirectory dir(2, 1);
     LimitedEntry entry = dir.entry(0);
     entry.addSharer(1);
     EXPECT_EQ(entry.addSharer(1), LimitedAddOutcome::Recorded);
     EXPECT_EQ(entry.pointerCount(), 1u);
 }
 
-TEST(LimitedEntryTest, OverflowSetsBroadcastBit)
-{
-    LimitedDirectory dir(1, true, 1);
-    LimitedEntry entry = dir.entry(0);
-    entry.addSharer(1);
-    EXPECT_EQ(entry.addSharer(2), LimitedAddOutcome::BroadcastSet);
-    EXPECT_TRUE(entry.broadcastRequired());
-    // Pointers are meaningless in broadcast mode.
-    EXPECT_EQ(entry.pointerCount(), 0u);
-    EXPECT_EQ(entry.addSharer(3), LimitedAddOutcome::AlreadyBroadcast);
-}
-
 TEST(LimitedEntryTest, NoBroadcastOverflowNamesOldestVictim)
 {
-    LimitedDirectory dir(2, false, 1);
+    LimitedDirectory dir(2, 1);
     LimitedEntry entry = dir.entry(0);
     entry.addSharer(1);
     entry.addSharer(2);
@@ -76,7 +63,7 @@ TEST(LimitedEntryTest, NoBroadcastOverflowNamesOldestVictim)
 
 TEST(LimitedEntryTest, NoBroadcastOverflowWithoutVictimPanics)
 {
-    LimitedDirectory dir(1, false, 1);
+    LimitedDirectory dir(1, 1);
     LimitedEntry entry = dir.entry(0);
     entry.addSharer(1);
     EXPECT_THROW(entry.addSharer(2), LogicError);
@@ -84,7 +71,7 @@ TEST(LimitedEntryTest, NoBroadcastOverflowWithoutVictimPanics)
 
 TEST(LimitedEntryTest, RemoveSharerKeepsOrder)
 {
-    LimitedDirectory dir(3, false, 1);
+    LimitedDirectory dir(3, 1);
     LimitedEntry entry = dir.entry(0);
     entry.addSharer(5);
     entry.addSharer(6);
@@ -95,40 +82,40 @@ TEST(LimitedEntryTest, RemoveSharerKeepsOrder)
 
 TEST(LimitedEntryTest, ResetClearsEverything)
 {
-    LimitedDirectory dir(1, true, 1);
+    LimitedDirectory dir(2, 1);
     LimitedEntry entry = dir.entry(0);
     entry.addSharer(1);
-    entry.addSharer(2); // broadcast
-    entry.setDirty(true);
+    entry.addSharer(2); // full
     entry.reset();
-    EXPECT_FALSE(entry.broadcastRequired());
-    EXPECT_FALSE(entry.dirty());
     EXPECT_EQ(entry.pointerCount(), 0u);
+    EXPECT_FALSE(entry.pointsTo(1));
     EXPECT_EQ(entry.addSharer(3), LimitedAddOutcome::Recorded);
+    EXPECT_EQ(pointers(entry), (std::vector<CacheId>{3}));
 }
 
 TEST(LimitedEntryTest, ZeroPointersRejected)
 {
-    EXPECT_THROW(LimitedDirectory(0, true, 1), UsageError);
-    EXPECT_THROW(LimitedDirectory(0, false, 1), UsageError);
+    EXPECT_THROW(LimitedDirectory(0, 1), UsageError);
 }
 
 TEST(LimitedDirectoryTest, EntriesInheritConfiguration)
 {
-    LimitedDirectory dir(3, true, 64);
+    LimitedDirectory dir(3, 64);
     EXPECT_EQ(dir.pointerBudget(), 3u);
-    EXPECT_TRUE(dir.broadcastAllowed());
-    // Every entry records up to the directory's budget, then
-    // overflows into broadcast mode.
+    // Every entry records up to the directory's budget, then names
+    // its oldest pointer as the victim.
     LimitedEntry entry = dir.entry(42);
     for (CacheId cache = 0; cache < 3; ++cache)
         EXPECT_EQ(entry.addSharer(cache), LimitedAddOutcome::Recorded);
-    EXPECT_EQ(entry.addSharer(3), LimitedAddOutcome::BroadcastSet);
+    CacheId victim = invalidCacheId;
+    EXPECT_EQ(entry.addSharer(3, &victim),
+              LimitedAddOutcome::EvictionRequired);
+    EXPECT_EQ(victim, 0u);
 }
 
 TEST(LimitedDirectoryTest, FindWithoutCreate)
 {
-    LimitedDirectory dir(1, false, 16);
+    LimitedDirectory dir(1, 16);
     const LimitedDirectory &view = dir;
     EXPECT_EQ(view.entry(9).pointerCount(), 0u);
     dir.entry(9).addSharer(4);
@@ -140,103 +127,78 @@ TEST(LimitedDirectoryTest, FindWithoutCreate)
 
 TEST(LimitedDirectoryTest, RejectsZeroBudget)
 {
-    EXPECT_THROW(LimitedDirectory(0, true, 4), UsageError);
+    EXPECT_THROW(LimitedDirectory(0, 4), UsageError);
 }
 
 TEST(LimitedDirectoryTest, RejectsBudgetPastTheStateWord)
 {
-    // The per-block word counts pointers in 30 bits; a larger budget
-    // is rejected before any arena is allocated.
-    EXPECT_THROW(LimitedDirectory(LimitedEntry::countMask + 1, false, 1),
+    // The registry's Dir<i> limit; a larger budget is rejected before
+    // any arena is allocated.
+    EXPECT_THROW(LimitedDirectory(LimitedEntry::maxPointers + 1, 1),
                  UsageError);
 }
 
 /**
- * The FIFO, broadcast and eviction contract, with the dirty bit kept
- * beside the count in one state word, at budgets above 8 pointers, on
- * the first and last block of the arena, against a plain FIFO
- * reference, with the neighbouring block's entry checked untouched
- * after every step.
+ * The FIFO and eviction contract at budgets above 8 pointers, on the
+ * first and last block of the arena, against a plain FIFO reference,
+ * with the neighbouring block's entry checked untouched after every
+ * step.
  */
 TEST(LimitedDirectoryTest, ContractHoldsAtLargeBudgetsAtTheArenaEdges)
 {
     constexpr std::uint64_t blockCount = 1000;
     for (const unsigned budget : {12u, 16u}) {
-        for (const bool broadcast : {false, true}) {
-            LimitedDirectory dir(budget, broadcast, blockCount);
-            for (const BlockNum block : {BlockNum{0}, blockCount - 1}) {
-                const BlockNum neighbour = block == 0 ? 1 : block - 1;
-                dir.entry(neighbour).addSharer(999);
-                dir.entry(neighbour).setDirty(true);
-                LimitedEntry entry = dir.entry(block);
-                std::vector<CacheId> model;
-                bool model_broadcast = false;
-                bool model_dirty = false;
-                Rng rng(budget * 10 + block + (broadcast ? 1 : 0));
-                for (int step = 0; step < 2000; ++step) {
-                    const auto cache =
-                        static_cast<CacheId>(rng.below(2 * budget));
-                    const auto op = rng.below(10);
-                    if (op < 6) {
-                        CacheId victim = invalidCacheId;
-                        const LimitedAddOutcome outcome =
-                            entry.addSharer(cache, &victim);
-                        const bool present =
-                            std::find(model.begin(), model.end(), cache)
-                            != model.end();
-                        if (model_broadcast) {
-                            ASSERT_EQ(outcome,
-                                      LimitedAddOutcome::AlreadyBroadcast);
-                        } else if (present) {
-                            ASSERT_EQ(outcome, LimitedAddOutcome::Recorded);
-                        } else if (model.size() < budget) {
-                            ASSERT_EQ(outcome, LimitedAddOutcome::Recorded);
+        LimitedDirectory dir(budget, blockCount);
+        for (const BlockNum block : {BlockNum{0}, blockCount - 1}) {
+            const BlockNum neighbour = block == 0 ? 1 : block - 1;
+            dir.entry(neighbour).addSharer(999);
+            LimitedEntry entry = dir.entry(block);
+            std::vector<CacheId> model;
+            Rng rng(budget * 10 + block);
+            for (int step = 0; step < 2000; ++step) {
+                const auto cache =
+                    static_cast<CacheId>(rng.below(2 * budget));
+                const auto op = rng.below(10);
+                if (op < 6) {
+                    CacheId victim = invalidCacheId;
+                    const LimitedAddOutcome outcome =
+                        entry.addSharer(cache, &victim);
+                    const bool present =
+                        std::find(model.begin(), model.end(), cache)
+                        != model.end();
+                    if (present || model.size() < budget) {
+                        ASSERT_EQ(outcome, LimitedAddOutcome::Recorded);
+                        if (!present)
                             model.push_back(cache);
-                        } else if (broadcast) {
-                            ASSERT_EQ(outcome,
-                                      LimitedAddOutcome::BroadcastSet);
-                            model.clear();
-                            model_broadcast = true;
-                        } else {
-                            ASSERT_EQ(outcome,
-                                      LimitedAddOutcome::EvictionRequired);
-                            ASSERT_EQ(victim, model.front());
-                            entry.removeSharer(victim);
-                            model.erase(model.begin());
-                            ASSERT_EQ(entry.addSharer(cache),
-                                      LimitedAddOutcome::Recorded);
-                            model.push_back(cache);
-                        }
-                    } else if (op < 9) {
-                        entry.removeSharer(cache);
-                        const auto it =
-                            std::find(model.begin(), model.end(), cache);
-                        if (it != model.end())
-                            model.erase(it);
                     } else {
-                        entry.reset();
-                        model.clear();
-                        model_broadcast = false;
-                        model_dirty = false;
+                        ASSERT_EQ(outcome,
+                                  LimitedAddOutcome::EvictionRequired);
+                        ASSERT_EQ(victim, model.front());
+                        entry.removeSharer(victim);
+                        model.erase(model.begin());
+                        ASSERT_EQ(entry.addSharer(cache),
+                                  LimitedAddOutcome::Recorded);
+                        model.push_back(cache);
                     }
-                    if (step % 7 == 0) {
-                        model_dirty = !model_dirty;
-                        entry.setDirty(model_dirty);
-                    }
-                    ASSERT_EQ(entry.dirty(), model_dirty);
-                    ASSERT_EQ(entry.broadcastRequired(), model_broadcast);
-                    ASSERT_EQ(pointers(entry), model) << "step " << step;
-                    const ConstLimitedEntry other =
-                        std::as_const(dir).entry(neighbour);
-                    ASSERT_EQ(other.pointerCount(), 1u);
-                    ASSERT_TRUE(other.pointsTo(999));
-                    ASSERT_TRUE(other.dirty());
-                    ASSERT_FALSE(other.broadcastRequired());
+                } else if (op < 9) {
+                    entry.removeSharer(cache);
+                    const auto it =
+                        std::find(model.begin(), model.end(), cache);
+                    if (it != model.end())
+                        model.erase(it);
+                } else {
+                    entry.reset();
+                    model.clear();
                 }
-                dir.entry(neighbour).reset();
+                ASSERT_EQ(pointers(entry), model) << "step " << step;
+                const ConstLimitedEntry other =
+                    std::as_const(dir).entry(neighbour);
+                ASSERT_EQ(other.pointerCount(), 1u);
+                ASSERT_TRUE(other.pointsTo(999));
             }
-            EXPECT_THROW(dir.entry(blockCount), LogicError);
+            dir.entry(neighbour).reset();
         }
+        EXPECT_THROW(dir.entry(blockCount), LogicError);
     }
 }
 

@@ -125,11 +125,14 @@ TEST(Dir1NBTest, DirectoryPointerTracksHolder)
 
 TEST(Dir1NBTest, DirectoryDirtyBitTracksState)
 {
+    // The entry's dirty bit is the holder's cache state: the pointer
+    // names the holder, whose state says whether memory is stale.
     Dir1NB protocol(4, blocks);
     protocol.read(0, B, true);
-    EXPECT_FALSE(protocol.directory().entry(B).dirty());
+    EXPECT_EQ(protocol.cacheState(0, B), Dir1NB::stClean);
     protocol.write(0, B, false);
-    EXPECT_TRUE(protocol.directory().entry(B).dirty());
+    EXPECT_TRUE(protocol.directory().entry(B).pointsTo(0));
+    EXPECT_EQ(protocol.cacheState(0, B), Dir1NB::stDirty);
 }
 
 TEST(Dir1NBTest, InvariantsHoldThroughScenario)

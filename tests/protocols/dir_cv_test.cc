@@ -73,7 +73,7 @@ TEST(DirCVTest, WriteResetsCodeToWriter)
     const auto entry = protocol.directory().entry(B);
     EXPECT_EQ(entry.supersetSize(), 1u);
     EXPECT_TRUE(entry.decode().contains(1));
-    EXPECT_TRUE(entry.dirty());
+    EXPECT_EQ(protocol.cacheState(1, B), DirCV::stDirty);
 }
 
 TEST(DirCVTest, DirtyFlushIsOneMessage)

@@ -28,15 +28,6 @@ TEST(DirNNBTest, MultipleCleanCopiesCoexist)
     EXPECT_EQ(protocol.ops().memSupplies, 2u);
 }
 
-TEST(DirNNBTest, DirectoryBitsMatchHolders)
-{
-    DirNNB protocol(4, blocks);
-    protocol.read(0, B, true);
-    protocol.read(3, B, false);
-    EXPECT_EQ(protocol.directory().sharerSnapshot(B),
-              protocol.holders(B));
-}
-
 TEST(DirNNBTest, WriteHitSendsOneInvalidatePerCopy)
 {
     DirNNB protocol(4, blocks);
@@ -51,7 +42,6 @@ TEST(DirNNBTest, WriteHitSendsOneInvalidatePerCopy)
     EXPECT_EQ(protocol.ops().dirChecks, 1u);
     EXPECT_EQ(protocol.holders(B).count(), 1u);
     EXPECT_EQ(protocol.cacheState(0, B), DirNNB::stDirty);
-    EXPECT_TRUE(protocol.directory().dirty(B));
 }
 
 TEST(DirNNBTest, Figure1HistogramSamplesOtherHolders)
@@ -83,7 +73,6 @@ TEST(DirNNBTest, ReadMissOnDirtyWritesBack)
     // Owner keeps a now-clean copy; both caches share.
     EXPECT_EQ(protocol.cacheState(0, B), DirNNB::stClean);
     EXPECT_EQ(protocol.cacheState(1, B), DirNNB::stClean);
-    EXPECT_FALSE(protocol.directory().dirty(B));
 }
 
 TEST(DirNNBTest, WriteMissOnDirtyFlushesAndInvalidates)

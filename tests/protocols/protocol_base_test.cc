@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -78,6 +81,45 @@ class MiniProtocol : public CoherenceProtocol
         });
         install(cache, block, stDirty);
     }
+};
+
+/**
+ * A finite cache that never evicts and whose lines the tests can edit
+ * behind the holder oracle's back.
+ */
+class FakeCache : public CacheModel
+{
+  public:
+    CacheBlockState lookup(BlockNum block) const override
+    {
+        const auto it = lines.find(block);
+        return it == lines.end() ? stateNotPresent : it->second;
+    }
+    CacheBlockState access(BlockNum block) override
+    {
+        return lookup(block);
+    }
+    CacheLine set(BlockNum block, CacheBlockState state) override
+    {
+        lines[block] = state;
+        return {};
+    }
+    CacheBlockState invalidate(BlockNum block) override
+    {
+        const CacheBlockState state = lookup(block);
+        lines.erase(block);
+        return state;
+    }
+    std::size_t residentBlocks() const override { return lines.size(); }
+    void clear() override { lines.clear(); }
+    void forEach(const std::function<void(BlockNum, CacheBlockState)> &fn)
+        const override
+    {
+        for (const auto &[block, state] : lines)
+            fn(block, state);
+    }
+
+    std::map<BlockNum, CacheBlockState> lines;
 };
 
 TEST(ProtocolBaseTest, RejectsEmptyDomain)
@@ -180,15 +222,35 @@ TEST(ProtocolBaseTest, InstructionCountingOnly)
 
 TEST(ProtocolBaseTest, BaseInvariantDetectsOracleDesync)
 {
-    // Sabotage: install in the cache without going through install().
-    // checkInvariants must notice the oracle disagreeing.
-    MiniProtocol protocol(2, blocks);
-    protocol.read(0, 7, true);
-    protocol.invalidateIn(0, 7);
-    // Now resurrect the copy behind the oracle's back via setState —
-    // which itself panics because the block is gone. Instead check a
-    // healthy protocol passes.
-    EXPECT_NO_THROW(protocol.checkAllInvariants());
+    // On finite caches the base check compares each cache's state
+    // with the holder oracle and the dirty owner. Edit a cache behind
+    // the oracle's back and the check must throw.
+    std::vector<FakeCache *> fakes;
+    const CacheFactory factory = [&fakes](const BlockSpace &) {
+        auto cache = std::make_unique<FakeCache>();
+        fakes.push_back(cache.get());
+        return cache;
+    };
+    const auto build = [&] {
+        fakes.clear();
+        auto protocol = std::make_unique<MiniProtocol>(2, blocks, factory);
+        protocol->read(0, 7, true);  // cache 0 holds 7 clean
+        protocol->write(1, 8, true); // cache 1 holds 8 dirty
+        EXPECT_NO_THROW(protocol->checkAllInvariants());
+        return protocol;
+    };
+
+    const auto dropped = build();
+    fakes[0]->lines.erase(7); // a line the oracle still lists
+    EXPECT_THROW(dropped->checkAllInvariants(), LogicError);
+
+    const auto extra = build();
+    fakes[0]->lines[9] = MiniProtocol::stClean; // a line it never saw
+    EXPECT_THROW(extra->checkAllInvariants(), LogicError);
+
+    const auto stale = build();
+    fakes[1]->lines[8] = MiniProtocol::stClean; // the owner went clean
+    EXPECT_THROW(stale->checkAllInvariants(), LogicError);
 }
 
 TEST(ProtocolBaseTest, DenseModeMatchesSparseClassification)

@@ -46,7 +46,6 @@ TEST(YenFuTest, SingleBitWriteSkipsDirectoryWait)
     EXPECT_EQ(protocol.ops().writeUpdates, 1u);
     EXPECT_EQ(protocol.ops().busTransactions, 1u);
     EXPECT_EQ(protocol.cacheState(0, B), YenFu::stDirty);
-    EXPECT_TRUE(protocol.directory().dirty(B));
 }
 
 TEST(YenFuTest, SharedWriteBehavesLikeCensierFeautrier)
