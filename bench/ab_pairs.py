@@ -2,6 +2,7 @@
 """Paired A/B runs of the dirsim benchmark over two source trees.
 
     bench/ab_pairs.py OLD NEW --workload W --pairs N --seconds S
+                      [--seed N] [--trace 0|1]
 
 OLD and NEW are dirsim source trees (a checkout, or a commit exported
 with `git archive <rev> | tar -x -C DIR`). Each is copied without its
@@ -25,6 +26,13 @@ flip of glibc's heap trimming shows there as a jump in faults, where
 otherwise it reads as an unexplained `setup_s` move. It exits 1 when
 a run fails or reports failed cells, or when an end-to-end metric's
 median ratio is worse than its bound.
+
+`--seed` and `--trace` are passed to both sides' run.py (by default
+neither is, so each workload runs at its default seed, untraced). A
+held-out seed checks a gain at a seed the change was not tuned on.
+`--trace 1` runs print the per-layer metrics, where a gain went, and
+the table then carries no bound verdicts: the bounds are for the
+end-to-end metrics of untraced runs.
 """
 
 import argparse
@@ -79,6 +87,10 @@ def run_once(tree, args):
     the minor page faults of the run and its descendants)."""
     command = [sys.executable, "perfbench/run.py", "--workload",
                args.workload, "--seconds", str(args.seconds)]
+    if args.seed is not None:
+        command += ["--seed", str(args.seed)]
+    if args.trace == "1":
+        command += ["--trace", "1"]
     before = minor_faults()
     result = subprocess.run(command, cwd=tree, env=child_env(tree),
                             capture_output=True, text=True)
@@ -113,8 +125,9 @@ def metric_specs(tree):
     return specs
 
 
-def report(runs, specs):
-    """Print the table; return the end-to-end metrics past their bound."""
+def report(runs, specs, verdicts):
+    """Print the table; return the end-to-end metrics past their bound
+    (none without @p verdicts)."""
     names = sorted({name for side in runs.values() for run in side
                     for name in run["metrics"]})
     print(f"{'metric':44} {'old median [q1, q3]':>32} "
@@ -135,7 +148,7 @@ def report(runs, specs):
         new_median = statistics.median(new)
         ratio = new_median / old_median if old_median else float("nan")
         verdict = ""
-        if "bound" in spec and old_median:
+        if verdicts and "bound" in spec and old_median:
             worse = ratio - 1 if lower else 1 - ratio
             verdict = f"{spec['bound']:.2f} " + (
                 "WORSE" if worse > spec["bound"] else "ok")
@@ -157,6 +170,12 @@ def main():
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=4)
     parser.add_argument("--seconds", type=float, default=30)
+    parser.add_argument("--seed", type=int,
+                        help="perfbench seed for both sides (default: "
+                             "each workload's own)")
+    parser.add_argument("--trace", choices=("0", "1"), default="0",
+                        help="1: compare the per-layer metrics of "
+                             "traced runs, with no bound verdicts")
     parser.add_argument("--workdir", type=Path,
                         help="where the copies go (default: a new "
                              "temporary directory, removed at the end)")
@@ -199,9 +218,11 @@ def main():
             print(f"pair {pair + 1}/{args.pairs} done ({order[0]} first)",
                   file=sys.stderr)
 
+        seed = "default seed" if args.seed is None else f"seed {args.seed}"
+        traced = ", traced" if args.trace == "1" else ""
         print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s, "
-              f"old {args.old} vs new {args.new}")
-        breaches = report(runs, metric_specs(args.old))
+              f"{seed}{traced}, old {args.old} vs new {args.new}")
+        breaches = report(runs, metric_specs(args.old), args.trace == "0")
         for side in ("old", "new"):
             print(f"{side} minor page faults per run: median "
                   f"{statistics.median(faults[side]):,.0f} [range "

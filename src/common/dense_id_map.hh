@@ -54,6 +54,13 @@ class DenseIdMap
         return {slot, true};
     }
 
+    /** Start loading the slot a probe for @p key starts at, so an
+     *  idFor(key) a few calls later finds it in cache. */
+    void prefetch(std::uint64_t key) const
+    {
+        __builtin_prefetch(&slots[hash(key, slots.size() - 1)]);
+    }
+
     /** Distinct keys seen so far. */
     std::size_t size() const { return keyList.size(); }
 

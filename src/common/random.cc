@@ -24,12 +24,6 @@ splitMix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -41,55 +35,6 @@ Rng::Rng(std::uint64_t seed)
     // this with overwhelming probability, but guarantee it anyway.
     if (state[0] == 0 && state[1] == 0 && state[2] == 0 && state[3] == 0)
         state[0] = 1;
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(state[1] * 5, 7) * 9;
-    const std::uint64_t t = state[1] << 17;
-
-    state[2] ^= state[0];
-    state[3] ^= state[1];
-    state[1] ^= state[2];
-    state[0] ^= state[3];
-    state[2] ^= t;
-    state[3] = rotl(state[3], 45);
-
-    return result;
-}
-
-std::uint64_t
-Rng::below(std::uint64_t bound)
-{
-    panicIfNot(bound != 0, "Rng::below(0)");
-    // Lemire-style rejection-free enough for simulation purposes:
-    // 128-bit multiply keeps the bias below 2^-64.
-    return static_cast<std::uint64_t>(
-        (static_cast<unsigned __int128>(next()) * bound) >> 64);
-}
-
-std::uint64_t
-Rng::between(std::uint64_t lo, std::uint64_t hi)
-{
-    panicIfNot(lo <= hi, "Rng::between: lo > hi");
-    return lo + below(hi - lo + 1);
-}
-
-double
-Rng::uniform()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
 }
 
 std::uint64_t

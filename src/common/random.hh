@@ -13,8 +13,11 @@
 #define DIRSIM_COMMON_RANDOM_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
+
+#include "common/logging.hh"
 
 namespace dirsim
 {
@@ -33,20 +36,57 @@ class Rng
      */
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
+    // The per-record draws are defined here so that they inline into
+    // the generator's loops.
+
     /** Next raw 64-bit draw. */
-    std::uint64_t next();
+    std::uint64_t next()
+    {
+        const std::uint64_t result = std::rotl(state[1] * 5, 7) * 9;
+        const std::uint64_t t = state[1] << 17;
+
+        state[2] ^= state[0];
+        state[3] ^= state[1];
+        state[1] ^= state[2];
+        state[0] ^= state[3];
+        state[2] ^= t;
+        state[3] = std::rotl(state[3], 45);
+
+        return result;
+    }
 
     /** Uniform integer in [0, bound); bound must be non-zero. */
-    std::uint64_t below(std::uint64_t bound);
+    std::uint64_t below(std::uint64_t bound)
+    {
+        panicIfNot(bound != 0, "Rng::below(0)");
+        // Lemire-style rejection-free enough for simulation purposes:
+        // 128-bit multiply keeps the bias below 2^-64.
+        return static_cast<std::uint64_t>(
+            (static_cast<unsigned __int128>(next()) * bound) >> 64);
+    }
 
     /** Uniform integer in [lo, hi] inclusive; requires lo <= hi. */
-    std::uint64_t between(std::uint64_t lo, std::uint64_t hi);
+    std::uint64_t between(std::uint64_t lo, std::uint64_t hi)
+    {
+        panicIfNot(lo <= hi, "Rng::between: lo > hi");
+        return lo + below(hi - lo + 1);
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double uniform()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Bernoulli draw with success probability @p p (clamped to [0,1]). */
-    bool chance(double p);
+    bool chance(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return uniform() < p;
+    }
 
     /**
      * Geometric draw: the number of failures before the first success

@@ -117,9 +117,6 @@ class CoherenceProtocol
     /** Process one data write; parameters as read(). */
     void write(CacheId cache, BlockNum block, bool first_ref);
 
-    /** Count an instruction fetch (never causes coherence traffic). */
-    void instruction() { eventCounts.add(EventType::Instr); }
-
     /**
      * Attach a per-reference trace sink (nullptr detaches).
      *

@@ -1,6 +1,7 @@
 #include "sim/decoded.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <limits>
 
@@ -39,12 +40,18 @@ addSkipped(EventCounts &events, std::uint64_t boundary,
 }
 
 /**
- * The decode pass: one per-record kernel, add(), fed by the in-memory
- * walk and by TraceSource::next() alike.
+ * The decode pass, one chunk of up to chunkRecords records at a time
+ * (decodeChunk()), fed by the in-memory walk and by
+ * TraceSource::next() alike. Its buffers are members, so a decode on
+ * the stack makes no heap allocation for them.
  */
 class Decoder
 {
   public:
+    /** Records per chunk: 16 whole bitmap words, so every chunk but
+     *  the last ends on a word edge. */
+    static constexpr std::size_t chunkRecords = 1024;
+
     Decoder(unsigned block_bytes, SharingModel sharing_arg,
             std::uint64_t expected_records)
         : blockShift(floorLog2(block_bytes)), sharing(sharing_arg)
@@ -69,57 +76,109 @@ class Decoder
         out.coherenceRefs.reserve(expected_records / 4);
     }
 
+    /**
+     * Decode the next @p count (at most chunkRecords) records. Neither
+     * pass branches on a record's kind: the first writes every
+     * record's operands at the running data count and advances it by
+     * the record's data bit, so the second visits only data records.
+     */
     void
-    add(const TraceRecord &record)
+    decodeChunk(const TraceRecord *records, std::size_t count)
     {
-        // Sizing state: distinct pids over *all* records / the
-        // maximum CPU index, so an instruction-only process still
-        // gets a cache. The mapping state: dense cache ids handed out
-        // in order of first appearance over *data* records only. A
-        // run of records from one pid or cpu probes neither map
-        // again: the key changes on about one record in ten.
-        const std::uint64_t key = sharing == SharingModel::ByProcess
-            ? static_cast<std::uint64_t>(record.pid)
-            : static_cast<std::uint64_t>(record.cpu);
-        if (key != currentKey) {
-            currentKey = key;
-            currentCache = invalidCacheId;
-            if (sharing == SharingModel::ByProcess)
-                sizingPids.idFor(key);
-            else if (record.cpu > maxCpu)
-                maxCpu = record.cpu;
+        // First pass: the chunk's bitmap words, the sizing state
+        // (distinct pids over *all* records, or the maximum CPU index,
+        // so an instruction-only process still gets a cache) and the
+        // data records' block, pid or cpu, and op kind. A run of
+        // records from one pid or cpu probes no map again: the key
+        // changes on about one record in ten.
+        std::size_t data = 0;
+        for (std::size_t first = 0; first < count; first += 64) {
+            const std::size_t last = std::min(count, first + 64);
+            std::uint64_t word = 0;
+            for (std::size_t i = first; i < last; ++i) {
+                const TraceRecord &record = records[i];
+                const std::uint64_t key =
+                    sharing == SharingModel::ByProcess
+                    ? std::uint64_t{record.pid}
+                    : std::uint64_t{record.cpu};
+                if (key != sizingKey) {
+                    sizingKey = key;
+                    if (sharing == SharingModel::ByProcess)
+                        sizingPids.idFor(key);
+                    else
+                        maxCpu = std::max<unsigned>(maxCpu, record.cpu);
+                }
+                const bool is_data = !record.isInstr();
+                word |= std::uint64_t{is_data} << (i - first);
+                chunkBlocks[data] = record.addr >> blockShift;
+                chunkKeys[data] = key;
+                chunkOps[data] =
+                    record.isWrite() ? decodedOpWrite : decodedOpRead;
+                data += is_data;
+            }
+            out.dataBits.push_back(word);
         }
+        out.records += count;
 
-        const std::uint64_t index = out.records++;
-        if (index % 64 == 0)
-            out.dataBits.push_back(0);
-        if (record.isInstr())
-            return;
-        out.dataBits.back() |= std::uint64_t{1} << (index % 64);
-
-        if (currentCache == invalidCacheId)
-            currentCache = cacheIds.idFor(key).first;
-        const auto [dense_block, first_ref] =
-            blockIds.idFor(record.addr >> blockShift);
-        const std::uint64_t data_index = out.ops.size();
-        std::uint8_t op = record.isRead() ? decodedOpRead
-                                          : decodedOpWrite;
-        if (first_ref) {
-            op |= decodedOpFirstRef;
-            lastReferencer.push_back(currentCache);
-            out.coherenceRefs.push_back(
-                static_cast<std::uint32_t>(data_index));
-        } else if (op == decodedOpWrite
-                   || lastReferencer[dense_block] != currentCache) {
-            lastReferencer[dense_block] = currentCache;
-            out.coherenceRefs.push_back(
-                static_cast<std::uint32_t>(data_index));
+        // Second pass, over the data records: dense cache ids by first
+        // appearance over *data* records (looked up when the key
+        // changes), one probe of the block map, and the coherence
+        // index written at every record but advanced only past a
+        // coherence reference. The ops are completed in the chunk's
+        // buffer and appended at once.
+        const std::size_t base = out.blocks.size();
+        out.blocks.resize(base + data);
+        out.caches.resize(base + data);
+        std::size_t coherent = out.coherenceRefs.size();
+        out.coherenceRefs.resize(coherent + data);
+        std::uint32_t *const blocks = out.blocks.data() + base;
+        std::uint16_t *const caches = out.caches.data() + base;
+        std::uint32_t *const index = out.coherenceRefs.data();
+        std::uint64_t key = dataKey;
+        CacheId cache = dataCache;
+        for (std::size_t j = 0; j < data; ++j) {
+            if (j + prefetchDistance < data)
+                blockIds.prefetch(chunkBlocks[j + prefetchDistance]);
+            if (chunkKeys[j] != key) {
+                key = chunkKeys[j];
+                cache = cacheIds.idFor(key).first;
+            }
+            const auto [dense_block, first_ref] =
+                blockIds.idFor(chunkBlocks[j]);
+            if (first_ref)
+                lastReferencer.push_back(cache);
+            CacheId &last = lastReferencer[dense_block];
+            const bool coherence = first_ref
+                | (chunkOps[j] == decodedOpWrite) | (last != cache);
+            last = cache;
+            index[coherent] = static_cast<std::uint32_t>(base + j);
+            coherent += coherence;
+            blocks[j] = dense_block;
+            // finish() rejects a domain past maxCacheDomain, so an id
+            // this cast would wrap never reaches a simulation.
+            caches[j] = static_cast<std::uint16_t>(cache);
+            chunkOps[j] = static_cast<std::uint8_t>(
+                chunkOps[j] | (first_ref ? decodedOpFirstRef : 0));
         }
-        out.ops.push_back(op);
-        out.blocks.push_back(dense_block);
-        // finish() rejects a domain past maxCacheDomain, so an id
-        // this cast would wrap never reaches a simulation.
-        out.caches.push_back(static_cast<std::uint16_t>(currentCache));
+        dataKey = key;
+        dataCache = cache;
+        out.ops.insert(out.ops.end(), chunkOps.begin(),
+                       chunkOps.begin() + static_cast<std::ptrdiff_t>(data));
+        out.coherenceRefs.resize(coherent);
+    }
+
+    /** Decode @p source to exhaustion, a chunk at a time. */
+    void
+    decodeAll(TraceSource &source)
+    {
+        for (;;) {
+            std::size_t count = 0;
+            while (count < chunkRecords && source.next(sourceRecords[count]))
+                ++count;
+            decodeChunk(sourceRecords.data(), count);
+            if (count < chunkRecords)
+                return;
+        }
     }
 
     /** The decoded stream, named @p name; @p header_cpus sizes a
@@ -147,6 +206,9 @@ class Decoder
     }
 
   private:
+    /** Data records the block map's probe is prefetched ahead. */
+    static constexpr std::size_t prefetchDistance = 8;
+
     DecodedTrace out;
     unsigned blockShift;
     SharingModel sharing;
@@ -156,11 +218,18 @@ class Decoder
     DenseIdMap blockIds;
     /** Per dense block, the cache that last referenced it. */
     std::vector<CacheId> lastReferencer;
-    /** The pid or cpu of the previous record (none yet: no key is
-     *  wider than 32 bits) and its cache id, or invalidCacheId until
-     *  its first data record. */
-    std::uint64_t currentKey = ~std::uint64_t{0};
-    CacheId currentCache = invalidCacheId;
+    /** The pid or cpu of the previous record and of the previous data
+     *  record (none yet: no key is wider than 32 bits), and the
+     *  latter's cache id. */
+    std::uint64_t sizingKey = ~std::uint64_t{0};
+    std::uint64_t dataKey = ~std::uint64_t{0};
+    CacheId dataCache = invalidCacheId;
+    /** The chunk's data records, compacted by the first pass. */
+    std::array<BlockNum, chunkRecords> chunkBlocks{};
+    std::array<std::uint64_t, chunkRecords> chunkKeys{};
+    std::array<std::uint8_t, chunkRecords> chunkOps{};
+    /** A chunk read from a TraceSource. */
+    std::array<TraceRecord, chunkRecords> sourceRecords{};
 };
 
 } // namespace
@@ -198,9 +267,7 @@ decodeTrace(TraceSource &source, unsigned block_bytes,
 {
     checkBlockSize(block_bytes);
     Decoder decoder(block_bytes, sharing, source.sizeHint().value_or(0));
-    TraceRecord record;
-    while (source.next(record))
-        decoder.add(record);
+    decoder.decodeAll(source);
     return decoder.finish(source.name(), source.numCpus());
 }
 
@@ -210,8 +277,13 @@ decodeTrace(const Trace &trace, unsigned block_bytes,
 {
     checkBlockSize(block_bytes);
     Decoder decoder(block_bytes, sharing, trace.size());
-    for (const TraceRecord &record : trace)
-        decoder.add(record);
+    const TraceRecord *const records = trace.data().data();
+    for (std::size_t at = 0; at < trace.size();
+         at += Decoder::chunkRecords) {
+        decoder.decodeChunk(
+            records + at,
+            std::min(Decoder::chunkRecords, trace.size() - at));
+    }
     return decoder.finish(trace.name(), trace.numCpus());
 }
 
@@ -251,23 +323,18 @@ simulateTrace(const DecodedTrace &decoded,
         protocol.attachTracer(config.traceSink);
 
     // The elided walk (see the header) visits only the coherence
-    // references; the full walk visits every record.
+    // references; the full walk visits every data record and counts
+    // the fetches between them.
     const std::uint64_t num_records = decoded.numRecords();
     fatalIf(num_records == 0, "cannot simulate an empty trace");
+    fatalIf(config.warmupRefs >= num_records,
+            "warm-up of ", config.warmupRefs,
+            " references consumed the whole trace (",
+            num_records, " references)");
     const bool elide = !protocol.finiteCaches()
         && protocol.tracer() == nullptr
         && config.invariantCheckPeriod == 0
         && decoded.dataRefs() <= indexableDataRefs;
-    const std::uint32_t *const coherence = decoded.coherenceRefs.data();
-    const std::uint64_t visits =
-        elide ? decoded.coherenceRefs.size() : num_records;
-    // The warm-up boundary in the walk's own positions: the full walk
-    // counts records, the elided walk data indices, and a data record
-    // is at or past record warmupRefs exactly when its data index is
-    // at or past the data records before it.
-    const std::uint64_t boundary = elide
-        ? decoded.dataBefore(config.warmupRefs)
-        : config.warmupRefs;
 
     EventCounts warmup_events;
     OpCounts warmup_ops;
@@ -279,15 +346,9 @@ simulateTrace(const DecodedTrace &decoded,
     std::uint64_t measure_start = loop_start;
 
     // Warm-up counts every record, instructions included; the
-    // snapshot is taken before the first measured record, after
-    // `visited` visits, and includes what the elided walk skipped
-    // before it.
-    const auto take_warmup = [&](std::uint64_t visited) {
+    // snapshot is taken before the first measured record.
+    const auto take_warmup = [&] {
         warmup_events = protocol.events();
-        if (elide) {
-            addSkipped(warmup_events, config.warmupRefs,
-                       config.warmupRefs - boundary, visited);
-        }
         warmup_ops = protocol.ops();
         warmup_hist = protocol.cleanWriteHolders();
         warmup_taken = true;
@@ -295,18 +356,9 @@ simulateTrace(const DecodedTrace &decoded,
         phases.add(Phase::Warmup, measure_start - loop_start);
     };
 
-    std::uint64_t data_refs = 0;
-    for (std::uint64_t visit = 0; visit < visits; ++visit) {
-        const std::uint64_t at = elide ? coherence[visit] : visit;
-        if (!warmup_taken && at >= boundary)
-            take_warmup(visit);
-        if (!elide && !decoded.isData(at)) {
-            protocol.instruction();
-            continue;
-        }
-        // In the full walk the data records passed so far number the
-        // current one.
-        const std::uint64_t d = elide ? at : data_refs;
+    // Simulate the data record with data index d; only the full walk,
+    // which visits every data record, checks invariants.
+    const auto step = [&](std::uint64_t d) {
         const std::uint8_t op = decoded.ops[d];
         const CacheId cache = decoded.caches[d];
         const BlockNum block = decoded.blocks[d];
@@ -315,25 +367,66 @@ simulateTrace(const DecodedTrace &decoded,
             protocol.read(cache, block, first_ref);
         else
             protocol.write(cache, block, first_ref);
-        ++data_refs;
         if (config.invariantCheckPeriod != 0
-            && data_refs % config.invariantCheckPeriod == 0) {
+            && (d + 1) % config.invariantCheckPeriod == 0) {
             protocol.checkAllInvariants();
         }
-    }
-    // The elided walk can pass its last visit before the boundary.
-    if (!warmup_taken && config.warmupRefs < num_records)
-        take_warmup(visits);
+    };
+
     if (elide) {
+        // The warm-up boundary as a data index: a data record is at
+        // or past record warmupRefs exactly when its data index is at
+        // or past the data records before it. The snapshot adds what
+        // the walk skipped before the boundary.
+        const std::uint64_t boundary =
+            decoded.dataBefore(config.warmupRefs);
+        const std::uint64_t visits = decoded.coherenceRefs.size();
+        const auto warm_up = [&](std::uint64_t visited) {
+            take_warmup();
+            addSkipped(warmup_events, config.warmupRefs,
+                       config.warmupRefs - boundary, visited);
+        };
+        for (std::uint64_t visit = 0; visit < visits; ++visit) {
+            const std::uint64_t d = decoded.coherenceRefs[visit];
+            if (!warmup_taken && d >= boundary)
+                warm_up(visit);
+            step(d);
+        }
+        // The walk can pass its last visit before the boundary.
+        if (!warmup_taken)
+            warm_up(visits);
         addSkipped(protocol.events(), num_records,
                    num_records - decoded.dataRefs(), visits);
+    } else {
+        // One bitmap word at a time, each data record after the run
+        // of fetches before it, added to Instr at once; `next` is the
+        // first record not yet counted. A fetch run that crosses the
+        // warm-up boundary is added in two parts around the snapshot.
+        std::uint64_t next = 0;
+        const auto count_fetches_to = [&](std::uint64_t record) {
+            if (!warmup_taken && record >= config.warmupRefs) {
+                protocol.events().add(EventType::Instr,
+                                      config.warmupRefs - next);
+                next = config.warmupRefs;
+                take_warmup();
+            }
+            protocol.events().add(EventType::Instr, record - next);
+            next = record + 1;
+        };
+        std::uint64_t d = 0;
+        for (std::size_t w = 0; w < decoded.dataBits.size(); ++w) {
+            for (std::uint64_t bits = decoded.dataBits[w]; bits != 0;
+                 bits &= bits - 1) {
+                count_fetches_to(w * 64
+                                 + static_cast<unsigned>(
+                                     std::countr_zero(bits)));
+                step(d++);
+            }
+        }
+        count_fetches_to(num_records);
     }
     if (config.invariantCheckPeriod != 0)
         protocol.checkAllInvariants();
-    fatalIf(!warmup_taken,
-            "warm-up of ", config.warmupRefs,
-            " references consumed the whole trace (",
-            num_records, " references)");
     const std::uint64_t loop_end = PhaseTimer::nowNs();
     phases.add(Phase::Simulate, loop_end - measure_start);
 

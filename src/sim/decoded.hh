@@ -22,6 +22,12 @@
  * retains the original block numbers for trace-sink labeling and for
  * finite caches (whose set indexing needs real addresses).
  *
+ * The pass works 1,024 records (16 bitmap words) at a time, in two
+ * loops with no branch on a record's kind, which changes on about
+ * every other record of a paper trace: the first builds the chunk's
+ * bitmap words and compacts its data records, the second densifies
+ * only those.
+ *
  * The same pass classifies the records. A *coherence reference* is a
  * write, a first reference, or a read of a block whose last reference
  * came from a different cache; the rest — instruction fetches and
@@ -123,12 +129,6 @@ struct DecodedTrace
     /** Data references in the stream (reads + writes). */
     std::uint64_t dataRefs() const { return ops.size(); }
 
-    /** Whether record @p record (< numRecords()) is a data record. */
-    bool isData(std::uint64_t record) const
-    {
-        return (dataBits[record / 64] >> (record % 64) & 1) != 0;
-    }
-
     /** Data records among the first @p record records (all of them
      *  past numRecords()): record @p record's data index when it is a
      *  data record. */
@@ -185,20 +185,23 @@ DecodedTrace decodeTraceFile(const std::string &path,
  * instruction fetch adds Instr, a private re-read Read and RdHit
  * (the contract on CoherenceProtocol::read()). Every counter, the
  * warm-up snapshot included, equals the full walk's. The full walk
- * visits every record in order, counting each instruction fetch as
- * it passes; it runs when the caches are finite (a hit updates LRU
- * state), when a trace sink is attached (it sees every data
- * reference), when config.invariantCheckPeriod is set, and for a
- * stream of more than 2^32 data records.
+ * visits every data record in order, a bitmap word at a time, and
+ * adds the run of fetches before each to Instr at once, so a sink
+ * numbers each reference as a record-by-record walk would; it runs
+ * when the caches are finite (a hit updates LRU state), when a trace
+ * sink is attached (it sees every data reference), when
+ * config.invariantCheckPeriod is set, and for a stream of more than
+ * 2^32 data records.
  *
  * The protocol must be built over decoded.blockSpace() with enough
  * caches for decoded.cachesUsed; config.blockBytes and config.sharing
  * must equal the decode-time values (the densification would not
  * match otherwise).
  *
- * @throws UsageError on any of those mismatches, or when @p config
+ * @throws UsageError on any of those mismatches, when @p config
  *         requests a finite cache but @p protocol does not run finite
- *         caches (the geometry cannot be applied retroactively)
+ *         caches (the geometry cannot be applied retroactively), or
+ *         when the warm-up spans the whole trace
  */
 SimResult simulateTrace(const DecodedTrace &decoded,
                         CoherenceProtocol &protocol,

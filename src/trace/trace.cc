@@ -8,12 +8,10 @@ namespace dirsim
 {
 
 void
-Trace::append(const TraceRecord &record)
+Trace::rejectCpu(const TraceRecord &record) const
 {
-    fatalIf(cpus != 0 && record.cpu >= cpus,
-            "trace '", traceName, "' declared ", cpus,
-            " CPUs but a record names cpu ", record.cpu);
-    records.push_back(record);
+    fatal("trace '", traceName, "' declared ", cpus,
+          " CPUs but a record names cpu ", record.cpu);
 }
 
 std::size_t

@@ -36,8 +36,14 @@ class Trace
         : traceName(std::move(name_arg)), cpus(num_cpus_arg)
     {}
 
-    /** Append a record (validates the record's cpu index). */
-    void append(const TraceRecord &record);
+    /** Append a record (validates the record's cpu index). Defined
+     *  here so that it inlines into the generator's loops. */
+    void append(const TraceRecord &record)
+    {
+        if (cpus != 0 && record.cpu >= cpus) [[unlikely]]
+            rejectCpu(record);
+        records.push_back(record);
+    }
 
     /** Reserve storage for @p n records. */
     void reserve(std::size_t n) { records.reserve(n); }
@@ -69,6 +75,9 @@ class Trace
     unsigned observedCpus() const;
 
   private:
+    /** Throw the UsageError for a record whose cpu is out of range. */
+    [[noreturn, gnu::cold]] void rejectCpu(const TraceRecord &record) const;
+
     std::string traceName;
     unsigned cpus = 0;
     std::vector<TraceRecord> records;

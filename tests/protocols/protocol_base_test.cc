@@ -210,16 +210,6 @@ TEST(ProtocolBaseTest, FirstRefMissPassesEmptyOthers)
     EXPECT_FALSE(protocol.lastMissOthers.anyDirty);
 }
 
-TEST(ProtocolBaseTest, InstructionCountingOnly)
-{
-    MiniProtocol protocol(2, blocks);
-    protocol.instruction();
-    protocol.instruction();
-    EXPECT_EQ(protocol.events().count(EventType::Instr), 2u);
-    EXPECT_EQ(protocol.events().totalRefs(), 2u);
-    EXPECT_TRUE(protocol.residentBlocks().empty());
-}
-
 TEST(ProtocolBaseTest, BaseInvariantDetectsOracleDesync)
 {
     // On finite caches the base check compares each cache's state

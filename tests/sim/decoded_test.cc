@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -105,7 +107,8 @@ TEST(DecodedTraceTest, DecodeReportsExactShape)
         for (std::size_t i = 0; i < trace.size(); ++i) {
             const TraceRecord &record = trace[i];
             EXPECT_EQ(decoded.dataBefore(i), data_refs);
-            EXPECT_EQ(decoded.isData(i), !record.isInstr());
+            EXPECT_EQ((decoded.dataBits[i / 64] >> (i % 64) & 1) != 0,
+                      !record.isInstr());
             if (record.isInstr())
                 continue;
             const std::uint64_t d = data_refs++;
@@ -659,6 +662,183 @@ TEST(DecodedTraceTest, ChecksumHashesTheRecordAlignedLayout)
             const std::uint64_t expected = expandedChecksum(trace, sized);
             EXPECT_EQ(traceChecksumFnv64(sized), expected);
             EXPECT_EQ(traceChecksumFnv64(unsized), expected);
+        }
+    }
+}
+
+
+/**
+ * decodeTrace() written from its definition (decoded.hh), one record
+ * at a time: block ids and cache ids by first appearance over data
+ * records, a block's last cache, the coherence rule, and the sizing
+ * of the domain over all records.
+ */
+DecodedTrace
+referenceDecode(const Trace &trace, SharingModel sharing)
+{
+    DecodedTrace out;
+    out.name = trace.name();
+    out.blockBytes = defaultBlockBytes;
+    out.sharing = sharing;
+    out.records = trace.size();
+    out.dataBits.assign((trace.size() + 63) / 64, 0);
+    std::map<BlockNum, std::uint32_t> block_ids;
+    std::map<BlockNum, CacheId> last_cache;
+    std::map<std::uint64_t, CacheId> cache_ids;
+    std::set<ProcId> pids;
+    unsigned cpus = 0;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        const TraceRecord &record = trace[i];
+        pids.insert(record.pid);
+        cpus = std::max(cpus, record.cpu + 1u);
+        if (record.isInstr())
+            continue;
+        out.dataBits[i / 64] |= std::uint64_t{1} << (i % 64);
+        const std::uint64_t key = sharing == SharingModel::ByProcess
+            ? std::uint64_t{record.pid}
+            : std::uint64_t{record.cpu};
+        const auto cache_id = static_cast<CacheId>(cache_ids.size());
+        const CacheId cache = cache_ids.emplace(key, cache_id).first->second;
+        const BlockNum block = blockNumber(record.addr, defaultBlockBytes);
+        const auto block_id = static_cast<std::uint32_t>(block_ids.size());
+        const auto [entry, first_ref] = block_ids.emplace(block, block_id);
+        if (first_ref)
+            out.denseToBlock.push_back(block);
+        if (first_ref || record.isWrite() || last_cache[block] != cache)
+            out.coherenceRefs.push_back(
+                static_cast<std::uint32_t>(out.ops.size()));
+        last_cache[block] = cache;
+        out.ops.push_back(static_cast<std::uint8_t>(
+            (record.isWrite() ? decodedOpWrite : decodedOpRead)
+            | (first_ref ? decodedOpFirstRef : 0)));
+        out.blocks.push_back(entry->second);
+        out.caches.push_back(static_cast<std::uint16_t>(cache));
+    }
+    out.cachesUsed = static_cast<unsigned>(cache_ids.size());
+    if (sharing == SharingModel::ByProcess)
+        out.cachesNeeded = static_cast<unsigned>(pids.size());
+    else
+        out.cachesNeeded = cpus > 0 ? cpus : trace.numCpus();
+    return out;
+}
+
+/** Every field of two decoded streams, compared exactly. */
+void
+expectSameStream(const DecodedTrace &actual, const DecodedTrace &expected)
+{
+    EXPECT_EQ(actual.name, expected.name);
+    EXPECT_EQ(actual.numRecords(), expected.numRecords());
+    EXPECT_TRUE(actual.dataBits == expected.dataBits) << "dataBits";
+    EXPECT_TRUE(actual.ops == expected.ops) << "ops";
+    EXPECT_TRUE(actual.blocks == expected.blocks) << "blocks";
+    EXPECT_TRUE(actual.caches == expected.caches) << "caches";
+    EXPECT_TRUE(actual.denseToBlock == expected.denseToBlock)
+        << "denseToBlock";
+    EXPECT_TRUE(actual.coherenceRefs == expected.coherenceRefs)
+        << "coherenceRefs";
+    EXPECT_EQ(actual.blockBytes, expected.blockBytes);
+    EXPECT_TRUE(actual.sharing == expected.sharing);
+    EXPECT_EQ(actual.cachesNeeded, expected.cachesNeeded);
+    EXPECT_EQ(actual.cachesUsed, expected.cachesUsed);
+}
+
+/**
+ * Pid 7 fetches across the first 1,024-record chunk edge before pid
+ * 8's first data record, then both read and write; pid 9 only
+ * fetches. Cache ids follow first *data* appearance (8, then 7), and
+ * pid 9 needs a cache but uses none.
+ */
+Trace
+fetchRunTrace()
+{
+    Trace trace("fetch_run", 4);
+    for (std::size_t i = 0; i < 1'100; ++i) {
+        const Addr addr = 0x40 * (i % 5);
+        if (i % 97 == 96)
+            trace.append(test::instr(9, 0x2000 + 4 * i));
+        else if (i < 1'030)
+            trace.append(test::instr(7, 0x1000 + 4 * i));
+        else if (i < 1'060)
+            trace.append(i % 4 == 0 ? test::write(8, addr)
+                                    : test::read(8, addr));
+        else
+            trace.append(i % 3 == 0 ? test::write(7, addr)
+                                    : test::read(7, addr));
+    }
+    return trace;
+}
+
+TEST(DecodedTraceTest, DecodeMatchesARecordAtATimeReference)
+{
+    // The decoder works a chunk of 1,024 records at a time: these
+    // traces end on both sides of the first three chunk edges, in
+    // memory and from a source with no size hint, under both
+    // sharing models.
+    std::vector<Trace> traces;
+    for (const std::size_t records :
+         {1'023u, 1'024u, 1'025u, 2'047u, 2'048u, 2'049u, 3'073u}) {
+        for (const int kind : {0, 1, 2})
+            traces.push_back(patternTrace(records, kind));
+    }
+    traces.push_back(generateTrace("pops", 5'000, 29));
+    traces.push_back(fetchRunTrace());
+    for (const Trace &trace : traces) {
+        for (const SharingModel sharing :
+             {SharingModel::ByProcess, SharingModel::ByProcessor}) {
+            SCOPED_TRACE(trace.name() + " x "
+                         + std::to_string(trace.size())
+                         + (sharing == SharingModel::ByProcess
+                                ? " by process"
+                                : " by processor"));
+            const DecodedTrace expected = referenceDecode(trace, sharing);
+            expectSameStream(
+                decodeTrace(trace, defaultBlockBytes, sharing), expected);
+            UnsizedSource source(trace);
+            expectSameStream(
+                decodeTrace(source, defaultBlockBytes, sharing), expected);
+        }
+    }
+    // The fetch run's cache ids, by process: pid 8 first.
+    const DecodedTrace fetch_run = decodeTrace(
+        fetchRunTrace(), defaultBlockBytes, SharingModel::ByProcess);
+    EXPECT_EQ(fetch_run.cachesNeeded, 3u);
+    EXPECT_EQ(fetch_run.cachesUsed, 2u);
+    EXPECT_EQ(fetch_run.caches.front(), 0u);
+    EXPECT_EQ(fetch_run.caches.back(), 1u);
+}
+
+TEST(DecodedTraceTest, FullWalkCountsTheFetchesOfTheTrace)
+{
+    // A one-set direct-mapped cache forces the full walk, which adds
+    // each run of fetches to Instr at once and splits the run that
+    // holds the warm-up boundary around the snapshot.
+    SimConfig config;
+    FiniteCacheConfig geometry;
+    geometry.capacityBytes = defaultBlockBytes;
+    geometry.ways = 1;
+    geometry.blockBytes = config.blockBytes;
+    config.finiteCache = geometry;
+    const Trace pattern = patternTrace(200, 2);
+    const Trace pops = generateTrace("pops", 1'000, 23);
+    for (const auto &[trace, stride] :
+         {std::pair{&pattern, 1u}, std::pair{&pops, 149u}}) {
+        const DecodedTrace decoded =
+            decodeTrace(*trace, config.blockBytes, config.sharing);
+        const std::uint64_t n = trace->size();
+        for (std::uint64_t w = 0; w < n; w += stride) {
+            const auto fetches = static_cast<std::uint64_t>(std::count_if(
+                trace->begin() + static_cast<std::ptrdiff_t>(w),
+                trace->end(),
+                [](const TraceRecord &record) { return record.isInstr(); }));
+            config.warmupRefs = w;
+            for (const SchemeSpec &scheme : parseSchemes(paperSchemes())) {
+                SCOPED_TRACE(trace->name() + " " + scheme.name()
+                             + " warm-up " + std::to_string(w));
+                const SimResult result =
+                    simulateTrace(decoded, scheme, config);
+                EXPECT_EQ(result.events.count(EventType::Instr), fetches);
+                EXPECT_EQ(result.totalRefs, n - w);
+            }
         }
     }
 }
