@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Paired A/B runs of the dirsim benchmark over two source trees.
 
-    bench/ab_pairs.py OLD NEW --workload W --pairs N --seconds S
-                      [--seed N] [--trace 0|1]
+    bench/ab_pairs.py OLD NEW --workload W [--workload W2 ...]
+                      --pairs N --seconds S [--seed N] [--trace 0|1]
 
 OLD and NEW are dirsim source trees (a checkout, or a commit exported
 with `git archive <rev> | tar -x -C DIR`). Each is copied without its
@@ -10,22 +10,27 @@ build trees and VCS metadata to `<workdir>/old` and `<workdir>/new`:
 two paths of equal length, because `paper_grid`'s timings follow the
 byte length of the benchmark's working directory and arguments, so two
 checkouts at paths of different lengths can differ with no code
-change. Both copies are built first. Then each pair runs
-`perfbench/run.py` once in each copy, the side that goes first
-alternating from pair to pair, with the same environment (its own
-`PWD`; `CARGO_TARGET_DIR` unset, so each copy builds into its own
-`.bench_build/`).
+change. Both copies are built once. Then, for each workload in turn,
+each pair runs `perfbench/run.py` once in each copy, the side that
+goes first alternating from pair to pair, with the same environment
+(its own `PWD`; `CARGO_TARGET_DIR` unset, so each copy builds into its
+own `.bench_build/`).
 
-It prints, per metric, each side's median and quartiles, the ratio of
-the medians (NEW / OLD) and the pairs NEW won, reading each metric's
-better direction and bound from OLD's BENCHMARK.json. Then, per side,
-the median and range of the minor page faults of a run: the
-getrusage(RUSAGE_CHILDREN) delta around each run.py call, which covers
-run.py's up-to-date build check as well as the benchmark itself. A
-flip of glibc's heap trimming shows there as a jump in faults, where
-otherwise it reads as an unexplained `setup_s` move. It exits 1 when
-a run fails or reports failed cells, or when an end-to-end metric's
-median ratio is worse than its bound.
+It prints, per workload and metric, each side's median and quartiles,
+the ratio of the medians (NEW / OLD) and the pairs NEW won, reading
+each metric's better direction and bound from OLD's BENCHMARK.json.
+Then, per side, the median and range of the minor page faults of a
+run (the getrusage(RUSAGE_CHILDREN) delta around each run.py call,
+which covers run.py's up-to-date build check as well as the benchmark
+itself) and of a cell (a run's faults over its attempted cells). A
+run is time-bounded, so a faster side makes more passes: where the
+passes fault (`finite_sweep` generates its traces in each) that
+raises its faults per run but not per cell, and where set-up faults
+most (the grids) it lowers its faults per cell but not per run. A
+flip of glibc's heap trimming moves both, where otherwise it reads as
+an unexplained `setup_s` move. It exits 1 when a run fails or reports
+failed cells, or when an end-to-end metric's median ratio is worse
+than its bound, on any workload.
 
 `--seed` and `--trace` are passed to both sides' run.py (by default
 neither is, so each workload runs at its default seed, untraced). A
@@ -82,11 +87,11 @@ def minor_faults():
     return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
 
 
-def run_once(tree, args):
+def run_once(tree, workload, args):
     """One run.py invocation: (its result object, or None on failure;
     the minor page faults of the run and its descendants)."""
     command = [sys.executable, "perfbench/run.py", "--workload",
-               args.workload, "--seconds", str(args.seconds)]
+               workload, "--seconds", str(args.seconds)]
     if args.seed is not None:
         command += ["--seed", str(args.seed)]
     if args.trace == "1":
@@ -163,11 +168,52 @@ def report(runs, specs, verdicts):
     return breaches
 
 
+def measure(trees, workload, args):
+    """Alternate args.pairs pairs of runs of @p workload; return the
+    result objects and minor faults per side, and whether any run
+    failed."""
+    runs = {"old": [], "new": []}
+    faults = {"old": [], "new": []}
+    failed = False
+    for pair in range(args.pairs):
+        order = ("old", "new") if pair % 2 == 0 else ("new", "old")
+        for side in order:
+            result, run_faults = run_once(trees[side], workload, args)
+            faults[side].append(run_faults)
+            if result is None or result.get("failed", 1) != 0:
+                print(f"{workload} pair {pair + 1}: {side} run failed",
+                      file=sys.stderr)
+                failed = True
+                result = result or {"metrics": {}}
+            runs[side].append(result)
+        print(f"{workload} pair {pair + 1}/{args.pairs} done "
+              f"({order[0]} first)", file=sys.stderr)
+    return runs, faults, failed
+
+
+def spread(values, digits):
+    return (f"median {statistics.median(values):,.{digits}f} [range "
+            f"{min(values):,.{digits}f}, {max(values):,.{digits}f}]")
+
+
+def report_faults(side, runs, faults):
+    per_cell = [run_faults / run["attempted"]
+                for run, run_faults in zip(runs, faults)
+                if run.get("attempted")]
+    line = f"{side} minor page faults per run: {spread(faults, 0)}"
+    if per_cell:
+        line += f"; per cell: {spread(per_cell, 1)}"
+    print(line)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path, help="the baseline source tree")
     parser.add_argument("new", type=Path, help="the changed source tree")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="append",
+                        help="a perfbench workload; repeat it to "
+                             "measure several on one build of each "
+                             "side")
     parser.add_argument("--pairs", type=int, default=4)
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--seed", type=int,
@@ -201,35 +247,23 @@ def main():
             print(f"building {side} ({source})", file=sys.stderr)
             build(trees[side])
 
-        runs = {"old": [], "new": []}
-        faults = {"old": [], "new": []}
-        failed = False
-        for pair in range(args.pairs):
-            order = ("old", "new") if pair % 2 == 0 else ("new", "old")
-            for side in order:
-                result, run_faults = run_once(trees[side], args)
-                faults[side].append(run_faults)
-                if result is None or result.get("failed", 1) != 0:
-                    print(f"pair {pair + 1}: {side} run failed",
-                          file=sys.stderr)
-                    failed = True
-                    result = result or {"metrics": {}}
-                runs[side].append(result)
-            print(f"pair {pair + 1}/{args.pairs} done ({order[0]} first)",
-                  file=sys.stderr)
-
         seed = "default seed" if args.seed is None else f"seed {args.seed}"
         traced = ", traced" if args.trace == "1" else ""
-        print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s, "
-              f"{seed}{traced}, old {args.old} vs new {args.new}")
-        breaches = report(runs, metric_specs(args.old), args.trace == "0")
-        for side in ("old", "new"):
-            print(f"{side} minor page faults per run: median "
-                  f"{statistics.median(faults[side]):,.0f} [range "
-                  f"{min(faults[side]):,}, {max(faults[side]):,}]")
-        if breaches:
-            print("past their bound: " + ", ".join(breaches))
-        return 1 if failed or breaches else 0
+        specs = metric_specs(args.old)
+        status = 0
+        for workload in args.workload:
+            runs, faults, failed = measure(trees, workload, args)
+            print(f"{workload}: {args.pairs} pairs of {args.seconds:g} s, "
+                  f"{seed}{traced}, old {args.old} vs new {args.new}")
+            breaches = report(runs, specs, args.trace == "0")
+            for side in ("old", "new"):
+                report_faults(side, runs[side], faults[side])
+            if breaches:
+                print("past their bound: " + ", ".join(breaches))
+            if failed or breaches:
+                status = 1
+            sys.stdout.flush()
+        return status
     finally:
         if args.workdir is None:
             shutil.rmtree(workdir, ignore_errors=True)

@@ -1,8 +1,10 @@
 #include "serve/server.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <sstream>
+#include <system_error>
 #include <utility>
 
 #include "common/env.hh"
@@ -240,8 +242,9 @@ SweepServer::stop()
     if (acceptThread.joinable())
         acceptThread.join();
 
-    // The accept thread was the only spawner, so the handler list is
-    // stable now.
+    // The accept thread was the only spawner. A handler that finishes
+    // from here on no longer finds itself in the list, so it is joined
+    // here; one that finished before left the list detached.
     std::vector<std::thread> to_join;
     {
         std::lock_guard<std::mutex> lock(stateMutex);
@@ -265,8 +268,30 @@ SweepServer::acceptLoop()
             HttpConnection drop(fd);
             return;
         }
-        handlers.emplace_back(&SweepServer::handleConnection, this,
-                              fd);
+        try {
+            handlers.emplace_back([this, fd] {
+                handleConnection(fd);
+                // Leave the list detached, so the finished thread's
+                // stack is released now, not at stop(); stop() may
+                // already have taken the list to join it.
+                std::lock_guard<std::mutex> done(stateMutex);
+                const auto self = std::find_if(
+                    handlers.begin(), handlers.end(),
+                    [](const std::thread &handler) {
+                        return handler.get_id()
+                            == std::this_thread::get_id();
+                    });
+                if (self != handlers.end()) {
+                    self->detach();
+                    handlers.erase(self);
+                }
+            });
+        } catch (const std::system_error &error) {
+            // Out of threads: refuse this connection, keep serving.
+            HttpConnection drop(fd);
+            logEvent(LogLevel::Warn, "serve.accept.refused")
+                .field("error", error.what());
+        }
     }
 }
 

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "cache/finite_cache.hh"
+#include "common/bitops.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "protocols/registry.hh"
@@ -91,6 +92,9 @@ readTraceEntry(SpecReader &reader, const JsonValue &json,
     }
     bool has_profile = false;
     bool has_file = false;
+    // Cache counts were given, rejected ones included: a rejected
+    // count is its own problem, not a missing axis.
+    bool names_caches = false;
     for (const auto &[key, value] : json.members()) {
         const std::string at = where + "." + key;
         if (key == "profile") {
@@ -120,6 +124,7 @@ readTraceEntry(SpecReader &reader, const JsonValue &json,
         } else if (key == "seed") {
             entry.seed = readU64(reader, value, at, entry.seed);
         } else if (key == "caches") {
+            names_caches = !value.isArray() || value.size() > 0;
             if (!value.isArray()) {
                 reader.problem(at, "must be an array of cache counts");
                 continue;
@@ -156,7 +161,7 @@ readTraceEntry(SpecReader &reader, const JsonValue &json,
     entry.kind = has_file && !has_profile ? SweepTraceEntry::Kind::File
                                           : SweepTraceEntry::Kind::Profile;
     if (entry.kind == SweepTraceEntry::Kind::Profile
-        && entry.profile == "scale" && entry.caches.empty()) {
+        && entry.profile == "scale" && !names_caches) {
         reader.problem(where, "the \"scale\" profile needs a "
                               "\"caches\" axis (its machine size is "
                               "the parameter)");
@@ -169,28 +174,29 @@ readTraceEntry(SpecReader &reader, const JsonValue &json,
     return entry;
 }
 
+/** The block_bytes axis: every entry a size the engine accepts
+ *  (checkBlockSize(): a power of two of at least one bus word). */
 std::vector<unsigned>
-readUnsignedAxis(SpecReader &reader, const JsonValue &value,
-                 const std::string &where, unsigned min_value,
-                 const char *too_small)
+readBlockSizes(SpecReader &reader, const JsonValue &value)
 {
     std::vector<unsigned> axis;
     if (!value.isArray()) {
-        reader.problem(where, "must be an array");
+        reader.problem("block_bytes", "must be an array");
         return axis;
     }
     for (std::size_t i = 0; i < value.size(); ++i) {
-        const std::string slot = where + "[" + std::to_string(i) + "]";
-        const unsigned entry =
-            readUnsigned(reader, value.at(i), slot, min_value);
-        if (entry < min_value) {
-            reader.problem(slot, too_small);
-            continue;
+        const std::string slot = "block_bytes[" + std::to_string(i) + "]";
+        const unsigned bytes =
+            readUnsigned(reader, value.at(i), slot, defaultBlockBytes);
+        try {
+            checkBlockSize(bytes);
+            axis.push_back(bytes);
+        } catch (const UsageError &error) {
+            reader.problem(slot, error.what());
         }
-        axis.push_back(entry);
     }
-    if (axis.empty())
-        reader.problem(where, "axis is empty");
+    if (value.size() == 0)
+        reader.problem("block_bytes", "axis is empty");
     return axis;
 }
 
@@ -294,9 +300,7 @@ readSpec(SpecReader &reader, const JsonValue &json)
             if (spec.traces.empty())
                 reader.problem("traces", "axis is empty");
         } else if (key == "block_bytes") {
-            spec.blockBytes = readUnsignedAxis(
-                reader, value, "block_bytes", 1,
-                "a block holds at least one byte");
+            spec.blockBytes = readBlockSizes(reader, value);
         } else if (key == "geometries") {
             if (!value.isArray()) {
                 reader.problem("geometries", "must be an array");

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/finite_cache.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "protocols/registry.hh"
 #include "sim/decoded.hh"
 #include "tracegen/generator.hh"
@@ -163,6 +166,73 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("Dir1NB", "WTI", "Dir0B", "Dragon", "DirNNB",
                       "Berkeley", "YenFu", "DirCV", "Dir2B",
                       "Dir2NB"));
+
+class NeverEvictingMatchesInfinite
+    : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(NeverEvictingMatchesInfinite, SameCountersAndStatesEveryReference)
+{
+    // A direct-mapped cache with one set per block never evicts, so it
+    // is the paper's infinite cache with every state stored. Two-state
+    // schemes derive their infinite-cache states from the holder
+    // oracle instead (OracleStates); this is the reference for that.
+    constexpr BlockSpace space{16};
+    FiniteCacheConfig config;
+    config.capacityBytes = space.count * defaultBlockBytes;
+    config.ways = 1;
+    const CacheFactory never_evicting = [config](const BlockSpace &s) {
+        return std::make_unique<FiniteCache>(config, s);
+    };
+    const SchemeSpec scheme = parseScheme(GetParam());
+    for (const unsigned caches : {2u, 3u, 4u, 8u, 70u}) {
+        const auto infinite = makeProtocol(scheme, caches, space);
+        const auto finite =
+            makeProtocol(scheme, caches, space, never_evicting);
+        Rng rng(caches);
+        std::vector<bool> seen(space.count);
+        for (int step = 0; step < 4'000; ++step) {
+            const auto cache = static_cast<CacheId>(rng.below(caches));
+            const auto block =
+                static_cast<BlockNum>(rng.below(space.count));
+            const bool first = !seen[block];
+            seen[block] = true;
+            const bool write = rng.below(3) == 0;
+            for (CoherenceProtocol *protocol :
+                 {infinite.get(), finite.get()}) {
+                if (write)
+                    protocol->write(cache, block, first);
+                else
+                    protocol->read(cache, block, first);
+            }
+            for (CacheId c = 0; c < caches; ++c) {
+                for (BlockNum b = 0; b < space.count; ++b) {
+                    if (infinite->cacheState(c, b)
+                        != finite->cacheState(c, b)) {
+                        FAIL() << caches << " caches, step " << step
+                               << ": cache " << c << " block " << b
+                               << " infinite "
+                               << +infinite->cacheState(c, b)
+                               << " finite " << +finite->cacheState(c, b);
+                    }
+                }
+            }
+            ASSERT_TRUE(infinite->events() == finite->events()
+                        && infinite->ops() == finite->ops()
+                        && infinite->cleanWriteHolders()
+                               == finite->cleanWriteHolders())
+                << caches << " caches, step " << step;
+        }
+    }
+}
+
+// Every scheme family of tests/golden/wide_sweep.json, DirCVr2 too.
+INSTANTIATE_TEST_SUITE_P(
+    WideFamilies, NeverEvictingMatchesInfinite,
+    ::testing::Values("Dir0B", "Dir1NB", "Dir2NB", "Dir4NB", "Dir2B",
+                      "Dir4B", "DirNNB", "DirCV", "DirCVr2", "DirCVr12",
+                      "WTI", "Dragon", "Berkeley", "YenFu"));
 
 TEST(FiniteModeTest, PrebuiltInfiniteProtocolRejectsFiniteConfig)
 {

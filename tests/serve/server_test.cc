@@ -143,6 +143,9 @@ TEST(SweepServerTest, MalformedSpecsGet400WithDiagnostics)
         // A 2^40-byte cache: above FiniteCacheConfig's limit.
         R"({"name":"x","schemes":["Dir0B"],"traces":[{"profile":"pops"}],)"
         R"("geometries":[{"capacity_bytes":1099511627776,"ways":1}]})",
+        // A block smaller than a bus word: checkBlockSize().
+        R"({"name":"x","schemes":["Dir0B"],"traces":[{"profile":"pops"}],)"
+        R"("block_bytes":[3]})",
     };
     for (const std::string &spec : bad) {
         const HttpClientResponse response =
@@ -293,6 +296,46 @@ TEST(SweepServerTest, QueueServesClientsRoundRobin)
     const std::vector<std::uint64_t> anonymous =
         startOrder("anonymous", {"", "", ""});
     EXPECT_EQ(anonymous, (std::vector<std::uint64_t>{1, 2, 3}));
+}
+
+/** Bytes this process maps: the sum of /proc/self/maps' ranges. */
+std::uint64_t
+mappedBytes()
+{
+    std::ifstream maps("/proc/self/maps");
+    std::uint64_t bytes = 0;
+    std::uint64_t start = 0;
+    std::uint64_t end = 0;
+    char dash = 0;
+    for (std::string rest; maps >> std::hex >> start >> dash >> end;
+         std::getline(maps, rest))
+        bytes += end - start;
+    return bytes;
+}
+
+TEST(SweepServerTest, FinishedHandlersReleaseTheirThreads)
+{
+    // Each connection runs on its own thread. One kept unjoined until
+    // stop() keeps its stack mapped (8 MiB by default), so 300
+    // requests would map some 2.4 GiB. Bytes, not lines of the maps
+    // file: the sanitizers split their own reserved regions as
+    // threads come and go.
+    TestServer daemon;
+    const auto requests = [&](int count) {
+        for (int request = 0; request < count; ++request) {
+            ASSERT_EQ(
+                httpRequest(daemon.port(), "GET", "/status").status,
+                200);
+        }
+    };
+    // The first requests may add a malloc arena and fill glibc's cache
+    // of free thread stacks.
+    requests(50);
+    const std::uint64_t before = mappedBytes();
+    requests(300);
+    const std::uint64_t after = mappedBytes();
+    EXPECT_LT(after, before + (std::uint64_t{256} << 20))
+        << (after - before) / (1 << 20) << " MiB more mapped";
 }
 
 TEST(SweepServerTest, ShutdownEndpointReleasesWaiters)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bitops.hh"
 #include "common/logging.hh"
 #include "sweep/spec.hh"
 
@@ -246,6 +247,10 @@ TEST(SweepLintTest, ParseAcceptsExactlyWhatTheLinterAccepts)
         R"("geometries":[{"capacity_bytes":8589934592,"ways":4}]})",
         R"({"name":"x","schemes":["Nope","WTI","WTI"],)"
         R"("traces":[{"profile":"pops"}]})",
+        R"({"name":"x","schemes":["Dir0B"],)"
+        R"("traces":[{"profile":"pops"}],"block_bytes":[16,24]})",
+        R"({"name":"x","schemes":["Dir0B"],)"
+        R"("traces":[{"profile":"scale","caches":[65536]}]})",
         "{\"name\": ",
     };
     for (const std::string &text : specs) {
@@ -260,6 +265,52 @@ TEST(SweepLintTest, ParseAcceptsExactlyWhatTheLinterAccepts)
                 << error.what() << " vs " << diags[0].message;
         }
     }
+}
+
+TEST(SweepLintTest, BlockSizesGetTheEnginesCheck)
+{
+    // Each entry must pass checkBlockSize() (a power of two of at
+    // least one bus word) and is named with its message, before any
+    // cell runs.
+    for (const unsigned bytes : {0u, 2u, 3u, 24u}) {
+        std::string engine;
+        try {
+            checkBlockSize(bytes);
+        } catch (const UsageError &error) {
+            engine = error.what();
+        }
+        ASSERT_FALSE(engine.empty()) << bytes;
+        const std::string spec =
+            R"({"name":"x","schemes":["Dir0B"],)"
+            R"("traces":[{"profile":"pops"}],"block_bytes":[16,)"
+            + std::to_string(bytes) + "]}";
+        const std::vector<SweepDiagnostic> diags = lintSweepSpec(spec);
+        ASSERT_EQ(diags.size(), 1u) << spec;
+        EXPECT_EQ(diags[0].where, "block_bytes[1]");
+        EXPECT_EQ(diags[0].message, engine);
+        EXPECT_THROW(parseSweepSpec(spec), UsageError);
+    }
+    // A lone rejected size is one problem, not also an empty axis.
+    EXPECT_EQ(lintSweepSpec(R"({"name":"x","schemes":["Dir0B"],)"
+                            R"("traces":[{"profile":"pops"}],)"
+                            R"("block_bytes":[3]})")
+                  .size(),
+              1u);
+    EXPECT_TRUE(lintSweepSpec(R"({"name":"x","schemes":["Dir0B"],)"
+                              R"("traces":[{"profile":"pops"}],)"
+                              R"("block_bytes":[4,8,64]})")
+                    .empty());
+}
+
+TEST(SweepLintTest, RejectedScaleMachineIsOneProblem)
+{
+    // The entry names a machine size; that the size is rejected is
+    // the problem, not a missing "caches" axis.
+    const std::vector<SweepDiagnostic> diags = lintSweepSpec(
+        R"({"name":"x","schemes":["Dir0B"],)"
+        R"("traces":[{"profile":"scale","caches":[65536]}]})");
+    ASSERT_EQ(diags.size(), 1u);
+    EXPECT_EQ(diags[0].where, "traces[0].caches[0]");
 }
 
 TEST(SweepLintTest, MalformedJsonIsADiagnosticNotAThrow)
