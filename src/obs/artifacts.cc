@@ -11,70 +11,6 @@
 namespace dirsim
 {
 
-namespace
-{
-
-/** Emit manifest + cells (+ metrics) for a finished grid. */
-void
-emitArtifacts(RunManifest manifest, const GridResult &grid,
-              const std::vector<std::string> &tracePaths,
-              JsonlSink &sink, const ExtraMetricsFn &extra_metrics)
-{
-    manifest.jobs = grid.jobs;
-    sink.writeManifest(manifest);
-    const std::size_t num_traces =
-        grid.schemes.empty() ? 0 : grid.schemes[0].perTrace.size();
-    for (std::size_t s = 0; s < grid.schemes.size(); ++s) {
-        for (std::size_t t = 0; t < num_traces; ++t) {
-            const std::size_t index = s * num_traces + t;
-            sink.writeCell(CellRecord::fromCell(
-                grid.schemes[s].perTrace[t], grid.cells[index],
-                t < tracePaths.size() ? tracePaths[t]
-                                      : std::string()));
-        }
-    }
-    MetricRegistry metrics = gridMetrics(grid);
-    if (extra_metrics)
-        extra_metrics(metrics);
-    sink.writeMetrics(metrics);
-    sink.finish();
-}
-
-} // namespace
-
-GridResult
-runFilesWithArtifacts(const ExperimentRunner &runner,
-                      const std::vector<SchemeSpec> &schemes,
-                      const std::vector<std::string> &tracePaths,
-                      const SimConfig &sim, JsonlSink &sink,
-                      const ExtraMetricsFn &extraMetrics)
-{
-    RunManifest manifest = RunManifest::capture(schemes, sim);
-    manifest.stampStart();
-
-    GridResult grid = runner.runFiles(schemes, tracePaths, sim);
-    manifest.stampFinish();
-
-    // File provenance: name/records/caches from the grid's own cell
-    // data, plus a whole-file checksum (trace-format-v2 FNV-1a).
-    const std::size_t num_traces = tracePaths.size();
-    for (std::size_t t = 0; t < num_traces; ++t) {
-        TraceProvenance trace;
-        trace.path = tracePaths[t];
-        trace.source = "file";
-        const SimResult &first = grid.schemes[0].perTrace[t];
-        trace.name = first.traceName;
-        trace.records = grid.cells[t].refs;
-        trace.caches = first.numCaches;
-        trace.checksum = fileChecksumFnv64(tracePaths[t]);
-        trace.hasChecksum = true;
-        manifest.traces.push_back(std::move(trace));
-    }
-    emitArtifacts(std::move(manifest), grid, tracePaths, sink,
-                  extraMetrics);
-    return grid;
-}
-
 GridResult
 runWithArtifacts(const ExperimentRunner &runner,
                  const std::vector<SchemeSpec> &schemes,
@@ -98,7 +34,20 @@ runWithArtifacts(const ExperimentRunner &runner,
         provenance.caches = grid.schemes[0].perTrace[t].numCaches;
         manifest.traces.push_back(std::move(provenance));
     }
-    emitArtifacts(std::move(manifest), grid, {}, sink, extraMetrics);
+    manifest.jobs = grid.jobs;
+    sink.writeManifest(manifest);
+    for (std::size_t s = 0; s < grid.schemes.size(); ++s) {
+        for (std::size_t t = 0; t < traces.size(); ++t) {
+            sink.writeCell(CellRecord::fromCell(
+                grid.schemes[s].perTrace[t],
+                grid.cells[s * traces.size() + t]));
+        }
+    }
+    MetricRegistry metrics = gridMetrics(grid);
+    if (extraMetrics)
+        extraMetrics(metrics);
+    sink.writeMetrics(metrics);
+    sink.finish();
     return grid;
 }
 

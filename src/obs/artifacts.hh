@@ -36,20 +36,12 @@ namespace dirsim
 using ExtraMetricsFn = std::function<void(MetricRegistry &)>;
 
 /**
- * Run every scheme on every trace *file* (each decoded once — see
- * ExperimentRunner::runFiles) and write the run's artifacts to
- * @p sink: a manifest with file provenance (record counts, cache
- * counts, whole-file FNV-1a checksums), one record per cell, and a
- * MetricRegistry snapshot.
+ * Run every scheme on every trace and write the run's artifacts to
+ * @p sink: a manifest whose traces are recorded with source "memory"
+ * (record and cache counts, no path or checksum), one record per
+ * cell, and a MetricRegistry snapshot. A sweep over trace files
+ * records their file provenance instead (sweep/run.hh).
  */
-GridResult runFilesWithArtifacts(
-    const ExperimentRunner &runner,
-    const std::vector<SchemeSpec> &schemes,
-    const std::vector<std::string> &tracePaths, const SimConfig &sim,
-    JsonlSink &sink, const ExtraMetricsFn &extraMetrics = {});
-
-/** In-memory variant: traces are recorded with source "memory" and
- *  no path/checksum provenance. */
 GridResult runWithArtifacts(const ExperimentRunner &runner,
                             const std::vector<SchemeSpec> &schemes,
                             const std::vector<Trace> &traces,

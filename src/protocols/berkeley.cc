@@ -13,25 +13,13 @@ Berkeley::Berkeley(unsigned num_caches_arg,
 }
 
 void
-Berkeley::snoopInvalidate(CacheId writer, BlockNum block)
-{
-    CacheIdList sharers;
-    snapshotHolders(block, sharers);
-    for (const CacheId holder : sharers) {
-        if (holder != writer)
-            invalidateIn(holder, block);
-    }
-}
-
-void
 Berkeley::handleReadMiss(CacheId cache, BlockNum block,
                          const Others &others, bool first)
 {
     if (others.anyDirty) {
         // The owner supplies the block cache-to-cache; memory is NOT
         // updated and the owner keeps ownership in the shared state.
-        if (!first)
-            ++opCounts.cacheSupplies;
+        ++opCounts.cacheSupplies;
         setState(others.dirtyOwner, block, stOwnedShared);
     } else if (!first) {
         ++opCounts.memSupplies;
@@ -57,7 +45,7 @@ Berkeley::handleWriteHit(CacheId cache, BlockNum block,
     sampleCleanWrite(others.numOthers);
     ++opCounts.broadcastInvals;
     ++opCounts.busTransactions;
-    snoopInvalidate(cache, block);
+    invalidateHolders(cache, block);
     setState(cache, block, stOwnedExcl);
 }
 
@@ -68,8 +56,7 @@ Berkeley::handleWriteMiss(CacheId cache, BlockNum block,
     if (others.anyDirty) {
         // Owner supplies the block; the write-for-invalidation
         // transaction also removes every other copy.
-        if (!first)
-            ++opCounts.cacheSupplies;
+        ++opCounts.cacheSupplies;
     } else if (!first) {
         ++opCounts.memSupplies;
     }
@@ -77,7 +64,7 @@ Berkeley::handleWriteMiss(CacheId cache, BlockNum block,
         ++opCounts.broadcastInvals;
         ++opCounts.busTransactions;
     }
-    snoopInvalidate(cache, block);
+    invalidateHolders(cache, block);
     install(cache, block, stOwnedExcl);
 }
 

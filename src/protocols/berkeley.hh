@@ -44,10 +44,6 @@ class Berkeley : public CoherenceProtocol
                         CacheBlockState state) override;
     void handleWriteMiss(CacheId cache, BlockNum block,
                          const Others &others, bool first) override;
-
-  private:
-    /** Bus invalidation observed by snoopers (1 broadcast). */
-    void snoopInvalidate(CacheId writer, BlockNum block);
 };
 
 } // namespace dirsim

@@ -5,10 +5,11 @@
 namespace dirsim
 {
 
+template class DirectoryProtocol<Dir0B>;
+
 Dir0B::Dir0B(unsigned num_caches_arg, const BlockSpace &blocks_arg,
              const CacheFactory &factory)
-    : CoherenceProtocol(num_caches_arg, blocks_arg, factory,
-                        OracleStates{stClean, stDirty}),
+    : DirectoryProtocol(num_caches_arg, blocks_arg, factory),
       dir(blocks_arg.count)
 {
 }
@@ -25,100 +26,47 @@ Dir0B::onEviction(CacheId, BlockNum block, CacheBlockState state)
 }
 
 void
-Dir0B::broadcastInvalidate(CacheId keeper, BlockNum block, bool costed)
+Dir0B::reachOwner(BlockNum)
 {
-    if (costed)
-        ++opCounts.broadcastInvals;
-    CacheIdList sharers;
-    snapshotHolders(block, sharers);
-    for (const CacheId holder : sharers) {
-        if (holder != keeper)
-            invalidateIn(holder, block);
-    }
+    // The directory knows only "dirty in exactly one cache": a
+    // broadcast request finds the owner.
+    ++opCounts.broadcastInvals;
 }
 
 void
-Dir0B::handleReadMiss(CacheId cache, BlockNum block,
-                      const Others &others, bool first)
+Dir0B::invalidateCopies(CacheId keeper, BlockNum block)
 {
-    if (others.anyDirty) {
-        // The directory knows only "dirty in exactly one cache": a
-        // broadcast write-back request finds the owner, which flushes;
-        // memory and the requester receive the data together.
-        if (!first) {
-            ++opCounts.broadcastInvals; // the flush request broadcast
-            ++opCounts.dirtySupplies;
-        }
-        setState(others.dirtyOwner, block, stClean);
-        install(cache, block, stClean);
-        dir.setState(block, TwoBitState::CleanMany);
-    } else {
-        if (!first)
-            ++opCounts.memSupplies;
-        install(cache, block, stClean);
-        dir.addCleanCopy(block);
-    }
-    if (!first)
-        ++opCounts.busTransactions;
-}
-
-void
-Dir0B::handleWriteHit(CacheId cache, BlockNum block,
-                      CacheBlockState state)
-{
-    if (state == stDirty) {
-        eventCounts.add(EventType::WhBlkDrty);
+    // Every invalidation is a broadcast, except that a writing holder
+    // whose block is not clean-many has the only copy.
+    if (keeper != invalidCacheId
+        && dir.state(block) != TwoBitState::CleanMany) {
+        panicIfNot(holderCount(block) == 1,
+                   "Dir0B: clean-one state with other holders");
         return;
     }
-    eventCounts.add(EventType::WhBlkCln);
-    const Others others = classifyOthers(cache, block);
-    sampleCleanWrite(others.numOthers);
-
-    // The write to a clean block must query the directory; this probe
-    // cannot overlap a memory access (Table 5's "dir access" row).
-    ++opCounts.dirChecks;
-    ++opCounts.busTransactions;
-    if (dir.state(block) == TwoBitState::CleanMany) {
-        broadcastInvalidate(cache, block, /* costed */ true);
-    } else {
-        panicIfNot(others.numOthers == 0,
-                   "Dir0B: clean-one state with other holders");
-    }
-    setState(cache, block, stDirty);
-    dir.makeDirty(block);
+    ++opCounts.broadcastInvals;
+    invalidateHolders(keeper, block);
 }
 
 void
-Dir0B::handleWriteMiss(CacheId cache, BlockNum block,
-                       const Others &others, bool first)
+Dir0B::recordFill(CacheId, BlockNum block, const Others &others)
 {
-    if (others.anyDirty) {
-        // Broadcast flush-and-invalidate; the owner's write-back
-        // supplies the requester.
-        if (!first) {
-            ++opCounts.broadcastInvals;
-            ++opCounts.dirtySupplies;
-        }
-        invalidateIn(others.dirtyOwner, block);
-    } else if (others.numOthers > 0) {
-        if (!first)
-            sampleCleanWrite(others.numOthers);
-        broadcastInvalidate(cache, block, !first);
-        if (!first)
-            ++opCounts.memSupplies;
-    } else if (!first) {
-        ++opCounts.memSupplies;
-    }
-    if (!first)
-        ++opCounts.busTransactions;
-    install(cache, block, stDirty);
+    if (others.anyDirty)
+        dir.setState(block, TwoBitState::CleanMany);
+    else
+        dir.addCleanCopy(block);
+}
+
+void
+Dir0B::recordWrite(CacheId, BlockNum block, const Others &)
+{
     dir.makeDirty(block);
 }
 
 void
 Dir0B::checkInvariants(BlockNum block) const
 {
-    CoherenceProtocol::checkInvariants(block);
+    DirectoryProtocol::checkInvariants(block);
     const SharerSet sharers = holders(block);
     unsigned dirty = 0;
     sharers.forEach([&](CacheId holder) {

@@ -15,50 +15,40 @@
 #define DIRSIM_PROTOCOLS_DIR0_B_HH
 
 #include "directory/two_bit.hh"
-#include "protocols/protocol.hh"
+#include "protocols/directory_protocol.hh"
 
 namespace dirsim
 {
 
 /** See file comment. */
-class Dir0B : public CoherenceProtocol
+class Dir0B : public DirectoryProtocol<Dir0B>
 {
   public:
-    static constexpr CacheBlockState stClean = 1;
-    static constexpr CacheBlockState stDirty = 2;
-
     Dir0B(unsigned num_caches_arg, const BlockSpace &blocks_arg,
           const CacheFactory &factory = {});
 
     std::string name() const override { return "Dir0B"; }
-    bool isDirtyState(CacheBlockState state) const override
-    {
-        return state == stDirty;
-    }
     void checkInvariants(BlockNum block) const override;
+
+    /** The two-bit directory (exposed for tests). */
+    const TwoBitDirectory &directory() const { return dir; }
 
   protected:
     void onEviction(CacheId cache, BlockNum block,
                     CacheBlockState state) override;
 
-  public:
-    /** The two-bit directory (exposed for tests). */
-    const TwoBitDirectory &directory() const { return dir; }
-
-  protected:
-    void handleReadMiss(CacheId cache, BlockNum block,
-                        const Others &others, bool first) override;
-    void handleWriteHit(CacheId cache, BlockNum block,
-                        CacheBlockState state) override;
-    void handleWriteMiss(CacheId cache, BlockNum block,
-                         const Others &others, bool first) override;
-
   private:
-    /** Invalidate every copy but @p keeper's (one bus broadcast). */
-    void broadcastInvalidate(CacheId keeper, BlockNum block, bool costed);
+    friend class DirectoryProtocol<Dir0B>;
+
+    void reachOwner(BlockNum block);
+    void invalidateCopies(CacheId keeper, BlockNum block);
+    void recordFill(CacheId cache, BlockNum block, const Others &others);
+    void recordWrite(CacheId cache, BlockNum block, const Others &others);
 
     TwoBitDirectory dir;
 };
+
+extern template class DirectoryProtocol<Dir0B>;
 
 } // namespace dirsim
 

@@ -20,7 +20,7 @@ Dir1NB::onEviction(CacheId cache, BlockNum block, CacheBlockState)
 }
 
 void
-Dir1NB::displace(BlockNum block, const Others &others, bool first)
+Dir1NB::displace(BlockNum block, const Others &others)
 {
     if (others.numOthers == 0)
         return;
@@ -29,11 +29,9 @@ Dir1NB::displace(BlockNum block, const Others &others, bool first)
                block);
     const CacheId holder =
         others.anyDirty ? others.dirtyOwner : others.anyHolder;
-    if (!first) {
-        ++opCounts.invalMsgs;
-        if (others.anyDirty)
-            ++opCounts.dirtySupplies; // write-back supplies the data
-    }
+    ++opCounts.invalMsgs;
+    if (others.anyDirty)
+        ++opCounts.dirtySupplies; // write-back supplies the data
     invalidateIn(holder, block);
     dir.entry(block).removeSharer(holder);
 }
@@ -50,7 +48,7 @@ void
 Dir1NB::handleReadMiss(CacheId cache, BlockNum block,
                        const Others &others, bool first)
 {
-    displace(block, others, first);
+    displace(block, others);
     if (!first) {
         // A clean remote copy (or no copy) is supplied by memory; a
         // dirty copy arrives via the displacing write-back.
@@ -81,7 +79,7 @@ void
 Dir1NB::handleWriteMiss(CacheId cache, BlockNum block,
                         const Others &others, bool first)
 {
-    displace(block, others, first);
+    displace(block, others);
     if (!first) {
         if (!others.anyDirty)
             ++opCounts.memSupplies;

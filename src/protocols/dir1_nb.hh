@@ -63,7 +63,7 @@ class Dir1NB : public CoherenceProtocol
 
   private:
     /** Evict the block from its current holder, write back if dirty. */
-    void displace(BlockNum block, const Others &others, bool first);
+    void displace(BlockNum block, const Others &others);
 
     /** Record the new sole holder in the directory. */
     void takeOwnership(CacheId cache, BlockNum block);

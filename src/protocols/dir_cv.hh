@@ -19,63 +19,42 @@
 #define DIRSIM_PROTOCOLS_DIR_CV_HH
 
 #include "directory/coarse_vector.hh"
-#include "protocols/protocol.hh"
+#include "protocols/directory_protocol.hh"
 
 namespace dirsim
 {
 
 /** See file comment. */
-class DirCV : public CoherenceProtocol
+class DirCV : public DirectoryProtocol<DirCV>
 {
   public:
-    static constexpr CacheBlockState stClean = 1;
-    static constexpr CacheBlockState stDirty = 2;
-
     /** @param region_size_arg 0 for the ternary code, else the
      *         region granularity K (see CoarseVectorDirectory). */
     DirCV(unsigned num_caches_arg, const BlockSpace &blocks_arg,
           unsigned region_size_arg = 0, const CacheFactory &factory = {});
 
     std::string name() const override;
-    bool isDirtyState(CacheBlockState state) const override
-    {
-        return state == stDirty;
-    }
     void checkInvariants(BlockNum block) const override;
 
     /** The coarse-vector directory (exposed for tests). */
     const CoarseVectorDirectory &directory() const { return dir; }
 
   protected:
-    void handleReadMiss(CacheId cache, BlockNum block,
-                        const Others &others, bool first) override;
-    void handleWriteHit(CacheId cache, BlockNum block,
-                        CacheBlockState state) override;
-    void handleWriteMiss(CacheId cache, BlockNum block,
-                         const Others &others, bool first) override;
     void onEviction(CacheId cache, BlockNum block,
                     CacheBlockState state) override;
 
   private:
-    /**
-     * Sequential invalidations to the denoted superset (except
-     * @p keeper), then reset the code to exactly {keeper}. One
-     * message is charged per denoted cache, but only the holders
-     * among them are invalidated: the others hold nothing to lose.
-     */
-    void invalidateSuperset(CacheId keeper, BlockNum block,
-                            bool costed);
+    friend class DirectoryProtocol<DirCV>;
 
-    /**
-     * Messages needed to reach the dirty owner of @p block through
-     * the code: 1 in ternary mode (a dirty code is exactly the
-     * owner), the denoted superset's size in region mode (the code
-     * only narrows the owner down to its region).
-     */
-    unsigned dirtyProbeMsgs(BlockNum block) const;
+    void reachOwner(BlockNum block);
+    void invalidateCopies(CacheId keeper, BlockNum block);
+    void recordFill(CacheId cache, BlockNum block, const Others &others);
+    void recordWrite(CacheId cache, BlockNum block, const Others &others);
 
     CoarseVectorDirectory dir;
 };
+
+extern template class DirectoryProtocol<DirCV>;
 
 } // namespace dirsim
 

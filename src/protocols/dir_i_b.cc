@@ -5,10 +5,11 @@
 namespace dirsim
 {
 
+template class DirectoryProtocol<DirIB>;
+
 DirIB::DirIB(unsigned num_caches_arg, const BlockSpace &blocks_arg,
              unsigned num_pointers_arg, const CacheFactory &factory)
-    : CoherenceProtocol(num_caches_arg, blocks_arg, factory,
-                        OracleStates{stClean, stDirty}),
+    : DirectoryProtocol(num_caches_arg, blocks_arg, factory),
       numPointers(num_pointers_arg)
 {
     fatalIf(numPointers == 0,
@@ -24,42 +25,28 @@ DirIB::name() const
 }
 
 void
-DirIB::invalidateOthers(CacheId keeper, BlockNum block, bool costed)
+DirIB::reachOwner(BlockNum)
 {
-    CacheIdList sharers;
-    snapshotHolders(block, sharers);
-    const bool broadcast = broadcastBits[block] != 0;
-    if (broadcast && costed)
+    // Dirty implies a single, pointed-to owner: one directed message.
+    ++opCounts.invalMsgs;
+}
+
+void
+DirIB::invalidateCopies(CacheId keeper, BlockNum block)
+{
+    // Directed messages while the directory is exact, one broadcast
+    // otherwise; either way the entry is exact afterwards.
+    const unsigned invalidated = invalidateHolders(keeper, block);
+    if (broadcastBits[block] != 0)
         ++opCounts.broadcastInvals;
-    for (const CacheId holder : sharers) {
-        if (holder == keeper)
-            continue;
-        if (costed && !broadcast)
-            ++opCounts.invalMsgs;
-        invalidateIn(holder, block);
-    }
-    // After the invalidation the keeper is the only (known) sharer.
+    else
+        opCounts.invalMsgs += invalidated;
     broadcastBits[block] = 0;
 }
 
 void
-DirIB::handleReadMiss(CacheId cache, BlockNum block,
-                      const Others &others, bool first)
+DirIB::recordFill(CacheId, BlockNum block, const Others &)
 {
-    if (others.anyDirty) {
-        // Dirty implies a single, pointed-to owner: a directed
-        // write-back request; the flush supplies the requester.
-        if (!first) {
-            ++opCounts.invalMsgs;
-            ++opCounts.dirtySupplies;
-        }
-        setState(others.dirtyOwner, block, stClean);
-    } else if (!first) {
-        ++opCounts.memSupplies;
-    }
-    if (!first)
-        ++opCounts.busTransactions;
-    install(cache, block, stClean);
     // The pointer array overflows: only a broadcast reaches every
     // copy from now on.
     if (holderCount(block) > numPointers)
@@ -67,59 +54,24 @@ DirIB::handleReadMiss(CacheId cache, BlockNum block,
 }
 
 void
-DirIB::handleWriteHit(CacheId cache, BlockNum block,
-                      CacheBlockState state)
+DirIB::recordWrite(CacheId, BlockNum block, const Others &others)
 {
-    if (state == stDirty) {
-        eventCounts.add(EventType::WhBlkDrty);
-        return;
-    }
-    eventCounts.add(EventType::WhBlkCln);
-    const Others others = classifyOthers(cache, block);
-    sampleCleanWrite(others.numOthers);
-    ++opCounts.dirChecks;
-    ++opCounts.busTransactions;
-    invalidateOthers(cache, block, /* costed */ true);
-    setState(cache, block, stDirty);
-}
-
-void
-DirIB::handleWriteMiss(CacheId cache, BlockNum block,
-                       const Others &others, bool first)
-{
-    if (others.anyDirty) {
-        if (!first) {
-            ++opCounts.invalMsgs;
-            ++opCounts.dirtySupplies;
-        }
-        invalidateIn(others.dirtyOwner, block);
+    // The message to a dirty owner, its only copy, replaced the one
+    // pointer. A write miss that found no copy leaves the bit as the
+    // silent evictions left it.
+    if (others.anyDirty)
         broadcastBits[block] = 0;
-    } else if (others.numOthers > 0) {
-        if (!first)
-            sampleCleanWrite(others.numOthers);
-        invalidateOthers(invalidCacheId, block, !first);
-        if (!first)
-            ++opCounts.memSupplies;
-    } else if (!first) {
-        ++opCounts.memSupplies;
-    }
-    if (!first)
-        ++opCounts.busTransactions;
-    install(cache, block, stDirty);
 }
 
 void
 DirIB::checkInvariants(BlockNum block) const
 {
-    CoherenceProtocol::checkInvariants(block);
+    DirectoryProtocol::checkInvariants(block);
     const unsigned count = holderCount(block);
     // A clear bit means the i pointers still name every copy.
     panicIfNot(broadcastBits[block] != 0 || count <= numPointers,
                name(), ": block ", block, " has ", count,
                " holders and no broadcast bit");
-    panicIfNot(dirtyHolder(block) == invalidCacheId || count == 1,
-               name(), ": dirty block ", block, " has ", count,
-               " sharers");
 }
 
 } // namespace dirsim

@@ -4,9 +4,7 @@
  * (Section 6 of the paper). While at most i caches share a block the
  * directory is exact and invalidations are directed; when the pointer
  * array overflows the broadcast bit is set and the next invalidation
- * must be broadcast. Dir1B is the paper's headline variant: since a
- * single invalidation is the common case, its cost model is
- * 0.0485 + 0.0006*b cycles per reference on their traces.
+ * must be broadcast.
  *
  * While the bit is clear the i pointers name exactly the engine's
  * holders (protocols/protocol.hh), whom the directed invalidations
@@ -20,18 +18,15 @@
 #include <cstdint>
 
 #include "common/arena.hh"
-#include "protocols/protocol.hh"
+#include "protocols/directory_protocol.hh"
 
 namespace dirsim
 {
 
 /** See file comment. */
-class DirIB : public CoherenceProtocol
+class DirIB : public DirectoryProtocol<DirIB>
 {
   public:
-    static constexpr CacheBlockState stClean = 1;
-    static constexpr CacheBlockState stDirty = 2;
-
     /**
      * @param num_caches_arg caches in the domain
      * @param blocks_arg the blocks references may name
@@ -41,10 +36,6 @@ class DirIB : public CoherenceProtocol
           unsigned num_pointers_arg, const CacheFactory &factory = {});
 
     std::string name() const override;
-    bool isDirtyState(CacheBlockState state) const override
-    {
-        return state == stDirty;
-    }
     void checkInvariants(BlockNum block) const override;
 
     unsigned pointerBudget() const { return numPointers; }
@@ -56,21 +47,13 @@ class DirIB : public CoherenceProtocol
         return block < blockSpace().count && broadcastBits[block] != 0;
     }
 
-  protected:
-    void handleReadMiss(CacheId cache, BlockNum block,
-                        const Others &others, bool first) override;
-    void handleWriteHit(CacheId cache, BlockNum block,
-                        CacheBlockState state) override;
-    void handleWriteMiss(CacheId cache, BlockNum block,
-                         const Others &others, bool first) override;
-
   private:
-    /**
-     * Invalidate all copies but @p keeper's: directed messages while
-     * the directory is exact, one broadcast otherwise. Either way the
-     * entry is exact afterwards.
-     */
-    void invalidateOthers(CacheId keeper, BlockNum block, bool costed);
+    friend class DirectoryProtocol<DirIB>;
+
+    void reachOwner(BlockNum block);
+    void invalidateCopies(CacheId keeper, BlockNum block);
+    void recordFill(CacheId cache, BlockNum block, const Others &others);
+    void recordWrite(CacheId cache, BlockNum block, const Others &others);
 
     unsigned numPointers;
     /** Block b's broadcast bit: set when an install leaves more than
@@ -78,6 +61,8 @@ class DirIB : public CoherenceProtocol
      *  leaves it (the directory cannot tell how many copies remain). */
     CallocArena<std::uint8_t> broadcastBits;
 };
+
+extern template class DirectoryProtocol<DirIB>;
 
 } // namespace dirsim
 

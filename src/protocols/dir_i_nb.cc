@@ -5,10 +5,11 @@
 namespace dirsim
 {
 
+template class DirectoryProtocol<DirINB>;
+
 DirINB::DirINB(unsigned num_caches_arg, const BlockSpace &blocks_arg,
                unsigned num_pointers_arg, const CacheFactory &factory)
-    : CoherenceProtocol(num_caches_arg, blocks_arg, factory,
-                        OracleStates{stClean, stDirty}),
+    : DirectoryProtocol(num_caches_arg, blocks_arg, factory),
       dir(num_pointers_arg, blocks_arg.count)
 {
 }
@@ -26,7 +27,21 @@ DirINB::name() const
 }
 
 void
-DirINB::recordSharer(BlockNum block, CacheId cache, bool costed)
+DirINB::reachOwner(BlockNum)
+{
+    ++opCounts.invalMsgs; // directed write-back request
+}
+
+void
+DirINB::invalidateCopies(CacheId keeper, BlockNum block)
+{
+    // The pointers name exactly the holders: one directed message
+    // each. recordWrite() rewrites the entry.
+    opCounts.invalMsgs += invalidateHolders(keeper, block);
+}
+
+void
+DirINB::recordFill(CacheId cache, BlockNum block, const Others &)
 {
     LimitedEntry entry = dir.entry(block);
     CacheId victim = invalidCacheId;
@@ -34,8 +49,7 @@ DirINB::recordSharer(BlockNum block, CacheId cache, bool costed)
     if (outcome == LimitedAddOutcome::EvictionRequired) {
         // Free a pointer by invalidating the oldest copy. This is the
         // extra cost Dir_i NB pays for never broadcasting.
-        if (costed)
-            ++opCounts.overflowInvals;
+        ++opCounts.overflowInvals;
         invalidateIn(victim, block);
         entry.removeSharer(victim);
         outcome = entry.addSharer(cache, &victim);
@@ -45,89 +59,17 @@ DirINB::recordSharer(BlockNum block, CacheId cache, bool costed)
 }
 
 void
-DirINB::invalidateOthers(CacheId keeper, BlockNum block, bool costed)
+DirINB::recordWrite(CacheId cache, BlockNum block, const Others &)
 {
     LimitedEntry entry = dir.entry(block);
-    // Snapshot: the loop removes pointers while it walks them.
-    CacheIdList victims;
-    for (const CacheId victim : entry.pointerList())
-        victims.push(victim);
-    for (const CacheId victim : victims) {
-        if (victim == keeper)
-            continue;
-        if (costed)
-            ++opCounts.invalMsgs;
-        invalidateIn(victim, block);
-        entry.removeSharer(victim);
-    }
-}
-
-void
-DirINB::handleReadMiss(CacheId cache, BlockNum block,
-                       const Others &others, bool first)
-{
-    if (others.anyDirty) {
-        if (!first) {
-            ++opCounts.invalMsgs; // directed write-back request
-            ++opCounts.dirtySupplies;
-        }
-        setState(others.dirtyOwner, block, stClean);
-    } else if (!first) {
-        ++opCounts.memSupplies;
-    }
-    if (!first)
-        ++opCounts.busTransactions;
-    install(cache, block, stClean);
-    recordSharer(block, cache, !first);
-}
-
-void
-DirINB::handleWriteHit(CacheId cache, BlockNum block,
-                       CacheBlockState state)
-{
-    if (state == stDirty) {
-        eventCounts.add(EventType::WhBlkDrty);
-        return;
-    }
-    eventCounts.add(EventType::WhBlkCln);
-    const Others others = classifyOthers(cache, block);
-    sampleCleanWrite(others.numOthers);
-    ++opCounts.dirChecks;
-    ++opCounts.busTransactions;
-    invalidateOthers(cache, block, /* costed */ true);
-    setState(cache, block, stDirty);
-}
-
-void
-DirINB::handleWriteMiss(CacheId cache, BlockNum block,
-                        const Others &others, bool first)
-{
-    if (others.anyDirty) {
-        if (!first) {
-            ++opCounts.invalMsgs;
-            ++opCounts.dirtySupplies;
-        }
-        invalidateIn(others.dirtyOwner, block);
-        dir.entry(block).reset();
-    } else if (others.numOthers > 0) {
-        if (!first)
-            sampleCleanWrite(others.numOthers);
-        invalidateOthers(invalidCacheId, block, !first);
-        if (!first)
-            ++opCounts.memSupplies;
-    } else if (!first) {
-        ++opCounts.memSupplies;
-    }
-    if (!first)
-        ++opCounts.busTransactions;
-    install(cache, block, stDirty);
-    recordSharer(block, cache, !first);
+    entry.reset();
+    entry.addSharer(cache);
 }
 
 void
 DirINB::checkInvariants(BlockNum block) const
 {
-    CoherenceProtocol::checkInvariants(block);
+    DirectoryProtocol::checkInvariants(block);
     const SharerSet sharers = holders(block);
     panicIfNot(sharers.count() <= dir.pointerBudget(),
                name(), ": block ", block, " resides in ",

@@ -19,18 +19,15 @@
 #define DIRSIM_PROTOCOLS_DIR_I_NB_HH
 
 #include "directory/limited.hh"
-#include "protocols/protocol.hh"
+#include "protocols/directory_protocol.hh"
 
 namespace dirsim
 {
 
 /** See file comment. */
-class DirINB : public CoherenceProtocol
+class DirINB : public DirectoryProtocol<DirINB>
 {
   public:
-    static constexpr CacheBlockState stClean = 1;
-    static constexpr CacheBlockState stDirty = 2;
-
     /**
      * @param num_caches_arg caches in the domain
      * @param blocks_arg the blocks references may name
@@ -40,44 +37,29 @@ class DirINB : public CoherenceProtocol
            unsigned num_pointers_arg, const CacheFactory &factory = {});
 
     std::string name() const override;
-    bool isDirtyState(CacheBlockState state) const override
-    {
-        return state == stDirty;
-    }
     void checkInvariants(BlockNum block) const override;
 
     unsigned pointerBudget() const { return dir.pointerBudget(); }
+
+    /** The limited-pointer directory (exposed for tests). */
+    const LimitedDirectory &directory() const { return dir; }
 
   protected:
     void onEviction(CacheId cache, BlockNum block,
                     CacheBlockState state) override;
 
-  public:
-    /** The limited-pointer directory (exposed for tests). */
-    const LimitedDirectory &directory() const { return dir; }
-
-  protected:
-    void handleReadMiss(CacheId cache, BlockNum block,
-                        const Others &others, bool first) override;
-    void handleWriteHit(CacheId cache, BlockNum block,
-                        CacheBlockState state) override;
-    void handleWriteMiss(CacheId cache, BlockNum block,
-                         const Others &others, bool first) override;
-
   private:
-    /**
-     * Record a new sharer, invalidating the oldest existing copy
-     * first when the pointer array is full.
-     *
-     * @param costed false while handling uncosted first references
-     */
-    void recordSharer(BlockNum block, CacheId cache, bool costed);
+    friend class DirectoryProtocol<DirINB>;
 
-    /** Directed invalidations to every pointer but @p keeper's. */
-    void invalidateOthers(CacheId keeper, BlockNum block, bool costed);
+    void reachOwner(BlockNum block);
+    void invalidateCopies(CacheId keeper, BlockNum block);
+    void recordFill(CacheId cache, BlockNum block, const Others &others);
+    void recordWrite(CacheId cache, BlockNum block, const Others &others);
 
     LimitedDirectory dir;
 };
+
+extern template class DirectoryProtocol<DirINB>;
 
 } // namespace dirsim
 

@@ -10,54 +10,39 @@
  * scheme keeps no directory of its own: it invalidates the oracle's
  * holders in ascending order. directory/storage.hh still prices the
  * organization at n + 1 bits per block.
- *
- * Section 6 of the paper evaluates exactly this scheme: the bus
- * cycles per reference rise only from 0.0491 (Dir0B, broadcast) to
- * 0.0499 (sequential invalidates) because over 85% of writes to
- * previously-clean blocks invalidate at most one other copy.
  */
 
 #ifndef DIRSIM_PROTOCOLS_DIR_N_NB_HH
 #define DIRSIM_PROTOCOLS_DIR_N_NB_HH
 
-#include "protocols/protocol.hh"
+#include "protocols/directory_protocol.hh"
 
 namespace dirsim
 {
 
 /** See file comment. */
-class DirNNB : public CoherenceProtocol
+class DirNNB : public DirectoryProtocol<DirNNB>
 {
   public:
-    static constexpr CacheBlockState stClean = 1;
-    static constexpr CacheBlockState stDirty = 2;
-
     DirNNB(unsigned num_caches_arg, const BlockSpace &blocks_arg,
            const CacheFactory &factory = {});
 
     std::string name() const override { return "DirNNB"; }
-    bool isDirtyState(CacheBlockState state) const override
-    {
-        return state == stDirty;
-    }
-    void checkInvariants(BlockNum block) const override;
-
-  protected:
-    void handleReadMiss(CacheId cache, BlockNum block,
-                        const Others &others, bool first) override;
-    void handleWriteHit(CacheId cache, BlockNum block,
-                        CacheBlockState state) override;
-    void handleWriteMiss(CacheId cache, BlockNum block,
-                         const Others &others, bool first) override;
 
   private:
-    /**
-     * Send directed invalidations to every holder but @p keeper.
-     *
-     * @param costed false while handling uncosted first references
-     */
-    void invalidateOthers(CacheId keeper, BlockNum block, bool costed);
+    friend class DirectoryProtocol<DirNNB>;
+
+    void reachOwner(BlockNum) { ++opCounts.invalMsgs; }
+    void invalidateCopies(CacheId keeper, BlockNum block)
+    {
+        // One directed message per copy.
+        opCounts.invalMsgs += invalidateHolders(keeper, block);
+    }
+    void recordFill(CacheId, BlockNum, const Others &) {}
+    void recordWrite(CacheId, BlockNum, const Others &) {}
 };
+
+extern template class DirectoryProtocol<DirNNB>;
 
 } // namespace dirsim
 

@@ -50,8 +50,7 @@ Dragon::handleReadMiss(CacheId cache, BlockNum block,
         // The shared line is pulled; a holding cache supplies the
         // block (memory is not updated: a dirty owner keeps
         // ownership in the shared-dirty state).
-        if (!first)
-            ++opCounts.cacheSupplies;
+        ++opCounts.cacheSupplies;
         demoteToShared(cache, block);
         install(cache, block, stSharedClean);
     } else {
@@ -88,10 +87,8 @@ Dragon::handleWriteMiss(CacheId cache, BlockNum block,
 {
     if (others.numOthers > 0) {
         // Fetch from a holding cache, then distribute the write.
-        if (!first) {
-            ++opCounts.cacheSupplies;
-            ++opCounts.writeUpdates;
-        }
+        ++opCounts.cacheSupplies;
+        ++opCounts.writeUpdates;
         install(cache, block, stSharedDirty);
         applyUpdate(cache, block);
     } else {

@@ -401,4 +401,20 @@ CoherenceProtocol::invalidateIn(CacheId cache, BlockNum block)
         dirtyOwners[block] = invalidCacheId;
 }
 
+unsigned
+CoherenceProtocol::invalidateHolders(CacheId keeper, BlockNum block)
+{
+    // Iterate a snapshot: invalidateIn() edits the live oracle.
+    CacheIdList copies;
+    snapshotHolders(block, copies);
+    unsigned invalidated = 0;
+    for (const CacheId holder : copies) {
+        if (holder == keeper)
+            continue;
+        invalidateIn(holder, block);
+        ++invalidated;
+    }
+    return invalidated;
+}
+
 } // namespace dirsim

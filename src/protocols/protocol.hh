@@ -211,6 +211,8 @@ class CoherenceProtocol
     /**
      * Apply a read miss.
      *
+     * @param others what the other caches hold; Others{} for a first
+     *        reference, since no copy exists anywhere yet
      * @param first true for globally-first references: install state
      *        but record no bus operations (uncosted by methodology)
      */
@@ -236,6 +238,14 @@ class CoherenceProtocol
 
     /** Remove @p block from @p cache (cache + holder oracle). */
     void invalidateIn(CacheId cache, BlockNum block);
+
+    /**
+     * Remove @p block from every cache but @p keeper (invalidCacheId:
+     * from every cache), in ascending cache order.
+     *
+     * @return the number of copies invalidated
+     */
+    unsigned invalidateHolders(CacheId keeper, BlockNum block);
 
     /**
      * Scheme-specific directory maintenance after a replacement

@@ -13,17 +13,6 @@ WTI::WTI(unsigned num_caches_arg,
 }
 
 void
-WTI::snoopInvalidate(CacheId writer, BlockNum block)
-{
-    CacheIdList sharers;
-    snapshotHolders(block, sharers);
-    for (const CacheId holder : sharers) {
-        if (holder != writer)
-            invalidateIn(holder, block);
-    }
-}
-
-void
 WTI::handleReadMiss(CacheId cache, BlockNum block, const Others &,
                     bool first)
 {
@@ -44,7 +33,8 @@ WTI::handleWriteHit(CacheId cache, BlockNum block, CacheBlockState)
     eventCounts.add(EventType::WhBlkCln);
     ++opCounts.writeThroughs;
     ++opCounts.busTransactions;
-    snoopInvalidate(cache, block);
+    // Snooping caches invalidate their copies at no bus cost.
+    invalidateHolders(cache, block);
 }
 
 void
@@ -61,7 +51,7 @@ WTI::handleWriteMiss(CacheId cache, BlockNum block, const Others &,
         ++opCounts.memSupplies;
         ++opCounts.busTransactions;
     }
-    snoopInvalidate(cache, block);
+    invalidateHolders(cache, block);
     install(cache, block, stValid);
 }
 

@@ -42,10 +42,6 @@ class WTI : public CoherenceProtocol
                         CacheBlockState state) override;
     void handleWriteMiss(CacheId cache, BlockNum block,
                          const Others &others, bool first) override;
-
-  private:
-    /** Snooping caches invalidate their copies at no bus cost. */
-    void snoopInvalidate(CacheId writer, BlockNum block);
 };
 
 } // namespace dirsim

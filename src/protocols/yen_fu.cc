@@ -12,44 +12,14 @@ YenFu::YenFu(unsigned num_caches_arg, const BlockSpace &blocks_arg,
 }
 
 void
-YenFu::invalidateOthers(CacheId keeper, BlockNum block, bool costed)
-{
-    CacheIdList victims;
-    snapshotHolders(block, victims);
-    for (const CacheId victim : victims) {
-        if (victim == keeper)
-            continue;
-        if (costed)
-            ++opCounts.invalMsgs;
-        invalidateIn(victim, block);
-    }
-}
-
-void
-YenFu::restoreSingleBit(BlockNum block, bool costed)
-{
-    if (holderCount(block) != 1)
-        return;
-    const CacheId survivor = firstHolder(block);
-    if (cacheState(survivor, block) != stClean)
-        return;
-    // The maintenance signal the paper charges the scheme for.
-    if (costed)
-        ++opCounts.writeUpdates;
-    setState(survivor, block, stCleanSingle);
-}
-
-void
 YenFu::handleReadMiss(CacheId cache, BlockNum block,
                       const Others &others, bool first)
 {
     if (others.anyDirty) {
         // Directed write-back request, as in Censier & Feautrier. The
         // owner's single bit is cleared by the same transaction.
-        if (!first) {
-            ++opCounts.invalMsgs;
-            ++opCounts.dirtySupplies;
-        }
+        ++opCounts.invalMsgs;
+        ++opCounts.dirtySupplies;
         setState(others.dirtyOwner, block, stClean);
         install(cache, block, stClean);
     } else if (others.numOthers == 0) {
@@ -57,14 +27,12 @@ YenFu::handleReadMiss(CacheId cache, BlockNum block,
             ++opCounts.memSupplies;
         install(cache, block, stCleanSingle);
     } else {
-        if (!first)
-            ++opCounts.memSupplies;
+        ++opCounts.memSupplies;
         // A second copy appears: the previous sole holder's single
         // bit must be cleared, costing a maintenance signal.
         if (others.numOthers == 1
             && cacheState(others.anyHolder, block) == stCleanSingle) {
-            if (!first)
-                ++opCounts.writeUpdates;
+            ++opCounts.writeUpdates;
             setState(others.anyHolder, block, stClean);
         }
         install(cache, block, stClean);
@@ -99,7 +67,7 @@ YenFu::handleWriteHit(CacheId cache, BlockNum block,
     sampleCleanWrite(others.numOthers);
     ++opCounts.dirChecks;
     ++opCounts.busTransactions;
-    invalidateOthers(cache, block, /* costed */ true);
+    opCounts.invalMsgs += invalidateHolders(cache, block);
     setState(cache, block, stDirty);
 }
 
@@ -108,17 +76,13 @@ YenFu::handleWriteMiss(CacheId cache, BlockNum block,
                        const Others &others, bool first)
 {
     if (others.anyDirty) {
-        if (!first) {
-            ++opCounts.dirtySupplies;
-            ++opCounts.invalMsgs;
-        }
+        ++opCounts.dirtySupplies;
+        ++opCounts.invalMsgs;
         invalidateIn(others.dirtyOwner, block);
     } else if (others.numOthers > 0) {
-        if (!first)
-            sampleCleanWrite(others.numOthers);
-        invalidateOthers(cache, block, !first);
-        if (!first)
-            ++opCounts.memSupplies;
+        sampleCleanWrite(others.numOthers);
+        opCounts.invalMsgs += invalidateHolders(cache, block);
+        ++opCounts.memSupplies;
     } else if (!first) {
         ++opCounts.memSupplies;
     }
@@ -130,8 +94,15 @@ YenFu::handleWriteMiss(CacheId cache, BlockNum block,
 void
 YenFu::onEviction(CacheId, BlockNum block, CacheBlockState)
 {
-    // If exactly one clean copy survives, its single bit is set.
-    restoreSingleBit(block, /* costed */ true);
+    // If exactly one clean copy survives, its single bit is set: the
+    // maintenance signal the paper charges the scheme for.
+    if (holderCount(block) != 1)
+        return;
+    const CacheId survivor = firstHolder(block);
+    if (cacheState(survivor, block) != stClean)
+        return;
+    ++opCounts.writeUpdates;
+    setState(survivor, block, stCleanSingle);
 }
 
 void

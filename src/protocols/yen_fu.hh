@@ -57,16 +57,6 @@ class YenFu : public CoherenceProtocol
                          const Others &others, bool first) override;
     void onEviction(CacheId cache, BlockNum block,
                     CacheBlockState state) override;
-
-  private:
-    /** Directed invalidations to every copy but @p keeper's. */
-    void invalidateOthers(CacheId keeper, BlockNum block, bool costed);
-
-    /**
-     * A single remaining clean holder must have its single bit set
-     * (one maintenance signal on the bus).
-     */
-    void restoreSingleBit(BlockNum block, bool costed);
 };
 
 } // namespace dirsim

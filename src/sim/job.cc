@@ -50,11 +50,6 @@ sourceKey(const TraceRef &ref)
         fatalIf(ref.memory == nullptr, "SimJob references a null Trace");
         key << "mem:" << static_cast<const void *>(ref.memory);
         break;
-      case TraceRef::Kind::Decoded:
-        fatalIf(ref.decoded == nullptr,
-                "SimJob references a null DecodedTrace");
-        key << "dec:" << static_cast<const void *>(ref.decoded);
-        break;
       case TraceRef::Kind::File:
         fatalIf(ref.path.empty(),
                 "SimJob references an empty trace path");
@@ -92,11 +87,8 @@ materialize(PlanStream &stream)
         decoded = decodeTrace(*source.trace, stream.blockBytes,
                               stream.sharing);
         break;
-      case TraceRef::Kind::Decoded:
-        panic("a caller-decoded stream is never materialized");
     }
-    stream.owned = std::make_unique<DecodedTrace>(std::move(decoded));
-    stream.decoded = stream.owned.get();
+    stream.decoded = std::make_unique<DecodedTrace>(std::move(decoded));
     source.materialized = true;
     // The cells replay the decoded stream; once every stream has its
     // decode, the generated trace is dead weight.
@@ -125,15 +117,6 @@ TraceRef::of(const Trace &trace)
     TraceRef ref;
     ref.kind = Kind::Memory;
     ref.memory = &trace;
-    return ref;
-}
-
-TraceRef
-TraceRef::of(const DecodedTrace &decoded)
-{
-    TraceRef ref;
-    ref.kind = Kind::Decoded;
-    ref.decoded = &decoded;
     return ref;
 }
 
@@ -303,12 +286,7 @@ buildPlan(const std::vector<SimJob> &jobs, const JobOptions &options)
             stream.source = &source;
             stream.blockBytes = job.config.blockBytes;
             stream.sharing = job.config.sharing;
-            if (ref.kind == TraceRef::Kind::Decoded) {
-                stream.decoded = ref.decoded;
-                stream.ready = true;
-            } else {
-                ++source.pendingStreams;
-            }
+            ++source.pendingStreams;
             stream_it->second = &stream;
         }
         PlanStream &stream = *stream_it->second;

@@ -2,10 +2,10 @@
  * @file
  * The composable simulation entry point and its one cell executor.
  *
- * Every way of running a simulation — an in-memory Trace, a decoded
- * stream, a trace file, a trace generated from a recipe; one scheme
- * or a whole grid — is one shape here: a SimJob (trace reference +
- * scheme + SimConfig) expanded by buildPlan() into a SimPlan of
+ * Every way of running a simulation — an in-memory Trace, a trace
+ * file, a trace generated from a recipe; one scheme or a whole
+ * grid — is one shape here: a SimJob (trace reference + scheme +
+ * SimConfig) expanded by buildPlan() into a SimPlan of
  * executable cells, which runPlan() dispatches. Each distinct trace
  * is decoded (sim/decoded.hh) at most once per geometry, and every
  * cell runs the one simulation loop, simulateTrace(DecodedTrace,
@@ -49,21 +49,19 @@ namespace dirsim
 
 /**
  * A lightweight, non-owning reference to a simulation input. The
- * referenced Trace/DecodedTrace must outlive any plan built from it.
+ * referenced Trace must outlive any plan built from it.
  */
 struct TraceRef
 {
     enum class Kind
     {
         Memory,    ///< an in-memory Trace
-        Decoded,   ///< an already-decoded stream
         File,      ///< a trace file on disk
         Generated, ///< a trace generated on demand from a recipe
     };
 
     Kind kind = Kind::Memory;
     const Trace *memory = nullptr;
-    const DecodedTrace *decoded = nullptr;
     std::string path;
 
     /** Generated: what to generate. Its checksum() keys the cell
@@ -72,7 +70,6 @@ struct TraceRef
     TraceRecipe recipe;
 
     static TraceRef of(const Trace &trace);
-    static TraceRef of(const DecodedTrace &decoded);
     static TraceRef file(std::string path);
     static TraceRef generated(TraceRecipe recipe);
 };
@@ -173,10 +170,9 @@ struct PlanStream
     PlanSource *source = nullptr;
     unsigned blockBytes = 0;
     SharingModel sharing = SharingModel::ByProcess;
-    /** The stream: caller-owned or #owned. A lazy stream sets it
-     *  under the source's latch. */
-    const DecodedTrace *decoded = nullptr;
-    std::unique_ptr<DecodedTrace> owned;
+    /** The stream, once decoded. A lazy stream sets it under the
+     *  source's latch. */
+    std::unique_ptr<DecodedTrace> decoded;
     /** Decoded before any cell ran: cells read #decoded directly. */
     bool ready = false;
 };

@@ -1,6 +1,5 @@
 /** @file Unit tests for obs/artifacts.hh. */
 
-#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -9,7 +8,6 @@
 
 #include "common/logging.hh"
 #include "obs/artifacts.hh"
-#include "trace/writer.hh"
 #include "tracegen/generator.hh"
 
 namespace dirsim
@@ -78,45 +76,6 @@ TEST(RunWithArtifactsTest, ArtifactsRoundTripThroughJsonl)
     EXPECT_EQ(loaded.metrics.counter("sim.pops.Dir0B.refs"),
               loaded.cells[0].totalRefs);
     EXPECT_EQ(loaded.metrics.timer("runner.cell.wall_ms").count, 4u);
-}
-
-TEST(RunFilesWithArtifactsTest, ManifestCarriesFileProvenance)
-{
-    const auto traces = smallTraces();
-    std::vector<std::string> paths;
-    for (const auto &trace : traces) {
-        const std::string path = testing::TempDir() + "/artifacts_"
-            + trace.name() + ".trace";
-        writeBinaryTraceFile(trace, path);
-        paths.push_back(path);
-    }
-
-    std::ostringstream os;
-    JsonlSink sink(os);
-    const ExperimentRunner runner;
-    const GridResult grid = runFilesWithArtifacts(
-        runner, kSchemes, paths, SimConfig{}, sink);
-    EXPECT_GT(grid.setupPhases.get(Phase::Read), 0u);
-
-    std::istringstream in(os.str());
-    const RunArtifacts loaded = loadArtifacts(in);
-    ASSERT_TRUE(loaded.hasManifest);
-    ASSERT_EQ(loaded.manifest.traces.size(), paths.size());
-    for (std::size_t t = 0; t < paths.size(); ++t) {
-        const TraceProvenance &prov = loaded.manifest.traces[t];
-        EXPECT_EQ(prov.source, "file");
-        EXPECT_EQ(prov.path, paths[t]);
-        EXPECT_EQ(prov.records, traces[t].size());
-        ASSERT_TRUE(prov.hasChecksum);
-        EXPECT_EQ(prov.checksum, fileChecksumFnv64(paths[t]));
-    }
-    // Cell records point back at their trace file.
-    ASSERT_EQ(loaded.cells.size(), 4u);
-    EXPECT_EQ(loaded.cells[0].tracePath, paths[0]);
-    EXPECT_EQ(loaded.cells[1].tracePath, paths[1]);
-
-    for (const auto &path : paths)
-        std::remove(path.c_str());
 }
 
 TEST(DiffArtifactsTest, IdenticalRunsDiffClean)

@@ -8,10 +8,7 @@
  * the way through the file.
  */
 
-#include <cstdio>
 #include <sstream>
-
-#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -19,7 +16,6 @@
 #include "obs/artifacts.hh"
 #include "sim/report.hh"
 #include "sim/suite.hh"
-#include "trace/writer.hh"
 
 namespace dirsim
 {
@@ -37,37 +33,23 @@ const ParityFixtureState &
 state()
 {
     static const ParityFixtureState fixture = [] {
-        // The acceptance path: a runFiles grid (the paper's and
-        // Section 6's schemes x the standard suite, streamed from
-        // trace files) whose JSONL artifacts must re-render every
-        // view bit-identically.
+        // The acceptance path: a grid of the paper's and Section
+        // 6's schemes x the standard suite whose JSONL artifacts must
+        // re-render every view bit-identically.
         SuiteParams params;
         params.refsPerTrace = 25'000;
         params.seed = 13;
-        std::vector<std::string> paths;
-        for (const Trace &trace : standardSuite(params)) {
-            // Each discovered test is its own process re-running
-            // this fixture, so the scratch files must be unique per
-            // process or parallel ctest invocations race on them.
-            const std::string path = testing::TempDir() + "/parity_"
-                + std::to_string(::getpid()) + "_" + trace.name()
-                + ".trace";
-            writeBinaryTraceFile(trace, path);
-            paths.push_back(path);
-        }
 
         std::ostringstream os;
         JsonlSink sink(os);
         const ExperimentRunner runner;
         ParityFixtureState built;
-        built.grid = runFilesWithArtifacts(
+        built.grid = runWithArtifacts(
             runner,
             parseSchemes({"Dir1NB", "WTI", "Dir0B", "Dragon", "DirNNB",
                           "Dir1B", "Dir2B", "Dir4B", "Dir2NB",
                           "Dir4NB", "DirCV", "YenFu", "Berkeley"}),
-            paths, SimConfig{}, sink);
-        for (const auto &path : paths)
-            std::remove(path.c_str());
+            standardSuite(params), SimConfig{}, sink);
 
         std::istringstream in(os.str());
         built.reloaded = toSchemeResults(loadArtifacts(in).cells);

@@ -208,12 +208,6 @@ TEST(RunnerTest, RunJobMatchesLegacyEntryPoints)
     EXPECT_EQ(memory.timing.refs, trace.size());
     EXPECT_EQ(memory.timing.simulatedRefs, trace.size());
 
-    // An already-decoded stream.
-    const DecodedTrace decoded = decodeTrace(
-        trace, defaultBlockBytes, SharingModel::ByProcess);
-    expectIdentical(runJob({TraceRef::of(decoded), scheme, {}}).result,
-                    reference);
-
     // A plan over every paper scheme, parallel workers, job order.
     std::vector<SimJob> jobs;
     for (const std::string &name : paperSchemes())

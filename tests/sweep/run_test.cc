@@ -1,11 +1,14 @@
 /** @file Unit tests for sweep/run.hh: execution, resume, artifacts. */
 
 #include <atomic>
+#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +16,8 @@
 #include "obs/artifacts.hh"
 #include "obs/cell_cache.hh"
 #include "sweep/run.hh"
+#include "trace/writer.hh"
+#include "tracegen/generator.hh"
 
 namespace dirsim
 {
@@ -326,6 +331,57 @@ TEST(RunSweepTest, ArtifactsRoundTripThroughJsonl)
     EXPECT_EQ(loaded.cells[0].trace, plan.cells[0].label);
     ASSERT_TRUE(loaded.hasMetrics);
     EXPECT_TRUE(loaded.metrics.has("runner.grid.cells"));
+}
+
+TEST(RunSweepTest, ManifestCarriesFileProvenance)
+{
+    const std::vector<Trace> traces = {generateTrace("pops", 20'000, 3),
+                                       generateTrace("thor", 20'000, 4)};
+    std::vector<std::string> paths;
+    std::string entries;
+    for (const Trace &trace : traces) {
+        // Unique per process: the sanitizer presets may run this test
+        // at the same time.
+        const std::string path = testing::TempDir() + "/sweep_file_"
+            + std::to_string(::getpid()) + "_" + trace.name()
+            + ".trace";
+        writeBinaryTraceFile(trace, path);
+        entries += (entries.empty() ? "" : ",") + std::string("{\"file\":\"")
+            + path + "\"}";
+        paths.push_back(path);
+    }
+    const SweepPlan plan = expandSweep(parseSweepSpec(
+        R"({"name":"files","schemes":["Dir0B","WTI"],"traces":[)"
+        + entries + "]}"));
+    SweepOptions options;
+    options.jobs = 1;
+    std::ostringstream text;
+    {
+        JsonlSink sink(text);
+        writeSweepArtifacts(runSweep(plan, options), sink);
+    }
+
+    std::istringstream in(text.str());
+    const RunArtifacts loaded = loadArtifacts(in);
+    ASSERT_TRUE(loaded.hasManifest);
+    ASSERT_EQ(loaded.manifest.traces.size(), paths.size());
+    for (std::size_t t = 0; t < paths.size(); ++t) {
+        const TraceProvenance &prov = loaded.manifest.traces[t];
+        EXPECT_EQ(prov.source, "file");
+        EXPECT_EQ(prov.path, paths[t]);
+        EXPECT_EQ(prov.records, traces[t].size());
+        EXPECT_GT(prov.caches, 0u);
+        ASSERT_TRUE(prov.hasChecksum);
+        EXPECT_EQ(prov.checksum, fileChecksumFnv64(paths[t]));
+    }
+    // Each cell record points back at its trace file.
+    ASSERT_EQ(loaded.cells.size(), plan.cells.size());
+    for (std::size_t i = 0; i < plan.cells.size(); ++i)
+        EXPECT_EQ(loaded.cells[i].tracePath,
+                  paths[plan.cells[i].traceIndex]);
+
+    for (const std::string &path : paths)
+        std::remove(path.c_str());
 }
 
 } // namespace
